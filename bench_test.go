@@ -1,14 +1,18 @@
-// Package ethpart's root benchmark harness regenerates every table and
-// figure of the paper at benchmark scale and reports the headline metrics
-// alongside wall-clock cost:
+// Package ethpart's root benchmarks report what the performance ledger
+// (bench/, see bench/README.md) does not: quality metrics and scaling
+// curves at benchmark scale, alongside wall-clock cost.
 //
 //	go test -bench=. -benchmem
 //
-// One benchmark exists per figure (Fig. 1, 3a, 3b, 4, 5) plus one per
+// Fig. 1's growth curve, Fig. 5's method × k sweep, one benchmark per
 // ablation called out in DESIGN.md §5 (matching scheme, FM refinement,
-// placement rule, R-METIS window length, TR-METIS thresholds). Benchmarks
-// share one synthetic history, generated once, so the comparisons run on
-// identical input — the same discipline the experiments binary uses.
+// placement rule, R-METIS window length, TR-METIS thresholds), the
+// streaming baselines, and the shard-engine, decay-repartition and
+// autoscale curves. Throughput, per-record and per-layer costs of the
+// replay, generation, directory and serving paths are the ledger's.
+// Benchmarks share one synthetic history, generated once, so the
+// comparisons run on identical input — the same discipline the experiments
+// binary uses.
 package ethpart
 
 import (
@@ -18,7 +22,6 @@ import (
 	"time"
 
 	"ethpart/internal/chain"
-	"ethpart/internal/directory"
 	"ethpart/internal/evm"
 	"ethpart/internal/experiments"
 	"ethpart/internal/graph"
@@ -106,41 +109,6 @@ func BenchmarkFig1GraphEvolution(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3Hashing regenerates Fig. 3a: hashing at k=2 over 4-hour
-// windows. The paper's shape: static cut ≈ 0.5, optimum static balance,
-// zero moves.
-func BenchmarkFig3Hashing(b *testing.B) {
-	ds := dataset(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var res *sim.Result
-	for i := 0; i < b.N; i++ {
-		res = replayFresh(b, ds, sim.Config{Method: sim.MethodHash, K: 2})
-	}
-	b.StopTimer()
-	b.ReportMetric(res.OverallDynamicCut, "dyn-cut")
-	b.ReportMetric(res.FinalStaticBalance, "static-balance")
-	b.ReportMetric(float64(res.TotalMoves), "moves")
-}
-
-// BenchmarkFig3Metis regenerates Fig. 3b: the multilevel (METIS) method at
-// k=2 with two-week repartitioning. The paper's shape: much lower edge-cut
-// than hashing at the cost of dynamic imbalance.
-func BenchmarkFig3Metis(b *testing.B) {
-	ds := dataset(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var res *sim.Result
-	for i := 0; i < b.N; i++ {
-		res = replayFresh(b, ds, sim.Config{Method: sim.MethodMetis, K: 2})
-	}
-	b.StopTimer()
-	b.ReportMetric(res.OverallDynamicCut, "dyn-cut")
-	b.ReportMetric(res.OverallDynamicBalance, "dyn-balance")
-	b.ReportMetric(float64(res.TotalMoves), "moves")
-	b.ReportMetric(float64(res.Repartitions), "repartitions")
-}
-
 // sweepConfigs builds the method × k configuration grid of a figure sweep.
 func sweepConfigs(ks []int) []sim.Config {
 	var cfgs []sim.Config
@@ -150,21 +118,6 @@ func sweepConfigs(ks []int) []sim.Config {
 		}
 	}
 	return cfgs
-}
-
-// BenchmarkFig4MethodComparison regenerates Fig. 4: all five methods at
-// k ∈ {2, 8}, summarised over the 2017 sub-periods. The independent replays
-// run as one parallel sweep, so ns/op shrinks with available cores.
-func BenchmarkFig4MethodComparison(b *testing.B) {
-	ds := dataset(b)
-	cfgs := sweepConfigs([]int{2, 8})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunSweep(ds.GT, cfgs); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFig5ShardSweep regenerates Fig. 5: the k ∈ {2,4,8} sweep as one
@@ -356,35 +309,6 @@ func BenchmarkStreamingBaselines(b *testing.B) {
 			}
 			b.ReportMetric(cutOf(csr, parts), "dyn-cut")
 		})
-	}
-}
-
-// BenchmarkProcessRecord isolates Simulator.Process, the per-interaction
-// hot path of every replay: graph insertion, placement of new vertices and
-// the window/cut accounting. ns/op and allocs/op here are the per-record
-// cost every figure pays once per interaction.
-func BenchmarkProcessRecord(b *testing.B) {
-	ds := dataset(b)
-	recs := ds.GT.Records
-	newSim := func() *sim.Simulator {
-		s, err := sim.New(sim.Config{Method: sim.MethodRMetis, K: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	s := newSim()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(recs)
-		if j == 0 && i > 0 {
-			// Restart the replay so records keep arriving in time order.
-			s = newSim()
-		}
-		if err := s.Process(recs[j]); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -626,148 +550,6 @@ func BenchmarkAutoscaleResize(b *testing.B) {
 		shardWindows += int64(w.Shards)
 	}
 	b.ReportMetric(float64(shardWindows), "shard-windows")
-}
-
-// benchDirectory builds a directory holding n hot entries (plus a retired
-// cold slice) for the serving-path benchmarks.
-func benchDirectory(b *testing.B, n int) *directory.Directory {
-	b.Helper()
-	d := directory.New(directory.Config{})
-	set := make([]directory.Move, n)
-	for i := range set {
-		set[i] = directory.Move{V: graph.VertexID(i), To: i % 8}
-	}
-	if _, err := d.Commit(directory.Batch{Set: set}); err != nil {
-		b.Fatal(err)
-	}
-	// Retire a tenth so lookups also exercise the cold tier's fallthrough.
-	retire := make([]graph.VertexID, 0, n/10)
-	for i := 0; i < n; i += 10 {
-		retire = append(retire, graph.VertexID(i))
-	}
-	if _, err := d.Commit(directory.Batch{Retire: retire}); err != nil {
-		b.Fatal(err)
-	}
-	return d
-}
-
-// BenchmarkDirectoryLookup measures the serving path of the placement
-// directory: lock-free lookups against a pinned snapshot and through a
-// fresh Current() load per lookup, fanned across GOMAXPROCS goroutines
-// (RunParallel). This is the per-request cost a front end pays to answer
-// "which shard owns account X?"; it runs in the CI bench smoke so the
-// serving path is tracked alongside repartition cost.
-func BenchmarkDirectoryLookup(b *testing.B) {
-	const n = 1 << 16
-	d := benchDirectory(b, n)
-	for _, mode := range []struct {
-		name   string
-		pinned bool
-	}{{"pinned-snapshot", true}, {"current-per-lookup", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				snap := d.Current()
-				state := uint64(0x9e3779b97f4a7c15)
-				var sink int
-				for pb.Next() {
-					state = state*6364136223846793005 + 1442695040888963407
-					v := graph.VertexID((state >> 33) % n)
-					if mode.pinned {
-						s, _ := snap.Lookup(v)
-						sink += s
-					} else {
-						s, _ := d.Current().Lookup(v)
-						sink += s
-					}
-				}
-				_ = sink
-			})
-		})
-	}
-}
-
-// BenchmarkDirectoryWaveCommit measures the write path: committing a
-// repartition's whole move set as one epoch flip, with a concurrent
-// reader pinning snapshots throughout (the RCU cost is paid entirely by
-// the writer). waves/entry reports the per-move cost of a 1024-move wave
-// against a 64k-entry directory.
-func BenchmarkDirectoryWaveCommit(b *testing.B) {
-	const (
-		n        = 1 << 16
-		waveSize = 1024
-	)
-	d := benchDirectory(b, n)
-	stop := make(chan struct{})
-	go func() { // background reader: the serving traffic waves flip under
-		state := uint64(7)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := d.Current()
-			for i := 0; i < 128; i++ {
-				state = state*6364136223846793005 + 1442695040888963407
-				snap.Lookup(graph.VertexID((state >> 33) % n))
-			}
-		}
-	}()
-	wave := make([]directory.Move, waveSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range wave {
-			wave[j] = directory.Move{
-				V:  graph.VertexID((i*waveSize + j*97) % n),
-				To: (i + j) % 8,
-			}
-		}
-		if _, err := d.Commit(directory.Batch{Set: wave}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	close(stop)
-	if b.Elapsed() > 0 {
-		b.ReportMetric(float64(b.N*waveSize)/b.Elapsed().Seconds(), "moves/s")
-	}
-}
-
-// BenchmarkWorkloadGeneration measures the synthetic-history generator
-// itself (chain + EVM execution throughput).
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gt, err := sim.Generate(workload.Config{
-			Seed: int64(i + 1), Scale: 0.0005, BlockInterval: 4 * time.Hour,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(gt.Records)), "records")
-	}
-}
-
-// BenchmarkScenarioGeneration measures the open-loop scenario pipeline
-// (arrival planning + mix emission + chain execution) on a library
-// composition with hot-population skew and contract traffic.
-func BenchmarkScenarioGeneration(b *testing.B) {
-	sc, err := workload.LookupScenario("diurnal-exchange")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc.Arrival.Duration = 48 * time.Hour
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sc.Seed = int64(i + 1)
-		gt, err := sim.GenerateScenario(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(gt.Records)), "records")
-	}
 }
 
 // cutOf computes the weighted cut fraction of a one-shot partition.

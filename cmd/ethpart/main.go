@@ -10,8 +10,6 @@
 //	ethpart ops [-seed 1] [-scale 0.002] [-scenario diurnal-exchange [-arrival flash]]
 //	        [-k 2] [-csv] [-parallel] [-decay-half-life 168h] [-horizon 672h]
 //	        [-autoscale [-k-min 1] [-k-max 8] [-target-load 1024]]
-//	ethpart bench-dir [-readers 1,2,4] [-duration 1s] [-method tr-metis]
-//	        [-eras 12] [-decay-half-life 12h] [-net [-replicas 2]] [-csv]
 //	ethpart chaos [-scenario all] [-workload diurnal-exchange [-arrival flash]]
 //	        [-seed 1] [-k 4] [-eras 6] [-windows-per-era 6]
 //	        [-net [-replicas 2]] [-csv]
@@ -36,23 +34,11 @@
 // -parallel the chain also runs on the parallel per-shard engine
 // (byte-identical results) and the table reports its per-block speedup.
 // Homes are resolved through the concurrent placement directory
-// (internal/directory), the same serving path bench-dir loads. With
-// -autoscale the shard count becomes a control variable: the saturation
-// controller splits and merges shards at window boundaries between -k-min
-// and -k-max, and the report gains shards-provisioned-over-time (shrd-win,
-// and a per-window shards column in -csv) beside the resize count.
-//
-// The bench-dir subcommand is the serving-path load driver: it captures a
-// drifting-era trace's placement/repartition/retirement schedule, then
-// replays those commits against the epoch-versioned directory while G
-// reader goroutines issue synthetic lookups, sweeping G and reporting
-// lookups/sec, exact p50/p99 lookup latency (log-scale histogram, no
-// sampling), and the epoch-flip stall. With -net the same schedule drives
-// the networked serving tier (internal/dirserve) instead: commits
-// replicate through an epoch fan-out to -replicas replica processes over
-// loopback TCP, readers issue snapshot-pinned batch lookups through real
-// sockets, and the report adds the replica apply lag; every row ends with
-// a primary/replica convergence check.
+// (internal/directory). With -autoscale the shard count becomes a control
+// variable: the saturation controller splits and merges shards at window
+// boundaries between -k-min and -k-max, and the report gains
+// shards-provisioned-over-time (shrd-win, and a per-window shards column
+// in -csv) beside the resize count.
 //
 // chaos -net replicates every scenario's directory commits to -replicas
 // replica processes, each applying through its own fault plane (derived
@@ -71,6 +57,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"ethpart/internal/report"
@@ -85,10 +72,10 @@ func main() {
 	switch {
 	case len(args) > 0 && args[0] == "ops":
 		err = runOps(args[1:])
-	case len(args) > 0 && args[0] == "bench-dir":
-		err = runBenchDir(args[1:])
 	case len(args) > 0 && args[0] == "chaos":
 		err = runChaos(args[1:])
+	case len(args) > 0 && !strings.HasPrefix(args[0], "-"):
+		err = fmt.Errorf("unknown subcommand %q (subcommands: ops, chaos; a replay takes flags only)", args[0])
 	default:
 		err = run(args)
 	}

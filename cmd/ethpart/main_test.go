@@ -142,9 +142,6 @@ func TestHorizonFlagFailsFast(t *testing.T) {
 			return run([]string{"-trace", "does-not-exist.csv", "-horizon", "24h"})
 		}},
 		{"ops", func() error { return runOps([]string{"-horizon", "24h"}) }},
-		{"bench-dir", func() error {
-			return runBenchDir([]string{"-decay-half-life", "0", "-horizon", "24h"})
-		}},
 	}
 	for _, tc := range cases {
 		err := tc.run()
@@ -162,48 +159,6 @@ func TestHorizonFlagFailsFast(t *testing.T) {
 		"-decay-half-life", "6h", "-horizon", "24h"})
 	if err == nil || strings.Contains(err.Error(), "-decay-half-life") {
 		t.Errorf("valid decay pair rejected at flag parse: %v", err)
-	}
-}
-
-// TestBenchDir smoke-runs the serving-path load driver at a tiny scale:
-// two reader counts, table and CSV, with the schedule capture, the commit
-// replay and the latency sweep all exercised.
-func TestBenchDir(t *testing.T) {
-	for _, extra := range [][]string{nil, {"-csv"}} {
-		args := append([]string{
-			"-eras", "6", "-windows-per-era", "6",
-			"-readers", "1,2", "-duration", "50ms",
-		}, extra...)
-		if err := runBenchDir(args); err != nil {
-			t.Errorf("bench-dir %v: %v", extra, err)
-		}
-	}
-	if err := runBenchDir([]string{"-readers", "0"}); err == nil {
-		t.Error("bench-dir -readers 0 accepted")
-	}
-	if err := runBenchDir([]string{"-method", "bogus"}); err == nil {
-		t.Error("bench-dir bad method accepted")
-	}
-}
-
-// TestBenchDirNet smoke-runs the networked serving tier: a primary front
-// end plus two replica processes over loopback TCP, readers issuing
-// snapshot-pinned batch lookups while commits replicate through the epoch
-// fan-out. runBenchDir errors on zero served lookups or any replica
-// divergence, so a passing run is the serving-path smoke assertion.
-func TestBenchDirNet(t *testing.T) {
-	for _, extra := range [][]string{nil, {"-csv"}} {
-		args := append([]string{
-			"-net", "-replicas", "2",
-			"-eras", "4", "-windows-per-era", "4",
-			"-readers", "2", "-duration", "100ms",
-		}, extra...)
-		if err := runBenchDir(args); err != nil {
-			t.Errorf("bench-dir -net %v: %v", extra, err)
-		}
-	}
-	if err := runBenchDir([]string{"-net", "-replicas", "0"}); err == nil {
-		t.Error("bench-dir -net -replicas 0 accepted")
 	}
 }
 

@@ -90,8 +90,8 @@ const (
 
 // DecayTrace builds the drifting-era history of the comparison: Eras eras
 // whose active sets are disjoint, WindowsPerEra four-hour windows each,
-// two blocks per window, deterministic in Seed. It is exported so the
-// bench-dir load driver can replay the same regime.
+// two blocks per window, deterministic in Seed. It is exported so
+// ethpart chaos can replay the same regime.
 func DecayTrace(p DecayParams) *sim.GeneratedTrace {
 	p = p.withDefaults()
 	reg := trace.NewRegistry()

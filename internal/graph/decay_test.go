@@ -104,7 +104,7 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 		n := int(nRaw%30) + 2
 		factor := 0.3 + 0.7*float64(fRaw%100)/100 // (0.3, 1.0)
 		maxAge := uint32(aRaw%4) + 1
-		g := New()
+		g := mustDecaying(t, maxAge)
 		o := newDecayOracle()
 
 		for round := 0; round < int(rounds%8)+2; round++ {
@@ -124,7 +124,7 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 				}
 				o.add(from, to, fk, tk, w)
 			}
-			g.DecayWeights(factor, maxAge)
+			g.DecaySweep(factor, nil, nil)
 			o.decay(factor, maxAge)
 
 			if g.VertexCount() != len(o.kinds) {
@@ -192,14 +192,14 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 // TestDecayIdentitySweepIsNoOp pins the identity sweep: factor 1 with an
 // unreachable horizon must leave every observable untouched.
 func TestDecayIdentitySweepIsNoOp(t *testing.T) {
-	g := New()
+	g := mustDecaying(t, MaxDecayAge)
 	for _, it := range interactionStream(7, 40, 120) {
 		if err := g.AddInteraction(it.from, it.to, it.fk, it.tk, it.w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := g.Clone()
-	if retired := g.DecayWeights(1, 1<<30); retired != 0 {
+	if retired := g.DecaySweep(1, nil, nil).Retired; retired != 0 {
 		t.Fatalf("identity sweep retired %d vertices", retired)
 	}
 	if g.VertexCount() != want.VertexCount() || g.EdgeCount() != want.EdgeCount() ||
@@ -238,44 +238,53 @@ func TestEnsureVertexRejectsInvalidKind(t *testing.T) {
 	}
 }
 
-// TestDecayClampsOutOfRangeArgs pins the argument clamping: a factor that
-// underflowed to zero (or a zero maxAge) must still sweep — silently doing
-// nothing would let the graph grow unbounded while the caller believes
-// decay is on.
+// TestDecayClampsOutOfRangeArgs pins the handling of out-of-range decay
+// parameters: a factor that underflowed to zero must still sweep — silently
+// doing nothing would let the graph grow unbounded while the caller
+// believes decay is on — and a horizon outside [1, MaxDecayAge] is refused
+// at construction rather than clamped or truncated.
 func TestDecayClampsOutOfRangeArgs(t *testing.T) {
-	g := New()
+	g := mustDecaying(t, 2)
 	if err := g.AddInteraction(1, 2, KindAccount, KindAccount, 100); err != nil {
 		t.Fatal(err)
 	}
 	// factor 0 clamps to the smallest positive float: weights collapse to
 	// the floor of one, the sweep still runs.
-	if retired := g.DecayWeights(0, 2); retired != 0 {
+	if retired := g.DecaySweep(0, nil, nil).Retired; retired != 0 {
 		t.Fatalf("first sweep retired %d, want 0 (age 1 < maxAge 2)", retired)
 	}
 	if w := g.VertexWeight(1); w != 1 {
 		t.Errorf("underflowed factor must collapse weights to the floor of one, got %d", w)
 	}
-	// maxAge 0 clamps to 1: everything untouched since the last sweep
-	// retires rather than the call silently doing nothing.
-	if retired := g.DecayWeights(0.5, 0); retired != 2 {
-		t.Errorf("maxAge-0 sweep retired %d, want 2", retired)
+	// factor > 1 clamps to 1: weights never grow, retirement still runs.
+	if retired := g.DecaySweep(7, nil, nil).Retired; retired != 2 {
+		t.Errorf("second sweep retired %d, want 2 (age 2 at maxAge 2)", retired)
 	}
 	if g.VertexCount() != 0 {
 		t.Errorf("live vertices = %d, want 0", g.VertexCount())
+	}
+
+	for _, maxAge := range []uint32{0, MaxDecayAge + 1} {
+		if _, err := NewDecaying(maxAge); err == nil {
+			t.Errorf("NewDecaying(%d) accepted an out-of-range horizon", maxAge)
+		}
+	}
+	if _, err := NewDecaying(MaxDecayAge); err != nil {
+		t.Errorf("NewDecaying refused the horizon at the bound: %v", err)
 	}
 }
 
 // TestDecayReusesRetiredSlots checks the free list: retire a generation of
 // vertices, add a new generation, and the slot storage must not grow.
 func TestDecayReusesRetiredSlots(t *testing.T) {
-	g := New()
+	g := mustDecaying(t, 1)
 	for i := 0; i < 100; i++ {
 		if err := g.AddInteraction(VertexID(i), VertexID(i+100), KindAccount, KindAccount, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	slots := len(g.ids)
-	if retired := g.DecayWeights(0.5, 1); retired != 200 {
+	if retired := g.DecaySweep(0.5, nil, nil).Retired; retired != 200 {
 		t.Fatalf("retired %d vertices, want 200", retired)
 	}
 	if g.VertexCount() != 0 || g.EdgeCount() != 0 {
@@ -303,7 +312,7 @@ func TestDecayReusesRetiredSlots(t *testing.T) {
 // round-trip: a vertex that ages out and comes back builds fresh adjacency
 // without resurrecting pre-retirement edges.
 func TestDecayRetireReappearKeepsEdges(t *testing.T) {
-	g := New()
+	g := mustDecaying(t, 2)
 	mustAdd := func(u, v VertexID) {
 		t.Helper()
 		if err := g.AddInteraction(u, v, KindAccount, KindAccount, 3); err != nil {
@@ -312,12 +321,12 @@ func TestDecayRetireReappearKeepsEdges(t *testing.T) {
 	}
 	mustAdd(1, 2)
 	mustAdd(2, 3)
-	g.DecayWeights(0.5, 2) // age 1: everything survives
+	g.DecaySweep(0.5, nil, nil) // age 1: everything survives
 	if g.VertexCount() != 3 {
 		t.Fatalf("VertexCount = %d, want 3", g.VertexCount())
 	}
 	mustAdd(2, 3) // keep 2,3 fresh; 1 ages out next sweep
-	g.DecayWeights(0.5, 2)
+	g.DecaySweep(0.5, nil, nil)
 	if g.HasVertex(1) {
 		t.Fatal("vertex 1 should have retired")
 	}

@@ -6,9 +6,9 @@
 // The package supports incremental construction (one interaction at a time,
 // as transactions execute), snapshots, windowed sub-graphs, a compact CSR
 // form consumed by the partitioners, DOT export for visualisation, and
-// windowed exponential decay with retirement (DecayWeights) so long-running
-// callers can keep the live graph bounded by the active set instead of the
-// full history.
+// windowed exponential decay with retirement (NewDecaying, DecaySweep) so
+// long-running callers can keep the live graph bounded by the active set
+// instead of the full history.
 //
 // Storage is dense: the trace registry assigns vertex IDs from zero, so the
 // graph keeps per-vertex records in slices indexed through a VertexID->slot
@@ -73,17 +73,16 @@ const rowIndexThreshold = 32
 // touch, so a decay sweep drops or keeps them consistently without any
 // cross-row surgery.
 //
-// dec tags the epoch the scheduled decay path last rescaled this entry
-// (meaningful on the out copy only, which is the canonical one): the
-// heavy list may carry duplicate references to one edge, and the tag
-// makes the second visit within a sweep a no-op instead of a double
-// decay. It occupies what used to be struct padding, so the entry stays
-// 24 bytes.
+// dec tags the epoch a decay sweep last rescaled this entry (meaningful on
+// the out copy only, which is the canonical one): the heavy list may carry
+// duplicate references to one edge, and the tag makes the second visit
+// within a sweep a no-op instead of a double decay. It occupies what used
+// to be struct padding, so the entry stays 24 bytes.
 type halfEdge struct {
 	to    VertexID
 	w     int64
 	touch uint32 // epoch of the last AddInteraction on this edge
-	dec   uint32 // epoch of the last scheduled rescale (out copy only)
+	dec   uint32 // epoch of the last decay rescale (out copy only)
 }
 
 // row is one adjacency direction of a vertex: half edges in insertion
@@ -113,8 +112,8 @@ func (r *row) find(v VertexID) int32 {
 // add accumulates weight w onto the edge to v, creating the entry if it is
 // new. It reports whether the entry was created and, for existing entries,
 // the weight and touch epoch it had before this call (zero for created
-// ones) — the scheduled decay path uses them to decide whether the edge
-// needs a new horizon bucket or a heavy-list entry. New rows draw their
+// ones) — a decaying graph uses them to decide whether the edge needs a
+// new horizon bucket or a heavy-list entry. New rows draw their
 // first block from g's edge arena.
 func (r *row) add(g *Graph, v VertexID, w int64) (created bool, oldW int64, oldTouch uint32) {
 	if p := r.find(v); p >= 0 {
@@ -138,22 +137,30 @@ func (r *row) add(g *Graph, v VertexID, w int64) (created bool, oldW int64, oldT
 	return true, 0, 0
 }
 
-// removeAt deletes the entry at position p, preserving entry order
-// (iteration order is observable through Neighbors and Edges) and keeping
-// the position index consistent with the shifted tail.
-func (r *row) removeAt(p int32) {
-	victim := r.e[p].to
-	copy(r.e[p:], r.e[p+1:])
-	r.e = r.e[:len(r.e)-1]
+// compact removes the tombstoned entries (weight zero, set by the decay
+// sweep) in one pass, preserving the order of the survivors (iteration
+// order is observable through Neighbors and Edges). The position index is
+// rebuilt once to match, or dropped when the row falls back under
+// rowIndexThreshold.
+func (r *row) compact() {
+	j := 0
+	for i := range r.e {
+		if r.e[i].w == 0 {
+			continue
+		}
+		r.e[j] = r.e[i]
+		j++
+	}
+	r.e = r.e[:j]
 	if r.idx == nil {
 		return
 	}
-	delete(r.idx, victim)
-	if len(r.e) <= rowIndexThreshold {
+	if j <= rowIndexThreshold {
 		r.idx = nil
 		return
 	}
-	for i := int(p); i < len(r.e); i++ {
+	clear(r.idx)
+	for i := range r.e {
 		r.idx[r.e[i].to] = int32(i)
 	}
 }
@@ -186,7 +193,7 @@ type Graph struct {
 	slot  []int32
 	spill map[VertexID]int32
 	// Per-slot vertex records, in insertion order. A slot whose kind is the
-	// zero value is free (its vertex was retired by DecayWeights); free
+	// zero value is free (its vertex was retired by DecaySweep); free
 	// slots are reused by EnsureVertex through the free list, so a graph
 	// with windowed decay keeps its record storage O(live vertices) however
 	// long it runs.
@@ -198,13 +205,11 @@ type Graph struct {
 	in      []row    // in[s] lists u with edge u->ids[s]
 	// free lists retired slots available for reuse.
 	free []int32
-	// epoch counts DecayWeights sweeps; touch stamps compare against it.
+	// epoch counts DecaySweep calls; touch stamps compare against it.
 	epoch uint32
-	// sched, when non-nil, holds the scheduled (lazy) decay state: horizon
-	// buckets and heavy lists that make a sweep O(touched traffic) instead
-	// of O(live graph). Enabled by EnableScheduledDecay on an empty graph;
-	// dropped permanently if a sweep is ever requested at a different
-	// horizon (the eager full scan takes over).
+	// sched, non-nil on a decaying graph (NewDecaying), holds the decay
+	// state: horizon buckets and heavy lists that make a sweep O(touched
+	// traffic) instead of O(live graph).
 	sched *decaySchedule
 
 	// arena hands out the initial fixed-size block of every adjacency row.
@@ -239,7 +244,7 @@ func (g *Graph) newRowBlock() []halfEdge {
 // safe against callers that mint VertexIDs from address bits.
 const denseIDLimit = VertexID(1) << 22
 
-// New returns an empty graph.
+// New returns an empty graph that never decays; see NewDecaying.
 func New() *Graph {
 	return &Graph{}
 }
@@ -369,7 +374,7 @@ func (g *Graph) AddInteraction(from, to VertexID, fromKind, toKind Kind, w int64
 		g.numEdges++
 	}
 	if g.sched != nil {
-		// The canonical (out) copy drives the scheduled decay state: a
+		// The canonical (out) copy drives the decay schedule: a
 		// fresh touch epoch files a new horizon bucket, and a weight
 		// crossing the decay floor joins the heavy list. A created edge was
 		// pushed with w directly; an existing one at the floor (weight one,
@@ -388,7 +393,7 @@ func (g *Graph) AddInteraction(from, to VertexID, fromKind, toKind Kind, w int64
 }
 
 // touchVertex applies one interaction's weight to the vertex in slot s and
-// stamps its touch epoch, maintaining the scheduled decay state: the first
+// stamps its touch epoch, maintaining the decay schedule: the first
 // touch of an epoch re-files the horizon bucket, and a weight leaving the
 // decay floor (one) joins the heavy list so the next sweep rescales it.
 func (g *Graph) touchVertex(id VertexID, s int32, w int64) {

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // buildRetiredEraGraph grows a graph through a sequence of historical eras
@@ -14,14 +16,9 @@ import (
 // IDs spread across the whole historical space. The result is the regime
 // the O(live) hot-path contract is about: a tiny live graph inside a huge
 // historical ID space.
-func buildRetiredEraGraph(tb testing.TB, historical, live int, maxAge uint32, scheduled bool) *Graph {
+func buildRetiredEraGraph(tb testing.TB, historical, live int, maxAge uint32) *Graph {
 	tb.Helper()
-	g := New()
-	if scheduled {
-		if err := g.EnableScheduledDecay(maxAge); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	g := mustDecaying(tb, maxAge)
 	const eraSize = 512
 	for lo := 0; lo < historical; lo += eraSize {
 		hi := lo + eraSize
@@ -39,7 +36,7 @@ func buildRetiredEraGraph(tb testing.TB, historical, live int, maxAge uint32, sc
 			}
 		}
 		for i := uint32(0); i <= maxAge; i++ {
-			g.DecayWeights(0.5, maxAge)
+			g.DecaySweep(0.5, nil, nil)
 		}
 	}
 	if g.VertexCount() != 0 {
@@ -55,21 +52,59 @@ func buildRetiredEraGraph(tb testing.TB, historical, live int, maxAge uint32, sc
 	}
 	// One sweep settles the fresh weights; the live set is inside the
 	// horizon and survives.
-	g.DecayWeights(0.5, maxAge)
+	g.DecaySweep(0.5, nil, nil)
 	if g.VertexCount() != live {
 		tb.Fatalf("live set = %d vertices, want %d", g.VertexCount(), live)
 	}
 	return g
 }
 
-// TestHotPathBoundedByLiveGraph is the tentpole's regression guard: after
+// hubSweep builds a star — hub 0 with out-edges to 1..d — lets every edge
+// age one sweep, re-touches the odd spokes, and runs the sweep in which the
+// d/2 even spokes (interleaved through the hub's row, the worst case for
+// one-at-a-time removal) hit the horizon of 2. It returns the graph and
+// that sweep's wall time; with eager set the plain graph is swept by the
+// reference instead.
+func hubSweep(tb testing.TB, d int, eager bool) (*Graph, time.Duration) {
+	tb.Helper()
+	const maxAge = 2
+	g := New()
+	sweep := func() { g.eagerSweep(0.5, maxAge, nil, nil) }
+	if !eager {
+		g = mustDecaying(tb, maxAge)
+		sweep = func() { g.DecaySweep(0.5, nil, nil) }
+	}
+	for i := 1; i <= d; i++ {
+		if err := g.AddInteraction(0, VertexID(i), KindContract, KindAccount, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	sweep()
+	for i := 1; i <= d; i += 2 {
+		if err := g.AddInteraction(0, VertexID(i), KindContract, KindAccount, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	start := time.Now()
+	sweep()
+	elapsed := time.Since(start)
+	if g.EdgeCount() != d/2 {
+		tb.Fatalf("hub kept %d edges of %d, want %d", g.EdgeCount(), d, d/2)
+	}
+	return g, elapsed
+}
+
+// TestHotPathBoundedByLiveGraph is the O(live) regression guard: after
 // mass retirement shrinks the live graph to N vertices inside a historical
 // ID space of tens of thousands, a CSR rebuild must allocate O(N) — not
 // the O(MaxID) index table the old per-build memset paid — its counted
 // index-clear loop must touch at most N entries per build, and a quiet
 // decay sweep must visit nothing at all. Against the pre-refactor code the
 // allocation bound fails by more than an order of magnitude (an 80 KB
-// dense Index per build at MaxID 20000).
+// dense Index per build at MaxID 20000). The hub-degree axis guards the
+// other way a sweep can stop being O(touched): a super-vertex losing half
+// its edges in one sweep must pay per dropped edge, not per dropped edge
+// times its degree.
 func TestHotPathBoundedByLiveGraph(t *testing.T) {
 	const (
 		historical = 20000
@@ -77,7 +112,7 @@ func TestHotPathBoundedByLiveGraph(t *testing.T) {
 		maxAge     = uint32(4)
 		builds     = 50
 	)
-	g := buildRetiredEraGraph(t, historical, live, maxAge, true)
+	g := buildRetiredEraGraph(t, historical, live, maxAge)
 	if int(g.MaxID()) != historical {
 		t.Fatalf("MaxID = %d, want the full historical ID space %d", g.MaxID(), historical)
 	}
@@ -118,18 +153,51 @@ func TestHotPathBoundedByLiveGraph(t *testing.T) {
 
 	// Sweep side of the contract. The first sweep after the live burst
 	// still drains the burst's schedule entries — O(live). The one after
-	// that is quiet: no bucket due, no heavy weight left, so the scheduled
-	// sweep must do no work at all however large the graph's history.
-	d1 := g.DecaySweep(0.5, maxAge, nil, nil)
-	if !d1.Lazy {
-		t.Fatal("scheduled decay not active")
-	}
+	// that is quiet: no bucket due, no heavy weight left, so the sweep must
+	// do no work at all however large the graph's history.
+	d1 := g.DecaySweep(0.5, nil, nil)
 	if d1.Touched > 4*live {
 		t.Errorf("post-burst sweep touched %d entries, want <= %d (O(live))", d1.Touched, 4*live)
 	}
-	d2 := g.DecaySweep(0.5, maxAge, nil, nil)
+	d2 := g.DecaySweep(0.5, nil, nil)
 	if d2.Touched != 0 || !d2.Quiet() {
 		t.Errorf("quiet sweep touched %d entries (quiet=%v), want zero work", d2.Touched, d2.Quiet())
+	}
+
+	// Hub-degree axis: cost per dropped edge at 8× the degree, best of five
+	// to shed scheduler noise. Batch compaction keeps the ratio near 1;
+	// removing the edges one at a time made it ≈11.
+	perDrop := func(d int) float64 {
+		best := time.Duration(1 << 62)
+		for i := 0; i < 5; i++ {
+			if _, el := hubSweep(t, d, false); el < best {
+				best = el
+			}
+		}
+		return float64(best.Nanoseconds()) / float64(d/2)
+	}
+	small, large := perDrop(1000), perDrop(8000)
+	t.Logf("hub sweep: %.0f ns per dropped edge at d=1000, %.0f ns at d=8000", small, large)
+	if large >= 3*small {
+		t.Errorf("per-dropped-edge sweep cost grew %.1f× (%.0f ns → %.0f ns) for 8× the hub degree, want < 3×",
+			large/small, small, large)
+	}
+	// The compacted rows must read back in exactly the order a full
+	// in-order scan leaves them.
+	got, _ := hubSweep(t, 8000, false)
+	want, _ := hubSweep(t, 8000, true)
+	if !reflect.DeepEqual(dumpGraph(got), dumpGraph(want)) {
+		t.Error("hub graph after the sweep differs from the eager reference (vertex, Edges or in-row order)")
+	}
+	neighbors := func(g *Graph) (vs []VertexID) {
+		g.Neighbors(0, func(v VertexID, _ int64) bool {
+			vs = append(vs, v)
+			return true
+		})
+		return vs
+	}
+	if !reflect.DeepEqual(neighbors(got), neighbors(want)) {
+		t.Error("hub Neighbors order after the sweep differs from the eager reference")
 	}
 }
 
@@ -137,12 +205,12 @@ func TestHotPathBoundedByLiveGraph(t *testing.T) {
 // claim for CI: rebuild cost at a fixed live-vertex count across a 20×
 // spread of historical ID space (MaxID). With the builder-owned scratch
 // index the three curves coincide; the old dense per-build Index table
-// made cost track MaxID. Part of CI's benchmark smoke.
+// made cost track MaxID.
 func BenchmarkCSRRebuildAfterRetirement(b *testing.B) {
 	const live = 256
 	for _, historical := range []int{live * 4, live * 20, live * 80} {
 		b.Run(fmt.Sprintf("live=%d/maxid=%d", live, historical), func(b *testing.B) {
-			g := buildRetiredEraGraph(b, historical, live, 4, true)
+			g := buildRetiredEraGraph(b, historical, live, 4)
 			var builder CSRBuilder
 			builder.Build(g) // one-time scratch growth
 			b.ReportAllocs()
@@ -158,49 +226,36 @@ func BenchmarkCSRRebuildAfterRetirement(b *testing.B) {
 	}
 }
 
-// BenchmarkQuietWindowSweep pins the sweep half of the O(live) claim for
-// CI: the cost of a quiet decay sweep (nothing expires, nothing above the
-// decay floor) across a 10× spread of live-graph size. The scheduled sweep
-// stays flat — a quiet window costs nothing regardless of how much is
-// live — while the eager sweep, benchmarked alongside as the baseline,
-// scales linearly. Part of CI's benchmark smoke.
+// BenchmarkQuietWindowSweep pins the sweep half of the O(live) claim: the
+// cost of a quiet decay sweep (nothing expires, nothing above the decay
+// floor) across a 10× spread of live-graph size stays flat — a quiet
+// window costs nothing regardless of how much is live.
 func BenchmarkQuietWindowSweep(b *testing.B) {
-	// A horizon at the schedule's upper bound keeps every entry inside it
-	// for any realistic b.N, so the measured sweeps stay genuinely quiet.
-	const maxAge = maxScheduledAge
-	for _, mode := range []struct {
-		name      string
-		scheduled bool
-	}{{"scheduled", true}, {"eager", false}} {
-		for _, live := range []int{2000, 20000} {
-			b.Run(fmt.Sprintf("mode=%s/live=%d", mode.name, live), func(b *testing.B) {
-				g := New()
-				if mode.scheduled {
-					if err := g.EnableScheduledDecay(maxAge); err != nil {
-						b.Fatal(err)
-					}
+	for _, live := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			// A horizon at the upper bound keeps every entry inside it for
+			// any realistic b.N, so the measured sweeps stay genuinely quiet.
+			g := mustDecaying(b, MaxDecayAge)
+			for i := 0; i < live; i++ {
+				if err := g.AddInteraction(VertexID(i), VertexID((i+1)%live),
+					KindAccount, KindAccount, 2); err != nil {
+					b.Fatal(err)
 				}
-				for i := 0; i < live; i++ {
-					if err := g.AddInteraction(VertexID(i), VertexID((i+1)%live),
-						KindAccount, KindAccount, 2); err != nil {
-						b.Fatal(err)
-					}
-				}
-				// Warm sweeps: grind every weight to the decay floor and
-				// drain the heavy lists; afterwards each sweep is quiet.
-				for i := 0; i < 3; i++ {
-					g.DecayWeights(0.5, maxAge)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var touched int
-				for i := 0; i < b.N; i++ {
-					touched += g.DecaySweep(0.5, maxAge, nil, nil).Touched
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(touched)/float64(b.N), "touched/sweep")
-				b.ReportMetric(float64(g.VertexCount()), "live-vertices")
-			})
-		}
+			}
+			// Warm sweeps: grind every weight to the decay floor and
+			// drain the heavy lists; afterwards each sweep is quiet.
+			for i := 0; i < 3; i++ {
+				g.DecaySweep(0.5, nil, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var touched int
+			for i := 0; i < b.N; i++ {
+				touched += g.DecaySweep(0.5, nil, nil).Touched
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(touched)/float64(b.N), "touched/sweep")
+			b.ReportMetric(float64(g.VertexCount()), "live-vertices")
+		})
 	}
 }

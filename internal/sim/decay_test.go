@@ -1,9 +1,11 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +43,7 @@ func TestDecayIdentitySweepMatchesDisabled(t *testing.T) {
 			}
 			identCfg := goldenConfig(m, k)
 			identCfg.DecayHalfLife = 24 * time.Hour // enables decay mode in New
+			identCfg.Horizon = 365 * 24 * time.Hour // far past the ten-day stream
 			// Decay mode also switches PenaltyAuto placement to the Fennel
 			// objective; pin the placement rule to the cap on both sides so
 			// this test isolates the sweep plumbing (the Fennel path has its
@@ -52,9 +55,8 @@ func TestDecayIdentitySweepMatchesDisabled(t *testing.T) {
 			}
 			// Force an identity sweep: decay mode stays on (live counts,
 			// per-window sweeps, recounts all run), but the factor is
-			// exactly 1 and the horizon can never be reached.
+			// exactly 1 and the horizon is never reached.
 			ident.decayFactor = 1
-			ident.decayMaxAge = math.MaxUint32
 			want := replayAll(t, base, recs)
 			got := replayAll(t, ident, recs)
 			if !reflect.DeepEqual(got, want) {
@@ -334,6 +336,31 @@ func TestHorizonWithoutHalfLifeRejected(t *testing.T) {
 	}
 }
 
+// TestHorizonBeyondRingBoundRejected pins the other end of the validation:
+// the decaying graph keeps one bucket per window of horizon, so a horizon
+// of more than graph.MaxDecayAge-1 windows is refused with the limit named
+// — not truncated into a short horizon, and not served by a second sweep.
+func TestHorizonBeyondRingBoundRejected(t *testing.T) {
+	const limit = graph.MaxDecayAge - 1
+	cfg := Config{Method: MethodHash, K: 2, Window: time.Microsecond,
+		DecayHalfLife: time.Millisecond, Horizon: limit * time.Microsecond}
+	if _, err := New(cfg); err != nil {
+		t.Errorf("horizon of exactly %d windows rejected: %v", limit, err)
+	}
+	for _, horizon := range []time.Duration{
+		limit*time.Microsecond + 1,
+		(1<<32 + 2) * time.Microsecond, // used to wrap uint32 into maxAge 3
+	} {
+		cfg.Horizon = horizon
+		_, err := New(cfg)
+		if err == nil {
+			t.Errorf("horizon %v (> %d windows) accepted", horizon, limit)
+		} else if !strings.Contains(err.Error(), strconv.Itoa(limit)) {
+			t.Errorf("horizon %v: error %q does not name the %d-window limit", horizon, err, limit)
+		}
+	}
+}
+
 // TestDecayHorizonMinimumIdleTime pins the retirement contract: entries
 // retire only after being untouched for *at least* Horizon. Ages count
 // whole windows and a fresh entry is already age 1 at the next sweep, so
@@ -431,4 +458,36 @@ func TestFinishIdempotent(t *testing.T) {
 	if !reflect.DeepEqual(first, again) {
 		t.Error("second Finish changed the result")
 	}
+}
+
+// finishedResult replays a short decay-mode run and returns only its
+// result; done closes once the simulator that produced it is collected.
+func finishedResult(t *testing.T) (res *Result, done chan struct{}) {
+	s, err := New(Config{Method: MethodMetis, K: 2, Window: time.Hour,
+		DecayHalfLife: 2 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done = make(chan struct{})
+	runtime.SetFinalizer(s, func(*Simulator) { close(done) })
+	return replayAll(t, s, driftingEras(2, 2)), done
+}
+
+// TestFinishDoesNotPinSimulator guards the Result's independence: callers
+// cache results long after the run, and a Result pointing into its
+// simulator kept every cached run's graph, CSR scratch and callbacks alive.
+func TestFinishDoesNotPinSimulator(t *testing.T) {
+	res, done := finishedResult(t)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-done:
+			if len(res.Windows) == 0 {
+				t.Error("result lost its windows")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Errorf("simulator still reachable through its %d-window Result after GC", len(res.Windows))
 }

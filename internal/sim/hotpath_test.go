@@ -5,8 +5,31 @@ import (
 	"testing"
 	"time"
 
+	"ethpart/internal/graph"
 	"ethpart/internal/trace"
 )
+
+// recountCut rebuilds the cumulative cut counters from the live graph and
+// the current assignment. Every live vertex has a shard (placement happens
+// on first sight and assignments are sticky through retirement), so the
+// counters stay exact under decay and retirement. The simulator maintains
+// the counters incrementally (Process, moveCutDelta, and decayStep's sweep
+// deltas); this full recount is the oracle that path is verified against.
+func (s *Simulator) recountCut() {
+	s.cutEdges, s.totalEdges = 0, 0
+	s.cutWeight, s.totalWeight = 0, 0
+	s.full.Edges(func(u, v graph.VertexID, w int64) bool {
+		su, _ := s.assign.ShardOf(u)
+		sv, _ := s.assign.ShardOf(v)
+		s.totalEdges++
+		s.totalWeight += w
+		if su != sv {
+			s.cutEdges++
+			s.cutWeight += w
+		}
+		return true
+	})
+}
 
 // TestIncrementalCutMatchesRecountOracle pins the sweep-delta cut
 // maintenance against the retained full-recount oracle: at several points

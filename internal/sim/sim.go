@@ -384,16 +384,15 @@ type Simulator struct {
 	lastWinInteractions        int64
 
 	// Decay mode (Config.DecayHalfLife > 0): the per-window weight
-	// multiplier, the retention horizon in windows, and whether the
-	// method needs the since-last-repartition window graph at all
-	// (TR-METIS repartitions the decayed live graph instead).
+	// multiplier (the retention horizon lives in the decaying graph), and
+	// whether the method needs the since-last-repartition window graph at
+	// all (TR-METIS repartitions the decayed live graph instead).
 	// liveCounts tracks live-graph vertices per shard — retired vertices
 	// keep sticky assignments, so assign.Count measures dead history;
 	// placement capacity and static balance must follow what actually
 	// exists. Maintained incrementally (first sight, retirement, moves)
 	// and only in decay mode.
 	decayFactor float64
-	decayMaxAge uint32
 	needWindow  bool
 	liveCounts  []int
 	// fennelPlace selects the Fennel-style placement penalty, resolved
@@ -463,14 +462,18 @@ func New(cfg Config) (*Simulator, error) {
 		// "untouched for at least Horizon" contract (and keeping
 		// Horizon <= Window from degenerating into wiping every entry at
 		// every boundary).
-		s.decayMaxAge = uint32((int64(cfg.Horizon)+int64(cfg.Window)-1)/int64(cfg.Window) + 1)
+		maxAge := int64(cfg.Horizon/cfg.Window) + 1
+		if cfg.Horizon%cfg.Window != 0 {
+			maxAge++
+		}
+		if maxAge > graph.MaxDecayAge {
+			return nil, fmt.Errorf("sim: Horizon %v is %d windows of %v; the retention horizon is limited to %d windows",
+				cfg.Horizon, maxAge-1, cfg.Window, graph.MaxDecayAge-1)
+		}
+		if s.full, err = graph.NewDecaying(uint32(maxAge)); err != nil {
+			return nil, err
+		}
 		s.liveCounts = make([]int, cfg.K)
-		// Scheduled decay makes each sweep O(traffic touched within the
-		// horizon) instead of O(live graph); it is observably identical to
-		// the eager sweep (pinned by the graph package's property test). A
-		// horizon beyond the schedule's ring bound simply stays on the
-		// eager path — correct either way, so the error is not one.
-		_ = s.full.EnableScheduledDecay(s.decayMaxAge)
 	}
 	switch cfg.Placement {
 	case PenaltyAuto:
@@ -698,8 +701,8 @@ func (s *Simulator) flushWindow() {
 // Eq. 1 over exactly what the partitioners see without the former
 // per-window O(live edges) recount. A quiet sweep (nothing dropped,
 // nothing rescaled — the steady state once weights sit at the decay floor)
-// does zero cut-maintenance work; recountCut survives as the test oracle
-// this path is checked against.
+// does zero cut-maintenance work; the package's tests check this path
+// against a full recount.
 func (s *Simulator) decayStep() {
 	if !s.decayEnabled() {
 		return
@@ -712,7 +715,7 @@ func (s *Simulator) decayStep() {
 		return
 	}
 	start := time.Now()
-	delta := s.full.DecaySweep(s.decayFactor, s.decayMaxAge,
+	delta := s.full.DecaySweep(s.decayFactor,
 		func(v graph.VertexID) {
 			// Retired vertices keep their sticky assignment but leave the
 			// live population.
@@ -750,29 +753,6 @@ func (s *Simulator) decayStep() {
 	obs.LiveVertices = s.full.VertexCount()
 	obs.Touched = delta.Touched
 	obs.RecountSkipped = delta.Quiet()
-}
-
-// recountCut rebuilds the cumulative cut counters from the live graph and
-// the current assignment. Every live vertex has a shard (placement happens
-// on first sight and assignments are sticky through retirement), so the
-// counters stay exact under decay and retirement. The hot path maintains
-// the counters incrementally (Process, moveCutDelta, and decayStep's sweep
-// deltas); this full recount is retained as the oracle the incremental
-// path is verified against in tests.
-func (s *Simulator) recountCut() {
-	s.cutEdges, s.totalEdges = 0, 0
-	s.cutWeight, s.totalWeight = 0, 0
-	s.full.Edges(func(u, v graph.VertexID, w int64) bool {
-		su, _ := s.assign.ShardOf(u)
-		sv, _ := s.assign.ShardOf(v)
-		s.totalEdges++
-		s.totalWeight += w
-		if su != sv {
-			s.cutEdges++
-			s.cutWeight += w
-		}
-		return true
-	})
 }
 
 // staticBalance is Eq. 2 over vertex counts: assignment counts in
@@ -1044,14 +1024,17 @@ func (s *Simulator) moveCutDelta(v graph.VertexID, old, next int) {
 }
 
 // Finish flushes the open window and computes run-level metrics. It is
-// idempotent: repeated calls return the same result without flushing a
-// duplicate trailing window.
+// idempotent: repeated calls return equal results without flushing a
+// duplicate trailing window. The returned Result is a copy that does not
+// point back into the simulator, so callers can keep it (datasets cache
+// results by the dozen) without keeping the graph, the CSR scratch and the
+// callbacks reachable.
 func (s *Simulator) Finish() *Result {
 	if s.started && !s.finished {
 		s.flushWindow()
 	}
 	s.finished = true
-	res := &s.result
+	res := s.result
 	res.OverallDynamicBalance = metrics.LoadBalance(s.runLoad)
 	if s.runTotW > 0 {
 		res.OverallDynamicCut = float64(s.runCutW) / float64(s.runTotW)
@@ -1062,5 +1045,5 @@ func (s *Simulator) Finish() *Result {
 	res.FinalStaticBalance = s.staticBalance()
 	res.Vertices = s.full.VertexCount()
 	res.Edges = s.full.EdgeCount()
-	return res
+	return &res
 }
