@@ -456,8 +456,7 @@ func decayBenchTrace(eras int) []trace.Record {
 // trace length in full-history mode (each firing partitions all of
 // history) and stays flat in decay mode (each firing partitions only the
 // horizon's worth of live graph). live-vertices reports the final live
-// graph size — the memory bound made visible. Part of CI's benchmark
-// smoke.
+// graph size — the memory bound made visible.
 func BenchmarkDecayRepartition(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -509,8 +508,7 @@ func BenchmarkDecayRepartition(b *testing.B) {
 // to end: the flash-crowd trace replayed through the live chain and
 // directory with the saturation controller armed, so each iteration pays
 // for the split's re-partition wave and the merge's drain and lane
-// decommission on top of the steady-state replay. It runs in the CI bench
-// smoke so resize cost is tracked alongside repartition cost.
+// decommission on top of the steady-state replay.
 func BenchmarkAutoscaleResize(b *testing.B) {
 	gt := experiments.FlashCrowdTrace(experiments.ScaleParams{})
 	cfg := opsim.Config{

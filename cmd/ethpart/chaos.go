@@ -3,12 +3,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"strconv"
 	"time"
 
+	"ethpart/internal/directory"
+	"ethpart/internal/dirserve"
 	"ethpart/internal/experiments"
 	"ethpart/internal/fault"
+	"ethpart/internal/graph"
 	"ethpart/internal/opsim"
 	"ethpart/internal/report"
 	"ethpart/internal/shardchain"
@@ -24,7 +28,10 @@ import (
 // failures — and cross-checks the outcome against a fault-free oracle
 // run: totals, per-shard state roots, the home map and every transaction
 // receipt must converge byte-identical, and no torn directory commit may
-// ever be observed. It exits non-zero on any invariant violation.
+// ever be observed. With -replicas N every scenario's directory commits
+// also replicate over loopback TCP to N replica processes, each applying
+// through its own fault plane, whose final views must match the oracle's
+// entry-by-entry. It exits non-zero on any invariant violation.
 func runChaos(args []string) error {
 	fs := flag.NewFlagSet("ethpart chaos", flag.ContinueOnError)
 	scenarioFlag := fs.String("scenario", "all", "fault scenario: crash-wave|receipt-loss|dup-storm|flip-stall|mixed|all")
@@ -36,15 +43,16 @@ func runChaos(args []string) error {
 	methodFlag := fs.String("method", "tr-metis", "repartitioning method (waves feed the flip-stall scenarios)")
 	eras := fs.Int("eras", 6, "drifting eras in the trace")
 	windows := fs.Int("windows-per-era", 6, "4-hour windows per era")
-	parallel := fs.Bool("parallel", false, "run the chain on the parallel per-shard engine")
-	netMode := fs.Bool("net", false, "replicate directory commits to replica processes over loopback TCP")
-	netReplicas := fs.Int("replicas", 2, "replica process count (with -net); each gets its own fault plane")
+	replicas := fs.Int("replicas", 0, "replicate directory commits over loopback TCP to this many replica processes, each with its own fault plane (0 = in-process only)")
 	csvOut := fs.Bool("csv", false, "emit CSV instead of the table")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *workloadFlag == "" && (*arrival != "" || *hours != 0) {
 		return fmt.Errorf("chaos: -arrival/-hours require -workload")
+	}
+	if *replicas < 0 {
+		return fmt.Errorf("chaos: -replicas must be >= 0, got %d", *replicas)
 	}
 	method, err := sim.ParseMethod(*methodFlag)
 	if err != nil {
@@ -77,20 +85,12 @@ func runChaos(args []string) error {
 	}
 
 	baseCfg := func() opsim.Config {
+		policy := experiments.DriftingEraPolicy(method, *k)
+		policy.DecayHalfLife = 12 * time.Hour
 		return opsim.Config{
-			Sim: sim.Config{
-				Method: method, K: *k,
-				Window:            4 * time.Hour,
-				RepartitionEvery:  2 * 24 * time.Hour,
-				MinRepartitionGap: 24 * time.Hour,
-				TriggerWindows:    2,
-				CutThreshold:      0.2,
-				BalanceThreshold:  1.5,
-				DecayHalfLife:     12 * time.Hour,
-			},
-			Model:    shardchain.ModelReceipts,
-			Parallel: *parallel,
-			Capture:  true,
+			Sim:     policy,
+			Model:   shardchain.ModelReceipts,
+			Capture: true,
 			// Budget for injected backoff chains: a dropped receipt can take
 			// MaxAttempts tries with capped exponential backoff before its
 			// forced delivery.
@@ -113,9 +113,7 @@ func runChaos(args []string) error {
 	headers := []string{
 		"scenario", "crashes", "replayed", "recover(us)", "dropped", "delayed",
 		"dups", "suppressed", "stalls", "stale-blk", "max-lag", "torn", "violations",
-	}
-	if *netMode {
-		headers = append(headers, "r-applied", "r-stalls", "r-torn")
+		"r-applied", "r-stalls", "r-torn",
 	}
 	var rows [][]string
 	totalViolations := 0
@@ -126,30 +124,24 @@ func runChaos(args []string) error {
 		}
 		cfg := baseCfg()
 		cfg.Fault = inj
-		var cn *chaosNet
-		if *netMode {
-			// Replicate the scenario's directory commits to replica processes
-			// over real sockets; each replica applies through its own fault
-			// plane (derived seed) and must still converge to the oracle view.
-			if cn, err = startChaosNet(*netReplicas, sc.sched); err != nil {
-				return fmt.Errorf("chaos: scenario %s: %w", sc.name, err)
-			}
-			cfg.DirCommitter = cn.committer
+		// Replicate the scenario's directory commits to the replica fleet
+		// over real sockets; each replica applies through its own fault
+		// plane (derived seed) and must still converge to the oracle view.
+		// An empty fleet leaves the run in-process.
+		fleet, err := startChaosFleet(*replicas, sc.sched)
+		if err != nil {
+			return fmt.Errorf("chaos: scenario %s: %w", sc.name, err)
+		}
+		if *replicas > 0 {
+			cfg.DirCommitter = fleet.committer
 		}
 		res, err := opsim.Run(gt, cfg)
 		if err != nil {
-			if cn != nil {
-				cn.close()
-			}
+			fleet.close()
 			return fmt.Errorf("chaos: scenario %s: %w", sc.name, err)
 		}
-		violations := compareToOracle(oracle, res)
-		var netStats chaosNetStats
-		if cn != nil {
-			var nv []string
-			netStats, nv = cn.finish(res.DirectoryView)
-			violations = append(violations, nv...)
-		}
+		fleetStats, fleetViolations := fleet.finish(res.DirectoryView)
+		violations := append(compareToOracle(oracle, res), fleetViolations...)
 		totalViolations += len(violations)
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "chaos: %s: INVARIANT VIOLATION: %s\n", sc.name, v)
@@ -159,7 +151,7 @@ func runChaos(args []string) error {
 		if m.Crashes > 0 {
 			recoverUS = fmt.Sprintf("%.1f", float64(m.RecoveryNanos)/float64(m.Crashes)/1e3)
 		}
-		row := []string{
+		rows = append(rows, []string{
 			sc.name,
 			strconv.FormatUint(m.Crashes, 10),
 			strconv.FormatUint(m.ItemsReplayed, 10),
@@ -173,15 +165,10 @@ func runChaos(args []string) error {
 			strconv.FormatUint(m.MaxEpochLag, 10),
 			strconv.FormatUint(m.TornCommits, 10),
 			strconv.Itoa(len(violations)),
-		}
-		if *netMode {
-			row = append(row,
-				strconv.FormatUint(netStats.applied, 10),
-				strconv.FormatUint(netStats.waveStalls, 10),
-				strconv.FormatUint(netStats.torn, 10),
-			)
-		}
-		rows = append(rows, row)
+			strconv.FormatUint(fleetStats.applied, 10),
+			strconv.FormatUint(fleetStats.waveStalls, 10),
+			strconv.FormatUint(fleetStats.torn, 10),
+		})
 	}
 
 	if *csvOut {
@@ -196,13 +183,9 @@ func runChaos(args []string) error {
 	if totalViolations > 0 {
 		return fmt.Errorf("chaos: %d invariant violation(s)", totalViolations)
 	}
-	if *netMode {
-		fmt.Printf("\nall scenarios converged byte-identical to the fault-free oracle; zero invariant violations\n"+
-			"every replica view (%d per scenario, own fault planes) matched the oracle entry-by-entry; zero torn epochs\n",
-			*netReplicas)
-		return nil
-	}
-	fmt.Println("\nall scenarios converged byte-identical to the fault-free oracle; zero invariant violations")
+	fmt.Printf("\nall scenarios converged byte-identical to the fault-free oracle; zero invariant violations\n"+
+		"replica views (%d per scenario, own fault planes) matched the oracle entry-by-entry; zero torn epochs\n",
+		*replicas)
 	return nil
 }
 
@@ -288,4 +271,155 @@ func compareToOracle(oracle, res *opsim.Result) []string {
 		v = append(v, fmt.Sprintf("%d torn directory commits observed", res.Fault.TornCommits))
 	}
 	return v
+}
+
+// chaosFleet is the networked side of a chaos scenario: N replica processes
+// (goroutine-hosted servers over loopback TCP), each applying the primary's
+// commit stream through its OWN fault.FlakyDirectory with a derived seed —
+// replica-side stalled waves and transient commit failures reorder and
+// retry commits locally — and a dirserve.Fanout splice for the primary.
+// After the run, every replica must converge entry-by-entry to the
+// in-process oracle view with zero torn epochs. The empty fleet (N = 0) is
+// the in-process run: nothing to drain, nothing to cross-check.
+type chaosFleet struct {
+	reps []*chaosReplica
+	fan  *dirserve.Fanout
+}
+
+type chaosReplica struct {
+	dir   *directory.Directory
+	inj   *fault.Injector
+	flaky *fault.FlakyDirectory
+	rp    *dirserve.Replica
+	srv   *dirserve.Server
+}
+
+// startChaosFleet stands up n replica processes for one scenario. Each
+// replica's injector reuses the scenario's directory-fault knobs under a
+// seed derived from the replica index, so no two replicas (nor the
+// primary) stall or fail the same commits.
+func startChaosFleet(n int, sched fault.Schedule) (*chaosFleet, error) {
+	fl := &chaosFleet{}
+	for i := 0; i < n; i++ {
+		inj, err := fault.New(fault.Schedule{
+			Seed:             sched.Seed*1_000_003 + uint64(i) + 1,
+			Shards:           sched.Shards,
+			WaveStallFlushes: sched.WaveStallFlushes,
+			CommitFailEvery:  sched.CommitFailEvery,
+			CommitFailCount:  sched.CommitFailCount,
+		})
+		if err != nil {
+			fl.close()
+			return nil, err
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			fl.close()
+			return nil, err
+		}
+		r := &chaosReplica{dir: directory.New(directory.Config{}), inj: inj}
+		r.flaky = fault.NewFlakyDirectory(r.dir, inj)
+		r.rp = dirserve.NewReplica(r.flaky)
+		r.srv = dirserve.Serve(l, dirserve.ServerConfig{Dir: r.dir, Replica: r.rp})
+		fl.reps = append(fl.reps, r)
+	}
+	return fl, nil
+}
+
+// committer is the opsim.Config.DirCommitter splice: a fan-out from the
+// run's primary directory to every replica process. It sits below the
+// primary's fault plane, so replicas receive exactly the landed commit
+// sequence with real epoch numbers.
+func (fl *chaosFleet) committer(d *directory.Directory) (directory.Committer, error) {
+	addrs := make([]string, len(fl.reps))
+	for i, r := range fl.reps {
+		addrs[i] = r.srv.Addr()
+	}
+	fan, err := dirserve.NewFanout(d, nil, addrs...)
+	if err != nil {
+		return nil, err
+	}
+	fl.fan = fan
+	return fan, nil
+}
+
+// chaosFleetStats summarises the replica fleet after a scenario.
+type chaosFleetStats struct {
+	applied    uint64 // contiguous apply watermark (identical across replicas)
+	waveStalls uint64 // replica-side injected wave stalls, summed
+	torn       uint64 // replica-side torn commits, summed (must be zero)
+}
+
+// finish drains the fan-out and every replica's stalled waves, then
+// cross-checks each replica's final directory view entry-by-entry (both
+// directions) against the in-process oracle snapshot. Violations are
+// returned in the chaos run's invariant-violation format.
+func (fl *chaosFleet) finish(oracle *directory.Snapshot) (chaosFleetStats, []string) {
+	var st chaosFleetStats
+	var violations []string
+	if fl.fan != nil {
+		if err := fl.fan.Close(); err != nil {
+			violations = append(violations, fmt.Sprintf("net: fan-out: %v", err))
+		}
+	}
+	for i, r := range fl.reps {
+		if err := r.flaky.DrainStalls(); err != nil {
+			violations = append(violations, fmt.Sprintf("net: replica %d drain: %v", i, err))
+			continue
+		}
+		m := r.inj.Metrics.Snapshot()
+		st.waveStalls += m.WaveStalls
+		st.torn += m.TornCommits
+		if m.TornCommits > 0 {
+			violations = append(violations, fmt.Sprintf("net: replica %d observed %d torn epochs", i, m.TornCommits))
+		}
+		if st.applied == 0 {
+			st.applied = r.rp.Applied()
+		} else if r.rp.Applied() != st.applied {
+			violations = append(violations, fmt.Sprintf("net: replica %d applied %d epochs, replica 0 applied %d",
+				i, r.rp.Applied(), st.applied))
+		}
+		if oracle == nil {
+			violations = append(violations, "net: run produced no oracle directory view")
+			continue
+		}
+		got := r.dir.Current()
+		if got.Len() != oracle.Len() {
+			violations = append(violations, fmt.Sprintf("net: replica %d holds %d entries, oracle %d",
+				i, got.Len(), oracle.Len()))
+		}
+		// Entry-by-entry, both directions: same vertices, same shards. The
+		// comparison is on the served mapping — replica-side stalls reorder
+		// tier-only lanes (Retire/Promote) against each other, so tiers may
+		// legitimately differ; answers may not.
+		diverged := 0
+		oracle.Each(func(v graph.VertexID, shard int) bool {
+			if sh, ok := got.Lookup(v); !ok || sh != shard {
+				violations = append(violations, fmt.Sprintf(
+					"net: replica %d vertex %d = %d (ok=%v), oracle %d", i, v, sh, ok, shard))
+				diverged++
+			}
+			return diverged < 5
+		})
+		got.Each(func(v graph.VertexID, shard int) bool {
+			if _, ok := oracle.Lookup(v); !ok {
+				violations = append(violations, fmt.Sprintf("net: replica %d holds extra vertex %d", i, v))
+				diverged++
+			}
+			return diverged < 5
+		})
+	}
+	if len(fl.reps) > 0 && st.applied == 0 {
+		violations = append(violations, "net: replicas applied zero epochs")
+	}
+	fl.close()
+	return st, violations
+}
+
+func (fl *chaosFleet) close() {
+	for _, r := range fl.reps {
+		if r.srv != nil {
+			r.srv.Close()
+		}
+	}
 }

@@ -8,11 +8,11 @@
 //	        [-decay-half-life 168h] [-horizon 672h]
 //	ethpart -scenario flash-nft-mint [-arrival poisson] [-hours 48] [-seed 1] [-method metis]
 //	ethpart ops [-seed 1] [-scale 0.002] [-scenario diurnal-exchange [-arrival flash]]
-//	        [-k 2] [-csv] [-parallel] [-decay-half-life 168h] [-horizon 672h]
+//	        [-k 2] [-csv] [-decay-half-life 168h] [-horizon 672h]
 //	        [-autoscale [-k-min 1] [-k-max 8] [-target-load 1024]]
 //	ethpart chaos [-scenario all] [-workload diurnal-exchange [-arrival flash]]
 //	        [-seed 1] [-k 4] [-eras 6] [-windows-per-era 6]
-//	        [-net [-replicas 2]] [-csv]
+//	        [-replicas 2] [-csv]
 //
 // -trace accepts gzip-compressed traces (sniffed by magic bytes, so both
 // trace.csv.gz and renamed compressed files work). -scenario replays a
@@ -30,20 +30,19 @@
 // The ops subcommand runs the operational co-simulation: every method is
 // replayed through a live sharded chain under both multi-shard models and
 // the edge-cut curves gain operational twins — cross-shard messages,
-// settlement latency, migrated state and failed transactions. With
-// -parallel the chain also runs on the parallel per-shard engine
-// (byte-identical results) and the table reports its per-block speedup.
-// Homes are resolved through the concurrent placement directory
+// settlement latency, migrated state and failed transactions. Homes are
+// resolved through the concurrent placement directory
 // (internal/directory). With -autoscale the shard count becomes a control
 // variable: the saturation controller splits and merges shards at window
 // boundaries between -k-min and -k-max, and the report gains
 // shards-provisioned-over-time (shrd-win, and a per-window shards column
 // in -csv) beside the resize count.
 //
-// chaos -net replicates every scenario's directory commits to -replicas
-// replica processes, each applying through its own fault plane (derived
-// seed); their final views must converge entry-by-entry to the in-process
-// oracle with zero torn epochs.
+// chaos -replicas N also replicates every scenario's directory commits
+// over loopback TCP to N replica processes, each applying through its own
+// fault plane (derived seed); their final views must converge
+// entry-by-entry to the in-process oracle with zero torn epochs. The
+// default, 0, keeps the run in-process.
 //
 // -horizon without -decay-half-life is rejected at flag-parse time by
 // every subcommand (the horizon is the decay subsystem's retention bound

@@ -58,15 +58,56 @@ func TestOpsValidation(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	runErr := fn()
+	os.Stdout = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
 func TestOpsRunsAllMethodsAndModels(t *testing.T) {
-	// A tiny seeded workload through the full method × model matrix, both
-	// output formats, on both chain engines (-parallel also cross-checks
-	// parallel totals against serial inside runOps).
-	for _, extra := range [][]string{nil, {"-csv"}, {"-parallel"}, {"-parallel", "-csv"}} {
+	// A tiny seeded workload through the full method × model matrix, in
+	// both output formats, with each format's header row pinned.
+	for _, tc := range []struct {
+		extra  []string
+		header string
+	}{
+		{nil, "method model dyn-cut cross-txs messages latency(blk) migrations slots failed shrd-win resizes ms/blk"},
+		{[]string{"-csv"}, "method,model,window_start,shards,interactions,cross_txs,messages,receipts_settled," +
+			"mean_settlement_blocks,migrations,migrated_slots,failed,dynamic_cut,live_graph,sweep_ns,recount_skipped"},
+	} {
 		args := append([]string{"-seed", "3", "-scale", "0.0001", "-k", "2",
-			"-repartition", "168h"}, extra...)
-		if err := runOps(args); err != nil {
-			t.Errorf("ops %v: %v", extra, err)
+			"-repartition", "168h"}, tc.extra...)
+		out, err := captureStdout(t, func() error { return runOps(args) })
+		if err != nil {
+			t.Errorf("ops %v: %v", tc.extra, err)
+			continue
+		}
+		lines := strings.Split(out, "\n")
+		if want := 1 + len(sim.Methods())*len(experiments.Models()); len(lines) < want {
+			t.Fatalf("ops %v: %d lines, want at least a header and %d rows:\n%s", tc.extra, len(lines), want-1, out)
+		}
+		// The table follows the elapsed-time line and a blank one.
+		header := lines[0]
+		if tc.extra == nil {
+			header = lines[2]
+		}
+		// Column padding follows the data; the names and their order do not.
+		if header = strings.Join(strings.Fields(header), " "); header != tc.header {
+			t.Errorf("ops %v header:\n got %q\nwant %q", tc.extra, header, tc.header)
 		}
 	}
 }
@@ -74,10 +115,7 @@ func TestOpsRunsAllMethodsAndModels(t *testing.T) {
 func TestOpsCSVGuardsEmptySettlement(t *testing.T) {
 	// Regression: a window with zero settled receipts used to emit NaN
 	// into the CSV; it must emit an empty cell instead.
-	rows := []experiments.OperationalRow{{
-		Method: sim.MethodHash,
-		Model:  shardchain.ModelReceipts,
-		K:      2,
+	rows := []experiments.OpsRow{{
 		Result: &opsim.Result{
 			Method: sim.MethodHash,
 			Model:  shardchain.ModelReceipts,
@@ -189,12 +227,12 @@ func TestChaosSmoke(t *testing.T) {
 func TestChaosNetSmoke(t *testing.T) {
 	for _, scenario := range []string{"flip-stall", "mixed"} {
 		err := runChaos([]string{
-			"-net", "-replicas", "2",
+			"-replicas", "2",
 			"-eras", "3", "-windows-per-era", "3", "-k", "2",
 			"-scenario", scenario,
 		})
 		if err != nil {
-			t.Errorf("chaos -net %s: %v", scenario, err)
+			t.Errorf("chaos -replicas 2 %s: %v", scenario, err)
 		}
 	}
 }

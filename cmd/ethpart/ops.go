@@ -15,10 +15,7 @@ import (
 
 // runOps executes the ops subcommand: generate a seeded workload, replay it
 // through a live sharded chain for every method under both multi-shard
-// models, and report per-window and total operational metrics. With
-// -parallel the replay also runs on the parallel per-shard engine and the
-// table gains its per-block speedup over serial (the replayed metrics
-// themselves are byte-identical by construction, and verified to be).
+// models, and report per-window and total operational metrics.
 func runOps(args []string) error {
 	fs := flag.NewFlagSet("ethpart ops", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "workload seed")
@@ -30,7 +27,6 @@ func runOps(args []string) error {
 	repartition := fs.Duration("repartition", 14*24*time.Hour, "repartition period")
 	blockInterval := fs.Duration("block", 2*time.Hour, "simulated block interval")
 	csvOut := fs.Bool("csv", false, "emit per-window CSV instead of the summary table")
-	parallel := fs.Bool("parallel", false, "also run the parallel per-shard engine and report its per-block speedup")
 	decay := fs.Duration("decay-half-life", 0, "enable windowed graph decay with this half-life (0 = full history)")
 	horizon := fs.Duration("horizon", 0, "decay retention horizon (0 = 4x the half-life)")
 	autoscale := fs.Bool("autoscale", false, "let the saturation controller resize the shard count at window boundaries")
@@ -87,80 +83,19 @@ func runOps(args []string) error {
 	if err != nil {
 		return err
 	}
-	var prows []experiments.OperationalRow
-	if *parallel {
-		if prows, err = ds.OperationalParallel(*k); err != nil {
-			return err
-		}
-		// The two engines are byte-identical by contract; hold the CLI to it.
-		for i := range rows {
-			if rows[i].Result.Totals != prows[i].Result.Totals {
-				return fmt.Errorf("ops: parallel engine diverged from serial on %v/%v",
-					rows[i].Method, rows[i].Model)
-			}
-		}
-	}
 	if *csvOut {
-		if *parallel {
-			return opsCSV(os.Stdout, prows)
-		}
 		return opsCSV(os.Stdout, rows)
 	}
 	fmt.Printf("replayed %s interactions × %d method/model runs in %v\n\n",
 		report.FormatCount(int64(len(ds.GT.Records))), len(rows),
 		time.Since(start).Round(time.Millisecond))
-	return opsTable(os.Stdout, rows, prows)
-}
-
-// opsTable renders the summary matrix: one row per method × model. ms/blk
-// is always the serial engine's per-block cost; when parallel rows are
-// present, par-ms/blk and speedup put the parallel engine beside it.
-func opsTable(w io.Writer, rows, prows []experiments.OperationalRow) error {
-	var out [][]string
-	for i, row := range rows {
-		res := row.Result
-		latency := "-"
-		if res.Totals.ReceiptsSettled > 0 {
-			latency = fmt.Sprintf("%.2f", res.MeanSettlement())
-		}
-		// Shard-windows provisioned over the run — with the autoscaler this
-		// is the capacity-cost series summed; without it, windows × k.
-		var shardWindows int64
-		for _, win := range res.Windows {
-			shardWindows += int64(win.Shards)
-		}
-		cols := []string{
-			row.Method.String(),
-			row.Model.String(),
-			report.FormatFloat(res.Sim.OverallDynamicCut),
-			fmt.Sprintf("%.1f%%", 100*res.CrossFraction()),
-			report.FormatCount(res.Totals.Messages),
-			latency,
-			report.FormatCount(res.Totals.Migrations),
-			report.FormatCount(res.Totals.MigratedSlots),
-			report.FormatCount(res.Totals.Failed),
-			report.FormatCount(shardWindows),
-			strconv.Itoa(len(res.Sim.Resizes)),
-		}
-		cols = append(cols, fmt.Sprintf("%.3f", res.MsPerBlock()))
-		if prows != nil {
-			pres := prows[i].Result
-			speedup := "-"
-			if pres.StepNanos > 0 {
-				speedup = fmt.Sprintf("%.2fx", float64(res.StepNanos)/float64(pres.StepNanos))
-			}
-			cols = append(cols, fmt.Sprintf("%.3f", pres.MsPerBlock()), speedup)
-		}
-		out = append(out, cols)
-	}
-	headers := []string{
-		"method", "model", "dyn-cut", "cross-txs", "messages", "latency(blk)",
-		"migrations", "slots", "failed", "shrd-win", "resizes", "ms/blk",
-	}
-	if prows != nil {
-		headers = append(headers, "par-ms/blk", "speedup")
-	}
-	return report.Table(w, headers, out)
+	// shrd-win is the shard-windows provisioned over the run — with the
+	// autoscaler the capacity-cost series summed; without it, windows × k.
+	headers, table := experiments.OpsTable(rows,
+		"method", "model", "dyn-cut=dyn_cut", "cross-txs", "messages", "latency(blk)",
+		"migrations", "slots=migrated_slots", "failed", "shrd-win=shard_windows",
+		"resizes", "ms/blk")
+	return report.Table(os.Stdout, headers, table)
 }
 
 // opsCSV emits every window of every run as one CSV stream. Windows in
@@ -171,7 +106,7 @@ func opsTable(w io.Writer, rows, prows []experiments.OperationalRow) error {
 // that followed it, and whether the cut recount was skipped because the
 // sweep was quiet. Runs without decay never sweep, so they report zero
 // sweep time and every recount skipped.
-func opsCSV(w io.Writer, rows []experiments.OperationalRow) error {
+func opsCSV(w io.Writer, rows []experiments.OpsRow) error {
 	headers := []string{
 		"method", "model", "window_start", "shards", "interactions",
 		"cross_txs", "messages", "receipts_settled", "mean_settlement_blocks",
@@ -196,8 +131,8 @@ func opsCSV(w io.Writer, rows []experiments.OperationalRow) error {
 				skipped = strconv.FormatBool(so.RecountSkipped)
 			}
 			out = append(out, []string{
-				row.Method.String(),
-				row.Model.String(),
+				row.Result.Method.String(),
+				row.Result.Model.String(),
 				win.Start.UTC().Format(time.RFC3339),
 				strconv.Itoa(win.Shards),
 				strconv.FormatInt(win.Interactions, 10),

@@ -51,50 +51,36 @@ func costs(ds *experiments.Dataset, out output, k int) error {
 	return out.csv("costs.csv", headers, table)
 }
 
-// decaycost runs the operational decay comparison — the roadmap's missing
-// figure: migration cost with and without windowed decay over a
-// drifting-era history, through the live chain under the migration model.
-// The wave columns isolate what repartition waves moved; the totals
-// include the model's traffic-driven inline migrations.
-func decaycost(seed int64, out output, k int, decay, horizon time.Duration) error {
-	params := experiments.DecayParams{Seed: seed, K: k, HalfLife: decay, Horizon: horizon}
-	fmt.Printf("=== Extension: migration cost with vs without decay (drifting eras, k=%d, migration model) ===\n", k)
-	rows, err := experiments.DecayOperational(params)
-	if err != nil {
-		return err
-	}
-	headers := []string{
-		"method", "mode", "repartitions", "moves", "wave_migrations",
-		"wave_slots", "migrations", "migrated_slots", "messages", "dyn_cut",
-		"live_vertices",
-	}
-	var table [][]string
-	for _, r := range rows {
-		mode := "full-history"
-		if r.Decay {
-			mode = "decay"
-		}
-		table = append(table, []string{
-			r.Method.String(), mode,
-			strconv.Itoa(r.Repartitions),
-			report.FormatCount(r.Moves),
-			report.FormatCount(r.WaveMigrations),
-			report.FormatCount(r.WaveSlots),
-			report.FormatCount(r.Migrations),
-			report.FormatCount(r.MigratedSlots),
-			report.FormatCount(r.Messages),
-			report.FormatFloat(r.DynamicCut),
-			strconv.Itoa(r.LiveVertices),
-		})
-	}
+// opsFigure renders one operational figure: the rows under the named
+// columns (experiments.OpsTable's vocabulary) as a table, the caption, and
+// the same table as name in the CSV directory.
+func opsFigure(out output, name string, rows []experiments.OpsRow, caption string, columns ...string) error {
+	headers, table := experiments.OpsTable(rows, columns...)
 	if err := report.Table(os.Stdout, headers, table); err != nil {
 		return err
 	}
-	fmt.Println("\n  Every era retires the previous era's active set. Full-history")
-	fmt.Println("  repartitioners keep re-deciding (and re-migrating) dead accounts;")
-	fmt.Println("  decay partitions only the live set, so waves move less state and")
-	fmt.Println("  the live graph stays bounded by the retention horizon.")
-	return out.csv("decaycost.csv", headers, table)
+	fmt.Print(caption)
+	return out.csv(name, headers, table)
+}
+
+// decaycost runs the operational decay comparison — the roadmap's missing
+// figure: migration cost with and without windowed decay over a
+// drifting-era history, through the live chain under the migration model.
+func decaycost(seed int64, out output, k int, decay, horizon time.Duration) error {
+	fmt.Printf("=== Extension: migration cost with vs without decay (drifting eras, k=%d, migration model) ===\n", k)
+	rows, err := experiments.DecayOperational(experiments.DecayParams{Seed: seed, K: k, HalfLife: decay, Horizon: horizon})
+	if err != nil {
+		return err
+	}
+	return opsFigure(out, "decaycost.csv", rows, `
+  Every era retires the previous era's active set. Full-history
+  repartitioners keep re-deciding (and re-migrating) dead accounts;
+  decay partitions only the live set, so waves move less state and
+  the live graph stays bounded by the retention horizon.
+`,
+		"method", "mode=label", "repartitions", "moves", "wave_migrations",
+		"wave_slots", "migrations", "migrated_slots", "messages", "dyn_cut",
+		"live_vertices")
 }
 
 // scalecost runs the elastic-shard-count comparison — cost (shard-windows
@@ -107,37 +93,16 @@ func scalecost(seed int64, out output, kmin, kmax int) error {
 	if err != nil {
 		return err
 	}
-	headers := []string{
-		"mode", "k_start", "k_final", "resizes", "shard_windows", "peak_load",
+	return opsFigure(out, "scalecost.csv", rows, `
+  Fixed-small saturates during the crowd (peak load), fixed-large
+  pays for idle shards the whole run (shard-windows). The autoscaler
+  splits when the surge crosses its high-water mark and merges the
+  extra shards away once the crowd leaves, buying most of the relief
+  at a fraction of the standing cost.
+`,
+		"mode=label", "k_start", "k_final", "resizes", "shard_windows", "peak_load",
 		"messages", "latency(blk)", "migrations", "migrated_slots", "failed",
-		"dyn_cut",
-	}
-	var table [][]string
-	for _, r := range rows {
-		table = append(table, []string{
-			r.Mode,
-			strconv.Itoa(r.KStart),
-			strconv.Itoa(r.KFinal),
-			strconv.Itoa(r.Resizes),
-			strconv.FormatInt(r.ShardWindows, 10),
-			strconv.FormatInt(r.PeakWindowLoad, 10),
-			report.FormatCount(r.Messages),
-			fmt.Sprintf("%.2f", r.MeanSettlement),
-			report.FormatCount(r.Migrations),
-			report.FormatCount(r.MigratedSlots),
-			report.FormatCount(r.Failed),
-			report.FormatFloat(r.DynamicCut),
-		})
-	}
-	if err := report.Table(os.Stdout, headers, table); err != nil {
-		return err
-	}
-	fmt.Println("\n  Fixed-small saturates during the crowd (peak load), fixed-large")
-	fmt.Println("  pays for idle shards the whole run (shard-windows). The autoscaler")
-	fmt.Println("  splits when the surge crosses its high-water mark and merges the")
-	fmt.Println("  extra shards away once the crowd leaves, buying most of the relief")
-	fmt.Println("  at a fraction of the standing cost.")
-	return out.csv("scalecost.csv", headers, table)
+		"dyn_cut")
 }
 
 // scenariocost runs the open-loop scenario comparison: the full
@@ -152,39 +117,16 @@ func scenariocost(seed int64, out output, k int, hours float64) error {
 	if err != nil {
 		return err
 	}
-	headers := []string{
-		"scenario", "model", "method", "records", "dyn_cut", "messages",
+	return opsFigure(out, "scenariocost.csv", rows, `
+  Each scenario is one open-loop composition (arrival × population
+  × mix) from the workload library; every method replays the same
+  per-scenario trace under both multi-shard models. Hub-heavy and
+  flash-crowd shapes separate the methods far more than the steady
+  transfer baseline does.
+`,
+		"scenario=label", "model", "method", "records", "dyn_cut", "messages",
 		"latency(blk)", "wave_migrations", "wave_slots", "migrations",
-		"migrated_slots", "failed",
-	}
-	var table [][]string
-	for _, r := range rows {
-		latency := "-"
-		if r.MeanSettlement > 0 {
-			latency = fmt.Sprintf("%.2f", r.MeanSettlement)
-		}
-		table = append(table, []string{
-			r.Scenario, r.Model.String(), r.Method.String(),
-			report.FormatCount(int64(r.Records)),
-			report.FormatFloat(r.DynamicCut),
-			report.FormatCount(r.Messages),
-			latency,
-			report.FormatCount(r.WaveMigrations),
-			report.FormatCount(r.WaveSlots),
-			report.FormatCount(r.Migrations),
-			report.FormatCount(r.MigratedSlots),
-			report.FormatCount(r.Failed),
-		})
-	}
-	if err := report.Table(os.Stdout, headers, table); err != nil {
-		return err
-	}
-	fmt.Println("\n  Each scenario is one open-loop composition (arrival × population")
-	fmt.Println("  × mix) from the workload library; every method replays the same")
-	fmt.Println("  per-scenario trace under both multi-shard models. Hub-heavy and")
-	fmt.Println("  flash-crowd shapes separate the methods far more than the steady")
-	fmt.Println("  transfer baseline does.")
-	return out.csv("scenariocost.csv", headers, table)
+		"migrated_slots", "failed")
 }
 
 // shardaware reruns the method comparison on a community-local workload —

@@ -49,33 +49,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var out [][]string
-	for _, row := range rows {
-		res := row.Result
-		latency := "-"
-		if res.Totals.ReceiptsSettled > 0 {
-			latency = fmt.Sprintf("%.2f", res.MeanSettlement())
-		}
-		out = append(out, []string{
-			row.Method.String(), row.Model.String(),
-			report.FormatFloat(res.Sim.OverallDynamicCut),
-			fmt.Sprintf("%.1f%%", 100*res.CrossFraction()),
-			report.FormatCount(res.Totals.Messages),
-			latency,
-			report.FormatCount(res.Totals.Migrations),
-			report.FormatCount(res.Totals.MigratedSlots),
-		})
-	}
-	if err := report.Table(os.Stdout, []string{
-		"method", "model", "dyn-cut", "cross-txs", "messages", "latency(blk)", "migrations", "slots",
-	}, out); err != nil {
+	headers, table := experiments.OpsTable(rows,
+		"method", "model", "dyn-cut=dyn_cut", "cross-txs", "messages", "latency(blk)",
+		"migrations", "slots=migrated_slots")
+	if err := report.Table(os.Stdout, headers, table); err != nil {
 		log.Fatal(err)
 	}
 
 	// Pull out the headline comparison: hashing vs METIS under receipts.
-	find := func(m sim.Method, model shardchain.Model) *experiments.OperationalRow {
+	find := func(m sim.Method, model shardchain.Model) *experiments.OpsRow {
 		for i := range rows {
-			if rows[i].Method == m && rows[i].Model == model {
+			if rows[i].Result.Method == m && rows[i].Result.Model == model {
 				return &rows[i]
 			}
 		}

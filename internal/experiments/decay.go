@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"ethpart/internal/evm"
@@ -53,31 +52,6 @@ func (p DecayParams) withDefaults() DecayParams {
 		p.WindowsPerEra = 8
 	}
 	return p
-}
-
-// DecayCostRow is one row of the comparison: a repartitioning method run
-// through the live chain under ModelMigration, with or without decay.
-type DecayCostRow struct {
-	Method sim.Method
-	Decay  bool
-	// Repartitions and Moves are the simulator's policy firings and
-	// assignment changes; WaveMigrations/WaveSlots are what the waves cost
-	// the live chain (state actually moved by applyMoves batches), while
-	// Migrations/MigratedSlots/Messages are the chain totals including the
-	// traffic-driven inline migrations of the model.
-	Repartitions   int
-	Moves          int64
-	WaveMigrations int64
-	WaveSlots      int64
-	Migrations     int64
-	MigratedSlots  int64
-	Messages       int64
-	// DynamicCut is the run-level cross-shard fraction (quality must not
-	// be given up for the cheaper moves).
-	DynamicCut float64
-	// LiveVertices is the final live-graph size — the memory bound decay
-	// buys.
-	LiveVertices int
 }
 
 // decayTraceVertices is each era's active-set size; every tenth vertex is
@@ -140,66 +114,40 @@ func DecayTrace(p DecayParams) *sim.GeneratedTrace {
 	return sim.NewGeneratedTrace(recs, reg, slots)
 }
 
+// DriftingEraPolicy is the simulator policy both drifting-era harnesses
+// (decaycost and ethpart chaos) replay under: 4-hour windows, a 2-day
+// period with a 24-hour floor between firings, and threshold triggers that
+// fire after two windows over cut 0.2 or balance 1.5.
+func DriftingEraPolicy(method sim.Method, k int) sim.Config {
+	return sim.Config{
+		Method: method, K: k,
+		Window:            4 * time.Hour,
+		RepartitionEvery:  2 * 24 * time.Hour,
+		MinRepartitionGap: 24 * time.Hour,
+		TriggerWindows:    2,
+		CutThreshold:      0.2,
+		BalanceThreshold:  1.5,
+	}
+}
+
 // DecayOperational runs the comparison: the three repartitioning methods
 // (METIS, R-METIS, TR-METIS) through the live chain under ModelMigration,
-// each with and without windowed decay, on the same drifting-era history.
-// The six co-simulations run in parallel.
-func DecayOperational(p DecayParams) ([]DecayCostRow, error) {
+// each with and without windowed decay (label "full-history" / "decay"),
+// on the same drifting-era history.
+func DecayOperational(p DecayParams) ([]OpsRow, error) {
 	p = p.withDefaults()
 	gt := DecayTrace(p)
-	methods := []sim.Method{sim.MethodMetis, sim.MethodRMetis, sim.MethodTRMetis}
-
-	type cell struct {
-		method sim.Method
-		decay  bool
+	var cells []OpsCell
+	for _, m := range []sim.Method{sim.MethodMetis, sim.MethodRMetis, sim.MethodTRMetis} {
+		full := OpsCell{
+			Label: "full-history", Trace: gt,
+			Config: opsim.Config{Sim: DriftingEraPolicy(m, p.K), Model: shardchain.ModelMigration},
+		}
+		decay := full
+		decay.Label = "decay"
+		decay.Config.Sim.DecayHalfLife = p.HalfLife
+		decay.Config.Sim.Horizon = p.Horizon
+		cells = append(cells, full, decay)
 	}
-	var cells []cell
-	for _, m := range methods {
-		for _, decay := range []bool{false, true} {
-			cells = append(cells, cell{m, decay})
-		}
-	}
-	results := make([]*opsim.Result, len(cells))
-	errs := make([]error, len(cells))
-	sim.RunIndexed(len(cells), func(i int) {
-		c := cells[i]
-		cfg := opsim.Config{
-			Sim: sim.Config{
-				Method: c.method, K: p.K,
-				Window:            4 * time.Hour,
-				RepartitionEvery:  2 * 24 * time.Hour,
-				MinRepartitionGap: 24 * time.Hour,
-				TriggerWindows:    2,
-				CutThreshold:      0.2,
-				BalanceThreshold:  1.5,
-			},
-			Model: shardchain.ModelMigration,
-		}
-		if c.decay {
-			cfg.Sim.DecayHalfLife = p.HalfLife
-			cfg.Sim.Horizon = p.Horizon
-		}
-		results[i], errs[i] = opsim.Run(gt, cfg)
-	})
-	rows := make([]DecayCostRow, len(cells))
-	for i, c := range cells {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiments: decay ops %v decay=%v: %w", c.method, c.decay, errs[i])
-		}
-		res := results[i]
-		rows[i] = DecayCostRow{
-			Method:         c.method,
-			Decay:          c.decay,
-			Repartitions:   res.Sim.Repartitions,
-			Moves:          res.Sim.TotalMoves,
-			WaveMigrations: res.WaveMigrations,
-			WaveSlots:      res.WaveMigratedSlots,
-			Migrations:     res.Totals.Migrations,
-			MigratedSlots:  res.Totals.MigratedSlots,
-			Messages:       res.Totals.Messages,
-			DynamicCut:     res.Sim.OverallDynamicCut,
-			LiveVertices:   res.Sim.Vertices,
-		}
-	}
-	return rows, nil
+	return RunOps(cells)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"ethpart/internal/opsim"
 	"ethpart/internal/sim"
 )
 
@@ -21,26 +22,33 @@ func TestDecayOperationalComparison(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 3 methods x 2 modes", len(rows))
 	}
-	byKey := func(m sim.Method, decay bool) DecayCostRow {
+	byKey := func(m sim.Method, decay bool) *opsim.Result {
+		label := "full-history"
+		if decay {
+			label = "decay"
+		}
 		for _, r := range rows {
-			if r.Method == m && r.Decay == decay {
-				return r
+			if r.Result.Method == m && r.Label == label {
+				if on := r.Config.Sim.DecayHalfLife > 0; on != decay {
+					t.Fatalf("%v %s: decay enabled = %v", m, label, on)
+				}
+				return r.Result
 			}
 		}
-		t.Fatalf("missing row %v decay=%v", m, decay)
-		return DecayCostRow{}
+		t.Fatalf("missing row %v %s", m, label)
+		return nil
 	}
 	for _, m := range []sim.Method{sim.MethodMetis, sim.MethodRMetis, sim.MethodTRMetis} {
 		full, decay := byKey(m, false), byKey(m, true)
 		// Same replay on both sides: both must actually repartition.
-		if full.Repartitions == 0 || decay.Repartitions == 0 {
-			t.Errorf("%v: no repartitions (full=%d decay=%d)", m, full.Repartitions, decay.Repartitions)
+		if full.Sim.Repartitions == 0 || decay.Sim.Repartitions == 0 {
+			t.Errorf("%v: no repartitions (full=%d decay=%d)", m, full.Sim.Repartitions, decay.Sim.Repartitions)
 		}
 		// The memory bound: full history accumulates every era, decay
 		// keeps roughly the horizon's worth of active set.
-		if full.LiveVertices <= 3*decay.LiveVertices {
+		if full.Sim.Vertices <= 3*decay.Sim.Vertices {
 			t.Errorf("%v: live graph %d (full) vs %d (decay); decay should bound it",
-				m, full.LiveVertices, decay.LiveVertices)
+				m, full.Sim.Vertices, decay.Sim.Vertices)
 		}
 		if full.WaveMigrations == 0 {
 			t.Errorf("%v: waves moved no state; the comparison is vacuous", m)
@@ -53,7 +61,7 @@ func TestDecayOperationalComparison(t *testing.T) {
 		t.Errorf("METIS wave migrations %d (decay) vs %d (full); decay should at least halve them",
 			decay.WaveMigrations, full.WaveMigrations)
 	}
-	if decay.WaveSlots >= full.WaveSlots {
-		t.Errorf("METIS wave slots %d (decay) vs %d (full)", decay.WaveSlots, full.WaveSlots)
+	if decay.WaveMigratedSlots >= full.WaveMigratedSlots {
+		t.Errorf("METIS wave slots %d (decay) vs %d (full)", decay.WaveMigratedSlots, full.WaveMigratedSlots)
 	}
 }

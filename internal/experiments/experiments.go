@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"ethpart/internal/graph"
-	"ethpart/internal/opsim"
 	"ethpart/internal/sim"
 	"ethpart/internal/stats"
 	"ethpart/internal/trace"
@@ -83,16 +82,15 @@ func (p Params) withDefaults() Params {
 
 // Dataset is a generated history plus cached simulation results.
 //
-// A Dataset is safe for concurrent use: the result caches are guarded by a
+// A Dataset is safe for concurrent use: the result cache is guarded by a
 // mutex (fills run outside the lock — the generated trace is only read —
 // so concurrent callers at worst duplicate a replay, never race).
 type Dataset struct {
 	Params Params
 	GT     *sim.GeneratedTrace
 
-	mu       sync.Mutex
-	cache    map[simKey]*sim.Result
-	opsCache map[opsKey]*opsim.Result
+	mu    sync.Mutex
+	cache map[simKey]*sim.Result
 }
 
 // cachedRun returns the cached simulation result for key, if any.
@@ -141,12 +139,7 @@ func NewDataset(p Params) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating dataset: %w", err)
 	}
-	return &Dataset{
-		Params:   p,
-		GT:       gt,
-		cache:    make(map[simKey]*sim.Result),
-		opsCache: make(map[opsKey]*opsim.Result),
-	}, nil
+	return &Dataset{Params: p, GT: gt, cache: make(map[simKey]*sim.Result)}, nil
 }
 
 // configFor is the simulation configuration for method at k shards using

@@ -2,131 +2,152 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ethpart/internal/opsim"
+	"ethpart/internal/report"
 	"ethpart/internal/shardchain"
 	"ethpart/internal/sim"
 )
+
+// Every figure above the bridge is a matrix of co-simulations distilled
+// into the same few numbers. This file is the one runner they share
+// (cells in, rows out) and the one column vocabulary their tables and
+// CSVs are rendered from; decay.go, scale.go and scenario.go only build
+// cells.
 
 // Models lists the two multi-shard handling classes in presentation order.
 func Models() []shardchain.Model {
 	return []shardchain.Model{shardchain.ModelReceipts, shardchain.ModelMigration}
 }
 
-// OperationalRow is one cell of the operational matrix: a method replayed
-// through the live sharded chain under one multi-shard model.
-type OperationalRow struct {
-	Method sim.Method
-	Model  shardchain.Model
-	K      int
+// OpsCell is one co-simulation of an operational figure: a trace replayed
+// through the live sharded chain under one configuration. Label is the
+// figure's own row key where method × model does not identify the cell
+// (decaycost's and scalecost's mode, scenariocost's scenario).
+type OpsCell struct {
+	Label  string
+	Trace  *sim.GeneratedTrace
+	Config opsim.Config
+}
+
+// OpsRow is a cell with its outcome.
+type OpsRow struct {
+	OpsCell
 	Result *opsim.Result
 }
 
-type opsKey struct {
-	method   sim.Method
-	model    shardchain.Model
-	k        int
-	parallel bool
-}
-
-// opsConfigFor is the co-simulation configuration for one cell of the
-// operational matrix.
-func (d *Dataset) opsConfigFor(key opsKey) opsim.Config {
-	return opsim.Config{Sim: d.configFor(key.method, key.k), Model: key.model, Parallel: key.parallel}
-}
-
-// cachedOps returns the cached co-simulation result for key, if any.
-func (d *Dataset) cachedOps(key opsKey) (*opsim.Result, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	res, ok := d.opsCache[key]
-	return res, ok
-}
-
-// storeOps caches a co-simulation result.
-func (d *Dataset) storeOps(key opsKey, res *opsim.Result) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.opsCache[key] = res
-}
-
-// OperationalRun returns the (cached) co-simulation result for one
-// method × model at k shards on the serial chain engine. It is safe to
-// call concurrently (the caches are mutex-guarded; the trace is only
-// read).
-func (d *Dataset) OperationalRun(method sim.Method, model shardchain.Model, k int) (*opsim.Result, error) {
-	return d.operationalRun(opsKey{method, model, k, false})
-}
-
-func (d *Dataset) operationalRun(key opsKey) (*opsim.Result, error) {
-	if key.k < 1 {
-		return nil, fmt.Errorf("experiments: ops: k must be >= 1, got %d", key.k)
+// RunOps runs every cell's co-simulation and returns the rows in cell
+// order. The cells run in parallel: each replay only reads its trace, like
+// sim.RunSweep's.
+func RunOps(cells []OpsCell) ([]OpsRow, error) {
+	rows := make([]OpsRow, len(cells))
+	errs := make([]error, len(cells))
+	sim.RunIndexed(len(cells), func(i int) {
+		rows[i].OpsCell = cells[i]
+		rows[i].Result, errs[i] = opsim.Run(cells[i].Trace, cells[i].Config)
+	})
+	for i, err := range errs {
+		if err != nil {
+			cfg := cells[i].Config
+			return nil, fmt.Errorf("experiments: ops %v/%v k=%d %q: %w",
+				cfg.Sim.Method, cfg.Model, cfg.Sim.K, cells[i].Label, err)
+		}
 	}
-	if res, ok := d.cachedOps(key); ok {
-		return res, nil
-	}
-	res, err := opsim.Run(d.GT, d.opsConfigFor(key))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ops %v/%v k=%d: %w", key.method, key.model, key.k, err)
-	}
-	d.storeOps(key, res)
-	return res, nil
+	return rows, nil
+}
+
+// opsCell is the dataset's cell for one method × model at k shards, under
+// the paper's policy parameters.
+func (d *Dataset) opsCell(method sim.Method, model shardchain.Model, k int) OpsCell {
+	return OpsCell{Trace: d.GT, Config: opsim.Config{Sim: d.configFor(method, k), Model: model}}
 }
 
 // Operational replays the history through the live sharded chain for every
 // method under both multi-shard models at k shards — the end-to-end
 // measurement the paper's edge-cut curves proxy: cross-shard messages,
 // settlement latency, migrated state and failed transactions, per window
-// and in total. Uncached combinations run in parallel (each co-simulation
-// only reads the shared trace, like sim.RunSweep's replays).
-func (d *Dataset) Operational(k int) ([]OperationalRow, error) {
-	return d.operational(k, false)
-}
-
-// OperationalParallel is Operational on shardchain's parallel per-shard
-// engine: every replayed window and total is byte-identical to
-// Operational's, and the results' Blocks/StepNanos measure what the
-// parallel engine buys per block.
-func (d *Dataset) OperationalParallel(k int) ([]OperationalRow, error) {
-	return d.operational(k, true)
-}
-
-func (d *Dataset) operational(k int, parallel bool) ([]OperationalRow, error) {
+// and in total. Rows come back grouped by model, then method.
+func (d *Dataset) Operational(k int) ([]OpsRow, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("experiments: ops: k must be >= 1, got %d", k)
 	}
-	var missing []opsKey
+	var cells []OpsCell
 	for _, model := range Models() {
 		for _, m := range sim.Methods() {
-			key := opsKey{m, model, k, parallel}
-			if _, ok := d.cachedOps(key); !ok {
-				missing = append(missing, key)
-			}
+			cells = append(cells, d.opsCell(m, model, k))
 		}
 	}
-	if len(missing) > 0 {
-		results := make([]*opsim.Result, len(missing))
-		errs := make([]error, len(missing))
-		sim.RunIndexed(len(missing), func(i int) {
-			results[i], errs[i] = opsim.Run(d.GT, d.opsConfigFor(missing[i]))
-		})
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("experiments: ops %v/%v k=%d: %w",
-					missing[i].method, missing[i].model, k, err)
-			}
-			d.storeOps(missing[i], results[i])
+	return RunOps(cells)
+}
+
+// opsColumns is the column vocabulary: every quantity any operational
+// figure reports, each with its one formatting rule. The wave columns
+// isolate what repartition waves (and merge drains) moved; migrations and
+// migrated_slots are the chain totals, including the migration model's
+// traffic-driven inline moves.
+var opsColumns = map[string]func(OpsRow) string{
+	"label":   func(r OpsRow) string { return r.Label },
+	"method":  func(r OpsRow) string { return r.Result.Method.String() },
+	"model":   func(r OpsRow) string { return r.Result.Model.String() },
+	"records": func(r OpsRow) string { return report.FormatCount(int64(len(r.Trace.Records))) },
+	"k_start": func(r OpsRow) string { return strconv.Itoa(r.Result.K) },
+	"k_final": func(r OpsRow) string { return strconv.Itoa(r.Result.FinalShards()) },
+	"resizes": func(r OpsRow) string { return strconv.Itoa(len(r.Result.Sim.Resizes)) },
+
+	"dyn_cut":   func(r OpsRow) string { return report.FormatFloat(r.Result.Sim.OverallDynamicCut) },
+	"cross-txs": func(r OpsRow) string { return fmt.Sprintf("%.1f%%", 100*r.Result.CrossFraction()) },
+	"messages":  func(r OpsRow) string { return report.FormatCount(r.Result.Totals.Messages) },
+	// Settlement latency is undefined when nothing settled (the migration
+	// model forwards instead of settling receipts).
+	"latency(blk)": func(r OpsRow) string {
+		if r.Result.Totals.ReceiptsSettled == 0 {
+			return "-"
 		}
-	}
-	var rows []OperationalRow
-	for _, model := range Models() {
-		for _, m := range sim.Methods() {
-			res, err := d.operationalRun(opsKey{m, model, k, parallel})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, OperationalRow{Method: m, Model: model, K: k, Result: res})
+		return fmt.Sprintf("%.2f", r.Result.MeanSettlement())
+	},
+	"failed": func(r OpsRow) string { return report.FormatCount(r.Result.Totals.Failed) },
+
+	"repartitions":    func(r OpsRow) string { return strconv.Itoa(r.Result.Sim.Repartitions) },
+	"moves":           func(r OpsRow) string { return report.FormatCount(r.Result.Sim.TotalMoves) },
+	"wave_migrations": func(r OpsRow) string { return report.FormatCount(r.Result.WaveMigrations) },
+	"wave_slots":      func(r OpsRow) string { return report.FormatCount(r.Result.WaveMigratedSlots) },
+	"migrations":      func(r OpsRow) string { return report.FormatCount(r.Result.Totals.Migrations) },
+	"migrated_slots":  func(r OpsRow) string { return report.FormatCount(r.Result.Totals.MigratedSlots) },
+
+	"live_vertices": func(r OpsRow) string { return strconv.Itoa(r.Result.Sim.Vertices) },
+	"shard_windows": func(r OpsRow) string { return report.FormatCount(r.Result.ShardWindows()) },
+	"peak_load":     func(r OpsRow) string { return report.FormatCount(r.Result.PeakWindowLoad()) },
+	"ms/blk":        func(r OpsRow) string { return fmt.Sprintf("%.3f", r.Result.MsPerBlock()) },
+}
+
+// OpsTable renders rows under the named vocabulary columns, in order, as
+// the headers and cells report.Table and report.CSV take. A name of the
+// form "header=name" renders column name under another header (a figure's
+// name for its label column, the ops table's terse spellings). Names are
+// literals at the call sites; an unknown one is a programming error and
+// panics.
+func OpsTable(rows []OpsRow, columns ...string) (headers []string, table [][]string) {
+	cells := make([]func(OpsRow) string, len(columns))
+	for i, spec := range columns {
+		header, name, renamed := strings.Cut(spec, "=")
+		if !renamed {
+			name = header
 		}
+		cell, ok := opsColumns[name]
+		if !ok {
+			panic(fmt.Sprintf("experiments: unknown ops column %q", name))
+		}
+		headers = append(headers, header)
+		cells[i] = cell
 	}
-	return rows, nil
+	for _, r := range rows {
+		line := make([]string, len(cells))
+		for i, cell := range cells {
+			line[i] = cell(r)
+		}
+		table = append(table, line)
+	}
+	return headers, table
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 	"ethpart/internal/workload"
 )
 
-func TestOperationalCoversMatrixAndCaches(t *testing.T) {
+func TestOperationalCoversMatrix(t *testing.T) {
 	ds := testDataset(t)
 	rows, err := ds.Operational(2)
 	if err != nil {
@@ -20,42 +19,40 @@ func TestOperationalCoversMatrixAndCaches(t *testing.T) {
 	if want := len(sim.Methods()) * len(Models()); len(rows) != want {
 		t.Fatalf("rows = %d, want %d (methods × models)", len(rows), want)
 	}
-	seen := map[opsKey]bool{}
+	type cellKey struct {
+		method sim.Method
+		model  shardchain.Model
+	}
+	byKey := map[cellKey]*opsim.Result{}
 	for _, row := range rows {
-		key := opsKey{method: row.Method, model: row.Model, k: row.K}
-		if seen[key] {
-			t.Errorf("duplicate row %v/%v", row.Method, row.Model)
-		}
-		seen[key] = true
 		if row.Result == nil || len(row.Result.Windows) == 0 {
-			t.Fatalf("%v/%v: empty result", row.Method, row.Model)
+			t.Fatalf("%v/%v: empty result", row.Config.Sim.Method, row.Config.Model)
 		}
-		if row.Result.Totals.Failed != 0 {
-			t.Errorf("%v/%v: %d failed txs", row.Method, row.Model, row.Result.Totals.Failed)
+		res := row.Result
+		key := cellKey{res.Method, res.Model}
+		if key != (cellKey{row.Config.Sim.Method, row.Config.Model}) || res.K != 2 {
+			t.Errorf("cell %v/%v ran as %v/%v k=%d", row.Config.Sim.Method, row.Config.Model,
+				res.Method, res.Model, res.K)
 		}
-	}
-	// Second call must serve from the cache (same pointers).
-	again, err := ds.Operational(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if rows[i].Result != again[i].Result {
-			t.Fatalf("row %d not cached", i)
+		if byKey[key] != nil {
+			t.Errorf("duplicate row %v/%v", res.Method, res.Model)
+		}
+		byKey[key] = res
+		if res.Totals.Failed != 0 {
+			t.Errorf("%v/%v: %d failed txs", res.Method, res.Model, res.Totals.Failed)
 		}
 	}
 
 	// The operational ordering mirrors the cut ordering: under receipts,
 	// METIS must beat hashing on messages, the paper's claim end to end.
-	byKey := map[opsKey]*OperationalRow{}
-	for i := range rows {
-		byKey[opsKey{method: rows[i].Method, model: rows[i].Model, k: rows[i].K}] = &rows[i]
+	hash := byKey[cellKey{sim.MethodHash, shardchain.ModelReceipts}]
+	metis := byKey[cellKey{sim.MethodMetis, shardchain.ModelReceipts}]
+	if metis.Totals.Messages >= hash.Totals.Messages {
+		t.Errorf("metis messages %d not below hash %d", metis.Totals.Messages, hash.Totals.Messages)
 	}
-	hash := byKey[opsKey{method: sim.MethodHash, model: shardchain.ModelReceipts, k: 2}]
-	metis := byKey[opsKey{method: sim.MethodMetis, model: shardchain.ModelReceipts, k: 2}]
-	if metis.Result.Totals.Messages >= hash.Result.Totals.Messages {
-		t.Errorf("metis messages %d not below hash %d",
-			metis.Result.Totals.Messages, hash.Result.Totals.Messages)
+
+	if _, err := ds.Operational(0); err == nil {
+		t.Error("k=0 must error")
 	}
 }
 
@@ -83,58 +80,9 @@ func tinyDataset(t *testing.T) *Dataset {
 	return ds
 }
 
-func TestOperationalRunConcurrentCallersShareCache(t *testing.T) {
-	// Regression for the cache race: Operational advertises parallel fills,
-	// so concurrent OperationalRun calls (same and different keys) must be
-	// safe — run under -race in CI — and must converge on one cached
-	// result per key.
-	ds := tinyDataset(t)
-	keys := []opsKey{
-		{method: sim.MethodHash, model: shardchain.ModelReceipts, k: 2},
-		{method: sim.MethodHash, model: shardchain.ModelMigration, k: 2},
-		{method: sim.MethodHash, model: shardchain.ModelReceipts, k: 2}, // duplicate on purpose
-		{method: sim.MethodMetis, model: shardchain.ModelReceipts, k: 2},
-	}
-	const callersPerKey = 3
-	results := make([]*opsim.Result, len(keys)*callersPerKey)
-	errs := make([]error, len(results))
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := keys[i%len(keys)]
-			results[i], errs[i] = ds.OperationalRun(key.method, key.model, key.k)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-	// After the dust settles the cache serves one pointer per key.
-	for i := range results {
-		key := keys[i%len(keys)]
-		cached, err := ds.OperationalRun(key.method, key.model, key.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached == nil || results[i] == nil {
-			t.Fatalf("caller %d: nil result", i)
-		}
-		if cached.Totals != results[i].Totals {
-			t.Errorf("caller %d: totals diverge from cached result", i)
-		}
-	}
-	if _, err := ds.OperationalRun(sim.MethodHash, shardchain.ModelReceipts, 0); err == nil {
-		t.Error("k=0 must error")
-	}
-}
-
 // TestDecayParamsReachSimAndBridge pins the decay pass-through: Params'
 // DecayHalfLife/Horizon must thread into every cached simulation and into
-// the operational co-simulation. With an aggressive horizon on the one-week
+// the operational cells. With an aggressive horizon on the one-week
 // history, the decayed replay must end with a strictly smaller live graph
 // than full-history mode while replaying the identical record stream, and
 // the bridge must complete on top of it (retired accounts keep their
@@ -159,10 +107,11 @@ func TestDecayParamsReachSimAndBridge(t *testing.T) {
 	if len(dr.Windows) != len(fr.Windows) {
 		t.Errorf("window counts diverge: %d vs %d", len(dr.Windows), len(fr.Windows))
 	}
-	res, err := decayed.OperationalRun(sim.MethodMetis, shardchain.ModelMigration, 2)
+	rows, err := RunOps([]OpsCell{decayed.opsCell(sim.MethodMetis, shardchain.ModelMigration, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rows[0].Result
 	if res.Totals.Failed != 0 {
 		t.Errorf("decayed operational run failed %d transactions", res.Totals.Failed)
 	}
@@ -196,32 +145,4 @@ func tinyDecayedDataset(t *testing.T) *Dataset {
 		t.Fatal(err)
 	}
 	return ds
-}
-
-func TestOperationalParallelMatchesSerialRows(t *testing.T) {
-	ds := tinyDataset(t)
-	serial, err := ds.Operational(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ds.OperationalParallel(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("row counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		s, p := serial[i].Result, parallel[i].Result
-		if s == p {
-			t.Fatalf("row %d: engines share one cache entry", i)
-		}
-		if !p.Parallel || s.Parallel {
-			t.Fatalf("row %d: engine flags wrong", i)
-		}
-		if s.Totals != p.Totals {
-			t.Errorf("row %d (%v/%v): totals diverge: serial %+v, parallel %+v",
-				i, serial[i].Method, serial[i].Model, s.Totals, p.Totals)
-		}
-	}
 }

@@ -55,31 +55,6 @@ func (p ScaleParams) withDefaults() ScaleParams {
 	return p
 }
 
-// ScaleCostRow is one provisioning policy run through the live chain on the
-// flash-crowd history.
-type ScaleCostRow struct {
-	// Mode names the policy: fixed-kmin, fixed-kmax, or autoscale.
-	Mode string
-	// KStart/KFinal are the shard counts entering and leaving the run;
-	// Resizes counts autoscaler firings (zero for the fixed policies).
-	KStart, KFinal int
-	Resizes        int
-	// ShardWindows is Σ over windows of the shards provisioned in that
-	// window — the run's capacity cost in shard-windows.
-	ShardWindows int64
-	// PeakWindowLoad is the largest per-shard window load any shard saw —
-	// the saturation the SLO metrics respond to.
-	PeakWindowLoad int64
-	// The SLO side: cross-shard messages, settlement latency, state
-	// migration traffic and failed transactions over the whole run.
-	Messages       int64
-	MeanSettlement float64
-	Migrations     int64
-	MigratedSlots  int64
-	Failed         int64
-	DynamicCut     float64
-}
-
 // flashCrowd sizes the arrival process: quiet traffic around 60 records
 // per 4-hour window, then a surge phase an order of magnitude denser, then
 // a long cooldown back to base load. The window counts size the flash
@@ -167,56 +142,17 @@ func scaleConfig(p ScaleParams, k int, autoscale bool) opsim.Config {
 }
 
 // ScaleOperational runs the comparison: fixed provisioning at KMin and at
-// KMax, and the autoscaler ranging between them, all on the same
-// flash-crowd history. The three co-simulations run in parallel.
-func ScaleOperational(p ScaleParams) ([]ScaleCostRow, error) {
+// KMax, and the autoscaler ranging between them (labels "fixed-kmin",
+// "fixed-kmax", "autoscale"), all on the same flash-crowd history.
+func ScaleOperational(p ScaleParams) ([]OpsRow, error) {
 	p = p.withDefaults()
 	if p.KMin > p.KMax {
 		return nil, fmt.Errorf("experiments: scale: k-min %d > k-max %d", p.KMin, p.KMax)
 	}
 	gt := FlashCrowdTrace(p)
-	cells := []struct {
-		mode      string
-		k         int
-		autoscale bool
-	}{
-		{"fixed-kmin", p.KMin, false},
-		{"fixed-kmax", p.KMax, false},
-		{"autoscale", p.KMin, true},
-	}
-	results := make([]*opsim.Result, len(cells))
-	errs := make([]error, len(cells))
-	sim.RunIndexed(len(cells), func(i int) {
-		results[i], errs[i] = opsim.Run(gt, scaleConfig(p, cells[i].k, cells[i].autoscale))
+	return RunOps([]OpsCell{
+		{Label: "fixed-kmin", Trace: gt, Config: scaleConfig(p, p.KMin, false)},
+		{Label: "fixed-kmax", Trace: gt, Config: scaleConfig(p, p.KMax, false)},
+		{Label: "autoscale", Trace: gt, Config: scaleConfig(p, p.KMin, true)},
 	})
-	rows := make([]ScaleCostRow, len(cells))
-	for i, c := range cells {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiments: scale ops %s: %w", c.mode, errs[i])
-		}
-		res := results[i]
-		row := ScaleCostRow{
-			Mode:           c.mode,
-			KStart:         c.k,
-			KFinal:         c.k,
-			Resizes:        len(res.Sim.Resizes),
-			Messages:       res.Totals.Messages,
-			Migrations:     res.Totals.Migrations,
-			MigratedSlots:  res.Totals.MigratedSlots,
-			Failed:         res.Totals.Failed,
-			DynamicCut:     res.Sim.OverallDynamicCut,
-			MeanSettlement: res.MeanSettlement(),
-		}
-		for _, w := range res.Windows {
-			row.ShardWindows += int64(w.Shards)
-			row.KFinal = w.Shards
-		}
-		for _, w := range res.Sim.Windows {
-			if w.PeakLoad > row.PeakWindowLoad {
-				row.PeakWindowLoad = w.PeakLoad
-			}
-		}
-		rows[i] = row
-	}
-	return rows, nil
 }

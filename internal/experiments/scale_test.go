@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"ethpart/internal/opsim"
 )
 
 // TestFlashCrowdTraceShape: the pipeline-generated trace is deterministic
@@ -88,51 +90,52 @@ func TestScaleOperational(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want fixed-kmin, fixed-kmax, autoscale", len(rows))
 	}
-	byMode := map[string]ScaleCostRow{}
+	byMode := map[string]*opsim.Result{}
 	for _, r := range rows {
-		byMode[r.Mode] = r
+		byMode[r.Label] = r.Result
 	}
 	kmin, kmax, auto := byMode["fixed-kmin"], byMode["fixed-kmax"], byMode["autoscale"]
 
-	for _, r := range []ScaleCostRow{kmin, kmax} {
-		if r.Resizes != 0 {
-			t.Errorf("%s resized %d times; fixed policies must not", r.Mode, r.Resizes)
+	for _, mode := range []string{"fixed-kmin", "fixed-kmax"} {
+		r := byMode[mode]
+		if n := len(r.Sim.Resizes); n != 0 {
+			t.Errorf("%s resized %d times; fixed policies must not", mode, n)
 		}
-		if r.KFinal != r.KStart {
-			t.Errorf("%s ended at k=%d, started at %d", r.Mode, r.KFinal, r.KStart)
+		if r.FinalShards() != r.K {
+			t.Errorf("%s ended at k=%d, started at %d", mode, r.FinalShards(), r.K)
 		}
 	}
 	// Fixed cells provision k shards in every window; the exact window
 	// count belongs to the arrival process, but the two runs must agree on
 	// it (shard-windows scale with k on the same trace).
-	if kmin.ShardWindows%2 != 0 || kmax.ShardWindows != 4*kmin.ShardWindows {
+	if kmin.ShardWindows()%2 != 0 || kmax.ShardWindows() != 4*kmin.ShardWindows() {
 		t.Errorf("fixed shard-windows inconsistent: kmin=%d kmax=%d (want 4x)",
-			kmin.ShardWindows, kmax.ShardWindows)
+			kmin.ShardWindows(), kmax.ShardWindows())
 	}
 
-	if auto.Resizes == 0 {
+	if len(auto.Sim.Resizes) == 0 {
 		t.Fatal("autoscale cell never resized on the flash crowd")
 	}
-	if auto.ShardWindows <= kmin.ShardWindows || auto.ShardWindows >= kmax.ShardWindows {
+	if auto.ShardWindows() <= kmin.ShardWindows() || auto.ShardWindows() >= kmax.ShardWindows() {
 		t.Errorf("autoscale capacity cost %d shard-windows not strictly between the fixed %d and %d",
-			auto.ShardWindows, kmin.ShardWindows, kmax.ShardWindows)
+			auto.ShardWindows(), kmin.ShardWindows(), kmax.ShardWindows())
 	}
 	// Scaling out must relieve the saturation the small fleet suffers.
-	if auto.PeakWindowLoad >= kmin.PeakWindowLoad {
+	if auto.PeakWindowLoad() >= kmin.PeakWindowLoad() {
 		t.Errorf("autoscale peak load %d not below fixed-kmin's %d",
-			auto.PeakWindowLoad, kmin.PeakWindowLoad)
+			auto.PeakWindowLoad(), kmin.PeakWindowLoad())
 	}
 	// The merge leg pays honest decommissioning cost under receipts: the
 	// fixed cells never migrate, the autoscaler does.
-	if kmin.Migrations != 0 || kmax.Migrations != 0 {
-		t.Errorf("fixed receipts cells migrated state: %d / %d", kmin.Migrations, kmax.Migrations)
+	if kmin.Totals.Migrations != 0 || kmax.Totals.Migrations != 0 {
+		t.Errorf("fixed receipts cells migrated state: %d / %d", kmin.Totals.Migrations, kmax.Totals.Migrations)
 	}
-	if auto.Migrations == 0 {
+	if auto.Totals.Migrations == 0 {
 		t.Error("autoscale run recorded no merge-drain migrations")
 	}
 	for _, r := range rows {
-		if r.Failed != 0 {
-			t.Errorf("%s: %d failed txs; funded replay must validate cleanly", r.Mode, r.Failed)
+		if r.Result.Totals.Failed != 0 {
+			t.Errorf("%s: %d failed txs; funded replay must validate cleanly", r.Label, r.Result.Totals.Failed)
 		}
 	}
 }

@@ -46,31 +46,6 @@ func (p ScenarioCostParams) withDefaults() ScenarioCostParams {
 	return p
 }
 
-// ScenarioCostRow is one cell of the matrix: a method under one
-// multi-shard model on one scenario's history.
-type ScenarioCostRow struct {
-	Scenario string
-	Method   sim.Method
-	Model    shardchain.Model
-	K        int
-	// Records is the scenario history's size (identical across the
-	// scenario's rows — methods replay the same trace).
-	Records int
-	// DynamicCut is the run-level cross-shard interaction fraction.
-	DynamicCut float64
-	// WaveMigrations/WaveSlots are what repartition waves moved; the
-	// totals below also include the migration model's inline moves.
-	WaveMigrations int64
-	WaveSlots      int64
-	Migrations     int64
-	MigratedSlots  int64
-	Messages       int64
-	// MeanSettlement is the mean cross-shard settlement latency in blocks
-	// (0 when nothing settled — the migration model forwards instead).
-	MeanSettlement float64
-	Failed         int64
-}
-
 // scenarioCostConfig is one cell's co-simulation configuration: the
 // paper's policy parameters at the scenario's block spacing.
 func scenarioCostConfig(method sim.Method, model shardchain.Model, k int) opsim.Config {
@@ -87,14 +62,12 @@ func scenarioCostConfig(method sim.Method, model shardchain.Model, k int) opsim.
 
 // ScenarioCost generates each named scenario once and replays it through
 // the live sharded chain for every method under both multi-shard models.
-// Rows come back grouped by scenario, then model, then method; all
-// replays of one scenario share its trace, and the whole matrix runs in
-// parallel.
-func ScenarioCost(p ScenarioCostParams) ([]ScenarioCostRow, error) {
+// Rows come back labelled with and grouped by scenario, then model, then
+// method; all replays of one scenario share its trace.
+func ScenarioCost(p ScenarioCostParams) ([]OpsRow, error) {
 	p = p.withDefaults()
-
-	traces := make([]*sim.GeneratedTrace, len(p.Scenarios))
-	for i, name := range p.Scenarios {
+	var cells []OpsCell
+	for _, name := range p.Scenarios {
 		sc, err := workload.ResolveScenario(name, "", p.Hours, p.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenariocost: %w", err)
@@ -103,51 +76,11 @@ func ScenarioCost(p ScenarioCostParams) ([]ScenarioCostRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenariocost %s: %w", name, err)
 		}
-		traces[i] = gt
-	}
-
-	type cell struct {
-		scenario int
-		method   sim.Method
-		model    shardchain.Model
-	}
-	var cells []cell
-	for i := range p.Scenarios {
 		for _, model := range Models() {
 			for _, m := range sim.Methods() {
-				cells = append(cells, cell{i, m, model})
+				cells = append(cells, OpsCell{Label: name, Trace: gt, Config: scenarioCostConfig(m, model, p.K)})
 			}
 		}
 	}
-	results := make([]*opsim.Result, len(cells))
-	errs := make([]error, len(cells))
-	sim.RunIndexed(len(cells), func(i int) {
-		c := cells[i]
-		results[i], errs[i] = opsim.Run(traces[c.scenario], scenarioCostConfig(c.method, c.model, p.K))
-	})
-
-	rows := make([]ScenarioCostRow, len(cells))
-	for i, c := range cells {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiments: scenariocost %s %v/%v: %w",
-				p.Scenarios[c.scenario], c.method, c.model, errs[i])
-		}
-		res := results[i]
-		rows[i] = ScenarioCostRow{
-			Scenario:       p.Scenarios[c.scenario],
-			Method:         c.method,
-			Model:          c.model,
-			K:              p.K,
-			Records:        len(traces[c.scenario].Records),
-			DynamicCut:     res.Sim.OverallDynamicCut,
-			WaveMigrations: res.WaveMigrations,
-			WaveSlots:      res.WaveMigratedSlots,
-			Migrations:     res.Totals.Migrations,
-			MigratedSlots:  res.Totals.MigratedSlots,
-			Messages:       res.Totals.Messages,
-			MeanSettlement: res.MeanSettlement(),
-			Failed:         res.Totals.Failed,
-		}
-	}
-	return rows, nil
+	return RunOps(cells)
 }

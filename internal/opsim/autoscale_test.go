@@ -177,9 +177,8 @@ func TestAutoscaleResolverByteIdentity(t *testing.T) {
 	gt := flashTrace()
 	for _, model := range []shardchain.Model{shardchain.ModelReceipts, shardchain.ModelMigration} {
 		dirCfg := autoscaleCfg(model)
-		dirCfg.Resolver = ResolverDirectory
 		asgCfg := autoscaleCfg(model)
-		asgCfg.Resolver = ResolverAssignment
+		asgCfg.resolveFromAssignment = true
 
 		dres, err := Run(gt, dirCfg)
 		if err != nil {

@@ -67,9 +67,8 @@ func TestDirectoryResolvedRunsIdentical(t *testing.T) {
 
 	for _, v := range variants {
 		dirCfg := v.cfg
-		dirCfg.Resolver = ResolverDirectory
 		asgCfg := v.cfg
-		asgCfg.Resolver = ResolverAssignment
+		asgCfg.resolveFromAssignment = true
 
 		dres, err := Run(gt, dirCfg)
 		if err != nil {

@@ -39,24 +39,6 @@ import (
 	"ethpart/internal/types"
 )
 
-// Resolver selects how the live chain resolves account homes.
-type Resolver int
-
-const (
-	// ResolverDirectory (the default) feeds the simulator's placement
-	// callbacks through a directory.Publisher into a concurrent
-	// epoch-versioned placement directory and resolves every home through
-	// its published snapshots — the serving-layer path. Each chain block
-	// pins one directory epoch (shardchain.Config.AssignSnapshot), and
-	// results are byte-identical to the raw-assignment path by
-	// construction (pinned by the golden test in directory_golden_test.go).
-	ResolverDirectory Resolver = iota
-	// ResolverAssignment resolves straight from the simulator's live
-	// assignment — the pre-directory oracle path, kept for the
-	// byte-identity golden test.
-	ResolverAssignment
-)
-
 // Config parameterises a co-simulation run.
 type Config struct {
 	// Sim is the simulator configuration: method, shard count, window and
@@ -80,15 +62,11 @@ type Config struct {
 	// engine. The replayed results (windows, totals) are byte-identical to
 	// the serial engine's; only the timing fields differ.
 	Parallel bool
-	// Resolver selects the home-resolution path; the zero value is
-	// ResolverDirectory. Both resolvers produce byte-identical results.
-	Resolver Resolver
 	// Fault, when non-nil, arms the deterministic fault-injection plane:
-	// the chain takes the schedule's crash/message faults, and (under
-	// ResolverDirectory) the publisher commits through a
-	// fault.FlakyDirectory injecting stalled waves and transient commit
-	// failures. Chain blocks that pin an epoch while a wave is stalled are
-	// counted as stale in the fault metrics.
+	// the chain takes the schedule's crash/message faults, and the
+	// publisher commits through a fault.FlakyDirectory injecting stalled
+	// waves and transient commit failures. Chain blocks that pin an epoch
+	// while a wave is stalled are counted as stale in the fault metrics.
 	Fault *fault.Injector
 	// Capture computes the convergence artifacts (StateRoots, HomesHash,
 	// ReceiptsHash) at end of run — the byte-identity evidence chaos
@@ -97,8 +75,8 @@ type Config struct {
 	// DeepEqual whole Results neither need nor want to pay for.
 	Capture bool
 	// DirCommitter, when non-nil, wraps the run's directory in a caller-
-	// supplied committer (ResolverDirectory only) — the seam the networked
-	// serving tier uses to splice a dirserve.Fanout under the publisher.
+	// supplied committer — the seam the networked serving tier uses to
+	// splice a dirserve.Fanout under the publisher.
 	// With Fault also armed the chain is Publisher → FlakyDirectory →
 	// DirCommitter → Directory, so replicas receive exactly the landed
 	// commit sequence with real epoch numbers. The caller owns the
@@ -106,8 +84,14 @@ type Config struct {
 	DirCommitter func(d *directory.Directory) (directory.Committer, error)
 	// DirHints, when non-nil, is attached to the publisher so promotion
 	// hints (cold-tier lookups pushed by serving processes) drain into each
-	// commit's Promote lane. ResolverDirectory only.
+	// commit's Promote lane.
 	DirHints *directory.HintRing
+
+	// resolveFromAssignment is the byte-identity tests' reference path:
+	// homes resolve straight from the simulator's live assignment instead
+	// of through the placement directory (no directory is built, so Fault's
+	// directory plane, DirCommitter and DirHints do nothing).
+	resolveFromAssignment bool
 }
 
 func (c Config) withDefaults() Config {
@@ -199,12 +183,12 @@ type Result struct {
 	// Parallel records which chain engine ran.
 	Parallel bool
 	// DirectoryStats summarises the placement directory at end of run
-	// (nil under ResolverAssignment). It is reporting, not replayed state:
-	// both resolvers agree on every other field.
+	// (nil on the tests' assignment-resolved reference path). It is
+	// reporting, not replayed state: both paths agree on every other field.
 	DirectoryStats *directory.Stats
-	// DirectoryView is the directory's final published snapshot (nil under
-	// ResolverAssignment), taken after stalled waves drain — the in-process
-	// oracle a networked chaos run cross-checks replica views against.
+	// DirectoryView is the directory's final published snapshot, taken
+	// after stalled waves drain — the in-process oracle a networked chaos
+	// run cross-checks replica views against.
 	DirectoryView *directory.Snapshot
 	// Blocks counts the blocks stepped (including the settle-drain steps)
 	// and StepNanos the wall-clock spent inside ShardChain.Step. They are
@@ -249,6 +233,36 @@ func (r *Result) CrossFraction() float64 {
 	return float64(r.Totals.CrossTxs) / float64(total)
 }
 
+// ShardWindows returns Σ over windows of the shards provisioned in that
+// window — the run's capacity cost (windows × k on a fixed fleet, the
+// autoscaler's capacity series summed otherwise).
+func (r *Result) ShardWindows() int64 {
+	var n int64
+	for _, w := range r.Windows {
+		n += int64(w.Shards)
+	}
+	return n
+}
+
+// FinalShards returns the shard count the run ended on (K when no window
+// closed).
+func (r *Result) FinalShards() int {
+	if n := len(r.Windows); n > 0 {
+		return r.Windows[n-1].Shards
+	}
+	return r.K
+}
+
+// PeakWindowLoad returns the largest per-shard window load any shard saw —
+// the saturation the settlement metrics respond to.
+func (r *Result) PeakWindowLoad() int64 {
+	var peak int64
+	for _, w := range r.Sim.Windows {
+		peak = max(peak, w.PeakLoad)
+	}
+	return peak
+}
+
 // move is one collected assignment change from a repartition batch.
 type move struct {
 	v  graph.VertexID
@@ -268,8 +282,8 @@ type runner struct {
 	haveBlock    bool
 
 	// pub/dir are the serving directory fed by the simulator's callbacks
-	// (ResolverDirectory only); pubErr carries a publisher failure out of
-	// the void callbacks. flaky is the fault-injecting committer wedged
+	// (nil on the assignment-resolved reference path); pubErr carries a
+	// publisher failure out of the void callbacks. flaky is the fault-injecting committer wedged
 	// between them when Config.Fault is armed. resizeErr likewise carries
 	// a failed resize bridge out of the void OnResize callback.
 	pub       *directory.Publisher
@@ -326,10 +340,12 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		K: cfg.Sim.K, Model: cfg.Model, Chain: cfg.Chain, Parallel: cfg.Parallel,
 		Fault: cfg.Fault,
 	}
-	if cfg.Resolver == ResolverDirectory {
+	if !cfg.resolveFromAssignment {
 		// The simulator's placement stream publishes into the serving
-		// directory: placements flush per record, a repartition's move set
-		// commits as one epoch flip, retirements spill to the cold tier.
+		// directory and every home resolves through its published
+		// snapshots: placements flush per record, a repartition's move set
+		// commits as one epoch flip, retirements spill to the cold tier,
+		// and each chain block pins one epoch (AssignSnapshot below).
 		// With a fault plane armed the publisher commits through the flaky
 		// committer, which injects stalled waves and transient failures.
 		r.dir = directory.New(directory.Config{})
@@ -423,10 +439,10 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 }
 
 // assignOf homes first-seen chain accounts — the bridge's placement rule.
-// Under ResolverDirectory it reads the directory's current snapshot (the
-// out-of-block path; in-block resolutions go through the pinned per-Step
-// view from AssignSnapshot); under ResolverAssignment it reads the
-// simulator's live assignment directly. The two always agree: every
+// It reads the directory's current snapshot (the out-of-block path;
+// in-block resolutions go through the pinned per-Step view from
+// AssignSnapshot); the tests' reference path reads the simulator's live
+// assignment directly. The two always agree: every
 // placement event is flushed into the directory before the chain resolves.
 func (r *runner) assignOf(a types.Address) (int, bool) {
 	id, ok := r.gt.Registry.Lookup(a)
