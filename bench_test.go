@@ -208,15 +208,15 @@ func BenchmarkAblationRefinement(b *testing.B) {
 func BenchmarkAblationPlacement(b *testing.B) {
 	ds := dataset(b)
 	for _, mode := range []struct {
-		name string
-		hash bool
-	}{{"min-cut-rule", false}, {"hash-placement", true}} {
+		name  string
+		place sim.Placement
+	}{{"min-cut-rule", sim.PlaceAuto}, {"hash-placement", sim.PlaceHash}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var res *sim.Result
 			for i := 0; i < b.N; i++ {
 				res = replayFresh(b, ds, sim.Config{
-					Method: sim.MethodRMetis, K: 4, HashPlacement: mode.hash,
+					Method: sim.MethodRMetis, K: 4, Placement: mode.place,
 				})
 			}
 			b.ReportMetric(res.OverallDynamicCut, "dyn-cut")

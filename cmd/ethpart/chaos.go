@@ -318,7 +318,7 @@ func startChaosFleet(n int, sched fault.Schedule) (*chaosFleet, error) {
 			return nil, err
 		}
 		r := &chaosReplica{dir: directory.New(directory.Config{}), inj: inj}
-		r.flaky = fault.NewFlakyDirectory(r.dir, inj)
+		r.flaky = fault.NewFlakyCommitter(r.dir, r.dir, inj)
 		r.rp = dirserve.NewReplica(r.flaky)
 		r.srv = dirserve.Serve(l, dirserve.ServerConfig{Dir: r.dir, Replica: r.rp})
 		fl.reps = append(fl.reps, r)

@@ -183,28 +183,5 @@ func (c *Client) LookupBatch(ids []graph.VertexID, out []int32) (epoch uint64, s
 	return 0, false, fmt.Errorf("dirserve: no server could serve epoch ≥ %d", c.pin)
 }
 
-// Stats probes one server's applied watermark, local epoch and entry
-// count (round-robin like lookups).
-func (c *Client) Stats() (applied, epoch, entries uint64, err error) {
-	cc := c.conns[c.rr%len(c.conns)]
-	c.rr++
-	req := append(cc.req[:0], msgStats)
-	cc.req = req
-	if err := writeFrame(cc.bw, req); err != nil {
-		return 0, 0, 0, err
-	}
-	frame, err := readFrame(cc.br, cc.resp)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cc.resp = frame
-	cur := cursor{p: frame}
-	if cur.u8() != msgStatsResp {
-		return 0, 0, 0, fmt.Errorf("dirserve: unexpected response type")
-	}
-	applied, epoch, entries = cur.u64(), cur.u64(), cur.u64()
-	return applied, epoch, entries, cur.err
-}
-
 // NoShard re-exports the directory's unmapped sentinel for wire callers.
 const NoShard = int32(directory.NoShard)

@@ -1,8 +1,11 @@
 package dirserve
 
 import (
+	"errors"
+	"io"
 	"net"
 	"testing"
+	"time"
 
 	"ethpart/internal/directory"
 	"ethpart/internal/graph"
@@ -346,4 +349,25 @@ func TestColdPromotionOverWire(t *testing.T) {
 		t.Errorf("primary cold len = %d, want 0 after promotion", primaryDir.Current().ColdLen())
 	}
 	sameView(t, "replica", primaryDir.Current(), rdir.Current())
+}
+
+// TestUnknownMessagePoisonsConnection: a frame whose type the server does
+// not speak — here 5, the retired stats probe — gets no reply; the server
+// drops the connection instead of guessing at the payload.
+func TestUnknownMessagePoisonsConnection(t *testing.T) {
+	srv := Serve(listen(t), ServerConfig{Dir: directory.New(directory.Config{})})
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	bw := newWriter(conn)
+	if err := writeFrame(bw, []byte{5}); err != nil {
+		t.Fatal(err)
+	}
+	if frame, err := readFrame(newReader(conn), nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("unknown message answered with frame %v, err %v; want the connection closed", frame, err)
+	}
 }

@@ -119,8 +119,6 @@ func (s *Server) handle(conn net.Conn) {
 			out = s.answerLookup(&c, out[:0])
 		case msgApply:
 			out = s.answerApply(&c, out[:0])
-		case msgStats:
-			out = s.answerStats(out[:0])
 		default:
 			return // unknown message poisons the connection
 		}
@@ -247,18 +245,5 @@ func (s *Server) answerApply(c *cursor, out []byte) []byte {
 		out[nPos+2] = byte(n >> 8)
 		out[nPos+3] = byte(n)
 	}
-	return out
-}
-
-// answerStats reports the applied watermark and current local epoch.
-func (s *Server) answerStats(out []byte) []byte {
-	out = append(out, msgStatsResp)
-	applied := uint64(0)
-	if s.cfg.Replica != nil {
-		applied = s.cfg.Replica.Applied()
-	}
-	out = appendU64(out, applied)
-	out = appendU64(out, s.cfg.Dir.Epoch())
-	out = appendU64(out, uint64(s.cfg.Dir.Current().Len()))
 	return out
 }

@@ -46,8 +46,6 @@ const (
 	msgLookupResp byte = 2
 	msgApply      byte = 3 // fan-out → replica: apply one committed batch
 	msgApplyResp  byte = 4
-	msgStats      byte = 5 // applied-epoch probe
-	msgStatsResp  byte = 6
 )
 
 // Lookup response status.

@@ -19,9 +19,9 @@ import (
 	"time"
 
 	"ethpart/internal/graph"
+	"ethpart/internal/metrics"
 	"ethpart/internal/sim"
 	"ethpart/internal/stats"
-	"ethpart/internal/trace"
 	"ethpart/internal/workload"
 )
 
@@ -446,7 +446,7 @@ func (d *Dataset) Fig5(ks []int) ([]Fig5Row, error) {
 				Method:      m,
 				K:           k,
 				DynamicCut:  res.OverallDynamicCut,
-				NormBalance: normBalance(res.OverallDynamicBalance, k),
+				NormBalance: metrics.NormalizedBalance(res.OverallDynamicBalance, k),
 				Moves:       res.TotalMoves,
 				MovedSlots:  res.TotalMovedSlots,
 			})
@@ -460,16 +460,6 @@ func (d *Dataset) Fig5(ks []int) ([]Fig5Row, error) {
 	})
 	return rows, nil
 }
-
-func normBalance(balance float64, k int) float64 {
-	if k <= 1 {
-		return 0
-	}
-	return (balance - 1) / float64(k-1)
-}
-
-// RecordsOf returns the dataset's records (for trace export).
-func (d *Dataset) RecordsOf() []trace.Record { return d.GT.Records }
 
 func monthStart(t time.Time) time.Time {
 	return time.Date(t.Year(), t.Month(), 1, 0, 0, 0, 0, time.UTC)

@@ -12,7 +12,7 @@ import (
 // The functions here implement the two extension experiments derived from
 // the paper's final remarks:
 //
-//   - CostComparison prices each method's run under both multi-shard
+//   - CostComparisonWith prices each method's run under both multi-shard
 //     execution models (coordinated execution vs state movement), the
 //     "computation, storage and bandwidth" incentive components;
 //   - ShardAware re-runs the headline comparison on a workload whose
@@ -25,12 +25,6 @@ type CostRow struct {
 	Method    sim.Method
 	Model     costmodel.Model
 	Breakdown costmodel.Breakdown
-}
-
-// CostComparison prices every method at k shards under both execution
-// models using the default cost parameters.
-func (d *Dataset) CostComparison(k int) ([]CostRow, error) {
-	return d.CostComparisonWith(k, costmodel.DefaultParams())
 }
 
 // CostComparisonWith prices every method at k shards under both execution

@@ -11,7 +11,7 @@ import (
 
 func TestCostComparisonRanksMethods(t *testing.T) {
 	ds := testDataset(t)
-	rows, err := ds.CostComparison(2)
+	rows, err := ds.CostComparisonWith(2, costmodel.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCostModelIntegrationMovesDominateForMetis(t *testing.T) {
 	// Under the state-movement pricing, METIS's repartitioning moves must
 	// show up as a significant relocation bill relative to KL's.
 	ds := testDataset(t)
-	rows, err := ds.CostComparison(2)
+	rows, err := ds.CostComparisonWith(2, costmodel.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,23 +39,15 @@ type stalledWave struct {
 	remain int
 }
 
-// NewFlakyDirectory wraps d with the degradation plan of inj.
-func NewFlakyDirectory(d *directory.Directory, inj *Injector) *FlakyDirectory {
-	return NewFlakyCommitter(d, d, inj)
-}
-
-// NewFlakyCommitter wraps an arbitrary committer over d with the
-// degradation plan of inj: commits land through c (so a replica fan-out
-// below the fault plane ships exactly the commits that actually land, in
-// their landed order, with real epoch numbers), while the tear check and
-// staleness observations still read d's published snapshots. c must
-// ultimately commit into d.
+// NewFlakyCommitter wraps a committer over d — d itself, or anything that
+// ultimately commits into it — with the degradation plan of inj: commits
+// land through c (so a replica fan-out below the fault plane ships exactly
+// the commits that actually land, in their landed order, with real epoch
+// numbers), while the tear check and staleness observations still read d's
+// published snapshots.
 func NewFlakyCommitter(d *directory.Directory, c directory.Committer, inj *Injector) *FlakyDirectory {
 	return &FlakyDirectory{d: d, c: c, inj: inj}
 }
-
-// Directory returns the wrapped directory.
-func (f *FlakyDirectory) Directory() *directory.Directory { return f.d }
 
 // CommitBatch implements directory.Committer. Each call ages the stall
 // queue by one flush (landing waves whose stall expired, oldest first)

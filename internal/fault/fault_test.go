@@ -129,7 +129,7 @@ func TestCommitFails(t *testing.T) {
 func TestFlakyDirectoryWaveStall(t *testing.T) {
 	d := directory.New(directory.Config{})
 	inj := mustNew(t, Schedule{WaveStallFlushes: 2})
-	f := NewFlakyDirectory(d, inj)
+	f := NewFlakyCommitter(d, d, inj)
 
 	if _, err := f.CommitBatch(directory.Batch{Set: []directory.Move{{V: 1, To: 0}, {V: 2, To: 1}}}, false); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestFlakyDirectoryWaveStall(t *testing.T) {
 func TestFlakyDirectoryDrainStalls(t *testing.T) {
 	d := directory.New(directory.Config{})
 	inj := mustNew(t, Schedule{WaveStallFlushes: 100})
-	f := NewFlakyDirectory(d, inj)
+	f := NewFlakyCommitter(d, d, inj)
 	if _, err := f.CommitBatch(directory.Batch{Set: []directory.Move{{V: 1, To: 0}}}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFlakyDirectoryDrainStalls(t *testing.T) {
 func TestFlakyDirectoryCommitFailures(t *testing.T) {
 	d := directory.New(directory.Config{})
 	inj := mustNew(t, Schedule{CommitFailEvery: 1, CommitFailCount: 3})
-	f := NewFlakyDirectory(d, inj)
+	f := NewFlakyCommitter(d, d, inj)
 	for i := 1; i <= 4; i++ {
 		if _, err := f.CommitBatch(directory.Batch{Set: []directory.Move{{V: graph.VertexID(i), To: 0}}}, false); err != nil {
 			t.Fatal(err)

@@ -194,9 +194,6 @@ func (b *CSRBuilder) Build(g *Graph) *CSR {
 // N returns the number of vertices.
 func (c *CSR) N() int { return len(c.IDs) }
 
-// Degree returns the undirected degree of local vertex i.
-func (c *CSR) Degree(i int32) int32 { return c.XAdj[i+1] - c.XAdj[i] }
-
 // Row returns the neighbour indices and weights of local vertex i. The
 // returned slices alias the CSR and must not be modified.
 func (c *CSR) Row(i int32) ([]int32, []int64) {

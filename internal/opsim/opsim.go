@@ -44,6 +44,8 @@ type Config struct {
 	// Sim is the simulator configuration: method, shard count, window and
 	// repartitioning policy. Its Window also paces the operational windows
 	// so the two curves align (zero fields take the simulator defaults).
+	// Its On* hooks must be nil: Run installs them to drive the chain and
+	// the directory, and rejects a caller-set one.
 	Sim sim.Config
 	// Model is the multi-shard handling class of the live chain.
 	Model shardchain.Model
@@ -319,19 +321,28 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		seen:   make([]bool, gt.Registry.Len()),
 		nonces: make(map[types.Address]uint64),
 	}
+	// Run owns the simulator's hooks: they are how placements, moves and
+	// resizes reach the chain and the directory, so a caller-set one has
+	// nowhere to go.
 	simCfg := cfg.Sim
-	userMove := simCfg.OnMove
-	simCfg.OnMove = func(v graph.VertexID, from, to int) {
-		if userMove != nil {
-			userMove(v, from, to)
+	for _, hook := range []struct {
+		name string
+		set  bool
+	}{
+		{"OnPlace", simCfg.OnPlace != nil},
+		{"OnMove", simCfg.OnMove != nil},
+		{"OnRepartition", simCfg.OnRepartition != nil},
+		{"OnRetire", simCfg.OnRetire != nil},
+		{"OnResize", simCfg.OnResize != nil},
+	} {
+		if hook.set {
+			return nil, fmt.Errorf("opsim: Config.Sim.%s is set; Run installs the simulator hooks itself", hook.name)
 		}
+	}
+	simCfg.OnMove = func(v graph.VertexID, from, to int) {
 		r.pendingMoves = append(r.pendingMoves, move{v, to})
 	}
-	userResize := simCfg.OnResize
 	simCfg.OnResize = func(at time.Time, oldK, newK, moves int) {
-		if userResize != nil {
-			userResize(at, oldK, newK, moves)
-		}
 		if r.resizeErr == nil {
 			r.resizeErr = r.applyResize(oldK, newK, moves)
 		}
@@ -370,34 +381,17 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		// through the tier-preserving SetCold lane keeps dead history out
 		// of the directory's hot tier.
 		r.pub.SetLive(func(v graph.VertexID) bool { return r.s.Graph().HasVertex(v) })
-		userPlace := simCfg.OnPlace
-		simCfg.OnPlace = func(v graph.VertexID, shard int) {
-			if userPlace != nil {
-				userPlace(v, shard)
-			}
-			r.pub.OnPlace(v, shard)
-		}
-		chainMove := simCfg.OnMove
+		simCfg.OnPlace = r.pub.OnPlace
 		simCfg.OnMove = func(v graph.VertexID, from, to int) {
-			chainMove(v, from, to)
+			r.pendingMoves = append(r.pendingMoves, move{v, to})
 			r.pub.OnMove(v, from, to)
 		}
-		userRepart := simCfg.OnRepartition
-		simCfg.OnRepartition = func(at time.Time, moves int) {
-			if userRepart != nil {
-				userRepart(at, moves)
-			}
+		simCfg.OnRepartition = func(_ time.Time, moves int) {
 			if err := r.pub.OnRepartition(moves); err != nil && r.pubErr == nil {
 				r.pubErr = err
 			}
 		}
-		userRetire := simCfg.OnRetire
-		simCfg.OnRetire = func(v graph.VertexID, shard int) {
-			if userRetire != nil {
-				userRetire(v, shard)
-			}
-			r.pub.OnRetire(v, shard)
-		}
+		simCfg.OnRetire = r.pub.OnRetire
 		// Each chain block resolves against one pinned directory epoch.
 		// With a flaky committer the pin also observes degradation: a block
 		// that starts while wave flips are stalled is serving bounded-stale
@@ -605,7 +599,7 @@ func (r *runner) applyMoves() error {
 		}
 	}
 	r.pendingMoves = r.pendingMoves[:0]
-	d := statsDelta(r.sc.Stats(), before)
+	d := r.sc.Stats().Sub(before)
 	r.res.WaveMigrations += d.Migrations
 	r.res.WaveMigratedSlots += d.MigratedSlots
 	return nil
@@ -662,7 +656,7 @@ func (r *runner) applyResize(oldK, newK, moves int) error {
 			}
 		}
 	}
-	d := statsDelta(r.sc.Stats(), before)
+	d := r.sc.Stats().Sub(before)
 	r.res.WaveMigrations += d.Migrations
 	r.res.WaveMigratedSlots += d.MigratedSlots
 	for i := 0; i < r.cfg.MaxSettleSteps && r.sc.PendingReceipts() > 0; i++ {
@@ -778,7 +772,7 @@ func (r *runner) captureArtifacts() {
 // closeWindow snapshots the chain's counters into a per-window delta.
 func (r *runner) closeWindow() {
 	cur := r.sc.Stats()
-	d := statsDelta(cur, r.lastStats)
+	d := cur.Sub(r.lastStats)
 	r.lastStats = cur
 	r.res.Windows = append(r.res.Windows, WindowStat{
 		Start:            r.winStart,
@@ -793,18 +787,4 @@ func (r *runner) closeWindow() {
 		Failed:           d.Failed,
 		Shards:           r.sc.K(),
 	})
-}
-
-// statsDelta subtracts prev from cur fieldwise.
-func statsDelta(cur, prev shardchain.Stats) shardchain.Stats {
-	return shardchain.Stats{
-		LocalTxs:         cur.LocalTxs - prev.LocalTxs,
-		CrossTxs:         cur.CrossTxs - prev.CrossTxs,
-		Messages:         cur.Messages - prev.Messages,
-		ReceiptsSettled:  cur.ReceiptsSettled - prev.ReceiptsSettled,
-		SettlementBlocks: cur.SettlementBlocks - prev.SettlementBlocks,
-		Migrations:       cur.Migrations - prev.Migrations,
-		MigratedSlots:    cur.MigratedSlots - prev.MigratedSlots,
-		Failed:           cur.Failed - prev.Failed,
-	}
 }

@@ -1,10 +1,12 @@
 package opsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"ethpart/internal/evm"
+	"ethpart/internal/graph"
 	"ethpart/internal/shardchain"
 	"ethpart/internal/sim"
 	"ethpart/internal/trace"
@@ -283,5 +285,28 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(gt, Config{Sim: sim.Config{Method: sim.MethodHash}, Model: shardchain.Model(9)}); err == nil {
 		t.Error("bad model must error")
+	}
+}
+
+// TestRunRejectsCallerSetSimHooks: Run installs every simulator hook itself,
+// so a caller-set one is an error naming the field, never silently dropped.
+func TestRunRejectsCallerSetSimHooks(t *testing.T) {
+	gt := smallTrace(t)
+	for _, tc := range []struct {
+		field string
+		set   func(*sim.Config)
+	}{
+		{"OnPlace", func(c *sim.Config) { c.OnPlace = func(graph.VertexID, int) {} }},
+		{"OnMove", func(c *sim.Config) { c.OnMove = func(graph.VertexID, int, int) {} }},
+		{"OnRepartition", func(c *sim.Config) { c.OnRepartition = func(time.Time, int) {} }},
+		{"OnRetire", func(c *sim.Config) { c.OnRetire = func(graph.VertexID, int) {} }},
+		{"OnResize", func(c *sim.Config) { c.OnResize = func(time.Time, int, int, int) {} }},
+	} {
+		cfg := cfgFor(sim.MethodHash, shardchain.ModelReceipts, 2)
+		tc.set(&cfg.Sim)
+		_, err := Run(gt, cfg)
+		if err == nil || !strings.Contains(err.Error(), "Config.Sim."+tc.field+" ") {
+			t.Errorf("%s set: err = %v, want an error naming Config.Sim.%s", tc.field, err, tc.field)
+		}
 	}
 }

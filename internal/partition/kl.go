@@ -42,8 +42,6 @@ type KL struct {
 	cfg KLConfig
 }
 
-var _ Refiner = (*KL)(nil)
-
 // NewKL returns a KL refiner with the given configuration. Zero-valued
 // fields fall back to DefaultKLConfig.
 func NewKL(cfg KLConfig) *KL {
@@ -60,7 +58,8 @@ type proposal struct {
 	gain   int64
 }
 
-// Refine implements Refiner.
+// Refine returns an improved copy of current, which maps each local
+// vertex of c to a shard in [0,k).
 func (kl *KL) Refine(c *graph.CSR, k int, current []int) ([]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: kl: k must be >= 1, got %d", k)

@@ -31,17 +31,11 @@ type Partitioner interface {
 	Partition(c *graph.CSR, k int) ([]int, error)
 }
 
-// Refiner improves an existing partition in place of recomputing one.
-type Refiner interface {
-	// Refine returns an improved copy of current, which maps each local
-	// vertex of c to a shard in [0,k).
-	Refine(c *graph.CSR, k int, current []int) ([]int, error)
-}
-
 // Assignment tracks the shard of every vertex plus per-shard vertex counts.
 // It is the mutable, incremental structure the simulator maintains between
-// repartitionings; partitioners work on CSR-indexed slices and their output
-// is applied back through Apply.
+// repartitionings; partitioners work on CSR-indexed slices (ToParts going
+// in) and the owner applies their output back one Assign per moved vertex,
+// so it can account each move as it lands (see sim's repartition wave).
 //
 // Storage is a dense VertexID-indexed table (vertex IDs come from the trace
 // registry, which assigns them from zero), so shard lookups on the replay
@@ -201,25 +195,6 @@ func (a *Assignment) Clone() *Assignment {
 		}
 	}
 	return c
-}
-
-// Apply overwrites the assignment with a partitioner result over c,
-// returning the number of already-assigned vertices that changed shard (the
-// paper's "moves" metric counts exactly these).
-func (a *Assignment) Apply(c *graph.CSR, parts []int) (moves int, err error) {
-	if len(parts) != c.N() {
-		return 0, fmt.Errorf("partition: result has %d entries for %d vertices", len(parts), c.N())
-	}
-	for i, s := range parts {
-		_, moved, err := a.Assign(c.IDs[i], s)
-		if err != nil {
-			return moves, err
-		}
-		if moved {
-			moves++
-		}
-	}
-	return moves, nil
 }
 
 // ToParts converts the assignment into a CSR-indexed slice for refiners.

@@ -67,35 +67,6 @@ func TestAssignmentCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestAssignmentApplyCountsMoves(t *testing.T) {
-	g := graph.New()
-	for i := 0; i < 6; i++ {
-		g.EnsureVertex(graph.VertexID(i), graph.KindAccount)
-	}
-	c := graph.NewCSR(g)
-	a, _ := NewAssignment(2)
-	for i := 0; i < 6; i++ {
-		a.Assign(graph.VertexID(i), 0)
-	}
-	// New parts move vertices 3,4,5 to shard 1.
-	parts := []int{0, 0, 0, 1, 1, 1}
-	moves, err := a.Apply(c, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moves != 3 {
-		t.Fatalf("moves = %d, want 3", moves)
-	}
-	if a.Count(0) != 3 || a.Count(1) != 3 {
-		t.Fatalf("counts = %v", a.Counts())
-	}
-	// Applying the same parts again moves nothing.
-	moves, err = a.Apply(c, parts)
-	if err != nil || moves != 0 {
-		t.Fatalf("idempotent apply: moves=%d err=%v", moves, err)
-	}
-}
-
 func TestToPartsMarksUnassigned(t *testing.T) {
 	g := graph.New()
 	g.EnsureVertex(1, graph.KindAccount)
@@ -333,7 +304,7 @@ func TestPlaceVertexPrefersNeighbourShard(t *testing.T) {
 	a, _ := NewAssignment(2)
 	a.Assign(1, 0)
 	a.Assign(2, 1)
-	if got := PlaceVertex(g, a, 100); got != 0 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.K()), nil); got != 0 {
 		t.Errorf("PlaceVertex = %d, want 0 (heavier attraction)", got)
 	}
 }
@@ -348,7 +319,7 @@ func TestPlaceVertexTieBreaksTowardBalance(t *testing.T) {
 	// Load shard 0 with extra vertices so the tie breaks to shard 1.
 	a.Assign(50, 0)
 	a.Assign(51, 0)
-	if got := PlaceVertex(g, a, 100); got != 1 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.K()), nil); got != 1 {
 		t.Errorf("PlaceVertex = %d, want 1 (balance tie-break)", got)
 	}
 }
@@ -360,7 +331,7 @@ func TestPlaceVertexNoNeighboursFallsBackToLeastLoaded(t *testing.T) {
 	a.Assign(1, 0)
 	a.Assign(2, 0)
 	a.Assign(3, 1)
-	if got := PlaceVertex(g, a, 100); got != 2 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.K()), nil); got != 2 {
 		t.Errorf("PlaceVertex = %d, want 2 (empty shard)", got)
 	}
 }

@@ -20,57 +20,29 @@ const placeMaxOverload = 1.2
 //
 // g supplies the new vertex's already-known neighbours (edges created so
 // far, including those from the transaction that introduced it); a supplies
-// their shards and the per-shard vertex counts for tie-breaking. The vertex
-// is not assigned — the caller decides what to do with the answer.
-func PlaceVertex(g *graph.Graph, a *Assignment, v graph.VertexID) int {
-	return PlaceVertexScratch(g, a, v, make([]int64, a.K()))
-}
-
-// PlaceVertexScratch is PlaceVertex with a caller-provided scratch slice of
-// length at least a.K(), letting hot loops (one placement per newly seen
-// vertex during replay) avoid a per-call allocation. The scratch contents
-// are overwritten.
-func PlaceVertexScratch(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64) int {
-	return PlaceVertexCounts(g, a, v, scratch, nil)
-}
-
-// PlaceVertexCounts is PlaceVertexScratch with an explicit per-shard
-// vertex-count slice replacing the assignment's cumulative counts for the
-// overload cap and the balance tie-breaks (the neighbour shards still come
-// from the assignment). Under windowed decay the simulator passes its live
-// per-shard counts here: retired vertices keep sticky assignments, so the
-// cumulative counts measure dead history and would let loadCap drift far
-// above any live shard — the rich-get-richer collapse the cap exists to
-// prevent. A nil counts falls back to the assignment's counts.
-func PlaceVertexCounts(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64, counts []int) int {
-	k := a.K()
-	countOf := func(s int) int {
-		if counts != nil {
-			return counts[s]
-		}
-		return a.Count(s)
-	}
-	attract := scratch[:k]
-	for i := range attract {
-		attract[i] = 0
-	}
-	any := false
-	g.Neighbors(v, func(u graph.VertexID, w int64) bool {
-		if s, ok := a.ShardOf(u); ok {
-			attract[s] += w
-			any = true
-		}
-		return true
-	})
+// their shards. The vertex is not assigned — the caller decides what to do
+// with the answer.
+//
+// scratch has length at least a.K() and is overwritten, so hot loops (one
+// placement per newly seen vertex during replay) place without allocating.
+// counts, when non-nil, replaces the assignment's cumulative per-shard
+// vertex counts for the overload cap and the balance tie-breaks. Under
+// windowed decay the simulator passes its live per-shard counts here:
+// retired vertices keep sticky assignments, so the cumulative counts
+// measure dead history and would let loadCap drift far above any live
+// shard — the rich-get-richer collapse the cap exists to prevent.
+func PlaceVertex(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64, counts []int) int {
+	sizes := shardSizes(a, counts)
+	attract, any := neighbourPull(g, a, v, scratch)
 	if !any {
 		// No placed neighbours: fall back to the emptiest shard, the
 		// balance-maximising choice.
-		return leastLoaded(k, countOf)
+		return leastLoaded(sizes)
 	}
-	limit := loadCap(k, countOf)
+	limit := loadCap(sizes)
 	best := -1
-	for s := 0; s < k; s++ {
-		if countOf(s) > limit {
+	for s := range sizes {
+		if sizes[s] > limit {
 			continue
 		}
 		switch {
@@ -78,12 +50,12 @@ func PlaceVertexCounts(g *graph.Graph, a *Assignment, v graph.VertexID, scratch 
 			best = s
 		case attract[s] > attract[best]:
 			best = s
-		case attract[s] == attract[best] && countOf(s) < countOf(best):
+		case attract[s] == attract[best] && sizes[s] < sizes[best]:
 			best = s
 		}
 	}
 	if best < 0 {
-		return leastLoaded(k, countOf) // every shard above cap: degenerate, rebalance
+		return leastLoaded(sizes) // every shard above cap: degenerate, rebalance
 	}
 	return best
 }
@@ -102,65 +74,76 @@ func PlaceVertexCounts(g *graph.Graph, a *Assignment, v graph.VertexID, scratch 
 // The hard streaming capacity C = n(1+slack)/k still excludes runaway
 // shards, with the same least-loaded fallback as LDG and Fennel.
 //
-// scratch and counts follow PlaceVertexCounts' contract: scratch has
-// length ≥ a.K() and is overwritten; a nil counts falls back to the
-// assignment's cumulative counts.
+// scratch and counts follow PlaceVertex's contract.
 func PlaceVertexFennel(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64, counts []int) int {
-	k := a.K()
-	countOf := func(s int) int {
-		if counts != nil {
-			return counts[s]
-		}
-		return a.Count(s)
+	sizes := shardSizes(a, counts)
+	k := len(sizes)
+	attract, _ := neighbourPull(g, a, v, scratch)
+	n := 0
+	for _, size := range sizes {
+		n += size
 	}
-	attract := scratch[:k]
+	if n == 0 {
+		return leastLoaded(sizes)
+	}
+	gamma := fennelDefaultGamma
+	alpha := fennelAlpha(k, float64(g.TotalEdgeWeight()), float64(n), gamma)
+	capacity := streamCapacity(n, k, 0)
+	best, bestScore := -1, 0.0
+	for s, size := range sizes {
+		if float64(size) >= capacity {
+			continue
+		}
+		score := float64(attract[s]) - fennelPenalty(alpha, gamma, float64(size))
+		switch {
+		case best < 0, score > bestScore:
+			best, bestScore = s, score
+		case score == bestScore && size < sizes[best]:
+			best = s
+		}
+	}
+	if best < 0 {
+		return leastLoaded(sizes) // every shard at cap: degenerate, rebalance
+	}
+	return best
+}
+
+// shardSizes is the per-shard size measure both placement rules balance
+// against: counts when the caller supplies one, the assignment's
+// cumulative counts otherwise. Read-only.
+func shardSizes(a *Assignment, counts []int) []int {
+	if counts != nil {
+		return counts[:a.k]
+	}
+	return a.counts
+}
+
+// neighbourPull is the preamble both placement rules share: the weight of
+// v's already-placed neighbours summed per shard into scratch[:a.K()], and
+// whether any neighbour is placed at all.
+func neighbourPull(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64) (attract []int64, any bool) {
+	attract = scratch[:a.k]
 	for i := range attract {
 		attract[i] = 0
 	}
 	g.Neighbors(v, func(u graph.VertexID, w int64) bool {
 		if s, ok := a.ShardOf(u); ok {
 			attract[s] += w
+			any = true
 		}
 		return true
 	})
-	n := 0
-	for s := 0; s < k; s++ {
-		n += countOf(s)
-	}
-	if n == 0 {
-		return leastLoaded(k, countOf)
-	}
-	gamma := fennelDefaultGamma
-	alpha := fennelAlpha(k, float64(g.TotalEdgeWeight()), float64(n), gamma)
-	capacity := streamCapacity(n, k, 0)
-	best, bestScore := -1, 0.0
-	for s := 0; s < k; s++ {
-		size := float64(countOf(s))
-		if size >= capacity {
-			continue
-		}
-		score := float64(attract[s]) - fennelPenalty(alpha, gamma, size)
-		switch {
-		case best < 0, score > bestScore:
-			best, bestScore = s, score
-		case score == bestScore && countOf(s) < countOf(best):
-			best = s
-		}
-	}
-	if best < 0 {
-		return leastLoaded(k, countOf) // every shard at cap: degenerate, rebalance
-	}
-	return best
+	return attract, any
 }
 
 // loadCap returns the maximum shard size still eligible for placement. The
 // least-loaded shard is always eligible (its size is at most the average).
-func loadCap(k int, countOf func(int) int) int {
+func loadCap(sizes []int) int {
 	total := 0
-	for s := 0; s < k; s++ {
-		total += countOf(s)
+	for _, size := range sizes {
+		total += size
 	}
-	avg := float64(total) / float64(k)
+	avg := float64(total) / float64(len(sizes))
 	limit := int(placeMaxOverload * avg)
 	if limit < 1 {
 		limit = 1
@@ -170,10 +153,10 @@ func loadCap(k int, countOf func(int) int) int {
 
 // leastLoaded returns the shard with the fewest vertices, lowest index on
 // ties so the choice is deterministic.
-func leastLoaded(k int, countOf func(int) int) int {
+func leastLoaded(sizes []int) int {
 	best := 0
-	for s := 1; s < k; s++ {
-		if countOf(s) < countOf(best) {
+	for s := 1; s < len(sizes); s++ {
+		if sizes[s] < sizes[best] {
 			best = s
 		}
 	}

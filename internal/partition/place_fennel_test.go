@@ -58,7 +58,7 @@ func TestPlaceVertexFennelOverturnsRawPull(t *testing.T) {
 	g, a := buildPlacement(t, 3, pulls, [][3]int64{{100, 101, 95}}, assign)
 	scratch := make([]int64, 3)
 
-	if got := PlaceVertexCounts(g, a, fennelHub, scratch, nil); got != 0 {
+	if got := PlaceVertex(g, a, fennelHub, scratch, nil); got != 0 {
 		t.Fatalf("cap rule picked %d, want 0 (raw pull wins under the cap)", got)
 	}
 	if got := PlaceVertexFennel(g, a, fennelHub, scratch, nil); got != 1 {

@@ -101,7 +101,7 @@ func (sc *ShardChain) recoverShard(s int, txs []*chain.Transaction, receipts []*
 	for dst := range sh.outbox {
 		sh.outbox[dst] = nil
 	}
-	sc.stats.sub(sc.blockDelta[s])
+	sc.stats = sc.stats.Sub(sc.blockDelta[s])
 	sc.blockDelta[s] = Stats{}
 
 	h := &homes{sc: sc}

@@ -135,9 +135,10 @@ func (s *Stats) add(d Stats) {
 	s.Failed += d.Failed
 }
 
-// sub removes a fieldwise delta — crash recovery discarding a crashed
-// shard's partial block work before replaying it.
-func (s *Stats) sub(d Stats) {
+// Sub returns s minus d fieldwise — a window's or wave's share of the
+// counters, or crash recovery discarding a crashed shard's partial block
+// work before replaying it.
+func (s Stats) Sub(d Stats) Stats {
 	s.LocalTxs -= d.LocalTxs
 	s.CrossTxs -= d.CrossTxs
 	s.Messages -= d.Messages
@@ -146,6 +147,7 @@ func (s *Stats) sub(d Stats) {
 	s.Migrations -= d.Migrations
 	s.MigratedSlots -= d.MigratedSlots
 	s.Failed -= d.Failed
+	return s
 }
 
 // Config parameterises the sharded chain.

@@ -6,21 +6,18 @@
 // hysteresis and a cooldown shared with the repartition policy, resizes the
 // shard set. A split re-partitions the (decayed) live graph at the new k; a
 // merge drains the dropped highest-index shards into the least-loaded
-// survivors. Both are ordinary repartition waves: every remap flows through
-// the same moveCutDelta/Assign/OnMove machinery, so downstream observers
-// (directory publisher, operational chain) need no new move concepts — only
-// the shard-count change itself, delivered via Config.OnResize after the
-// wave's last OnMove.
+// survivors; under hash placement both re-hash at the new modulus. All of
+// them are ordinary repartition waves (wave.go): every remap flows through
+// the same moveVertex, so downstream observers (directory publisher,
+// operational chain) need no new move concepts — only the shard-count change
+// itself, delivered via Config.OnResize after the wave's last OnMove.
 
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
-
-	"ethpart/internal/graph"
 )
 
 // AutoscaleConfig parameterises the shard autoscaler. The zero value is
@@ -157,223 +154,7 @@ func (s *Simulator) maybeResize(now time.Time) error {
 		return nil // wave cooldown shared with the repartition policy
 	}
 	s.hotStreak, s.coldStreak = 0, 0
-	return s.resize(now, newK)
-}
-
-// resize executes one k → newK transition as a repartition wave and fires
-// OnResize after the wave's last OnMove.
-func (s *Simulator) resize(now time.Time, newK int) error {
-	oldK := s.cfg.K
-	var moves int
-	var err error
-	if newK > oldK {
-		moves, err = s.growShards(newK)
-	} else {
-		moves, err = s.shrinkShards(newK)
-	}
-	if err != nil {
-		return fmt.Errorf("sim: resize %d -> %d: %w", oldK, newK, err)
-	}
-	// Defaulted TR-METIS thresholds were derived from k; re-derive them at
-	// the new k. Caller-pinned values stay pinned.
-	if s.cutDefaulted {
-		s.cfg.CutThreshold = defaultCutThreshold(newK)
-	}
-	if s.balDefaulted {
-		s.cfg.BalanceThreshold = defaultBalanceThreshold(newK)
-	}
-	// A resize is a repartition wave: the window graph restarts, the shared
-	// wave clock advances (suppressing the repartition policy until its own
-	// gap elapses again), and trigger evidence gathered at the old k is
-	// discarded.
-	s.window = graph.New()
-	s.lastRepart = now
-	s.badWindows = 0
-	s.winReparted = true
-	s.winMoves += int64(moves)
-	s.result.TotalMoves += int64(moves)
-	s.result.Resizes = append(s.result.Resizes, ResizeEvent{At: now, FromK: oldK, ToK: newK, Moves: moves})
-	if s.cfg.OnResize != nil {
-		s.cfg.OnResize(now, oldK, newK, moves)
-	}
-	return nil
-}
-
-// growShards is the split path: new empty shards appear at the top of the
-// range, then the live graph is re-spread across all newK shards — a full
-// re-hash at the new modulus for MethodHash, a multilevel re-partition of
-// the (decayed) live graph for every graph-aware method. Retired vertices
-// keep their sticky assignments, all of which remain valid after a grow.
-func (s *Simulator) growShards(newK int) (int, error) {
-	if err := s.assign.Resize(newK); err != nil {
-		return 0, err
-	}
-	s.resizeScratch(newK)
-	s.cfg.K = newK
-	if s.cfg.Method == MethodHash || s.cfg.HashPlacement {
-		return s.rehashAll(newK)
-	}
-	if s.full.VertexCount() == 0 {
-		return 0, nil
-	}
-	csr := s.csrb.Build(s.full)
-	parts, err := s.ml.Partition(csr, newK)
-	if err != nil {
-		return 0, fmt.Errorf("scale repartition: %w", err)
-	}
-	return s.applyParts(csr, parts)
-}
-
-// shrinkShards is the merge path: the dropped shards (index >= newK) drain
-// into the least-loaded survivors — except under MethodHash, where the
-// whole assignment re-hashes at the new modulus, because "shard = hash mod
-// k" is the method's defining invariant and future placements will use it.
-// Only once every dropped shard is empty does the assignment's k actually
-// shrink, so the partition layer's no-orphan check holds by construction.
-func (s *Simulator) shrinkShards(newK int) (int, error) {
-	oldK := s.cfg.K
-	if s.cfg.Method == MethodHash || s.cfg.HashPlacement {
-		moves, err := s.rehashAll(newK)
-		if err != nil {
-			return 0, err
-		}
-		if err := s.assign.Resize(newK); err != nil {
-			return 0, err
-		}
-		s.cfg.K = newK
-		s.resizeScratch(newK)
-		return moves, nil
-	}
-
-	// Deterministic drain order: every vertex stranded on a dropped shard,
-	// sorted by ID (Each yields dense IDs in order but spilled IDs in map
-	// order).
-	var drain []graph.VertexID
-	s.assign.Each(func(v graph.VertexID, shard int) bool {
-		if shard >= newK {
-			drain = append(drain, v)
-		}
-		return true
-	})
-	sort.Slice(drain, func(i, j int) bool { return drain[i] < drain[j] })
-
-	// recv[(from-newK)*newK+to] counts vertices shard `from` handed to
-	// survivor `to`, to fold served-load history below.
-	recv := make([]int64, (oldK-newK)*newK)
-	for _, v := range drain {
-		from, _ := s.assign.ShardOf(v)
-		to := 0
-		for t := 1; t < newK; t++ {
-			if s.shardFill(t) < s.shardFill(to) {
-				to = t
-			}
-		}
-		if err := s.applyResizeMove(v, from, to); err != nil {
-			return 0, err
-		}
-		recv[(from-newK)*newK+to]++
-	}
-	// Fold each drained shard's whole-run served load into the survivor
-	// that absorbed most of its vertices (lowest index on ties), so
-	// OverallDynamicBalance keeps accounting every interaction ever served.
-	for from := newK; from < oldK; from++ {
-		best := 0
-		for t := 1; t < newK; t++ {
-			if recv[(from-newK)*newK+t] > recv[(from-newK)*newK+best] {
-				best = t
-			}
-		}
-		s.runLoad[best] += s.runLoad[from]
-	}
-	if err := s.assign.Resize(newK); err != nil {
-		return 0, err
-	}
-	s.cfg.K = newK
-	s.resizeScratch(newK)
-	return len(drain), nil
-}
-
-// rehashAll re-assigns every assigned vertex (live and retired) to its hash
-// shard at modulus newK. Moves are collected first and applied in vertex-ID
-// order so the wave — and every OnMove — is deterministic even with spilled
-// IDs in play.
-func (s *Simulator) rehashAll(newK int) (int, error) {
-	type mv struct {
-		v        graph.VertexID
-		from, to int
-	}
-	var pending []mv
-	s.assign.Each(func(v graph.VertexID, shard int) bool {
-		if to := s.hash.ShardOf(v, newK); to != shard {
-			pending = append(pending, mv{v, shard, to})
-		}
-		return true
-	})
-	sort.Slice(pending, func(i, j int) bool { return pending[i].v < pending[j].v })
-	for _, m := range pending {
-		if err := s.applyResizeMove(m.v, m.from, m.to); err != nil {
-			return 0, err
-		}
-	}
-	return len(pending), nil
-}
-
-// applyResizeMove re-assigns one vertex during a scale wave with the same
-// accounting as applyParts: cut delta before the assignment flips, moved
-// storage, live counts for live vertices, OnMove after.
-func (s *Simulator) applyResizeMove(v graph.VertexID, from, to int) error {
-	s.moveCutDelta(v, from, to)
-	if s.cfg.StorageSlots != nil {
-		sl := int64(s.cfg.StorageSlots(v))
-		s.winSlots += sl
-		s.result.TotalMovedSlots += sl
-	}
-	if s.decayEnabled() && s.full.HasVertex(v) {
-		s.liveCounts[from]--
-		s.liveCounts[to]++
-	}
-	if _, _, err := s.assign.Assign(v, to); err != nil {
-		return err
-	}
-	if s.cfg.OnMove != nil {
-		s.cfg.OnMove(v, from, to)
-	}
-	return nil
-}
-
-// shardFill is the drain target's size measure: live population in decay
-// mode, assignment counts on full history.
-func (s *Simulator) shardFill(t int) int {
-	if s.decayEnabled() {
-		return s.liveCounts[t]
-	}
-	return s.assign.Count(t)
-}
-
-// resizeScratch re-sizes every k-indexed slice to k. Growth appends written
-// zeros (append copies them in, so capacity reuse after an earlier shrink
-// can never resurrect stale values); shrink truncates — runLoad is folded
-// by the caller first, and winLoad is all zeros here because resizes only
-// run at window boundaries, right after flushWindow's reset.
-func (s *Simulator) resizeScratch(k int) {
-	s.placeScratch = resizeInt64(s.placeScratch, k)
-	s.loadScratch = resizeInt64(s.loadScratch, k)
-	s.winLoad = resizeInt64(s.winLoad, k)
-	s.runLoad = resizeInt64(s.runLoad, k)
-	if s.liveCounts != nil {
-		if k <= len(s.liveCounts) {
-			s.liveCounts = s.liveCounts[:k]
-		} else {
-			s.liveCounts = append(s.liveCounts, make([]int, k-len(s.liveCounts))...)
-		}
-	}
-}
-
-func resizeInt64(sl []int64, k int) []int64 {
-	if k <= len(sl) {
-		return sl[:k]
-	}
-	return append(sl, make([]int64, k-len(sl))...)
+	return s.wave(now, newK)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -103,7 +103,7 @@ func TestResizeRederivesDefaultedThresholds(t *testing.T) {
 	if got, want := s.cfg.CutThreshold, defaultCutThreshold(2); got != want {
 		t.Fatalf("initial defaulted cut threshold = %v, want %v", got, want)
 	}
-	if err := s.resize(now, 4); err != nil {
+	if err := s.wave(now, 4); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.cfg.CutThreshold, defaultCutThreshold(4); got != want {
@@ -120,7 +120,7 @@ func TestResizeRederivesDefaultedThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.resize(now, 4); err != nil {
+	if err := s2.wave(now, 4); err != nil {
 		t.Fatal(err)
 	}
 	if s2.cfg.CutThreshold != 0.33 || s2.cfg.BalanceThreshold != 1.77 {

@@ -44,11 +44,11 @@ func TestDecayIdentitySweepMatchesDisabled(t *testing.T) {
 			identCfg := goldenConfig(m, k)
 			identCfg.DecayHalfLife = 24 * time.Hour // enables decay mode in New
 			identCfg.Horizon = 365 * 24 * time.Hour // far past the ten-day stream
-			// Decay mode also switches PenaltyAuto placement to the Fennel
+			// Decay mode also switches PlaceAuto placement to the Fennel
 			// objective; pin the placement rule to the cap on both sides so
 			// this test isolates the sweep plumbing (the Fennel path has its
 			// own drifting-era golden in TestDecayPlacementGolden).
-			identCfg.Placement = PenaltyCap
+			identCfg.Placement = PlaceCap
 			ident, err := New(identCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -262,7 +262,7 @@ func TestPropertyDecayCountersExact(t *testing.T) {
 
 // decayPlacementConfig is the drifting-era decay configuration of the
 // placement-objective golden.
-func decayPlacementConfig(p PlacementPenalty) Config {
+func decayPlacementConfig(p Placement) Config {
 	return Config{
 		Method: MethodTRMetis, K: 4,
 		Window:            4 * time.Hour,
@@ -277,7 +277,7 @@ func decayPlacementConfig(p PlacementPenalty) Config {
 }
 
 // TestDecayPlacementGolden pins the decay-aware placement objective on a
-// drifting-era trace: under PenaltyAuto, decay mode feeds the decayed
+// drifting-era trace: under PlaceAuto, decay mode feeds the decayed
 // neighbour weights into the shared Fennel-style degree-based size penalty
 // (PlaceVertexFennel), so first-sight placement and the decayed
 // repartitioner optimise the same recency-weighted objective. The values
@@ -286,13 +286,13 @@ func decayPlacementConfig(p PlacementPenalty) Config {
 // changed.
 func TestDecayPlacementGolden(t *testing.T) {
 	recs := driftingEras(12, 8)
-	s, err := New(decayPlacementConfig(PenaltyAuto))
+	s, err := New(decayPlacementConfig(PlaceAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := replayAll(t, s, recs)
-	if !s.fennelPlace {
-		t.Fatal("PenaltyAuto did not resolve to the Fennel objective in decay mode")
+	if s.policy.place != PlaceFennel {
+		t.Fatal("PlaceAuto did not resolve to the Fennel objective in decay mode")
 	}
 	if len(res.Windows) != 96 || res.Repartitions != 15 ||
 		res.TotalMoves != 1694 || res.Vertices != 100 ||
@@ -308,13 +308,13 @@ func TestDecayPlacementGolden(t *testing.T) {
 
 	// The objective must actually differ from the cap rule on this trace —
 	// otherwise the golden would pass vacuously with the dispatch broken.
-	capSim, err := New(decayPlacementConfig(PenaltyCap))
+	capSim, err := New(decayPlacementConfig(PlaceCap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	capRes := replayAll(t, capSim, recs)
-	if capSim.fennelPlace {
-		t.Fatal("PenaltyCap resolved to the Fennel objective")
+	if capSim.policy.place != PlaceCap {
+		t.Fatal("PlaceCap resolved to the Fennel objective")
 	}
 	if capRes.TotalMoves == res.TotalMoves &&
 		capRes.OverallDynamicCut == res.OverallDynamicCut &&

@@ -5,7 +5,6 @@ import (
 
 	"ethpart/internal/graph"
 	"ethpart/internal/trace"
-	"ethpart/internal/types"
 	"ethpart/internal/workload"
 )
 
@@ -69,37 +68,6 @@ func Collect(s *workload.Stream) (*GeneratedTrace, error) {
 		Stats:        s.Generator().Stats(),
 		storageSlots: s.StorageSlots(),
 	}, nil
-}
-
-// TraceFromRecords builds a replayable trace from a bare record stream
-// (e.g. a loaded trace file): vertex IDs get synthetic addresses so the
-// operational bridge can home accounts, contract vertices are marked from
-// the records' endpoint kinds, and storage footprints are unknown (zero).
-func TraceFromRecords(records []trace.Record) *GeneratedTrace {
-	maxID := uint64(0)
-	for i := range records {
-		if records[i].From > maxID {
-			maxID = records[i].From
-		}
-		if records[i].To > maxID {
-			maxID = records[i].To
-		}
-	}
-	reg := trace.NewRegistry()
-	if len(records) > 0 {
-		for id := uint64(0); id <= maxID; id++ {
-			reg.ID(types.AddressFromSeq(id + 1))
-		}
-	}
-	for i := range records {
-		if records[i].FromContract {
-			reg.MarkContract(records[i].From)
-		}
-		if records[i].ToContract {
-			reg.MarkContract(records[i].To)
-		}
-	}
-	return &GeneratedTrace{Records: records, Registry: reg}
 }
 
 // Replay runs one simulation configuration over a generated trace.

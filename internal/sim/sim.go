@@ -71,23 +71,105 @@ func Methods() []Method {
 	return []Method{MethodHash, MethodKL, MethodMetis, MethodRMetis, MethodTRMetis}
 }
 
-// PlacementPenalty selects the size control of the first-sight placement
-// rule (the paper's min-cut/tie-balance rule for vertices appearing
-// between repartitionings).
-type PlacementPenalty int
+// policy is what §II-C actually varies between the five methods, resolved
+// from Config once in New so nothing downstream re-derives it from Method.
+type policy struct {
+	// place is the resolved first-sight placement rule (never PlaceAuto).
+	place Placement
+	// trigger is when a same-k repartition wave fires.
+	trigger trigger
+	// source is the graph a same-k wave partitions.
+	source source
+	// refine runs the KL refiner over the current assignment instead of
+	// partitioning the source from scratch.
+	refine bool
+}
+
+// trigger is a method's repartitioning policy.
+type trigger int
 
 const (
-	// PenaltyAuto (the default) keeps the hard overload cap in
-	// full-history mode — the paper's behaviour, pinned by the goldens —
-	// and switches to the shared Fennel-style degree-based penalty in
-	// decay mode, where the decayed neighbour weights feed the same
-	// recency-weighted objective the decayed repartitioner optimises.
-	PenaltyAuto PlacementPenalty = iota
-	// PenaltyCap always uses the hard overload cap (PlaceVertexCounts).
-	PenaltyCap
-	// PenaltyFennel always uses the Fennel-style degree-based penalty
-	// (PlaceVertexFennel), even in full-history mode.
-	PenaltyFennel
+	triggerNone      trigger = iota // never (HASH)
+	triggerPeriodic                 // every RepartitionEvery (KL, METIS, R-METIS)
+	triggerThreshold                // sustained degradation (TR-METIS)
+)
+
+// source is the graph a repartition wave hands the partitioner.
+type source int
+
+const (
+	// sourceFull is the cumulative graph — the decayed live graph in decay
+	// mode (METIS; TR-METIS under decay, bounded by the retention horizon
+	// instead of the unbounded time between firings; every resize).
+	sourceFull source = iota
+	// sourceWindow is the graph of interactions since the last wave (KL,
+	// R-METIS, full-history TR-METIS).
+	sourceWindow
+	// sourceDecayedWindow is the window's vertices with their decayed live
+	// neighbourhood (Config.DecayedWindow; see decayedWindowGraph).
+	sourceDecayedWindow
+)
+
+// resolvePolicy maps the method (and the options that modulate it) onto the
+// policy the simulator runs; decay reports whether decay mode is on.
+func resolvePolicy(cfg Config, decay bool) (policy, error) {
+	var p policy
+	switch cfg.Method {
+	case MethodHash: // no waves of its own
+	case MethodKL:
+		p = policy{trigger: triggerPeriodic, source: sourceWindow, refine: true}
+	case MethodMetis:
+		p = policy{trigger: triggerPeriodic, source: sourceFull}
+	case MethodRMetis:
+		p = policy{trigger: triggerPeriodic, source: sourceWindow}
+	case MethodTRMetis:
+		p = policy{trigger: triggerThreshold, source: sourceWindow}
+		if decay {
+			p.source = sourceFull
+		}
+	default:
+		return p, fmt.Errorf("sim: invalid method %d", cfg.Method)
+	}
+	if p.source == sourceWindow && cfg.DecayedWindow && decay {
+		p.source = sourceDecayedWindow
+	}
+	switch {
+	case cfg.Placement < PlaceAuto || cfg.Placement > PlaceHash:
+		return p, fmt.Errorf("sim: invalid placement %d", cfg.Placement)
+	case cfg.Method == MethodHash:
+		p.place = PlaceHash
+	case cfg.Placement != PlaceAuto:
+		p.place = cfg.Placement
+	case decay:
+		p.place = PlaceFennel
+	default:
+		p.place = PlaceCap
+	}
+	return p, nil
+}
+
+// Placement selects the first-sight placement rule: where a vertex
+// appearing between repartition waves is put.
+type Placement int
+
+const (
+	// PlaceAuto (the default) keeps the paper's min-cut/tie-balance rule
+	// under its hard overload cap in full-history mode — the behaviour the
+	// goldens pin — and switches to the shared Fennel-style degree-based
+	// penalty in decay mode, where the decayed neighbour weights feed the
+	// same recency-weighted objective the decayed repartitioner optimises.
+	PlaceAuto Placement = iota
+	// PlaceCap always uses the hard overload cap (partition.PlaceVertex).
+	PlaceCap
+	// PlaceFennel always uses the Fennel-style degree-based penalty
+	// (partition.PlaceVertexFennel), even in full-history mode.
+	PlaceFennel
+	// PlaceHash places by hashing the vertex ID, replacing the min-cut rule
+	// for every method (MethodHash places this way whatever Placement
+	// says). Resize waves then re-hash at the new modulus, because "shard =
+	// hash mod k" is the invariant future placements rely on. Used by the
+	// placement ablation bench.
+	PlaceHash
 )
 
 // Config parameterises a simulation run.
@@ -144,14 +226,10 @@ type Config struct {
 	// StorageSlots, when non-nil, reports a vertex's storage footprint so
 	// moves can be weighed in relocated state, not just vertex count.
 	StorageSlots func(graph.VertexID) int
-	// HashPlacement forces hash placement of newly appearing vertices for
-	// every method, replacing the paper's min-cut/tie-balance rule. Used
-	// only by the placement ablation bench.
-	HashPlacement bool
-	// Placement selects the placement rule's size control; see
-	// PlacementPenalty. The zero value (PenaltyAuto) follows the decay
-	// mode: hard cap on full history, Fennel penalty under decay.
-	Placement PlacementPenalty
+	// Placement selects the first-sight placement rule; see Placement. The
+	// zero value (PlaceAuto) follows the decay mode: hard cap on full
+	// history, Fennel penalty under decay.
+	Placement Placement
 	// Autoscale arms the saturation-driven shard autoscaler (see
 	// AutoscaleConfig in autoscale.go): K becomes the *initial* shard
 	// count and the controller splits/merges within [KMin, KMax] at window
@@ -323,9 +401,11 @@ type SweepObs struct {
 // Simulator is not safe for concurrent use.
 type Simulator struct {
 	cfg Config
+	// policy is cfg.Method resolved; see policy.
+	policy policy
 
 	full   *graph.Graph // cumulative graph
-	window *graph.Graph // graph of interactions since the last repartition
+	window *graph.Graph // graph of interactions since the last wave
 	assign *partition.Assignment
 
 	hash partition.Hash
@@ -384,20 +464,14 @@ type Simulator struct {
 	lastWinInteractions        int64
 
 	// Decay mode (Config.DecayHalfLife > 0): the per-window weight
-	// multiplier (the retention horizon lives in the decaying graph), and
-	// whether the method needs the since-last-repartition window graph at
-	// all (TR-METIS repartitions the decayed live graph instead).
+	// multiplier (the retention horizon lives in the decaying graph).
 	// liveCounts tracks live-graph vertices per shard — retired vertices
 	// keep sticky assignments, so assign.Count measures dead history;
 	// placement capacity and static balance must follow what actually
 	// exists. Maintained incrementally (first sight, retirement, moves)
 	// and only in decay mode.
 	decayFactor float64
-	needWindow  bool
 	liveCounts  []int
-	// fennelPlace selects the Fennel-style placement penalty, resolved
-	// from Config.Placement (and the decay mode) at construction.
-	fennelPlace bool
 
 	// sweeps records one SweepObs per flushed window; see Sweeps.
 	sweeps []SweepObs
@@ -413,8 +487,9 @@ func New(cfg Config) (*Simulator, error) {
 	cutDefaulted := cfg.CutThreshold <= 0
 	balDefaulted := cfg.BalanceThreshold <= 0
 	cfg = cfg.withDefaults()
-	if cfg.Method < MethodHash || cfg.Method > MethodTRMetis {
-		return nil, fmt.Errorf("sim: invalid method %d", cfg.Method)
+	pol, err := resolvePolicy(cfg, cfg.DecayHalfLife > 0)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Horizon > 0 && cfg.DecayHalfLife <= 0 {
 		// A horizon without a half-life would be silently ignored —
@@ -432,6 +507,7 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s := &Simulator{
 		cfg:          cfg,
+		policy:       pol,
 		full:         graph.New(),
 		window:       graph.New(),
 		assign:       assign,
@@ -474,21 +550,6 @@ func New(cfg Config) (*Simulator, error) {
 			return nil, err
 		}
 		s.liveCounts = make([]int, cfg.K)
-	}
-	switch cfg.Placement {
-	case PenaltyAuto:
-		s.fennelPlace = s.decayEnabled()
-	case PenaltyFennel:
-		s.fennelPlace = true
-	}
-	// The window graph only serves methods that repartition over the
-	// since-last-repartition slice; under decay TR-METIS switches to the
-	// decayed live graph, so accumulating it would only burn memory.
-	switch cfg.Method {
-	case MethodKL, MethodRMetis:
-		s.needWindow = true
-	case MethodTRMetis:
-		s.needWindow = !s.decayEnabled()
 	}
 	return s, nil
 }
@@ -555,7 +616,7 @@ func (s *Simulator) Process(rec trace.Record) error {
 	if err := rec.Apply(s.full); err != nil {
 		return err
 	}
-	if s.needWindow {
+	if s.policy.source != sourceFull {
 		if err := rec.Apply(s.window); err != nil {
 			return err
 		}
@@ -619,17 +680,17 @@ func (s *Simulator) placeIfNew(v graph.VertexID) (int, error) {
 		return shard, nil
 	}
 	var shard int
-	switch {
-	case s.cfg.Method == MethodHash || s.cfg.HashPlacement:
+	switch s.policy.place {
+	case PlaceHash:
 		shard = s.hash.ShardOf(v, s.cfg.K)
-	case s.fennelPlace:
+	case PlaceFennel:
 		// Decay-aware placement: decayed neighbour weights against the
 		// shared degree-based size penalty, over the live population.
 		shard = partition.PlaceVertexFennel(s.full, s.assign, v, s.placeScratch, s.liveCounts)
 	default:
 		// liveCounts is nil outside decay mode, falling back to the
 		// assignment's cumulative counts.
-		shard = partition.PlaceVertexCounts(s.full, s.assign, v, s.placeScratch, s.liveCounts)
+		shard = partition.PlaceVertex(s.full, s.assign, v, s.placeScratch, s.liveCounts)
 	}
 	if _, _, err := s.assign.Assign(v, shard); err != nil {
 		return 0, err
@@ -776,14 +837,14 @@ func (s *Simulator) staticBalance() float64 {
 
 // maybeRepartition fires the method's policy at a window boundary.
 func (s *Simulator) maybeRepartition(now time.Time) error {
-	switch s.cfg.Method {
-	case MethodHash:
+	switch s.policy.trigger {
+	case triggerNone:
 		return nil
-	case MethodKL, MethodMetis, MethodRMetis:
+	case triggerPeriodic:
 		if now.Sub(s.lastRepart) < s.cfg.RepartitionEvery {
 			return nil
 		}
-	case MethodTRMetis:
+	case triggerThreshold:
 		// The paper's trigger: TriggerWindows *consecutive* degraded
 		// windows. A quiet window (no interactions) carries no evidence
 		// either way — it neither extends nor erases the streak, so a
@@ -821,206 +882,7 @@ func (s *Simulator) maybeRepartition(now time.Time) error {
 		}
 		s.badWindows = 0
 	}
-	return s.repartition(now)
-}
-
-// repartition runs the method's partitioner and applies the result.
-func (s *Simulator) repartition(now time.Time) error {
-	var moves int
-	switch s.cfg.Method {
-	case MethodKL:
-		// KL refines using the transactions of the period (window graph),
-		// or — with DecayedWindow in decay mode — the window vertices with
-		// their decayed live neighbourhood, so refinement gains weigh
-		// recency-weighted adjacency instead of the raw period counts.
-		src := s.window
-		if s.useDecayedWindow() {
-			src = s.decayedWindowGraph()
-		}
-		if src.VertexCount() == 0 {
-			break
-		}
-		csr := s.csrb.Build(src)
-		parts := s.assign.ToParts(csr)
-		// All source vertices were placed on first sight (assignments are
-		// sticky through retirement, so decayed-neighbourhood vertices
-		// resolve too).
-		refined, err := s.kl.Refine(csr, s.cfg.K, parts)
-		if err != nil {
-			return fmt.Errorf("sim: KL refine: %w", err)
-		}
-		if moves, err = s.applyParts(csr, refined); err != nil {
-			return err
-		}
-	case MethodMetis:
-		// METIS repartitions the whole cumulative graph.
-		if s.full.VertexCount() == 0 {
-			break
-		}
-		csr := s.csrb.Build(s.full)
-		parts, err := s.ml.Partition(csr, s.cfg.K)
-		if err != nil {
-			return fmt.Errorf("sim: multilevel partition: %w", err)
-		}
-		if moves, err = s.applyParts(csr, parts); err != nil {
-			return err
-		}
-	case MethodRMetis, MethodTRMetis:
-		// Reduced graph: the window since the last repartition — except
-		// TR-METIS in decay mode, which partitions the decayed live graph:
-		// the same recency bias with heavy recent edges still outvoting
-		// one-off traffic, and bounded by the retention horizon instead of
-		// the (unbounded) time between firings. R-METIS with DecayedWindow
-		// takes the middle ground: window ∪ decayed neighbourhood.
-		src := s.window
-		if s.cfg.Method == MethodTRMetis && s.decayEnabled() {
-			src = s.full
-		} else if s.useDecayedWindow() {
-			src = s.decayedWindowGraph()
-		}
-		if src.VertexCount() == 0 {
-			break
-		}
-		csr := s.csrb.Build(src)
-		parts, err := s.ml.Partition(csr, s.cfg.K)
-		if err != nil {
-			return fmt.Errorf("sim: multilevel partition (window): %w", err)
-		}
-		if moves, err = s.applyParts(csr, parts); err != nil {
-			return err
-		}
-	}
-	s.lastRepart = now
-	s.window = graph.New()
-	s.winReparted = true
-	s.winMoves += int64(moves)
-	s.result.TotalMoves += int64(moves)
-	s.result.Repartitions++
-	if s.cfg.OnRepartition != nil {
-		s.cfg.OnRepartition(now, moves)
-	}
-	return nil
-}
-
-// useDecayedWindow reports whether window-sourced methods (KL, R-METIS)
-// should repartition the decayed window union instead of the raw window.
-func (s *Simulator) useDecayedWindow() bool {
-	return s.cfg.DecayedWindow && s.decayEnabled()
-}
-
-// decayedWindowGraph builds the decayed repartition source for KL and
-// R-METIS: the vertices of the current window graph, plus every edge of
-// the decayed cumulative graph incident to at least one of them — at its
-// decayed weight — which pulls in the one-hop decayed neighbourhood. This
-// is the window-scoped analogue of the full decayed graph TR-METIS
-// partitions: bounded by the window's reach rather than the whole live
-// graph, but seeing recency-weighted adjacency instead of raw period
-// counts. Window vertices whose every trace of activity has already
-// retired from the live graph are kept as isolated vertices, so the
-// partitioner still re-balances them.
-func (s *Simulator) decayedWindowGraph() *graph.Graph {
-	u := graph.New()
-	s.window.Vertices(func(id graph.VertexID, kind graph.Kind, _ int64) bool {
-		if !s.full.HasVertex(id) {
-			// Retired mid-period: no decayed adjacency survives, but the
-			// vertex did transact this period and stays partitionable.
-			u.EnsureVertex(id, kind)
-			return true
-		}
-		u.EnsureVertex(id, s.full.VertexKind(id))
-		// All decayed out-edges of a window vertex...
-		s.full.OutNeighbors(id, func(v graph.VertexID, w int64) bool {
-			if err := u.AddInteraction(id, v, s.full.VertexKind(id), s.full.VertexKind(v), w); err != nil {
-				panic(fmt.Sprintf("sim: decayed window union: %v", err))
-			}
-			return true
-		})
-		// ...plus decayed in-edges from outside the window (edges between
-		// two window vertices are covered once, by the source's out pass).
-		s.full.InNeighbors(id, func(v graph.VertexID, w int64) bool {
-			if s.window.HasVertex(v) {
-				return true
-			}
-			if err := u.AddInteraction(v, id, s.full.VertexKind(v), s.full.VertexKind(id), w); err != nil {
-				panic(fmt.Sprintf("sim: decayed window union: %v", err))
-			}
-			return true
-		})
-		return true
-	})
-	return u
-}
-
-// applyParts applies a partitioner result, accounting moved storage and
-// keeping the cumulative cut counters exact incrementally: each moved
-// vertex contributes the cut delta of its incident full-graph edges, so a
-// repartition costs O(sum of moved-vertex degrees) instead of a full O(E)
-// recount over the cumulative graph.
-func (s *Simulator) applyParts(csr *graph.CSR, parts []int) (int, error) {
-	if len(parts) != csr.N() {
-		return 0, fmt.Errorf("sim: applying partition: result has %d entries for %d vertices",
-			len(parts), csr.N())
-	}
-	var moves int
-	var slots int64
-	for i, id := range csr.IDs {
-		old, ok := s.assign.ShardOf(id)
-		if ok && old == parts[i] {
-			continue
-		}
-		if ok {
-			s.moveCutDelta(id, old, parts[i])
-			if s.cfg.StorageSlots != nil {
-				slots += int64(s.cfg.StorageSlots(id))
-			}
-			moves++
-			// Live counts follow the move. A window-graph vertex (KL,
-			// R-METIS) may already have retired from the live graph; its
-			// sticky assignment still moves, the live population doesn't.
-			if s.decayEnabled() && s.full.HasVertex(id) {
-				s.liveCounts[old]--
-				s.liveCounts[parts[i]]++
-			}
-		}
-		if _, _, err := s.assign.Assign(id, parts[i]); err != nil {
-			return moves, fmt.Errorf("sim: applying partition: %w", err)
-		}
-		if ok && s.cfg.OnMove != nil {
-			s.cfg.OnMove(id, old, parts[i])
-		}
-	}
-	s.winSlots += slots
-	s.result.TotalMovedSlots += slots
-	return moves, nil
-}
-
-// moveCutDelta updates the cumulative cut counters for vertex v moving from
-// shard old to shard next. It must run before the assignment is updated;
-// neighbour shards reflect the current (possibly mid-batch) state, which
-// keeps the invariant exact because each single-vertex move is accounted
-// against the state it executes in.
-func (s *Simulator) moveCutDelta(v graph.VertexID, old, next int) {
-	adjust := func(u graph.VertexID, w int64) bool {
-		su, ok := s.assign.ShardOf(u)
-		if !ok {
-			return true
-		}
-		wasCross := su != old
-		isCross := su != next
-		if wasCross == isCross {
-			return true
-		}
-		if isCross {
-			s.cutEdges++
-			s.cutWeight += w
-		} else {
-			s.cutEdges--
-			s.cutWeight -= w
-		}
-		return true
-	}
-	s.full.OutNeighbors(v, adjust)
-	s.full.InNeighbors(v, adjust)
+	return s.wave(now, s.cfg.K)
 }
 
 // Finish flushes the open window and computes run-level metrics. It is

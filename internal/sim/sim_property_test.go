@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -34,11 +35,56 @@ func randomRecords(rng *rand.Rand, n, vertices int, span time.Duration) []trace.
 	return recs
 }
 
+// accountingError checks a finished run's window accounting against its
+// run totals: n is the number of records replayed.
+func accountingError(res *Result, n int64) error {
+	var winSum, moveSum, slotSum int64
+	for _, w := range res.Windows {
+		winSum += w.Interactions
+		moveSum += w.Moves
+		slotSum += w.MovedSlots
+		if w.DynamicCut < 0 || w.DynamicCut > 1 {
+			return fmt.Errorf("window %v: dynamic cut %v outside [0,1]", w.Start, w.DynamicCut)
+		}
+		k := float64(w.Shards)
+		if w.DynamicBalance < 1-1e-9 || w.DynamicBalance > k+1e-9 {
+			return fmt.Errorf("window %v: dynamic balance %v outside [1,%v]", w.Start, w.DynamicBalance, k)
+		}
+		if w.StaticBalance < 1-1e-9 || w.StaticBalance > k+1e-9 {
+			return fmt.Errorf("window %v: static balance %v outside [1,%v]", w.Start, w.StaticBalance, k)
+		}
+	}
+	if winSum != n {
+		return fmt.Errorf("windows hold %d interactions, replayed %d", winSum, n)
+	}
+	if moveSum != res.TotalMoves {
+		return fmt.Errorf("windows hold %d moves, TotalMoves %d", moveSum, res.TotalMoves)
+	}
+	if slotSum != res.TotalMovedSlots {
+		return fmt.Errorf("windows hold %d moved slots, TotalMovedSlots %d", slotSum, res.TotalMovedSlots)
+	}
+	return nil
+}
+
+// flashCells are the autoscale cells the accounting and callback tests
+// share: every method, plus hash placement under a graph-aware method, over
+// flashStream — so split, merge-drain and re-hash waves are held to what
+// plain repartitions are.
+func flashCells() []Config {
+	var cells []Config
+	for _, m := range Methods() {
+		cells = append(cells, flashConfig(m, true))
+	}
+	hashPlaced := flashConfig(MethodRMetis, true)
+	hashPlaced.Placement = PlaceHash
+	return append(cells, hashPlaced)
+}
+
 func TestPropertyWindowAccountingConsistent(t *testing.T) {
 	// Properties over random streams and methods:
 	//   1. sum of window interactions == number of records processed;
 	//   2. every window's dynamic cut is in [0,1] and balance in [1,k];
-	//   3. sum of window moves == TotalMoves;
+	//   3. sum of window moves == TotalMoves (and moved slots likewise);
 	//   4. vertices in the result equal the distinct endpoints.
 	f := func(seed int64, nRaw, vRaw, mRaw, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -67,25 +113,8 @@ func TestPropertyWindowAccountingConsistent(t *testing.T) {
 			distinct[r.To] = true
 		}
 		res := s.Finish()
-
-		var winSum, moveSum int64
-		for _, w := range res.Windows {
-			winSum += w.Interactions
-			moveSum += w.Moves
-			if w.DynamicCut < 0 || w.DynamicCut > 1 {
-				return false
-			}
-			if w.DynamicBalance < 1-1e-9 || w.DynamicBalance > float64(k)+1e-9 {
-				return false
-			}
-			if w.StaticBalance < 1-1e-9 || w.StaticBalance > float64(k)+1e-9 {
-				return false
-			}
-		}
-		if winSum != int64(n) {
-			return false
-		}
-		if moveSum != res.TotalMoves {
+		if err := accountingError(res, int64(n)); err != nil {
+			t.Log(err)
 			return false
 		}
 		return res.Vertices == len(distinct)
@@ -93,10 +122,53 @@ func TestPropertyWindowAccountingConsistent(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+
+	// The same accounting across resize waves, plus run-load conservation:
+	// every unit of load ever served — one per endpoint per interaction —
+	// is still on some shard's books after shards were merged away.
+	recs := flashStream()
+	var served int64
+	for _, r := range recs {
+		served++
+		if r.From != r.To {
+			served++
+		}
+	}
+	for _, cfg := range flashCells() {
+		cfg.StorageSlots = func(v graph.VertexID) int { return int(v%5) + 1 }
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%v/placement=%d", cfg.Method, cfg.Placement)
+		res := replayAll(t, s, recs)
+		if err := accountingError(res, int64(len(recs))); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		var splits, merges int
+		for _, ev := range res.Resizes {
+			if ev.ToK > ev.FromK {
+				splits++
+			} else {
+				merges++
+			}
+		}
+		if splits == 0 || merges == 0 || res.TotalMovedSlots == 0 {
+			t.Errorf("%s: %d splits, %d merges, %d moved slots; the cell needs all three",
+				name, splits, merges, res.TotalMovedSlots)
+		}
+		var booked int64
+		for _, l := range s.runLoad {
+			booked += l
+		}
+		if booked != served {
+			t.Errorf("%s: run load books %d units, the run served %d", name, booked, served)
+		}
+	}
 }
 
 // TestPropertyIncrementalCutMatchesRecount pins the incremental cut
-// accounting (per-move deltas in applyParts plus per-record updates in
+// accounting (per-move deltas in moveVertex plus per-record updates in
 // Process) to a from-scratch O(E) recount over the final graph and
 // assignment, across random streams, methods and shard counts.
 func TestPropertyIncrementalCutMatchesRecount(t *testing.T) {

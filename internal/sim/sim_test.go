@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -43,6 +44,9 @@ func TestMethodString(t *testing.T) {
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Method: Method(99), K: 2}); err == nil {
 		t.Error("invalid method must be rejected")
+	}
+	if _, err := New(Config{Method: MethodMetis, K: 2, Placement: PlaceHash + 1}); err == nil {
+		t.Error("invalid placement must be rejected")
 	}
 }
 
@@ -187,40 +191,12 @@ func TestPeriodicRepartitionFires(t *testing.T) {
 }
 
 func TestAssignmentChangeCallbacks(t *testing.T) {
-	// OnPlace fires exactly once per vertex, OnMove exactly once per
-	// repartition move (and mirrors the live assignment), OnRepartition
-	// once per policy firing with the batch's move count.
-	placed := map[graph.VertexID]int{}
-	var moveEvents, repartEvents int
-	var movesSeen int
-	var s *Simulator
-	cfg := Config{
-		Method: MethodMetis, K: 2,
-		Window:           time.Hour,
-		RepartitionEvery: 24 * time.Hour,
-		OnPlace: func(v graph.VertexID, shard int) {
-			if _, dup := placed[v]; dup {
-				t.Errorf("OnPlace fired twice for %d", v)
-			}
-			placed[v] = shard
-		},
-		OnMove: func(v graph.VertexID, from, to int) {
-			moveEvents++
-			if got, ok := s.Assignment().ShardOf(v); !ok || got != to {
-				t.Errorf("OnMove(%d, %d→%d) disagrees with assignment %d,%v", v, from, to, got, ok)
-			}
-		},
-		OnRepartition: func(_ time.Time, moves int) {
-			repartEvents++
-			movesSeen += moves
-		},
-	}
-	var err error
-	s, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// OnPlace fires exactly once per vertex, OnMove exactly once per wave
+	// move (and mirrors the live assignment), OnRepartition once per policy
+	// firing and OnResize once per autoscaler firing — each after the last
+	// OnMove of its wave, carrying exactly that wave's move count.
 	base := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	var clusters []trace.Record
 	n := int64(0)
 	for day := 0; day < 3; day++ {
 		for hour := 0; hour < 24; hour++ {
@@ -228,31 +204,105 @@ func TestAssignmentChangeCallbacks(t *testing.T) {
 			for j := 0; j < 10; j++ {
 				a := uint64(n % 10)
 				b := uint64((n + 1) % 10)
-				if err := s.Process(rec(ts, a, b)); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Process(rec(ts, 10+a, 10+b)); err != nil {
-					t.Fatal(err)
-				}
+				clusters = append(clusters, rec(ts, a, b), rec(ts, 10+a, 10+b))
 				n++
 			}
 		}
 	}
-	res := s.Finish()
-	if len(placed) != res.Vertices {
-		t.Errorf("OnPlace fired for %d vertices, graph has %d", len(placed), res.Vertices)
+	type cell struct {
+		name string
+		cfg  Config
+		recs []trace.Record
 	}
-	if int64(moveEvents) != res.TotalMoves {
-		t.Errorf("OnMove fired %d times, result counts %d moves", moveEvents, res.TotalMoves)
+	cells := []cell{{"repartition", Config{
+		Method: MethodMetis, K: 2,
+		Window:           time.Hour,
+		RepartitionEvery: 24 * time.Hour,
+	}, clusters}}
+	for _, cfg := range flashCells() {
+		cells = append(cells, cell{fmt.Sprintf("autoscale/%v/placement=%d", cfg.Method, cfg.Placement), cfg, flashStream()})
 	}
-	if repartEvents != res.Repartitions {
-		t.Errorf("OnRepartition fired %d times, result counts %d", repartEvents, res.Repartitions)
-	}
-	if int64(movesSeen) != res.TotalMoves {
-		t.Errorf("OnRepartition move totals %d, result counts %d", movesSeen, res.TotalMoves)
-	}
-	if res.Repartitions == 0 {
-		t.Fatal("test needs at least one repartition to exercise OnMove")
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			placed := map[graph.VertexID]int{}
+			var moveEvents, repartEvents, resizeEvents int
+			var movesSeen, waveMoves int
+			var s *Simulator
+			cfg := c.cfg
+			cfg.OnPlace = func(v graph.VertexID, shard int) {
+				if _, dup := placed[v]; dup {
+					t.Errorf("OnPlace fired twice for %d", v)
+				}
+				placed[v] = shard
+			}
+			cfg.OnMove = func(v graph.VertexID, from, to int) {
+				moveEvents++
+				waveMoves++
+				if got, ok := s.Assignment().ShardOf(v); !ok || got != to {
+					t.Errorf("OnMove(%d, %d→%d) disagrees with assignment %d,%v", v, from, to, got, ok)
+				}
+			}
+			// waveDone closes one wave: every OnMove since the previous wave
+			// callback belongs to it and has already fired.
+			waveDone := func(kind string, moves int) {
+				if moves != waveMoves {
+					t.Errorf("%s reported %d moves after %d OnMove events of its wave", kind, moves, waveMoves)
+				}
+				movesSeen += moves
+				waveMoves = 0
+			}
+			cfg.OnRepartition = func(_ time.Time, moves int) {
+				repartEvents++
+				waveDone("OnRepartition", moves)
+			}
+			var splits, merges int
+			cfg.OnResize = func(_ time.Time, oldK, newK, moves int) {
+				resizeEvents++
+				if newK > oldK {
+					splits++
+				} else {
+					merges++
+				}
+				if s.K() != newK {
+					t.Errorf("OnResize(%d→%d) fired with the simulator at k=%d", oldK, newK, s.K())
+				}
+				waveDone("OnResize", moves)
+			}
+			var err error
+			s, err = New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range c.recs {
+				if err := s.Process(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := s.Finish()
+			if len(placed) != res.Vertices {
+				t.Errorf("OnPlace fired for %d vertices, graph has %d", len(placed), res.Vertices)
+			}
+			if int64(moveEvents) != res.TotalMoves {
+				t.Errorf("OnMove fired %d times, result counts %d moves", moveEvents, res.TotalMoves)
+			}
+			if repartEvents != res.Repartitions {
+				t.Errorf("OnRepartition fired %d times, result counts %d", repartEvents, res.Repartitions)
+			}
+			if resizeEvents != len(res.Resizes) {
+				t.Errorf("OnResize fired %d times, result records %d resizes", resizeEvents, len(res.Resizes))
+			}
+			if int64(movesSeen) != res.TotalMoves || waveMoves != 0 {
+				t.Errorf("wave callbacks total %d moves (%d unclaimed), result counts %d",
+					movesSeen, waveMoves, res.TotalMoves)
+			}
+			if c.cfg.Autoscale.Enabled && (splits == 0 || merges == 0 || moveEvents == 0) {
+				t.Fatalf("autoscale cell saw %d splits, %d merges and %d moves, needs all three",
+					splits, merges, moveEvents)
+			}
+			if !c.cfg.Autoscale.Enabled && res.Repartitions == 0 {
+				t.Fatal("test needs at least one repartition to exercise OnMove")
+			}
+		})
 	}
 }
 

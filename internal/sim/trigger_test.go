@@ -19,7 +19,7 @@ func trigSim(t *testing.T, triggerWindows int, gap time.Duration) *Simulator {
 		TriggerWindows:    triggerWindows,
 		CutThreshold:      0.4,
 		BalanceThreshold:  99, // balance trigger disabled
-		HashPlacement:     true,
+		Placement:         PlaceHash,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -113,36 +113,6 @@ func KDE(xs []float64, points int) (positions, densities []float64) {
 	return positions, densities
 }
 
-// Histogram bins xs into `bins` equal-width buckets over [min, max] and
-// returns the bucket left edges and counts.
-func Histogram(xs []float64, bins int) (edges []float64, counts []int) {
-	if len(xs) == 0 || bins <= 0 {
-		return nil, nil
-	}
-	s := Summarize(xs)
-	lo, hi := s.Min, s.Max
-	if lo == hi {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(bins)
-	edges = make([]float64, bins)
-	counts = make([]int, bins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts
-}
-
 // LinearFit fits y = a + b·x by least squares and returns the intercept,
 // slope and coefficient of determination.
 func LinearFit(xs, ys []float64) (a, b, r2 float64, err error) {

@@ -102,20 +102,6 @@ func TestKDEEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0, 0.1, 0.5, 0.9, 1.0}, 2)
-	if len(edges) != 2 || len(counts) != 2 {
-		t.Fatalf("lengths: %d, %d", len(edges), len(counts))
-	}
-	if counts[0]+counts[1] != 5 {
-		t.Errorf("total count = %d, want 5", counts[0]+counts[1])
-	}
-	// Half-open bins: [0, 0.5) and [0.5, 1.0]; 0.5 lands right.
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Errorf("counts = %v", counts)
-	}
-}
-
 func TestLinearFitRecoversLine(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4}
 	ys := make([]float64, len(xs))

@@ -68,25 +68,6 @@ type RecordSource interface {
 	Read() (Record, error)
 }
 
-// SliceSource adapts a materialised record slice to the RecordSource seam.
-type SliceSource struct {
-	recs []Record
-	i    int
-}
-
-// NewSliceSource returns a source streaming recs in order.
-func NewSliceSource(recs []Record) *SliceSource { return &SliceSource{recs: recs} }
-
-// Read implements RecordSource.
-func (s *SliceSource) Read() (Record, error) {
-	if s.i >= len(s.recs) {
-		return Record{}, io.EOF
-	}
-	r := s.recs[s.i]
-	s.i++
-	return r, nil
-}
-
 // ReadAll drains src into a slice, skipping (and counting) per-record
 // errors. Non-record failures abort.
 func ReadAll(src RecordSource) ([]Record, int64, error) {

@@ -4,13 +4,11 @@
 // entire key/value set — the role Ethereum's Merkle-Patricia trie plays in
 // its block headers.
 //
-// The trie supports insertion, lookup, deletion, root computation with
-// per-node hash caching, and Merkle proofs with standalone verification.
+// The trie supports insertion, lookup, deletion and root computation with
+// per-node hash caching.
 package trie
 
 import (
-	"bytes"
-
 	"ethpart/internal/types"
 )
 
@@ -216,65 +214,4 @@ func (t *Trie) Root() types.Hash {
 		return types.Hash{}
 	}
 	return t.root.hash()
-}
-
-// ProofStep is one level of a Merkle proof: the sibling hash at a branch and
-// which side the proven path took.
-type ProofStep struct {
-	Sibling types.Hash
-	// Bit is the direction the path took at this level (0 left, 1 right).
-	Bit int
-}
-
-// Prove returns the value at key and the Merkle proof from the leaf to the
-// root. ok is false when the key is absent (no non-membership proofs).
-func (t *Trie) Prove(key []byte) (value []byte, proof []ProofStep, ok bool) {
-	path := types.HashData(key)
-	n := t.root
-	depth := 0
-	for n != nil {
-		switch cur := n.(type) {
-		case *leaf:
-			if cur.path == path {
-				return cur.value, proof, true
-			}
-			return nil, nil, false
-		case *branch:
-			bit := pathBit(path, depth)
-			var sib types.Hash
-			if s := cur.child[1-bit]; s != nil {
-				sib = s.hash()
-			}
-			proof = append(proof, ProofStep{Sibling: sib, Bit: bit})
-			n = cur.child[bit]
-			depth++
-		}
-	}
-	return nil, nil, false
-}
-
-// Verify checks a Merkle proof produced by Prove against root.
-func Verify(root types.Hash, key, value []byte, proof []ProofStep) bool {
-	path := types.HashData(key)
-	h := types.HashConcat(leafTag, path[:], value)
-	for i := len(proof) - 1; i >= 0; i-- {
-		step := proof[i]
-		if step.Bit == 0 {
-			h = types.HashConcat(branchTag, h[:], step.Sibling[:])
-		} else {
-			h = types.HashConcat(branchTag, step.Sibling[:], h[:])
-		}
-	}
-	return h == root
-}
-
-// Equal reports whether two tries hold the same key set with the same
-// values, by comparing roots.
-func Equal(a, b *Trie) bool {
-	return bytes.Equal(rootBytes(a), rootBytes(b))
-}
-
-func rootBytes(t *Trie) []byte {
-	r := t.Root()
-	return r[:]
 }

@@ -128,55 +128,6 @@ func TestDeleteRestoresRoot(t *testing.T) {
 	}
 }
 
-func TestProveVerify(t *testing.T) {
-	tr := New()
-	for i := 0; i < 50; i++ {
-		tr.Put([]byte(fmt.Sprintf("key-%d", i)), []byte(fmt.Sprintf("val-%d", i)))
-	}
-	root := tr.Root()
-	for i := 0; i < 50; i++ {
-		key := []byte(fmt.Sprintf("key-%d", i))
-		val, proof, ok := tr.Prove(key)
-		if !ok {
-			t.Fatalf("Prove(%s) failed", key)
-		}
-		if !Verify(root, key, val, proof) {
-			t.Fatalf("proof for %s does not verify", key)
-		}
-		// A tampered value must not verify.
-		if Verify(root, key, append([]byte("x"), val...), proof) {
-			t.Fatalf("tampered proof for %s verified", key)
-		}
-	}
-	if _, _, ok := tr.Prove([]byte("absent")); ok {
-		t.Error("Prove of absent key must fail")
-	}
-}
-
-func TestVerifyWrongRootFails(t *testing.T) {
-	tr := New()
-	tr.Put([]byte("k"), []byte("v"))
-	val, proof, _ := tr.Prove([]byte("k"))
-	var wrong types.Hash
-	wrong[0] = 1
-	if Verify(wrong, []byte("k"), val, proof) {
-		t.Error("proof verified against wrong root")
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a, b := New(), New()
-	a.Put([]byte("x"), []byte("1"))
-	b.Put([]byte("x"), []byte("1"))
-	if !Equal(a, b) {
-		t.Error("identical tries must be Equal")
-	}
-	b.Put([]byte("y"), []byte("2"))
-	if Equal(a, b) {
-		t.Error("different tries must not be Equal")
-	}
-}
-
 func TestPropertyModelConformance(t *testing.T) {
 	// Property: after any sequence of Put/Delete operations the trie agrees
 	// with a map model, and the root matches a fresh trie built from the
@@ -218,30 +169,6 @@ func TestPropertyModelConformance(t *testing.T) {
 		return tr.Root() == fresh.Root()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyProofsVerify(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%40) + 1
-		tr := New()
-		keys := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			keys[i] = []byte(fmt.Sprintf("key-%d-%d", rng.Intn(1000), i))
-			tr.Put(keys[i], []byte(fmt.Sprintf("val-%d", i)))
-		}
-		root := tr.Root()
-		for _, k := range keys {
-			v, proof, ok := tr.Prove(k)
-			if !ok || !Verify(root, k, v, proof) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

@@ -227,15 +227,8 @@ func (g *Generator) genesis() error {
 // Chain returns the underlying chain.
 func (g *Generator) Chain() *chain.Chain { return g.ch }
 
-// Now returns the next block's timestamp.
-func (g *Generator) Now() time.Time { return g.now }
-
 // Stats returns generation counters.
 func (g *Generator) Stats() Stats { return g.stats }
-
-// Eras returns the schedule (for figure annotations); nil for scenario
-// compositions.
-func (g *Generator) Eras() []Era { return g.cfg.Eras }
 
 // BlockArrivalTimes returns the arrival stamp of each transaction in the
 // most recently sealed block, aligned with its receipts. The slice is
