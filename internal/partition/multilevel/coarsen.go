@@ -18,16 +18,23 @@ type level struct {
 // With random set, the first eligible neighbour in the (shuffled) visit is
 // taken regardless of weight — the random-matching ablation.
 // It returns the fine→coarse map and the coarse vertex count.
-func heavyEdgeMatching(g *mlGraph, rng *rand.Rand, maxVW int64, random bool) (cmap []int32, nCoarse int) {
+//
+// The visit order is an inside-out Fisher–Yates shuffle drawing
+// rng.Intn(i+1) for i = 0..n-1 — the draws, and therefore the permutation,
+// of rand.Perm(n), which this replaces so the order lives in the arena as
+// int32 instead of a fresh []int per level.
+func heavyEdgeMatching(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) (cmap []int32, nCoarse int) {
 	n := g.n()
-	cmap = make([]int32, n)
-	for i := range cmap {
-		cmap[i] = -1
+	cmap = a.i32.filled(n, -1)
+	defer a.tmp.release(a.tmp.mark())
+	order := a.tmp.alloc(n)
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = int32(i)
 	}
-	order := rng.Perm(n)
 	next := int32(0)
-	for _, vi := range order {
-		v := int32(vi)
+	for _, v := range order {
 		if cmap[v] >= 0 {
 			continue
 		}
@@ -61,74 +68,77 @@ func heavyEdgeMatching(g *mlGraph, rng *rand.Rand, maxVW int64, random bool) (cm
 // contract builds the coarse graph induced by cmap: matched pairs merge
 // their vertex weights, parallel edges merge their weights, and edges
 // internal to a pair disappear.
-func contract(g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
+func contract(a *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 	coarse := &mlGraph{
-		xadj:    make([]int32, 1, nCoarse+1),
-		vw:      make([]int64, nCoarse),
+		xadj:    a.i32.alloc(nCoarse + 1),
+		vw:      a.i64.zeroed(nCoarse),
 		totalVW: g.totalVW,
 	}
-	// members lists the fine vertices of each coarse vertex.
-	members := make([][2]int32, nCoarse)
-	for i := range members {
-		members[i] = [2]int32{-1, -1}
-	}
+	// The coarse adjacency is at most as long as the fine one; it is
+	// filled in place and shrunk to its exact length at the end.
+	adj := a.i32.alloc(len(g.adj))
+	adjw := a.i64.alloc(len(g.adj))
+	defer a.tmp.release(a.tmp.mark())
+	// first and second list the (one or two) fine vertices of each coarse
+	// vertex, in ascending fine order.
+	first := a.tmp.filled(nCoarse, -1)
+	second := a.tmp.filled(nCoarse, -1)
+	// mark[u] records the coarse vertex currently accumulating edge u,
+	// pos[u] where in the adjacency its weight lives. Deterministic (fill
+	// order follows member iteration) and allocation-free per coarse vertex.
+	mark := a.tmp.filled(nCoarse, -1)
+	pos := a.tmp.alloc(nCoarse)
 	for v := int32(0); int(v) < g.n(); v++ {
 		c := cmap[v]
-		if members[c][0] < 0 {
-			members[c][0] = v
+		if first[c] < 0 {
+			first[c] = v
 		} else {
-			members[c][1] = v
+			second[c] = v
 		}
 		coarse.vw[c] += g.vw[v]
 	}
-	// Scratch arrays replace a per-vertex map: mark[u] records the coarse
-	// vertex currently accumulating edge u, pos[u] where in the adjacency
-	// its weight lives. Deterministic (append order follows member
-	// iteration) and allocation-free per coarse vertex.
-	mark := make([]int32, nCoarse)
-	pos := make([]int32, nCoarse)
-	for i := range mark {
-		mark[i] = -1
-	}
-	coarse.adj = make([]int32, 0, len(g.adj)/2)
-	coarse.adjw = make([]int64, 0, len(g.adj)/2)
+	used := int32(0)
+	coarse.xadj[0] = 0
 	for c := int32(0); int(c) < nCoarse; c++ {
-		for _, v := range members[c] {
+		for _, v := range [2]int32{first[c], second[c]} {
 			if v < 0 {
 				continue
 			}
-			adj, w := g.row(v)
-			for p, u := range adj {
+			fadj, w := g.row(v)
+			for p, u := range fadj {
 				cu := cmap[u]
 				if cu == c {
 					continue
 				}
 				if mark[cu] != c {
 					mark[cu] = c
-					pos[cu] = int32(len(coarse.adj))
-					coarse.adj = append(coarse.adj, cu)
-					coarse.adjw = append(coarse.adjw, w[p])
+					pos[cu] = used
+					adj[used] = cu
+					adjw[used] = w[p]
+					used++
 				} else {
-					coarse.adjw[pos[cu]] += w[p]
+					adjw[pos[cu]] += w[p]
 				}
 			}
 		}
-		coarse.xadj = append(coarse.xadj, int32(len(coarse.adj)))
+		coarse.xadj[c+1] = used
 	}
+	coarse.adj = a.i32.shrink(adj, int(used))
+	coarse.adjw = a.i64.shrink(adjw, int(used))
 	return coarse
 }
 
 // coarsen builds the ladder of successively coarser graphs, stopping when
 // the graph is small enough or matching stops making progress.
-func coarsen(g *mlGraph, rng *rand.Rand, coarsenTo int, maxVW int64, random bool) []level {
+func coarsen(a *arena, g *mlGraph, rng *rand.Rand, coarsenTo int, maxVW int64, random bool) []level {
 	var ladder []level
 	cur := g
 	for cur.n() > coarsenTo {
-		cmap, nCoarse := heavyEdgeMatching(cur, rng, maxVW, random)
+		cmap, nCoarse := heavyEdgeMatching(a, cur, rng, maxVW, random)
 		if float64(nCoarse) > 0.95*float64(cur.n()) {
 			break // diminishing returns; stop coarsening
 		}
-		next := contract(cur, cmap, nCoarse)
+		next := contract(a, cur, cmap, nCoarse)
 		ladder = append(ladder, level{fine: cur, cmap: cmap})
 		cur = next
 	}

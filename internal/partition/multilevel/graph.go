@@ -9,6 +9,17 @@
 // The package stands in for the METIS binary the paper shells out to; it
 // optimizes the same objective (edge-cut under a balance constraint) with
 // the same three-phase structure.
+//
+// A partition is a pure function of the graph, k and the Config, bit for
+// bit, whatever GOMAXPROCS is: every random draw is made by the calling
+// goroutine in one fixed order, and what runs on other goroutines (trial
+// refinements, the refine phase of a bisection into two final shards)
+// draws nothing. The order of draws, the heap's comparison rules and the
+// trial pick order are part of that output; DESIGN §6 spells the contract
+// out and testdata/partition_digests.json pins it. A Partitioner is only
+// its Config: scratch memory (arena.go) is per task, created inside
+// Partition and gone when it returns, so one Partitioner serves any number
+// of concurrent callers.
 package multilevel
 
 import (
@@ -51,13 +62,13 @@ func (g *mlGraph) cutOf(side []uint8) int64 {
 // dynamicWeights is false every vertex gets weight one (the paper's METIS
 // configuration balances vertex counts); otherwise the CSR's frequency
 // weights are used.
-func fromCSR(c *graph.CSR, dynamicWeights bool) *mlGraph {
+func fromCSR(a *arena, c *graph.CSR, dynamicWeights bool) *mlGraph {
 	n := c.N()
 	g := &mlGraph{
 		xadj: c.XAdj,
 		adj:  c.Adj,
 		adjw: c.AdjW,
-		vw:   make([]int64, n),
+		vw:   a.i64.alloc(n),
 	}
 	for i := 0; i < n; i++ {
 		if dynamicWeights {
@@ -76,21 +87,35 @@ func fromCSR(c *graph.CSR, dynamicWeights bool) *mlGraph {
 // original vertex index of every local vertex; the returned maps do the
 // same for the subgraphs. Cross-side edges are dropped — they are already
 // paid for in the recursive-bisection objective.
-func split(g *mlGraph, side []uint8, vmap []int32) (sub [2]*mlGraph, submap [2][]int32) {
+//
+// The subgraphs are allocated in keep, each adjacency at the exact length
+// a counting pass finds; the renumbering table comes from scratch.
+func split(keep, scratch *arena, g *mlGraph, side []uint8, vmap []int32) (sub [2]*mlGraph, submap [2][]int32) {
 	n := g.n()
-	local := make([]int32, n)
-	var counts [2]int
-	for v := 0; v < n; v++ {
+	defer scratch.tmp.release(scratch.tmp.mark())
+	local := scratch.tmp.alloc(n)
+	var counts, edges [2]int
+	for v := int32(0); int(v) < n; v++ {
 		s := side[v]
 		local[v] = int32(counts[s])
 		counts[s]++
+		adj, _ := g.row(v)
+		for _, u := range adj {
+			if side[u] == s {
+				edges[s]++
+			}
+		}
 	}
+	var fill [2]int32
 	for s := 0; s < 2; s++ {
 		sub[s] = &mlGraph{
-			xadj: make([]int32, 1, counts[s]+1),
-			vw:   make([]int64, 0, counts[s]),
+			xadj: keep.i32.alloc(counts[s] + 1),
+			adj:  keep.i32.alloc(edges[s]),
+			adjw: keep.i64.alloc(edges[s]),
+			vw:   keep.i64.alloc(counts[s]),
 		}
-		submap[s] = make([]int32, 0, counts[s])
+		sub[s].xadj[0] = 0
+		submap[s] = keep.i32.alloc(counts[s])
 	}
 	for v := int32(0); int(v) < n; v++ {
 		s := side[v]
@@ -98,14 +123,16 @@ func split(g *mlGraph, side []uint8, vmap []int32) (sub [2]*mlGraph, submap [2][
 		adj, w := g.row(v)
 		for p, u := range adj {
 			if side[u] == s {
-				sg.adj = append(sg.adj, local[u])
-				sg.adjw = append(sg.adjw, w[p])
+				sg.adj[fill[s]] = local[u]
+				sg.adjw[fill[s]] = w[p]
+				fill[s]++
 			}
 		}
-		sg.xadj = append(sg.xadj, int32(len(sg.adj)))
-		sg.vw = append(sg.vw, g.vw[v])
+		lv := local[v]
+		sg.xadj[lv+1] = fill[s]
+		sg.vw[lv] = g.vw[v]
 		sg.totalVW += g.vw[v]
-		submap[s] = append(submap[s], vmap[v])
+		submap[s][lv] = vmap[v]
 	}
 	return sub, submap
 }

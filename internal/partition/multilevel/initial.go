@@ -8,29 +8,29 @@ import (
 // growing: start a region from a random seed and repeatedly absorb the
 // frontier vertex with the highest gain (most edges into the region, fewest
 // out) until the region reaches targetLeft weight. Disconnected graphs are
-// handled by reseeding from any unvisited vertex.
+// handled by reseeding from any unvisited vertex — one rng.Intn(n) per
+// reseed, the only draws this function makes.
 //
-// side[v] is 0 for the grown region, 1 for the rest.
-func growBisection(g *mlGraph, rng *rand.Rand, targetLeft int64) []uint8 {
+// side[v] is 0 for the grown region, 1 for the rest. side is allocated in a
+// and outlives the call; the flags and the queue do not.
+func growBisection(a *arena, g *mlGraph, rng *rand.Rand, targetLeft int64) []uint8 {
 	n := g.n()
-	side := make([]uint8, n)
-	for i := range side {
-		side[i] = 1
-	}
+	side := a.u8.filled(n, 1)
 	if n == 0 || targetLeft <= 0 {
 		return side
 	}
+	defer a.release(a.mark())
 
-	inRegion := make([]bool, n)
+	inRegion := a.u8.zeroed(n)
+	inQueue := a.u8.zeroed(n)
 	var regionW int64
-	pq := &gainHeap{}
-	inQueue := make([]bool, n)
+	pq := gainHeap(a.items.alloc(n)[:0])
 
 	seed := func() int32 {
 		start := rng.Intn(n)
 		for off := 0; off < n; off++ {
 			v := int32((start + off) % n)
-			if !inRegion[v] {
+			if inRegion[v] == 0 {
 				return v
 			}
 		}
@@ -38,15 +38,15 @@ func growBisection(g *mlGraph, rng *rand.Rand, targetLeft int64) []uint8 {
 	}
 
 	absorb := func(v int32) {
-		inRegion[v] = true
+		inRegion[v] = 1
 		side[v] = 0
 		regionW += g.vw[v]
 		adj, w := g.row(v)
 		for p, u := range adj {
-			if inRegion[u] {
+			if inRegion[u] != 0 {
 				continue
 			}
-			if inQueue[u] {
+			if inQueue[u] != 0 {
 				pq.bump(u, w[p])
 			} else {
 				// gain = edges into region − edges out; initialise with
@@ -57,13 +57,13 @@ func growBisection(g *mlGraph, rng *rand.Rand, targetLeft int64) []uint8 {
 					deg += x
 				}
 				pq.push(gainItem{v: u, gain: 2*w[p] - deg})
-				inQueue[u] = true
+				inQueue[u] = 1
 			}
 		}
 	}
 
 	for regionW < targetLeft {
-		if pq.Len() == 0 {
+		if len(pq) == 0 {
 			s := seed()
 			if s < 0 {
 				break
@@ -76,7 +76,7 @@ func growBisection(g *mlGraph, rng *rand.Rand, targetLeft int64) []uint8 {
 			continue
 		}
 		item := pq.pop()
-		if inRegion[item.v] {
+		if inRegion[item.v] != 0 {
 			continue
 		}
 		absorb(item.v)
@@ -90,14 +90,26 @@ type gainItem struct {
 	gain int64
 }
 
-// gainHeap is a max-heap of frontier vertices by gain, implemented directly
-// rather than through container/heap: the refinement inner loop performs
-// millions of pushes and pops, and the interface boxing of heap.Push/Pop
-// costs an allocation per operation. Stale entries are tolerated (lazy
-// deletion); bump pushes an updated entry.
+// gainHeap is a binary max-heap of frontier vertices by gain, implemented
+// directly rather than through container/heap: the refinement inner loop
+// performs millions of pushes and pops, and the interface boxing of
+// heap.Push/Pop costs an allocation per operation. Stale entries are
+// tolerated (lazy deletion); bump pushes an updated entry.
+//
+// The heap's layout is part of the partitioner's output: among equal gains
+// the pop order depends on where every earlier push and pop left each
+// entry, and refinement moves vertices in pop order. push and siftDown
+// therefore carry the travelling entry in a register along a hole instead
+// of swapping it down step by step, but perform exactly the comparisons of
+// the textbook swap-based heap — `>` between two children (left wins a
+// tie), `>=` of the travelling entry against the larger child or of a
+// parent against it (the entry already higher stays put) — so the backing
+// array after every operation is the same. heap_test.go keeps the swap-based
+// heap as the oracle.
+//
+// A heap usually starts on arena memory sized for the common case; a push
+// beyond that capacity moves it to the Go heap like any append.
 type gainHeap []gainItem
-
-func (h gainHeap) Len() int { return len(h) }
 
 // push inserts an item and sifts it up.
 func (h *gainHeap) push(it gainItem) {
@@ -106,12 +118,13 @@ func (h *gainHeap) push(it gainItem) {
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s[parent].gain >= s[i].gain {
+		if s[parent].gain >= it.gain {
 			break
 		}
-		s[parent], s[i] = s[i], s[parent]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = it
 }
 
 // pop removes and returns the maximum-gain item.
@@ -119,36 +132,45 @@ func (h *gainHeap) pop() gainItem {
 	s := *h
 	top := s[0]
 	last := len(s) - 1
-	s[0] = s[last]
 	*h = s[:last]
-	h.siftDown(0)
+	if last > 0 {
+		s[:last].siftDown(0, s[last])
+	}
 	return top
 }
 
-// siftDown restores the heap property below position i.
-func (h gainHeap) siftDown(i int) {
+// siftDown places it at the position it sinks to from the hole at i.
+func (h gainHeap) siftDown(i int, it gainItem) {
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		r := 2*i + 2
+		if r >= n {
+			break
+		}
+		// Both children exist: step to the right one iff it is strictly
+		// larger, by the sign bit of left − right instead of a branch the
+		// predictor would miss half the time (gains are sums of edge
+		// weights, nowhere near overflowing the subtraction).
+		big := r - 1 + int(uint64(h[r-1].gain-h[r].gain)>>63)
+		c := h[big]
+		if it.gain >= c.gain {
+			h[i] = it
 			return
 		}
-		big := l
-		if r := l + 1; r < n && h[r].gain > h[l].gain {
-			big = r
-		}
-		if h[i].gain >= h[big].gain {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
+		h[i] = c
 		i = big
 	}
+	if l := 2*i + 1; l < n && it.gain < h[l].gain {
+		h[i] = h[l]
+		i = l
+	}
+	h[i] = it
 }
 
 // heapify establishes the heap property over arbitrary contents.
 func (h gainHeap) heapify() {
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+		h.siftDown(i, h[i])
 	}
 }
 

@@ -3,6 +3,8 @@ package multilevel
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"ethpart/internal/graph"
 )
@@ -76,7 +78,9 @@ func New(cfg Config) *Partitioner {
 
 // Partition implements partition.Partitioner by recursive multilevel
 // bisection with proportional targets, so any k ≥ 1 (not only powers of
-// two) is supported.
+// two) is supported. The Partitioner holds no state beyond its Config and
+// is safe for concurrent callers: everything a call allocates belongs to
+// that call and is dropped when it returns.
 func (p *Partitioner) Partition(c *graph.CSR, k int) ([]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("multilevel: k must be >= 1, got %d", k)
@@ -86,80 +90,176 @@ func (p *Partitioner) Partition(c *graph.CSR, k int) ([]int, error) {
 	if k == 1 || n == 0 {
 		return parts, nil
 	}
-	g := fromCSR(c, p.cfg.DynamicVertexWeights)
-	vmap := make([]int32, n)
+	r := &run{
+		tree:  *newArena(n),
+		cfg:   p.cfg,
+		parts: parts,
+		rng:   rand.New(rand.NewSource(p.cfg.Seed)),
+	}
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		r.slots = make(chan struct{}, procs)
+	}
+	g := fromCSR(&r.tree, c, p.cfg.DynamicVertexWeights)
+	vmap := r.tree.i32.alloc(n)
 	for i := range vmap {
 		vmap[i] = int32(i)
 	}
-	rng := rand.New(rand.NewSource(p.cfg.Seed))
-	p.recurse(g, vmap, k, 0, parts, rng)
+	r.recurse(g, vmap, k, 0)
+	r.handoffs.Wait()
 	return parts, nil
+}
+
+// run is the state of one Partition call.
+//
+// The random stream is the partitioner's output as much as the graph is:
+// every draw — one Fisher–Yates per coarsening level, one Intn per
+// growBisection reseed — is made by the calling goroutine, bisection after
+// bisection in recursion pre-order. What is handed to other goroutines
+// (trial refinements, a whole refine phase) draws nothing and writes only
+// memory no other task reads, so the result cannot depend on whether, or
+// when, a handoff happens.
+type run struct {
+	cfg   Config
+	parts []int
+	rng   *rand.Rand // calling goroutine only
+
+	// tree holds what outlives a bisection — vertex weights, vertex maps
+	// and split subgraphs. Handed-off refine phases read it, so nothing
+	// in it is released before the call returns.
+	tree arena
+
+	// slots bounds the goroutines running beside the caller to GOMAXPROCS
+	// (the caller itself spends part of the call blocked in a join), and is
+	// nil with a single P: nothing can overlap there, every try fails and
+	// the call starts no goroutine. handoffs counts the refine phases among
+	// them, which nothing joins before Partition's own return.
+	slots    chan struct{}
+	handoffs sync.WaitGroup
+}
+
+// try runs f on another goroutine, tracked by wg, if a slot is free. It
+// never blocks: with no free slot (or nil slots) it reports false and the
+// caller runs f itself.
+func (r *run) try(wg *sync.WaitGroup, f func()) bool {
+	select {
+	case r.slots <- struct{}{}:
+	default:
+		return false
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f()
+		<-r.slots
+	}()
+	return true
 }
 
 // recurse assigns shards [base, base+k) to the vertices of g (whose
 // original indices are vmap), splitting k proportionally at each level.
-func (p *Partitioner) recurse(g *mlGraph, vmap []int32, k, base int, parts []int, rng *rand.Rand) {
+func (r *run) recurse(g *mlGraph, vmap []int32, k, base int) {
 	if k == 1 {
 		for _, orig := range vmap {
-			parts[orig] = base
+			r.parts[orig] = base
 		}
 		return
 	}
 	kL := (k + 1) / 2
 	kR := k - kL
-	targetLeft := g.totalVW * int64(kL) / int64(k)
-	side := p.bisect(g, targetLeft, rng)
-	sub, submap := split(g, side, vmap)
-	p.recurse(sub[0], submap[0], kL, base, parts, rng)
-	p.recurse(sub[1], submap[1], kR, base+kL, parts, rng)
+	a := newArena(g.n())
+	d := r.draw(a, g, g.totalVW*int64(kL)/int64(k))
+	if k == 2 {
+		// Both children are leaves: the sides are the shards, and nothing
+		// later in the recursion reads them. The rest of this bisection
+		// can overlap the next one's draw phase.
+		finish := func() {
+			side := r.refine(a, d)
+			for v, orig := range vmap {
+				r.parts[orig] = base + int(side[v])
+			}
+		}
+		if !r.try(&r.handoffs, finish) {
+			finish()
+		}
+		return
+	}
+	sub, submap := split(&r.tree, a, g, r.refine(a, d), vmap)
+	r.recurse(sub[0], submap[0], kL, base)
+	r.recurse(sub[1], submap[1], kR, base+kL)
 }
 
-// bisect runs the multilevel pipeline on g: coarsen, initial partition at
-// the coarsest level (best of InitialTrials), then uncoarsen with FM
-// refinement at every level.
-func (p *Partitioner) bisect(g *mlGraph, targetLeft int64, rng *rand.Rand) []uint8 {
-	tol := int64(p.cfg.Epsilon * float64(g.totalVW))
-	if tol < 1 {
-		tol = 1
+// drawn is what a bisection's draw phase leaves for its refine phase.
+type drawn struct {
+	ladder     []level
+	trials     [][]uint8 // InitialTrials grown bisections of the coarsest graph
+	targetLeft int64
+	tol        int64
+}
+
+// draw is the first half of a multilevel bisection of g, and the only one
+// that consumes random numbers: coarsen, then grow InitialTrials initial
+// partitions of the coarsest graph.
+func (r *run) draw(a *arena, g *mlGraph, targetLeft int64) drawn {
+	d := drawn{targetLeft: targetLeft, tol: int64(r.cfg.Epsilon * float64(g.totalVW))}
+	if d.tol < 1 {
+		d.tol = 1
 	}
 	// Cap supernode weight so hubs stay splittable.
 	maxVW := g.totalVW / 16
 	if maxVW < 4 {
 		maxVW = 4
 	}
+	d.ladder = coarsen(a, g, r.rng, r.cfg.CoarsenTo, maxVW, r.cfg.RandomMatching)
+	coarsest := d.ladder[len(d.ladder)-1].fine
+	d.trials = make([][]uint8, r.cfg.InitialTrials)
+	for t := range d.trials {
+		d.trials[t] = growBisection(a, coarsest, r.rng, targetLeft)
+	}
+	return d
+}
 
-	ladder := coarsen(g, rng, p.cfg.CoarsenTo, maxVW, p.cfg.RandomMatching)
-	coarsest := ladder[len(ladder)-1].fine
-
-	// Initial partitioning: best of InitialTrials greedy growings, each
-	// polished by FM.
-	var best []uint8
-	var bestCut int64 = -1
-	for t := 0; t < p.cfg.InitialTrials; t++ {
-		side := growBisection(coarsest, rng, targetLeft)
-		if !p.cfg.SkipRefinement {
-			fmRefine(coarsest, side, targetLeft, tol, p.cfg.FMPasses)
+// refine is the second half: polish every trial by FM — side by side where
+// slots are free — keep the first of the smallest cut, then uncoarsen,
+// projecting through the ladder and refining at each level. The returned
+// side of the finest graph lives in a.
+func (r *run) refine(a *arena, d drawn) []uint8 {
+	coarsest := d.ladder[len(d.ladder)-1].fine
+	cuts := make([]int64, len(d.trials))
+	var trials sync.WaitGroup
+	for t, side := range d.trials {
+		polish := func(a *arena) {
+			r.fm(a, coarsest, side, d)
+			cuts[t] = coarsest.cutOf(side)
 		}
-		cut := coarsest.cutOf(side)
-		if bestCut < 0 || cut < bestCut {
-			bestCut = cut
-			best = side
+		last := t == len(d.trials)-1
+		if last || !r.try(&trials, func() { polish(newArena(coarsest.n())) }) {
+			polish(a)
+		}
+	}
+	trials.Wait()
+	best := 0
+	for t, cut := range cuts {
+		if cut < cuts[best] {
+			best = t
 		}
 	}
 
-	// Uncoarsen: project through the ladder, refining at each level.
-	side := best
-	for i := len(ladder) - 2; i >= 0; i-- {
-		fine := ladder[i].fine
-		cmap := ladder[i].cmap
-		fineSide := make([]uint8, fine.n())
+	side := d.trials[best]
+	for i := len(d.ladder) - 2; i >= 0; i-- {
+		fine, cmap := d.ladder[i].fine, d.ladder[i].cmap
+		fineSide := a.u8.alloc(fine.n())
 		for v := range fineSide {
 			fineSide[v] = side[cmap[v]]
 		}
-		if !p.cfg.SkipRefinement {
-			fmRefine(fine, fineSide, targetLeft, tol, p.cfg.FMPasses)
-		}
+		r.fm(a, fine, fineSide, d)
 		side = fineSide
 	}
 	return side
+}
+
+// fm is fmRefine under the call's configuration.
+func (r *run) fm(a *arena, g *mlGraph, side []uint8, d drawn) {
+	if !r.cfg.SkipRefinement {
+		fmRefine(a, g, side, d.targetLeft, d.tol, r.cfg.FMPasses)
+	}
 }

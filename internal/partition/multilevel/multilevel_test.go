@@ -191,9 +191,9 @@ func TestHeavyEdgeMatchingRespectsWeightCap(t *testing.T) {
 		}
 	}
 	c := graph.NewCSR(g)
-	ml := fromCSR(c, false)
+	ml := fromCSR(new(arena), c, false)
 	rng := rand.New(rand.NewSource(2))
-	cmap, nCoarse := heavyEdgeMatching(ml, rng, 2, false)
+	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, 2, false)
 	// With maxVW=2 every coarse vertex holds at most 2 fine vertices.
 	counts := make(map[int32]int)
 	for _, cidx := range cmap {
@@ -211,9 +211,9 @@ func TestContractPreservesTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := twoClusters(20, 3, rng)
 	c := graph.NewCSR(g)
-	ml := fromCSR(c, true)
-	cmap, nCoarse := heavyEdgeMatching(ml, rng, ml.totalVW/4, false)
-	coarse := contract(ml, cmap, nCoarse)
+	ml := fromCSR(new(arena), c, true)
+	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, ml.totalVW/4, false)
+	coarse := contract(new(arena), ml, cmap, nCoarse)
 
 	if coarse.totalVW != ml.totalVW {
 		t.Errorf("coarse totalVW = %d, want %d", coarse.totalVW, ml.totalVW)
@@ -267,11 +267,11 @@ func TestFMRefineRespectsBalanceEnvelope(t *testing.T) {
 	// or keep the deviation, never worsen it.
 	g := ringGraph(100)
 	c := graph.NewCSR(g)
-	ml := fromCSR(c, false)
+	ml := fromCSR(new(arena), c, false)
 	side := make([]uint8, 100) // everything on side 0
 	target := ml.totalVW / 2
 	before := abs64(sideWeight(ml, side) - target)
-	fmRefine(ml, side, target, 5, 8)
+	fmRefine(new(arena), ml, side, target, 5, 8)
 	after := abs64(sideWeight(ml, side) - target)
 	if after > before {
 		t.Errorf("FM worsened balance deviation: %d -> %d", before, after)
