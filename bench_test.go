@@ -5,7 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // Fig. 1's growth curve, Fig. 5's method × k sweep, one benchmark per
-// ablation called out in DESIGN.md §5 (matching scheme, FM refinement,
+// ablation called out in DESIGN.md §4 (matching scheme, FM refinement,
 // placement rule, R-METIS window length, TR-METIS thresholds), the
 // streaming baselines, and the shard-engine, decay-repartition and
 // autoscale curves. Throughput, per-record and per-layer costs of the
@@ -153,7 +153,7 @@ func BenchmarkFig5ShardSweep(b *testing.B) {
 }
 
 // BenchmarkAblationMatching compares heavy-edge matching against random
-// matching in the coarsening phase (DESIGN.md §5).
+// matching in the coarsening phase (DESIGN.md §4).
 func BenchmarkAblationMatching(b *testing.B) {
 	ds := dataset(b)
 	csr := fullGraph(b, ds)
@@ -178,7 +178,7 @@ func BenchmarkAblationMatching(b *testing.B) {
 }
 
 // BenchmarkAblationRefinement compares the full pipeline against one with
-// FM refinement disabled (DESIGN.md §5).
+// FM refinement disabled (DESIGN.md §4).
 func BenchmarkAblationRefinement(b *testing.B) {
 	ds := dataset(b)
 	csr := fullGraph(b, ds)
@@ -204,7 +204,7 @@ func BenchmarkAblationRefinement(b *testing.B) {
 
 // BenchmarkAblationPlacement compares the paper's min-cut/tie-balance
 // placement of new vertices against hash placement under R-METIS
-// (DESIGN.md §5).
+// (DESIGN.md §4).
 func BenchmarkAblationPlacement(b *testing.B) {
 	ds := dataset(b)
 	for _, mode := range []struct {
@@ -226,7 +226,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 }
 
 // BenchmarkAblationWindow sweeps the R-METIS repartitioning window
-// (DESIGN.md §5). Shorter windows track the workload more closely but move
+// (DESIGN.md §4). Shorter windows track the workload more closely but move
 // more state.
 func BenchmarkAblationWindow(b *testing.B) {
 	ds := dataset(b)
@@ -254,7 +254,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 }
 
 // BenchmarkAblationThresholds sweeps TR-METIS trigger thresholds
-// (DESIGN.md §5): tighter thresholds fire more repartitions and move more
+// (DESIGN.md §4): tighter thresholds fire more repartitions and move more
 // vertices for a better cut.
 func BenchmarkAblationThresholds(b *testing.B) {
 	ds := dataset(b)

@@ -59,6 +59,7 @@ import (
 	"strings"
 	"time"
 
+	"ethpart/internal/experiments"
 	"ethpart/internal/report"
 	"ethpart/internal/sim"
 	"ethpart/internal/trace"
@@ -84,18 +85,6 @@ func main() {
 	}
 }
 
-// validateDecayFlags rejects -horizon without -decay-half-life at flag
-// parse time, shared by every subcommand that exposes the pair. Without
-// this the rejection only surfaces when the simulator is constructed —
-// after trace loading or workload generation has already burned minutes.
-func validateDecayFlags(decay, horizon time.Duration) error {
-	if horizon > 0 && decay <= 0 {
-		return fmt.Errorf(
-			"-horizon %v requires -decay-half-life: the horizon is the decay subsystem's retention bound and would be silently ignored without a half-life; pass both or neither", horizon)
-	}
-	return nil
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("ethpart", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "trace CSV file ('-' for stdin, .gz read transparently)")
@@ -114,7 +103,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateDecayFlags(*decay, *horizon); err != nil {
+	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}
 	if (*tracePath == "") == (*scenario == "") {
@@ -143,10 +132,10 @@ func run(args []string) error {
 	}
 
 	start := time.Now()
-	var (
-		n       int64
-		skipped int64
-	)
+	// One loop serves both inputs. A scenario streams block by block
+	// straight into the simulator, so the full record slice is never
+	// materialised; a trace file is read row by row.
+	var src trace.RecordSource
 	if *scenario != "" {
 		sc, err := workload.ResolveScenario(*scenario, *arrival, *hours, *seed)
 		if err != nil {
@@ -156,51 +145,36 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		// Stream block by block straight into the simulator: the full
-		// record slice is never materialised.
-		stream := gen.Stream()
-		for {
-			rec, err := stream.Read()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := s.Process(rec); err != nil {
-				return err
-			}
-			n++
-		}
+		src = gen.Stream()
 	} else {
 		in, err := trace.OpenFile(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer in.Close()
-
-		reader := trace.NewCSVReader(in)
-		for {
-			rec, err := reader.Read()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			// A malformed record is confined to its line: report it and keep
-			// the tail of the dataset instead of aborting the replay.
-			var re *trace.RecordError
-			if errors.As(err, &re) {
-				fmt.Fprintln(os.Stderr, "ethpart: skipping", re)
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			if err := s.Process(rec); err != nil {
-				return err
-			}
-			n++
+		src = trace.NewCSVReader(in)
+	}
+	var n, skipped int64
+	for {
+		rec, err := src.Read()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		skipped = reader.Skipped()
+		// A malformed record is confined to its line: report it and keep
+		// the tail of the dataset instead of aborting the replay.
+		var re *trace.RecordError
+		if errors.As(err, &re) {
+			fmt.Fprintln(os.Stderr, "ethpart: skipping", re)
+			skipped++
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if err := s.Process(rec); err != nil {
+			return err
+		}
+		n++
 	}
 	res := s.Finish()
 

@@ -36,7 +36,7 @@ func runOps(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateDecayFlags(*decay, *horizon); err != nil {
+	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}
 	if *k < 1 {

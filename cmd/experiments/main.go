@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"ethpart/internal/experiments"
@@ -36,7 +37,9 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		// internal/experiments' errors carry the package's name, which is
+		// also this program's: print it once.
+		fmt.Fprintln(os.Stderr, "experiments:", strings.TrimPrefix(err.Error(), "experiments: "))
 		os.Exit(1)
 	}
 }
@@ -56,6 +59,9 @@ func run(args []string) error {
 	decay := fs.Duration("decay-half-life", 0, "enable windowed graph decay with this half-life (0 = full history, as in the paper)")
 	horizon := fs.Duration("horizon", 0, "decay retention horizon (0 = 4x the half-life)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

@@ -87,13 +87,9 @@ func run(args []string, stdout io.Writer) error {
 		err error
 	)
 	if *scenario != "" {
-		sc, lerr := workload.LookupScenario(*scenario)
-		if lerr != nil {
-			return lerr
-		}
-		sc.Seed = *seed
-		if *hours > 0 {
-			sc.Arrival.Duration = time.Duration(*hours * float64(time.Hour))
+		sc, rerr := workload.ResolveScenario(*scenario, "", *hours, *seed)
+		if rerr != nil {
+			return rerr
 		}
 		gt, err = sim.GenerateScenario(sc)
 	} else {

@@ -227,6 +227,71 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestChainGolden pins the two Merkle commitments in a block header — the
+// state root (State.Commit) and, through the block hash, the transaction
+// root (TxRoot) — on a fixed history at CommitInterval 1: a 40-account
+// genesis, then a contract deployment, a storage-writing call beside a
+// transfer, and a block of twelve transfers to fresh recipients.
+//
+// Provenance: the two constants are what this test logged at commit b1a91af,
+// where both roots were computed by internal/trie's pointer trie; the test
+// uses only API that commit has, so it drops into a clean checkout of it and
+// passes there unchanged. The root fold that replaced the trie must
+// reproduce them bit for bit.
+func TestChainGolden(t *testing.T) {
+	const (
+		wantHead  = "0x66af5d464ec89668fb5cfa8361f9b69e1639e335baf17e9af5f7d65c0a8b3003"
+		wantState = "0x6f497d3fd0ee39cf3523e4894c1dd29f8138711f1dafc3f5b726c5696f69c92a"
+	)
+	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
+	for i := uint64(100); i < 139; i++ {
+		alloc[types.AddressFromSeq(i)] = evm.WordFromUint64(i * i)
+	}
+	c := NewChain(DefaultConfig(), alloc)
+
+	runtime := evm.NewAssembler().
+		Push(0).Op(evm.CALLDATALOAD).
+		Push(0).Op(evm.SSTORE).Op(evm.STOP).
+		MustBytes()
+	deploy := &Transaction{
+		Nonce: 0, From: sender, Data: evm.DeployWrapper(runtime),
+		GasLimit: 500_000, GasPrice: 1,
+	}
+	_, receipts, skipped := c.BuildBlock(miner, 1, []*Transaction{deploy})
+	if len(skipped) != 0 || !receipts[0].Success {
+		t.Fatalf("deploy failed: %v %v", skipped, receipts[0].Err)
+	}
+	contract := *receipts[0].ContractAddress
+	arg := evm.WordFromUint64(1234).Bytes32()
+	call := &Transaction{
+		Nonce: 1, From: sender, To: &contract, Data: arg[:],
+		GasLimit: 200_000, GasPrice: 1,
+	}
+	c.BuildBlock(miner, 2, []*Transaction{call, transferTx(2, 42)})
+	var txs []*Transaction
+	for i := uint64(0); i < 12; i++ {
+		to := types.AddressFromSeq(200 + i)
+		txs = append(txs, &Transaction{
+			Nonce: 3 + i, From: sender, To: &to,
+			Value: evm.WordFromUint64(1000 + i), GasLimit: 50_000, GasPrice: 1,
+		})
+	}
+	if _, _, skipped := c.BuildBlock(miner, 3, txs); len(skipped) != 0 {
+		t.Fatalf("skipped = %v", skipped)
+	}
+
+	head := c.Head()
+	if got := head.Hash().Hex(); got != wantHead {
+		t.Errorf("head block hash = %s, want %s", got, wantHead)
+	}
+	if got := head.Header.StateRoot.Hex(); got != wantState {
+		t.Errorf("head state root = %s, want %s", got, wantState)
+	}
+	if err := c.VerifyHeaderChain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSparseCommitInterval(t *testing.T) {
 	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
 	cfg := DefaultConfig()

@@ -17,16 +17,20 @@
 //     reordered arrivals are buffered until contiguous), so at-least-once,
 //     out-of-order delivery converges byte-identically and readers can pin
 //     "epoch ≥ e" against any replica.
-//   - Promotion-on-access: a lookup that hits the cold tier pushes the
-//     vertex into a bounded lock-free MPSC hint ring
-//     (directory.HintRing); replica-side hints ride home on apply acks,
-//     and the publisher drains the ring into each commit's Promote lane —
-//     no write lock ever appears on the read path.
+//   - Promotion-on-access: a Server given a hint ring (Config.Hints, a
+//     bounded lock-free MPSC directory.HintRing) pushes every cold-tier
+//     hit into it, so no write lock ever appears on the read path. A
+//     replica's hints ride home on its apply acks into the ring NewFanout
+//     was given, and a directory.Publisher drains the ring it was attached
+//     to (AttachHints) into each commit's Promote lane. The loop is wired
+//     by whoever owns the three; no binary does today — chaos and the
+//     ledger pass nil rings — and TestColdPromotionOverWire runs it end to
+//     end.
 //
 // Wire format: every frame is a big-endian uint32 payload length followed
 // by the payload; the payload's first byte is the message type. Integers
 // are big-endian, vertex IDs uint64, shards int32 (-1 = unmapped). See
-// DESIGN.md §15 for the field-by-field layout.
+// DESIGN.md §6 for the field-by-field layout.
 package dirserve
 
 import (

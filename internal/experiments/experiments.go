@@ -61,6 +61,19 @@ type Params struct {
 	Autoscale sim.AutoscaleConfig
 }
 
+// ValidateDecayFlags is the flag-parse-time check every binary exposing the
+// -decay-half-life/-horizon pair runs: a horizon without a half-life is
+// rejected before any trace is read or history generated. Without it the
+// rejection only surfaces when a simulator is constructed — after setup has
+// already burned minutes.
+func ValidateDecayFlags(decay, horizon time.Duration) error {
+	if horizon > 0 && decay <= 0 {
+		return fmt.Errorf(
+			"-horizon %v requires -decay-half-life: the horizon is the decay subsystem's retention bound and would be silently ignored without a half-life; pass both or neither", horizon)
+	}
+	return nil
+}
+
 func (p Params) withDefaults() Params {
 	if p.Seed == 0 {
 		p.Seed = 1

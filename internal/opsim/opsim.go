@@ -39,6 +39,10 @@ import (
 	"ethpart/internal/types"
 )
 
+// maxValue clamps per-record transfer values so Config.Fund always covers a
+// sender's lifetime of transfers.
+const maxValue = 1_000_000
+
 // Config parameterises a co-simulation run.
 type Config struct {
 	// Sim is the simulator configuration: method, shard count, window and
@@ -52,11 +56,8 @@ type Config struct {
 	// Chain configures the per-shard chains (zero value → defaults).
 	Chain chain.Config
 	// Fund is the balance credited to every first-seen account (zero →
-	// 1<<50, ample for any clamped-value history).
+	// 1<<50, ample for any history of maxValue-clamped transfers).
 	Fund evm.Word
-	// MaxValue clamps per-record transfer values (zero → 1e6) so funding
-	// always covers a sender's lifetime of transfers.
-	MaxValue uint64
 	// MaxSettleSteps bounds the empty blocks stepped at the end of the run
 	// to drain in-flight receipts (zero → 64).
 	MaxSettleSteps int
@@ -84,15 +85,11 @@ type Config struct {
 	// commit sequence with real epoch numbers. The caller owns the
 	// committer's lifecycle (e.g. closing fan-out feeds after Run returns).
 	DirCommitter func(d *directory.Directory) (directory.Committer, error)
-	// DirHints, when non-nil, is attached to the publisher so promotion
-	// hints (cold-tier lookups pushed by serving processes) drain into each
-	// commit's Promote lane.
-	DirHints *directory.HintRing
 
 	// resolveFromAssignment is the byte-identity tests' reference path:
 	// homes resolve straight from the simulator's live assignment instead
 	// of through the placement directory (no directory is built, so Fault's
-	// directory plane, DirCommitter and DirHints do nothing).
+	// directory plane and DirCommitter do nothing).
 	resolveFromAssignment bool
 }
 
@@ -108,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fund.IsZero() {
 		c.Fund = evm.WordFromUint64(1 << 50)
-	}
-	if c.MaxValue == 0 {
-		c.MaxValue = 1_000_000
 	}
 	if c.MaxSettleSteps <= 0 {
 		c.MaxSettleSteps = 64
@@ -374,9 +368,6 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		}
 		r.pub = directory.NewPublisher(committer)
 		r.pub.SetShards(cfg.Sim.K)
-		if cfg.DirHints != nil {
-			r.pub.AttachHints(cfg.DirHints)
-		}
 		// Merge waves remap retired sticky assignments too; routing those
 		// through the tier-preserving SetCold lane keeps dead history out
 		// of the directory's hot tier.
@@ -554,10 +545,7 @@ func (r *runner) processRecord(rec trace.Record) error {
 	}
 	r.materialise(rec.From, from)
 	r.materialise(rec.To, to)
-	value := rec.Value
-	if value > r.cfg.MaxValue {
-		value = r.cfg.MaxValue
-	}
+	value := min(rec.Value, maxValue)
 	toCopy := to
 	r.pendingTxs = append(r.pendingTxs, &chain.Transaction{
 		Nonce: r.nonces[from], From: from, To: &toCopy,

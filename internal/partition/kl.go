@@ -14,10 +14,6 @@ type KLConfig struct {
 	// refinement. The algorithm stops earlier when no shard proposes a
 	// positive-gain move.
 	MaxRounds int
-	// MaxCandidatesPerPair caps how many vertices one shard may propose to
-	// another per round, modelling the bounded per-round migration of the
-	// production systems this scheme comes from. Zero means unlimited.
-	MaxCandidatesPerPair int
 	// Seed drives the probabilistic exchange; a fixed seed makes runs
 	// reproducible.
 	Seed int64
@@ -25,7 +21,7 @@ type KLConfig struct {
 
 // DefaultKLConfig returns the configuration used in the experiments.
 func DefaultKLConfig() KLConfig {
-	return KLConfig{MaxRounds: 8, MaxCandidatesPerPair: 0, Seed: 1}
+	return KLConfig{MaxRounds: 8, Seed: 1}
 }
 
 // KL implements the paper's distributed Kernighan–Lin variant (§II-C):
@@ -87,7 +83,7 @@ func (kl *KL) Refine(c *graph.CSR, k int, current []int) ([]int, error) {
 
 // propose runs the per-shard selection phase: for every vertex, compute the
 // gain of moving it to its most attractive external shard; keep positive
-// gains, best-gain first, capped per pair.
+// gains, best-gain first.
 func (kl *KL) propose(c *graph.CSR, k int, parts []int) [][]proposal {
 	props := make([][]proposal, k*k)
 	attract := make([]int64, k)
@@ -116,9 +112,6 @@ func (kl *KL) propose(c *graph.CSR, k int, parts []int) [][]proposal {
 	}
 	for idx := range props {
 		sort.Slice(props[idx], func(a, b int) bool { return props[idx][a].gain > props[idx][b].gain })
-		if limit := kl.cfg.MaxCandidatesPerPair; limit > 0 && len(props[idx]) > limit {
-			props[idx] = props[idx][:limit]
-		}
 	}
 	return props
 }

@@ -129,8 +129,8 @@ func contract(a *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 }
 
 // coarsen builds the ladder of successively coarser graphs, stopping when
-// the graph is small enough or matching stops making progress.
-func coarsen(a *arena, g *mlGraph, rng *rand.Rand, coarsenTo int, maxVW int64, random bool) []level {
+// the graph is small enough (coarsenTo) or matching stops making progress.
+func coarsen(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) []level {
 	var ladder []level
 	cur := g
 	for cur.n() > coarsenTo {

@@ -10,12 +10,17 @@
 // optimizes the same objective (edge-cut under a balance constraint) with
 // the same three-phase structure.
 //
+// The algorithm's parameters — coarsening floor, number of initial trials,
+// FM passes per level, bisection imbalance — are the constants at the top
+// of multilevel.go: every pinned number in the repository was produced with
+// them. Config carries only the seed and the three ablation switches.
+//
 // A partition is a pure function of the graph, k and the Config, bit for
 // bit, whatever GOMAXPROCS is: every random draw is made by the calling
 // goroutine in one fixed order, and what runs on other goroutines (trial
 // refinements, the refine phase of a bisection into two final shards)
 // draws nothing. The order of draws, the heap's comparison rules and the
-// trial pick order are part of that output; DESIGN §6 spells the contract
+// trial pick order are part of that output; DESIGN §4 spells the contract
 // out and testdata/partition_digests.json pins it. A Partitioner is only
 // its Config: scratch memory (arena.go) is per task, created inside
 // Partition and gone when it returns, so one Partitioner serves any number

@@ -9,21 +9,27 @@ import (
 	"ethpart/internal/graph"
 )
 
+// The paper reproduction's fixed parameters. Every pinned partition — the
+// digests, the sim goldens, the ledger's exact counts — was produced with
+// these values, so they are constants, not options.
+const (
+	// coarsenTo stops coarsening once the graph has at most this many
+	// vertices.
+	coarsenTo = 120
+	// initialTrials is the number of greedy-growing attempts at the
+	// coarsest level; the best refined bisection wins.
+	initialTrials = 4
+	// fmPasses bounds refinement passes per level.
+	fmPasses = 6
+	// epsilon is the allowed relative imbalance of each bisection
+	// (tolerance = epsilon × total weight).
+	epsilon = 0.03
+)
+
 // Config parameterises the multilevel partitioner.
 type Config struct {
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// vertices. Default 120.
-	CoarsenTo int
-	// InitialTrials is the number of greedy-growing attempts at the
-	// coarsest level; the best refined bisection wins. Default 4.
-	InitialTrials int
-	// FMPasses bounds refinement passes per level. Default 6.
-	FMPasses int
-	// Epsilon is the allowed relative imbalance of each bisection
-	// (tolerance = Epsilon × total weight). Default 0.03.
-	Epsilon float64
 	// Seed drives matching order and initial seeds; fixed seeds give
-	// reproducible partitions. Default 1.
+	// reproducible partitions. Zero means 1.
 	Seed int64
 	// DynamicVertexWeights balances frequency weights instead of vertex
 	// counts. The paper's METIS runs balance vertex counts (which is why
@@ -38,40 +44,15 @@ type Config struct {
 	SkipRefinement bool
 }
 
-// DefaultConfig returns the configuration used in the paper reproduction.
-func DefaultConfig() Config {
-	return Config{
-		CoarsenTo:     120,
-		InitialTrials: 4,
-		FMPasses:      6,
-		Epsilon:       0.03,
-		Seed:          1,
-	}
-}
-
 // Partitioner is the METIS-substitute multilevel k-way partitioner.
 type Partitioner struct {
 	cfg Config
 }
 
-// New returns a Partitioner; zero-valued Config fields fall back to
-// DefaultConfig.
+// New returns a Partitioner.
 func New(cfg Config) *Partitioner {
-	def := DefaultConfig()
-	if cfg.CoarsenTo <= 0 {
-		cfg.CoarsenTo = def.CoarsenTo
-	}
-	if cfg.InitialTrials <= 0 {
-		cfg.InitialTrials = def.InitialTrials
-	}
-	if cfg.FMPasses <= 0 {
-		cfg.FMPasses = def.FMPasses
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = def.Epsilon
-	}
 	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
+		cfg.Seed = 1
 	}
 	return &Partitioner{cfg: cfg}
 }
@@ -191,16 +172,16 @@ func (r *run) recurse(g *mlGraph, vmap []int32, k, base int) {
 // drawn is what a bisection's draw phase leaves for its refine phase.
 type drawn struct {
 	ladder     []level
-	trials     [][]uint8 // InitialTrials grown bisections of the coarsest graph
+	trials     [][]uint8 // initialTrials grown bisections of the coarsest graph
 	targetLeft int64
 	tol        int64
 }
 
 // draw is the first half of a multilevel bisection of g, and the only one
-// that consumes random numbers: coarsen, then grow InitialTrials initial
+// that consumes random numbers: coarsen, then grow initialTrials initial
 // partitions of the coarsest graph.
 func (r *run) draw(a *arena, g *mlGraph, targetLeft int64) drawn {
-	d := drawn{targetLeft: targetLeft, tol: int64(r.cfg.Epsilon * float64(g.totalVW))}
+	d := drawn{targetLeft: targetLeft, tol: int64(epsilon * float64(g.totalVW))}
 	if d.tol < 1 {
 		d.tol = 1
 	}
@@ -209,9 +190,9 @@ func (r *run) draw(a *arena, g *mlGraph, targetLeft int64) drawn {
 	if maxVW < 4 {
 		maxVW = 4
 	}
-	d.ladder = coarsen(a, g, r.rng, r.cfg.CoarsenTo, maxVW, r.cfg.RandomMatching)
+	d.ladder = coarsen(a, g, r.rng, maxVW, r.cfg.RandomMatching)
 	coarsest := d.ladder[len(d.ladder)-1].fine
-	d.trials = make([][]uint8, r.cfg.InitialTrials)
+	d.trials = make([][]uint8, initialTrials)
 	for t := range d.trials {
 		d.trials[t] = growBisection(a, coarsest, r.rng, targetLeft)
 	}
@@ -260,6 +241,6 @@ func (r *run) refine(a *arena, d drawn) []uint8 {
 // fm is fmRefine under the call's configuration.
 func (r *run) fm(a *arena, g *mlGraph, side []uint8, d drawn) {
 	if !r.cfg.SkipRefinement {
-		fmRefine(a, g, side, d.targetLeft, d.tol, r.cfg.FMPasses)
+		fmRefine(a, g, side, d.targetLeft, d.tol, fmPasses)
 	}
 }

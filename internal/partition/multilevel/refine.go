@@ -7,7 +7,7 @@ package multilevel
 // its starting cut drains the whole queue and is rolled back in full.
 // Arming it from the first move is measurably faster and measurably changes
 // the partitions (and with them the paper's move counts), so it waits for a
-// PR that re-pins them — DESIGN §6.
+// PR that re-pins them — DESIGN §4.
 const noImprovementLimit = 128
 
 // fmState is the refinement state of one two-way partition. gains and ed

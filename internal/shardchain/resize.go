@@ -9,7 +9,7 @@ import (
 	"ethpart/internal/types"
 )
 
-// Elastic shard lanes (DESIGN.md §13): the chain's shard count follows the
+// Elastic shard lanes (DESIGN.md §7): the chain's shard count follows the
 // autoscaler. AddShards spins new lanes up empty; RemoveShards
 // decommissions the highest-index lanes once DrainShard confirms nothing
 // references them any more. The drain itself is not a new mechanism — the

@@ -45,7 +45,7 @@
 // results (receipts, per-shard states, stats, homes): the serial reference
 // engine, and a parallel engine that runs each block's per-shard work on
 // one worker per shard with cross-shard receipts exchanged at the block
-// barrier (see parallel.go and DESIGN.md §8).
+// barrier (see parallel.go and DESIGN.md §7).
 package shardchain
 
 import (

@@ -1,5 +1,5 @@
 // Autoscaling: the saturation-driven shard-count controller (DESIGN.md
-// §13). The simulator's K stops being a lifetime constant and becomes a
+// §3). The simulator's K stops being a lifetime constant and becomes a
 // control variable: at each window boundary the controller reads the
 // saturation signals already on hand — per-shard window load, the window's
 // cross-shard ratio from the cut counters, live counts — and, behind

@@ -163,32 +163,6 @@ func LogLinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
 	return LinearFit(xs, logs)
 }
 
-// ParetoAlphaMLE estimates the tail index α of a power-law (Pareto)
-// distribution from the samples ≥ xmin using the Hill maximum-likelihood
-// estimator: α = n / Σ ln(x_i/xmin). Heavy-tailed (power-law-like) data
-// has small α (typically 1–3 for degree distributions); light-tailed data
-// yields large values. It returns the estimate and the tail sample count.
-func ParetoAlphaMLE(xs []float64, xmin float64) (alpha float64, n int, err error) {
-	if xmin <= 0 {
-		return 0, 0, fmt.Errorf("stats: xmin must be positive, got %v", xmin)
-	}
-	var sum float64
-	for _, x := range xs {
-		if x < xmin {
-			continue
-		}
-		sum += math.Log(x / xmin)
-		n++
-	}
-	if n == 0 {
-		return 0, 0, fmt.Errorf("stats: no samples >= xmin %v", xmin)
-	}
-	if sum == 0 {
-		return math.Inf(1), n, nil // all mass at xmin: infinitely light tail
-	}
-	return float64(n) / sum, n, nil
-}
-
 func stddev(xs []float64, mean float64) float64 {
 	if len(xs) < 2 {
 		return 0

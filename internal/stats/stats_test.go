@@ -197,35 +197,3 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestParetoAlphaMLERecoversTailIndex(t *testing.T) {
-	// Sample from a Pareto(α=2, xmin=1) via inverse transform.
-	rng := rand.New(rand.NewSource(8))
-	xs := make([]float64, 20000)
-	for i := range xs {
-		u := rng.Float64()
-		xs[i] = math.Pow(1-u, -1.0/2.0)
-	}
-	alpha, n, err := ParetoAlphaMLE(xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(xs) {
-		t.Errorf("tail n = %d", n)
-	}
-	if math.Abs(alpha-2) > 0.1 {
-		t.Errorf("alpha = %v, want ≈ 2", alpha)
-	}
-}
-
-func TestParetoAlphaMLEErrors(t *testing.T) {
-	if _, _, err := ParetoAlphaMLE([]float64{1, 2}, 0); err == nil {
-		t.Error("xmin=0 must error")
-	}
-	if _, _, err := ParetoAlphaMLE([]float64{1, 2}, 100); err == nil {
-		t.Error("empty tail must error")
-	}
-	if alpha, _, err := ParetoAlphaMLE([]float64{3, 3, 3}, 3); err != nil || !math.IsInf(alpha, 1) {
-		t.Errorf("degenerate tail: alpha=%v err=%v", alpha, err)
-	}
-}

@@ -119,8 +119,8 @@ func LookupScenario(name string) (Scenario, error) {
 
 // ResolveScenario looks up a named library scenario and applies the
 // overrides every tool exposes as flags: arrival kind (empty keeps the
-// scenario's own process), duration in hours (0 keeps), and seed (0
-// keeps). Swapping the arrival kind keeps the scenario's rate and start;
+// scenario's own process), duration in hours (0 keeps, negative is an
+// error), and seed (0 keeps). Swapping the arrival kind keeps the scenario's rate and start;
 // kind-specific parameters the scenario never set fall to their defaults
 // when the generator is built.
 func ResolveScenario(name, arrival string, hours float64, seed int64) (Scenario, error) {
@@ -134,6 +134,9 @@ func ResolveScenario(name, arrival string, hours float64, seed int64) (Scenario,
 			return Scenario{}, err
 		}
 		sc.Arrival.Kind = kind
+	}
+	if hours < 0 {
+		return Scenario{}, fmt.Errorf("workload: scenario %q: duration of %g hours is negative", name, hours)
 	}
 	if hours > 0 {
 		sc.Arrival.Duration = time.Duration(hours * float64(time.Hour))

@@ -58,6 +58,48 @@ func TestScenarioLibraryValidates(t *testing.T) {
 	}
 }
 
+// TestResolveScenarioOverrides covers the one function every binary's
+// -scenario/-arrival/-hours/-seed flags go through: zero values keep the
+// library scenario's own, set ones replace them, and a negative duration is
+// an error instead of silently running the library duration.
+func TestResolveScenarioOverrides(t *testing.T) {
+	lib, err := LookupScenario("flash-nft-mint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := ResolveScenario("flash-nft-mint", "", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.Arrival != lib.Arrival || kept.Seed != lib.Seed {
+		t.Errorf("zero overrides changed the scenario: arrival %+v seed %d, library %+v seed %d",
+			kept.Arrival, kept.Seed, lib.Arrival, lib.Seed)
+	}
+	set, err := ResolveScenario("flash-nft-mint", "poisson", 1.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Arrival.Kind != ArrivalPoisson || set.Arrival.Duration != 90*time.Minute || set.Seed != 7 {
+		t.Errorf("overrides not applied: kind %v duration %v seed %d", set.Arrival.Kind, set.Arrival.Duration, set.Seed)
+	}
+	if set.Arrival.RatePerHour != lib.Arrival.RatePerHour || !set.Arrival.Start.Equal(lib.Arrival.Start) {
+		t.Error("swapping the arrival kind must keep the scenario's rate and start")
+	}
+	for _, bad := range []struct {
+		name, arrival string
+		hours         float64
+	}{
+		{"flash-nft-mint", "", -5},
+		{"flash-nft-mint", "", -0.001},
+		{"flash-nft-mint", "bursty", 0},
+		{"no-such-scenario", "", 0},
+	} {
+		if _, err := ResolveScenario(bad.name, bad.arrival, bad.hours, 1); err == nil {
+			t.Errorf("ResolveScenario(%q, %q, %g) accepted", bad.name, bad.arrival, bad.hours)
+		}
+	}
+}
+
 // TestScenarioRecordValidity is the shared validity property every
 // composition must satisfy: senders exist and are funded (no skipped
 // transactions), per-sender nonces are monotone on-chain, contract targets

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -366,7 +369,7 @@ func TestGeneratorDegreeDistributionIsHeavyTailed(t *testing.T) {
 	if len(degrees) < 500 {
 		t.Fatalf("graph too small: %d vertices", len(degrees))
 	}
-	alpha, n, err := stats.ParetoAlphaMLE(degrees, 3)
+	alpha, n, err := paretoAlphaMLE(degrees, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,4 +388,62 @@ func TestGeneratorDegreeDistributionIsHeavyTailed(t *testing.T) {
 // binaryID derives a stable numeric ID from an address for the degree test.
 func binaryID(a types.Address) uint64 {
 	return binary.BigEndian.Uint64(a[:8])
+}
+
+// paretoAlphaMLE estimates the tail index α of a power-law (Pareto)
+// distribution from the samples ≥ xmin using the Hill maximum-likelihood
+// estimator: α = n / Σ ln(x_i/xmin). Heavy-tailed (power-law-like) data
+// has small α (typically 1–3 for degree distributions); light-tailed data
+// yields large values. It returns the estimate and the tail sample count.
+func paretoAlphaMLE(xs []float64, xmin float64) (alpha float64, n int, err error) {
+	if xmin <= 0 {
+		return 0, 0, fmt.Errorf("xmin must be positive, got %v", xmin)
+	}
+	var sum float64
+	for _, x := range xs {
+		if x < xmin {
+			continue
+		}
+		sum += math.Log(x / xmin)
+		n++
+	}
+	if n == 0 {
+		return 0, 0, fmt.Errorf("no samples >= xmin %v", xmin)
+	}
+	if sum == 0 {
+		return math.Inf(1), n, nil // all mass at xmin: infinitely light tail
+	}
+	return float64(n) / sum, n, nil
+}
+
+func TestParetoAlphaMLERecoversTailIndex(t *testing.T) {
+	// Sample from a Pareto(α=2, xmin=1) via inverse transform.
+	rng := rand.New(rand.NewSource(8))
+	xs := make([]float64, 20000)
+	for i := range xs {
+		u := rng.Float64()
+		xs[i] = math.Pow(1-u, -1.0/2.0)
+	}
+	alpha, n, err := paretoAlphaMLE(xs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(xs) {
+		t.Errorf("tail n = %d", n)
+	}
+	if math.Abs(alpha-2) > 0.1 {
+		t.Errorf("alpha = %v, want ≈ 2", alpha)
+	}
+}
+
+func TestParetoAlphaMLEErrors(t *testing.T) {
+	if _, _, err := paretoAlphaMLE([]float64{1, 2}, 0); err == nil {
+		t.Error("xmin=0 must error")
+	}
+	if _, _, err := paretoAlphaMLE([]float64{1, 2}, 100); err == nil {
+		t.Error("empty tail must error")
+	}
+	if alpha, _, err := paretoAlphaMLE([]float64{3, 3, 3}, 3); err != nil || !math.IsInf(alpha, 1) {
+		t.Errorf("degenerate tail: alpha=%v err=%v", alpha, err)
+	}
 }
