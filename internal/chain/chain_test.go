@@ -71,6 +71,35 @@ func TestApplyTransactionInsufficientFunds(t *testing.T) {
 	}
 }
 
+// TestGasCostDoesNotWrap: gasLimit*gasPrice is taken in 256 bits. In uint64
+// 2^33 * 2^31 wraps to zero, which would pass the funds check for a sender
+// holding 5 wei and then "refund" a balance into existence.
+func TestGasCostDoesNotWrap(t *testing.T) {
+	s := NewStateWithAlloc(map[types.Address]evm.Word{sender: evm.WordFromUint64(5)})
+	to := recv
+	tx := &Transaction{
+		Nonce: 0, From: sender, To: &to,
+		Value: evm.WordFromUint64(1), GasLimit: 1 << 33, GasPrice: 1 << 31,
+	}
+	root := s.Commit()
+	_, err := ApplyTransaction(s, tx, miner)
+	if !errors.Is(err, ErrInsufficientFunds) {
+		t.Fatalf("err = %v, want ErrInsufficientFunds", err)
+	}
+	if got := s.GetBalance(sender); got != evm.WordFromUint64(5) {
+		t.Errorf("sender balance = %v, want 5", got)
+	}
+	if got := s.GetNonce(sender); got != 0 {
+		t.Errorf("sender nonce = %d, want 0", got)
+	}
+	if s.Exist(recv) || s.Exist(miner) {
+		t.Error("a rejected transaction touched the recipient or the miner")
+	}
+	if s.Commit() != root {
+		t.Error("a rejected transaction changed the state root")
+	}
+}
+
 func TestApplyTransactionIntrinsicGasTooLow(t *testing.T) {
 	s := fundedState()
 	to := recv

@@ -27,42 +27,55 @@ var (
 // executions revert all state changes except the nonce bump and the gas
 // payment, and the miner is credited with gasUsed*gasPrice.
 func ApplyTransaction(state *State, tx *Transaction, miner types.Address) (*Receipt, error) {
-	return ApplyTransactionHooked(state, tx, miner, nil)
+	receipt := new(Receipt)
+	if err := applyTransaction(state, tx, miner, nil, false, receipt); err != nil {
+		return nil, err
+	}
+	return receipt, nil
 }
 
-// ApplyTransactionHooked is ApplyTransaction with an optional cross-shard
-// call interceptor installed in the VM (see evm.RemoteHook). The sharded
-// execution engine uses it to divert internal calls that leave the
-// executing shard into receipts.
-func ApplyTransactionHooked(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook) (*Receipt, error) {
-	return applyTransaction(state, tx, miner, hook, false)
+// ApplyTransactionInto is ApplyTransaction writing its result into a
+// caller-supplied receipt — so a block's receipts can live in one slab —
+// with an optional cross-shard call interceptor installed in the VM (see
+// evm.RemoteHook). The sharded execution engine uses it to divert internal
+// calls that leave the executing shard into receipts. *receipt is
+// overwritten whole; when validation rejects tx it holds only the hash.
+func ApplyTransactionInto(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
+	return applyTransaction(state, tx, miner, hook, false, receipt)
 }
 
-// ApplyTransactionRetained is ApplyTransactionHooked without the journal
+// ApplyTransactionRetained is ApplyTransactionInto without the journal
 // discards at the commit points, so a caller holding a Snapshot taken
 // before the transaction ran can still revert it (and any transactions
 // applied since that snapshot) wholesale. The parallel shard engine's
 // conflict rollback depends on this; the state content it produces is
-// identical to ApplyTransactionHooked's.
-func ApplyTransactionRetained(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook) (*Receipt, error) {
-	return applyTransaction(state, tx, miner, hook, true)
+// identical to ApplyTransactionInto's.
+func ApplyTransactionRetained(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
+	return applyTransaction(state, tx, miner, hook, true, receipt)
 }
 
-func applyTransaction(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, retain bool) (*Receipt, error) {
-	receipt := &Receipt{TxHash: tx.Hash()}
+// gasValue is gas * price in wei. The product is taken in 256 bits: in
+// uint64 a large limit times a large price wraps, and a wrapped pre-payment
+// of zero would pass the funds check and then "refund" money into existence.
+func gasValue(gas, price uint64) evm.Word {
+	return evm.WordFromUint64(gas).Mul(evm.WordFromUint64(price))
+}
+
+func applyTransaction(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, retain bool, receipt *Receipt) error {
+	*receipt = Receipt{TxHash: tx.Hash()}
 
 	if got := state.GetNonce(tx.From); got != tx.Nonce {
-		return nil, fmt.Errorf("%w: account %v has nonce %d, tx has %d",
+		return fmt.Errorf("%w: account %v has nonce %d, tx has %d",
 			ErrNonceMismatch, tx.From, got, tx.Nonce)
 	}
 	intrinsic := tx.intrinsicGas()
 	if tx.GasLimit < intrinsic {
-		return nil, fmt.Errorf("%w: limit %d < intrinsic %d", ErrIntrinsicGas, tx.GasLimit, intrinsic)
+		return fmt.Errorf("%w: limit %d < intrinsic %d", ErrIntrinsicGas, tx.GasLimit, intrinsic)
 	}
-	gasCost := evm.WordFromUint64(tx.GasLimit * tx.GasPrice)
+	gasCost := gasValue(tx.GasLimit, tx.GasPrice)
 	totalCost := gasCost.Add(tx.Value)
 	if state.GetBalance(tx.From).Cmp(totalCost) < 0 {
-		return nil, fmt.Errorf("%w: account %v", ErrInsufficientFunds, tx.From)
+		return fmt.Errorf("%w: account %v", ErrInsufficientFunds, tx.From)
 	}
 
 	// Buy gas and bump the nonce; these survive execution failure.
@@ -105,8 +118,8 @@ func applyTransaction(state *State, tx *Transaction, miner types.Address, hook e
 
 	gasUsed := tx.GasLimit - gasLeft
 	// Refund unused gas and pay the miner.
-	state.AddBalance(tx.From, evm.WordFromUint64(gasLeft*tx.GasPrice))
-	state.AddBalance(miner, evm.WordFromUint64(gasUsed*tx.GasPrice))
+	state.AddBalance(tx.From, gasValue(gasLeft, tx.GasPrice))
+	state.AddBalance(miner, gasValue(gasUsed, tx.GasPrice))
 	if !retain {
 		state.DiscardJournal()
 	}
@@ -114,7 +127,7 @@ func applyTransaction(state *State, tx *Transaction, miner types.Address, hook e
 	receipt.Success = execErr == nil
 	receipt.Err = execErr
 	receipt.GasUsed = gasUsed
-	// Copy: the VM owns its trace slice.
-	receipt.Traces = append([]evm.CallTrace(nil), vm.Traces()...)
-	return receipt, nil
+	// The VM is single-use, so its trace slice is the receipt's from here.
+	receipt.Traces = vm.Traces()
+	return nil
 }

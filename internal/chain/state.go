@@ -71,21 +71,22 @@ func (e *journalEntry) revert(s *State) {
 	switch e.kind {
 	case journalAccountCreated:
 		delete(s.accounts, e.addr)
+		s.forget(e.addr)
 	case journalBalance:
-		if a, ok := s.accounts[e.addr]; ok {
+		if a := s.lookup(e.addr); a != nil {
 			a.Balance = e.prevWord
 		}
 	case journalNonce:
-		if a, ok := s.accounts[e.addr]; ok {
+		if a := s.lookup(e.addr); a != nil {
 			a.Nonce = e.prevNonce
 		}
 	case journalCode:
-		if a, ok := s.accounts[e.addr]; ok {
+		if a := s.lookup(e.addr); a != nil {
 			a.Code = e.prevCode
 		}
 	case journalStorage:
-		a, ok := s.accounts[e.addr]
-		if !ok {
+		a := s.lookup(e.addr)
+		if a == nil {
 			return
 		}
 		if a.Storage == nil {
@@ -98,6 +99,7 @@ func (e *journalEntry) revert(s *State) {
 		}
 	case journalAccountDeleted:
 		s.accounts[e.addr] = e.prevAcc
+		s.forget(e.addr)
 	}
 }
 
@@ -105,10 +107,25 @@ func (e *journalEntry) revert(s *State) {
 // supports snapshot/revert, mirroring how a production node unwinds failed
 // transactions. It implements evm.StateDB.
 //
-// State is not safe for concurrent use.
+// State is not safe for concurrent use, and that includes concurrent
+// readers: every getter goes through the account resolver (lookup), which
+// writes the State.
 type State struct {
 	accounts map[types.Address]*Account
 	journal  []journalEntry
+	// recent remembers the last two accounts resolved, most recent first.
+	// A transaction touches its sender and recipient a dozen times through
+	// separate StateDB calls; the pair turns all but the first probe of the
+	// 20-byte-keyed map per address into an array compare. Only present
+	// accounts are remembered, so creating one needs no invalidation;
+	// every path that removes or replaces a map entry calls forget.
+	recent [2]resolved
+}
+
+// resolved is one remembered address → account resolution.
+type resolved struct {
+	addr types.Address
+	acc  *Account
 }
 
 var _ evm.StateDB = (*State)(nil)
@@ -142,10 +159,39 @@ func (s *State) RevertToSnapshot(id int) {
 // DiscardJournal drops undo history (called after a transaction commits).
 func (s *State) DiscardJournal() { s.journal = s.journal[:0] }
 
+// lookup resolves addr to its account, or nil when there is none. It is the
+// one place the accounts map is probed by address.
+func (s *State) lookup(addr types.Address) *Account {
+	r := &s.recent
+	if r[0].acc != nil && r[0].addr == addr {
+		return r[0].acc
+	}
+	if r[1].acc != nil && r[1].addr == addr {
+		r[0], r[1] = r[1], r[0]
+		return r[0].acc
+	}
+	acc := s.accounts[addr]
+	if acc != nil {
+		r[1] = r[0]
+		r[0] = resolved{addr, acc}
+	}
+	return acc
+}
+
+// forget drops addr from the resolver; called wherever accounts loses or
+// replaces the entry for addr.
+func (s *State) forget(addr types.Address) {
+	for i := range s.recent {
+		if s.recent[i].addr == addr {
+			s.recent[i] = resolved{}
+		}
+	}
+}
+
 // getOrNew returns the account for addr, creating and journaling it if
 // missing.
 func (s *State) getOrNew(addr types.Address) *Account {
-	if acc, ok := s.accounts[addr]; ok {
+	if acc := s.lookup(addr); acc != nil {
 		return acc
 	}
 	acc := &Account{}
@@ -155,17 +201,14 @@ func (s *State) getOrNew(addr types.Address) *Account {
 }
 
 // Exist implements evm.StateDB.
-func (s *State) Exist(addr types.Address) bool {
-	_, ok := s.accounts[addr]
-	return ok
-}
+func (s *State) Exist(addr types.Address) bool { return s.lookup(addr) != nil }
 
 // CreateAccount implements evm.StateDB.
 func (s *State) CreateAccount(addr types.Address) { s.getOrNew(addr) }
 
 // GetBalance implements evm.StateDB.
 func (s *State) GetBalance(addr types.Address) evm.Word {
-	if acc, ok := s.accounts[addr]; ok {
+	if acc := s.lookup(addr); acc != nil {
 		return acc.Balance
 	}
 	return evm.Word{}
@@ -189,7 +232,7 @@ func (s *State) SubBalance(addr types.Address, amount evm.Word) {
 
 // GetNonce implements evm.StateDB.
 func (s *State) GetNonce(addr types.Address) uint64 {
-	if acc, ok := s.accounts[addr]; ok {
+	if acc := s.lookup(addr); acc != nil {
 		return acc.Nonce
 	}
 	return 0
@@ -205,7 +248,7 @@ func (s *State) SetNonce(addr types.Address, nonce uint64) {
 
 // GetCode implements evm.StateDB.
 func (s *State) GetCode(addr types.Address) []byte {
-	if acc, ok := s.accounts[addr]; ok {
+	if acc := s.lookup(addr); acc != nil {
 		return acc.Code
 	}
 	return nil
@@ -221,7 +264,7 @@ func (s *State) SetCode(addr types.Address, code []byte) {
 
 // GetState implements evm.StateDB.
 func (s *State) GetState(addr types.Address, key evm.Word) evm.Word {
-	if acc, ok := s.accounts[addr]; ok && acc.Storage != nil {
+	if acc := s.lookup(addr); acc != nil && acc.Storage != nil {
 		return acc.Storage[key]
 	}
 	return evm.Word{}
@@ -249,17 +292,18 @@ func (s *State) SetState(addr types.Address, key, value evm.Word) {
 // any other mutation. It is the purge half of a cross-shard migration: the
 // source shard must not keep a ghost copy of the account.
 func (s *State) DeleteAccount(addr types.Address) {
-	acc, ok := s.accounts[addr]
-	if !ok {
+	acc := s.lookup(addr)
+	if acc == nil {
 		return
 	}
 	delete(s.accounts, addr)
+	s.forget(addr)
 	s.journal = append(s.journal, journalEntry{kind: journalAccountDeleted, addr: addr, prevAcc: acc})
 }
 
 // StorageSize implements evm.StateDB.
 func (s *State) StorageSize(addr types.Address) int {
-	if acc, ok := s.accounts[addr]; ok {
+	if acc := s.lookup(addr); acc != nil {
 		return len(acc.Storage)
 	}
 	return 0
@@ -268,7 +312,8 @@ func (s *State) StorageSize(addr types.Address) int {
 // AccountCount returns the number of accounts in the state.
 func (s *State) AccountCount() int { return len(s.accounts) }
 
-// Copy returns a deep copy of the state with an empty journal.
+// Copy returns a deep copy of the state with an empty journal and an empty
+// resolver.
 func (s *State) Copy() *State {
 	c := NewState()
 	for addr, acc := range s.accounts {
@@ -316,8 +361,8 @@ func hashStorage(storage map[evm.Word]evm.Word) types.Hash {
 // EachStorage calls fn for every storage slot of addr until fn returns
 // false. Iteration order is unspecified.
 func (s *State) EachStorage(addr types.Address, fn func(key, value evm.Word) bool) {
-	acc, ok := s.accounts[addr]
-	if !ok {
+	acc := s.lookup(addr)
+	if acc == nil {
 		return
 	}
 	for k, v := range acc.Storage {
@@ -338,6 +383,26 @@ func CopyStorage(src, dst *State, addr types.Address) int {
 		return true
 	})
 	return n
+}
+
+// TransplantAccount moves addr's account — balance, nonce, code and every
+// storage slot — from src to dst by re-parenting the one *Account, and
+// returns the number of storage slots that moved with it (zero writes delete
+// their slot, so the map holds exactly the live ones). It is the whole of a
+// cross-shard migration when addr has state on the source only: nothing is
+// copied, nothing is left behind, and neither journal gains an entry — so it
+// cannot be reverted, and callers discard both journals as a migration
+// always has. It reports false, moving nothing, when src has no such account
+// or dst already holds one; merging two accounts is the caller's business.
+func TransplantAccount(src, dst *State, addr types.Address) (slots int, ok bool) {
+	acc := src.lookup(addr)
+	if acc == nil || dst.lookup(addr) != nil {
+		return 0, false
+	}
+	delete(src.accounts, addr)
+	src.forget(addr)
+	dst.accounts[addr] = acc
+	return len(acc.Storage), true
 }
 
 // Commit computes the Merkle root of the whole state. It is O(accounts) and

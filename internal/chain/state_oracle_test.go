@@ -1,0 +1,241 @@
+package chain
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"ethpart/internal/evm"
+	"ethpart/internal/types"
+)
+
+// The oracle for State: a plain map of account structs with no journal and
+// no resolver. Snapshots are deep copies of the whole map, so a revert is
+// "put the copy back" — nothing it shares with the implementation's
+// journal-and-resolver machinery can be wrong in the same way.
+
+type oracleAccount struct {
+	balance evm.Word
+	nonce   uint64
+	code    []byte
+	storage map[evm.Word]evm.Word
+}
+
+type oracleState map[types.Address]*oracleAccount
+
+func (o oracleState) clone() oracleState {
+	c := make(oracleState, len(o))
+	for addr, a := range o {
+		ca := &oracleAccount{balance: a.balance, nonce: a.nonce, code: a.code,
+			storage: make(map[evm.Word]evm.Word, len(a.storage))}
+		for k, v := range a.storage {
+			ca.storage[k] = v
+		}
+		c[addr] = ca
+	}
+	return c
+}
+
+func (o oracleState) getOrNew(addr types.Address) *oracleAccount {
+	a, ok := o[addr]
+	if !ok {
+		a = &oracleAccount{storage: make(map[evm.Word]evm.Word)}
+		o[addr] = a
+	}
+	return a
+}
+
+// root commits the oracle's content through a fresh State that has no
+// history: no journal entries, nothing remembered.
+func (o oracleState) root() types.Hash {
+	s := NewState()
+	for addr, a := range o {
+		acc := &Account{Balance: a.balance, Nonce: a.nonce, Code: a.code}
+		if len(a.storage) > 0 {
+			acc.Storage = make(map[evm.Word]evm.Word, len(a.storage))
+			for k, v := range a.storage {
+				acc.Storage[k] = v
+			}
+		}
+		s.accounts[addr] = acc
+	}
+	return s.Commit()
+}
+
+// oracleSnap is one outstanding snapshot: the implementation's id and the
+// oracle's content at that point.
+type oracleSnap struct {
+	id   int
+	want oracleState
+}
+
+// pairedState is a State with its oracle and the snapshots taken since the
+// journal was last discarded.
+type pairedState struct {
+	s     *State
+	o     oracleState
+	snaps []oracleSnap
+}
+
+func (p *pairedState) discard() {
+	p.s.DiscardJournal()
+	p.snaps = nil
+}
+
+// check compares every getter over the address and key universes (in a
+// random order, so the resolver is read in every state it can be in) and
+// the state root.
+func (p *pairedState) check(t *testing.T, rng *rand.Rand, addrs []types.Address, keys []evm.Word, step int, what string) {
+	t.Helper()
+	for _, i := range rng.Perm(len(addrs)) {
+		addr := addrs[i]
+		a, exists := p.o[addr]
+		if a == nil {
+			a = &oracleAccount{}
+		}
+		if got := p.s.Exist(addr); got != exists {
+			t.Fatalf("step %d (%s): Exist(%v) = %v, oracle %v", step, what, addr, got, exists)
+		}
+		if got := p.s.GetBalance(addr); got != a.balance {
+			t.Fatalf("step %d (%s): GetBalance(%v) = %v, oracle %v", step, what, addr, got, a.balance)
+		}
+		if got := p.s.GetNonce(addr); got != a.nonce {
+			t.Fatalf("step %d (%s): GetNonce(%v) = %d, oracle %d", step, what, addr, got, a.nonce)
+		}
+		if got := p.s.GetCode(addr); !bytes.Equal(got, a.code) {
+			t.Fatalf("step %d (%s): GetCode(%v) = %x, oracle %x", step, what, addr, got, a.code)
+		}
+		if got := p.s.StorageSize(addr); got != len(a.storage) {
+			t.Fatalf("step %d (%s): StorageSize(%v) = %d, oracle %d", step, what, addr, got, len(a.storage))
+		}
+		for _, k := range keys {
+			if got := p.s.GetState(addr, k); got != a.storage[k] {
+				t.Fatalf("step %d (%s): GetState(%v, %v) = %v, oracle %v", step, what, addr, k, got, a.storage[k])
+			}
+		}
+	}
+	if got := p.s.AccountCount(); got != len(p.o) {
+		t.Fatalf("step %d (%s): AccountCount = %d, oracle %d", step, what, got, len(p.o))
+	}
+	if got, want := p.s.Commit(), p.o.root(); got != want {
+		t.Fatalf("step %d (%s): Commit = %v, oracle %v", step, what, got, want)
+	}
+}
+
+// TestPropertyStateMatchesOracle drives two States through random
+// mutations, snapshots, reverts, journal discards, copies and account
+// transplants between them, against the oracle, checking every getter and
+// the root after each step. The universe is six addresses (the zero address
+// among them — the sharded engine's miner) so the two-entry resolver is
+// always being evicted, re-filled and invalidated; the cases that bite are
+// revert-of-create and delete-then-recreate of a remembered address.
+func TestPropertyStateMatchesOracle(t *testing.T) {
+	addrs := []types.Address{{}}
+	for i := uint64(1); i <= 5; i++ {
+		addrs = append(addrs, types.AddressFromSeq(i))
+	}
+	keys := []evm.Word{evm.WordFromUint64(1), evm.WordFromUint64(2), evm.WordFromUint64(3)}
+
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Logf("seed %d", seed) // printed with a failure, which names only the step
+		rng := rand.New(rand.NewSource(seed))
+		ps := [2]*pairedState{
+			{s: NewState(), o: oracleState{}},
+			{s: NewState(), o: oracleState{}},
+		}
+		for step := 0; step < 600; step++ {
+			p := ps[rng.Intn(2)]
+			addr := addrs[rng.Intn(len(addrs))]
+			amount := evm.WordFromUint64(uint64(rng.Intn(50)))
+			var what string
+			switch op := rng.Intn(15); op {
+			case 0, 1:
+				what = "AddBalance"
+				p.s.AddBalance(addr, amount)
+				a := p.o.getOrNew(addr)
+				a.balance = a.balance.Add(amount)
+			case 2:
+				what = "SubBalance"
+				p.s.SubBalance(addr, amount)
+				a := p.o.getOrNew(addr)
+				a.balance = a.balance.Sub(amount)
+			case 3:
+				what = "SetNonce"
+				n := uint64(rng.Intn(9))
+				p.s.SetNonce(addr, n)
+				p.o.getOrNew(addr).nonce = n
+			case 4:
+				what = "SetCode"
+				code := []byte{byte(rng.Intn(256)), byte(step)}
+				p.s.SetCode(addr, code)
+				p.o.getOrNew(addr).code = code
+			case 5, 6:
+				what = "SetState"
+				k := keys[rng.Intn(len(keys))]
+				v := evm.WordFromUint64(uint64(rng.Intn(3))) // zero a third of the time
+				p.s.SetState(addr, k, v)
+				a := p.o.getOrNew(addr)
+				if v.IsZero() {
+					delete(a.storage, k)
+				} else {
+					a.storage[k] = v
+				}
+			case 7:
+				what = "CreateAccount"
+				p.s.CreateAccount(addr)
+				p.o.getOrNew(addr)
+			case 8, 9:
+				what = "DeleteAccount"
+				p.s.DeleteAccount(addr)
+				delete(p.o, addr)
+			case 10:
+				what = "Snapshot"
+				p.snaps = append(p.snaps, oracleSnap{id: p.s.Snapshot(), want: p.o.clone()})
+			case 11, 12:
+				what = "RevertToSnapshot"
+				if len(p.snaps) == 0 {
+					continue
+				}
+				i := rng.Intn(len(p.snaps))
+				p.s.RevertToSnapshot(p.snaps[i].id)
+				p.o = p.snaps[i].want
+				p.snaps = p.snaps[:i]
+			case 13:
+				if rng.Intn(2) == 0 {
+					what = "DiscardJournal"
+					p.discard()
+				} else {
+					what = "Copy"
+					p.s = p.s.Copy()
+					p.snaps = nil // the copy starts with an empty journal
+				}
+			case 14:
+				what = "TransplantAccount"
+				src, dst := ps[0], ps[1]
+				if rng.Intn(2) == 0 {
+					src, dst = dst, src
+				}
+				slots, moved := TransplantAccount(src.s, dst.s, addr)
+				a, inSrc := src.o[addr]
+				_, inDst := dst.o[addr]
+				if want := inSrc && !inDst; moved != want {
+					t.Fatalf("step %d: TransplantAccount moved = %v, oracle %v", step, moved, want)
+				}
+				if moved {
+					if slots != len(a.storage) {
+						t.Fatalf("step %d: TransplantAccount slots = %d, oracle %d", step, slots, len(a.storage))
+					}
+					delete(src.o, addr)
+					dst.o[addr] = a
+				}
+				// A transplant is not journaled; its callers discard both
+				// journals, as a migration always has.
+				src.discard()
+				dst.discard()
+			}
+			for _, q := range ps {
+				q.check(t, rng, addrs, keys, step, what)
+			}
+		}
+	}
+}

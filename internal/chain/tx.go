@@ -44,18 +44,27 @@ func (tx *Transaction) intrinsicGas() uint64 {
 	return gas
 }
 
-// Hash returns the transaction digest.
+// Hash returns the transaction digest: SHA-256 over nonce, gas limit, gas
+// price, sender, recipient (absent for a creation), value and data. The
+// fixed-width fields and any short data are laid out in one stack buffer
+// and hashed in a single call.
 func (tx *Transaction) Hash() types.Hash {
-	var num [8 * 3]byte
-	binary.BigEndian.PutUint64(num[0:], tx.Nonce)
-	binary.BigEndian.PutUint64(num[8:], tx.GasLimit)
-	binary.BigEndian.PutUint64(num[16:], tx.GasPrice)
-	var to []byte
+	var buf [8*3 + types.AddressLen*2 + 32 + 128]byte
+	binary.BigEndian.PutUint64(buf[0:], tx.Nonce)
+	binary.BigEndian.PutUint64(buf[8:], tx.GasLimit)
+	binary.BigEndian.PutUint64(buf[16:], tx.GasPrice)
+	n := 24
+	n += copy(buf[n:], tx.From[:])
 	if tx.To != nil {
-		to = tx.To[:]
+		n += copy(buf[n:], tx.To[:])
 	}
 	val := tx.Value.Bytes32()
-	return types.HashConcat(num[:], tx.From[:], to, val[:], tx.Data)
+	n += copy(buf[n:], val[:])
+	if len(tx.Data) > len(buf)-n {
+		return types.HashConcat(buf[:n], tx.Data)
+	}
+	n += copy(buf[n:], tx.Data)
+	return types.HashData(buf[:n])
 }
 
 // Receipt is the result of executing a transaction.

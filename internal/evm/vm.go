@@ -58,8 +58,9 @@ func New(state StateDB) *VM {
 // SetRemoteHook installs a cross-shard call interceptor (see RemoteHook).
 func (vm *VM) SetRemoteHook(hook RemoteHook) { vm.remote = hook }
 
-// Traces returns the call trace accumulated so far. The slice is owned by
-// the VM; callers must copy it if they need it past the next execution.
+// Traces returns the call trace accumulated so far. The slice is the VM's
+// own; since a VM is single-use, a caller that is done executing may keep
+// it without copying (chain.ApplyTransaction hands it to the receipt).
 func (vm *VM) Traces() []CallTrace { return vm.traces }
 
 // Call runs a message call from caller to `to` with the given value, input

@@ -273,9 +273,18 @@ type runner struct {
 	sc  *shardchain.ShardChain
 
 	pendingMoves []move
-	pendingTxs   []*chain.Transaction
-	curBlock     uint64
-	haveBlock    bool
+	// The current block's transactions are built in place in pendingTxs,
+	// their recipients in the parallel pendingTo; flushBlock links
+	// Transaction.To and fills blockTxs with pointers only once the block is
+	// complete (appending may move the slabs). All three are truncated and
+	// reused every block: nothing keeps a *Transaction past Step — the
+	// engines copy out what a receipt or an emission needs, and crash
+	// recovery, the only other reader, runs inside Step.
+	pendingTxs []chain.Transaction
+	pendingTo  []types.Address
+	blockTxs   []*chain.Transaction
+	curBlock   uint64
+	haveBlock  bool
 
 	// pub/dir are the serving directory fed by the simulator's callbacks
 	// (nil on the assignment-resolved reference path); pubErr carries a
@@ -294,8 +303,8 @@ type runner struct {
 	// re-pins (lag returning to zero) can be counted.
 	lagging bool
 
-	seen   []bool // vertex ID → funded/materialised on the chain
-	nonces map[types.Address]uint64
+	seen   []bool   // vertex ID → funded/materialised on the chain
+	nonces []uint64 // vertex ID → next transaction nonce
 
 	winStart  time.Time
 	started   bool
@@ -313,7 +322,7 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		cfg:    cfg,
 		gt:     gt,
 		seen:   make([]bool, gt.Registry.Len()),
-		nonces: make(map[types.Address]uint64),
+		nonces: make([]uint64, gt.Registry.Len()),
 	}
 	// Run owns the simulator's hooks: they are how placements, moves and
 	// resizes reach the chain and the directory, so a caller-set one has
@@ -546,13 +555,13 @@ func (r *runner) processRecord(rec trace.Record) error {
 	r.materialise(rec.From, from)
 	r.materialise(rec.To, to)
 	value := min(rec.Value, maxValue)
-	toCopy := to
-	r.pendingTxs = append(r.pendingTxs, &chain.Transaction{
-		Nonce: r.nonces[from], From: from, To: &toCopy,
+	r.pendingTo = append(r.pendingTo, to)
+	r.pendingTxs = append(r.pendingTxs, chain.Transaction{
+		Nonce: r.nonces[rec.From], From: from, // To: see flushBlock
 		Value:    evm.WordFromUint64(value),
 		GasLimit: 50_000, GasPrice: 0,
 	})
-	r.nonces[from]++
+	r.nonces[rec.From]++
 	r.res.Replayed++
 	return nil
 }
@@ -690,19 +699,25 @@ func (r *runner) flushBlock() {
 	if len(r.pendingTxs) == 0 {
 		return
 	}
-	receipts := r.step(r.pendingTxs)
+	for i := range r.pendingTxs {
+		r.pendingTxs[i].To = &r.pendingTo[i]
+		r.blockTxs = append(r.blockTxs, &r.pendingTxs[i])
+	}
+	receipts := r.step(r.blockTxs)
 	for i, receipt := range receipts {
 		if receipt.Success {
 			continue
 		}
 		from := r.pendingTxs[i].From
-		r.nonces[from] = r.sc.StateOf(r.sc.HomeOf(from)).GetNonce(from)
+		id, _ := r.gt.Registry.Lookup(from) // the address came from the registry
+		r.nonces[id] = r.sc.StateOf(r.sc.HomeOf(from)).GetNonce(from)
 	}
-	r.pendingTxs = r.pendingTxs[:0]
+	r.pendingTxs, r.pendingTo, r.blockTxs = r.pendingTxs[:0], r.pendingTo[:0], r.blockTxs[:0]
 }
 
-// step drives one chain block, accounting its wall-clock cost so the
-// serial and parallel engines can be compared per block.
+// step drives one chain block, accounting its wall-clock cost: StepNanos
+// and Blocks are what the performance ledger reports as shardchain.step_*
+// (the chain's share of a run, per block and per transaction).
 func (r *runner) step(txs []*chain.Transaction) []*chain.Receipt {
 	start := time.Now()
 	receipts := r.sc.Step(txs)

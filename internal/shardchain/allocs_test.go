@@ -1,0 +1,105 @@
+//go:build !race
+
+package shardchain
+
+import (
+	"fmt"
+	"testing"
+
+	"ethpart/internal/chain"
+	"ethpart/internal/evm"
+	"ethpart/internal/types"
+)
+
+// stepAllocs measures a warm Step of 32 plain transfers on two shards, of
+// which every crossEvery-th is cross-shard (0: none), and returns the
+// allocations per Step together with how many of the 32 execute through the
+// VM — each of those allocates the one-entry call trace its receipt keeps.
+// A cross sender's recipient is picked, every block, on the shard the sender
+// is not on: under ModelMigration the sender follows its transfer, so the
+// pattern stays cross.
+func stepAllocs(t *testing.T, model Model, crossEvery int) (allocs float64, executed int) {
+	t.Helper()
+	const n = 32
+	assign := map[types.Address]int{}
+	alloc := map[types.Address]evm.Word{}
+	var senders [n]types.Address
+	var recvOn [2]types.Address
+	for i := range senders {
+		senders[i] = types.AddressFromSeq(uint64(100 + i))
+		assign[senders[i]] = 0
+		alloc[senders[i]] = evm.WordFromUint64(1 << 40)
+	}
+	for s := range recvOn {
+		recvOn[s] = types.AddressFromSeq(uint64(200 + s))
+		assign[recvOn[s]] = s
+		alloc[recvOn[s]] = evm.WordFromUint64(1)
+	}
+	sc, err := New(Config{K: 2, Model: model, Chain: chain.DefaultConfig()}, alloc, fixedAssign(assign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := make([]chain.Transaction, n)
+	tos := make([]types.Address, n)
+	ptrs := make([]*chain.Transaction, n)
+	for i := range txs {
+		txs[i] = chain.Transaction{From: senders[i], To: &tos[i], Value: evm.WordFromUint64(1), GasLimit: 50_000}
+		ptrs[i] = &txs[i]
+	}
+	block := func() {
+		for i := range txs {
+			home := sc.HomeOf(senders[i])
+			if crossEvery > 0 && i%crossEvery == 0 {
+				tos[i] = recvOn[1-home]
+			} else {
+				tos[i] = recvOn[home]
+			}
+		}
+		for _, r := range sc.Step(ptrs) {
+			if !r.Success {
+				t.Fatalf("transfer failed: %v", r.Err)
+			}
+		}
+		for i := range txs {
+			txs[i].Nonce++
+		}
+	}
+	for i := 0; i < 4; i++ {
+		block() // warm: outboxes, inboxes, the effects buffer, the journals
+	}
+	before := sc.Stats()
+	allocs = testing.AllocsPerRun(50, block)
+	d := sc.Stats().Sub(before)
+	return allocs, int(d.LocalTxs) / 51 // AllocsPerRun runs block once more to warm up
+}
+
+// TestAllocsStep: beyond the trace of each transaction the VM executes, a
+// warm Step allocates two objects — the receipt slab and the slice of
+// pointers into it — whatever the mix of local and cross-shard items: no
+// per-item effects, closures, receipts or transactions, and nothing per
+// migration (a transplant re-parents the account). The ceiling is that
+// measured 2 plus one.
+func TestAllocsStep(t *testing.T) {
+	for _, model := range []Model{ModelReceipts, ModelMigration} {
+		for _, crossEvery := range []int{4, 0} {
+			allocs, executed := stepAllocs(t, model, crossEvery)
+			mix := "all local"
+			if crossEvery > 0 {
+				mix = fmt.Sprintf("1 in %d cross", crossEvery)
+			}
+			wantExecuted := 32
+			if model == ModelReceipts && crossEvery > 0 {
+				wantExecuted = 32 - 32/crossEvery // cross items debit and emit; the VM never runs
+			}
+			if executed != wantExecuted {
+				t.Fatalf("%v, %s: %d transactions executed per Step, want %d", model, mix, executed, wantExecuted)
+			}
+			if fixed := allocs - float64(executed); fixed > 3 {
+				t.Errorf("%v, %s: %v allocs per Step = %d traces + %v, want traces + <= 3",
+					model, mix, allocs, executed, fixed)
+			} else {
+				t.Logf("%v, %s: %v allocs per Step = %d traces + %v", model, mix, allocs, executed, fixed)
+			}
+		}
+	}
+}

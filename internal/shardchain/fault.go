@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ethpart/internal/chain"
-	"ethpart/internal/types"
 )
 
 // This file is the chain side of the fault-injection plane (Config.Fault):
@@ -104,23 +103,13 @@ func (sc *ShardChain) recoverShard(s int, txs []*chain.Transaction, receipts []*
 	sc.stats = sc.stats.Sub(sc.blockDelta[s])
 	sc.blockDelta[s] = Stats{}
 
-	h := &homes{sc: sc}
-	items := 0
-	inbox := sh.inbox
-	sh.inbox = nil
-	for _, r := range inbox {
-		var eff effects
-		sc.settleOne(s, r, h, &eff, func(to types.Address, calleeHome int) {
-			sc.migrateCallee(to, calleeHome, s, &eff)
-		})
-		sc.applyEffects(s, &eff)
-		items++
-	}
+	items := len(sh.inbox)
+	sc.settleInboxSerial(s, sh)
 	for i, tx := range txs {
-		if sc.workShardOf(tx, h) != s {
+		if sc.workShardOf(tx, &sc.itemHomes) != s {
 			continue
 		}
-		receipts[i] = sc.runTxSerial(tx, h)
+		sc.runTxSerial(tx, receipts[i])
 		items++
 	}
 	inj.Metrics.BlocksReplayed.Add(1)
@@ -152,7 +141,7 @@ func (sc *ShardChain) exchangeFaulty() {
 			for _, r := range rs {
 				sc.flights = append(sc.flights, flight{r: r, dst: dst, first: sc.clock, due: sc.clock})
 			}
-			sh.outbox[dst] = nil
+			sh.outbox[dst] = rs[:0]
 		}
 	}
 

@@ -334,7 +334,7 @@ func TestWaveItemPanicGainsShardContext(t *testing.T) {
 		Nonce: 1, From: a, To: &wallet,
 		Value: evm.WordFromUint64(5), Data: badWord[:], GasLimit: 500_000, GasPrice: 0,
 	}
-	receipts := make([]*chain.Receipt, 1)
+	receipts := []*chain.Receipt{new(chain.Receipt)} // Step hands the engines filled-in slots
 	defer func() {
 		wp, ok := recover().(workerPanic)
 		if !ok {

@@ -99,7 +99,12 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 	// Property: for any interleaving of storage/nonce/balance mutations and
 	// shard-to-shard migrations, the account's state on its final home shard
 	// equals an unsharded oracle state that saw the same mutations, and no
-	// other shard knows the account at all.
+	// other shard knows the account at all. A migration is a transplant of
+	// the account record when the destination has none and a field-by-field
+	// merge when it does; both are driven here — the merge by stranding a
+	// credit on a shard that is not the home (what a receipt settling on a
+	// stale home leaves) and migrating onto it — and every run starts by
+	// zeroing a slot while the account lives away from where it was set.
 	x := types.AddressFromSeq(7)
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -115,11 +120,36 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 		oracle.SetCode(x, []byte{0x60})
 		sc.StateOf(0).SetCode(x, []byte{0x60})
 
+		// Slot 7 is set on shard 0 and zeroed on shard 1; it must stay
+		// zeroed wherever the account ends up.
+		slot7 := evm.WordFromUint64(7)
+		sc.StateOf(0).SetState(x, slot7, evm.WordFromUint64(70))
+		sc.StateOf(0).DiscardJournal()
+		if moved, err := sc.MigrateAccount(x, 1); err != nil || !moved {
+			return false
+		}
+		sc.StateOf(1).SetState(x, slot7, evm.Word{})
+		sc.StateOf(1).DiscardJournal()
+
 		ops := int(opsRaw%24) + 8
 		for i := 0; i < ops; i++ {
 			home, _ := sc.Known(x)
 			cur := sc.StateOf(home)
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
+			case 4: // strand a credit off-home, then migrate onto it: the merge
+				other := (home + 1 + rng.Intn(k-1)) % k
+				amt := evm.WordFromUint64(uint64(rng.Intn(1000)))
+				sc.StateOf(other).AddBalance(x, amt)
+				sc.StateOf(other).DiscardJournal()
+				oracle.AddBalance(x, amt)
+				before := sc.Stats()
+				if moved, err := sc.MigrateAccount(x, other); err != nil || !moved {
+					return false
+				}
+				d := sc.Stats().Sub(before)
+				if d.Migrations != 1 || d.MigratedSlots != int64(oracle.StorageSize(x)) {
+					return false
+				}
 			case 0: // migrate to a random shard (possibly the current one)
 				if _, err := sc.MigrateAccount(x, rng.Intn(k)); err != nil {
 					return false

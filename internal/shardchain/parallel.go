@@ -87,9 +87,9 @@ func (p workerPanic) Error() string {
 }
 
 // stepParallel is Step's parallel engine.
-func (sc *ShardChain) stepParallel(txs []*chain.Transaction) []*chain.Receipt {
+func (sc *ShardChain) stepParallel(txs []*chain.Transaction, receipts []*chain.Receipt) {
 	sc.settleParallel()
-	return sc.executeParallel(txs)
+	sc.executeParallel(txs, receipts)
 }
 
 // settleParallel settles every shard's inbox on a worker per shard.
@@ -107,7 +107,7 @@ func (sc *ShardChain) settleParallel() {
 		return
 	}
 	if sc.cfg.Model == ModelMigration {
-		sc.settleInboxesSerial(&homes{sc: sc})
+		sc.settleInboxesSerial()
 		return
 	}
 	// Pre-resolve every receipt target so workers read the home map
@@ -125,8 +125,9 @@ func (sc *ShardChain) settleParallel() {
 		inbox := sh.inbox
 		sh.inbox = nil
 		h := &homes{sc: sc, record: true}
+		hook := sc.hookFor(s, h, &effs[s])
 		for _, r := range inbox {
-			sc.settleOne(s, r, h, &effs[s], nil)
+			sc.settleOne(s, r, h, &effs[s], hook)
 		}
 		seen[s] = h.seen
 	})
@@ -140,9 +141,8 @@ func (sc *ShardChain) settleParallel() {
 
 // executeParallel executes the block's transactions in waves of
 // parallel-safe items, with migration-model barriers serialized between
-// them.
-func (sc *ShardChain) executeParallel(txs []*chain.Transaction) []*chain.Receipt {
-	receipts := make([]*chain.Receipt, len(txs))
+// them, writing each outcome into *receipts[i].
+func (sc *ShardChain) executeParallel(txs []*chain.Transaction, receipts []*chain.Receipt) {
 	// Pre-resolve every sender and target before any fan-out, so planning
 	// and workers see a frozen home map.
 	for _, tx := range txs {
@@ -151,7 +151,7 @@ func (sc *ShardChain) executeParallel(txs []*chain.Transaction) []*chain.Receipt
 			sc.HomeOf(*tx.To)
 		}
 	}
-	h := &homes{sc: sc}
+	h := &sc.itemHomes
 	p := 0
 	for p < len(txs) {
 		q, items := sc.planWave(txs, p, h)
@@ -159,7 +159,7 @@ func (sc *ShardChain) executeParallel(txs []*chain.Transaction) []*chain.Receipt
 			// txs[p] needs its sender migrated before it can run: the
 			// serialized migration barrier. Run the whole transaction with
 			// serial semantics and resume planning after it.
-			receipts[p] = sc.runTxSerial(txs[p], h)
+			sc.runTxSerial(txs[p], receipts[p])
 			p++
 			continue
 		}
@@ -167,13 +167,12 @@ func (sc *ShardChain) executeParallel(txs []*chain.Transaction) []*chain.Receipt
 			// Conflict: everything at or after c was rolled back; item c
 			// re-executes serially (callee migrations allowed), and the
 			// remainder of the block is re-planned against the new homes.
-			receipts[c] = sc.runTxSerial(txs[c], h)
+			sc.runTxSerial(txs[c], receipts[c])
 			p = c + 1
 			continue
 		}
 		p = q
 	}
-	return receipts
 }
 
 // planWave scans txs[p:] in block order and returns the end of the maximal
@@ -298,9 +297,10 @@ func (sc *ShardChain) runWave(txs []*chain.Transaction, items []waveItem, receip
 }
 
 // runWaveItem executes one wave item on its worker, reporting whether it
-// aborted on a needed callee migration. Receipts for committed items land
-// at their transaction index; aborted or rolled-back indices are rewritten
-// by the serialized re-execution.
+// aborted on a needed callee migration (remoteCall panics migrationNeeded
+// for a recording home view). Receipts for committed items land at their
+// transaction index; aborted or rolled-back indices are rewritten by the
+// serialized re-execution.
 func (sc *ShardChain) runWaveItem(tx *chain.Transaction, it waveItem, h *homes, eff *effects, receipts []*chain.Receipt, retain bool) (aborted bool) {
 	defer func() {
 		switch r := recover().(type) {
@@ -315,11 +315,9 @@ func (sc *ShardChain) runWaveItem(tx *chain.Transaction, it waveItem, h *homes, 
 		}
 	}()
 	if it.receiptsCross {
-		receipts[it.idx] = sc.crossEmit(it.work, it.dst, tx, eff, retain)
+		sc.crossEmit(it.work, it.dst, tx, eff, retain, receipts[it.idx])
 		return false
 	}
-	receipts[it.idx] = sc.runLocal(it.work, tx, h, eff, func(to types.Address, _ int) {
-		panic(migrationNeeded{to})
-	}, retain)
+	sc.runLocal(it.work, tx, sc.hookFor(it.work, h, eff), eff, retain, receipts[it.idx])
 	return false
 }

@@ -24,14 +24,17 @@
 // # Migration semantics
 //
 // Migrating an account moves its complete state — balance, nonce, code and
-// every storage slot — and then purges the source copy with
-// chain.State.DeleteAccount. The purge is load-bearing for correctness: a
-// partial cleanup (e.g. zeroing only the balance) leaves a ghost account on
-// the source shard whose nonce, code and storage survive, and because
-// storage copies transfer live slots only, a later round-trip migration
-// would resurrect slots that were zeroed while the account lived elsewhere.
-// After a migration the source shard answers Exist == false for the
-// address, exactly as if the account had never been created there.
+// every storage slot — and leaves nothing on the source: the account record
+// itself is re-parented (chain.TransplantAccount), or, when the destination
+// already holds an account at the address, merged into it and the source
+// copy purged with chain.State.DeleteAccount. Leaving nothing behind is
+// load-bearing for correctness: a partial cleanup (e.g. zeroing only the
+// balance) leaves a ghost account on the source shard whose nonce, code and
+// storage survive, and because a merge transfers live slots only, a later
+// round-trip migration would resurrect slots that were zeroed while the
+// account lived elsewhere. After a migration the source shard answers
+// Exist == false for the address, exactly as if the account had never been
+// created there.
 //
 // Placement can also be driven externally (by a repartitioner running
 // alongside the chain): MigrateAccount realises a new placement by moving
@@ -209,6 +212,15 @@ type ShardChain struct {
 	// one block per Step).
 	clock uint64
 
+	// The serial engine's per-item scratch: items run one at a time on the
+	// coordinator, so one effects buffer, one home view and one bound
+	// RemoteHook serve every item, and itemShard — set before each item —
+	// tells the hook which shard is executing.
+	itemEff   effects
+	itemHomes homes
+	itemShard int
+	itemHook  evm.RemoteHook
+
 	// Fault-plane state (see fault.go); all nil/zero unless Config.Fault
 	// arms it. nextReceiptID feeds delivery-hop identities, blockDelta
 	// accumulates each shard's stat deltas within the current block (the
@@ -255,6 +267,8 @@ func New(cfg Config, alloc map[types.Address]evm.Word, assign func(types.Address
 		home:   make(map[types.Address]int),
 		assign: assign,
 	}
+	sc.itemHomes = homes{sc: sc}
+	sc.itemHook = sc.serialRemote
 	for i := range sc.shards {
 		sc.shards[i] = &shard{
 			state:  chain.NewState(),
@@ -351,6 +365,9 @@ type effects struct {
 
 func (e *effects) emit(dst int, r Receipt) { e.out = append(e.out, emission{dst, r}) }
 
+// reset empties e for the next item, keeping the emission buffer.
+func (e *effects) reset() { e.out, e.stats = e.out[:0], Stats{} }
+
 // applyEffects lands one item's buffered effects: emissions are appended
 // to the owning shard's per-destination outbox, stat deltas to the chain
 // counters. It always runs on the coordinator in canonical item order —
@@ -412,35 +429,47 @@ func (sc *ShardChain) commitHomes(pairs []homePair) {
 	}
 }
 
-// onRemoteCallee is the migration-model reaction to an internal call whose
-// callee is homed on another shard: the serial engine migrates the callee
-// inline and continues, parallel workers abort the item instead (conflict
-// protocol, see parallel.go). calleeHome is the callee's current home.
-type onRemoteCallee func(to types.Address, calleeHome int)
-
-// hookFor returns the RemoteHook for internal calls that leave shard s.
-// Under ModelReceipts the call is diverted into a cross-shard receipt.
-// Under ModelMigration the callee is brought to the executing shard (via
-// onRemote) and the call continues locally — never a receipt, matching the
-// model's contract that every remote participant's state is migrated.
-func (sc *ShardChain) hookFor(s int, h *homes, eff *effects, onRemote onRemoteCallee) evm.RemoteHook {
-	return func(from, to types.Address, value evm.Word, input []byte) bool {
-		dst := h.of(to)
-		if dst == s {
-			return false // local: execute normally
-		}
-		if sc.cfg.Model == ModelMigration {
-			onRemote(to, dst)
-			return false // callee is local now: execute normally
-		}
-		eff.emit(dst, Receipt{
-			From: from, To: to, Value: value,
-			Input: append([]byte(nil), input...),
-			Born:  sc.clock,
-		})
-		eff.stats.Messages++
-		return true
+// remoteCall is the body of every RemoteHook: the reaction to an internal
+// call from shard s whose callee `to` may live elsewhere. Under
+// ModelReceipts the call is diverted into a cross-shard receipt. Under
+// ModelMigration the callee is brought to the executing shard and the call
+// continues locally — never a receipt, matching the model's contract that
+// every remote participant's state is migrated. Only a serialized context
+// may migrate: a parallel worker (h.record — the home map is read-only to
+// it) aborts the item instead (conflict protocol, see parallel.go).
+func (sc *ShardChain) remoteCall(s int, h *homes, eff *effects, from, to types.Address, value evm.Word, input []byte) bool {
+	dst := h.of(to)
+	if dst == s {
+		return false // local: execute normally
 	}
+	if sc.cfg.Model == ModelMigration {
+		if h.record {
+			panic(migrationNeeded{to})
+		}
+		sc.migrateCallee(to, dst, s, eff)
+		return false // callee is local now: execute normally
+	}
+	eff.emit(dst, Receipt{
+		From: from, To: to, Value: value,
+		Input: append([]byte(nil), input...),
+		Born:  sc.clock,
+	})
+	eff.stats.Messages++
+	return true
+}
+
+// hookFor returns a RemoteHook for internal calls that leave shard s, bound
+// to a worker's own home view and effects buffer (the parallel engine).
+func (sc *ShardChain) hookFor(s int, h *homes, eff *effects) evm.RemoteHook {
+	return func(from, to types.Address, value evm.Word, input []byte) bool {
+		return sc.remoteCall(s, h, eff, from, to, value, input)
+	}
+}
+
+// serialRemote is the serial engine's RemoteHook, bound once as itemHook:
+// what hookFor captures it reads from the per-item fields.
+func (sc *ShardChain) serialRemote(from, to types.Address, value evm.Word, input []byte) bool {
+	return sc.remoteCall(sc.itemShard, &sc.itemHomes, &sc.itemEff, from, to, value, input)
 }
 
 // migrateCallee brings an internal call's remote callee to the executing
@@ -464,7 +493,7 @@ func (sc *ShardChain) migrateCallee(to types.Address, calleeHome, exec int, eff 
 // home, resurrecting exactly the ghost state migration purges. So delivery
 // re-checks the home and forwards the receipt (one more message, one more
 // block of latency), like any routed settlement layer.
-func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, onRemote onRemoteCallee) {
+func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, hook evm.RemoteHook) {
 	// Idempotence under redelivery: each delivery hop carries a unique ID,
 	// and the shard's seen journal suppresses a re-delivered hop before any
 	// effect — including the forward below, or a duplicate would fork into
@@ -497,7 +526,7 @@ func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, onRemo
 	// the "continuation" of the cross-shard call.
 	if code := st.GetCode(r.To); len(code) > 0 {
 		vm := evm.New(st)
-		vm.SetRemoteHook(sc.hookFor(s, h, eff, onRemote))
+		vm.SetRemoteHook(hook)
 		// Continuation gas is bounded; failures are absorbed (the value
 		// has already moved, as in asynchronous designs).
 		_, _, _ = vm.Call(r.From, r.To, evm.Word{}, r.Input, 2_000_000)
@@ -521,17 +550,18 @@ func (sc *ShardChain) execShardOf(tx *chain.Transaction, h *homes) int {
 // is required — and a nonce failure is reported as what it is, matching
 // the semantics of chain.ApplyTransaction.
 // retain keeps the state journal (parallel waves; see runLocal).
-func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects, retain bool) *chain.Receipt {
+func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects, retain bool, receipt *chain.Receipt) {
+	*receipt = chain.Receipt{TxHash: tx.Hash()}
 	st := sc.shards[sender].state
 	if st.GetNonce(tx.From) != tx.Nonce {
 		eff.stats.Failed++
-		return &chain.Receipt{TxHash: tx.Hash(), Success: false,
-			Err: chain.ErrNonceMismatch}
+		receipt.Err = chain.ErrNonceMismatch
+		return
 	}
 	if st.GetBalance(tx.From).Cmp(tx.Value) < 0 {
 		eff.stats.Failed++
-		return &chain.Receipt{TxHash: tx.Hash(), Success: false,
-			Err: chain.ErrInsufficientFunds}
+		receipt.Err = chain.ErrInsufficientFunds
+		return
 	}
 	st.SubBalance(tx.From, tx.Value)
 	st.SetNonce(tx.From, tx.Nonce+1)
@@ -545,43 +575,39 @@ func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *ef
 	})
 	eff.stats.Messages++
 	eff.stats.CrossTxs++
-	return &chain.Receipt{TxHash: tx.Hash(), Success: true}
+	receipt.Success = true
 }
 
-// runLocal executes tx on shard s with the cross-shard hook armed for
-// internal calls that leave the shard. By the time a transaction reaches
-// local execution it counts as local: receipts-model cross transactions
-// took the crossEmit path, migration-model ones were made local by moving
-// the sender first. retain keeps the state journal for the parallel
-// engine's conflict rollback (content-identical either way). The miner fee
-// plumbing is omitted: shardchain measures message and migration costs,
-// not fee flows.
-func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, h *homes, eff *effects, onRemote onRemoteCallee, retain bool) *chain.Receipt {
-	st := sc.shards[s].state
-	hook := sc.hookFor(s, h, eff, onRemote)
-	var receipt *chain.Receipt
-	var err error
+// runLocal executes tx on shard s with hook armed for internal calls that
+// leave the shard, writing the outcome into *receipt. By the time a
+// transaction reaches local execution it counts as local: receipts-model
+// cross transactions took the crossEmit path, migration-model ones were
+// made local by moving the sender first. retain keeps the state journal for
+// the parallel engine's conflict rollback (content-identical either way).
+// The miner fee plumbing is omitted: shardchain measures message and
+// migration costs, not fee flows.
+func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, hook evm.RemoteHook, eff *effects, retain bool, receipt *chain.Receipt) {
+	apply := chain.ApplyTransactionInto
 	if retain {
-		receipt, err = chain.ApplyTransactionRetained(st, tx, types.Address{}, hook)
-	} else {
-		receipt, err = chain.ApplyTransactionHooked(st, tx, types.Address{}, hook)
+		apply = chain.ApplyTransactionRetained
 	}
-	if err != nil {
+	if err := apply(sc.shards[s].state, tx, types.Address{}, hook, receipt); err != nil {
 		eff.stats.Failed++
-		return &chain.Receipt{TxHash: tx.Hash(), Success: false, Err: err}
+		receipt.Err = err // a rejected transaction's receipt holds only its hash
+		return
 	}
 	eff.stats.LocalTxs++
-	return receipt
 }
 
 // runTxSerial executes one transaction with full serial semantics — the
 // sender of a migration-model cross transaction migrates inline, as do
-// remote callees of internal calls — and applies its effects immediately.
-// It is the whole per-transaction serial engine, and doubles as the
-// parallel engine's serialized path for migration barriers and conflict
-// re-execution.
-func (sc *ShardChain) runTxSerial(tx *chain.Transaction, h *homes) *chain.Receipt {
-	var eff effects
+// remote callees of internal calls — writes its outcome into *receipt and
+// applies its effects immediately. It is the whole per-transaction serial
+// engine, and doubles as the parallel engine's serialized path for
+// migration barriers and conflict re-execution.
+func (sc *ShardChain) runTxSerial(tx *chain.Transaction, receipt *chain.Receipt) {
+	h, eff := &sc.itemHomes, &sc.itemEff
+	eff.reset()
 	exec := sc.execShardOf(tx, h)
 	sender := h.of(tx.From)
 	cross := sender != exec
@@ -592,18 +618,15 @@ func (sc *ShardChain) runTxSerial(tx *chain.Transaction, h *homes) *chain.Receip
 		sc.migrateInto(tx.From, sender, exec, &eff.stats)
 		cross = false
 	}
-	var receipt *chain.Receipt
 	work := exec
 	if cross { // ModelReceipts
 		work = sender
-		receipt = sc.crossEmit(sender, exec, tx, &eff, false)
+		sc.crossEmit(sender, exec, tx, eff, false, receipt)
 	} else {
-		receipt = sc.runLocal(exec, tx, h, &eff, func(to types.Address, calleeHome int) {
-			sc.migrateCallee(to, calleeHome, exec, &eff)
-		}, false)
+		sc.itemShard = exec
+		sc.runLocal(exec, tx, sc.itemHook, eff, false, receipt)
 	}
-	sc.applyEffects(work, &eff)
-	return receipt
+	sc.applyEffects(work, eff)
 }
 
 // Step executes one global block: it settles every shard's pending inbox,
@@ -633,11 +656,17 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 			}
 		}
 	}
-	var receipts []*chain.Receipt
+	// One slab of receipts per Step, never reused: the returned pointers
+	// stay valid for as long as the caller keeps them.
+	slab := make([]chain.Receipt, len(txs))
+	receipts := make([]*chain.Receipt, len(txs))
+	for i := range slab {
+		receipts[i] = &slab[i]
+	}
 	if sc.cfg.Parallel {
-		receipts = sc.stepParallel(txs)
+		sc.stepParallel(txs, receipts)
 	} else {
-		receipts = sc.stepSerial(txs)
+		sc.stepSerial(txs, receipts)
 	}
 	if sc.cfg.Fault != nil {
 		for _, s := range sc.cfg.Fault.CrashedShards(sc.clock) {
@@ -658,14 +687,11 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 // stepSerial is the reference engine: settle then execute, one item at a
 // time in canonical order (shards ascending for settlement, transaction
 // order for execution).
-func (sc *ShardChain) stepSerial(txs []*chain.Transaction) []*chain.Receipt {
-	h := &homes{sc: sc}
-	sc.settleInboxesSerial(h)
-	receipts := make([]*chain.Receipt, len(txs))
+func (sc *ShardChain) stepSerial(txs []*chain.Transaction, receipts []*chain.Receipt) {
+	sc.settleInboxesSerial()
 	for i, tx := range txs {
-		receipts[i] = sc.runTxSerial(tx, h)
+		sc.runTxSerial(tx, receipts[i])
 	}
-	return receipts
 }
 
 // settleInboxesSerial drains every shard's inbox one receipt at a time in
@@ -673,17 +699,24 @@ func (sc *ShardChain) stepSerial(txs []*chain.Transaction) []*chain.Receipt {
 // serial callee reaction armed. Shared by the serial engine and the
 // parallel engine's migration-model settle fallback so the two cannot
 // drift.
-func (sc *ShardChain) settleInboxesSerial(h *homes) {
+func (sc *ShardChain) settleInboxesSerial() {
 	for i, sh := range sc.shards {
-		inbox := sh.inbox
-		sh.inbox = nil
-		for _, r := range inbox {
-			var eff effects
-			sc.settleOne(i, r, h, &eff, func(to types.Address, calleeHome int) {
-				sc.migrateCallee(to, calleeHome, i, &eff)
-			})
-			sc.applyEffects(i, &eff)
-		}
+		sc.settleInboxSerial(i, sh)
+	}
+}
+
+// settleInboxSerial drains one shard's inbox. The inbox keeps its backing
+// array for the next barrier: nothing appends to an inbox before the
+// exchange that ends the block, and a Receipt's Input is its own
+// allocation, so reusing the slots cannot reach a settled receipt.
+func (sc *ShardChain) settleInboxSerial(i int, sh *shard) {
+	inbox := sh.inbox
+	sh.inbox = inbox[:0]
+	sc.itemShard = i
+	for _, r := range inbox {
+		sc.itemEff.reset()
+		sc.settleOne(i, r, &sc.itemHomes, &sc.itemEff, sc.itemHook)
+		sc.applyEffects(i, &sc.itemEff)
 	}
 }
 
@@ -705,36 +738,44 @@ func (sc *ShardChain) exchangeOutboxes() {
 				continue
 			}
 			sc.shards[dst].inbox = append(sc.shards[dst].inbox, rs...)
-			sh.outbox[dst] = nil
+			sh.outbox[dst] = rs[:0] // delivered by value; keep the array
 		}
 	}
 }
 
 // migrate moves an account's full state between shards and re-homes it,
-// counting against the chain totals. The source copy is purged entirely
-// (DeleteAccount): zeroing only the balance would leave a ghost account
-// whose nonce, code and stale storage slots survive on the source shard
-// and resurrect on a later round-trip (CopyStorage copies live slots only,
-// so slots zeroed while the account was away would reappear with their old
-// values).
+// counting against the chain totals.
 func (sc *ShardChain) migrate(addr types.Address, from, to int) {
 	sc.migrateInto(addr, from, to, &sc.stats)
 }
 
 // migrateInto is migrate with an explicit stats sink, so per-item engines
 // can buffer the counter deltas alongside the item's other effects.
+//
+// An address has state on at most one shard — every path that creates state
+// for it does so on its home, and a migration purges the source — so moving
+// the account is re-parenting it (chain.TransplantAccount): nothing is
+// copied and no ghost stays behind whose nonce, code or stale slots could
+// resurrect on a later round-trip. When the invariant does not hold — the
+// destination already has an account at the address (value settled there
+// while the home pointed elsewhere), or the source has none (a never-funded
+// sender) — the accounts are merged field by field as a transfer would
+// carry them, and the source copy is purged entirely (DeleteAccount).
 func (sc *ShardChain) migrateInto(addr types.Address, from, to int, stats *Stats) {
 	src := sc.shards[from].state
 	dst := sc.shards[to].state
 
-	dst.CreateAccount(addr)
-	dst.AddBalance(addr, src.GetBalance(addr))
-	dst.SetNonce(addr, src.GetNonce(addr))
-	if code := src.GetCode(addr); len(code) > 0 {
-		dst.SetCode(addr, append([]byte(nil), code...))
+	slots, moved := chain.TransplantAccount(src, dst, addr)
+	if !moved {
+		dst.CreateAccount(addr)
+		dst.AddBalance(addr, src.GetBalance(addr))
+		dst.SetNonce(addr, src.GetNonce(addr))
+		if code := src.GetCode(addr); len(code) > 0 {
+			dst.SetCode(addr, append([]byte(nil), code...))
+		}
+		slots = chain.CopyStorage(src, dst, addr)
+		src.DeleteAccount(addr)
 	}
-	slots := chain.CopyStorage(src, dst, addr)
-	src.DeleteAccount(addr)
 	src.DiscardJournal()
 	dst.DiscardJournal()
 

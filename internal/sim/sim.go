@@ -603,7 +603,6 @@ func (s *Simulator) Process(rec trace.Record) error {
 
 	u := graph.VertexID(rec.From)
 	v := graph.VertexID(rec.To)
-	newEdge := u != v && s.full.EdgeWeight(u, v) == 0
 	// In decay mode, endpoints absent from the live graph (brand new or
 	// retired-and-reappearing) are about to become live; their shard joins
 	// the live counts after placement resolves it.
@@ -613,9 +612,13 @@ func (s *Simulator) Process(rec trace.Record) error {
 		newV = u != v && !s.full.HasVertex(v)
 	}
 
+	// A record creates at most one directed edge (none for a self-loop); the
+	// graph's edge count says whether it did.
+	edges := s.full.EdgeCount()
 	if err := rec.Apply(s.full); err != nil {
 		return err
 	}
+	newEdge := s.full.EdgeCount() > edges
 	if s.policy.source != sourceFull {
 		if err := rec.Apply(s.window); err != nil {
 			return err
