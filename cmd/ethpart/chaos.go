@@ -48,6 +48,12 @@ func runChaos(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkK("chaos: ", *k); err != nil {
+		return err
+	}
+	if *eras < 1 || *windows < 1 {
+		return fmt.Errorf("chaos: -eras and -windows-per-era must be >= 1, got %d and %d", *eras, *windows)
+	}
 	if *workloadFlag == "" && (*arrival != "" || *hours != 0) {
 		return fmt.Errorf("chaos: -arrival/-hours require -workload")
 	}

@@ -165,6 +165,34 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
+// shard, era and window counts below one. Past the flags each would panic
+// (chaos -k 0 divides by it), replay a whole oracle before fault.New
+// objects (chaos -k -1), or silently run with a default (a replay at
+// k = 2, chaos at ten eras). The replay rows would otherwise fail on the
+// missing trace file — the count check comes first.
+func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"chaos -k 0", runChaos, []string{"-k", "0"}},
+		{"chaos -k -1", runChaos, []string{"-k", "-1"}},
+		{"replay -k 0", run, []string{"-trace", "does-not-exist.csv", "-k", "0"}},
+		{"replay -k -3", run, []string{"-trace", "does-not-exist.csv", "-k", "-3"}},
+		{"chaos -eras 0", runChaos, []string{"-eras", "0"}},
+		{"chaos -windows-per-era 0", runChaos, []string{"-windows-per-era", "0"}},
+	} {
+		err := tc.run(tc.args)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if msg := err.Error(); !strings.Contains(msg, "must be >= 1") || strings.Contains(msg, "\n") {
+			t.Errorf("%s: error %q is not the one-line count check", tc.name, msg)
+		}
+	}
+}
+
 // TestHorizonFlagFailsFast pins the flag-parse-time validation: -horizon
 // without -decay-half-life must be rejected by every subcommand before any
 // trace is read or workload generated (the simulator would reject it too,

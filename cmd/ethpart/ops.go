@@ -39,8 +39,8 @@ func runOps(args []string) error {
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}
-	if *k < 1 {
-		return fmt.Errorf("ops: k must be >= 1, got %d", *k)
+	if err := checkK("ops: ", *k); err != nil {
+		return err
 	}
 	if *scenario == "" && *arrival != "" {
 		return fmt.Errorf("ops: -arrival requires -scenario")

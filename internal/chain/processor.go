@@ -28,7 +28,7 @@ var (
 // payment, and the miner is credited with gasUsed*gasPrice.
 func ApplyTransaction(state *State, tx *Transaction, miner types.Address) (*Receipt, error) {
 	receipt := new(Receipt)
-	if err := applyTransaction(state, tx, miner, nil, false, receipt); err != nil {
+	if err := applyTransaction(state, tx, miner, nil, receipt); err != nil {
 		return nil, err
 	}
 	return receipt, nil
@@ -41,17 +41,7 @@ func ApplyTransaction(state *State, tx *Transaction, miner types.Address) (*Rece
 // calls that leave the executing shard into receipts. *receipt is
 // overwritten whole; when validation rejects tx it holds only the hash.
 func ApplyTransactionInto(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
-	return applyTransaction(state, tx, miner, hook, false, receipt)
-}
-
-// ApplyTransactionRetained is ApplyTransactionInto without the journal
-// discards at the commit points, so a caller holding a Snapshot taken
-// before the transaction ran can still revert it (and any transactions
-// applied since that snapshot) wholesale. The parallel shard engine's
-// conflict rollback depends on this; the state content it produces is
-// identical to ApplyTransactionInto's.
-func ApplyTransactionRetained(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
-	return applyTransaction(state, tx, miner, hook, true, receipt)
+	return applyTransaction(state, tx, miner, hook, receipt)
 }
 
 // gasValue is gas * price in wei. The product is taken in 256 bits: in
@@ -61,7 +51,7 @@ func gasValue(gas, price uint64) evm.Word {
 	return evm.WordFromUint64(gas).Mul(evm.WordFromUint64(price))
 }
 
-func applyTransaction(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, retain bool, receipt *Receipt) error {
+func applyTransaction(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
 	*receipt = Receipt{TxHash: tx.Hash()}
 
 	if got := state.GetNonce(tx.From); got != tx.Nonce {
@@ -81,9 +71,7 @@ func applyTransaction(state *State, tx *Transaction, miner types.Address, hook e
 	// Buy gas and bump the nonce; these survive execution failure.
 	state.SubBalance(tx.From, gasCost)
 	state.SetNonce(tx.From, tx.Nonce+1)
-	if !retain {
-		state.DiscardJournal()
-	}
+	state.DiscardJournal()
 
 	snap := state.Snapshot()
 	vm := evm.New(state)
@@ -112,17 +100,13 @@ func applyTransaction(state *State, tx *Transaction, miner types.Address, hook e
 		state.RevertToSnapshot(snap)
 		gasLeft = 0 // failed executions consume all gas, as post-Homestead Ethereum
 	}
-	if !retain {
-		state.DiscardJournal()
-	}
+	state.DiscardJournal()
 
 	gasUsed := tx.GasLimit - gasLeft
 	// Refund unused gas and pay the miner.
 	state.AddBalance(tx.From, gasValue(gasLeft, tx.GasPrice))
 	state.AddBalance(miner, gasValue(gasUsed, tx.GasPrice))
-	if !retain {
-		state.DiscardJournal()
-	}
+	state.DiscardJournal()
 
 	receipt.Success = execErr == nil
 	receipt.Err = execErr

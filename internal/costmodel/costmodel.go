@@ -141,17 +141,3 @@ func Cost(res *sim.Result, model Model, p Params) Breakdown {
 	}
 	return b
 }
-
-// Compare prices a set of results under both models and returns the
-// breakdowns keyed by the result's method, preserving input order.
-func Compare(results []*sim.Result, p Params) map[Model][]Breakdown {
-	out := make(map[Model][]Breakdown, 2)
-	for _, model := range []Model{Coordinated, StateMovement} {
-		rows := make([]Breakdown, 0, len(results))
-		for _, res := range results {
-			rows = append(rows, Cost(res, model, p))
-		}
-		out[model] = rows
-	}
-	return out
-}

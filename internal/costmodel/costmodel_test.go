@@ -124,24 +124,3 @@ func TestWANParamsRaiseCoordination(t *testing.T) {
 		t.Error("WAN params must not change relocation prices")
 	}
 }
-
-func TestCompareCoversBothModels(t *testing.T) {
-	results := []*sim.Result{
-		fakeResult(2, 100, 0.5, 1.2, 10, 20),
-		fakeResult(2, 100, 0.1, 1.6, 100, 200),
-	}
-	out := Compare(results, DefaultParams())
-	if len(out) != 2 {
-		t.Fatalf("models = %d", len(out))
-	}
-	for model, rows := range out {
-		if len(rows) != 2 {
-			t.Errorf("%v rows = %d", model, len(rows))
-		}
-		for _, b := range rows {
-			if b.Total() <= 0 {
-				t.Errorf("%v total = %v", model, b.Total())
-			}
-		}
-	}
-}

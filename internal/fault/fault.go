@@ -101,8 +101,11 @@ func (s Schedule) withDefaults() Schedule {
 
 // PeriodicCrashes schedules a crash every `every` blocks up to maxBlock,
 // rotating the victim across k shards — the standard crash-during-wave
-// workload.
+// workload. A zero period or a shard count below one schedules nothing.
 func PeriodicCrashes(every, maxBlock uint64, k int) []Crash {
+	if every == 0 || k < 1 {
+		return nil
+	}
 	var cs []Crash
 	i := 0
 	for b := every; b <= maxBlock; b += every {

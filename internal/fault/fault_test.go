@@ -82,6 +82,20 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
+// TestPeriodicCrashesDegenerate: a zero period would never reach maxBlock
+// and a shard count below one has no victim to rotate over; both schedule
+// nothing.
+func TestPeriodicCrashesDegenerate(t *testing.T) {
+	for _, tc := range []struct {
+		every uint64
+		k     int
+	}{{0, 3}, {5, 0}, {5, -1}, {0, 0}} {
+		if cs := PeriodicCrashes(tc.every, 20, tc.k); cs != nil {
+			t.Errorf("PeriodicCrashes(%d, 20, %d) = %v, want nil", tc.every, tc.k, cs)
+		}
+	}
+}
+
 // TestPeriodicCrashes pins the helper's rotation and the injector's
 // per-block lookup.
 func TestPeriodicCrashes(t *testing.T) {

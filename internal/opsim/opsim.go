@@ -62,7 +62,8 @@ type Config struct {
 	// to drain in-flight receipts (zero → 64).
 	MaxSettleSteps int
 	// Parallel runs the live chain on shardchain's parallel per-shard
-	// engine. The replayed results (windows, totals) are byte-identical to
+	// engine (receipts model; a migration-model run takes the serial
+	// engine). The replayed results (windows, totals) are byte-identical to
 	// the serial engine's; only the timing fields differ.
 	Parallel bool
 	// Fault, when non-nil, arms the deterministic fault-injection plane:
@@ -176,7 +177,7 @@ type Result struct {
 	// parallel to Sim.Windows. SweepNanos entries are measurement, not
 	// simulation state — like StepNanos, they vary between identical runs.
 	Sweeps []sim.SweepObs
-	// Parallel records which chain engine ran.
+	// Parallel echoes Config.Parallel.
 	Parallel bool
 	// DirectoryStats summarises the placement directory at end of run
 	// (nil on the tests' assignment-resolved reference path). It is

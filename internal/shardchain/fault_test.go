@@ -295,10 +295,9 @@ func TestCrashScheduleRequiresReceiptsModel(t *testing.T) {
 	}
 }
 
-// TestWaveItemPanicGainsShardContext pins satellite behavior in the
-// parallel engine's recover path: a non-sentinel panic escaping a wave
-// item is rethrown wrapped with the shard and transaction index, never
-// mistaken for a migration abort. The item is driven directly (not
+// TestWaveItemPanicGainsShardContext pins the parallel engine's recover
+// path: a panic escaping a wave item is rethrown wrapped with the shard
+// and transaction index. The item is driven directly (not
 // through Step) because sim.RunIndexed has no recovery — a worker panic
 // would kill the process before the test could observe it.
 func TestWaveItemPanicGainsShardContext(t *testing.T) {
@@ -351,7 +350,7 @@ func TestWaveItemPanicGainsShardContext(t *testing.T) {
 		}
 	}()
 	var eff effects
-	sc.runWaveItem(tx, waveItem{idx: 0, work: 0}, &homes{sc: sc}, &eff, receipts, false)
+	sc.runWaveItem(tx, waveItem{idx: 0, work: 0}, &homes{sc: sc}, &eff, receipts)
 	t.Fatal("panic did not propagate out of runWaveItem")
 }
 

@@ -80,11 +80,13 @@ func (p *enginePair) requireIdentical(t *testing.T) {
 // test: for seeded workload slices mixing plain transfers, token calls
 // (storage-writing contract activity, cross-shard continuations under
 // receipts), wallet calls (internal calls that leave the shard — receipts
-// under ModelReceipts, callee migrations and the parallel conflict path
-// under ModelMigration) and mid-run contract creations, the parallel
-// engine's receipts, per-shard states, stats and homes are byte-identical
-// to the serial reference, for both models and k ∈ {2, 4, 8}. Run under
-// -race in CI, it also proves the fan-out is data-race free.
+// under ModelReceipts, callee migrations under ModelMigration), mid-run
+// contract creations and one block in which two workers meet the same
+// never-seen address, a Parallel chain's receipts, per-shard states, stats
+// and homes are byte-identical to the serial reference, for both models
+// and k ∈ {2, 4, 8} — under ModelMigration because Parallel does not change
+// the engine. Run under -race in CI, it also proves the fan-out is
+// data-race free.
 func TestPropertyParallelStepMatchesSerial(t *testing.T) {
 	for _, model := range []Model{ModelReceipts, ModelMigration} {
 		for _, k := range []int{2, 4, 8} {
@@ -114,12 +116,14 @@ func runEngineEquivalence(t *testing.T, model Model, k int, seed int64) {
 	deployer := accounts[0] // homed on shard 0
 	wallet := types.ContractAddress(deployer, 0)
 	token := types.ContractAddress(deployer, 1)
+	wallet1 := types.ContractAddress(accounts[1], 0) // a second wallet, on shard 1
 	assignMap[wallet] = 0
 	assignMap[token] = 0
+	assignMap[wallet1] = 1
 	pair := newEnginePair(t, k, model, alloc, fixedAssign(assignMap))
 
 	nonces := map[types.Address]uint64{}
-	deploy := func(runtime []byte) {
+	deploy := func(deployer types.Address, runtime []byte) {
 		tx := &chain.Transaction{
 			Nonce: nonces[deployer], From: deployer,
 			Data: evm.DeployWrapper(runtime), GasLimit: 5_000_000, GasPrice: 0,
@@ -131,8 +135,9 @@ func runEngineEquivalence(t *testing.T, model Model, k int, seed int64) {
 			}
 		}
 	}
-	deploy(workload.WalletRuntime())
-	deploy(workload.TokenRuntime())
+	deploy(deployer, workload.WalletRuntime())
+	deploy(deployer, workload.TokenRuntime())
+	deploy(accounts[1], workload.WalletRuntime())
 
 	word := func(b []byte) []byte {
 		w := evm.WordFromBytes(b).Bytes32()
@@ -171,112 +176,26 @@ func runEngineEquivalence(t *testing.T, model Model, k int, seed int64) {
 		}
 		pair.step(t, txs)
 	}
+	// Both wallets forward to one never-seen address in the same block, so
+	// the workers of shards 0 and 1 each record its first-sight home; the
+	// barrier must leave the home map exactly as the serial engine does.
+	fresh := types.AddressFromSeq(1000)
+	var forwards []*chain.Transaction
+	for i, w := range []types.Address{wallet, wallet1} {
+		from, to := accounts[i], w
+		forwards = append(forwards, &chain.Transaction{
+			Nonce: nonces[from], From: from, To: &to,
+			Value: evm.WordFromUint64(7), Data: word(fresh[:]), GasLimit: 500_000,
+		})
+		nonces[from]++
+	}
+	pair.step(t, forwards)
+	if _, known := pair.serial.Known(fresh); !known {
+		t.Fatal("fixture: the forwards never resolved the fresh address")
+	}
 	// Drain in-flight receipts and compare the final states.
 	for i := 0; i < 16 && pair.serial.PendingReceipts() > 0; i++ {
 		pair.step(t, nil)
 	}
 	pair.requireIdentical(t)
-}
-
-// TestParallelWaveConflictMatchesSerial pins the conflict protocol on a
-// deterministic scenario: a wave-parallel wallet call whose callee lives on
-// another shard must abort, roll back, re-execute serially (migrating the
-// callee) and still produce byte-identical results — with the callee's
-// state moved, not a receipt emitted.
-func TestParallelWaveConflictMatchesSerial(t *testing.T) {
-	a1 := types.AddressFromSeq(1) // shard 0
-	a2 := types.AddressFromSeq(2) // shard 0
-	b1 := types.AddressFromSeq(3) // shard 1
-	b2 := types.AddressFromSeq(4) // shard 1
-	wallet := types.ContractAddress(a1, 0)
-	assign := fixedAssign(map[types.Address]int{a1: 0, a2: 0, b1: 1, b2: 1, wallet: 0})
-	alloc := map[types.Address]evm.Word{
-		a1: evm.WordFromUint64(1 << 30), a2: evm.WordFromUint64(1 << 30),
-		b1: evm.WordFromUint64(1 << 30), b2: evm.WordFromUint64(1 << 30),
-	}
-	pair := newEnginePair(t, 2, ModelMigration, alloc, assign)
-
-	deployTx := &chain.Transaction{
-		Nonce: 0, From: a1, Data: evm.DeployWrapper(workload.WalletRuntime()),
-		GasLimit: 5_000_000, GasPrice: 0,
-	}
-	pair.step(t, []*chain.Transaction{deployTx})
-
-	// One block: local traffic on both shards around a wallet call that
-	// forwards value to b1, whose state lives on shard 1. The wallet call
-	// is wave-parallel (a2 and the wallet share shard 0), so the parallel
-	// engine must hit the conflict path, not a planned barrier.
-	mk := func(nonce uint64, from, to types.Address, v uint64, data []byte) *chain.Transaction {
-		return &chain.Transaction{Nonce: nonce, From: from, To: &to,
-			Value: evm.WordFromUint64(v), Data: data, GasLimit: 500_000, GasPrice: 0}
-	}
-	b1w := evm.WordFromBytes(b1[:]).Bytes32()
-	receipts := pair.step(t, []*chain.Transaction{
-		mk(1, a1, a2, 10, nil),         // shard 0 local
-		mk(0, b2, b1, 20, nil),         // shard 1 local
-		mk(0, a2, wallet, 777, b1w[:]), // conflict: callee b1 is remote
-		mk(2, a1, a2, 30, nil),         // shard 0, after the conflict
-		mk(1, b2, b2, 1, nil),          // shard 1, after the conflict
-	})
-	for i, r := range receipts {
-		if !r.Success {
-			t.Fatalf("tx %d failed: %v", i, r.Err)
-		}
-	}
-	pair.requireIdentical(t)
-
-	st := pair.parallel.Stats()
-	if st.Migrations == 0 {
-		t.Error("remote callee must migrate under ModelMigration")
-	}
-	if st.ReceiptsSettled != 0 || pair.parallel.PendingReceipts() != 0 {
-		t.Errorf("migration model must not emit receipts: settled=%d pending=%d",
-			st.ReceiptsSettled, pair.parallel.PendingReceipts())
-	}
-	if home := pair.parallel.HomeOf(b1); home != 0 {
-		t.Errorf("b1 home = %d, want 0 (migrated to the executing shard)", home)
-	}
-	if got := pair.parallel.BalanceOf(b1).Uint64(); got != (1<<30)+20+777 {
-		t.Errorf("b1 balance = %d, want %d", got, (1<<30)+20+777)
-	}
-	if pair.parallel.StateOf(1).Exist(b1) {
-		t.Error("source shard must not keep b1's state after the callee migration")
-	}
-}
-
-// TestParallelMigrationBarriers pins the serialized migration barrier: a
-// block whose transactions migrate their senders between waves must match
-// the serial engine and actually move state.
-func TestParallelMigrationBarriers(t *testing.T) {
-	accounts := make([]types.Address, 6)
-	assignMap := map[types.Address]int{}
-	alloc := map[types.Address]evm.Word{}
-	for i := range accounts {
-		accounts[i] = types.AddressFromSeq(uint64(i + 1))
-		assignMap[accounts[i]] = i % 3
-		alloc[accounts[i]] = evm.WordFromUint64(1 << 30)
-	}
-	pair := newEnginePair(t, 3, ModelMigration, alloc, fixedAssign(assignMap))
-
-	// Alternate local and cross transfers so waves and barriers interleave.
-	var txs []*chain.Transaction
-	nonces := map[types.Address]uint64{}
-	for i := 0; i < 12; i++ {
-		from := accounts[i%len(accounts)]
-		to := accounts[(i+i%3+1)%len(accounts)]
-		txs = append(txs, &chain.Transaction{
-			Nonce: nonces[from], From: from, To: &to,
-			Value: evm.WordFromUint64(uint64(100 + i)), GasLimit: 50_000, GasPrice: 0,
-		})
-		nonces[from]++
-	}
-	for _, r := range pair.step(t, txs) {
-		if !r.Success {
-			t.Fatalf("transfer failed: %v", r.Err)
-		}
-	}
-	pair.requireIdentical(t)
-	if pair.parallel.Stats().Migrations == 0 {
-		t.Error("cross transfers under ModelMigration must migrate senders")
-	}
 }

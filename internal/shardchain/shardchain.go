@@ -44,11 +44,12 @@
 //
 // # Execution engines
 //
-// Config.Parallel selects between two engines that produce byte-identical
-// results (receipts, per-shard states, stats, homes): the serial reference
-// engine, and a parallel engine that runs each block's per-shard work on
-// one worker per shard with cross-shard receipts exchanged at the block
-// barrier (see parallel.go and DESIGN.md §7).
+// Two engines produce byte-identical results (receipts, per-shard states,
+// stats, homes): the serial reference engine, and — for a ModelReceipts
+// chain with Config.Parallel set — a parallel engine that fans each block
+// out over one worker per shard with cross-shard receipts exchanged at the
+// block barrier (see parallel.go and DESIGN.md §7). A ModelMigration chain
+// always runs the serial engine.
 package shardchain
 
 import (
@@ -159,12 +160,13 @@ type Config struct {
 	Model Model
 	// Chain configures every per-shard chain.
 	Chain chain.Config
-	// Parallel runs every block's per-shard settle and execute work on one
-	// worker per shard (a sim.RunIndexed-shaped pool), with outboxes
-	// exchanged at the block barrier. Results are byte-identical to the
-	// serial engine. When set, any assign callback must be safe for
-	// concurrent calls and must answer deterministically for the duration
-	// of one Step.
+	// Parallel runs every block's per-shard settle and execute work of a
+	// ModelReceipts chain on one worker per shard (a sim.RunIndexed-shaped
+	// pool), with outboxes exchanged at the block barrier. Results are
+	// byte-identical to the serial engine, which a ModelMigration chain
+	// takes regardless: moving state needs a serialized context. When set,
+	// any assign callback must be safe for concurrent calls and must answer
+	// deterministically for the duration of one Step.
 	Parallel bool
 	// AssignSnapshot, when non-nil, supplies a frozen placement view per
 	// block: Step calls it once at block start and resolves every
@@ -192,8 +194,9 @@ type Config struct {
 //
 // ShardChain is not safe for concurrent use: Step, MigrateAccount, Rehome
 // and the accessors must be called from one goroutine. With
-// Config.Parallel the parallelism lives *inside* Step, which fans work out
-// to per-shard workers and joins them before returning.
+// Config.Parallel on a ModelReceipts chain the parallelism lives *inside*
+// Step, which fans work out to per-shard workers and joins them before
+// returning.
 type ShardChain struct {
 	cfg    Config
 	shards []*shard
@@ -419,8 +422,8 @@ func (h *homes) of(addr types.Address) int {
 }
 
 // commitHomes lands first-sight resolutions recorded by parallel workers.
-// An address may have been resolved by several workers (same pure value)
-// or already committed by a serialized path; existing entries win.
+// An address may have been resolved by several workers (same pure value);
+// existing entries win.
 func (sc *ShardChain) commitHomes(pairs []homePair) {
 	for _, p := range pairs {
 		if _, ok := sc.home[p.addr]; !ok {
@@ -434,18 +437,14 @@ func (sc *ShardChain) commitHomes(pairs []homePair) {
 // ModelReceipts the call is diverted into a cross-shard receipt. Under
 // ModelMigration the callee is brought to the executing shard and the call
 // continues locally — never a receipt, matching the model's contract that
-// every remote participant's state is migrated. Only a serialized context
-// may migrate: a parallel worker (h.record — the home map is read-only to
-// it) aborts the item instead (conflict protocol, see parallel.go).
+// every remote participant's state is migrated; that is safe because a
+// ModelMigration chain only ever runs the serial engine (see Step).
 func (sc *ShardChain) remoteCall(s int, h *homes, eff *effects, from, to types.Address, value evm.Word, input []byte) bool {
 	dst := h.of(to)
 	if dst == s {
 		return false // local: execute normally
 	}
 	if sc.cfg.Model == ModelMigration {
-		if h.record {
-			panic(migrationNeeded{to})
-		}
 		sc.migrateCallee(to, dst, s, eff)
 		return false // callee is local now: execute normally
 	}
@@ -549,8 +548,7 @@ func (sc *ShardChain) execShardOf(tx *chain.Transaction, h *homes) int {
 // debited here (fee plumbing is omitted, see runLocal), so only the value
 // is required — and a nonce failure is reported as what it is, matching
 // the semantics of chain.ApplyTransaction.
-// retain keeps the state journal (parallel waves; see runLocal).
-func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects, retain bool, receipt *chain.Receipt) {
+func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects, receipt *chain.Receipt) {
 	*receipt = chain.Receipt{TxHash: tx.Hash()}
 	st := sc.shards[sender].state
 	if st.GetNonce(tx.From) != tx.Nonce {
@@ -565,9 +563,7 @@ func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *ef
 	}
 	st.SubBalance(tx.From, tx.Value)
 	st.SetNonce(tx.From, tx.Nonce+1)
-	if !retain {
-		st.DiscardJournal()
-	}
+	st.DiscardJournal()
 	eff.emit(exec, Receipt{
 		From: tx.From, To: *tx.To, Value: tx.Value,
 		Input: append([]byte(nil), tx.Data...),
@@ -582,16 +578,10 @@ func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *ef
 // leave the shard, writing the outcome into *receipt. By the time a
 // transaction reaches local execution it counts as local: receipts-model
 // cross transactions took the crossEmit path, migration-model ones were
-// made local by moving the sender first. retain keeps the state journal for
-// the parallel engine's conflict rollback (content-identical either way).
-// The miner fee plumbing is omitted: shardchain measures message and
-// migration costs, not fee flows.
-func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, hook evm.RemoteHook, eff *effects, retain bool, receipt *chain.Receipt) {
-	apply := chain.ApplyTransactionInto
-	if retain {
-		apply = chain.ApplyTransactionRetained
-	}
-	if err := apply(sc.shards[s].state, tx, types.Address{}, hook, receipt); err != nil {
+// made local by moving the sender first. The miner fee plumbing is omitted:
+// shardchain measures message and migration costs, not fee flows.
+func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, hook evm.RemoteHook, eff *effects, receipt *chain.Receipt) {
+	if err := chain.ApplyTransactionInto(sc.shards[s].state, tx, types.Address{}, hook, receipt); err != nil {
 		eff.stats.Failed++
 		receipt.Err = err // a rejected transaction's receipt holds only its hash
 		return
@@ -603,8 +593,7 @@ func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, hook evm.RemoteHook
 // sender of a migration-model cross transaction migrates inline, as do
 // remote callees of internal calls — writes its outcome into *receipt and
 // applies its effects immediately. It is the whole per-transaction serial
-// engine, and doubles as the parallel engine's serialized path for
-// migration barriers and conflict re-execution.
+// engine, and crash recovery's replay path under either engine.
 func (sc *ShardChain) runTxSerial(tx *chain.Transaction, receipt *chain.Receipt) {
 	h, eff := &sc.itemHomes, &sc.itemEff
 	eff.reset()
@@ -621,10 +610,10 @@ func (sc *ShardChain) runTxSerial(tx *chain.Transaction, receipt *chain.Receipt)
 	work := exec
 	if cross { // ModelReceipts
 		work = sender
-		sc.crossEmit(sender, exec, tx, eff, false, receipt)
+		sc.crossEmit(sender, exec, tx, eff, receipt)
 	} else {
 		sc.itemShard = exec
-		sc.runLocal(exec, tx, sc.itemHook, eff, false, receipt)
+		sc.runLocal(exec, tx, sc.itemHook, eff, receipt)
 	}
 	sc.applyEffects(work, eff)
 }
@@ -663,7 +652,9 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 	for i := range slab {
 		receipts[i] = &slab[i]
 	}
-	if sc.cfg.Parallel {
+	// Only a receipts-model block fans out; a migration-model chain cannot
+	// tell (the engines are byte-identical) and is faster serial.
+	if sc.cfg.Parallel && sc.cfg.Model == ModelReceipts {
 		sc.stepParallel(txs, receipts)
 	} else {
 		sc.stepSerial(txs, receipts)
@@ -688,20 +679,11 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 // time in canonical order (shards ascending for settlement, transaction
 // order for execution).
 func (sc *ShardChain) stepSerial(txs []*chain.Transaction, receipts []*chain.Receipt) {
-	sc.settleInboxesSerial()
-	for i, tx := range txs {
-		sc.runTxSerial(tx, receipts[i])
-	}
-}
-
-// settleInboxesSerial drains every shard's inbox one receipt at a time in
-// canonical order (shards ascending, delivery order within each), with the
-// serial callee reaction armed. Shared by the serial engine and the
-// parallel engine's migration-model settle fallback so the two cannot
-// drift.
-func (sc *ShardChain) settleInboxesSerial() {
 	for i, sh := range sc.shards {
 		sc.settleInboxSerial(i, sh)
+	}
+	for i, tx := range txs {
+		sc.runTxSerial(tx, receipts[i])
 	}
 }
 
