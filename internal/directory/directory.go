@@ -12,17 +12,24 @@
 // epoch flip: no reader can ever observe half a wave.
 //
 // Storage is two-tiered, mirroring the dense/spill split of the partition
-// and graph packages:
+// and graph packages, and both tiers are the same thing — a VertexID-indexed
+// table of fixed-size copy-on-write pages:
 //
-//   - the hot tier is a paged dense table (VertexID-indexed, fixed-size
-//     copy-on-write pages), sized for the live account population that
-//     placement and repartitioning actually touch;
-//   - the cold tier is a compact map holding sticky assignments of retired
-//     accounts (and of IDs outside the dense region). Retirement spills an
-//     entry from a page into the cold map; when the spill empties a page
-//     the page is dropped entirely, so the hot tier's footprint follows the
-//     live set instead of the full history — the directory's absorption of
-//     the "horizon-aware assignment compaction" roadmap item.
+//   - the hot tier holds the live account population that placement and
+//     repartitioning actually touch;
+//   - the cold tier holds the sticky assignments of retired accounts.
+//     Retirement moves a slot from a hot page to the cold page of the same
+//     index, re-hydration moves it back; a page either move empties is
+//     dropped, so the hot tier's footprint follows the live set instead of
+//     the full history (the directory's absorption of the "horizon-aware
+//     assignment compaction" roadmap item) and the cold tier's follows what
+//     is actually retired. A commit copies only the pages it writes, in
+//     either tier: its cost does not grow with how much was ever retired.
+//
+// A lookup is a bounds check and at most two page probes. IDs outside the
+// dense region (≥ hotIDLimit) are the one exception: they live in a small
+// residual map, permanently cold, copied whole by the rare batch that names
+// one.
 //
 // A bounded journal retains the last JournalDepth snapshots by epoch, so a
 // reader that pinned epoch E mid-flight can re-acquire exactly that view
@@ -32,6 +39,7 @@ package directory
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -42,11 +50,11 @@ import (
 // never seen.
 const NoShard = -1
 
-// noShard is the unoccupied-entry sentinel inside hot pages.
+// noShard is the unoccupied-entry sentinel inside pages.
 const noShard int32 = -1
 
 const (
-	// pageBits sizes the hot tier's copy-on-write pages: 1<<pageBits
+	// pageBits sizes both tiers' copy-on-write pages: 1<<pageBits
 	// entries (4 KiB of int32s). Small enough that a single placement's
 	// page copy is cheap, large enough that the page-pointer table stays
 	// tiny (one pointer per 1024 accounts).
@@ -55,16 +63,140 @@ const (
 	pageMask = pageSize - 1
 )
 
-// hotIDLimit bounds the paged hot tier, matching the dense ID region of
-// the graph and partition packages (IDs come from the trace registry,
-// which assigns them densely from zero). Callers minting VertexIDs from
-// address bits land in the cold map instead of forcing giant page tables.
+// hotIDLimit bounds the paged tiers, matching the dense ID region of the
+// graph and partition packages (IDs come from the trace registry, which
+// assigns them densely from zero). Callers minting VertexIDs from address
+// bits land in the residual map instead of forcing giant page tables.
 const hotIDLimit = graph.VertexID(1) << 22
 
-// page is one fixed-size block of the hot tier. Pages reachable from a
-// published snapshot are immutable; a writer copies a page before its
-// first write of a commit.
+// page is one fixed-size block of a tier. Pages reachable from a published
+// snapshot are immutable; a writer copies a page before its first write of
+// a commit.
 type page [pageSize]int32
+
+// table is one tier as a snapshot sees it: the page table of a paged dense
+// VertexID→shard array. A nil entry is a wholly unoccupied (never written,
+// or emptied and dropped) page.
+type table []*page
+
+// get returns v's slot, noShard when it is unoccupied. v must be below
+// hotIDLimit.
+func (t table) get(v graph.VertexID) int32 {
+	if p := int(v >> pageBits); p < len(t) {
+		if pg := t[p]; pg != nil {
+			return pg[v&pageMask]
+		}
+	}
+	return noShard
+}
+
+// allocated returns the number of non-nil pages.
+func (t table) allocated() int {
+	n := 0
+	for _, pg := range t {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// each calls fn for every occupied slot in ascending ID order and reports
+// whether fn let it run to the end.
+func (t table) each(fn func(v graph.VertexID, shard int) bool) bool {
+	for p, pg := range t {
+		if pg == nil {
+			continue
+		}
+		base := graph.VertexID(p) << pageBits
+		for i, sh := range pg {
+			if sh != noShard && !fn(base+graph.VertexID(i), int(sh)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cowTable is the writer's side of one tier (guarded by Directory.mu): the
+// page table of the latest published snapshot — or, inside a commit, of the
+// one being built — plus the bookkeeping that makes writes copy-on-write.
+// Every mutator takes the epoch being built; a page (or the page table)
+// stamped with that epoch is already private to the commit and is written
+// in place, anything else is copied first and stamped. commit validates a
+// batch before its first write, so no commit fails half-way and pages is
+// always the current view's table between commits.
+type cowTable struct {
+	pages table
+	// live counts occupied slots per page, so a page that empties is dropped.
+	live []int32
+	// copied[p] is the epoch whose commit last copied page p; tableCopied
+	// the same for the page table. Zero (never an epoch under construction)
+	// means "shared with a published snapshot".
+	copied      []uint64
+	tableCopied uint64
+}
+
+// ownTable makes the page table private to the commit building epoch e and
+// at least n pages long.
+func (t *cowTable) ownTable(e uint64, n int) {
+	if t.tableCopied != e || len(t.pages) < n {
+		grown := make(table, max(n, len(t.pages)))
+		copy(grown, t.pages)
+		t.pages = grown
+		t.tableCopied = e
+	}
+	if grow := len(t.pages) - len(t.live); grow > 0 {
+		t.live = append(t.live, make([]int32, grow)...)
+		t.copied = append(t.copied, make([]uint64, grow)...)
+	}
+}
+
+// own returns page p, private to the commit building epoch e.
+func (t *cowTable) own(e uint64, p int) *page {
+	t.ownTable(e, p+1)
+	if t.copied[p] == e {
+		return t.pages[p]
+	}
+	np := new(page)
+	if old := t.pages[p]; old != nil {
+		*np = *old
+	} else {
+		for i := range np {
+			np[i] = noShard
+		}
+	}
+	t.pages[p] = np
+	t.copied[p] = e
+	return np
+}
+
+// put writes v's slot and reports whether the slot was unoccupied.
+func (t *cowTable) put(e uint64, v graph.VertexID, shard int32) (added bool) {
+	p := int(v >> pageBits)
+	pg := t.own(e, p)
+	added = pg[v&pageMask] == noShard
+	if added {
+		t.live[p]++
+	}
+	pg[v&pageMask] = shard
+	return added
+}
+
+// clear empties v's slot, which must be occupied. Emptying a page's last
+// slot drops the page instead, so a tier's footprint tracks what it holds
+// (compaction).
+func (t *cowTable) clear(e uint64, v graph.VertexID) {
+	p := int(v >> pageBits)
+	t.live[p]--
+	if t.live[p] > 0 {
+		t.own(e, p)[v&pageMask] = noShard
+		return
+	}
+	t.ownTable(e, p+1)
+	t.pages[p] = nil
+	t.copied[p] = 0
+}
 
 // Snapshot is one immutable, internally consistent version of the
 // directory. Any number of goroutines may share a Snapshot; it never
@@ -78,16 +210,16 @@ type Snapshot struct {
 	// against a pinned view can never pair an old k with a new mapping (or
 	// vice versa), however many resizes the writer commits meanwhile.
 	shards int
-	// pages is the hot tier; nil entries are wholly unoccupied (or
-	// compacted-away) pages.
-	pages []*page
-	// cold is the cold tier: retired sticky assignments plus out-of-range
-	// IDs. May be nil when nothing has ever spilled. Hot and cold are
-	// disjoint: a vertex lives in exactly one tier.
-	cold map[graph.VertexID]int32
-	// hot and entries count occupied hot-tier slots and total mapped
-	// vertices (hot + cold).
-	hot, entries int
+	// hot and cold are the two tiers, one paged table each: live placements
+	// and retired sticky assignments. They are disjoint — a vertex occupies
+	// a slot in at most one — and cover IDs below hotIDLimit only.
+	hot, cold table
+	// far maps the IDs at or above hotIDLimit, outside the dense region the
+	// tables cover; its entries count as cold. Nil until a batch names one.
+	far map[graph.VertexID]int32
+	// hotLen and entries count occupied hot-tier slots and total mapped
+	// vertices (hot + cold + far).
+	hotLen, entries int
 }
 
 // Epoch returns the snapshot's version number. Epochs start at zero (the
@@ -103,72 +235,45 @@ func (s *Snapshot) Shards() int { return s.shards }
 func (s *Snapshot) Len() int { return s.entries }
 
 // HotLen returns the number of hot-tier entries in this view.
-func (s *Snapshot) HotLen() int { return s.hot }
+func (s *Snapshot) HotLen() int { return s.hotLen }
 
 // ColdLen returns the number of cold-tier (retired/spilled) entries.
-func (s *Snapshot) ColdLen() int { return s.entries - s.hot }
+func (s *Snapshot) ColdLen() int { return s.entries - s.hotLen }
 
-// Lookup returns the shard of v in this view. The hot tier is a bounds
-// check, two loads and a compare; only misses (unknown or retired
-// vertices) touch the cold map.
+// Lookup returns the shard of v in this view: a bounds check and at most
+// two page probes, hot tier first.
 func (s *Snapshot) Lookup(v graph.VertexID) (int, bool) {
-	if v < hotIDLimit {
-		if p := int(v >> pageBits); p < len(s.pages) {
-			if pg := s.pages[p]; pg != nil {
-				if sh := pg[v&pageMask]; sh != noShard {
-					return int(sh), true
-				}
-			}
-		}
-	}
-	if s.cold != nil {
-		if sh, ok := s.cold[v]; ok {
-			return int(sh), true
-		}
-	}
-	return NoShard, false
+	shard, _, ok := s.LookupTier(v)
+	return shard, ok
 }
 
 // LookupTier is Lookup plus tier information: cold reports whether the
 // answer came from the cold tier. The serving front end uses it to emit
 // promotion hints for hot-again accounts without taking any lock.
 func (s *Snapshot) LookupTier(v graph.VertexID) (shard int, cold, ok bool) {
-	if v < hotIDLimit {
-		if p := int(v >> pageBits); p < len(s.pages) {
-			if pg := s.pages[p]; pg != nil {
-				if sh := pg[v&pageMask]; sh != noShard {
-					return int(sh), false, true
-				}
-			}
-		}
-	}
-	if s.cold != nil {
-		if sh, ok := s.cold[v]; ok {
+	if v >= hotIDLimit {
+		if sh, ok := s.far[v]; ok {
 			return int(sh), true, true
 		}
+		return NoShard, false, false
+	}
+	if sh := s.hot.get(v); sh != noShard {
+		return int(sh), false, true
+	}
+	if sh := s.cold.get(v); sh != noShard {
+		return int(sh), true, true
 	}
 	return NoShard, false, false
 }
 
-// Each calls fn for every mapped vertex of the view: hot tier in ascending
-// ID order, then cold entries in unspecified order. Stops early when fn
-// returns false.
+// Each calls fn for every mapped vertex of the view: the hot tier in
+// ascending ID order, then the cold tier likewise, then the IDs outside the
+// dense region in unspecified order. Stops early when fn returns false.
 func (s *Snapshot) Each(fn func(v graph.VertexID, shard int) bool) {
-	for p, pg := range s.pages {
-		if pg == nil {
-			continue
-		}
-		base := graph.VertexID(p) << pageBits
-		for i, sh := range pg {
-			if sh == noShard {
-				continue
-			}
-			if !fn(base+graph.VertexID(i), int(sh)) {
-				return
-			}
-		}
+	if !s.hot.each(fn) || !s.cold.each(fn) {
+		return
 	}
-	for v, sh := range s.cold {
+	for v, sh := range s.far {
 		if !fn(v, int(sh)) {
 			return
 		}
@@ -192,7 +297,7 @@ type Move struct {
 // cold, unknown vertices join the cold tier — the shape of a merge wave
 // remapping retired sticky assignments off a decommissioned shard, which
 // must not re-hydrate dead history into the hot tier. Retire entries spill
-// the vertex's current hot mapping into the cold map (no-ops for vertices
+// the vertex's current hot mapping into the cold tier (no-ops for vertices
 // already cold or never seen). Promote entries re-hydrate cold entries
 // back into the hot tier at their current shard — the promotion-on-access
 // lane fed by the read-side hint ring; a promotion never changes a
@@ -223,21 +328,23 @@ type Config struct {
 	JournalDepth int
 }
 
-// Directory is the concurrent placement directory. Lookups (through
-// Current/AtEpoch snapshots) are lock-free and safe from any number of
-// goroutines; Commit/Place serialise internally, so multiple writers are
+// Directory is the concurrent placement directory. Lookups and epoch pins
+// (Current/AtEpoch/PinEpoch/Resolve) are lock-free and safe from any number
+// of goroutines; Commit/Place serialise internally, so multiple writers are
 // safe too (though the intended shape is one publisher).
 type Directory struct {
 	mu   sync.Mutex
 	view atomic.Pointer[Snapshot]
 
-	journalDepth int
-	journal      []*Snapshot // ring, len == journalDepth
-	jhead        int
+	// journal is the ring of recent snapshots. Epochs advance by exactly
+	// one per commit from epoch 0 in slot 0, so epoch e can only ever live
+	// in slot e % len(journal): a pin is one load and an epoch compare.
+	journal []atomic.Pointer[Snapshot]
 
-	// pageLive counts occupied slots per hot page (writer-owned; guarded
-	// by mu) so retirement can drop pages that empty out.
-	pageLive []int32
+	// Writer-owned state, guarded by mu: the two tiers' copy-on-write
+	// bookkeeping, and the epoch whose commit last cloned the far map.
+	hot, cold cowTable
+	farCopied uint64
 
 	// Cumulative writer-side counters (guarded by mu).
 	flips, waveFlips, retired, rehydrated, promoted uint64
@@ -248,13 +355,10 @@ func New(cfg Config) *Directory {
 	if cfg.JournalDepth <= 0 {
 		cfg.JournalDepth = 16
 	}
-	d := &Directory{
-		journalDepth: cfg.JournalDepth,
-		journal:      make([]*Snapshot, cfg.JournalDepth),
-	}
+	d := &Directory{journal: make([]atomic.Pointer[Snapshot], cfg.JournalDepth)}
 	root := &Snapshot{}
 	d.view.Store(root)
-	d.journal[0] = root
+	d.journal[0].Store(root)
 	return d
 }
 
@@ -269,12 +373,8 @@ func (d *Directory) Epoch() uint64 { return d.view.Load().epoch }
 // AtEpoch returns the journaled snapshot for epoch e, if the bounded
 // journal still retains it.
 func (d *Directory) AtEpoch(e uint64) (*Snapshot, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, s := range d.journal {
-		if s != nil && s.epoch == e {
-			return s, true
-		}
+	if s := d.journal[e%uint64(len(d.journal))].Load(); s != nil && s.epoch == e {
+		return s, true
 	}
 	return nil, false
 }
@@ -288,25 +388,11 @@ var ErrEpochEvicted = errors.New("directory: epoch evicted from journal")
 // ErrEpochEvicted that names the epoch and the range the journal still
 // retains — the typed form of the AtEpoch miss.
 func (d *Directory) PinEpoch(e uint64) (*Snapshot, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	oldest, newest := uint64(0), uint64(0)
-	first := true
-	for _, s := range d.journal {
-		if s == nil {
-			continue
-		}
-		if s.epoch == e {
-			return s, nil
-		}
-		if first || s.epoch < oldest {
-			oldest = s.epoch
-		}
-		if s.epoch > newest {
-			newest = s.epoch
-		}
-		first = false
+	if s, ok := d.AtEpoch(e); ok {
+		return s, nil
 	}
+	newest := d.Epoch()
+	oldest := newest - min(newest, uint64(len(d.journal))-1)
 	return nil, fmt.Errorf("%w: epoch %d (journal retains %d..%d)",
 		ErrEpochEvicted, e, oldest, newest)
 }
@@ -359,9 +445,10 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	defer d.mu.Unlock()
 
 	// Validate the whole batch before touching any writer state: a
-	// mid-batch rejection after mutating d.pageLive would leave the
-	// occupancy bookkeeping out of sync with the (discarded) snapshot,
-	// silently disabling page-drop compaction for the affected pages.
+	// mid-batch rejection after mutating d.hot or d.cold would leave their
+	// page tables and occupancy counts ahead of the (discarded) snapshot —
+	// the rejected writes would surface in the next commit, and page-drop
+	// compaction would never fire for the affected pages.
 	cur := d.view.Load()
 	if b.Shards < 0 {
 		return 0, fmt.Errorf("directory: negative shard count %d", b.Shards)
@@ -420,101 +507,42 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	next := &Snapshot{
 		epoch:   cur.epoch + 1,
 		shards:  shards,
-		pages:   cur.pages,
-		cold:    cur.cold,
-		hot:     cur.hot,
+		far:     cur.far,
+		hotLen:  cur.hotLen,
 		entries: cur.entries,
 	}
-	// Copy-on-write bookkeeping for this commit: which pages (and whether
-	// the page table and cold map) are already private to next.
-	var pagesOwned, coldOwned bool
-	owned := make(map[int]bool)
-
-	ownPages := func(minLen int) {
-		if !pagesOwned || len(next.pages) < minLen {
-			grown := make([]*page, max(minLen, len(next.pages)))
-			copy(grown, next.pages)
-			next.pages = grown
-			pagesOwned = true
-		}
-		if len(d.pageLive) < len(next.pages) {
-			d.pageLive = append(d.pageLive, make([]int32, len(next.pages)-len(d.pageLive))...)
-		}
-	}
-	ownPage := func(p int) *page {
-		ownPages(p + 1)
-		if owned[p] {
-			return next.pages[p]
-		}
-		var np page
-		if old := next.pages[p]; old != nil {
-			np = *old
-		} else {
-			for i := range np {
-				np[i] = noShard
-			}
-		}
-		next.pages[p] = &np
-		owned[p] = true
-		return &np
-	}
-	ownCold := func() map[graph.VertexID]int32 {
-		if !coldOwned {
-			nc := make(map[graph.VertexID]int32, len(next.cold)+len(b.Set))
-			for k, v := range next.cold {
-				nc[k] = v
-			}
-			next.cold = nc
-			coldOwned = true
-		}
-		return next.cold
-	}
+	e := next.epoch
 
 	for _, m := range b.Set {
 		if m.V >= hotIDLimit {
-			// Out-of-range IDs live in the cold map permanently.
-			cold := ownCold()
-			if _, ok := cold[m.V]; !ok {
-				next.entries++
-			}
-			cold[m.V] = int32(m.To)
+			d.putFar(next, m)
 			continue
 		}
-		p := int(m.V >> pageBits)
-		pg := ownPage(p)
-		slot := m.V & pageMask
-		if pg[slot] == noShard {
-			// Hot miss: brand new, or a cold entry re-hydrating. Promotion
-			// deletes the cold copy so the tiers stay disjoint.
-			if next.cold != nil {
-				if _, ok := next.cold[m.V]; ok {
-					delete(ownCold(), m.V)
-					next.entries--
-					d.rehydrated++
-				}
+		if d.hot.put(e, m.V, int32(m.To)) {
+			// Hot miss: a cold entry re-hydrating — clear the cold slot so
+			// the tiers stay disjoint — or a brand new vertex.
+			next.hotLen++
+			if d.cold.pages.get(m.V) != noShard {
+				d.cold.clear(e, m.V)
+				d.rehydrated++
+			} else {
+				next.entries++
 			}
-			next.hot++
-			next.entries++
-			d.pageLive[p]++
 		}
-		pg[slot] = int32(m.To)
 	}
 
 	for _, m := range b.SetCold {
 		// In-place, tier-preserving update: hot entries change under their
-		// page, everything else lands (or stays) in the cold map.
-		if m.V < hotIDLimit {
-			p := int(m.V >> pageBits)
-			if p < len(next.pages) && next.pages[p] != nil && next.pages[p][m.V&pageMask] != noShard {
-				ownPage(p)[m.V&pageMask] = int32(m.To)
-				continue
-			}
+		// page, everything else lands (or stays) in the cold tier.
+		if m.V >= hotIDLimit {
+			d.putFar(next, m)
+			continue
 		}
-		cold := ownCold()
-		if _, ok := cold[m.V]; !ok {
+		if d.hot.pages.get(m.V) != noShard {
+			d.hot.put(e, m.V, int32(m.To))
+		} else if d.cold.put(e, m.V, int32(m.To)) {
 			next.entries++
 		}
-		cold[m.V] = int32(m.To)
 	}
 
 	for _, v := range b.Promote {
@@ -522,19 +550,16 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 		// its current shard. Mapping, Len and every Lookup answer are
 		// unchanged — only the tier moves — so replicas applying the same
 		// stream converge on the same mapping regardless of hint timing.
-		if v >= hotIDLimit || next.cold == nil {
-			continue // permanently cold, or nothing spilled yet
+		if v >= hotIDLimit {
+			continue // permanently cold
 		}
-		sh, ok := next.cold[v]
-		if !ok {
+		sh := d.cold.pages.get(v)
+		if sh == noShard {
 			continue // already hot, or never seen: stale hint, no-op
 		}
-		p := int(v >> pageBits)
-		pg := ownPage(p)
-		pg[v&pageMask] = sh
-		delete(ownCold(), v)
-		next.hot++
-		d.pageLive[p]++
+		d.hot.put(e, v, sh)
+		d.cold.clear(e, v)
+		next.hotLen++
 		d.promoted++
 	}
 
@@ -542,37 +567,39 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 		if v >= hotIDLimit {
 			continue // already cold-resident by construction
 		}
-		p := int(v >> pageBits)
-		if p >= len(next.pages) || next.pages[p] == nil {
-			continue
-		}
-		slot := v & pageMask
-		if next.pages[p][slot] == noShard {
+		sh := d.hot.pages.get(v)
+		if sh == noShard {
 			continue // unknown or already retired
 		}
-		pg := ownPage(p)
-		ownCold()[v] = pg[slot]
-		pg[slot] = noShard
-		next.hot--
-		d.pageLive[p]--
+		d.cold.put(e, v, sh)
+		d.hot.clear(e, v)
+		next.hotLen--
 		d.retired++
-		if d.pageLive[p] == 0 {
-			// The spill emptied the page: drop it so the hot tier's
-			// footprint tracks the live set (compaction).
-			ownPages(p + 1)
-			next.pages[p] = nil
-			delete(owned, p)
-		}
 	}
 
+	next.hot, next.cold = d.hot.pages, d.cold.pages
 	d.flips++
 	if wave {
 		d.waveFlips++
 	}
-	d.jhead = (d.jhead + 1) % d.journalDepth
-	d.journal[d.jhead] = next
+	d.journal[e%uint64(len(d.journal))].Store(next)
 	d.view.Store(next)
-	return next.epoch, nil
+	return e, nil
+}
+
+// putFar maps an ID outside the dense region in next's far map, cloning the
+// map on the commit's first such write.
+func (d *Directory) putFar(next *Snapshot, m Move) {
+	if d.farCopied != next.epoch {
+		far := make(map[graph.VertexID]int32, len(next.far)+1)
+		maps.Copy(far, next.far)
+		next.far = far
+		d.farCopied = next.epoch
+	}
+	if _, ok := next.far[m.V]; !ok {
+		next.entries++
+	}
+	next.far[m.V] = int32(m.To)
 }
 
 // Stats is a point-in-time summary of the directory for reporting.
@@ -598,15 +625,9 @@ func (d *Directory) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := d.view.Load()
-	pages := 0
-	for _, pg := range s.pages {
-		if pg != nil {
-			pages++
-		}
-	}
 	return Stats{
-		Epoch: s.epoch, Shards: s.shards, Entries: s.entries, Hot: s.hot,
-		Cold: s.entries - s.hot, Pages: pages, Flips: d.flips,
+		Epoch: s.epoch, Shards: s.shards, Entries: s.entries, Hot: s.hotLen,
+		Cold: s.entries - s.hotLen, Pages: s.hot.allocated(), Flips: d.flips,
 		WaveFlips: d.waveFlips, Retired: d.retired, Rehydrated: d.rehydrated,
 		Promoted: d.promoted,
 	}

@@ -131,7 +131,7 @@ func TestRetireSpillsToColdAndRehydrates(t *testing.T) {
 // TestRejectedBatchLeavesNoTrace pins the validate-before-mutate contract:
 // a batch rejected mid-way (negative shard after valid entries) must leave
 // the published view AND the writer's occupancy bookkeeping untouched —
-// otherwise pageLive drifts above real occupancy and the page-drop
+// otherwise the live counts drift above real occupancy and the page-drop
 // compaction can never fire for that page again.
 func TestRejectedBatchLeavesNoTrace(t *testing.T) {
 	d := New(Config{})
@@ -184,6 +184,85 @@ func TestRetireDropsEmptyPages(t *testing.T) {
 		if sh, ok := s.Lookup(v); !ok || sh != int(v)%3 {
 			t.Fatalf("vertex %d: %d,%v", v, sh, ok)
 		}
+	}
+}
+
+// TestRehydrateDropsEmptyColdPages is TestRetireDropsEmptyPages from the
+// other side: the cold tier's footprint follows what is retired, so a cold
+// page whose every entry re-hydrates (through Set or Promote) is dropped.
+func TestRehydrateDropsEmptyColdPages(t *testing.T) {
+	d := New(Config{})
+	var set []Move
+	var all []graph.VertexID
+	for v := graph.VertexID(0); v < 2*pageSize; v++ {
+		set = append(set, Move{V: v, To: int(v) % 3})
+		all = append(all, v)
+	}
+	mustCommit(t, d, Batch{Set: set})
+	mustCommit(t, d, Batch{Retire: all})
+	if s := d.Current(); s.cold.allocated() != 2 || s.hot.allocated() != 0 || s.ColdLen() != 2*pageSize {
+		t.Fatalf("after retiring all: %d cold pages, %d hot pages, cold=%d, want 2/0/%d",
+			s.cold.allocated(), s.hot.allocated(), s.ColdLen(), 2*pageSize)
+	}
+	// Re-hydrate page 0: half through Set, half through Promote.
+	mustCommit(t, d, Batch{Set: set[:pageSize/2], Promote: all[pageSize/2 : pageSize]})
+	s := d.Current()
+	if s.cold.allocated() != 1 || s.cold[0] != nil {
+		t.Errorf("%d cold pages after emptying cold page 0 (page 0 dropped: %v), want 1 (compaction)",
+			s.cold.allocated(), s.cold[0] == nil)
+	}
+	if s.HotLen() != pageSize || s.ColdLen() != pageSize {
+		t.Errorf("hot=%d cold=%d, want %d/%d", s.HotLen(), s.ColdLen(), pageSize, pageSize)
+	}
+	for v := graph.VertexID(0); v < 2*pageSize; v++ {
+		sh, cold, ok := s.LookupTier(v)
+		if !ok || sh != int(v)%3 || cold != (v >= pageSize) {
+			t.Fatalf("vertex %d: (%d,cold=%v,%v)", v, sh, cold, ok)
+		}
+	}
+	// The dropped page comes back when its range retires again.
+	mustCommit(t, d, Batch{Retire: all[:1]})
+	if s := d.Current(); s.cold.allocated() != 2 || s.cold.get(0) != 0 || s.cold.get(1) != noShard {
+		t.Errorf("re-retiring into a dropped cold page: %d pages, slot0=%d slot1=%d",
+			s.cold.allocated(), s.cold.get(0), s.cold.get(1))
+	}
+}
+
+// TestOutOfRangeIDsLiveOnlyInTheFarMap: an ID at or above hotIDLimit lands
+// in the residual map whichever lane names it — never in a page of either
+// tier — counts as cold, and is left alone by Retire and Promote.
+func TestOutOfRangeIDsLiveOnlyInTheFarMap(t *testing.T) {
+	d := New(Config{})
+	a, b := hotIDLimit, hotIDLimit+(7<<pageBits)+3
+	mustCommit(t, d, Batch{Shards: 4, Set: []Move{{V: a, To: 1}, {V: 5, To: 0}}})
+	before := d.Current()
+	mustCommit(t, d, Batch{SetCold: []Move{{V: b, To: 2}, {V: a, To: 3}}})
+	mustCommit(t, d, Batch{Retire: []graph.VertexID{a, b}, Promote: []graph.VertexID{a, b}})
+	s := d.Current()
+	for v, want := range map[graph.VertexID]int{a: 3, b: 2} {
+		if sh, cold, ok := s.LookupTier(v); !ok || !cold || sh != want {
+			t.Errorf("LookupTier(%d) = (%d,cold=%v,%v), want (%d,true,true)", v, sh, cold, ok, want)
+		}
+		if sh, ok := s.far[v]; !ok || int(sh) != want {
+			t.Errorf("far[%d] = %d,%v, want %d", v, sh, ok, want)
+		}
+	}
+	if len(s.far) != 2 || s.hot.allocated() != 1 || s.cold.allocated() != 0 {
+		t.Errorf("far=%d entries, %d hot pages, %d cold pages, want 2/1/0",
+			len(s.far), s.hot.allocated(), s.cold.allocated())
+	}
+	if s.Len() != 3 || s.HotLen() != 1 || s.ColdLen() != 2 {
+		t.Errorf("len=%d hot=%d cold=%d, want 3/1/2", s.Len(), s.HotLen(), s.ColdLen())
+	}
+	if st := d.Stats(); st.Retired != 0 || st.Promoted != 0 {
+		t.Errorf("out-of-range retire/promote counted: %+v", st)
+	}
+	// The map is copy-on-write too: the earlier view still sees its own.
+	if sh, ok := before.Lookup(a); !ok || sh != 1 {
+		t.Errorf("pinned view's far entry changed: %d,%v", sh, ok)
+	}
+	if _, ok := before.Lookup(b); ok {
+		t.Error("pinned view sees a later far entry")
 	}
 }
 

@@ -81,24 +81,18 @@ func (o *oracle) at(epoch uint64) (oracleState, bool) {
 	return s, ok
 }
 
-// materialise converts a directory snapshot into the oracle's shape.
+// materialise converts a directory snapshot into the oracle's shape, through
+// the exported read surface only (Each for the mapping, LookupTier for the
+// tier), so it holds whatever the tiers are made of.
 func materialise(s *Snapshot) oracleState {
 	st := oracleState{m: map[graph.VertexID]int{}, cold: map[graph.VertexID]bool{}}
-	for p, pg := range s.pages {
-		if pg == nil {
-			continue
+	s.Each(func(v graph.VertexID, shard int) bool {
+		st.m[v] = shard
+		if _, cold, _ := s.LookupTier(v); cold {
+			st.cold[v] = true
 		}
-		base := graph.VertexID(p) << pageBits
-		for i, sh := range pg {
-			if sh != noShard {
-				st.m[base+graph.VertexID(i)] = int(sh)
-			}
-		}
-	}
-	for v, sh := range s.cold {
-		st.m[v] = int(sh)
-		st.cold[v] = true
-	}
+		return true
+	})
 	return st
 }
 

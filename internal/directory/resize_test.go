@@ -130,6 +130,12 @@ func TestSetColdTierPreserving(t *testing.T) {
 	if s.HotLen() != 1 || s.ColdLen() != 2 {
 		t.Errorf("tiers after SetCold: hot=%d cold=%d, want 1/2", s.HotLen(), s.ColdLen())
 	}
+	// An unknown in-range ID joins the cold *page* of its index — not the
+	// residual map, which is for IDs outside the dense region only.
+	if _, cold, _ := s.LookupTier(12); !cold || s.cold.get(12) != 1 || len(s.far) != 0 {
+		t.Errorf("unknown in-range ID: cold=%v, cold page slot=%d, far map has %d entries; want true/1/0",
+			cold, s.cold.get(12), len(s.far))
+	}
 }
 
 // TestColdPromotionAcrossResize is the satellite case: an entry that

@@ -75,10 +75,11 @@ const maxFrame = 1 << 26
 func newReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, 1<<16) }
 func newWriter(c net.Conn) *bufio.Writer { return bufio.NewWriterSize(c, 1<<16) }
 
+// writeFrame encodes the length prefix into bufio's own buffer: a [4]byte
+// handed to Write would escape through the io.Writer, one heap object per
+// frame.
 func writeFrame(w *bufio.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendU32(w.AvailableBuffer(), uint32(len(payload)))); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -87,15 +88,22 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 	return w.Flush()
 }
 
-// readFrame reads one frame payload, reusing buf when it fits.
+// readFrame reads one frame payload, reusing buf when it fits. The length
+// prefix is peeked in bufio's own buffer, for the reason writeFrame gives.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("dirserve: frame of %d bytes exceeds limit", n)
+	}
+	if _, err := r.Discard(4); err != nil {
+		return nil, err
 	}
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
