@@ -44,11 +44,22 @@ func (b *Block) Hash() types.Hash { return b.Header.Hash() }
 
 // TxRoot computes the Merkle root of the block's transactions.
 func TxRoot(txs []*Transaction) types.Hash {
+	return txRoot(len(txs), func(i int) types.Hash { return txs[i].Hash() })
+}
+
+// receiptsTxRoot is TxRoot of the transactions the receipts were applied
+// from, taken from the hashes the receipts already carry.
+func receiptsTxRoot(receipts []*Receipt) types.Hash {
+	return txRoot(len(receipts), func(i int) types.Hash { return receipts[i].TxHash })
+}
+
+// txRoot is the Merkle root over n transaction hashes keyed by index.
+func txRoot(n int, hash func(i int) types.Hash) types.Hash {
 	t := trie.New()
 	var idx [8]byte
-	for i, tx := range txs {
+	for i := range n {
 		binary.BigEndian.PutUint64(idx[:], uint64(i))
-		h := tx.Hash()
+		h := hash(i)
 		t.Put(idx[:], h[:])
 	}
 	return t.Root()

@@ -118,7 +118,7 @@ func (c *Chain) BuildBlock(miner types.Address, timestamp int64, txs []*Transact
 			Time:       timestamp,
 			Miner:      miner,
 			StateRoot:  root,
-			TxRoot:     TxRoot(applied),
+			TxRoot:     receiptsTxRoot(receipts),
 			GasUsed:    gasUsed,
 			GasLimit:   c.cfg.BlockGasLimit,
 		},

@@ -92,24 +92,30 @@ func artifactCells(t *testing.T) []artifactCell {
 	cells = append(cells, artifactCell{
 		name: "fault-mixed/receipts",
 		gt:   small,
-		cfg: func() (Config, error) {
-			blocks := small.Records[len(small.Records)-1].Block + 48
-			inj, err := fault.New(fault.Schedule{
-				Seed: 1, Shards: 4,
-				Crashes:  fault.PeriodicCrashes(7, blocks, 4),
-				DropProb: 0.15, DelayProb: 0.1, DupProb: 0.2,
-				ShuffleDeliveries: true,
-				WaveStallFlushes:  25, CommitFailEvery: 5,
-			})
-			if err != nil {
-				return Config{}, err
-			}
-			cfg := cfgFor(sim.MethodTRMetis, shardchain.ModelReceipts, 4)
-			cfg.Fault, cfg.MaxSettleSteps = inj, 600
-			return cfg, nil
-		},
+		cfg:  func() (Config, error) { return mixedFaultCfg(small, sim.MethodTRMetis, 25) },
 	})
 	return cells
+}
+
+// mixedFaultCfg is the fault-mixed cell's receipts-model run over small
+// under method: periodic crashes, dropped/duplicated/delayed/reordered
+// receipts, every fifth commit failing transiently and each wave flip
+// stalled for stall flushes.
+func mixedFaultCfg(small *sim.GeneratedTrace, method sim.Method, stall int) (Config, error) {
+	blocks := small.Records[len(small.Records)-1].Block + 48
+	inj, err := fault.New(fault.Schedule{
+		Seed: 1, Shards: 4,
+		Crashes:  fault.PeriodicCrashes(7, blocks, 4),
+		DropProb: 0.15, DelayProb: 0.1, DupProb: 0.2,
+		ShuffleDeliveries: true,
+		WaveStallFlushes:  stall, CommitFailEvery: 5,
+	})
+	if err != nil {
+		return Config{}, err
+	}
+	cfg := cfgFor(method, shardchain.ModelReceipts, 4)
+	cfg.Fault, cfg.MaxSettleSteps = inj, 600
+	return cfg, nil
 }
 
 func hexes(hs []types.Hash) []string {
@@ -175,6 +181,47 @@ func TestChainArtifacts(t *testing.T) {
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("%s: chain artifacts moved\n got %+v\nwant %+v", got[i].Name, got[i], want[i])
+		}
+	}
+}
+
+// TestFaultPinObservations pins what the fault plane records about the
+// epochs chain blocks pin — StaleBlocks, MaxEpochLag, RePins — the one read
+// the pipelined bridge moved (from Step entry on the chain to block seal on
+// the control stage). The fault-mixed cell is TestChainArtifacts'; its
+// TR-METIS policy fires no wave on this trace, so it pins zeros. The two
+// R-METIS cells fire three: a 25-flush stall lands mid-run (stale blocks,
+// then re-pins), a 400-flush stall is still pending when the records run
+// out, so the end-of-run settle blocks count as stale too.
+//
+// Provenance: the numbers are the parent tree's, commit 9ccef02 (before the
+// bridge was pipelined). This test file drops into a clean checkout of that
+// commit as it is, and `go test -run TestFaultPinObservations
+// ./internal/opsim` passes on both trees.
+func TestFaultPinObservations(t *testing.T) {
+	type pins struct{ StaleBlocks, MaxEpochLag, RePins uint64 }
+	small := smallTrace(t)
+	for _, c := range []struct {
+		method sim.Method
+		stall  int
+		want   pins
+	}{
+		{sim.MethodTRMetis, 25, pins{0, 0, 0}}, // the fault-mixed cell
+		{sim.MethodRMetis, 25, pins{20, 1, 3}},
+		{sim.MethodRMetis, 400, pins{132, 3, 0}},
+	} {
+		cfg, err := mixedFaultCfg(small, c.method, c.stall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(small, cfg)
+		if err != nil {
+			t.Fatalf("%v stall %d: %v", c.method, c.stall, err)
+		}
+		f := res.Fault
+		if got := (pins{f.StaleBlocks, f.MaxEpochLag, f.RePins}); got != c.want {
+			t.Errorf("%v stall %d: pin observations %+v, the parent tree recorded %+v",
+				c.method, c.stall, got, c.want)
 		}
 	}
 }

@@ -266,16 +266,126 @@ type move struct {
 	to int
 }
 
-// runner holds the live state of one co-simulation.
+// runner is the control stage of one co-simulation. A run is two pipelined
+// stages (DESIGN §7): the control stage replays every record through the
+// simulator, publishes placements to the directory and keeps the window
+// clock; the chain stage (x) owns the ShardChain and executes the ops the
+// control stage hands it, a batch per sealed block, each op against the
+// directory snapshot that was current when it was enqueued. The simulator
+// never reads chain state and the chain reads placement only through those
+// immutable snapshots, so the control stage runs ahead while blocks execute.
 type runner struct {
 	cfg Config
 	gt  *sim.GeneratedTrace
 	s   *sim.Simulator
-	sc  *shardchain.ShardChain
 
+	// pendingMoves collects the current wave's OnMove reports until they are
+	// enqueued for the chain stage.
 	pendingMoves []move
+
+	// pub/dir are the serving directory fed by the simulator's callbacks
+	// (nil on the assignment-resolved reference path); pubErr carries a
+	// publisher failure out of the void callbacks. flaky is the
+	// fault-injecting committer wedged between them when Config.Fault is
+	// armed. resizeErr likewise carries a failed resize out of the void
+	// OnResize callback.
+	pub       *directory.Publisher
+	dir       *directory.Directory
+	flaky     *fault.FlakyDirectory
+	pubErr    error
+	resizeErr error
+
+	// lagging tracks whether the previous block pinned a stale epoch, so
+	// re-pins (lag returning to zero) can be counted.
+	lagging bool
+
+	// curBlock is the block the latest record belongs to; open reports that
+	// records have been enqueued since the last seal.
+	curBlock uint64
+	open     bool
+	winStart time.Time
+	started  bool
+
+	// cur is the batch being filled; q is the queue to the chain stage, nil
+	// on the reference path, where every batch runs inline as it is handed
+	// off because the live assignment it resolves through cannot cross
+	// goroutines.
+	cur []op
+	q   *queue
+	x   *executor
+	res *Result
+}
+
+// queueDepth bounds the sealed batches waiting for the chain stage. The
+// control stage blocks when the queue is full; nothing is dropped. The
+// depth is the chain work buffered to cover a repartition wave, during
+// which the control stage enqueues nothing; each queued op pins the epoch
+// it carries, so a deeper queue also holds more copy-on-write pages
+// (ops-bridge, seed 1: the chain stage idles 2.1 s of a 7.3 s pass at
+// depth 16, 1.2 s of 6.3 s at 64, 0.9 s of 6.3 s at 256, which costs
+// 40–50 MiB more peak memory than the serial bridge).
+const queueDepth = 64
+
+// queue joins the stages: work carries sealed batches to the chain stage,
+// free returns executed ones for reuse, ack releases a control stage waiting
+// on a resize barrier, and done closes when the chain stage exits, with err
+// saying why if it stopped early.
+type queue struct {
+	work, free chan []op
+	ack        chan struct{}
+	done       chan struct{}
+	err        error
+}
+
+// opKind names one unit of chain work.
+type opKind uint8
+
+const (
+	opRecord      opKind = iota // replay one record as a transfer
+	opMoves                     // carry a repartition onto the chain
+	opCloseWindow               // snapshot the window's counters
+	opStep                      // execute the sealed block
+	opSettle                    // drain in-flight receipts with empty blocks
+	opBarrier                   // run a resize while the control stage waits
+)
+
+// op is one unit of chain work. snap is the directory view that was current
+// when the control stage enqueued it (nil on the reference path); every
+// resolution the op makes goes through it. The other fields are per kind.
+type op struct {
+	kind     opKind
+	snap     *directory.Snapshot
+	from, to uint64       // opRecord: vertex IDs
+	value    uint64       // opRecord: clamped transfer value
+	moves    []move       // opMoves: the wave's moves, handed over
+	start    time.Time    // opCloseWindow
+	fn       func() error // opBarrier
+}
+
+// A batch is one hand-off: the ops enqueued since the previous one, ending
+// in a block's step or a barrier. Batches are recycled through the queue's
+// free list; recycle empties one for reuse, dropping its snapshot and
+// closure references so a recycled batch pins nothing.
+func recycle(b []op) []op {
+	clear(b)
+	return b[:0]
+}
+
+// executor is the chain stage, and the only code that touches the
+// ShardChain during Run.
+type executor struct {
+	cfg *Config
+	gt  *sim.GeneratedTrace
+	sc  *shardchain.ShardChain
+	res *Result
+
+	// snap is the executing op's directory view; live resolves from the
+	// simulator's assignment instead on the reference path.
+	snap *directory.Snapshot
+	live func(graph.VertexID) (int, bool)
+
 	// The current block's transactions are built in place in pendingTxs,
-	// their recipients in the parallel pendingTo; flushBlock links
+	// their recipients in the parallel pendingTo; flush links
 	// Transaction.To and fills blockTxs with pointers only once the block is
 	// complete (appending may move the slabs). All three are truncated and
 	// reused every block: nothing keeps a *Transaction past Step — the
@@ -284,33 +394,16 @@ type runner struct {
 	pendingTxs []chain.Transaction
 	pendingTo  []types.Address
 	blockTxs   []*chain.Transaction
-	curBlock   uint64
-	haveBlock  bool
-
-	// pub/dir are the serving directory fed by the simulator's callbacks
-	// (nil on the assignment-resolved reference path); pubErr carries a
-	// publisher failure out of the void callbacks. flaky is the fault-injecting committer wedged
-	// between them when Config.Fault is armed. resizeErr likewise carries
-	// a failed resize bridge out of the void OnResize callback.
-	pub       *directory.Publisher
-	dir       *directory.Directory
-	flaky     *fault.FlakyDirectory
-	pubErr    error
-	resizeErr error
-
-	// receiptsHash accumulates the replay-order receipt hash (Capture).
-	receiptsHash types.Hash
-	// lagging tracks whether the previous block pinned a stale epoch, so
-	// re-pins (lag returning to zero) can be counted.
-	lagging bool
 
 	seen   []bool   // vertex ID → funded/materialised on the chain
 	nonces []uint64 // vertex ID → next transaction nonce
 
-	winStart  time.Time
-	started   bool
 	lastStats shardchain.Stats
-	res       *Result
+	// settled counts the blocks the final settle op stepped, so the control
+	// stage can observe their pins after joining.
+	settled int
+	// receiptsHash accumulates the replay-order receipt hash (Capture).
+	receiptsHash types.Hash
 }
 
 // Run replays gt through a live sharded chain under cfg.
@@ -319,8 +412,9 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 	if cfg.Sim.StorageSlots == nil {
 		cfg.Sim.StorageSlots = gt.StorageSlots
 	}
-	r := &runner{
-		cfg:    cfg,
+	r := &runner{cfg: cfg, gt: gt}
+	r.x = &executor{
+		cfg:    &r.cfg,
 		gt:     gt,
 		seen:   make([]bool, gt.Registry.Len()),
 		nonces: make([]uint64, gt.Registry.Len()),
@@ -348,14 +442,16 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 	}
 	simCfg.OnResize = func(at time.Time, oldK, newK, moves int) {
 		if r.resizeErr == nil {
-			r.resizeErr = r.applyResize(oldK, newK, moves)
+			r.resizeErr = r.resize(oldK, newK, moves)
 		}
 	}
 	scCfg := shardchain.Config{
 		K: cfg.Sim.K, Model: cfg.Model, Chain: cfg.Chain, Parallel: cfg.Parallel,
 		Fault: cfg.Fault,
 	}
-	if !cfg.resolveFromAssignment {
+	if cfg.resolveFromAssignment {
+		r.x.live = func(v graph.VertexID) (int, bool) { return r.s.Assignment().ShardOf(v) }
+	} else {
 		// The simulator's placement stream publishes into the serving
 		// directory and every home resolves through its published
 		// snapshots: placements flush per record, a repartition's move set
@@ -393,30 +489,19 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 			}
 		}
 		simCfg.OnRetire = r.pub.OnRetire
-		// Each chain block resolves against one pinned directory epoch.
-		// With a flaky committer the pin also observes degradation: a block
-		// that starts while wave flips are stalled is serving bounded-stale
-		// placement (counted, with the lag high-water mark), and the first
-		// block after the flips land is the re-pin.
+		// Each chain block resolves against the one epoch its step op
+		// carries.
 		scCfg.AssignSnapshot = func() func(types.Address) (int, bool) {
-			if r.flaky != nil {
-				if pending := r.flaky.PendingWaves(); pending > 0 {
-					cfg.Fault.Metrics.StaleBlocks.Add(1)
-					cfg.Fault.Metrics.MaxLag(uint64(pending))
-					r.lagging = true
-				} else if r.lagging {
-					cfg.Fault.Metrics.RePins.Add(1)
-					r.lagging = false
-				}
-			}
-			snap := r.dir.Current()
-			return func(a types.Address) (int, bool) {
-				id, ok := r.gt.Registry.Lookup(a)
-				if !ok {
-					return 0, false
-				}
-				return snap.Lookup(graph.VertexID(id))
-			}
+			snap := r.x.snap
+			return func(a types.Address) (int, bool) { return r.x.lookup(snap, a) }
+		}
+		r.q = &queue{
+			work: make(chan []op, queueDepth),
+			// Room for every batch that can exist — queued, executing and
+			// being filled — so returning one never blocks.
+			free: make(chan []op, queueDepth+2),
+			ack:  make(chan struct{}, 1), // one barrier at a time
+			done: make(chan struct{}),
 		}
 	}
 	s, err := sim.New(simCfg)
@@ -424,56 +509,42 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("opsim: %w", err)
 	}
 	r.s = s
-	sc, err := shardchain.New(scCfg, nil, r.assignOf)
+	sc, err := shardchain.New(scCfg, nil, r.x.assignOf)
 	if err != nil {
 		return nil, fmt.Errorf("opsim: %w", err)
 	}
-	r.sc = sc
+	r.x.sc = sc
 	r.res = &Result{Method: simCfg.Method, Model: cfg.Model, K: cfg.Sim.K, Parallel: cfg.Parallel}
+	r.x.res = r.res
 	return r.run()
 }
 
-// assignOf homes first-seen chain accounts — the bridge's placement rule.
-// It reads the directory's current snapshot (the out-of-block path;
-// in-block resolutions go through the pinned per-Step view from
-// AssignSnapshot); the tests' reference path reads the simulator's live
-// assignment directly. The two always agree: every
-// placement event is flushed into the directory before the chain resolves.
-func (r *runner) assignOf(a types.Address) (int, bool) {
-	id, ok := r.gt.Registry.Lookup(a)
-	if !ok {
-		return 0, false
-	}
-	if r.dir != nil {
-		return r.dir.Current().Lookup(graph.VertexID(id))
-	}
-	return r.s.Assignment().ShardOf(graph.VertexID(id))
-}
-
 func (r *runner) run() (*Result, error) {
-	for _, rec := range r.gt.Records {
-		if err := r.processRecord(rec); err != nil {
-			return nil, err
+	if r.q != nil {
+		go r.x.serve(r.q)
+	}
+	err := r.replay()
+	if r.q != nil {
+		// Join the chain stage: it finishes what is queued and exits.
+		close(r.q.work)
+		<-r.q.done
+		if err == nil {
+			err = r.q.err
 		}
 	}
-	r.flushBlock()
-	// Drain in-flight receipts with empty blocks; their settlements land in
-	// the final window. The fault channel's retry bound keeps this finite,
-	// but a fault-armed caller should budget MaxSettleSteps for the
-	// injected backoff chains.
-	for i := 0; i < r.cfg.MaxSettleSteps && r.sc.PendingReceipts() > 0; i++ {
-		r.step(nil)
+	if err != nil {
+		return nil, err
 	}
-	if r.flaky != nil {
-		// Land any wave flips still stalled at end of run; every stall ends.
-		if err := r.flaky.DrainStalls(); err != nil {
-			return nil, fmt.Errorf("opsim: %w", err)
-		}
+	// The final settle blocks were sealed after the last record; nothing
+	// has committed since, so each observes the pin it would have at seal.
+	for range r.x.settled {
+		r.observePin()
 	}
-	if r.started {
-		r.closeWindow()
+	// Land any wave flips still stalled at end of run; every stall ends.
+	if _, err := r.drainStalls(); err != nil {
+		return nil, fmt.Errorf("opsim: %w", err)
 	}
-	r.res.Totals = r.sc.Stats()
+	r.res.Totals = r.x.sc.Stats()
 	r.res.Sim = r.s.Finish()
 	r.res.Sweeps = r.s.Sweeps()
 	if r.dir != nil {
@@ -482,7 +553,7 @@ func (r *runner) run() (*Result, error) {
 		r.res.DirectoryView = r.dir.Current()
 	}
 	if r.cfg.Capture {
-		r.captureArtifacts()
+		r.x.captureArtifacts()
 	}
 	if r.cfg.Fault != nil {
 		snap := r.cfg.Fault.Metrics.Snapshot()
@@ -499,7 +570,29 @@ func (r *runner) run() (*Result, error) {
 	return r.res, nil
 }
 
-// processRecord advances the co-simulation by one interaction record.
+// replay is the control stage's whole run: every record, then the last
+// block, the settle drain and the final window.
+func (r *runner) replay() error {
+	for _, rec := range r.gt.Records {
+		if err := r.processRecord(rec); err != nil {
+			return err
+		}
+	}
+	if err := r.seal(); err != nil {
+		return err
+	}
+	// Drain in-flight receipts with empty blocks; their settlements land in
+	// the final window. The fault channel's retry bound keeps this finite,
+	// but a fault-armed caller should budget MaxSettleSteps for the
+	// injected backoff chains.
+	r.enqueue(op{kind: opSettle})
+	if r.started {
+		r.enqueue(op{kind: opCloseWindow, start: r.winStart})
+	}
+	return r.handOff()
+}
+
+// processRecord advances the control stage by one interaction record.
 func (r *runner) processRecord(rec trace.Record) error {
 	t := time.Unix(rec.Time, 0).UTC()
 	if !r.started {
@@ -509,12 +602,14 @@ func (r *runner) processRecord(rec trace.Record) error {
 	// A record in a new block seals the previous one; a record in a new
 	// window then closes the window (block timestamps are per-block, so a
 	// window boundary always falls on a block boundary).
-	if !r.haveBlock || rec.Block != r.curBlock {
-		r.flushBlock()
-		r.curBlock, r.haveBlock = rec.Block, true
+	if rec.Block != r.curBlock {
+		if err := r.seal(); err != nil {
+			return err
+		}
+		r.curBlock = rec.Block
 	}
 	for t.Sub(r.winStart) >= r.cfg.Sim.Window {
-		r.closeWindow()
+		r.enqueue(op{kind: opCloseWindow, start: r.winStart})
 		r.winStart = r.winStart.Add(r.cfg.Sim.Window)
 	}
 
@@ -525,7 +620,7 @@ func (r *runner) processRecord(rec trace.Record) error {
 		return fmt.Errorf("opsim: %w", err)
 	}
 	if r.resizeErr != nil {
-		return fmt.Errorf("opsim: applying resize: %w", r.resizeErr)
+		return r.resizeErr
 	}
 	if r.pub != nil {
 		// Publish the record's placements (and any buffered retirements)
@@ -539,74 +634,186 @@ func (r *runner) processRecord(rec trace.Record) error {
 		}
 	}
 	if len(r.pendingMoves) > 0 {
-		if err := r.applyMoves(); err != nil {
-			return err
-		}
+		r.enqueue(op{kind: opMoves, moves: r.pendingMoves})
+		r.pendingMoves = nil
 	}
-
 	// Then the chain replays the same record as a transaction.
-	from, ok := r.gt.Registry.Address(rec.From)
-	if !ok {
-		return fmt.Errorf("opsim: unknown vertex %d", rec.From)
-	}
-	to, ok := r.gt.Registry.Address(rec.To)
-	if !ok {
-		return fmt.Errorf("opsim: unknown vertex %d", rec.To)
-	}
-	r.materialise(rec.From, from)
-	r.materialise(rec.To, to)
-	value := min(rec.Value, maxValue)
-	r.pendingTo = append(r.pendingTo, to)
-	r.pendingTxs = append(r.pendingTxs, chain.Transaction{
-		Nonce: r.nonces[rec.From], From: from, // To: see flushBlock
-		Value:    evm.WordFromUint64(value),
-		GasLimit: 50_000, GasPrice: 0,
-	})
-	r.nonces[rec.From]++
-	r.res.Replayed++
+	r.enqueue(op{kind: opRecord, from: rec.From, to: rec.To, value: min(rec.Value, maxValue)})
+	r.open = true
 	return nil
 }
 
-// applyMoves translates a repartition batch into chain operations: state
-// migrations under ModelMigration, future re-homings under ModelReceipts.
-//
-// Under ModelReceipts the chain adopts almost none of a repartition: the
-// bridge materialises accounts at first sight, so by the time a policy
-// fires, every moved vertex already has live state somewhere and Rehome
-// (correctly) refuses to strand it. That is the receipts model's defining
-// limitation made visible — a partition improvement can only reach accounts
-// that do not exist yet — and it is why the joined DynamicCut (the
-// simulator's assignment) and the chain's CrossTxs fraction diverge for
-// repartitioning methods under receipts. The gap between the two columns
-// *is* the measurement, not an error; under ModelMigration they track.
-func (r *runner) applyMoves() error {
-	before := r.sc.Stats()
-	for _, mv := range r.pendingMoves {
-		addr, ok := r.gt.Registry.Address(uint64(mv.v))
-		if !ok {
-			return fmt.Errorf("opsim: repartition moved unknown vertex %d", mv.v)
+// current is the directory view an op enqueued now resolves through.
+func (r *runner) current() *directory.Snapshot {
+	if r.dir == nil {
+		return nil
+	}
+	return r.dir.Current()
+}
+
+// enqueue appends o to the batch being filled, pinned to the current view.
+func (r *runner) enqueue(o op) {
+	o.snap = r.current()
+	r.cur = append(r.cur, o)
+}
+
+// seal ends the open block: the fault plane observes the epoch it pins and
+// the batch goes to the chain stage, ending in the block's step.
+func (r *runner) seal() error {
+	if !r.open {
+		return nil
+	}
+	r.open = false
+	r.observePin()
+	r.enqueue(op{kind: opStep})
+	return r.handOff()
+}
+
+// observePin is the fault plane's view of one block's pinned epoch: a block
+// sealed while wave flips are stalled serves bounded-stale placement
+// (counted, with the lag high-water mark), and the first block after the
+// flips land is the re-pin.
+func (r *runner) observePin() {
+	if r.flaky == nil {
+		return
+	}
+	m := &r.cfg.Fault.Metrics
+	if pending := r.flaky.PendingWaves(); pending > 0 {
+		m.StaleBlocks.Add(1)
+		m.MaxLag(uint64(pending))
+		r.lagging = true
+	} else if r.lagging {
+		m.RePins.Add(1)
+		r.lagging = false
+	}
+}
+
+// handOff gives the batch being filled to the chain stage: inline on the
+// reference path, through the queue otherwise, blocking while it is full.
+// Once the chain stage has stopped on an error, that error is returned.
+func (r *runner) handOff() error {
+	b := r.cur
+	if r.q == nil {
+		err := r.x.run(b)
+		r.cur = recycle(b)
+		return err
+	}
+	select {
+	case <-r.q.done:
+		return r.q.err
+	default:
+	}
+	select {
+	case r.q.work <- b:
+	case <-r.q.done:
+		return r.q.err
+	}
+	select {
+	case r.cur = <-r.q.free:
+	default:
+		r.cur = nil
+	}
+	return nil
+}
+
+// resize is the simulator's OnResize: a barrier. Everything enqueued so far
+// and then the resize run on the chain stage while the control stage waits,
+// so the resize may call back into the control stage — the directory flip,
+// its settle blocks' pins, the stalled waves — exactly as if it ran inline.
+func (r *runner) resize(oldK, newK, moves int) error {
+	pending := r.pendingMoves
+	r.pendingMoves = nil
+	r.enqueue(op{kind: opBarrier, fn: func() error {
+		if err := r.x.applyResize(oldK, newK, moves, pending, r); err != nil {
+			return fmt.Errorf("opsim: applying resize: %w", err)
 		}
-		var err error
-		if r.cfg.Model == shardchain.ModelMigration {
-			_, err = r.sc.MigrateAccount(addr, mv.to)
-		} else {
-			_, err = r.sc.Rehome(addr, mv.to)
+		if r.q != nil {
+			r.q.ack <- struct{}{}
 		}
-		if err != nil {
-			return fmt.Errorf("opsim: applying repartition: %w", err)
+		return nil
+	}})
+	if err := r.handOff(); err != nil || r.q == nil {
+		return err
+	}
+	select {
+	case <-r.q.ack:
+		return nil
+	case <-r.q.done:
+		return r.q.err
+	}
+}
+
+// publishResize commits a resize's directory flip — the new shard count and
+// the wave's remaps as one epoch — and returns the view to resolve through
+// from then on. Barrier only.
+func (r *runner) publishResize(newK, moves int) (*directory.Snapshot, error) {
+	if r.pub != nil {
+		if err := r.pub.OnResize(newK, moves); err != nil {
+			return nil, err
 		}
 	}
-	r.pendingMoves = r.pendingMoves[:0]
-	d := r.sc.Stats().Sub(before)
-	r.res.WaveMigrations += d.Migrations
-	r.res.WaveMigratedSlots += d.MigratedSlots
+	return r.current(), nil
+}
+
+// drainStalls lands every stalled wave flip and returns the view to resolve
+// through from then on. Barrier or after the join only.
+func (r *runner) drainStalls() (*directory.Snapshot, error) {
+	if r.flaky != nil {
+		if err := r.flaky.DrainStalls(); err != nil {
+			return nil, err
+		}
+	}
+	return r.current(), nil
+}
+
+// serve is the chain stage's goroutine: it executes batches in order until
+// the queue closes or an op fails.
+func (x *executor) serve(q *queue) {
+	defer close(q.done)
+	for b := range q.work {
+		if err := x.run(b); err != nil {
+			q.err = err
+			return
+		}
+		q.free <- recycle(b)
+	}
+}
+
+// run executes one batch, each op against the view it carries.
+func (x *executor) run(b []op) error {
+	for i := range b {
+		o := &b[i]
+		x.snap = o.snap
+		var err error
+		switch o.kind {
+		case opRecord:
+			err = x.record(o.from, o.to, o.value)
+		case opMoves:
+			err = x.applyMoves(o.moves)
+		case opCloseWindow:
+			x.closeWindow(o.start)
+		case opStep:
+			x.flush()
+		case opSettle:
+			for ; x.settled < x.cfg.MaxSettleSteps && x.sc.PendingReceipts() > 0; x.settled++ {
+				x.step(nil)
+			}
+		case opBarrier:
+			err = o.fn()
+		}
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // applyResize bridges one autoscaler firing (sim.Config.OnResize) onto the
-// chain and directory. It runs inside the simulator's Process call, at a
-// window boundary — which always falls on a block boundary, so no
-// transactions are pending and the chain sits between Steps.
+// chain and directory. It is a barrier op, run inside the simulator's
+// Process call while the control stage waits, so it may call ctl for the
+// directory's half of the resize. It runs at a window boundary — which
+// always falls on a block boundary, so no transactions are pending and the
+// chain sits between Steps.
 //
 // Split: the chain grows its lanes first (they spin up empty), then the
 // directory commits the new shard count together with every wave remap as
@@ -622,109 +829,187 @@ func (r *runner) applyMoves() error {
 // actually disappears. Settle-only blocks then drain in-flight receipts
 // (bounded by MaxSettleSteps), stalled directory waves are landed, and only
 // a fully drained lane set is removed.
-func (r *runner) applyResize(oldK, newK, moves int) error {
+func (x *executor) applyResize(oldK, newK, moveCount int, moves []move, ctl *runner) error {
+	var err error
 	if newK > oldK {
-		if err := r.sc.AddShards(newK); err != nil {
+		if err := x.sc.AddShards(newK); err != nil {
 			return err
 		}
-		if r.pub != nil {
-			if err := r.pub.OnResize(newK, moves); err != nil {
-				return err
-			}
-		}
-		return r.applyMoves()
-	}
-	if r.pub != nil {
-		if err := r.pub.OnResize(newK, moves); err != nil {
+		if x.snap, err = ctl.publishResize(newK, moveCount); err != nil {
 			return err
 		}
+		return x.applyMoves(moves)
 	}
-	if err := r.applyMoves(); err != nil {
+	if x.snap, err = ctl.publishResize(newK, moveCount); err != nil {
 		return err
 	}
-	before := r.sc.Stats()
+	if err := x.applyMoves(moves); err != nil {
+		return err
+	}
+	before := x.sc.Stats()
 	for s := newK; s < oldK; s++ {
-		for _, addr := range r.sc.HomesOn(s) {
-			to, ok := r.assignOf(addr)
+		for _, addr := range x.sc.HomesOn(s) {
+			to, ok := x.assignOf(addr)
 			if !ok || to >= newK {
 				return fmt.Errorf("merge to k=%d: no surviving home for %v (got %d)", newK, addr, to)
 			}
-			if _, err := r.sc.MigrateAccount(addr, to); err != nil {
+			if _, err := x.sc.MigrateAccount(addr, to); err != nil {
 				return err
 			}
 		}
 	}
-	d := r.sc.Stats().Sub(before)
-	r.res.WaveMigrations += d.Migrations
-	r.res.WaveMigratedSlots += d.MigratedSlots
-	for i := 0; i < r.cfg.MaxSettleSteps && r.sc.PendingReceipts() > 0; i++ {
-		r.step(nil)
+	d := x.sc.Stats().Sub(before)
+	x.res.WaveMigrations += d.Migrations
+	x.res.WaveMigratedSlots += d.MigratedSlots
+	for i := 0; i < x.cfg.MaxSettleSteps && x.sc.PendingReceipts() > 0; i++ {
+		ctl.observePin()
+		x.step(nil)
 	}
-	if r.flaky != nil {
-		// The directory must have acknowledged every stalled wave before a
-		// lane disappears; landing them here keeps the decommission safe
-		// under injected commit stalls.
-		if err := r.flaky.DrainStalls(); err != nil {
-			return err
+	// The directory must have acknowledged every stalled wave before a lane
+	// disappears; landing them here keeps the decommission safe under
+	// injected commit stalls.
+	if x.snap, err = ctl.drainStalls(); err != nil {
+		return err
+	}
+	return x.sc.RemoveShards(newK)
+}
+
+// assignOf homes first-seen chain accounts — the bridge's placement rule —
+// through the executing op's view (in-block resolutions go through the view
+// AssignSnapshot pinned at Step entry, which is the same one); the tests'
+// reference path reads the simulator's live assignment directly. The two
+// always agree: every placement event is flushed into the directory before
+// the op that resolves it is enqueued.
+func (x *executor) assignOf(a types.Address) (int, bool) {
+	if x.live != nil {
+		id, ok := x.gt.Registry.Lookup(a)
+		if !ok {
+			return 0, false
+		}
+		return x.live(graph.VertexID(id))
+	}
+	return x.lookup(x.snap, a)
+}
+
+// lookup resolves a through one directory view.
+func (x *executor) lookup(snap *directory.Snapshot, a types.Address) (int, bool) {
+	id, ok := x.gt.Registry.Lookup(a)
+	if !ok {
+		return 0, false
+	}
+	return snap.Lookup(graph.VertexID(id))
+}
+
+// record queues one record's transfer into the open block, materialising
+// first-seen accounts on their homes and assigning the sender's nonce.
+func (x *executor) record(fromID, toID, value uint64) error {
+	from, ok := x.gt.Registry.Address(fromID)
+	if !ok {
+		return fmt.Errorf("opsim: unknown vertex %d", fromID)
+	}
+	to, ok := x.gt.Registry.Address(toID)
+	if !ok {
+		return fmt.Errorf("opsim: unknown vertex %d", toID)
+	}
+	x.materialise(fromID, from)
+	x.materialise(toID, to)
+	x.pendingTo = append(x.pendingTo, to)
+	x.pendingTxs = append(x.pendingTxs, chain.Transaction{
+		Nonce: x.nonces[fromID], From: from, // To: see flush
+		Value:    evm.WordFromUint64(value),
+		GasLimit: 50_000, GasPrice: 0,
+	})
+	x.nonces[fromID]++
+	x.res.Replayed++
+	return nil
+}
+
+// applyMoves translates a repartition batch into chain operations: state
+// migrations under ModelMigration, future re-homings under ModelReceipts.
+//
+// Under ModelReceipts the chain adopts almost none of a repartition: the
+// bridge materialises accounts at first sight, so by the time a policy
+// fires, every moved vertex already has live state somewhere and Rehome
+// (correctly) refuses to strand it. That is the receipts model's defining
+// limitation made visible — a partition improvement can only reach accounts
+// that do not exist yet — and it is why the joined DynamicCut (the
+// simulator's assignment) and the chain's CrossTxs fraction diverge for
+// repartitioning methods under receipts. The gap between the two columns
+// *is* the measurement, not an error; under ModelMigration they track.
+func (x *executor) applyMoves(moves []move) error {
+	before := x.sc.Stats()
+	for _, mv := range moves {
+		addr, ok := x.gt.Registry.Address(uint64(mv.v))
+		if !ok {
+			return fmt.Errorf("opsim: repartition moved unknown vertex %d", mv.v)
+		}
+		var err error
+		if x.cfg.Model == shardchain.ModelMigration {
+			_, err = x.sc.MigrateAccount(addr, mv.to)
+		} else {
+			_, err = x.sc.Rehome(addr, mv.to)
+		}
+		if err != nil {
+			return fmt.Errorf("opsim: applying repartition: %w", err)
 		}
 	}
-	return r.sc.RemoveShards(newK)
+	d := x.sc.Stats().Sub(before)
+	x.res.WaveMigrations += d.Migrations
+	x.res.WaveMigratedSlots += d.MigratedSlots
+	return nil
 }
 
 // materialise funds a first-seen account on its home shard and, for
 // contracts, installs the synthetic storage footprint that makes migration
 // costs visible as moved slots. Record IDs always index into the fully
 // materialised registry, so seen never needs to grow.
-func (r *runner) materialise(id uint64, addr types.Address) {
-	if r.seen[id] {
+func (x *executor) materialise(id uint64, addr types.Address) {
+	if x.seen[id] {
 		return
 	}
-	r.seen[id] = true
-	st := r.sc.StateOf(r.sc.HomeOf(addr))
-	st.AddBalance(addr, r.cfg.Fund)
-	if r.gt.Registry.IsContract(id) {
-		for i := 0; i < r.cfg.Sim.StorageSlots(graph.VertexID(id)); i++ {
+	x.seen[id] = true
+	st := x.sc.StateOf(x.sc.HomeOf(addr))
+	st.AddBalance(addr, x.cfg.Fund)
+	if x.gt.Registry.IsContract(id) {
+		for i := 0; i < x.cfg.Sim.StorageSlots(graph.VertexID(id)); i++ {
 			st.SetState(addr, evm.WordFromUint64(uint64(i+1)), evm.WordFromUint64(1))
 		}
 	}
 	st.DiscardJournal()
 }
 
-// flushBlock steps the chain with the accumulated block transactions. The
-// runner pre-assigns nonces when it enqueues (a sender can appear several
-// times in one block), so a rejected transaction leaves the tracked nonce
-// ahead of the chain's; resyncing from the chain keeps one failure from
+// flush steps the chain with the accumulated block transactions. Nonces
+// are assigned when a record is queued (a sender can appear several times
+// in one block), so a rejected transaction leaves the tracked nonce ahead
+// of the chain's; resyncing from the chain keeps one failure from
 // cascading into ErrNonceMismatch for every later transaction of that
 // sender.
-func (r *runner) flushBlock() {
-	if len(r.pendingTxs) == 0 {
-		return
+func (x *executor) flush() {
+	for i := range x.pendingTxs {
+		x.pendingTxs[i].To = &x.pendingTo[i]
+		x.blockTxs = append(x.blockTxs, &x.pendingTxs[i])
 	}
-	for i := range r.pendingTxs {
-		r.pendingTxs[i].To = &r.pendingTo[i]
-		r.blockTxs = append(r.blockTxs, &r.pendingTxs[i])
-	}
-	receipts := r.step(r.blockTxs)
+	receipts := x.step(x.blockTxs)
 	for i, receipt := range receipts {
 		if receipt.Success {
 			continue
 		}
-		from := r.pendingTxs[i].From
-		id, _ := r.gt.Registry.Lookup(from) // the address came from the registry
-		r.nonces[id] = r.sc.StateOf(r.sc.HomeOf(from)).GetNonce(from)
+		from := x.pendingTxs[i].From
+		id, _ := x.gt.Registry.Lookup(from) // the address came from the registry
+		x.nonces[id] = x.sc.StateOf(x.sc.HomeOf(from)).GetNonce(from)
 	}
-	r.pendingTxs, r.pendingTo, r.blockTxs = r.pendingTxs[:0], r.pendingTo[:0], r.blockTxs[:0]
+	x.pendingTxs, x.pendingTo, x.blockTxs = x.pendingTxs[:0], x.pendingTo[:0], x.blockTxs[:0]
 }
 
 // step drives one chain block, accounting its wall-clock cost: StepNanos
 // and Blocks are what the performance ledger reports as shardchain.step_*
 // (the chain's share of a run, per block and per transaction).
-func (r *runner) step(txs []*chain.Transaction) []*chain.Receipt {
+func (x *executor) step(txs []*chain.Transaction) []*chain.Receipt {
 	start := time.Now()
-	receipts := r.sc.Step(txs)
-	r.res.StepNanos += time.Since(start).Nanoseconds()
-	r.res.Blocks++
-	if r.cfg.Capture {
+	receipts := x.sc.Step(txs)
+	x.res.StepNanos += time.Since(start).Nanoseconds()
+	x.res.Blocks++
+	if x.cfg.Capture {
 		for _, rc := range receipts {
 			errStr := ""
 			if rc.Err != nil {
@@ -736,8 +1021,8 @@ func (r *runner) step(txs []*chain.Transaction) []*chain.Receipt {
 			}
 			var gas [8]byte
 			binary.BigEndian.PutUint64(gas[:], rc.GasUsed)
-			r.receiptsHash = types.HashConcat(
-				r.receiptsHash[:], rc.TxHash[:], []byte{ok}, gas[:], []byte(errStr))
+			x.receiptsHash = types.HashConcat(
+				x.receiptsHash[:], rc.TxHash[:], []byte{ok}, gas[:], []byte(errStr))
 		}
 	}
 	return receipts
@@ -746,21 +1031,21 @@ func (r *runner) step(txs []*chain.Transaction) []*chain.Receipt {
 // captureArtifacts computes the end-of-run convergence evidence: per-shard
 // state roots and a hash over every known account's home, in registry-ID
 // order so the digest is canonical. ReceiptsHash accumulated in step.
-func (r *runner) captureArtifacts() {
+func (x *executor) captureArtifacts() {
 	// The chain's *final* lane count, not the configured initial one — the
 	// autoscaler may have moved it.
-	k := r.sc.K()
-	r.res.StateRoots = make([]types.Hash, k)
+	k := x.sc.K()
+	x.res.StateRoots = make([]types.Hash, k)
 	for s := 0; s < k; s++ {
-		r.res.StateRoots[s] = r.sc.StateOf(s).Commit()
+		x.res.StateRoots[s] = x.sc.StateOf(s).Commit()
 	}
 	homes := types.Hash{}
-	for id := uint64(0); id < uint64(r.gt.Registry.Len()); id++ {
-		addr, ok := r.gt.Registry.Address(id)
+	for id := uint64(0); id < uint64(x.gt.Registry.Len()); id++ {
+		addr, ok := x.gt.Registry.Address(id)
 		if !ok {
 			continue
 		}
-		shard, known := r.sc.Known(addr)
+		shard, known := x.sc.Known(addr)
 		if !known {
 			shard = -1
 		}
@@ -769,17 +1054,17 @@ func (r *runner) captureArtifacts() {
 		binary.BigEndian.PutUint64(buf[8:], uint64(int64(shard)))
 		homes = types.HashConcat(homes[:], buf[:])
 	}
-	r.res.HomesHash = homes
-	r.res.ReceiptsHash = r.receiptsHash
+	x.res.HomesHash = homes
+	x.res.ReceiptsHash = x.receiptsHash
 }
 
 // closeWindow snapshots the chain's counters into a per-window delta.
-func (r *runner) closeWindow() {
-	cur := r.sc.Stats()
-	d := cur.Sub(r.lastStats)
-	r.lastStats = cur
-	r.res.Windows = append(r.res.Windows, WindowStat{
-		Start:            r.winStart,
+func (x *executor) closeWindow(start time.Time) {
+	cur := x.sc.Stats()
+	d := cur.Sub(x.lastStats)
+	x.lastStats = cur
+	x.res.Windows = append(x.res.Windows, WindowStat{
+		Start:            start,
 		Interactions:     d.LocalTxs + d.CrossTxs + d.Failed,
 		LocalTxs:         d.LocalTxs,
 		CrossTxs:         d.CrossTxs,
@@ -789,6 +1074,6 @@ func (r *runner) closeWindow() {
 		Migrations:       d.Migrations,
 		MigratedSlots:    d.MigratedSlots,
 		Failed:           d.Failed,
-		Shards:           r.sc.K(),
+		Shards:           x.sc.K(),
 	})
 }

@@ -10,13 +10,16 @@
 // and Root folds the leaves bottom-up. There is no lookup or deletion.
 package trie
 
-import "ethpart/internal/types"
+import (
+	"crypto/sha256"
+
+	"ethpart/internal/types"
+)
 
 // Domain-separation tags so leaves can never be confused with branches.
-var (
-	leafTag   = []byte{0x00}
-	branchTag = []byte{0x01}
-)
+var leafTag = []byte{0x00}
+
+const branchTag = 0x01
 
 type leaf struct{ path, hash types.Hash }
 
@@ -60,5 +63,9 @@ func fold(ls []leaf, depth int) types.Hash {
 		}
 	}
 	l, r := fold(ls[:zeros], depth+1), fold(ls[zeros:], depth+1)
-	return types.HashConcat(branchTag, l[:], r[:])
+	var buf [1 + 2*types.HashLen]byte
+	buf[0] = branchTag
+	copy(buf[1:], l[:])
+	copy(buf[1+types.HashLen:], r[:])
+	return sha256.Sum256(buf[:])
 }
