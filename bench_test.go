@@ -7,8 +7,8 @@
 // Fig. 1's growth curve, Fig. 5's method × k sweep, one benchmark per
 // ablation called out in DESIGN.md §4 (matching scheme, FM refinement,
 // placement rule, R-METIS window length, TR-METIS thresholds), the
-// streaming baselines, and the shard-engine, decay-repartition and
-// autoscale curves. Throughput, per-record and per-layer costs of the
+// shard-engine, decay-repartition and autoscale curves, and the figure
+// path's replay for CPU profiles. Throughput, per-record and per-layer costs of the
 // replay, generation, directory and serving paths are the ledger's.
 // Benchmarks share one synthetic history, generated once, so the
 // comparisons run on identical input — the same discipline the experiments
@@ -17,6 +17,7 @@ package ethpart
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +27,6 @@ import (
 	"ethpart/internal/experiments"
 	"ethpart/internal/graph"
 	"ethpart/internal/opsim"
-	"ethpart/internal/partition"
 	"ethpart/internal/partition/multilevel"
 	"ethpart/internal/shardchain"
 	"ethpart/internal/sim"
@@ -150,6 +150,27 @@ func BenchmarkFig5ShardSweep(b *testing.B) {
 	b.ReportMetric(byKey(sim.MethodHash, 2).OverallDynamicCut, "hash-k2-cut")
 	b.ReportMetric(byKey(sim.MethodHash, 8).OverallDynamicCut, "hash-k8-cut")
 	b.ReportMetric(byKey(sim.MethodMetis, 8).OverallDynamicCut, "metis-k8-cut")
+}
+
+// BenchmarkReplay replays the shared history under the two methods whose
+// waves sim.Replay partitions ahead (DESIGN.md §3), at the ledger's k = 4:
+// the fig-replay cells the multilevel partitioner dominates, without the
+// ledger's other cells and repeats. It is the figure path to profile:
+//
+//	go test -run '^$' -bench 'Replay/metis' -benchtime 1x -cpuprofile cpu.prof .
+func BenchmarkReplay(b *testing.B) {
+	ds := dataset(b)
+	for _, m := range []sim.Method{sim.MethodMetis, sim.MethodRMetis} {
+		b.Run(strings.ToLower(m.String()), func(b *testing.B) {
+			b.ReportAllocs()
+			var res *sim.Result
+			for i := 0; i < b.N; i++ {
+				res = replayFresh(b, ds, sim.Config{Method: m, K: 4})
+			}
+			b.ReportMetric(float64(b.N*len(ds.GT.Records))/b.Elapsed().Seconds(), "records/s")
+			b.ReportMetric(float64(res.TotalMoves), "moves")
+		})
+	}
 }
 
 // BenchmarkAblationMatching compares heavy-edge matching against random
@@ -278,36 +299,6 @@ func BenchmarkAblationThresholds(b *testing.B) {
 			b.ReportMetric(res.OverallDynamicCut, "dyn-cut")
 			b.ReportMetric(float64(res.TotalMoves), "moves")
 			b.ReportMetric(float64(res.Repartitions), "repartitions")
-		})
-	}
-}
-
-// BenchmarkStreamingBaselines compares the one-pass streaming partitioners
-// (LDG, Fennel) against hashing and the multilevel partitioner on the final
-// graph — the quality/latency spectrum from stateless to offline.
-func BenchmarkStreamingBaselines(b *testing.B) {
-	ds := dataset(b)
-	csr := fullGraph(b, ds)
-	for _, cand := range []struct {
-		name string
-		p    partition.Partitioner
-	}{
-		{"hash", partition.Hash{}},
-		{"ldg", partition.LDG{}},
-		{"fennel", partition.Fennel{}},
-		{"multilevel", multilevel.New(multilevel.Config{Seed: 3})},
-	} {
-		b.Run(cand.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var parts []int
-			for i := 0; i < b.N; i++ {
-				var err error
-				parts, err = cand.p.Partition(csr, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(cutOf(csr, parts), "dyn-cut")
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math"
+
 	"ethpart/internal/graph"
 )
 
@@ -62,17 +64,17 @@ func PlaceVertex(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int6
 
 // PlaceVertexFennel is the decay-aware variant of the incremental
 // placement rule: instead of ranking shards by raw neighbour pull under a
-// hard overload cap, it scores them with the streaming Fennel objective —
-// neighbour weight gained minus the shared degree-based marginal size
-// penalty α·γ·|S|^(γ−1) (see Fennel in stream.go), with α computed from
+// hard overload cap, it scores them with the streaming Fennel objective
+// (Tsourakakis et al., WSDM 2014) — neighbour weight gained minus the
+// degree-based marginal size penalty α·γ·|S|^(γ−1), with α computed from
 // the graph g's current edge mass and the per-shard counts' vertex total.
 //
 // Under windowed decay g is the live graph, so the neighbour weights are
 // the decayed weights and α tracks the active set: first-sight placement
 // then optimises the same recency-weighted objective the decayed
 // repartitioner does, instead of a different (cap-gated, raw-pull) one.
-// The hard streaming capacity C = n(1+slack)/k still excludes runaway
-// shards, with the same least-loaded fallback as LDG and Fennel.
+// Fennel's hard capacity (streamCapacity) still excludes runaway shards,
+// with a least-loaded fallback when every shard is at the cap.
 //
 // scratch and counts follow PlaceVertex's contract.
 func PlaceVertexFennel(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64, counts []int) int {
@@ -88,7 +90,7 @@ func PlaceVertexFennel(g *graph.Graph, a *Assignment, v graph.VertexID, scratch 
 	}
 	gamma := fennelDefaultGamma
 	alpha := fennelAlpha(k, float64(g.TotalEdgeWeight()), float64(n), gamma)
-	capacity := streamCapacity(n, k, 0)
+	capacity := streamCapacity(n, k)
 	best, bestScore := -1, 0.0
 	for s, size := range sizes {
 		if float64(size) >= capacity {
@@ -106,6 +108,31 @@ func PlaceVertexFennel(g *graph.Graph, a *Assignment, v graph.VertexID, scratch 
 		return leastLoaded(sizes) // every shard at cap: degenerate, rebalance
 	}
 	return best
+}
+
+// fennelDefaultGamma is the size-penalty exponent the Fennel authors
+// recommend.
+const fennelDefaultGamma = 1.5
+
+// fennelAlpha is Fennel's degree-based penalty scale α = √k·m/n^γ: the
+// marginal cost of adding a vertex to a shard of size s is α·γ·s^(γ−1),
+// calibrated so the total size penalty is comparable to the edges a
+// placement can save. m is the graph's edge mass and n its vertex count —
+// under windowed decay callers pass the *live* graph's numbers, so the
+// penalty tracks the active set rather than dead history.
+func fennelAlpha(k int, m, n, gamma float64) float64 {
+	return math.Sqrt(float64(k)) * m / math.Pow(n, gamma)
+}
+
+// fennelPenalty is the marginal size penalty α·γ·s^(γ−1).
+func fennelPenalty(alpha, gamma, size float64) float64 {
+	return alpha * gamma * math.Pow(size, gamma-1)
+}
+
+// streamCapacity is the hard capacity behind the Fennel penalty: every
+// shard holds at most C = n(1+0.1)/k vertices.
+func streamCapacity(n, k int) float64 {
+	return float64(n) * 1.1 / float64(k)
 }
 
 // shardSizes is the per-shard size measure both placement rules balance

@@ -150,7 +150,7 @@ func (s *Simulator) maybeResize(now time.Time) error {
 	default:
 		return nil
 	}
-	if now.Sub(s.lastRepart) < ac.Cooldown {
+	if now.Sub(s.clk.lastWave) < ac.Cooldown {
 		return nil // wave cooldown shared with the repartition policy
 	}
 	s.hotStreak, s.coldStreak = 0, 0

@@ -1,0 +1,294 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"time"
+
+	"ethpart/internal/graph"
+	"ethpart/internal/partition/multilevel"
+	"ethpart/internal/trace"
+)
+
+// The lookahead (DESIGN.md §3): when every wave of a run is a periodic,
+// from-scratch multilevel partition of a graph the assignment never shapes
+// — the cumulative graph (METIS) or the window since the last wave
+// (R-METIS), in full-history mode at fixed k — each wave's trigger and
+// input are functions of the records alone. Replay then runs the
+// simulator's clock over the same records on a goroutine of its own, builds
+// each wave's CSR as soon as its boundary passes and partitions it on a
+// further goroutine, so several waves partition at once while the
+// simulator catches up. The simulator takes the plans in wave order.
+
+// flightBudget bounds the partitions running at once by the records their
+// sources hold, as a multiple of the trace's. A partition's scratch grows
+// with its input (≈ 7× its CSR), and no inline wave partitions more than
+// the whole trace, so the lookahead's partitions together need at most a
+// quarter more scratch than the largest inline wave. On the ledger's
+// fig-replay (2 vCPU, seeds 4–7) 1.0 ran ×1.30–1.48 the inline records/s,
+// 1.25 ×1.50–1.62 at +2–10 % peak_sys_mb, and 1.5 cost +14–28 %.
+const flightBudget = 1.25
+
+// lookaheadEligible reports whether every wave the simulator can fire
+// depends on the records alone: a periodic trigger, a from-scratch
+// multilevel plan, no decay and no autoscaler.
+func (s *Simulator) lookaheadEligible() bool {
+	return s.policy.trigger == triggerPeriodic && !s.policy.refine &&
+		!s.decayEnabled() && !s.cfg.Autoscale.Enabled
+}
+
+// lookahead is a running lookahead: a bounded queue of wave plans in wave
+// order, and everything that must be joined before Replay returns.
+type lookahead struct {
+	// plans holds GOMAXPROCS plans; while it is full the lookahead waits.
+	plans chan *aheadPlan
+	quit  chan struct{}
+	wg    sync.WaitGroup
+	// err is why the lookahead stopped before the last record; it is
+	// written before plans is closed.
+	err error
+}
+
+// aheadPlan is one wave's plan: the wave's boundary and, once done is
+// closed, the source vertices in CSR order and a shard for each.
+type aheadPlan struct {
+	at    time.Time
+	done  chan struct{}
+	ids   []graph.VertexID
+	parts []int
+	err   error
+}
+
+// startLookahead starts planning the waves of s's run over records ahead
+// of s. s must be lookahead-eligible and must not have processed a record
+// yet.
+func (s *Simulator) startLookahead(records []trace.Record) {
+	la := &lookahead{
+		plans: make(chan *aheadPlan, runtime.GOMAXPROCS(0)),
+		quit:  make(chan struct{}),
+	}
+	clk, cumulative, ml, k := s.clk, s.policy.source == sourceFull, s.ml, s.cfg.K
+	la.wg.Add(1)
+	go func() {
+		defer la.wg.Done()
+		defer close(la.plans)
+		la.err = la.run(records, clk, cumulative, ml, k)
+	}()
+	s.ahead = la
+	// The lookahead builds the window graph; the simulator needs none.
+	s.window = nil
+}
+
+// run walks the records with its own clock and window graph and hands out
+// one plan per wave, in order. A window source partitions the window's CSR;
+// a cumulative one partitions the union of every window's CSR so far, which
+// spares the lookahead a second cumulative graph beside the simulator's.
+func (la *lookahead) run(records []trace.Record, clk clock, cumulative bool, ml *multilevel.Partitioner, k int) error {
+	win := graph.New()
+	var (
+		csrb     graph.CSRBuilder
+		cum      *graph.CSR
+		fl       = flights{max: runtime.GOMAXPROCS(0), budget: int(flightBudget * float64(len(records)))}
+		lastWave int // index of the first record after the last wave
+	)
+	for i := range records {
+		rec := &records[i]
+		t := time.Unix(rec.Time, 0).UTC()
+		if err := clk.admit(t); err != nil {
+			return err
+		}
+		for clk.crossed(t) {
+			now := clk.roll()
+			if !clk.due(now) {
+				continue
+			}
+			clk.lastWave = now
+			var csr *graph.CSR
+			if win.VertexCount() > 0 {
+				csr = csrb.Build(win)
+				win = graph.New()
+			}
+			n := i - lastWave // records in the source
+			if cumulative {
+				if csr != nil {
+					cum = unionCSR(cum, csr)
+				}
+				csr, n = cum, i
+			}
+			lastWave = i
+			p := &aheadPlan{at: now, done: make(chan struct{})}
+			if csr == nil {
+				close(p.done) // an empty source plans nothing, as inline
+			} else {
+				if !fl.wait(n, la.quit) {
+					return nil
+				}
+				fl.add(p.done, n)
+				la.partition(p, csr, ml, k)
+			}
+			select {
+			case la.plans <- p:
+			case <-la.quit:
+				return nil
+			}
+		}
+		if err := rec.Apply(win); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flights tracks the lookahead's running partitions, oldest first, with
+// the records of each one's source.
+type flights struct {
+	max, budget int
+	running     []flight
+	load        int // records of all running sources
+}
+
+type flight struct {
+	done    <-chan struct{}
+	records int
+}
+
+// wait blocks until a partition of an n-record source may start: while
+// max partitions run, or their sources and this one would together exceed
+// the budget, it waits for the oldest to finish. A partition always starts
+// when none runs. wait reports false if quit closes first.
+func (f *flights) wait(n int, quit <-chan struct{}) bool {
+	for len(f.running) > 0 && (len(f.running) == f.max || f.load+n > f.budget) {
+		select {
+		case <-f.running[0].done:
+		case <-quit:
+			return false
+		}
+		f.load -= f.running[0].records
+		f.running = f.running[1:]
+	}
+	return true
+}
+
+// add records a partition that has started.
+func (f *flights) add(done <-chan struct{}, n int) {
+	f.running = append(f.running, flight{done, n})
+	f.load += n
+}
+
+// partition partitions csr for p on its own goroutine, closing p.done when
+// the plan is complete.
+func (la *lookahead) partition(p *aheadPlan, csr *graph.CSR, ml *multilevel.Partitioner, k int) {
+	p.ids = csr.IDs
+	la.wg.Add(1)
+	go func() {
+		defer la.wg.Done()
+		defer close(p.done)
+		p.parts, p.err = ml.Partition(csr, k)
+		if p.err == nil && len(p.parts) != csr.N() {
+			p.err = fmt.Errorf("partitioner returned %d entries for %d vertices", len(p.parts), csr.N())
+		}
+	}()
+}
+
+// next waits for the plan of the wave at boundary now.
+func (la *lookahead) next(now time.Time) ([]graph.VertexID, []int, error) {
+	p, ok := <-la.plans
+	if !ok {
+		if la.err != nil {
+			return nil, nil, fmt.Errorf("lookahead: %w", la.err)
+		}
+		return nil, nil, fmt.Errorf("lookahead has no plan for the wave at %v", now)
+	}
+	<-p.done
+	if !p.at.Equal(now) {
+		return nil, nil, fmt.Errorf("lookahead planned the wave at %v, the simulator is at %v", p.at, now)
+	}
+	return p.ids, p.parts, p.err
+}
+
+// stop ends the lookahead and joins it and every partition it started.
+func (la *lookahead) stop() {
+	close(la.quit)
+	la.wg.Wait()
+}
+
+// unionCSR returns the CSR of the union of the graphs a and b are the CSRs
+// of: the vertices of either, with vertex weights and the weights of common
+// edges summed. Every field of a CSR is a sum over interactions, so the
+// result equals CSRBuilder.Build on one graph holding both graphs'
+// interactions. A nil a is the empty graph.
+func unionCSR(a, b *graph.CSR) *graph.CSR {
+	if a == nil {
+		return b
+	}
+	// Merge the sorted ID lists; amap and bmap send each side's local
+	// indices to the union's, preserving their order.
+	ids := make([]graph.VertexID, 0, a.N()+b.N())
+	amap, bmap := make([]int32, a.N()), make([]int32, b.N())
+	for i, j := 0, 0; i < a.N() || j < b.N(); {
+		x := int32(len(ids))
+		switch {
+		case j == b.N() || i < a.N() && a.IDs[i] < b.IDs[j]:
+			ids, amap[i] = append(ids, a.IDs[i]), x
+			i++
+		case i == a.N() || b.IDs[j] < a.IDs[i]:
+			ids, bmap[j] = append(ids, b.IDs[j]), x
+			j++
+		default:
+			ids, amap[i], bmap[j] = append(ids, a.IDs[i]), x, x
+			i++
+			j++
+		}
+	}
+	n := len(ids)
+	c := &graph.CSR{
+		IDs:     ids,
+		VW:      make([]int64, n),
+		XAdj:    make([]int32, n+1),
+		Adj:     make([]int32, 0, len(a.Adj)+len(b.Adj)),
+		AdjW:    make([]int64, 0, len(a.Adj)+len(b.Adj)),
+		TotalVW: a.TotalVW + b.TotalVW,
+	}
+	// Each union row is the merge of the two sides' rows, both ascending
+	// once mapped.
+	i, j := 0, 0
+	for x := int32(0); int(x) < n; x++ {
+		var ra, rb []int32
+		var wa, wb []int64
+		if i < a.N() && amap[i] == x {
+			ra, wa = a.Row(int32(i))
+			c.VW[x] += a.VW[i]
+			i++
+		}
+		if j < b.N() && bmap[j] == x {
+			rb, wb = b.Row(int32(j))
+			c.VW[x] += b.VW[j]
+			j++
+		}
+		for p, q := 0, 0; p < len(ra) || q < len(rb); {
+			var u int32
+			var w int64
+			switch {
+			case q == len(rb) || p < len(ra) && amap[ra[p]] < bmap[rb[q]]:
+				u, w = amap[ra[p]], wa[p]
+				p++
+			case p == len(ra) || bmap[rb[q]] < amap[ra[p]]:
+				u, w = bmap[rb[q]], wb[q]
+				q++
+			default:
+				u, w = amap[ra[p]], wa[p]+wb[q]
+				p++
+				q++
+			}
+			c.Adj = append(c.Adj, u)
+			c.AdjW = append(c.AdjW, w)
+			if x < u { // count each undirected edge once
+				c.TotalEW += w
+				c.NumEdges++
+			}
+		}
+		c.XAdj[x+1] = int32(len(c.Adj))
+	}
+	return c
+}

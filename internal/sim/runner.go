@@ -70,7 +70,11 @@ func Collect(s *workload.Stream) (*GeneratedTrace, error) {
 	}, nil
 }
 
-// Replay runs one simulation configuration over a generated trace.
+// Replay runs one simulation configuration over a generated trace. When
+// every wave of the configuration depends on the records alone (METIS and
+// R-METIS in full history at fixed k), the waves are partitioned ahead of
+// the simulator, several at a time, by a lookahead that is joined before
+// Replay returns; the result is the one Process would produce.
 func Replay(gt *GeneratedTrace, cfg Config) (*Result, error) {
 	if cfg.StorageSlots == nil {
 		cfg.StorageSlots = gt.StorageSlots
@@ -78,6 +82,10 @@ func Replay(gt *GeneratedTrace, cfg Config) (*Result, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if s.lookaheadEligible() {
+		s.startLookahead(gt.Records)
+		defer s.ahead.stop()
 	}
 	for _, rec := range gt.Records {
 		if err := s.Process(rec); err != nil {

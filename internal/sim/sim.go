@@ -404,8 +404,10 @@ type Simulator struct {
 	// policy is cfg.Method resolved; see policy.
 	policy policy
 
-	full   *graph.Graph // cumulative graph
-	window *graph.Graph // graph of interactions since the last wave
+	full *graph.Graph // cumulative graph
+	// window is the graph of interactions since the last wave, kept only
+	// when a same-k wave partitions it inline (nil otherwise).
+	window *graph.Graph
 	assign *partition.Assignment
 
 	hash partition.Hash
@@ -423,8 +425,13 @@ type Simulator struct {
 	cutEdges, totalEdges   int64
 	cutWeight, totalWeight int64
 
+	// clk is the wave schedule: the open window and the last wave.
+	clk clock
+	// ahead, when non-nil, plans every same-k wave ahead of the simulator
+	// (Replay on a lookahead-eligible config; see lookahead.go).
+	ahead *lookahead
+
 	// Current window accumulation.
-	winStart    time.Time
 	winLoad     []int64
 	winCutW     int64
 	winTotalW   int64
@@ -439,9 +446,7 @@ type Simulator struct {
 	runLoad          []int64
 	runCutW, runTotW int64
 
-	lastRepart time.Time
-	started    bool
-	finished   bool
+	finished bool
 	// badWindows counts consecutive over-threshold observed windows
 	// (TR-METIS); quiet windows neither extend nor reset the streak, but
 	// a quiet gap longer than TriggerWindows ages the evidence out.
@@ -509,8 +514,8 @@ func New(cfg Config) (*Simulator, error) {
 		cfg:          cfg,
 		policy:       pol,
 		full:         graph.New(),
-		window:       graph.New(),
 		assign:       assign,
+		clk:          clock{window: cfg.Window, every: cfg.RepartitionEvery},
 		ml:           multilevel.New(cfg.Multilevel),
 		kl:           partition.NewKL(cfg.KL),
 		placeScratch: make([]int64, cfg.K),
@@ -520,6 +525,9 @@ func New(cfg Config) (*Simulator, error) {
 		cutDefaulted: cutDefaulted,
 		balDefaulted: balDefaulted,
 		result:       Result{Method: cfg.Method, K: cfg.K},
+	}
+	if pol.source != sourceFull {
+		s.window = graph.New()
 	}
 	if cfg.DecayHalfLife > 0 {
 		s.decayFactor = math.Exp2(-float64(cfg.Window) / float64(cfg.DecayHalfLife))
@@ -573,30 +581,29 @@ func (s *Simulator) Graph() *graph.Graph { return s.full }
 func (s *Simulator) Sweeps() []SweepObs { return s.sweeps }
 
 // Process consumes one interaction record. Records must arrive in
-// non-decreasing time order.
+// non-decreasing time order; one before the open metric window is an
+// error.
 func (s *Simulator) Process(rec trace.Record) error {
 	t := time.Unix(rec.Time, 0).UTC()
-	if !s.started {
-		s.winStart = t.Truncate(s.cfg.Window)
-		s.lastRepart = t
-		s.started = true
+	if err := s.clk.admit(t); err != nil {
+		return err
 	}
 	// Window roll-over (possibly across several empty windows).
-	for t.Sub(s.winStart) >= s.cfg.Window {
+	for s.clk.crossed(t) {
 		s.flushWindow()
-		s.winStart = s.winStart.Add(s.cfg.Window)
+		now := s.clk.roll()
 		// Decay ages the live graph before the policy looks at it, so a
 		// firing repartition sees this window's weights already decayed.
 		s.decayStep()
 		// The autoscaler runs before the repartition policy: a firing
-		// resize IS a repartition wave (it advances lastRepart), so the
+		// resize IS a repartition wave (it advances the wave clock), so the
 		// policy never double-fires on the same boundary.
-		if err := s.maybeResize(s.winStart); err != nil {
+		if err := s.maybeResize(now); err != nil {
 			return err
 		}
 		// Threshold policy is evaluated at window boundaries; periodic
 		// policies by elapsed time.
-		if err := s.maybeRepartition(s.winStart); err != nil {
+		if err := s.maybeRepartition(now); err != nil {
 			return err
 		}
 	}
@@ -619,7 +626,7 @@ func (s *Simulator) Process(rec trace.Record) error {
 		return err
 	}
 	newEdge := s.full.EdgeCount() > edges
-	if s.policy.source != sourceFull {
+	if s.window != nil {
 		if err := rec.Apply(s.window); err != nil {
 			return err
 		}
@@ -707,7 +714,7 @@ func (s *Simulator) placeIfNew(v graph.VertexID) (int, error) {
 // flushWindow closes the current window into the result.
 func (s *Simulator) flushWindow() {
 	stat := WindowStat{
-		Start:          s.winStart,
+		Start:          s.clk.start,
 		DynamicBalance: metrics.LoadBalance(s.winLoad),
 		StaticBalance:  s.staticBalance(),
 		Moves:          s.winMoves,
@@ -743,7 +750,7 @@ func (s *Simulator) flushWindow() {
 	// Pre-fill the window's sweep observation; decayStep overwrites it if
 	// a sweep actually runs (it fires right after this flush).
 	s.sweeps = append(s.sweeps, SweepObs{
-		Start:          s.winStart,
+		Start:          s.clk.start,
 		LiveVertices:   s.full.VertexCount(),
 		RecountSkipped: true,
 	})
@@ -844,7 +851,7 @@ func (s *Simulator) maybeRepartition(now time.Time) error {
 	case triggerNone:
 		return nil
 	case triggerPeriodic:
-		if now.Sub(s.lastRepart) < s.cfg.RepartitionEvery {
+		if !s.clk.due(now) {
 			return nil
 		}
 	case triggerThreshold:
@@ -877,7 +884,7 @@ func (s *Simulator) maybeRepartition(now time.Time) error {
 		}
 		s.badWindows++
 		s.lastBadWindow = winCount
-		if now.Sub(s.lastRepart) < s.cfg.MinRepartitionGap {
+		if now.Sub(s.clk.lastWave) < s.cfg.MinRepartitionGap {
 			return nil
 		}
 		if s.badWindows < s.cfg.TriggerWindows {
@@ -895,7 +902,7 @@ func (s *Simulator) maybeRepartition(now time.Time) error {
 // results by the dozen) without keeping the graph, the CSR scratch and the
 // callbacks reachable.
 func (s *Simulator) Finish() *Result {
-	if s.started && !s.finished {
+	if s.clk.started && !s.finished {
 		s.flushWindow()
 	}
 	s.finished = true

@@ -16,8 +16,12 @@ import (
 // sweep wall-clock scale with available cores.
 //
 // Peak memory scales with the worker count: every in-flight replay holds
-// its own cumulative graph and assignment. On machines where that is too
-// much, lower GOMAXPROCS for the process — the pool follows it.
+// its own cumulative graph and assignment. A METIS or R-METIS replay also
+// runs Replay's lookahead, which adds a goroutine plus one per wave it
+// partitions ahead, and the CSRs and partitioner scratch of those waves —
+// bounded per replay by GOMAXPROCS waves and by their sources' records
+// (DESIGN.md §3). On machines where that is too much, lower GOMAXPROCS for
+// the process — the pool and the lookaheads follow it.
 //
 // The first error encountered is returned (with its configuration's index);
 // remaining runs still complete.

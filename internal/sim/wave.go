@@ -31,7 +31,7 @@ func (s *Simulator) wave(now time.Time, newK int) error {
 			return fail(err)
 		}
 	}
-	ids, parts, err := s.plan(oldK, newK)
+	ids, parts, err := s.plan(now, oldK, newK)
 	if err != nil {
 		return fail(err)
 	}
@@ -85,8 +85,10 @@ func (s *Simulator) wave(now time.Time, newK int) error {
 
 	// Every wave restarts the window graph and advances the wave clock the
 	// repartition policy and the autoscaler's cooldown share.
-	s.lastRepart = now
-	s.window = graph.New()
+	s.clk.lastWave = now
+	if s.window != nil {
+		s.window = graph.New()
+	}
 	s.winReparted = true
 	s.winMoves += int64(moves)
 	s.result.TotalMoves += int64(moves)
@@ -123,9 +125,18 @@ func (s *Simulator) wave(now time.Time, newK int) error {
 //	resize, hash placement  every assigned vertex         hash at the new modulus
 //	merge (k → k' < k)      vertices on dropped shards    least-filled survivor
 //	split (k → k' > k)      the (decayed) live graph      multilevel at k'
-func (s *Simulator) plan(oldK, newK int) (ids []graph.VertexID, parts []int, err error) {
+//
+// Under Replay's lookahead every wave is a repartition whose plan was
+// computed ahead from the records alone; plan takes it instead.
+func (s *Simulator) plan(now time.Time, oldK, newK int) (ids []graph.VertexID, parts []int, err error) {
 	resize := newK != oldK
 	switch {
+	case s.ahead != nil:
+		ids, parts, err = s.ahead.next(now)
+		if err == nil && s.policy.source == sourceFull && len(ids) != s.full.VertexCount() {
+			err = fmt.Errorf("lookahead planned %d vertices of a %d-vertex graph", len(ids), s.full.VertexCount())
+		}
+		return ids, parts, err
 	case resize && s.policy.place == PlaceHash:
 		// "shard = hash mod k" is the invariant future placements rely on,
 		// so live and retired vertices alike re-hash at the new modulus.
