@@ -48,7 +48,7 @@ func runChaos(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkK("chaos: ", *k); err != nil {
+	if err := experiments.ValidateShards("chaos: -k", *k); err != nil {
 		return err
 	}
 	if *eras < 1 || *windows < 1 {

@@ -85,16 +85,6 @@ func main() {
 	}
 }
 
-// checkK is every subcommand's flag-parse-time shard-count check (prefix
-// names the subcommand): below one, a replay would silently fall back to
-// the simulator's default and chaos would divide by it.
-func checkK(prefix string, k int) error {
-	if k < 1 {
-		return fmt.Errorf("%sk must be >= 1, got %d", prefix, k)
-	}
-	return nil
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("ethpart", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "trace CSV file ('-' for stdin, .gz read transparently)")
@@ -116,7 +106,7 @@ func run(args []string) error {
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}
-	if err := checkK("", *k); err != nil {
+	if err := experiments.ValidateShards("-k", *k); err != nil {
 		return err
 	}
 	if (*tracePath == "") == (*scenario == "") {

@@ -123,7 +123,7 @@ func TestOpsCSVGuardsEmptySettlement(t *testing.T) {
 			Windows: []opsim.WindowStat{
 				{Start: time.Unix(0, 0).UTC(), Interactions: 3}, // nothing settled
 				{Start: time.Unix(14400, 0).UTC(), Interactions: 2,
-					ReceiptsSettled: 2, SettlementBlocks: 3},
+					Stats: shardchain.Stats{ReceiptsSettled: 2, SettlementBlocks: 3}},
 			},
 		},
 	}}

@@ -39,7 +39,7 @@ func runOps(args []string) error {
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}
-	if err := checkK("ops: ", *k); err != nil {
+	if err := experiments.ValidateShards("ops: -k", *k); err != nil {
 		return err
 	}
 	if *scenario == "" && *arrival != "" {

@@ -6,48 +6,50 @@ import (
 	"strconv"
 	"time"
 
-	"ethpart/internal/costmodel"
 	"ethpart/internal/experiments"
 	"ethpart/internal/report"
 )
 
-// costs prices every method under both multi-shard execution models — the
-// "computation, storage and bandwidth" extension from the paper's final
-// remarks — at datacenter and wide-area message prices.
+// costs prices what the live chain measured for every method under both
+// multi-shard models — the "computation, storage and bandwidth" extension
+// from the paper's final remarks — at datacenter and wide-area prices. One
+// co-simulation per method × model serves both pricings.
 func costs(ds *experiments.Dataset, out output, k int) error {
-	headers := []string{"pricing", "model", "method", "execution", "coordination", "relocation", "imbalance", "total"}
+	fmt.Printf("=== Extension: operating cost per method, priced from the live chain (k=%d) ===\n", k)
+	rows, err := ds.Operational(k)
+	if err != nil {
+		return err
+	}
+	keys, cells := experiments.OpsTable(rows, "model", "method")
+	headers := append(append([]string{"pricing"}, keys...), "execution", "coordination", "relocation", "imbalance", "total")
 	var table [][]string
 	for _, pricing := range []struct {
 		name   string
-		params costmodel.Params
+		prices experiments.Prices
 	}{
-		{"datacenter", costmodel.DefaultParams()},
-		{"wide-area", costmodel.WANParams()},
+		{"datacenter", experiments.DatacenterPrices},
+		{"wide-area", experiments.WideAreaPrices},
 	} {
-		rows, err := ds.CostComparisonWith(k, pricing.params)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			b := r.Breakdown
-			table = append(table, []string{
-				pricing.name, r.Model.String(), r.Method.String(),
+		for i, r := range rows {
+			b := pricing.prices.Bill(r)
+			table = append(table, append(append([]string{pricing.name}, cells[i]...),
 				report.FormatFloat(b.Execution),
 				report.FormatFloat(b.Coordination),
 				report.FormatFloat(b.Relocation),
 				report.FormatFloat(b.Imbalance),
-				report.FormatFloat(b.Total()),
-			})
+				report.FormatFloat(b.Total())))
 		}
 	}
-	fmt.Printf("=== Extension: resource costs per method (k=%d) ===\n", k)
 	if err := report.Table(os.Stdout, headers, table); err != nil {
 		return err
 	}
-	fmt.Println("\n  coordination prices cross-shard transactions; relocation prices")
-	fmt.Println("  repartitioning moves (vertices + storage slots); imbalance prices")
-	fmt.Println("  capacity stranded in idle shards. Wide-area pricing multiplies")
-	fmt.Println("  message cost 10x, shifting the optimum toward low-cut methods.")
+	fmt.Print(`
+  coordination prices the chain's cross-shard traffic (receipts, or
+  the migration model's inline sender moves); relocation prices what
+  repartition waves moved (accounts + storage slots); imbalance prices
+  capacity stranded in idle shards. Wide-area pricing multiplies
+  message cost 10x, shifting the optimum toward low-cut methods.
+`)
 	return out.csv("costs.csv", headers, table)
 }
 

@@ -19,6 +19,20 @@
 //	-decay-half-life D  windowed graph decay half-life (0 = full history,
 //	             as in the paper); bounds live-graph size on long traces
 //	-horizon D   decay retention horizon (0 = 4x the half-life)
+//	-k N         shard count of costs, shardaware, decaycost and
+//	             scenariocost (default 4)
+//	-k-min N, -k-max N  scalecost's fixed baselines and autoscaler range
+//	             (default 2 and 8)
+//	-hours H     scenariocost: shorten every scenario's arrival window
+//
+// Every shard count must be at least 1 and -k-max at least -k-min; the
+// flags are checked before any history is generated.
+//
+// costs, decaycost, scalecost and scenariocost are operational figures:
+// each replays its history through the live sharded chain
+// (experiments.RunOps) and reports what the chain measured. costs prices
+// those measurements — cross-shard messages, relocated accounts and slots —
+// at datacenter and wide-area prices (experiments.Prices).
 package main
 
 import (
@@ -63,6 +77,15 @@ func run(args []string) error {
 	}
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
+	}
+	if err := experiments.ValidateShards("-k", *k); err != nil {
+		return err
+	}
+	if err := experiments.ValidateShards("-k-min", *kmin); err != nil {
+		return err
+	}
+	if *kmax < *kmin {
+		return fmt.Errorf("-k-max %d is below -k-min %d", *kmax, *kmin)
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("expected one subcommand: fig1|fig2|fig3|fig4|fig5|costs|shardaware|decaycost|scalecost|scenariocost|all")

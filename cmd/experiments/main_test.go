@@ -14,7 +14,14 @@ import (
 // they moved onto the shared runner and column vocabulary, and the paper's
 // own graph-growth and shard-count-sweep figures (-scale 0.0005), captured
 // at commit b1a91af, before the Merkle trie became a root fold and the
-// multilevel partitioner's unset options became constants.
+// multilevel partitioner's unset options became constants. costs.csv
+// (-scale 0.0005, where every method's waves still fire) was captured when
+// the figure began pricing the live chain's measurements instead of the
+// simulator's, with
+//
+//	go run ./cmd/experiments -scale 0.0005 -csv cmd/experiments/testdata costs
+//
+// Its ten co-simulations take ≈ 28 s under -race on 2 vCPUs.
 func TestOperationalFigureGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		fig  string
@@ -25,6 +32,7 @@ func TestOperationalFigureGoldens(t *testing.T) {
 		{"scenariocost", []string{"-hours", "12"}},
 		{"fig1", []string{"-scale", "0.0005"}},
 		{"fig5", []string{"-scale", "0.0005"}},
+		{"costs", []string{"-scale", "0.0005"}},
 	} {
 		t.Run(tc.fig, func(t *testing.T) {
 			dir := t.TempDir()
@@ -43,6 +51,34 @@ func TestOperationalFigureGoldens(t *testing.T) {
 				t.Errorf("%s.csv drifted from testdata/%s.csv:\n got:\n%s\nwant:\n%s", tc.fig, tc.fig, got, want)
 			}
 		})
+	}
+}
+
+// TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
+// shard counts below one and of an inverted -k-min/-k-max range, with a
+// one-line error. Past the flags each would run silently at a default count
+// (the simulator's k = 2, scalecost's k-min 2) or, for shardaware, generate
+// a history with zero communities. Every row names a subcommand that would
+// otherwise generate a history first.
+func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-k", "0", "costs"}, "-k must be >= 1"},
+		{[]string{"-k", "-1", "decaycost"}, "-k must be >= 1"},
+		{[]string{"-k", "0", "scenariocost"}, "-k must be >= 1"},
+		{[]string{"-k", "0", "shardaware"}, "-k must be >= 1"},
+		{[]string{"-k", "0", "fig5"}, "-k must be >= 1"},
+		{[]string{"-k-min", "0", "scalecost"}, "-k-min must be >= 1"},
+		{[]string{"-k-min", "4", "-k-max", "3", "scalecost"}, "-k-max 3 is below -k-min 4"},
+	} {
+		err := run(tc.args)
+		if err == nil {
+			t.Errorf("%v: accepted", tc.args)
+		} else if msg := err.Error(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "\n") {
+			t.Errorf("%v: error %q is not the one-line check %q", tc.args, msg, tc.want)
+		}
 	}
 }
 

@@ -74,6 +74,17 @@ func ValidateDecayFlags(decay, horizon time.Duration) error {
 	return nil
 }
 
+// ValidateShards is the flag-parse-time shard-count check every binary runs
+// on each count it takes (name labels the flag in the error): below one, a
+// run would silently fall back to a default count and chaos would divide
+// by it.
+func ValidateShards(name string, k int) error {
+	if k < 1 {
+		return fmt.Errorf("%s must be >= 1, got %d", name, k)
+	}
+	return nil
+}
+
 func (p Params) withDefaults() Params {
 	if p.Seed == 0 {
 		p.Seed = 1

@@ -4,48 +4,16 @@ import (
 	"fmt"
 	"time"
 
-	"ethpart/internal/costmodel"
 	"ethpart/internal/sim"
 	"ethpart/internal/workload"
 )
 
-// The functions here implement the two extension experiments derived from
-// the paper's final remarks:
-//
-//   - CostComparisonWith prices each method's run under both multi-shard
-//     execution models (coordinated execution vs state movement), the
-//     "computation, storage and bandwidth" incentive components;
-//   - ShardAware re-runs the headline comparison on a workload whose
-//     applications were designed for a sharded world (community-local
-//     interactions), the paper's "applications will be designed in a
-//     different way" caveat.
-
-// CostRow is one method's price under one execution model.
-type CostRow struct {
-	Method    sim.Method
-	Model     costmodel.Model
-	Breakdown costmodel.Breakdown
-}
-
-// CostComparisonWith prices every method at k shards under both execution
-// models with explicit cost parameters (e.g. costmodel.WANParams).
-func (d *Dataset) CostComparisonWith(k int, params costmodel.Params) ([]CostRow, error) {
-	var rows []CostRow
-	for _, model := range []costmodel.Model{costmodel.Coordinated, costmodel.StateMovement} {
-		for _, m := range sim.Methods() {
-			res, err := d.Run(m, k)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, CostRow{
-				Method:    m,
-				Model:     model,
-				Breakdown: costmodel.Cost(res, model, params),
-			})
-		}
-	}
-	return rows, nil
-}
+// ShardAware implements the extension experiment behind the paper's
+// "applications will be designed in a different way" caveat: it re-runs the
+// headline comparison on a workload whose applications were designed for a
+// sharded world (community-local interactions). The other extension, what a
+// partition costs to operate, is an operational figure (Prices in
+// operational.go).
 
 // ShardAwareRow compares one method's dynamic cut on today's workload
 // against the shard-aware (community-local) workload.

@@ -4,41 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"ethpart/internal/costmodel"
 	"ethpart/internal/sim"
 	"ethpart/internal/workload"
 )
-
-func TestCostComparisonRanksMethods(t *testing.T) {
-	ds := testDataset(t)
-	rows, err := ds.CostComparisonWith(2, costmodel.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2*len(sim.Methods()) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byKey := map[string]CostRow{}
-	for _, r := range rows {
-		byKey[r.Method.String()+"/"+r.Model.String()] = r
-		if r.Breakdown.Total() <= 0 {
-			t.Errorf("%v/%v total = %v", r.Method, r.Model, r.Breakdown.Total())
-		}
-	}
-	// Hashing pays the most coordination under the coordinated model (its
-	// cut is the worst) and nothing in relocation.
-	hash := byKey["HASH/coordinated"]
-	metis := byKey["METIS/coordinated"]
-	if hash.Breakdown.Coordination <= metis.Breakdown.Coordination {
-		t.Error("hash must pay more coordination than METIS")
-	}
-	if hash.Breakdown.Relocation != 0 {
-		t.Error("hash must pay no relocation")
-	}
-	if metis.Breakdown.Relocation <= 0 {
-		t.Error("METIS must pay relocation")
-	}
-}
 
 // shardAwareParams compresses history further for test speed.
 func shardAwareTestParams() Params {
@@ -96,30 +64,5 @@ func TestDefaultShardAwareParams(t *testing.T) {
 	p := DefaultShardAwareParams(3, 0.01)
 	if p.Seed != 3 || p.Scale != 0.01 || len(p.Eras) != 1 {
 		t.Errorf("params = %+v", p)
-	}
-}
-
-func TestCostModelIntegrationMovesDominateForMetis(t *testing.T) {
-	// Under the state-movement pricing, METIS's repartitioning moves must
-	// show up as a significant relocation bill relative to KL's.
-	ds := testDataset(t)
-	rows, err := ds.CostComparisonWith(2, costmodel.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metisReloc, klReloc float64
-	for _, r := range rows {
-		if r.Model != costmodel.StateMovement {
-			continue
-		}
-		switch r.Method {
-		case sim.MethodMetis:
-			metisReloc = r.Breakdown.Relocation
-		case sim.MethodKL:
-			klReloc = r.Breakdown.Relocation
-		}
-	}
-	if metisReloc <= klReloc {
-		t.Errorf("METIS relocation %v not above KL %v", metisReloc, klReloc)
 	}
 }

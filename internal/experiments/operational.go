@@ -13,9 +13,9 @@ import (
 
 // Every figure above the bridge is a matrix of co-simulations distilled
 // into the same few numbers. This file is the one runner they share
-// (cells in, rows out) and the one column vocabulary their tables and
-// CSVs are rendered from; decay.go, scale.go and scenario.go only build
-// cells.
+// (cells in, rows out), the one column vocabulary their tables and CSVs
+// are rendered from, and the prices the costs figure bills rows at;
+// decay.go, scale.go and scenario.go only build cells.
 
 // Models lists the two multi-shard handling classes in presentation order.
 func Models() []shardchain.Model {
@@ -97,7 +97,7 @@ var opsColumns = map[string]func(OpsRow) string{
 	"resizes": func(r OpsRow) string { return strconv.Itoa(len(r.Result.Sim.Resizes)) },
 
 	"dyn_cut":   func(r OpsRow) string { return report.FormatFloat(r.Result.Sim.OverallDynamicCut) },
-	"cross-txs": func(r OpsRow) string { return fmt.Sprintf("%.1f%%", 100*r.Result.CrossFraction()) },
+	"cross-txs": func(r OpsRow) string { return fmt.Sprintf("%.1f%%", 100*r.Result.Totals.CrossFraction()) },
 	"messages":  func(r OpsRow) string { return report.FormatCount(r.Result.Totals.Messages) },
 	// Settlement latency is undefined when nothing settled (the migration
 	// model forwards instead of settling receipts).
@@ -105,7 +105,7 @@ var opsColumns = map[string]func(OpsRow) string{
 		if r.Result.Totals.ReceiptsSettled == 0 {
 			return "-"
 		}
-		return fmt.Sprintf("%.2f", r.Result.MeanSettlement())
+		return fmt.Sprintf("%.2f", r.Result.Totals.MeanSettlement())
 	},
 	"failed": func(r OpsRow) string { return report.FormatCount(r.Result.Totals.Failed) },
 
@@ -150,4 +150,57 @@ func OpsTable(rows []OpsRow, columns ...string) (headers []string, table [][]str
 		table = append(table, line)
 	}
 	return headers, table
+}
+
+// Prices are the unit prices an operational row is billed at — the
+// "computation, storage and bandwidth" components the paper's final remarks
+// say a sharded Ethereum must price. Units are abstract; only ratios matter
+// between methods. A state payload outweighs a control message, and
+// re-homing an account (metadata, routing) costs about as much as a slot.
+type Prices struct {
+	ExecCost       float64 // one replayed transaction
+	MsgCost        float64 // one cross-shard message
+	SlotMoveCost   float64 // one storage slot relocated
+	VertexMoveCost float64 // one account a wave relocates, on top of its slots
+}
+
+// DatacenterPrices and WideAreaPrices are the costs figure's two presets: a
+// wide-area message costs ten times a datacenter one, which shifts the
+// optimum toward the low-cut methods.
+var (
+	DatacenterPrices = Prices{ExecCost: 1, MsgCost: 10, SlotMoveCost: 25, VertexMoveCost: 20}
+	WideAreaPrices   = Prices{ExecCost: 1, MsgCost: 100, SlotMoveCost: 25, VertexMoveCost: 20}
+)
+
+// Bill is one row's operating cost on the paper's three axes, plus the
+// execution every partition pays.
+type Bill struct {
+	Execution float64
+	// Coordination prices the traffic multi-shard transactions cause:
+	// receipts under ModelReceipts, the inline sender moves under
+	// ModelMigration.
+	Coordination float64
+	// Relocation prices what repartition waves and merge drains moved.
+	Relocation float64
+	// Imbalance prices the capacity load skew strands in idle shards. It is
+	// the one input taken from the simulator (its dynamic balance): the
+	// chain keeps no per-shard load.
+	Imbalance float64
+}
+
+// Total returns the sum of the components.
+func (b Bill) Total() float64 {
+	return b.Execution + b.Coordination + b.Relocation + b.Imbalance
+}
+
+// Bill prices what the live chain measured for r.
+func (p Prices) Bill(r OpsRow) Bill {
+	res := r.Result
+	b := Bill{Execution: float64(res.Replayed) * p.ExecCost}
+	b.Coordination = float64(res.Totals.Messages-res.WaveMigrations)*p.MsgCost +
+		float64(res.Totals.MigratedSlots-res.WaveMigratedSlots)*p.SlotMoveCost
+	b.Relocation = float64(res.WaveMigrations)*p.VertexMoveCost +
+		float64(res.WaveMigratedSlots)*p.SlotMoveCost
+	b.Imbalance = max(res.Sim.OverallDynamicBalance-1, 0) * b.Execution / float64(res.K)
+	return b
 }

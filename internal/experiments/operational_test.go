@@ -56,6 +56,65 @@ func TestOperationalCoversMatrix(t *testing.T) {
 	}
 }
 
+// TestOperationalCosts pins the two places where the simulator and the live
+// chain must agree, and the rankings the costs figure prices from the
+// chain. HASH never repartitions, so under receipts its executed cross-shard
+// transactions are the simulator's cut times the interactions. Under
+// migration every wave move is a MigrateAccount of the vertex's slots, and
+// the inline sender moves carry none (senders are externally owned), so the
+// chain's relocated slots, the waves' and the simulator's moved slots are
+// one number. Repartitioning methods under receipts are not pinned to the
+// simulator: Rehome cannot move state that already exists, so the chain
+// runs more cross-shard transactions than the cut predicts (DESIGN §10).
+func TestOperationalCosts(t *testing.T) {
+	ds := testDataset(t)
+	rows, err := ds.Operational(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cellKey struct {
+		method sim.Method
+		model  shardchain.Model
+	}
+	bills := map[cellKey]Bill{}
+	for _, row := range rows {
+		res := row.Result
+		key := cellKey{res.Method, res.Model}
+		bills[key] = DatacenterPrices.Bill(row)
+		if res.Model == shardchain.ModelMigration &&
+			(res.Totals.MigratedSlots != res.WaveMigratedSlots || res.WaveMigratedSlots != res.Sim.TotalMovedSlots) {
+			t.Errorf("%v/migration: chain slots %d, wave slots %d, simulator moved slots %d: want one number",
+				res.Method, res.Totals.MigratedSlots, res.WaveMigratedSlots, res.Sim.TotalMovedSlots)
+		}
+		if res.Method == sim.MethodHash && res.Model == shardchain.ModelReceipts {
+			want := float64(res.Replayed) * res.Sim.OverallDynamicCut
+			if got := float64(res.Totals.CrossTxs); got < want*0.999 || got > want*1.001 {
+				t.Errorf("HASH/receipts: %v cross-shard transactions, simulator predicts %.0f (±0.1%%)", got, want)
+			}
+		}
+	}
+
+	for _, model := range Models() {
+		hash := bills[cellKey{sim.MethodHash, model}]
+		if hash.Relocation != 0 {
+			t.Errorf("HASH/%v pays relocation %v", model, hash.Relocation)
+		}
+	}
+	// Hashing's cut is the worst, so it pays the most coordination.
+	hash := bills[cellKey{sim.MethodHash, shardchain.ModelReceipts}]
+	for _, m := range sim.Methods()[1:] {
+		if b := bills[cellKey{m, shardchain.ModelReceipts}]; b.Coordination >= hash.Coordination {
+			t.Errorf("%v/receipts coordination %v not below HASH's %v", m, b.Coordination, hash.Coordination)
+		}
+	}
+	// METIS re-partitions from scratch, so its waves relocate more than KL's.
+	metis := bills[cellKey{sim.MethodMetis, shardchain.ModelMigration}]
+	kl := bills[cellKey{sim.MethodKL, shardchain.ModelMigration}]
+	if metis.Relocation <= kl.Relocation {
+		t.Errorf("METIS/migration relocation %v not above KL's %v", metis.Relocation, kl.Relocation)
+	}
+}
+
 // tinyDataset is a one-week history small enough to replay through the
 // live chain many times in one test.
 func tinyDataset(t *testing.T) *Dataset {

@@ -117,22 +117,10 @@ func (c Config) withDefaults() Config {
 // metric window, alongside the simulator's dynamic cut for the same window.
 type WindowStat struct {
 	Start time.Time
+	// Stats is the window's delta of the chain's counters.
+	shardchain.Stats
 	// Interactions is the number of records replayed in the window.
 	Interactions int64
-	// LocalTxs and CrossTxs split executed transactions by locality.
-	LocalTxs, CrossTxs int64
-	// Messages counts cross-shard messages (receipts and state transfers).
-	Messages int64
-	// ReceiptsSettled and SettlementBlocks measure settlement latency:
-	// mean latency is SettlementBlocks/ReceiptsSettled.
-	ReceiptsSettled  int64
-	SettlementBlocks int64
-	// Migrations and MigratedSlots count account moves and relocated
-	// storage.
-	Migrations    int64
-	MigratedSlots int64
-	// Failed counts transactions rejected by validation.
-	Failed int64
 	// DynamicCut is the simulator's cross-shard fraction for the same
 	// window — the abstract curve the operational numbers shadow.
 	DynamicCut float64
@@ -140,15 +128,6 @@ type WindowStat struct {
 	// constant without the autoscaler, the shards-provisioned-over-time
 	// series with it.
 	Shards int
-}
-
-// MeanSettlement returns the window's mean settlement latency in blocks
-// (zero when nothing settled).
-func (w WindowStat) MeanSettlement() float64 {
-	if w.ReceiptsSettled == 0 {
-		return 0
-	}
-	return float64(w.SettlementBlocks) / float64(w.ReceiptsSettled)
 }
 
 // Result is the outcome of a co-simulation run.
@@ -211,23 +190,6 @@ func (r *Result) MsPerBlock() float64 {
 		return 0
 	}
 	return float64(r.StepNanos) / float64(r.Blocks) / 1e6
-}
-
-// MeanSettlement returns the run-level mean settlement latency in blocks.
-func (r *Result) MeanSettlement() float64 {
-	if r.Totals.ReceiptsSettled == 0 {
-		return 0
-	}
-	return float64(r.Totals.SettlementBlocks) / float64(r.Totals.ReceiptsSettled)
-}
-
-// CrossFraction returns the executed cross-shard transaction fraction.
-func (r *Result) CrossFraction() float64 {
-	total := r.Totals.LocalTxs + r.Totals.CrossTxs
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Totals.CrossTxs) / float64(total)
 }
 
 // ShardWindows returns Σ over windows of the shards provisioned in that
@@ -456,7 +418,7 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		// directory and every home resolves through its published
 		// snapshots: placements flush per record, a repartition's move set
 		// commits as one epoch flip, retirements spill to the cold tier,
-		// and each chain block pins one epoch (AssignSnapshot below).
+		// and every op resolves through the epoch it carries (assignOf).
 		// With a fault plane armed the publisher commits through the flaky
 		// committer, which injects stalled waves and transient failures.
 		r.dir = directory.New(directory.Config{})
@@ -489,12 +451,6 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 			}
 		}
 		simCfg.OnRetire = r.pub.OnRetire
-		// Each chain block resolves against the one epoch its step op
-		// carries.
-		scCfg.AssignSnapshot = func() func(types.Address) (int, bool) {
-			snap := r.x.snap
-			return func(a types.Address) (int, bool) { return r.x.lookup(snap, a) }
-		}
 		r.q = &queue{
 			work: make(chan []op, queueDepth),
 			// Room for every batch that can exist — queued, executing and
@@ -875,29 +831,21 @@ func (x *executor) applyResize(oldK, newK, moveCount int, moves []move, ctl *run
 }
 
 // assignOf homes first-seen chain accounts — the bridge's placement rule —
-// through the executing op's view (in-block resolutions go through the view
-// AssignSnapshot pinned at Step entry, which is the same one); the tests'
-// reference path reads the simulator's live assignment directly. The two
-// always agree: every placement event is flushed into the directory before
-// the op that resolves it is enqueued.
+// through the executing op's view. x.snap only changes between ops, so a
+// step op pins one epoch for its whole block, and the parallel engine's
+// workers, which call this during Step, only read it. The tests' reference
+// path reads the simulator's live assignment directly. The two always
+// agree: every placement event is flushed into the directory before the op
+// that resolves it is enqueued.
 func (x *executor) assignOf(a types.Address) (int, bool) {
-	if x.live != nil {
-		id, ok := x.gt.Registry.Lookup(a)
-		if !ok {
-			return 0, false
-		}
-		return x.live(graph.VertexID(id))
-	}
-	return x.lookup(x.snap, a)
-}
-
-// lookup resolves a through one directory view.
-func (x *executor) lookup(snap *directory.Snapshot, a types.Address) (int, bool) {
 	id, ok := x.gt.Registry.Lookup(a)
 	if !ok {
 		return 0, false
 	}
-	return snap.Lookup(graph.VertexID(id))
+	if x.live != nil {
+		return x.live(graph.VertexID(id))
+	}
+	return x.snap.Lookup(graph.VertexID(id))
 }
 
 // record queues one record's transfer into the open block, materialising
@@ -1064,16 +1012,9 @@ func (x *executor) closeWindow(start time.Time) {
 	d := cur.Sub(x.lastStats)
 	x.lastStats = cur
 	x.res.Windows = append(x.res.Windows, WindowStat{
-		Start:            start,
-		Interactions:     d.LocalTxs + d.CrossTxs + d.Failed,
-		LocalTxs:         d.LocalTxs,
-		CrossTxs:         d.CrossTxs,
-		Messages:         d.Messages,
-		ReceiptsSettled:  d.ReceiptsSettled,
-		SettlementBlocks: d.SettlementBlocks,
-		Migrations:       d.Migrations,
-		MigratedSlots:    d.MigratedSlots,
-		Failed:           d.Failed,
-		Shards:           x.sc.K(),
+		Start:        start,
+		Stats:        d,
+		Interactions: d.LocalTxs + d.CrossTxs + d.Failed,
+		Shards:       x.sc.K(),
 	})
 }

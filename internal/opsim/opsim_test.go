@@ -136,9 +136,9 @@ func TestCutProxyHoldsOperationally(t *testing.T) {
 			metis.Totals.Messages, hash.Totals.Messages,
 			metis.Sim.OverallDynamicCut, hash.Sim.OverallDynamicCut)
 	}
-	if metis.CrossFraction() >= hash.CrossFraction() {
+	if metis.Totals.CrossFraction() >= hash.Totals.CrossFraction() {
 		t.Errorf("metis cross fraction %.3f not below hash %.3f",
-			metis.CrossFraction(), hash.CrossFraction())
+			metis.Totals.CrossFraction(), hash.Totals.CrossFraction())
 	}
 }
 
@@ -217,10 +217,10 @@ func TestWindowMeanSettlementEmptyDenominator(t *testing.T) {
 	if got := (WindowStat{}).MeanSettlement(); got != 0 {
 		t.Errorf("empty window MeanSettlement = %v, want 0", got)
 	}
-	if got := (&Result{}).MeanSettlement(); got != 0 {
+	if got := (&Result{}).Totals.MeanSettlement(); got != 0 {
 		t.Errorf("empty result MeanSettlement = %v, want 0", got)
 	}
-	w := WindowStat{ReceiptsSettled: 4, SettlementBlocks: 6}
+	w := WindowStat{Stats: shardchain.Stats{ReceiptsSettled: 4, SettlementBlocks: 6}}
 	if got := w.MeanSettlement(); got != 1.5 {
 		t.Errorf("MeanSettlement = %v, want 1.5", got)
 	}

@@ -154,6 +154,24 @@ func (s Stats) Sub(d Stats) Stats {
 	return s
 }
 
+// MeanSettlement returns the mean settlement latency in blocks (zero when
+// nothing settled).
+func (s Stats) MeanSettlement() float64 {
+	if s.ReceiptsSettled == 0 {
+		return 0
+	}
+	return float64(s.SettlementBlocks) / float64(s.ReceiptsSettled)
+}
+
+// CrossFraction returns the cross-shard fraction of executed transactions.
+func (s Stats) CrossFraction() float64 {
+	total := s.LocalTxs + s.CrossTxs
+	if total == 0 {
+		return 0
+	}
+	return float64(s.CrossTxs) / float64(total)
+}
+
 // Config parameterises the sharded chain.
 type Config struct {
 	K     int
@@ -168,18 +186,6 @@ type Config struct {
 	// any assign callback must be safe for concurrent calls and must answer
 	// deterministically for the duration of one Step.
 	Parallel bool
-	// AssignSnapshot, when non-nil, supplies a frozen placement view per
-	// block: Step calls it once at block start and resolves every
-	// first-sight placement of that block through the returned view
-	// instead of the per-call assign callback. A directory-backed caller
-	// (see internal/directory) returns a pinned epoch snapshot here, which
-	// upgrades the parallel engine's "must answer deterministically for
-	// one Step" contract from a caller promise into a structural guarantee
-	// — a concurrent publisher committing mid-block can never tear a
-	// block's resolutions. Outside Step (genesis allocation, accessors)
-	// the per-call assign callback still answers, so it should resolve
-	// from the same source's current view.
-	AssignSnapshot func() func(types.Address) (int, bool)
 	// Fault, when non-nil, arms the deterministic fault-injection plane
 	// (internal/fault): scheduled shard crash-stops recovered from the
 	// per-shard durable log, and drop/delay/duplicate faults on the barrier
@@ -207,10 +213,7 @@ type ShardChain struct {
 	// assign supplies the partition for first-seen accounts; accounts it
 	// does not know fall back to hash placement.
 	assign func(types.Address) (int, bool)
-	// blockAssign is the per-block frozen view from Config.AssignSnapshot;
-	// non-nil only while a Step is executing.
-	blockAssign func(types.Address) (int, bool)
-	stats       Stats
+	stats  Stats
 	// clock is the global block height (all shards advance in lockstep,
 	// one block per Step).
 	clock uint64
@@ -303,12 +306,8 @@ func New(cfg Config, alloc map[types.Address]evm.Word, assign func(types.Address
 // Within one Step it is a pure function of the address (the assignment
 // callback must not change mid-block), so resolution order cannot matter.
 func (sc *ShardChain) resolveHome(addr types.Address) int {
-	assign := sc.assign
-	if sc.blockAssign != nil {
-		assign = sc.blockAssign
-	}
-	if assign != nil {
-		if a, ok := assign(addr); ok && a >= 0 && a < sc.cfg.K {
+	if sc.assign != nil {
+		if a, ok := sc.assign(addr); ok && a >= 0 && a < sc.cfg.K {
 			return a
 		}
 	}
@@ -624,13 +623,6 @@ func (sc *ShardChain) runTxSerial(tx *chain.Transaction, receipt *chain.Receipt)
 // target (creation transactions on the sender's shard).
 func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 	sc.clock++
-	if sc.cfg.AssignSnapshot != nil {
-		// Pin one placement view for the whole block; dropped at the end
-		// so out-of-block resolutions (accessors, migrations between
-		// blocks) see the source's live view again.
-		sc.blockAssign = sc.cfg.AssignSnapshot()
-		defer func() { sc.blockAssign = nil }()
-	}
 	if sc.cfg.Fault != nil {
 		sc.pruneSeen()
 		if sc.wal != nil {

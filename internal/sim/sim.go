@@ -219,10 +219,6 @@ type Config struct {
 	// still pulls neighbours together. Ignored outside decay mode and by
 	// methods with no window source (HASH, METIS, decayed TR-METIS).
 	DecayedWindow bool
-	// Multilevel configures the METIS-substitute partitioner.
-	Multilevel multilevel.Config
-	// KL configures the Kernighan–Lin refiner.
-	KL partition.KLConfig
 	// StorageSlots, when non-nil, reports a vertex's storage footprint so
 	// moves can be weighed in relocated state, not just vertex count.
 	StorageSlots func(graph.VertexID) int
@@ -516,8 +512,8 @@ func New(cfg Config) (*Simulator, error) {
 		full:         graph.New(),
 		assign:       assign,
 		clk:          clock{window: cfg.Window, every: cfg.RepartitionEvery},
-		ml:           multilevel.New(cfg.Multilevel),
-		kl:           partition.NewKL(cfg.KL),
+		ml:           multilevel.New(multilevel.Config{}),
+		kl:           partition.NewKL(partition.KLConfig{}),
 		placeScratch: make([]int64, cfg.K),
 		loadScratch:  make([]int64, cfg.K),
 		winLoad:      make([]int64, cfg.K),
