@@ -98,8 +98,8 @@ func runChaos(args []string) error {
 			Model:   shardchain.ModelReceipts,
 			Capture: true,
 			// Budget for injected backoff chains: a dropped receipt can take
-			// MaxAttempts tries with capped exponential backoff before its
-			// forced delivery.
+			// the fault plane's bounded tries with capped exponential backoff
+			// before its forced delivery.
 			MaxSettleSteps: 600,
 		}
 	}
@@ -312,7 +312,6 @@ func startChaosFleet(n int, sched fault.Schedule) (*chaosFleet, error) {
 			Shards:           sched.Shards,
 			WaveStallFlushes: sched.WaveStallFlushes,
 			CommitFailEvery:  sched.CommitFailEvery,
-			CommitFailCount:  sched.CommitFailCount,
 		})
 		if err != nil {
 			fl.close()

@@ -50,6 +50,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -107,6 +108,12 @@ func run(args []string) error {
 		return err
 	}
 	if err := experiments.ValidateShards("-k", *k); err != nil {
+		return err
+	}
+	if err := cmp.Or(
+		experiments.ValidatePositive("-window", *window),
+		experiments.ValidatePositive("-repartition", *repartition),
+	); err != nil {
 		return err
 	}
 	if (*tracePath == "") == (*scenario == "") {

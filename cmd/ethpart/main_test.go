@@ -166,29 +166,39 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
-// shard, era and window counts below one. Past the flags each would panic
-// (chaos -k 0 divides by it), replay a whole oracle before fault.New
-// objects (chaos -k -1), or silently run with a default (a replay at
-// k = 2, chaos at ten eras). The replay rows would otherwise fail on the
-// missing trace file — the count check comes first.
+// shard, era and window counts below one, and of scales and durations at or
+// below zero. Past the flags each would panic (chaos -k 0 divides by it),
+// replay a whole oracle before fault.New objects (chaos -k -1), or silently
+// run with a default (a replay at k = 2 or in 4-hour windows, chaos at ten
+// eras, ops at the dataset's 0.004 scale). The replay rows would otherwise
+// fail on the missing trace file — the flag check comes first.
 func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
+	const count, positive = "must be >= 1", "must be > 0"
 	for _, tc := range []struct {
 		name string
 		run  func([]string) error
 		args []string
+		want string
 	}{
-		{"chaos -k 0", runChaos, []string{"-k", "0"}},
-		{"chaos -k -1", runChaos, []string{"-k", "-1"}},
-		{"replay -k 0", run, []string{"-trace", "does-not-exist.csv", "-k", "0"}},
-		{"replay -k -3", run, []string{"-trace", "does-not-exist.csv", "-k", "-3"}},
-		{"chaos -eras 0", runChaos, []string{"-eras", "0"}},
-		{"chaos -windows-per-era 0", runChaos, []string{"-windows-per-era", "0"}},
+		{"chaos -k 0", runChaos, []string{"-k", "0"}, count},
+		{"chaos -k -1", runChaos, []string{"-k", "-1"}, count},
+		{"replay -k 0", run, []string{"-trace", "does-not-exist.csv", "-k", "0"}, count},
+		{"replay -k -3", run, []string{"-trace", "does-not-exist.csv", "-k", "-3"}, count},
+		{"chaos -eras 0", runChaos, []string{"-eras", "0"}, count},
+		{"chaos -windows-per-era 0", runChaos, []string{"-windows-per-era", "0"}, count},
+		{"replay -window -1h", run, []string{"-trace", "does-not-exist.csv", "-window", "-1h"}, "-window " + positive},
+		{"replay -repartition 0s", run, []string{"-trace", "does-not-exist.csv", "-repartition", "0s"}, "-repartition " + positive},
+		{"ops -scale 0", runOps, []string{"-scale", "0"}, "ops: -scale " + positive},
+		{"ops -scale -5", runOps, []string{"-scale", "-5"}, "ops: -scale " + positive},
+		{"ops -window 0s", runOps, []string{"-window", "0s"}, "ops: -window " + positive},
+		{"ops -repartition -1h", runOps, []string{"-repartition", "-1h"}, "ops: -repartition " + positive},
+		{"ops -block 0s", runOps, []string{"-block", "0s"}, "ops: -block " + positive},
 	} {
 		err := tc.run(tc.args)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
-		} else if msg := err.Error(); !strings.Contains(msg, "must be >= 1") || strings.Contains(msg, "\n") {
-			t.Errorf("%s: error %q is not the one-line count check", tc.name, msg)
+		} else if msg := err.Error(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "\n") {
+			t.Errorf("%s: error %q is not the one-line check %q", tc.name, msg, tc.want)
 		}
 	}
 }

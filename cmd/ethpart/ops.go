@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +41,14 @@ func runOps(args []string) error {
 		return err
 	}
 	if err := experiments.ValidateShards("ops: -k", *k); err != nil {
+		return err
+	}
+	if err := cmp.Or(
+		experiments.ValidatePositive("ops: -scale", *scale),
+		experiments.ValidatePositive("ops: -window", *window),
+		experiments.ValidatePositive("ops: -repartition", *repartition),
+		experiments.ValidatePositive("ops: -block", *blockInterval),
+	); err != nil {
 		return err
 	}
 	if *scenario == "" && *arrival != "" {

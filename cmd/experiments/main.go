@@ -25,8 +25,8 @@
 //	             (default 2 and 8)
 //	-hours H     scenariocost: shorten every scenario's arrival window
 //
-// Every shard count must be at least 1 and -k-max at least -k-min; the
-// flags are checked before any history is generated.
+// Every shard count must be at least 1, -k-max at least -k-min and -scale
+// positive; the flags are checked before any history is generated.
 //
 // costs, decaycost, scalecost and scenariocost are operational figures:
 // each replays its history through the live sharded chain
@@ -79,6 +79,9 @@ func run(args []string) error {
 		return err
 	}
 	if err := experiments.ValidateShards("-k", *k); err != nil {
+		return err
+	}
+	if err := experiments.ValidatePositive("-scale", *scale); err != nil {
 		return err
 	}
 	if err := experiments.ValidateShards("-k-min", *kmin); err != nil {

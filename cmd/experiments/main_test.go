@@ -55,11 +55,12 @@ func TestOperationalFigureGoldens(t *testing.T) {
 }
 
 // TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
-// shard counts below one and of an inverted -k-min/-k-max range, with a
-// one-line error. Past the flags each would run silently at a default count
-// (the simulator's k = 2, scalecost's k-min 2) or, for shardaware, generate
-// a history with zero communities. Every row names a subcommand that would
-// otherwise generate a history first.
+// shard counts below one, of an inverted -k-min/-k-max range and of a scale
+// at or below zero, with a one-line error. Past the flags each would run
+// silently at a default (the simulator's k = 2, scalecost's k-min 2, the
+// dataset's 0.004 scale under a header that prints the flag's) or, for
+// shardaware, generate a history with zero communities. Every row names a
+// subcommand that would otherwise generate a history first.
 func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -72,6 +73,8 @@ func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 		{[]string{"-k", "0", "fig5"}, "-k must be >= 1"},
 		{[]string{"-k-min", "0", "scalecost"}, "-k-min must be >= 1"},
 		{[]string{"-k-min", "4", "-k-max", "3", "scalecost"}, "-k-max 3 is below -k-min 4"},
+		{[]string{"-scale", "-1", "fig1"}, "-scale must be > 0"},
+		{[]string{"-scale", "0", "costs"}, "-scale must be > 0"},
 	} {
 		err := run(tc.args)
 		if err == nil {

@@ -24,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"ethpart/internal/experiments"
 	"ethpart/internal/report"
 	"ethpart/internal/sim"
 	"ethpart/internal/trace"
@@ -49,6 +50,9 @@ func run(args []string, stdout io.Writer) error {
 	describe := fs.String("describe", "", "describe a named scenario and exit")
 	validate := fs.String("validate", "", "validate a named scenario and exit")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := experiments.ValidatePositive("-scale", *scale); err != nil {
 		return err
 	}
 
@@ -139,7 +143,7 @@ func describeScenario(w io.Writer, sc workload.Scenario) {
 	fmt.Fprintf(w, "  arrival:    %s, %.0f/h base", a.Kind, a.RatePerHour)
 	switch a.Kind {
 	case workload.ArrivalDiurnal:
-		fmt.Fprintf(w, ", amplitude %.2f, period %v", a.Amplitude, a.Period)
+		fmt.Fprintf(w, ", amplitude %.2f over a daily cycle", a.Amplitude)
 	case workload.ArrivalFlash:
 		fmt.Fprintf(w, ", %.0f× spike over [%.2f, %.2f] of the run",
 			a.PeakFactor, a.PeakStart, a.PeakStart+a.PeakWidth)

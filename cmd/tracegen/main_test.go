@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -49,6 +50,22 @@ func TestRunRejectsBadFormat(t *testing.T) {
 	err := run([]string{"-out", out, "-scale", "0.0002", "-format", "xml"}, io.Discard)
 	if err == nil {
 		t.Fatal("bad format must error")
+	}
+}
+
+// TestNonPositiveScaleFailsAtFlagParse: a scale at or below zero is
+// rejected before anything is generated or written; the era generator
+// would otherwise run at its own 0.02 default, five times this flag's.
+func TestNonPositiveScaleFailsAtFlagParse(t *testing.T) {
+	for _, scale := range []string{"-5", "0"} {
+		out := filepath.Join(t.TempDir(), "t.csv")
+		err := run([]string{"-out", out, "-scale", scale}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-scale must be > 0") {
+			t.Errorf("-scale %s: error %v, want the flag check", scale, err)
+		}
+		if _, statErr := os.Stat(out); !errors.Is(statErr, os.ErrNotExist) {
+			t.Errorf("-scale %s: output file written (stat: %v)", scale, statErr)
+		}
 	}
 }
 

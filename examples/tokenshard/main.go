@@ -112,7 +112,7 @@ func main() {
 		if len(skipped) > 0 {
 			log.Fatalf("block %d skipped %d txs: %v", block.Header.Number, len(skipped), skipped[0])
 		}
-		for _, rec := range trace.FromReceipts(block.Header.Number, block.Header.Time, receipts, reg, isContract) {
+		for _, rec := range trace.FromReceipts(block.Header.Number, block.Header.Time, nil, receipts, reg, isContract) {
 			if err := rec.Apply(g); err != nil {
 				log.Fatal(err)
 			}

@@ -11,8 +11,6 @@ import (
 type Config struct {
 	// BlockGasLimit bounds the total gas of a block's transactions.
 	BlockGasLimit uint64
-	// BlockReward is credited to the miner of every block.
-	BlockReward evm.Word
 	// CommitInterval controls how often the (expensive) state root is
 	// computed: every Nth block. Zero commits every block; the large
 	// simulated histories use a sparse interval. Blocks without a commit
@@ -24,20 +22,23 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		BlockGasLimit:  8_000_000,
-		BlockReward:    evm.WordFromUint64(5_000_000_000_000_000_000), // 5 ether in wei
 		CommitInterval: 1,
 	}
 }
 
-// Chain is an in-memory blockchain: a hash-linked list of blocks plus the
-// world state after the head block. It is the substrate the synthetic
-// workload executes on.
+// blockReward is credited to the miner of every block: 5 ether in wei.
+var blockReward = evm.WordFromUint64(5_000_000_000_000_000_000)
+
+// Chain is an in-memory blockchain: the head block of a hash-linked chain
+// plus the world state after it. It is the substrate the synthetic workload
+// executes on. It keeps no history: each block is returned by the BuildBlock
+// call that sealed it, and only the head stays reachable from the Chain.
 //
 // Chain is not safe for concurrent use.
 type Chain struct {
-	cfg    Config
-	blocks []*Block
-	state  *State
+	cfg   Config
+	head  *Block
+	state *State
 	// lastRoot is the most recently computed state root (see
 	// Config.CommitInterval).
 	lastRoot types.Hash
@@ -53,32 +54,21 @@ func NewChain(cfg Config, alloc map[types.Address]evm.Word) *Chain {
 		StateRoot: root,
 		GasLimit:  cfg.BlockGasLimit,
 	}}
-	return &Chain{cfg: cfg, blocks: []*Block{genesis}, state: state, lastRoot: root}
+	return &Chain{cfg: cfg, head: genesis, state: state, lastRoot: root}
 }
 
 // Head returns the latest block.
-func (c *Chain) Head() *Block { return c.blocks[len(c.blocks)-1] }
-
-// Len returns the number of blocks including genesis.
-func (c *Chain) Len() int { return len(c.blocks) }
-
-// BlockByNumber returns block n, or nil when out of range.
-func (c *Chain) BlockByNumber(n uint64) *Block {
-	if n >= uint64(len(c.blocks)) {
-		return nil
-	}
-	return c.blocks[n]
-}
+func (c *Chain) Head() *Block { return c.head }
 
 // State returns the world state at the head block. Callers must not retain
 // it across BuildBlock calls if they need a stable snapshot; use State.Copy.
 func (c *Chain) State() *State { return c.state }
 
 // BuildBlock executes txs on top of the head block, seals a new block and
-// appends it. Transactions that fail validation (bad nonce, insufficient
-// funds) are skipped and reported in the returned skipped slice —
-// the block contains only the transactions that were actually applied,
-// exactly like a miner dropping unexecutable transactions.
+// makes it the head. Transactions that fail validation (bad nonce,
+// insufficient funds) are skipped and reported in the returned skipped
+// slice — the block contains only the transactions that were actually
+// applied, exactly like a miner dropping unexecutable transactions.
 func (c *Chain) BuildBlock(miner types.Address, timestamp int64, txs []*Transaction) (*Block, []*Receipt, []error) {
 	var (
 		applied  []*Transaction
@@ -101,10 +91,10 @@ func (c *Chain) BuildBlock(miner types.Address, timestamp int64, txs []*Transact
 		receipts = append(receipts, receipt)
 		gasUsed += receipt.GasUsed
 	}
-	c.state.AddBalance(miner, c.cfg.BlockReward)
+	c.state.AddBalance(miner, blockReward)
 	c.state.DiscardJournal()
 
-	parent := c.Head()
+	parent := c.head
 	number := parent.Header.Number + 1
 	root := c.lastRoot
 	if c.cfg.CommitInterval <= 1 || number%c.cfg.CommitInterval == 0 {
@@ -124,45 +114,6 @@ func (c *Chain) BuildBlock(miner types.Address, timestamp int64, txs []*Transact
 		},
 		Txs: applied,
 	}
-	c.blocks = append(c.blocks, block)
+	c.head = block
 	return block, receipts, skipped
-}
-
-// VerifyHeaderChain checks hash linking and number contiguity over the whole
-// chain. It is used by integrity tests and costs O(blocks).
-func (c *Chain) VerifyHeaderChain() error {
-	for i := 1; i < len(c.blocks); i++ {
-		prev, cur := c.blocks[i-1], c.blocks[i]
-		if cur.Header.ParentHash != prev.Hash() {
-			return fmt.Errorf("%w: block %d", ErrUnknownParent, cur.Header.Number)
-		}
-		if cur.Header.Number != prev.Header.Number+1 {
-			return fmt.Errorf("%w: block %d follows %d", ErrNonContiguousNumber,
-				cur.Header.Number, prev.Header.Number)
-		}
-		if cur.Header.TxRoot != TxRoot(cur.Txs) {
-			return fmt.Errorf("%w: block %d", ErrTxRootMismatch, cur.Header.Number)
-		}
-	}
-	return nil
-}
-
-// Replay re-executes the whole chain from genesis on a fresh state and
-// verifies that the head state root matches. It proves that block execution
-// is deterministic.
-func (c *Chain) Replay(alloc map[types.Address]evm.Word) error {
-	fresh := NewStateWithAlloc(alloc)
-	for _, b := range c.blocks[1:] {
-		for _, tx := range b.Txs {
-			if _, err := ApplyTransaction(fresh, tx, b.Header.Miner); err != nil {
-				return fmt.Errorf("chain: replaying block %d: %w", b.Header.Number, err)
-			}
-		}
-		fresh.AddBalance(b.Header.Miner, c.cfg.BlockReward)
-		fresh.DiscardJournal()
-	}
-	if got, want := fresh.Commit(), c.state.Commit(); got != want {
-		return fmt.Errorf("%w: replay got %v, head has %v", ErrStateRootMismatch, got, want)
-	}
-	return nil
 }

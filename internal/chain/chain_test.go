@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"ethpart/internal/evm"
@@ -19,6 +20,40 @@ func fundedState() *State {
 	return NewStateWithAlloc(map[types.Address]evm.Word{
 		sender: evm.WordFromUint64(1_000_000_000_000),
 	})
+}
+
+// verifyHeaderChain checks hash linking, number contiguity and transaction
+// roots over blocks, each of which must extend the one before it.
+func verifyHeaderChain(blocks []*Block) error {
+	for i := 1; i < len(blocks); i++ {
+		prev, cur := blocks[i-1], blocks[i]
+		if cur.Header.ParentHash != prev.Hash() {
+			return fmt.Errorf("block %d: unknown parent", cur.Header.Number)
+		}
+		if cur.Header.Number != prev.Header.Number+1 {
+			return fmt.Errorf("block %d follows %d", cur.Header.Number, prev.Header.Number)
+		}
+		if cur.Header.TxRoot != TxRoot(cur.Txs) {
+			return fmt.Errorf("block %d: transaction root mismatch", cur.Header.Number)
+		}
+	}
+	return nil
+}
+
+// replayBlocks re-executes blocks (genesis excluded) on a fresh state from
+// alloc and returns its root, which must equal the head state's.
+func replayBlocks(alloc map[types.Address]evm.Word, blocks []*Block) (types.Hash, error) {
+	fresh := NewStateWithAlloc(alloc)
+	for _, b := range blocks {
+		for _, tx := range b.Txs {
+			if _, err := ApplyTransaction(fresh, tx, b.Header.Miner); err != nil {
+				return types.Hash{}, fmt.Errorf("replaying block %d: %w", b.Header.Number, err)
+			}
+		}
+		fresh.AddBalance(b.Header.Miner, blockReward)
+		fresh.DiscardJournal()
+	}
+	return fresh.Commit(), nil
 }
 
 func transferTx(nonce uint64, value uint64) *Transaction {
@@ -158,6 +193,7 @@ func TestApplyTransactionRevertRollsBack(t *testing.T) {
 func TestBuildBlockAndVerify(t *testing.T) {
 	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
 	c := NewChain(DefaultConfig(), alloc)
+	genesis := c.Head()
 
 	block, receipts, skipped := c.BuildBlock(miner, 1000, []*Transaction{
 		transferTx(0, 10),
@@ -180,12 +216,11 @@ func TestBuildBlockAndVerify(t *testing.T) {
 		t.Errorf("recipient balance = %d, want 30", got)
 	}
 	// Miner got fees + reward.
-	reward := DefaultConfig().BlockReward
-	wantMiner := reward.Add(evm.WordFromUint64(2 * IntrinsicGas))
+	wantMiner := blockReward.Add(evm.WordFromUint64(2 * IntrinsicGas))
 	if got := c.State().GetBalance(miner); got != wantMiner {
 		t.Errorf("miner balance = %v, want %v", got, wantMiner)
 	}
-	if err := c.VerifyHeaderChain(); err != nil {
+	if err := verifyHeaderChain([]*Block{genesis, block}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -210,21 +245,23 @@ func TestBlockGasLimitEnforced(t *testing.T) {
 func TestChainLinkingAcrossBlocks(t *testing.T) {
 	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
 	c := NewChain(DefaultConfig(), alloc)
+	blocks := []*Block{c.Head()}
 	for i := uint64(0); i < 5; i++ {
-		c.BuildBlock(miner, int64(1000+i), []*Transaction{transferTx(i, 1)})
+		b, _, _ := c.BuildBlock(miner, int64(1000+i), []*Transaction{transferTx(i, 1)})
+		blocks = append(blocks, b)
 	}
-	if c.Len() != 6 {
-		t.Fatalf("chain length = %d, want 6", c.Len())
+	if n := blocks[5].Header.Number; n != 5 || c.Head() != blocks[5] {
+		t.Fatalf("head is block %d, want the fifth built", c.Head().Header.Number)
 	}
-	if err := c.VerifyHeaderChain(); err != nil {
+	if err := verifyHeaderChain(blocks); err != nil {
 		t.Fatal(err)
 	}
 	// Tamper with a header: verification must fail.
-	c.blocks[3].Header.Time++
-	if err := c.VerifyHeaderChain(); err == nil {
+	blocks[3].Header.Time++
+	if err := verifyHeaderChain(blocks); err == nil {
 		t.Fatal("tampered chain must fail verification")
 	}
-	c.blocks[3].Header.Time--
+	blocks[3].Header.Time--
 }
 
 func TestReplayDeterminism(t *testing.T) {
@@ -239,7 +276,7 @@ func TestReplayDeterminism(t *testing.T) {
 		Nonce: 0, From: sender, Data: evm.DeployWrapper(runtime),
 		GasLimit: 500_000, GasPrice: 1,
 	}
-	_, receipts, skipped := c.BuildBlock(miner, 1, []*Transaction{deploy})
+	b1, receipts, skipped := c.BuildBlock(miner, 1, []*Transaction{deploy})
 	if len(skipped) != 0 || !receipts[0].Success {
 		t.Fatalf("deploy failed: %v %v", skipped, receipts[0].Err)
 	}
@@ -249,10 +286,14 @@ func TestReplayDeterminism(t *testing.T) {
 		Nonce: 1, From: sender, To: &contract, Data: arg[:],
 		GasLimit: 200_000, GasPrice: 1,
 	}
-	c.BuildBlock(miner, 2, []*Transaction{call, transferTx(2, 42)})
+	b2, _, _ := c.BuildBlock(miner, 2, []*Transaction{call, transferTx(2, 42)})
 
-	if err := c.Replay(alloc); err != nil {
+	got, err := replayBlocks(alloc, []*Block{b1, b2})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := c.State().Commit(); got != want {
+		t.Fatalf("replay got root %v, head has %v", got, want)
 	}
 }
 
@@ -277,6 +318,7 @@ func TestChainGolden(t *testing.T) {
 		alloc[types.AddressFromSeq(i)] = evm.WordFromUint64(i * i)
 	}
 	c := NewChain(DefaultConfig(), alloc)
+	blocks := []*Block{c.Head()}
 
 	runtime := evm.NewAssembler().
 		Push(0).Op(evm.CALLDATALOAD).
@@ -286,17 +328,19 @@ func TestChainGolden(t *testing.T) {
 		Nonce: 0, From: sender, Data: evm.DeployWrapper(runtime),
 		GasLimit: 500_000, GasPrice: 1,
 	}
-	_, receipts, skipped := c.BuildBlock(miner, 1, []*Transaction{deploy})
+	b, receipts, skipped := c.BuildBlock(miner, 1, []*Transaction{deploy})
 	if len(skipped) != 0 || !receipts[0].Success {
 		t.Fatalf("deploy failed: %v %v", skipped, receipts[0].Err)
 	}
+	blocks = append(blocks, b)
 	contract := *receipts[0].ContractAddress
 	arg := evm.WordFromUint64(1234).Bytes32()
 	call := &Transaction{
 		Nonce: 1, From: sender, To: &contract, Data: arg[:],
 		GasLimit: 200_000, GasPrice: 1,
 	}
-	c.BuildBlock(miner, 2, []*Transaction{call, transferTx(2, 42)})
+	b, _, _ = c.BuildBlock(miner, 2, []*Transaction{call, transferTx(2, 42)})
+	blocks = append(blocks, b)
 	var txs []*Transaction
 	for i := uint64(0); i < 12; i++ {
 		to := types.AddressFromSeq(200 + i)
@@ -305,9 +349,11 @@ func TestChainGolden(t *testing.T) {
 			Value: evm.WordFromUint64(1000 + i), GasLimit: 50_000, GasPrice: 1,
 		})
 	}
-	if _, _, skipped := c.BuildBlock(miner, 3, txs); len(skipped) != 0 {
+	b, _, skipped = c.BuildBlock(miner, 3, txs)
+	if len(skipped) != 0 {
 		t.Fatalf("skipped = %v", skipped)
 	}
+	blocks = append(blocks, b)
 
 	head := c.Head()
 	if got := head.Hash().Hex(); got != wantHead {
@@ -316,7 +362,7 @@ func TestChainGolden(t *testing.T) {
 	if got := head.Header.StateRoot.Hex(); got != wantState {
 		t.Errorf("head state root = %s, want %s", got, wantState)
 	}
-	if err := c.VerifyHeaderChain(); err != nil {
+	if err := verifyHeaderChain(blocks); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -10,14 +10,10 @@ import (
 
 // Transaction validation errors.
 var (
-	ErrNonceMismatch       = errors.New("chain: transaction nonce mismatch")
-	ErrInsufficientFunds   = errors.New("chain: insufficient funds for gas * price + value")
-	ErrIntrinsicGas        = errors.New("chain: gas limit below intrinsic cost")
-	ErrGasLimitExceeded    = errors.New("chain: block gas limit exceeded")
-	ErrUnknownParent       = errors.New("chain: unknown parent block")
-	ErrStateRootMismatch   = errors.New("chain: state root mismatch")
-	ErrTxRootMismatch      = errors.New("chain: transaction root mismatch")
-	ErrNonContiguousNumber = errors.New("chain: non-contiguous block number")
+	ErrNonceMismatch     = errors.New("chain: transaction nonce mismatch")
+	ErrInsufficientFunds = errors.New("chain: insufficient funds for gas * price + value")
+	ErrIntrinsicGas      = errors.New("chain: gas limit below intrinsic cost")
+	ErrGasLimitExceeded  = errors.New("chain: block gas limit exceeded")
 )
 
 // ApplyTransaction executes tx against state and returns its receipt.

@@ -85,6 +85,17 @@ func ValidateShards(name string, k int) error {
 	return nil
 }
 
+// ValidatePositive is the flag-parse-time check every binary runs on each
+// scale and duration flag it takes (name labels the flag in the error): at
+// zero or below, a run would silently fall back to a default of the layer
+// underneath, which need not be the flag's own.
+func ValidatePositive[T float64 | time.Duration](name string, v T) error {
+	if v <= 0 {
+		return fmt.Errorf("%s must be > 0, got %v", name, v)
+	}
+	return nil
+}
+
 func (p Params) withDefaults() Params {
 	if p.Seed == 0 {
 		p.Seed = 1

@@ -25,13 +25,17 @@ type ScaleParams struct {
 	// KMin/KMax bound the autoscaler and name the two fixed baselines
 	// (defaults 2 and 8).
 	KMin, KMax int
-	// Target is the autoscaler's per-shard window-load target (default
-	// 100; the default trace's quiet phase sits comfortably under it at
-	// KMin and the surge blows through it).
-	Target int64
-	// HalfLife/Horizon are the decay parameters (defaults 12h/36h).
-	HalfLife, Horizon time.Duration
 }
+
+// scaleTargetLoad is the autoscaler's per-shard window-load target: the
+// flash-crowd trace's quiet phase sits comfortably under it at KMin and the
+// surge blows through it. scaleHalfLife and scaleHorizon are the decay
+// parameters of every policy in the comparison.
+const (
+	scaleTargetLoad = 100
+	scaleHalfLife   = 12 * time.Hour
+	scaleHorizon    = 3 * scaleHalfLife
+)
 
 func (p ScaleParams) withDefaults() ScaleParams {
 	if p.Seed == 0 {
@@ -42,15 +46,6 @@ func (p ScaleParams) withDefaults() ScaleParams {
 	}
 	if p.KMax <= 0 {
 		p.KMax = 8
-	}
-	if p.Target <= 0 {
-		p.Target = 100
-	}
-	if p.HalfLife <= 0 {
-		p.HalfLife = 12 * time.Hour
-	}
-	if p.Horizon <= 0 {
-		p.Horizon = 3 * p.HalfLife
 	}
 	return p
 }
@@ -125,8 +120,8 @@ func scaleConfig(p ScaleParams, k int, autoscale bool) opsim.Config {
 			RepartitionEvery:  2 * 24 * time.Hour,
 			MinRepartitionGap: 8 * time.Hour,
 			TriggerWindows:    2,
-			DecayHalfLife:     p.HalfLife,
-			Horizon:           p.Horizon,
+			DecayHalfLife:     scaleHalfLife,
+			Horizon:           scaleHorizon,
 		},
 		Model: shardchain.ModelReceipts,
 	}
@@ -135,7 +130,7 @@ func scaleConfig(p ScaleParams, k int, autoscale bool) opsim.Config {
 			Enabled:          true,
 			KMin:             p.KMin,
 			KMax:             p.KMax,
-			TargetWindowLoad: p.Target,
+			TargetWindowLoad: scaleTargetLoad,
 		}
 	}
 	return cfg

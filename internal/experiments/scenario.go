@@ -25,10 +25,6 @@ type ScenarioCostParams struct {
 	Seed int64
 	// K is the shard count (default 4).
 	K int
-	// Scenarios names the library scenarios to compare (default
-	// transfer-steady, diurnal-exchange and flash-nft-mint — a steady, a
-	// periodic and a bursty arrival shape).
-	Scenarios []string
 	// Hours optionally shortens every scenario's arrival duration.
 	Hours float64
 }
@@ -39,9 +35,6 @@ func (p ScenarioCostParams) withDefaults() ScenarioCostParams {
 	}
 	if p.K <= 0 {
 		p.K = 4
-	}
-	if len(p.Scenarios) == 0 {
-		p.Scenarios = []string{"transfer-steady", "diurnal-exchange", "flash-nft-mint"}
 	}
 	return p
 }
@@ -67,7 +60,8 @@ func scenarioCostConfig(method sim.Method, model shardchain.Model, k int) opsim.
 func ScenarioCost(p ScenarioCostParams) ([]OpsRow, error) {
 	p = p.withDefaults()
 	var cells []OpsCell
-	for _, name := range p.Scenarios {
+	// A steady, a periodic and a bursty arrival shape.
+	for _, name := range []string{"transfer-steady", "diurnal-exchange", "flash-nft-mint"} {
 		sc, err := workload.ResolveScenario(name, "", p.Hours, p.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenariocost: %w", err)

@@ -10,7 +10,7 @@ import (
 // FlakyDirectory sits between a Publisher and the placement directory and
 // injects the directory-degradation faults of a Schedule:
 //
-//   - transient commit failures (CommitFailEvery/CommitFailCount) are
+//   - transient commit failures (CommitFailEvery, commitFailCount) are
 //     absorbed by an internal retry loop — the publisher above never sees
 //     them, only the metrics do;
 //   - repartition wave commits stall for WaveStallFlushes subsequent

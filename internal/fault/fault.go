@@ -54,50 +54,28 @@ type Schedule struct {
 	// settlement. Off, arrivals keep canonical order.
 	ShuffleDeliveries bool
 
-	// MaxDelay bounds injected transport delay in blocks (default 4).
-	// RetryAfter is the base redelivery backoff in blocks after a drop
-	// (default 2, doubled per attempt, capped at 8 so bounded drain
-	// loops still terminate). MaxAttempts bounds drops per receipt:
-	// attempt MaxAttempts always delivers, making redelivery
-	// at-least-once rather than probabilistic (default 6).
-	MaxDelay    uint64
-	RetryAfter  uint64
-	MaxAttempts int
-
-	// DedupWindow is how many blocks a shard remembers applied receipt
-	// IDs (default 128). It must exceed the worst-case redelivery
-	// horizon or a late duplicate could settle twice.
-	DedupWindow uint64
-
 	// WaveStallFlushes stalls each repartition wave commit for that
 	// many subsequent directory flushes before it lands (readers
 	// degrade to journaled snapshots meanwhile). CommitFailEvery makes
-	// every Nth commit fail transiently CommitFailCount times
-	// (default 2) before succeeding, exercising commit retry.
+	// every Nth commit fail transiently commitFailCount times before
+	// succeeding, exercising commit retry.
 	WaveStallFlushes int
 	CommitFailEvery  int
-	CommitFailCount  int
 }
 
-// withDefaults fills zero fields with the documented defaults.
-func (s Schedule) withDefaults() Schedule {
-	if s.MaxDelay == 0 {
-		s.MaxDelay = 4
-	}
-	if s.RetryAfter == 0 {
-		s.RetryAfter = 2
-	}
-	if s.MaxAttempts == 0 {
-		s.MaxAttempts = 6
-	}
-	if s.DedupWindow == 0 {
-		s.DedupWindow = 128
-	}
-	if s.CommitFailCount == 0 {
-		s.CommitFailCount = 2
-	}
-	return s
-}
+// The plane's fixed bounds. maxDelay bounds injected transport delay in
+// blocks. retryAfter is the base redelivery backoff in blocks after a drop,
+// doubled per attempt and capped at 8 so bounded drain loops still
+// terminate. maxAttempts bounds drops per receipt: attempt maxAttempts
+// always delivers, making redelivery at-least-once rather than
+// probabilistic. commitFailCount is how many times a failing directory
+// commit fails before it succeeds.
+const (
+	maxDelay               = 4
+	retryAfter      uint64 = 2
+	maxAttempts            = 6
+	commitFailCount        = 2
+)
 
 // PeriodicCrashes schedules a crash every `every` blocks up to maxBlock,
 // rotating the victim across k shards — the standard crash-during-wave
@@ -163,7 +141,7 @@ func New(s Schedule) (*Injector, error) {
 	if s.WaveStallFlushes < 0 || s.CommitFailEvery < 0 {
 		return nil, fmt.Errorf("fault: negative stall/fail cadence")
 	}
-	inj := &Injector{sched: s.withDefaults(), crashes: map[uint64][]int{}}
+	inj := &Injector{sched: s, crashes: map[uint64][]int{}}
 	for _, c := range s.Crashes {
 		inj.crashes[c.Block] = append(inj.crashes[c.Block], c.Shard)
 	}
@@ -173,7 +151,7 @@ func New(s Schedule) (*Injector, error) {
 	return inj, nil
 }
 
-// Schedule returns the (default-filled) schedule driving this injector.
+// Schedule returns the schedule driving this injector.
 func (inj *Injector) Schedule() Schedule { return inj.sched }
 
 // HasCrashes reports whether any shard crash is scheduled.
@@ -195,13 +173,13 @@ func (inj *Injector) CrashedShards(b uint64) []int { return inj.crashes[b] }
 func (inj *Injector) Delivery(id uint64, attempt int) Outcome {
 	s := inj.sched
 	var o Outcome
-	if attempt < s.MaxAttempts && roll(s.Seed, id, uint64(attempt), saltDrop) < s.DropProb {
+	if attempt < maxAttempts && roll(s.Seed, id, uint64(attempt), saltDrop) < s.DropProb {
 		o.Drop = true
-		o.Backoff = min(s.RetryAfter<<uint(attempt-1), 8)
+		o.Backoff = min(retryAfter<<uint(attempt-1), 8)
 		return o
 	}
 	if roll(s.Seed, id, uint64(attempt), saltDelay) < s.DelayProb {
-		o.Delay = 1 + hash(s.Seed, id, uint64(attempt), saltDelayLen)%s.MaxDelay
+		o.Delay = 1 + hash(s.Seed, id, uint64(attempt), saltDelayLen)%maxDelay
 	}
 	if s.DupAll || roll(s.Seed, id, uint64(attempt), saltDup) < s.DupProb {
 		o.Duplicate = true
@@ -225,7 +203,7 @@ func (inj *Injector) CommitFails(seq uint64, attempt int) bool {
 	if s.CommitFailEvery == 0 || seq == 0 || seq%uint64(s.CommitFailEvery) != 0 {
 		return false
 	}
-	return attempt <= s.CommitFailCount
+	return attempt <= commitFailCount
 }
 
 // Hash salts keep the drop/delay/dup/shuffle decision streams

@@ -43,11 +43,11 @@ func TestDeliveryDeterministic(t *testing.T) {
 }
 
 // TestDeliveryAtLeastOnce pins the redelivery bound: even with certain
-// drops, attempt MaxAttempts always delivers, and backoff stays capped.
+// drops, attempt maxAttempts always delivers, and backoff stays capped.
 func TestDeliveryAtLeastOnce(t *testing.T) {
-	inj := mustNew(t, Schedule{Seed: 7, DropProb: 1.0, MaxAttempts: 4})
+	inj := mustNew(t, Schedule{Seed: 7, DropProb: 1.0})
 	for id := uint64(1); id <= 100; id++ {
-		for attempt := 1; attempt < 4; attempt++ {
+		for attempt := 1; attempt < maxAttempts; attempt++ {
 			o := inj.Delivery(id, attempt)
 			if !o.Drop {
 				t.Fatalf("id=%d attempt=%d: DropProb=1 did not drop", id, attempt)
@@ -56,7 +56,7 @@ func TestDeliveryAtLeastOnce(t *testing.T) {
 				t.Fatalf("id=%d attempt=%d: backoff %d outside (0,8]", id, attempt, o.Backoff)
 			}
 		}
-		if o := inj.Delivery(id, 4); o.Drop {
+		if o := inj.Delivery(id, maxAttempts); o.Drop {
 			t.Fatalf("id=%d: final attempt dropped — delivery is not at-least-once", id)
 		}
 	}
@@ -122,9 +122,9 @@ func TestPeriodicCrashes(t *testing.T) {
 }
 
 // TestCommitFails pins the transient-failure cadence: every Nth commit
-// fails CommitFailCount times, then succeeds; others never fail.
+// fails commitFailCount (2) times, then succeeds; others never fail.
 func TestCommitFails(t *testing.T) {
-	inj := mustNew(t, Schedule{CommitFailEvery: 3, CommitFailCount: 2})
+	inj := mustNew(t, Schedule{CommitFailEvery: 3})
 	for seq := uint64(0); seq < 10; seq++ {
 		shouldFail := seq != 0 && seq%3 == 0
 		for attempt := 1; attempt <= 4; attempt++ {
@@ -215,16 +215,16 @@ func TestFlakyDirectoryDrainStalls(t *testing.T) {
 // counted.
 func TestFlakyDirectoryCommitFailures(t *testing.T) {
 	d := directory.New(directory.Config{})
-	inj := mustNew(t, Schedule{CommitFailEvery: 1, CommitFailCount: 3})
+	inj := mustNew(t, Schedule{CommitFailEvery: 1})
 	f := NewFlakyCommitter(d, d, inj)
 	for i := 1; i <= 4; i++ {
 		if _, err := f.CommitBatch(directory.Batch{Set: []directory.Move{{V: graph.VertexID(i), To: 0}}}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// seq 0 never fails; seqs 1..3 fail 3 times each.
-	if m := inj.Metrics.Snapshot(); m.CommitFailures != 9 {
-		t.Errorf("CommitFailures = %d, want 9", m.CommitFailures)
+	// seq 0 never fails; seqs 1..3 fail commitFailCount (2) times each.
+	if m := inj.Metrics.Snapshot(); m.CommitFailures != 6 {
+		t.Errorf("CommitFailures = %d, want 6", m.CommitFailures)
 	}
 	if d.Current().Len() != 4 {
 		t.Errorf("entries = %d, want 4 — a transient failure leaked", d.Current().Len())

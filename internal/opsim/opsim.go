@@ -39,7 +39,7 @@ import (
 	"ethpart/internal/types"
 )
 
-// maxValue clamps per-record transfer values so Config.Fund always covers a
+// maxValue clamps per-record transfer values so Config.fund always covers a
 // sender's lifetime of transfers.
 const maxValue = 1_000_000
 
@@ -53,11 +53,6 @@ type Config struct {
 	Sim sim.Config
 	// Model is the multi-shard handling class of the live chain.
 	Model shardchain.Model
-	// Chain configures the per-shard chains (zero value → defaults).
-	Chain chain.Config
-	// Fund is the balance credited to every first-seen account (zero →
-	// 1<<50, ample for any history of maxValue-clamped transfers).
-	Fund evm.Word
 	// MaxSettleSteps bounds the empty blocks stepped at the end of the run
 	// to drain in-flight receipts (zero → 64).
 	MaxSettleSteps int
@@ -92,6 +87,10 @@ type Config struct {
 	// of through the placement directory (no directory is built, so Fault's
 	// directory plane and DirCommitter do nothing).
 	resolveFromAssignment bool
+	// fund is the balance credited to every first-seen account (zero →
+	// 1<<50, ample for any history of maxValue-clamped transfers); the
+	// overdraft test lowers it.
+	fund evm.Word
 }
 
 func (c Config) withDefaults() Config {
@@ -101,11 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.Sim.Window <= 0 {
 		c.Sim.Window = 4 * time.Hour
 	}
-	if c.Chain.BlockGasLimit == 0 {
-		c.Chain = chain.DefaultConfig()
-	}
-	if c.Fund.IsZero() {
-		c.Fund = evm.WordFromUint64(1 << 50)
+	if c.fund.IsZero() {
+		c.fund = evm.WordFromUint64(1 << 50)
 	}
 	if c.MaxSettleSteps <= 0 {
 		c.MaxSettleSteps = 64
@@ -408,7 +404,7 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		}
 	}
 	scCfg := shardchain.Config{
-		K: cfg.Sim.K, Model: cfg.Model, Chain: cfg.Chain, Parallel: cfg.Parallel,
+		K: cfg.Sim.K, Model: cfg.Model, Chain: chain.DefaultConfig(), Parallel: cfg.Parallel,
 		Fault: cfg.Fault,
 	}
 	if cfg.resolveFromAssignment {
@@ -917,7 +913,7 @@ func (x *executor) materialise(id uint64, addr types.Address) {
 	}
 	x.seen[id] = true
 	st := x.sc.StateOf(x.sc.HomeOf(addr))
-	st.AddBalance(addr, x.cfg.Fund)
+	st.AddBalance(addr, x.cfg.fund)
 	if x.gt.Registry.IsContract(id) {
 		for i := 0; i < x.cfg.Sim.StorageSlots(graph.VertexID(id)); i++ {
 			st.SetState(addr, evm.WordFromUint64(uint64(i+1)), evm.WordFromUint64(1))

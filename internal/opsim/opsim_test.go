@@ -265,7 +265,7 @@ func TestFailedTxDoesNotCascadeNonceMismatches(t *testing.T) {
 		},
 	}
 	cfg := cfgFor(sim.MethodHash, shardchain.ModelReceipts, 2)
-	cfg.Fund = evm.WordFromUint64(100)
+	cfg.fund = evm.WordFromUint64(100)
 	res, err := Run(gt, cfg)
 	if err != nil {
 		t.Fatal(err)

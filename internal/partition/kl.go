@@ -8,21 +8,13 @@ import (
 	"ethpart/internal/graph"
 )
 
-// KLConfig parameterises the distributed Kernighan–Lin method.
-type KLConfig struct {
-	// MaxRounds bounds the number of propose/exchange rounds per
-	// refinement. The algorithm stops earlier when no shard proposes a
-	// positive-gain move.
-	MaxRounds int
-	// Seed drives the probabilistic exchange; a fixed seed makes runs
-	// reproducible.
-	Seed int64
-}
-
-// DefaultKLConfig returns the configuration used in the experiments.
-func DefaultKLConfig() KLConfig {
-	return KLConfig{MaxRounds: 8, Seed: 1}
-}
+// klMaxRounds bounds the propose/exchange rounds of one refinement; the
+// algorithm stops earlier when no shard proposes a positive-gain move.
+// klSeed drives the probabilistic exchange, so runs are reproducible.
+const (
+	klMaxRounds = 8
+	klSeed      = 0
+)
 
 // KL implements the paper's distributed Kernighan–Lin variant (§II-C):
 // each shard independently selects vertices whose move to another shard
@@ -34,19 +26,10 @@ func DefaultKLConfig() KLConfig {
 //
 // KL refines an existing partition; it never partitions from scratch (the
 // paper bootstraps it with hashing).
-type KL struct {
-	cfg KLConfig
-}
+type KL struct{}
 
-// NewKL returns a KL refiner with the given configuration. Zero-valued
-// fields fall back to DefaultKLConfig.
-func NewKL(cfg KLConfig) *KL {
-	def := DefaultKLConfig()
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = def.MaxRounds
-	}
-	return &KL{cfg: cfg}
-}
+// NewKL returns a KL refiner.
+func NewKL() *KL { return &KL{} }
 
 // proposal is one shard's wish to move a vertex to another shard.
 type proposal struct {
@@ -67,9 +50,9 @@ func (kl *KL) Refine(c *graph.CSR, k int, current []int) ([]int, error) {
 		return nil, fmt.Errorf("partition: kl: %w", err)
 	}
 	parts := append([]int(nil), current...)
-	rng := rand.New(rand.NewSource(kl.cfg.Seed))
+	rng := rand.New(rand.NewSource(klSeed))
 
-	for round := 0; round < kl.cfg.MaxRounds; round++ {
+	for round := 0; round < klMaxRounds; round++ {
 		props := kl.propose(c, k, parts)
 		x := proposalCounts(props, k)
 		p := ProbabilityMatrix(x)

@@ -244,7 +244,7 @@ func TestKLImprovesHashPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kl := NewKL(KLConfig{MaxRounds: 12, Seed: 5})
+	kl := NewKL()
 	refined, err := kl.Refine(c, 2, start)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestKLImprovesHashPartition(t *testing.T) {
 
 func TestKLInputValidation(t *testing.T) {
 	c := graph.NewCSR(graph.New())
-	kl := NewKL(KLConfig{})
+	kl := NewKL()
 	if _, err := kl.Refine(c, 0, nil); err == nil {
 		t.Error("k=0 must be rejected")
 	}
@@ -286,7 +286,7 @@ func TestKLDoesNotMutateInput(t *testing.T) {
 	c := clusteredCSR(rng, 10)
 	start, _ := Hash{}.Partition(c, 2)
 	orig := append([]int(nil), start...)
-	if _, err := NewKL(KLConfig{Seed: 3}).Refine(c, 2, start); err != nil {
+	if _, err := NewKL().Refine(c, 2, start); err != nil {
 		t.Fatal(err)
 	}
 	for i := range start {

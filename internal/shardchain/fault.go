@@ -42,16 +42,18 @@ func (sc *ShardChain) journalBarrier() {
 	}
 }
 
-// pruneSeen ages the applied-receipt journals past the dedup window. The
-// window must exceed the worst-case redelivery horizon (MaxAttempts drops
-// with capped backoff, plus the delay bound), which the defaults do with
-// a wide margin.
+// dedupWindow is how many blocks a shard remembers applied receipt IDs. It
+// must exceed the worst-case redelivery horizon or a late duplicate could
+// settle twice: the fault plane's five capped-backoff drops (2+4+8+8+8
+// blocks), its delay bound (4) and a duplicate's extra block come to 35.
+const dedupWindow = 128
+
+// pruneSeen ages the applied-receipt journals past the dedup window.
 func (sc *ShardChain) pruneSeen() {
-	win := sc.cfg.Fault.Schedule().DedupWindow
-	if sc.clock <= win {
+	if sc.clock <= dedupWindow {
 		return
 	}
-	cut := sc.clock - win
+	cut := sc.clock - dedupWindow
 	for _, sh := range sc.shards {
 		for id, b := range sh.seen {
 			if b < cut {
@@ -129,8 +131,8 @@ type flight struct {
 
 // exchangeFaulty is the barrier exchange routed through the injector:
 // each due flight rolls its seeded outcome — dropped (re-queued with
-// backoff; attempt MaxAttempts always delivers, so the channel is
-// at-least-once), delayed, and/or duplicated — and deliveries land in the
+// backoff; the fault plane's last attempt always delivers, so the channel
+// is at-least-once), delayed, and/or duplicated — and deliveries land in the
 // destination inboxes, optionally reordered per the seeded shuffle. The
 // queue and every decision live on the coordinator, keyed by receipt ID
 // and attempt, so two runs of one schedule inject identical faults.

@@ -816,8 +816,9 @@ func (sc *ShardChain) Known(addr types.Address) (int, bool) {
 // outboxes, unsettled inboxes, and receipts held by the fault-aware
 // delivery channel — dropped-awaiting-retry, delayed, or pending
 // duplicates). Drive Step(nil) until it reaches zero to fully settle a
-// run; the at-least-once delivery bound (fault.Schedule.MaxAttempts plus
-// capped backoff) guarantees the count reaches zero in bounded blocks.
+// run; the fault plane's at-least-once delivery bound (a fixed attempt
+// count with capped backoff) guarantees the count reaches zero in bounded
+// blocks.
 func (sc *ShardChain) PendingReceipts() int {
 	n := len(sc.flights)
 	for _, sh := range sc.shards {

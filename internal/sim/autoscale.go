@@ -31,23 +31,21 @@ type AutoscaleConfig struct {
 	// serve per window — the capacity unit the high/low water marks are
 	// fractions of. Default 1024.
 	TargetWindowLoad int64
-	// SplitHighWater: a window whose hottest shard served at least
-	// SplitHighWater×TargetWindowLoad counts toward a split. Default 0.9.
-	SplitHighWater float64
-	// MergeLowWater: a window whose *total* load is at most
-	// MergeLowWater×TargetWindowLoad×k (the fleet mostly idle) counts
-	// toward a merge, as does an entirely quiet window. Default 0.35.
-	MergeLowWater float64
-	// HysteresisWindows is how many consecutive hot (resp. cold) windows
-	// must accumulate before a resize fires; a moderate window resets both
-	// streaks. Default 2.
-	HysteresisWindows int
-	// Cooldown is the minimum time between a resize and any previous
-	// repartition wave — shared with the repartition policy in both
-	// directions, since a resize is itself a wave that advances the same
-	// clock. Default: the (defaulted) MinRepartitionGap.
-	Cooldown time.Duration
 }
+
+// The controller's fixed parameters. A window whose hottest shard served at
+// least splitHighWater×TargetWindowLoad counts toward a split; one whose
+// *total* load is at most mergeLowWater×TargetWindowLoad×k (the fleet
+// mostly idle), or that was quiet, counts toward a merge. hysteresisWindows
+// consecutive hot (resp. cold) windows fire a resize; a moderate window
+// resets both streaks. The cooldown between a resize and any earlier wave
+// is the simulator's MinRepartitionGap, shared with the repartition policy
+// in both directions because a resize is itself a wave on the same clock.
+const (
+	splitHighWater    = 0.9
+	mergeLowWater     = 0.35
+	hysteresisWindows = 2
+)
 
 // autoscaleTargetUtil is the utilisation the desired shard count packs the
 // observed load to: k′ = ceil(load / (TargetWindowLoad × util)). Sizing to
@@ -56,8 +54,8 @@ type AutoscaleConfig struct {
 const autoscaleTargetUtil = 0.6
 
 // withDefaults fills unset fields; k is the (defaulted) initial shard
-// count and gap the defaulted MinRepartitionGap.
-func (a AutoscaleConfig) withDefaults(k int, gap time.Duration) AutoscaleConfig {
+// count.
+func (a AutoscaleConfig) withDefaults(k int) AutoscaleConfig {
 	if a.KMin <= 0 {
 		a.KMin = 1
 	}
@@ -67,18 +65,6 @@ func (a AutoscaleConfig) withDefaults(k int, gap time.Duration) AutoscaleConfig 
 	if a.TargetWindowLoad <= 0 {
 		a.TargetWindowLoad = 1024
 	}
-	if a.SplitHighWater <= 0 {
-		a.SplitHighWater = 0.9
-	}
-	if a.MergeLowWater <= 0 {
-		a.MergeLowWater = 0.35
-	}
-	if a.HysteresisWindows <= 0 {
-		a.HysteresisWindows = 2
-	}
-	if a.Cooldown <= 0 {
-		a.Cooldown = gap
-	}
 	return a
 }
 
@@ -86,10 +72,6 @@ func (a AutoscaleConfig) withDefaults(k int, gap time.Duration) AutoscaleConfig 
 func (a AutoscaleConfig) validate(k int) error {
 	if a.KMin > k || k > a.KMax {
 		return fmt.Errorf("sim: autoscale: initial K=%d outside [KMin=%d, KMax=%d]", k, a.KMin, a.KMax)
-	}
-	if a.MergeLowWater >= a.SplitHighWater {
-		return fmt.Errorf("sim: autoscale: MergeLowWater %.3f must be below SplitHighWater %.3f",
-			a.MergeLowWater, a.SplitHighWater)
 	}
 	return nil
 }
@@ -117,15 +99,15 @@ func (s *Simulator) maybeResize(now time.Time) error {
 	maxLoad := float64(s.lastWinMaxLoad)
 	sumLoad := float64(s.lastWinSumLoad)
 
-	hot := maxLoad >= ac.SplitHighWater*target
+	hot := maxLoad >= splitHighWater*target
 	// Locality damper: when the window's cross-shard ratio already exceeds
 	// the hash bound at k+1 shards, a split cannot buy locality — every
 	// extra shard only adds coordination. Only true saturation (twice the
 	// high water) still justifies splitting for capacity alone.
-	if hot && s.lastWinCut >= float64(k)/float64(k+1) && maxLoad < 2*ac.SplitHighWater*target {
+	if hot && s.lastWinCut >= float64(k)/float64(k+1) && maxLoad < 2*splitHighWater*target {
 		hot = false
 	}
-	cold := s.lastWinInteractions == 0 || sumLoad <= ac.MergeLowWater*target*float64(k)
+	cold := s.lastWinInteractions == 0 || sumLoad <= mergeLowWater*target*float64(k)
 	switch {
 	case hot:
 		s.hotStreak++
@@ -143,14 +125,14 @@ func (s *Simulator) maybeResize(now time.Time) error {
 	desired := int(math.Ceil(sumLoad / (target * autoscaleTargetUtil)))
 	var newK int
 	switch {
-	case s.hotStreak >= ac.HysteresisWindows && k < ac.KMax:
+	case s.hotStreak >= hysteresisWindows && k < ac.KMax:
 		newK = clampInt(desired, k+1, ac.KMax)
-	case s.coldStreak >= ac.HysteresisWindows && k > ac.KMin:
+	case s.coldStreak >= hysteresisWindows && k > ac.KMin:
 		newK = clampInt(desired, ac.KMin, k-1)
 	default:
 		return nil
 	}
-	if now.Sub(s.clk.lastWave) < ac.Cooldown {
+	if now.Sub(s.clk.lastWave) < s.cfg.MinRepartitionGap {
 		return nil // wave cooldown shared with the repartition policy
 	}
 	s.hotStreak, s.coldStreak = 0, 0

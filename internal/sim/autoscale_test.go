@@ -129,18 +129,13 @@ func TestResizeRederivesDefaultedThresholds(t *testing.T) {
 	}
 }
 
-// TestAutoscaleValidation: an initial K outside [KMin, KMax] and inverted
-// water marks are rejected at construction.
+// TestAutoscaleValidation: an initial K outside [KMin, KMax] is rejected at
+// construction.
 func TestAutoscaleValidation(t *testing.T) {
 	cfg := flashConfig(MethodMetis, true)
 	cfg.Autoscale.KMin = 4 // K=2 below the floor
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted initial K below KMin")
-	}
-	cfg = flashConfig(MethodMetis, true)
-	cfg.Autoscale.MergeLowWater = 0.95 // above SplitHighWater's 0.9 default
-	if _, err := New(cfg); err == nil {
-		t.Error("New accepted MergeLowWater above SplitHighWater")
 	}
 }
 
@@ -258,7 +253,7 @@ func TestAutoscaleCooldownShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := replayAll(t, s, recs)
-	gap := 8 * time.Hour // the config's MinRepartitionGap = Cooldown
+	gap := 8 * time.Hour // the config's MinRepartitionGap, the resize cooldown
 	var events []time.Time
 	for _, ev := range res.Resizes {
 		events = append(events, ev.At)

@@ -95,15 +95,56 @@ func TestEraPathMatchesPreRefactorGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(gt.Records) != tc.records {
-				t.Errorf("records = %d, want %d", len(gt.Records), tc.records)
-			}
-			if gt.Registry.Len() != tc.vertices {
-				t.Errorf("vertices = %d, want %d", gt.Registry.Len(), tc.vertices)
-			}
-			if got := hashTrace(gt); got != tc.sha {
-				t.Errorf("trace sha256 = %s, want %s", got, tc.sha)
-			}
+			checkTrace(t, gt, tc.records, tc.vertices, tc.sha)
 		})
+	}
+}
+
+// TestScenarioLibraryGoldens pins every library scenario's stream at 24
+// hours, default seed: the generator's fixed parameters (hot-set size,
+// exchange hubs, bootstrap accounts, preferential-attachment probability,
+// airdrop fan-out, diurnal period) reach each record through these.
+func TestScenarioLibraryGoldens(t *testing.T) {
+	cases := []struct {
+		name     string
+		records  int
+		vertices int
+		sha      string
+	}{
+		{"airdrop-storm", 11091, 2554, "9a453d8354a4b42ed33dfe3ef583e4988860341187bf9d3bafc701682eb8215b"},
+		{"crud-diurnal", 3309, 89, "4c0fa5b8198ec81bea443b819bd14fb8d000d02396c9b1d41257d589c7fa8143"},
+		{"diurnal-exchange", 3697, 128, "89d7067418bd7516380e7bc9c06d08f464fb599b1702e0ebf4b28025c7ecf773"},
+		{"flash-crowd", 5435, 758, "9fab864e676424905c609daa744ad7f1a870284ba0e92392e8e59be67c7a91d3"},
+		{"flash-nft-mint", 12835, 2266, "ec288c87081ce67c4700e298abed31764a760fb42f01b764f637f442fc1ca9de"},
+		{"transfer-steady", 3158, 446, "cdd15edea99dc418191f740608d410df0f60bd5355794dd9691fd2bdf90e680e"},
+	}
+	if got, want := len(cases), len(workload.ScenarioNames()); got != want {
+		t.Fatalf("%d golden rows for %d library scenarios", got, want)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := workload.ResolveScenario(tc.name, "", 24, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gt, err := GenerateScenario(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTrace(t, gt, tc.records, tc.vertices, tc.sha)
+		})
+	}
+}
+
+func checkTrace(t *testing.T, gt *GeneratedTrace, records, vertices int, sha string) {
+	t.Helper()
+	if len(gt.Records) != records {
+		t.Errorf("records = %d, want %d", len(gt.Records), records)
+	}
+	if gt.Registry.Len() != vertices {
+		t.Errorf("vertices = %d, want %d", gt.Registry.Len(), vertices)
+	}
+	if got := hashTrace(gt); got != sha {
+		t.Errorf("trace sha256 = %s, want %s", got, sha)
 	}
 }

@@ -289,7 +289,7 @@ func (c Config) withDefaults() Config {
 		c.Horizon = 4 * c.DecayHalfLife
 	}
 	if c.Autoscale.Enabled {
-		c.Autoscale = c.Autoscale.withDefaults(c.K, c.MinRepartitionGap)
+		c.Autoscale = c.Autoscale.withDefaults(c.K)
 	}
 	return c
 }
@@ -513,7 +513,7 @@ func New(cfg Config) (*Simulator, error) {
 		assign:       assign,
 		clk:          clock{window: cfg.Window, every: cfg.RepartitionEvery},
 		ml:           multilevel.New(multilevel.Config{}),
-		kl:           partition.NewKL(partition.KLConfig{}),
+		kl:           partition.NewKL(),
 		placeScratch: make([]int64, cfg.K),
 		loadScratch:  make([]int64, cfg.K),
 		winLoad:      make([]int64, cfg.K),

@@ -51,7 +51,7 @@ func TestFromReceiptsEndToEnd(t *testing.T) {
 		for _, r := range receipts {
 			traceCount += len(r.Traces)
 		}
-		recs := trace.FromReceipts(block.Header.Number, block.Header.Time, receipts, reg, isContract)
+		recs := trace.FromReceipts(block.Header.Number, block.Header.Time, nil, receipts, reg, isContract)
 		all = append(all, recs...)
 	}
 	if len(all) == 0 {

@@ -151,19 +151,13 @@ func (r *Registry) Len() int { return len(r.addrs) }
 // FromReceipts converts a block's receipts into trace records, assigning
 // vertex IDs through reg. Creations mark the target as a contract; calls
 // mark it when isContract reports code at the address (internal calls to
-// plain accounts are account edges, as in Fig. 2).
-func FromReceipts(blockNum uint64, blockTime int64, receipts []*chain.Receipt,
-	reg *Registry, isContract func(types.Address) bool) []Record {
-	return FromReceiptsTimes(blockNum, blockTime, nil, receipts, reg, isContract)
-}
-
-// FromReceiptsTimes is FromReceipts for open-loop histories: times carries
-// one arrival timestamp per receipt (the instant the transaction's logical
-// action arrived, which the block merely batches), and every trace record
-// of receipt i is stamped with times[i] instead of the block time. A nil
-// times falls back to blockTime for every record — the closed-loop era
+// plain accounts are account edges, as in Fig. 2). times carries one
+// arrival timestamp per receipt for open-loop histories (the instant the
+// transaction's logical action arrived, which the block merely batches),
+// and every trace record of receipt i is stamped with times[i]. A nil
+// times stamps every record with blockTime — the closed-loop era
 // semantics, where actions arrive exactly at the block they execute in.
-func FromReceiptsTimes(blockNum uint64, blockTime int64, times []int64,
+func FromReceipts(blockNum uint64, blockTime int64, times []int64,
 	receipts []*chain.Receipt, reg *Registry, isContract func(types.Address) bool) []Record {
 
 	var records []Record

@@ -23,7 +23,7 @@ const (
 	// ArrivalPoisson is a homogeneous Poisson process at RatePerHour.
 	ArrivalPoisson ArrivalKind = iota
 	// ArrivalDiurnal modulates the rate sinusoidally with the given
-	// Amplitude and Period (default 24 h) — the day/night cycle every
+	// Amplitude over a diurnalPeriod — the day/night cycle every
 	// production trace shows.
 	ArrivalDiurnal
 	// ArrivalFlash is a flat base rate with a square spike of
@@ -67,10 +67,8 @@ type ArrivalSpec struct {
 	// RatePerHour is the base arrival rate.
 	RatePerHour float64
 	// Amplitude (diurnal) is the relative swing in [0, 1]: the rate
-	// oscillates between Rate·(1−A) and Rate·(1+A). Period defaults to
-	// 24 h.
+	// oscillates between Rate·(1−A) and Rate·(1+A).
 	Amplitude float64
-	Period    time.Duration
 	// PeakFactor (flash) multiplies the base rate during the spike;
 	// PeakStart and PeakWidth position the spike as fractions of
 	// Duration.
@@ -78,6 +76,9 @@ type ArrivalSpec struct {
 	PeakStart  float64
 	PeakWidth  float64
 }
+
+// diurnalPeriod is the length of ArrivalDiurnal's cycle.
+const diurnalPeriod = 24 * time.Hour
 
 // withDefaults fills zero fields.
 func (a ArrivalSpec) withDefaults() ArrivalSpec {
@@ -89,9 +90,6 @@ func (a ArrivalSpec) withDefaults() ArrivalSpec {
 	}
 	if a.RatePerHour <= 0 {
 		a.RatePerHour = 100
-	}
-	if a.Period <= 0 {
-		a.Period = 24 * time.Hour
 	}
 	if a.Kind == ArrivalFlash {
 		if a.PeakFactor <= 0 {
@@ -135,7 +133,7 @@ func (a ArrivalSpec) rateAt(t time.Time) float64 {
 	switch a.Kind {
 	case ArrivalDiurnal:
 		elapsed := t.Sub(a.Start).Seconds()
-		phase := 2 * math.Pi * elapsed / a.Period.Seconds()
+		phase := 2 * math.Pi * elapsed / diurnalPeriod.Seconds()
 		return a.RatePerHour * (1 + a.Amplitude*math.Sin(phase))
 	case ArrivalFlash:
 		frac := float64(t.Sub(a.Start)) / float64(a.Duration)

@@ -30,15 +30,6 @@ type Config struct {
 	// (Real Ethereum mines every ~15 s; coarser blocks with
 	// proportionally more transactions produce the same graph.)
 	BlockInterval time.Duration
-	// MaxAirdropFanout bounds airdrop batch size; defaults to 16.
-	MaxAirdropFanout int
-	// PAProb is the probability that an interaction target is drawn by
-	// preferential attachment rather than uniformly; defaults to 0.7,
-	// which yields the heavy-tailed degree distribution real traces show.
-	PAProb float64
-	// Chain configures the underlying blockchain; defaults to
-	// chain.DefaultConfig with a sparse state-commit interval.
-	Chain *chain.Config
 	// Communities, when > 1 together with CommunityLocality > 0, turns on
 	// the shard-aware workload of the paper's first caveat: accounts and
 	// contracts belong to application communities and CommunityLocality of
@@ -62,20 +53,19 @@ func (c Config) withDefaults() Config {
 	if c.BlockInterval <= 0 {
 		c.BlockInterval = time.Hour
 	}
-	if c.MaxAirdropFanout <= 0 {
-		c.MaxAirdropFanout = 16
-	}
-	if c.PAProb <= 0 {
-		c.PAProb = 0.7
-	}
-	if c.Chain == nil {
-		cc := chain.DefaultConfig()
-		cc.CommitInterval = 512 // state roots are sampled, not per-block
-		cc.BlockGasLimit = 1 << 62
-		c.Chain = &cc
-	}
 	return c
 }
+
+// The substrate's fixed parameters, shared by the era path and every
+// scenario. paProb is the probability that an interaction target is drawn
+// by preferential attachment rather than uniformly, which yields the
+// heavy-tailed degree distribution real traces show; maxAirdropFanout
+// bounds an airdrop batch; bootstrapAccounts seeds the starter population.
+const (
+	paProb            = 0.7
+	maxAirdropFanout  = 16
+	bootstrapAccounts = 32
+)
 
 // initialFunding is the balance a new account receives with its first
 // incoming transfer — enough for many transactions at gas price 1.
@@ -217,7 +207,10 @@ func (g *Generator) genesis() error {
 		// Effectively inexhaustible faucet.
 		g.faucet: {0, 0, 1, 0}, // 2^128 wei
 	}
-	g.ch = chain.NewChain(*g.cfg.Chain, alloc)
+	cc := chain.DefaultConfig()
+	cc.CommitInterval = 512 // state roots are sampled, not per-block
+	cc.BlockGasLimit = 1 << 62
+	g.ch = chain.NewChain(cc, alloc)
 	for i := 0; i < 5; i++ {
 		g.miners = append(g.miners, g.newAddress())
 	}
@@ -329,7 +322,7 @@ func (g *Generator) beginBlock(at time.Time) {
 // bootstrap funds the first accounts and deploys the starter contract set.
 func (g *Generator) bootstrap() error {
 	g.beginBlock(g.now)
-	for i := 0; i < 32; i++ {
+	for i := 0; i < bootstrapAccounts; i++ {
 		a := g.newAddress()
 		g.addAccount(a)
 		g.appendTx(g.transferTx(g.faucet, a, initialFunding))
@@ -416,7 +409,7 @@ func (g *Generator) updatePools(receipts []*chain.Receipt) {
 
 // pickTarget draws an interaction target for sender: the population
 // layer's hot set first (scenario compositions), then preferential
-// attachment with probability PAProb, otherwise a uniform existing
+// attachment with probability paProb, otherwise a uniform existing
 // account. With the community workload enabled, the draw stays inside the
 // sender's community with the configured locality.
 func (g *Generator) pickTarget(sender types.Address) types.Address {
@@ -427,14 +420,14 @@ func (g *Generator) pickTarget(sender types.Address) types.Address {
 	}
 	if g.comm != nil && g.rng.Float64() < g.comm.locality {
 		comm := g.comm.community(sender)
-		if pool := g.comm.pa[comm]; len(pool) > 0 && g.rng.Float64() < g.cfg.PAProb {
+		if pool := g.comm.pa[comm]; len(pool) > 0 && g.rng.Float64() < paProb {
 			return pool[g.rng.Intn(len(pool))]
 		}
 		if accs := g.comm.accounts[comm]; len(accs) > 0 {
 			return accs[g.rng.Intn(len(accs))]
 		}
 	}
-	if len(g.paPool) > 0 && g.rng.Float64() < g.cfg.PAProb {
+	if len(g.paPool) > 0 && g.rng.Float64() < paProb {
 		return g.paPool[g.rng.Intn(len(g.paPool))]
 	}
 	return g.accounts[g.rng.Intn(len(g.accounts))]
@@ -716,7 +709,7 @@ func (g *Generator) gameAction() {
 
 // airdropAction distributes to a batch of targets, some brand new.
 func (g *Generator) airdropAction() {
-	n := 2 + g.rng.Intn(g.cfg.MaxAirdropFanout-1)
+	n := 2 + g.rng.Intn(maxAirdropFanout-1)
 	sender, topup := g.pickSender(uint64(200_000 + n*40_000))
 	drop := g.pickContract(sender, &g.airdrops)
 	data := make([]byte, 32*(n+1))

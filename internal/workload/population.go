@@ -23,21 +23,14 @@ type PopulationSpec struct {
 	// HotProb is the probability an interaction target is drawn from the
 	// recently-active ring instead of the preferential-attachment pools.
 	HotProb float64
-	// HotSet is the ring capacity (default 256).
-	HotSet int
 	// RecencyBias is the probability a hot draw is confined to the newest
 	// fifth of the ring (default 0 = uniform over the ring; pebble-bench's
 	// PoS workloads use 0.8).
 	RecencyBias float64
 }
 
-// withDefaults fills zero fields.
-func (p PopulationSpec) withDefaults() PopulationSpec {
-	if p.HotSet <= 0 {
-		p.HotSet = 256
-	}
-	return p
-}
+// hotSetSize is the recency ring's capacity.
+const hotSetSize = 256
 
 // popState is the recency ring: a fixed-capacity circular buffer of the
 // most recently active addresses, newest at head−1. Duplicates are kept on
@@ -51,8 +44,7 @@ type popState struct {
 }
 
 func newPopState(spec PopulationSpec) *popState {
-	spec = spec.withDefaults()
-	return &popState{spec: spec, ring: make([]types.Address, spec.HotSet)}
+	return &popState{spec: spec, ring: make([]types.Address, hotSetSize)}
 }
 
 // note records addr as just-active. Called from the pool-update path after

@@ -63,20 +63,11 @@ type Scenario struct {
 	// DeploysPerDay paces mid-run contract launches of the mix's active
 	// archetypes (new NFT collections mid-rush, new stores, …).
 	DeploysPerDay float64
-	// MaxAirdropFanout bounds airdrop batch size; defaults to 16.
-	MaxAirdropFanout int
-	// PAProb is the preferential-attachment probability of the substrate
-	// (defaults to 0.7); the Population layer's hot draws sit in front of
-	// it.
-	PAProb float64
-	// ExchangeHubs is the number of hub accounts (default 4, only built
-	// when Mix.Exchange > 0).
-	ExchangeHubs int
-	// BootstrapAccounts seeds the initial user population (default 32).
-	BootstrapAccounts int
-	// Chain overrides the chain config (defaults as the era path).
-	Chain *chain.Config
 }
+
+// exchangeHubs is the number of hub accounts a mix with Exchange traffic
+// bootstraps.
+const exchangeHubs = 4
 
 // withDefaults fills zero fields.
 func (s Scenario) withDefaults() Scenario {
@@ -87,18 +78,6 @@ func (s Scenario) withDefaults() Scenario {
 		s.BlockInterval = time.Hour
 	}
 	s.Arrival = s.Arrival.withDefaults()
-	if s.MaxAirdropFanout <= 0 {
-		s.MaxAirdropFanout = 16
-	}
-	if s.PAProb <= 0 {
-		s.PAProb = 0.7
-	}
-	if s.ExchangeHubs <= 0 {
-		s.ExchangeHubs = 4
-	}
-	if s.BootstrapAccounts <= 0 {
-		s.BootstrapAccounts = 32
-	}
 	return s
 }
 
@@ -134,14 +113,8 @@ func NewScenario(sc Scenario) (*Generator, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := Config{
-		Seed:             sc.Seed,
-		BlockInterval:    sc.BlockInterval,
-		MaxAirdropFanout: sc.MaxAirdropFanout,
-		PAProb:           sc.PAProb,
-		Chain:            sc.Chain,
-	}.withDefaults()
-	cfg.Eras = nil // scenario compositions have no era schedule
+	// Scenario compositions have no era schedule or scale.
+	cfg := Config{Seed: sc.Seed, BlockInterval: sc.BlockInterval}
 	g := newSubstrate(cfg)
 	comp := compileScenario(sc)
 	g.comp = composition{arrival: newScenarioPlanner(sc.Arrival), scenario: comp}
@@ -167,7 +140,7 @@ func NewScenario(sc Scenario) (*Generator, error) {
 // and (when the mix trades through exchanges) the hub accounts.
 func (g *Generator) scenarioBootstrap(sc Scenario) error {
 	g.beginBlock(g.now)
-	for i := 0; i < sc.BootstrapAccounts; i++ {
+	for i := 0; i < bootstrapAccounts; i++ {
 		a := g.newAddress()
 		g.addAccount(a)
 		g.appendTx(g.transferTx(g.faucet, a, initialFunding))
@@ -200,7 +173,7 @@ func (g *Generator) scenarioBootstrap(sc Scenario) error {
 		}
 	}
 	if m.Exchange > 0 {
-		for i := 0; i < sc.ExchangeHubs; i++ {
+		for i := 0; i < exchangeHubs; i++ {
 			hub := g.newAddress()
 			g.addAccount(hub)
 			g.exchHubs = append(g.exchHubs, hub)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ethpart/internal/trace"
+	"ethpart/internal/types"
 )
 
 // shortScenario shrinks a library scenario so every property test runs in
@@ -116,27 +117,47 @@ func TestScenarioRecordValidity(t *testing.T) {
 				t.Errorf("%d transactions skipped (underfunded or bad nonce)", st.Skipped)
 			}
 
-			// Monotone nonces per sender, checked against the chain itself.
-			ch := gen.Chain()
-			nonces := map[uint64]uint64{} // packed address prefix → next nonce
-			for n := uint64(0); n < uint64(ch.Len()); n++ {
-				for _, tx := range ch.BlockByNumber(n).Txs {
-					key := uint64(tx.From[0])<<56 | uint64(tx.From[1])<<48 |
-						uint64(tx.From[2])<<40 | uint64(tx.From[3])<<32 |
-						uint64(tx.From[4])<<24 | uint64(tx.From[5])<<16 |
-						uint64(tx.From[6])<<8 | uint64(tx.From[7])
-					if tx.Nonce != nonces[key] {
-						t.Fatalf("block %d: sender %x nonce %d, want %d",
-							n, tx.From[:8], tx.Nonce, nonces[key])
-					}
-					nonces[key] = tx.Nonce + 1
+			// Monotone nonces per sender, checked on the blocks the chain
+			// sealed. The chain keeps no history, so a twin generator of the
+			// same seed replays the stream block by block; a sender's first
+			// nonce continues from the state the bootstrap blocks left.
+			twin, err := NewScenario(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boot := twin.Chain().State().Copy()
+			nonces := map[types.Address]uint64{}
+			for {
+				b, _, ok, err := twin.NextBlock()
+				if err != nil {
+					t.Fatal(err)
 				}
+				if !ok {
+					break
+				}
+				if b == nil {
+					continue
+				}
+				for _, tx := range b.Txs {
+					want, seen := nonces[tx.From]
+					if !seen {
+						want = boot.GetNonce(tx.From)
+					}
+					if tx.Nonce != want {
+						t.Fatalf("block %d: sender %x nonce %d, want %d",
+							b.Header.Number, tx.From[:8], tx.Nonce, want)
+					}
+					nonces[tx.From] = tx.Nonce + 1
+				}
+			}
+			if twin.Chain().Head().Hash() != gen.Chain().Head().Hash() {
+				t.Fatal("twin generator diverged from the streamed one")
 			}
 
 			// Contract targets marked; arrival timestamps non-decreasing
 			// within each block, block times non-decreasing overall.
 			reg := s.Registry()
-			st := ch.State()
+			st := gen.Chain().State()
 			lastBlock, lastTime := uint64(0), int64(0)
 			blockStart := map[uint64]int64{}
 			for i, r := range recs {

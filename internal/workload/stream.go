@@ -56,7 +56,7 @@ func (s *Stream) Read() (trace.Record, error) {
 		if block == nil {
 			continue // schedule gap
 		}
-		s.buf = trace.FromReceiptsTimes(block.Header.Number, block.Header.Time,
+		s.buf = trace.FromReceipts(block.Header.Number, block.Header.Time,
 			s.g.BlockArrivalTimes(), receipts, s.reg, s.isContract)
 		s.pos = 0
 	}
