@@ -11,8 +11,10 @@
 //	-seed N      history seed (default 1)
 //	-scale F     workload scale (default 0.004)
 //	-scenario S  generate the history from a named open-loop scenario
-//	             (tracegen -list names them) instead of the era schedule
-//	-arrival A   override the scenario's arrival process (poisson|diurnal|flash)
+//	             (tracegen -list names them) instead of the era schedule;
+//	             not for the subcommands that generate their own histories
+//	-arrival A   override the scenario's arrival process (poisson|diurnal|flash);
+//	             requires -scenario
 //	-csv DIR     also write CSV files into DIR
 //	-method M    fig3 method: hash|kl|metis|r-metis|tr-metis (default both
 //	             hash and metis, as in the paper)
@@ -26,7 +28,8 @@
 //	-hours H     scenariocost: shorten every scenario's arrival window
 //
 // Every shard count must be at least 1, -k-max at least -k-min and -scale
-// positive; the flags are checked before any history is generated.
+// positive, and a flag the subcommand would ignore is an error; the flags
+// are checked before any history is generated.
 //
 // costs, decaycost, scalecost and scenariocost are operational figures:
 // each replays its history through the live sharded chain
@@ -96,7 +99,17 @@ func run(args []string) error {
 	cmd := fs.Arg(0)
 
 	// shardaware, decaycost, scalecost and scenariocost generate their own
-	// histories.
+	// histories, so the history flags do not reach them; -hours reaches only
+	// scenariocost.
+	switch {
+	case *scenario == "" && *arrival != "":
+		return fmt.Errorf("-arrival requires -scenario")
+	case (*scenario != "" || *arrival != "") &&
+		(cmd == "shardaware" || cmd == "decaycost" || cmd == "scalecost" || cmd == "scenariocost"):
+		return fmt.Errorf("-scenario/-arrival do not apply to %s, which generates its own histories", cmd)
+	case *hours != 0 && cmd != "scenariocost":
+		return fmt.Errorf("-hours applies to scenariocost only")
+	}
 	if cmd == "shardaware" {
 		return shardaware(*seed, *scale, output{dir: *csvDir}, *k, *decay, *horizon)
 	}

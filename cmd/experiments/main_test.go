@@ -10,8 +10,9 @@ import (
 
 // TestOperationalFigureGoldens regenerates figures at seed 1 and
 // byte-compares the CSVs they write with the ones checked in under
-// testdata/: the three operational figures (-hours 12), captured before
-// they moved onto the shared runner and column vocabulary, and the paper's
+// testdata/: the three operational figures (scenariocost at -hours 12; the
+// other two never read the flag), captured before they moved onto the
+// shared runner and column vocabulary, and the paper's
 // own graph-growth and shard-count-sweep figures (-scale 0.0005), captured
 // at commit b1a91af, before the Merkle trie became a root fold and the
 // multilevel partitioner's unset options became constants. costs.csv
@@ -27,8 +28,8 @@ func TestOperationalFigureGoldens(t *testing.T) {
 		fig  string
 		args []string
 	}{
-		{"decaycost", []string{"-hours", "12"}},
-		{"scalecost", []string{"-hours", "12"}},
+		{"decaycost", nil},
+		{"scalecost", nil},
 		{"scenariocost", []string{"-hours", "12"}},
 		{"fig1", []string{"-scale", "0.0005"}},
 		{"fig5", []string{"-scale", "0.0005"}},
@@ -55,12 +56,14 @@ func TestOperationalFigureGoldens(t *testing.T) {
 }
 
 // TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
-// shard counts below one, of an inverted -k-min/-k-max range and of a scale
-// at or below zero, with a one-line error. Past the flags each would run
-// silently at a default (the simulator's k = 2, scalecost's k-min 2, the
-// dataset's 0.004 scale under a header that prints the flag's) or, for
-// shardaware, generate a history with zero communities. Every row names a
-// subcommand that would otherwise generate a history first.
+// shard counts below one, of an inverted -k-min/-k-max range, of a scale
+// at or below zero and of history flags the subcommand would ignore, with
+// a one-line error. Past the flags each would run silently at a default
+// (the simulator's k = 2, scalecost's k-min 2, the dataset's 0.004 scale
+// under a header that prints the flag's, the era history in place of the
+// scenario asked for) or, for shardaware, generate a history with zero
+// communities. Every row names a subcommand that would otherwise generate
+// a history first.
 func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -75,6 +78,12 @@ func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 		{[]string{"-k-min", "4", "-k-max", "3", "scalecost"}, "-k-max 3 is below -k-min 4"},
 		{[]string{"-scale", "-1", "fig1"}, "-scale must be > 0"},
 		{[]string{"-scale", "0", "costs"}, "-scale must be > 0"},
+		{[]string{"-arrival", "poisson", "fig1"}, "-arrival requires -scenario"},
+		{[]string{"-scenario", "transfer-steady", "shardaware"}, "do not apply to shardaware"},
+		{[]string{"-scenario", "flash-nft-mint", "-arrival", "poisson", "decaycost"}, "do not apply to decaycost"},
+		{[]string{"-scenario", "transfer-steady", "scalecost"}, "do not apply to scalecost"},
+		{[]string{"-scenario", "transfer-steady", "-hours", "12", "scenariocost"}, "do not apply to scenariocost"},
+		{[]string{"-hours", "12", "decaycost"}, "-hours applies to scenariocost only"},
 	} {
 		err := run(tc.args)
 		if err == nil {

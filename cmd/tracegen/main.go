@@ -1,13 +1,13 @@
 // Command tracegen generates a synthetic Ethereum interaction trace and
-// writes it in the study's dataset format (CSV or JSONL) — the reproduction
-// of the paper's published dataset. Besides the era-based history it can
-// generate any composition from the named scenario library (open-loop
-// arrival × population × mix), validate scenarios without generating, and
-// describe the library.
+// writes it in the study's dataset format (CSV) — the reproduction of the
+// paper's published dataset. Besides the era-based history it can generate
+// any composition from the named scenario library (open-loop arrival ×
+// population × mix), validate scenarios without generating, and describe
+// the library.
 //
 // Usage:
 //
-//	tracegen -out trace.csv [-seed 1] [-scale 0.004] [-format csv|jsonl]
+//	tracegen -out trace.csv [-seed 1] [-scale 0.004]
 //	tracegen -scenario flash-nft-mint -out trace.csv.gz [-hours 48]
 //	tracegen -list
 //	tracegen -describe flash-nft-mint
@@ -43,9 +43,8 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("out", "", "output file (required; '-' for stdout, .gz for gzip)")
 	seed := fs.Int64("seed", 1, "history seed")
 	scale := fs.Float64("scale", 0.004, "era workload scale (1.0 ≈ the paper's full trace)")
-	format := fs.String("format", "csv", "output format: csv or jsonl")
 	scenario := fs.String("scenario", "", "generate a named library scenario instead of the era history")
-	hours := fs.Float64("hours", 0, "override the scenario's arrival duration (hours)")
+	hours := fs.Float64("hours", 0, "override the scenario's arrival duration (hours; requires -scenario)")
 	list := fs.Bool("list", false, "list the scenario library and exit")
 	describe := fs.String("describe", "", "describe a named scenario and exit")
 	validate := fs.String("validate", "", "validate a named scenario and exit")
@@ -54,6 +53,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if err := experiments.ValidatePositive("-scale", *scale); err != nil {
 		return err
+	}
+	if *scenario == "" && *hours != 0 {
+		return fmt.Errorf("-hours requires -scenario")
 	}
 
 	switch {
@@ -111,27 +113,16 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "csv":
-		cw := trace.NewCSVWriter(w)
-		for _, rec := range gt.Records {
-			if err := cw.Write(rec); err != nil {
-				w.Close()
-				return err
-			}
-		}
-		if err := cw.Flush(); err != nil {
+	cw := trace.NewCSVWriter(w)
+	for _, rec := range gt.Records {
+		if err := cw.Write(rec); err != nil {
 			w.Close()
 			return err
 		}
-	case "jsonl":
-		if err := trace.WriteJSONL(w, gt.Records); err != nil {
-			w.Close()
-			return err
-		}
-	default:
+	}
+	if err := cw.Flush(); err != nil {
 		w.Close()
-		return fmt.Errorf("unknown format %q", *format)
+		return err
 	}
 	return w.Close()
 }

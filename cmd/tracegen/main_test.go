@@ -45,6 +45,8 @@ func TestRunRequiresOut(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFormat: CSV is the one trace format, so -format is not a
+// flag at all.
 func TestRunRejectsBadFormat(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "x.bin")
 	err := run([]string{"-out", out, "-scale", "0.0002", "-format", "xml"}, io.Discard)
@@ -65,6 +67,27 @@ func TestNonPositiveScaleFailsAtFlagParse(t *testing.T) {
 		}
 		if _, statErr := os.Stat(out); !errors.Is(statErr, os.ErrNotExist) {
 			t.Errorf("-scale %s: output file written (stat: %v)", scale, statErr)
+		}
+	}
+}
+
+// TestIgnoredFlagsFailAtFlagParse: a flag the run would not use is an error
+// before anything is generated or written, not a silent era history.
+func TestIgnoredFlagsFailAtFlagParse(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-hours", "12"}, "-hours requires -scenario"},
+		{[]string{"-format", "jsonl"}, "flag provided but not defined: -format"},
+	} {
+		out := filepath.Join(t.TempDir(), "t.csv")
+		err := run(append(tc.args, "-out", out, "-scale", "0.0002"), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
+		}
+		if _, statErr := os.Stat(out); !errors.Is(statErr, os.ErrNotExist) {
+			t.Errorf("%v: output file written (stat: %v)", tc.args, statErr)
 		}
 	}
 }

@@ -11,9 +11,9 @@
 // with one atomic store. A repartition's whole move set commits as a single
 // epoch flip: no reader can ever observe half a wave.
 //
-// Storage is two-tiered, mirroring the dense/spill split of the partition
-// and graph packages, and both tiers are the same thing — a VertexID-indexed
-// table of fixed-size copy-on-write pages:
+// Storage is two-tiered, and both tiers are the same thing — a
+// VertexID-indexed table of fixed-size copy-on-write pages covering the IDs
+// below graph.MaxVertexID:
 //
 //   - the hot tier holds the live account population that placement and
 //     repartitioning actually touch;
@@ -26,10 +26,8 @@
 //     is actually retired. A commit copies only the pages it writes, in
 //     either tier: its cost does not grow with how much was ever retired.
 //
-// A lookup is a bounds check and at most two page probes. IDs outside the
-// dense region (≥ hotIDLimit) are the one exception: they live in a small
-// residual map, permanently cold, copied whole by the rare batch that names
-// one.
+// A lookup is a bounds check and at most two page probes. A batch that maps
+// an ID at or above graph.MaxVertexID is refused.
 //
 // A bounded journal retains the last JournalDepth snapshots by epoch, so a
 // reader that pinned epoch E mid-flight can re-acquire exactly that view
@@ -39,7 +37,6 @@ package directory
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -63,12 +60,6 @@ const (
 	pageMask = pageSize - 1
 )
 
-// hotIDLimit bounds the paged tiers, matching the dense ID region of the
-// graph and partition packages (IDs come from the trace registry, which
-// assigns them densely from zero). Callers minting VertexIDs from address
-// bits land in the residual map instead of forcing giant page tables.
-const hotIDLimit = graph.VertexID(1) << 22
-
 // page is one fixed-size block of a tier. Pages reachable from a published
 // snapshot are immutable; a writer copies a page before its first write of
 // a commit.
@@ -79,8 +70,7 @@ type page [pageSize]int32
 // or emptied and dropped) page.
 type table []*page
 
-// get returns v's slot, noShard when it is unoccupied. v must be below
-// hotIDLimit.
+// get returns v's slot, noShard when it is unoccupied or beyond the table.
 func (t table) get(v graph.VertexID) int32 {
 	if p := int(v >> pageBits); p < len(t) {
 		if pg := t[p]; pg != nil {
@@ -212,13 +202,10 @@ type Snapshot struct {
 	shards int
 	// hot and cold are the two tiers, one paged table each: live placements
 	// and retired sticky assignments. They are disjoint — a vertex occupies
-	// a slot in at most one — and cover IDs below hotIDLimit only.
+	// a slot in at most one.
 	hot, cold table
-	// far maps the IDs at or above hotIDLimit, outside the dense region the
-	// tables cover; its entries count as cold. Nil until a batch names one.
-	far map[graph.VertexID]int32
 	// hotLen and entries count occupied hot-tier slots and total mapped
-	// vertices (hot + cold + far).
+	// vertices (hot + cold).
 	hotLen, entries int
 }
 
@@ -237,7 +224,7 @@ func (s *Snapshot) Len() int { return s.entries }
 // HotLen returns the number of hot-tier entries in this view.
 func (s *Snapshot) HotLen() int { return s.hotLen }
 
-// ColdLen returns the number of cold-tier (retired/spilled) entries.
+// ColdLen returns the number of cold-tier (retired) entries.
 func (s *Snapshot) ColdLen() int { return s.entries - s.hotLen }
 
 // Lookup returns the shard of v in this view: a bounds check and at most
@@ -251,12 +238,6 @@ func (s *Snapshot) Lookup(v graph.VertexID) (int, bool) {
 // answer came from the cold tier. The serving front end uses it to emit
 // promotion hints for hot-again accounts without taking any lock.
 func (s *Snapshot) LookupTier(v graph.VertexID) (shard int, cold, ok bool) {
-	if v >= hotIDLimit {
-		if sh, ok := s.far[v]; ok {
-			return int(sh), true, true
-		}
-		return NoShard, false, false
-	}
 	if sh := s.hot.get(v); sh != noShard {
 		return int(sh), false, true
 	}
@@ -267,16 +248,11 @@ func (s *Snapshot) LookupTier(v graph.VertexID) (shard int, cold, ok bool) {
 }
 
 // Each calls fn for every mapped vertex of the view: the hot tier in
-// ascending ID order, then the cold tier likewise, then the IDs outside the
-// dense region in unspecified order. Stops early when fn returns false.
+// ascending ID order, then the cold tier likewise. Stops early when fn
+// returns false.
 func (s *Snapshot) Each(fn func(v graph.VertexID, shard int) bool) {
-	if !s.hot.each(fn) || !s.cold.each(fn) {
-		return
-	}
-	for v, sh := range s.far {
-		if !fn(v, int(sh)) {
-			return
-		}
+	if s.hot.each(fn) {
+		s.cold.each(fn)
 	}
 }
 
@@ -302,7 +278,8 @@ type Move struct {
 // back into the hot tier at their current shard — the promotion-on-access
 // lane fed by the read-side hint ring; a promotion never changes a
 // lookup's answer and is a no-op for hot, unknown, or out-of-range
-// vertices, so duplicated or stale hints are harmless.
+// vertices, so duplicated or stale hints are harmless. Commit refuses a
+// batch whose Set or SetCold names an ID at or above graph.MaxVertexID.
 //
 // Shards, when positive, declares the shard count the batch's mappings are
 // expressed against; it becomes the snapshot's epoch-consistent Shards().
@@ -342,9 +319,8 @@ type Directory struct {
 	journal []atomic.Pointer[Snapshot]
 
 	// Writer-owned state, guarded by mu: the two tiers' copy-on-write
-	// bookkeeping, and the epoch whose commit last cloned the far map.
+	// bookkeeping.
 	hot, cold cowTable
-	farCopied uint64
 
 	// Cumulative writer-side counters (guarded by mu).
 	flips, waveFlips, retired, rehydrated, promoted uint64
@@ -458,19 +434,13 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 		shards = b.Shards
 	}
 	for _, m := range b.Set {
-		if m.To < 0 {
-			return 0, fmt.Errorf("directory: set %d: negative shard %d", m.V, m.To)
-		}
-		if shards > 0 && m.To >= shards {
-			return 0, fmt.Errorf("directory: set %d: shard %d out of range [0,%d)", m.V, m.To, shards)
+		if err := checkMove("set", m, shards); err != nil {
+			return 0, err
 		}
 	}
 	for _, m := range b.SetCold {
-		if m.To < 0 {
-			return 0, fmt.Errorf("directory: set-cold %d: negative shard %d", m.V, m.To)
-		}
-		if shards > 0 && m.To >= shards {
-			return 0, fmt.Errorf("directory: set-cold %d: shard %d out of range [0,%d)", m.V, m.To, shards)
+		if err := checkMove("set-cold", m, shards); err != nil {
+			return 0, err
 		}
 	}
 	if b.Shards > 0 && cur.shards > 0 && b.Shards < cur.shards {
@@ -507,17 +477,12 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	next := &Snapshot{
 		epoch:   cur.epoch + 1,
 		shards:  shards,
-		far:     cur.far,
 		hotLen:  cur.hotLen,
 		entries: cur.entries,
 	}
 	e := next.epoch
 
 	for _, m := range b.Set {
-		if m.V >= hotIDLimit {
-			d.putFar(next, m)
-			continue
-		}
 		if d.hot.put(e, m.V, int32(m.To)) {
 			// Hot miss: a cold entry re-hydrating — clear the cold slot so
 			// the tiers stay disjoint — or a brand new vertex.
@@ -534,10 +499,6 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	for _, m := range b.SetCold {
 		// In-place, tier-preserving update: hot entries change under their
 		// page, everything else lands (or stays) in the cold tier.
-		if m.V >= hotIDLimit {
-			d.putFar(next, m)
-			continue
-		}
 		if d.hot.pages.get(m.V) != noShard {
 			d.hot.put(e, m.V, int32(m.To))
 		} else if d.cold.put(e, m.V, int32(m.To)) {
@@ -550,12 +511,9 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 		// its current shard. Mapping, Len and every Lookup answer are
 		// unchanged — only the tier moves — so replicas applying the same
 		// stream converge on the same mapping regardless of hint timing.
-		if v >= hotIDLimit {
-			continue // permanently cold
-		}
 		sh := d.cold.pages.get(v)
 		if sh == noShard {
-			continue // already hot, or never seen: stale hint, no-op
+			continue // already hot, never seen or out of range: stale hint, no-op
 		}
 		d.hot.put(e, v, sh)
 		d.cold.clear(e, v)
@@ -564,12 +522,9 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	}
 
 	for _, v := range b.Retire {
-		if v >= hotIDLimit {
-			continue // already cold-resident by construction
-		}
 		sh := d.hot.pages.get(v)
 		if sh == noShard {
-			continue // unknown or already retired
+			continue // unknown (or out of range) or already retired
 		}
 		d.cold.put(e, v, sh)
 		d.hot.clear(e, v)
@@ -587,19 +542,18 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	return e, nil
 }
 
-// putFar maps an ID outside the dense region in next's far map, cloning the
-// map on the commit's first such write.
-func (d *Directory) putFar(next *Snapshot, m Move) {
-	if d.farCopied != next.epoch {
-		far := make(map[graph.VertexID]int32, len(next.far)+1)
-		maps.Copy(far, next.far)
-		next.far = far
-		d.farCopied = next.epoch
+// checkMove validates one mapping of a batch's lane against the shard count
+// the batch publishes.
+func checkMove(lane string, m Move, shards int) error {
+	switch {
+	case m.V >= graph.MaxVertexID:
+		return fmt.Errorf("directory: %s %d: vertex out of range [0,%d)", lane, m.V, graph.MaxVertexID)
+	case m.To < 0:
+		return fmt.Errorf("directory: %s %d: negative shard %d", lane, m.V, m.To)
+	case shards > 0 && m.To >= shards:
+		return fmt.Errorf("directory: %s %d: shard %d out of range [0,%d)", lane, m.V, m.To, shards)
 	}
-	if _, ok := next.far[m.V]; !ok {
-		next.entries++
-	}
-	next.far[m.V] = int32(m.To)
+	return nil
 }
 
 // Stats is a point-in-time summary of the directory for reporting.

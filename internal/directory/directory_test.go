@@ -129,28 +129,41 @@ func TestRetireSpillsToColdAndRehydrates(t *testing.T) {
 }
 
 // TestRejectedBatchLeavesNoTrace pins the validate-before-mutate contract:
-// a batch rejected mid-way (negative shard after valid entries) must leave
-// the published view AND the writer's occupancy bookkeeping untouched —
+// a batch rejected mid-way (a bad entry after valid ones) must leave the
+// published view AND the writer's occupancy bookkeeping untouched —
 // otherwise the live counts drift above real occupancy and the page-drop
 // compaction can never fire for that page again.
 func TestRejectedBatchLeavesNoTrace(t *testing.T) {
-	d := New(Config{})
-	mustCommit(t, d, Batch{Set: []Move{{V: 1, To: 0}}})
-	if _, err := d.Commit(Batch{Set: []Move{{V: 2, To: 1}, {V: 3, To: -1}}}); err == nil {
-		t.Fatal("negative shard accepted")
-	}
-	s := d.Current()
-	if s.Epoch() != 1 || s.Len() != 1 {
-		t.Fatalf("rejected batch leaked: epoch=%d len=%d", s.Epoch(), s.Len())
-	}
-	if _, ok := s.Lookup(2); ok {
-		t.Error("rejected batch's valid prefix is visible")
-	}
-	// The occupancy bookkeeping must still be exact: retiring the one real
-	// entry empties page 0 and drops it.
-	mustCommit(t, d, Batch{Retire: []graph.VertexID{1}})
-	if st := d.Stats(); st.Pages != 0 || st.Hot != 0 || st.Cold != 1 {
-		t.Errorf("post-rejection compaction broken: %+v", st)
+	for _, tc := range []struct {
+		name string
+		b    Batch
+	}{
+		{"negative shard", Batch{Set: []Move{{V: 2, To: 1}, {V: 3, To: -1}}}},
+		{"set out-of-range ID", Batch{Set: []Move{{V: 2, To: 1}, {V: graph.MaxVertexID, To: 0}}}},
+		{"set-cold out-of-range ID", Batch{Set: []Move{{V: 2, To: 1}}, SetCold: []Move{{V: 3, To: 0}, {V: 1 << 40, To: 0}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(Config{})
+			mustCommit(t, d, Batch{Set: []Move{{V: 1, To: 0}}})
+			if _, err := d.Commit(tc.b); err == nil {
+				t.Fatal("batch accepted")
+			}
+			s := d.Current()
+			if s.Epoch() != 1 || s.Len() != 1 {
+				t.Fatalf("rejected batch leaked: epoch=%d len=%d", s.Epoch(), s.Len())
+			}
+			for _, v := range []graph.VertexID{2, 3} {
+				if _, ok := s.Lookup(v); ok {
+					t.Errorf("rejected batch's valid prefix is visible at %d", v)
+				}
+			}
+			// The occupancy bookkeeping must still be exact: retiring the
+			// one real entry empties page 0 and drops it.
+			mustCommit(t, d, Batch{Retire: []graph.VertexID{1}})
+			if st := d.Stats(); st.Pages != 0 || st.Hot != 0 || st.Cold != 1 {
+				t.Errorf("post-rejection compaction broken: %+v", st)
+			}
+		})
 	}
 }
 
@@ -228,54 +241,56 @@ func TestRehydrateDropsEmptyColdPages(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeIDsLiveOnlyInTheFarMap: an ID at or above hotIDLimit lands
-// in the residual map whichever lane names it — never in a page of either
-// tier — counts as cold, and is left alone by Retire and Promote.
-func TestOutOfRangeIDsLiveOnlyInTheFarMap(t *testing.T) {
+// TestOutOfRangeIDsRefused: a Set or SetCold naming an ID at or above
+// graph.MaxVertexID is refused whichever lane names it, and allocates no
+// page; Retire and Promote of such an ID find nothing and count nothing;
+// and a lookup of one answers "unmapped".
+func TestOutOfRangeIDsRefused(t *testing.T) {
 	d := New(Config{})
-	a, b := hotIDLimit, hotIDLimit+(7<<pageBits)+3
-	mustCommit(t, d, Batch{Shards: 4, Set: []Move{{V: a, To: 1}, {V: 5, To: 0}}})
-	before := d.Current()
-	mustCommit(t, d, Batch{SetCold: []Move{{V: b, To: 2}, {V: a, To: 3}}})
+	a, b := graph.MaxVertexID, graph.MaxVertexID+(7<<pageBits)+3
+	mustCommit(t, d, Batch{Shards: 4, Set: []Move{{V: 5, To: 0}}})
+	for _, bad := range []Batch{
+		{Set: []Move{{V: a, To: 1}}},
+		{Set: []Move{{V: b, To: 3}}},
+		{SetCold: []Move{{V: b, To: 2}}},
+		{SetCold: []Move{{V: 6, To: 2}, {V: a, To: 3}}},
+	} {
+		if _, err := d.Commit(bad); err == nil {
+			t.Errorf("batch %+v accepted", bad)
+		}
+	}
 	mustCommit(t, d, Batch{Retire: []graph.VertexID{a, b}, Promote: []graph.VertexID{a, b}})
 	s := d.Current()
-	for v, want := range map[graph.VertexID]int{a: 3, b: 2} {
-		if sh, cold, ok := s.LookupTier(v); !ok || !cold || sh != want {
-			t.Errorf("LookupTier(%d) = (%d,cold=%v,%v), want (%d,true,true)", v, sh, cold, ok, want)
-		}
-		if sh, ok := s.far[v]; !ok || int(sh) != want {
-			t.Errorf("far[%d] = %d,%v, want %d", v, sh, ok, want)
+	for _, v := range []graph.VertexID{a, b, 6} {
+		if sh, cold, ok := s.LookupTier(v); ok {
+			t.Errorf("LookupTier(%d) = (%d,cold=%v,true), want unmapped", v, sh, cold)
 		}
 	}
-	if len(s.far) != 2 || s.hot.allocated() != 1 || s.cold.allocated() != 0 {
-		t.Errorf("far=%d entries, %d hot pages, %d cold pages, want 2/1/0",
-			len(s.far), s.hot.allocated(), s.cold.allocated())
-	}
-	if s.Len() != 3 || s.HotLen() != 1 || s.ColdLen() != 2 {
-		t.Errorf("len=%d hot=%d cold=%d, want 3/1/2", s.Len(), s.HotLen(), s.ColdLen())
+	if s.Epoch() != 2 || s.Len() != 1 || s.HotLen() != 1 || s.hot.allocated() != 1 || s.cold.allocated() != 0 {
+		t.Errorf("epoch=%d len=%d hot=%d, %d hot pages, %d cold pages, want 2/1/1/1/0",
+			s.Epoch(), s.Len(), s.HotLen(), s.hot.allocated(), s.cold.allocated())
 	}
 	if st := d.Stats(); st.Retired != 0 || st.Promoted != 0 {
 		t.Errorf("out-of-range retire/promote counted: %+v", st)
 	}
-	// The map is copy-on-write too: the earlier view still sees its own.
-	if sh, ok := before.Lookup(a); !ok || sh != 1 {
-		t.Errorf("pinned view's far entry changed: %d,%v", sh, ok)
-	}
-	if _, ok := before.Lookup(b); ok {
-		t.Error("pinned view sees a later far entry")
-	}
 }
 
-func TestOutOfRangeIDsSpillToCold(t *testing.T) {
+// TestOutOfRangeSetAllocatesNothing: on a fresh directory, a refused Set
+// of an out-of-range ID leaves the epoch, the lookup and both tiers as
+// they were — no page of either tier is allocated for it.
+func TestOutOfRangeSetAllocatesNothing(t *testing.T) {
 	d := New(Config{})
-	huge := hotIDLimit + 12345
-	mustCommit(t, d, Batch{Set: []Move{{V: huge, To: 3}}})
-	s := d.Current()
-	if sh, ok := s.Lookup(huge); !ok || sh != 3 {
-		t.Fatalf("huge ID: %d,%v", sh, ok)
+	huge := graph.MaxVertexID + 12345
+	if _, err := d.Commit(Batch{Set: []Move{{V: huge, To: 3}}}); err == nil {
+		t.Fatal("Set of an out-of-range ID accepted")
 	}
-	if s.HotLen() != 0 || s.ColdLen() != 1 {
-		t.Errorf("hot=%d cold=%d, want cold-resident", s.HotLen(), s.ColdLen())
+	s := d.Current()
+	if sh, ok := s.Lookup(huge); ok {
+		t.Errorf("huge ID mapped to %d", sh)
+	}
+	if s.Epoch() != 0 || s.Len() != 0 || s.hot.allocated() != 0 || s.cold.allocated() != 0 {
+		t.Errorf("epoch=%d len=%d, %d hot pages, %d cold pages, want all 0",
+			s.Epoch(), s.Len(), s.hot.allocated(), s.cold.allocated())
 	}
 	if st := d.Stats(); st.Pages != 0 {
 		t.Errorf("huge ID allocated %d pages", st.Pages)
@@ -305,14 +320,14 @@ func TestJournalBounded(t *testing.T) {
 
 func TestEachVisitsEveryEntry(t *testing.T) {
 	d := New(Config{})
-	mustCommit(t, d, Batch{Set: []Move{{V: 1, To: 0}, {V: 2, To: 1}, {V: hotIDLimit + 1, To: 2}}})
+	mustCommit(t, d, Batch{Set: []Move{{V: 1, To: 0}, {V: 2, To: 1}, {V: 5000, To: 2}}})
 	mustCommit(t, d, Batch{Retire: []graph.VertexID{2}})
 	got := map[graph.VertexID]int{}
 	d.Current().Each(func(v graph.VertexID, shard int) bool {
 		got[v] = shard
 		return true
 	})
-	want := map[graph.VertexID]int{1: 0, 2: 1, hotIDLimit + 1: 2}
+	want := map[graph.VertexID]int{1: 0, 2: 1, 5000: 2}
 	if len(got) != len(want) {
 		t.Fatalf("Each visited %v, want %v", got, want)
 	}

@@ -130,11 +130,13 @@ func TestSetColdTierPreserving(t *testing.T) {
 	if s.HotLen() != 1 || s.ColdLen() != 2 {
 		t.Errorf("tiers after SetCold: hot=%d cold=%d, want 1/2", s.HotLen(), s.ColdLen())
 	}
-	// An unknown in-range ID joins the cold *page* of its index — not the
-	// residual map, which is for IDs outside the dense region only.
-	if _, cold, _ := s.LookupTier(12); !cold || s.cold.get(12) != 1 || len(s.far) != 0 {
-		t.Errorf("unknown in-range ID: cold=%v, cold page slot=%d, far map has %d entries; want true/1/0",
-			cold, s.cold.get(12), len(s.far))
+	// An unknown in-range ID joins the cold *page* of its index; an
+	// out-of-range one is refused and the view stays as it was.
+	if _, cold, _ := s.LookupTier(12); !cold || s.cold.get(12) != 1 {
+		t.Errorf("unknown in-range ID: cold=%v, cold page slot=%d; want true/1", cold, s.cold.get(12))
+	}
+	if _, err := d.Commit(Batch{SetCold: []Move{{V: graph.MaxVertexID, To: 1}}}); err == nil || d.Current() != s {
+		t.Errorf("out-of-range SetCold: err=%v, view replaced=%v; want refused, unchanged", err, d.Current() != s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,6 +350,54 @@ func TestColdPromotionOverWire(t *testing.T) {
 		t.Errorf("primary cold len = %d, want 0 after promotion", primaryDir.Current().ColdLen())
 	}
 	sameView(t, "replica", primaryDir.Current(), rdir.Current())
+}
+
+// TestReplicaRefusesOutOfRangeIDs: an apply frame whose batch maps an ID at
+// or above graph.MaxVertexID gets an error ack naming the bound, applies
+// nothing, and leaves the replica able to take the epoch again.
+func TestReplicaRefusesOutOfRangeIDs(t *testing.T) {
+	d := directory.New(directory.Config{})
+	srv := Serve(listen(t), ServerConfig{Dir: d, Replica: NewReplica(d)})
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	bw, br := newWriter(conn), newReader(conn)
+	apply := func(b directory.Batch) (status byte, applied uint64, msg string) {
+		t.Helper()
+		req := append(appendU64([]byte{msgApply}, 1), 0) // epoch 1, not a wave
+		if err := writeFrame(bw, appendBatch(req, b)); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cursor{p: frame}
+		if c.u8() != msgApplyResp {
+			t.Fatalf("ack %x is not an apply response", frame)
+		}
+		status, applied = c.u8(), c.u64()
+		n := c.count(1)
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		return status, applied, string(c.p[:n])
+	}
+
+	status, applied, msg := apply(directory.Batch{Set: []directory.Move{{V: 1, To: 0}, {V: graph.MaxVertexID, To: 1}}})
+	if status == 0 || applied != 0 || !strings.Contains(msg, "out of range") {
+		t.Fatalf("out-of-range apply acked (status %d, applied %d, %q); want an error ack at watermark 0", status, applied, msg)
+	}
+	if s := d.Current(); s.Epoch() != 0 || s.Len() != 0 {
+		t.Fatalf("refused frame applied: epoch %d, %d entries", s.Epoch(), s.Len())
+	}
+	if status, applied, msg := apply(directory.Batch{Set: []directory.Move{{V: 1, To: 0}}}); status != 0 || applied != 1 {
+		t.Fatalf("valid redelivery of epoch 1: status %d, applied %d, %q", status, applied, msg)
+	}
 }
 
 // TestUnknownMessagePoisonsConnection: a frame whose type the server does

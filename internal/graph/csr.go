@@ -11,13 +11,11 @@ import (
 // weight is the sum of both directions.
 //
 // Vertices are renumbered to dense local indices [0, N). IDs maps a local
-// index back to the original VertexID; LocalOf maps a VertexID back to its
-// local index. There is deliberately no dense ID->local table on the CSR
-// itself: such a table is O(MaxID) — the historical ID space — and filling
-// it made every build pay for every ID ever seen even when the live graph
-// had shrunk to a handful of vertices. The builder keeps one reusable
-// scratch table instead (see CSRBuilder), and the finished CSR answers
-// reverse lookups by binary search over its sorted IDs list.
+// index back to the original VertexID. There is deliberately no dense
+// ID->local table on the CSR itself: such a table is O(MaxID) — the
+// historical ID space — and filling it made every build pay for every ID
+// ever seen even when the live graph had shrunk to a handful of vertices.
+// The builder keeps one reusable scratch table instead (see CSRBuilder).
 type CSR struct {
 	// IDs maps local index -> original vertex ID, sorted ascending.
 	IDs []VertexID
@@ -38,17 +36,6 @@ type CSR struct {
 	TotalEW int64
 	// NumEdges is the number of undirected edges (each counted once).
 	NumEdges int
-}
-
-// LocalOf returns the local index of the given vertex ID, or -1 when the ID
-// is not in this CSR. O(log N) — a binary search over the sorted IDs list.
-// Hot loops that resolve IDs per edge should iterate local indices and use
-// IDs for the reverse direction instead.
-func (c *CSR) LocalOf(id VertexID) int32 {
-	if p, ok := slices.BinarySearch(c.IDs, id); ok {
-		return int32(p)
-	}
-	return -1
 }
 
 // CSRBuilder builds CSRs while reusing scratch across builds: the merge
@@ -77,8 +64,8 @@ type CSRBuilder struct {
 }
 
 // IndexClears returns the cumulative number of scratch-index entries this
-// builder has cleared across all builds: one per live dense-ID vertex per
-// build, never O(MaxID).
+// builder has cleared across all builds: one per live vertex per build,
+// never O(MaxID).
 func (b *CSRBuilder) IndexClears() int { return b.indexClears }
 
 // NewCSR builds the undirected CSR view of g. The result does not alias g;
@@ -102,8 +89,8 @@ func (b *CSRBuilder) Build(g *Graph) *CSR {
 		VW:   make([]int64, n),
 		XAdj: make([]int32, n+1),
 	}
-	// Grow the scratch index to the graph's dense ID bound. Only the grown
-	// region pays a -1 fill, once per high-water mark — not per build.
+	// Grow the scratch index to the graph's ID bound. Only the grown region
+	// pays a -1 fill, once per high-water mark — not per build.
 	if m := int(g.MaxID()); len(b.index) < m {
 		grown := append(b.index, make([]int32, m-len(b.index))...)
 		for i := len(b.index); i < len(grown); i++ {
@@ -111,22 +98,12 @@ func (b *CSRBuilder) Build(g *Graph) *CSR {
 		}
 		b.index = grown
 	}
+	index := b.index
 	for i, id := range c.IDs {
-		if id < VertexID(len(b.index)) {
-			b.index[id] = int32(i)
-		}
+		index[id] = int32(i)
 		w := g.weights[g.slotOf(id)]
 		c.VW[i] = w
 		c.TotalVW += w
-	}
-	// localOf resolves a vertex ID to its local index: a scratch-table
-	// probe for dense IDs, a binary search over the sorted ID list for
-	// spilled ones.
-	localOf := func(v VertexID) int32 {
-		if v < VertexID(len(b.index)) {
-			return b.index[v]
-		}
-		return c.LocalOf(v)
 	}
 
 	// Gather pass: the merged (undirected, deduplicated) adjacency of every
@@ -142,7 +119,7 @@ func (b *CSRBuilder) Build(g *Graph) *CSR {
 			if q := ri.find(v); q >= 0 {
 				w += ri.e[q].w
 			}
-			halfTo = append(halfTo, localOf(v))
+			halfTo = append(halfTo, index[v])
 			halfW = append(halfW, w)
 		}
 		for p := range ri.e {
@@ -150,7 +127,7 @@ func (b *CSRBuilder) Build(g *Graph) *CSR {
 			if ro.find(v) >= 0 {
 				continue
 			}
-			halfTo = append(halfTo, localOf(v))
+			halfTo = append(halfTo, index[v])
 			halfW = append(halfW, ri.e[p].w)
 		}
 		c.XAdj[i+1] = int32(len(halfTo))
@@ -183,11 +160,9 @@ func (b *CSRBuilder) Build(g *Graph) *CSR {
 	// Restore the scratch-index invariant by walking the live IDs — an
 	// O(live) clear in place of the old O(MaxID) per-build fill.
 	for _, id := range c.IDs {
-		if id < VertexID(len(b.index)) {
-			b.index[id] = -1
-			b.indexClears++
-		}
+		index[id] = -1
 	}
+	b.indexClears += len(c.IDs)
 	return c
 }
 

@@ -37,8 +37,11 @@ func TestCSRSmall(t *testing.T) {
 		t.Fatalf("TotalEW = %d, want 6", c.TotalEW)
 	}
 
-	i10 := c.LocalOf(10)
-	adj, w := c.Row(i10)
+	// IDs ascend, so vertex 10 is local 0.
+	if c.IDs[0] != 10 {
+		t.Fatalf("IDs = %v, want 10 first", c.IDs)
+	}
+	adj, w := c.Row(0)
 	if len(adj) != 2 {
 		t.Fatalf("degree of 10 = %d, want 2", len(adj))
 	}

@@ -65,8 +65,8 @@ import (
 // observable, iteration order included.
 //
 // Retired vertices release their slot to the free list (EnsureVertex reuses
-// it on reappearance) and their ID is removed from the slot table or spill
-// map. The caller keeps any external per-vertex state (the simulator's
+// it on reappearance) and their ID is removed from the slot table. The
+// caller keeps any external per-vertex state (the simulator's
 // shard assignment stays sticky) and re-admits reappearing vertices through
 // its normal first-sight path.
 
@@ -414,12 +414,7 @@ func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onEdge func(
 // least as old as the vertex, so it left both of its rows no later than
 // this sweep's edge phase.
 func (g *Graph) retireSlot(s int32) {
-	id := g.ids[s]
-	if id < VertexID(len(g.slot)) {
-		g.slot[id] = -1
-	} else if g.spill != nil {
-		delete(g.spill, id)
-	}
+	g.slot[g.ids[s]] = -1
 	g.ids[s] = 0
 	g.kinds[s] = 0
 	g.weights[s] = 0

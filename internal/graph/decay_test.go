@@ -114,10 +114,15 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 			for i := 0; i < 1+rng.Intn(40); i++ {
 				from := VertexID(lo + rng.Intn(n))
 				to := VertexID(lo + rng.Intn(n))
-				if rng.Intn(9) == 0 {
-					to = VertexID(1)<<40 + to // spill region
-				}
 				fk, tk := KindAccount, KindContract
+				if rng.Intn(9) == 0 {
+					// Out of range: refused, so the oracle never sees it.
+					if !refuses(g, from, VertexID(1)<<40+to, fk, tk, 1) {
+						t.Errorf("round %d: an out-of-range endpoint was not refused cleanly", round)
+						return false
+					}
+					continue
+				}
 				w := int64(1 + rng.Intn(4))
 				if err := g.AddInteraction(from, to, fk, tk, w); err != nil {
 					t.Fatalf("AddInteraction: %v", err)

@@ -25,12 +25,19 @@ import (
 
 // VertexID uniquely identifies an account or contract in the graph.
 //
-// IDs are assigned by the caller (typically the address registry in the
-// chain package) and are stable across snapshots: the same account keeps the
-// same ID for the life of the blockchain. IDs are expected to be dense
-// (assigned from zero upward); the graph's ID table grows to the largest ID
-// seen.
+// IDs are indices minted by the address registry (trace.Registry), counting
+// up from zero, and are stable across snapshots: the same account keeps the
+// same ID for the life of the blockchain. Every ID is below MaxVertexID; the
+// graph's ID table grows to the largest ID seen.
 type VertexID uint64
+
+// MaxVertexID is the exclusive bound of the vertex-ID space, the one bound
+// every dense VertexID-indexed table in the tree (graph slots, partition
+// assignments, directory pages) shares. A scale-1.0 era history would mint
+// ≈ 22M IDs, about a third of it, if the registry growth measured up to
+// scale 0.016 holds. An ID at or above it is refused wherever one can
+// arrive.
+const MaxVertexID VertexID = 1 << 26
 
 // Kind distinguishes externally-owned accounts from smart contracts.
 type Kind uint8
@@ -185,13 +192,9 @@ func (r *row) clone() row {
 // The zero value is not usable; call New.
 type Graph struct {
 	// slot maps VertexID -> dense slot, -1 for absent vertices. Its length
-	// tracks the largest dense-region ID seen plus one, so sparse windowed
-	// sub-graphs pay four bytes per ID of address space, not a full vertex
-	// record. IDs at or above denseIDLimit — callers hashing addresses
-	// straight into VertexIDs — live in the spill map instead, trading the
-	// O(1) array probe for a map probe rather than an absurd table.
-	slot  []int32
-	spill map[VertexID]int32
+	// tracks the largest ID seen plus one, so sparse windowed sub-graphs pay
+	// four bytes per ID of address space, not a full vertex record.
+	slot []int32
 	// Per-slot vertex records, in insertion order. A slot whose kind is the
 	// zero value is free (its vertex was retired by DecaySweep); free
 	// slots are reused by EnsureVertex through the free list, so a graph
@@ -239,11 +242,6 @@ func (g *Graph) newRowBlock() []halfEdge {
 	return g.arena[lo : lo : lo+rowBlockCap]
 }
 
-// denseIDLimit bounds the dense VertexID->slot table: 2^22 IDs cost at most
-// 16 MiB, far above any registry-assigned ID space while keeping a graph
-// safe against callers that mint VertexIDs from address bits.
-const denseIDLimit = VertexID(1) << 22
-
 // New returns an empty graph that never decays; see NewDecaying.
 func New() *Graph {
 	return &Graph{}
@@ -254,23 +252,18 @@ func (g *Graph) slotOf(id VertexID) int32 {
 	if id < VertexID(len(g.slot)) {
 		return g.slot[id]
 	}
-	if g.spill != nil {
-		if s, ok := g.spill[id]; ok {
-			return s
-		}
-	}
 	return -1
 }
 
 // EnsureVertex adds a vertex with the given kind if it does not exist yet and
 // returns true if the vertex was created. The kind of an existing vertex is
 // never changed: accounts that later deploy code are modelled as separate
-// contract vertices by the caller. An invalid kind is refused (returns
-// false without creating anything): the zero Kind marks free slots
-// internally, so admitting it would plant a ghost slot that iteration and
-// retirement skip forever.
+// contract vertices by the caller. An invalid kind or an ID at or above
+// MaxVertexID is refused (returns false without creating anything): the
+// zero Kind marks free slots internally, so admitting it would plant a
+// ghost slot that iteration and retirement skip forever.
 func (g *Graph) EnsureVertex(id VertexID, kind Kind) bool {
-	if !kind.Valid() || g.slotOf(id) >= 0 {
+	if !kind.Valid() || id >= MaxVertexID || g.slotOf(id) >= 0 {
 		return false
 	}
 	var s int32
@@ -304,24 +297,16 @@ func (g *Graph) EnsureVertex(id VertexID, kind Kind) bool {
 	return true
 }
 
-// indexSlot records the VertexID -> slot mapping in the dense table or the
-// spill map.
+// indexSlot records the VertexID -> slot mapping, growing the table to id.
 func (g *Graph) indexSlot(id VertexID, s int32) {
-	if id < denseIDLimit {
-		if VertexID(len(g.slot)) <= id {
-			grown := append(g.slot, make([]int32, int(id)+1-len(g.slot))...)
-			for i := len(g.slot); i < len(grown); i++ {
-				grown[i] = -1
-			}
-			g.slot = grown
+	if VertexID(len(g.slot)) <= id {
+		grown := append(g.slot, make([]int32, int(id)+1-len(g.slot))...)
+		for i := len(g.slot); i < len(grown); i++ {
+			grown[i] = -1
 		}
-		g.slot[id] = s
-	} else {
-		if g.spill == nil {
-			g.spill = make(map[VertexID]int32)
-		}
-		g.spill[id] = s
+		g.slot = grown
 	}
+	g.slot[id] = s
 }
 
 // HasVertex reports whether id is in the graph.
@@ -357,6 +342,9 @@ func (g *Graph) AddInteraction(from, to VertexID, fromKind, toKind Kind, w int64
 	}
 	if !fromKind.Valid() || !toKind.Valid() {
 		return fmt.Errorf("graph: invalid vertex kind (from %v, to %v)", fromKind, toKind)
+	}
+	if from >= MaxVertexID || to >= MaxVertexID {
+		return fmt.Errorf("graph: vertex ID out of range (from %d, to %d; bound %d)", from, to, MaxVertexID)
 	}
 	g.EnsureVertex(from, fromKind)
 	g.EnsureVertex(to, toKind)
@@ -423,10 +411,9 @@ func (g *Graph) TotalEdgeWeight() int64 { return g.totalEdgeWeight }
 // TotalVertexWeight returns the sum of all vertex weights.
 func (g *Graph) TotalVertexWeight() int64 { return g.totalVertWeight }
 
-// MaxID returns the exclusive upper bound of the graph's dense ID region:
-// every vertex ID below MaxID resolves through the dense slot table. The
-// CSR builder sizes its dense ID->local table with it; vertices with
-// spilled IDs (>= denseIDLimit) are resolved by search instead.
+// MaxID returns one past the largest vertex ID the graph has ever seen: every
+// vertex ID resolves through a slot table of that length. The CSR builder
+// sizes its dense ID->local table with it.
 func (g *Graph) MaxID() VertexID { return VertexID(len(g.slot)) }
 
 // Vertices calls fn for every live vertex until fn returns false. Iteration
@@ -569,7 +556,6 @@ func (g *Graph) Edges(fn func(u, v VertexID, w int64) bool) {
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		slot:            append([]int32(nil), g.slot...),
-		spill:           nil,
 		ids:             append([]VertexID(nil), g.ids...),
 		kinds:           append([]Kind(nil), g.kinds...),
 		weights:         append([]int64(nil), g.weights...),
@@ -581,12 +567,6 @@ func (g *Graph) Clone() *Graph {
 		numEdges:        g.numEdges,
 		totalEdgeWeight: g.totalEdgeWeight,
 		totalVertWeight: g.totalVertWeight,
-	}
-	if g.spill != nil {
-		c.spill = make(map[VertexID]int32, len(g.spill))
-		for id, s := range g.spill {
-			c.spill[id] = s
-		}
 	}
 	for i := range g.out {
 		c.out[i] = g.out[i].clone()

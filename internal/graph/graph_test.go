@@ -43,8 +43,11 @@ func TestEnsureVertex(t *testing.T) {
 	if got := g.VertexKind(1); got != KindAccount {
 		t.Fatalf("kind changed on re-ensure: got %v", got)
 	}
-	if g.VertexCount() != 1 {
-		t.Fatalf("VertexCount = %d, want 1", g.VertexCount())
+	if g.EnsureVertex(MaxVertexID, KindAccount) || g.HasVertex(MaxVertexID) {
+		t.Fatal("EnsureVertex accepted an ID at MaxVertexID")
+	}
+	if g.VertexCount() != 1 || g.MaxID() != 2 {
+		t.Fatalf("VertexCount = %d, MaxID = %d, want 1 and 2", g.VertexCount(), g.MaxID())
 	}
 }
 

@@ -75,9 +75,8 @@ func (o *oracleGraph) neighbors(u VertexID) map[VertexID]int64 {
 	return merged
 }
 
-// interactionStream is a reproducible random stream of interactions. A
-// slice of the ID pool is remapped to huge IDs so the stream also exercises
-// the graph's spill path for callers that mint VertexIDs from address bits.
+// interactionStream is a reproducible random stream of interactions over
+// the IDs [0, n).
 func interactionStream(seed int64, n, m int) []struct {
 	from, to VertexID
 	fk, tk   Kind
@@ -87,9 +86,6 @@ func interactionStream(seed int64, n, m int) []struct {
 	pick := func() (VertexID, Kind) {
 		raw := rng.Intn(n)
 		id := VertexID(raw)
-		if raw%7 == 0 {
-			id = VertexID(1)<<40 + VertexID(raw) // spilled region
-		}
 		kind := KindAccount
 		if raw%3 == 0 {
 			kind = KindContract
@@ -109,6 +105,27 @@ func interactionStream(seed int64, n, m int) []struct {
 	return stream
 }
 
+// refuses reports whether g rejects an interaction with an endpoint at or
+// above MaxVertexID and is left as it was: no new vertex, weight or edge
+// from either endpoint.
+func refuses(g *Graph, from, to VertexID, fk, tk Kind, w int64) bool {
+	n, e, vw, ew := g.VertexCount(), g.EdgeCount(), g.TotalVertexWeight(), g.TotalEdgeWeight()
+	had := g.HasVertex(from) || g.HasVertex(to)
+	return g.AddInteraction(from, to, fk, tk, w) != nil &&
+		g.VertexCount() == n && g.EdgeCount() == e &&
+		g.TotalVertexWeight() == vw && g.TotalEdgeWeight() == ew &&
+		had == (g.HasVertex(from) || g.HasVertex(to))
+}
+
+// refusesOutOfRange moves one endpoint of the i-th stream entry to or past
+// MaxVertexID, alternating sides, and reports whether g refuses it.
+func refusesOutOfRange(g *Graph, i int, from, to VertexID, fk, tk Kind, w int64) bool {
+	if i%2 == 0 {
+		return refuses(g, from, MaxVertexID+to, fk, tk, w)
+	}
+	return refuses(g, VertexID(1)<<40+from, to, fk, tk, w)
+}
+
 // TestPropertyDenseMatchesOracle replays random interaction streams into
 // the dense graph and the map-based oracle and compares every observable:
 // vertex kinds and weights, directed edge weights, merged neighbours,
@@ -119,7 +136,11 @@ func TestPropertyDenseMatchesOracle(t *testing.T) {
 		m := int(mRaw%150) + 1
 		g := New()
 		o := newOracle()
-		for _, it := range interactionStream(seed, n, m) {
+		for i, it := range interactionStream(seed, n, m) {
+			if i%7 == 0 && !refusesOutOfRange(g, i/7, it.from, it.to, it.fk, it.tk, it.w) {
+				t.Errorf("interaction %d: an out-of-range endpoint was not refused cleanly", i)
+				return false
+			}
 			if err := g.AddInteraction(it.from, it.to, it.fk, it.tk, it.w); err != nil {
 				t.Fatalf("AddInteraction: %v", err)
 			}
@@ -209,7 +230,11 @@ func TestPropertyCloneMatchesOracle(t *testing.T) {
 
 		g := New()
 		o := newOracle()
-		for _, it := range stream[:half] {
+		for i, it := range stream[:half] {
+			if i%7 == 0 && !refusesOutOfRange(g, i/7, it.from, it.to, it.fk, it.tk, it.w) {
+				t.Errorf("interaction %d: an out-of-range endpoint was not refused cleanly", i)
+				return false
+			}
 			if err := g.AddInteraction(it.from, it.to, it.fk, it.tk, it.w); err != nil {
 				t.Fatalf("AddInteraction: %v", err)
 			}

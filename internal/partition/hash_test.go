@@ -20,16 +20,16 @@ func fnvShardOf(v graph.VertexID, k int) int {
 }
 
 // TestHashShardOfMatchesFNV pins the inlined FNV-1a fold to hash/fnv over
-// the full shapes the simulator uses: random IDs (dense and spill-region)
-// at every figure shard count. A divergence here would silently shift
-// every hashing figure.
+// random IDs, half of them inside the registry's range and half over all
+// 64 bits, at every figure shard count. A divergence here would silently
+// shift every hashing figure.
 func TestHashShardOfMatchesFNV(t *testing.T) {
 	var h Hash
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		v := graph.VertexID(rng.Uint64())
 		if i%2 == 0 {
-			v &= 1<<22 - 1 // dense registry-assigned region
+			v &= graph.MaxVertexID - 1 // registry-assigned range
 		}
 		for _, k := range []int{1, 2, 3, 4, 8, 16} {
 			if got, want := h.ShardOf(v, k), fnvShardOf(v, k); got != want {

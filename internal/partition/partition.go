@@ -37,25 +37,18 @@ type Partitioner interface {
 // in) and the owner applies their output back one Assign per moved vertex,
 // so it can account each move as it lands (see sim's repartition wave).
 //
-// Storage is a dense VertexID-indexed table (vertex IDs come from the trace
-// registry, which assigns them from zero), so shard lookups on the replay
-// hot path are a bounds check and a load instead of a map probe. IDs at or
-// above denseIDLimit — callers minting VertexIDs from address bits — fall
-// back to a spill map, mirroring the graph package's dense/spill split.
+// Storage is a dense VertexID-indexed table (vertex IDs are registry
+// indices below graph.MaxVertexID), so shard lookups on the replay hot path
+// are a bounds check and a load instead of a map probe.
 type Assignment struct {
 	k      int
-	shards []int32 // VertexID -> shard for IDs < denseIDLimit, noShard when unassigned
-	spill  map[graph.VertexID]int32
-	n      int // number of assigned vertices
+	shards []int32 // VertexID -> shard, noShard when unassigned
+	n      int     // number of assigned vertices
 	counts []int
 }
 
 // noShard is the internal unassigned sentinel of the dense shard table.
 const noShard int32 = -1
-
-// denseIDLimit bounds the dense shard table (16 MiB worst case), matching
-// the graph package's dense ID region.
-const denseIDLimit = graph.VertexID(1) << 22
 
 // NewAssignment returns an empty assignment over k shards.
 func NewAssignment(k int) (*Assignment, error) {
@@ -80,12 +73,6 @@ func (a *Assignment) ShardOf(v graph.VertexID) (int, bool) {
 		if s := a.shards[v]; s != noShard {
 			return int(s), true
 		}
-		return 0, false
-	}
-	if a.spill != nil {
-		if s, ok := a.spill[v]; ok {
-			return int(s), true
-		}
 	}
 	return 0, false
 }
@@ -104,26 +91,18 @@ func (a *Assignment) Assign(v graph.VertexID, s int) (prev int, moved bool, err 
 	if s < 0 || s >= a.k {
 		return NoShard, false, fmt.Errorf("partition: shard %d out of range [0,%d)", s, a.k)
 	}
-	old := noShard
-	if v < denseIDLimit {
-		if graph.VertexID(len(a.shards)) <= v {
-			grown := append(a.shards, make([]int32, int(v)+1-len(a.shards))...)
-			for i := len(a.shards); i < len(grown); i++ {
-				grown[i] = noShard
-			}
-			a.shards = grown
-		}
-		old = a.shards[v]
-		a.shards[v] = int32(s)
-	} else {
-		if a.spill == nil {
-			a.spill = make(map[graph.VertexID]int32)
-		}
-		if sp, ok := a.spill[v]; ok {
-			old = sp
-		}
-		a.spill[v] = int32(s)
+	if v >= graph.MaxVertexID {
+		return NoShard, false, fmt.Errorf("partition: vertex %d out of range [0,%d)", v, graph.MaxVertexID)
 	}
+	if graph.VertexID(len(a.shards)) <= v {
+		grown := append(a.shards, make([]int32, int(v)+1-len(a.shards))...)
+		for i := len(a.shards); i < len(grown); i++ {
+			grown[i] = noShard
+		}
+		a.shards = grown
+	}
+	old := a.shards[v]
+	a.shards[v] = int32(s)
 	if old != noShard {
 		if int(old) == s {
 			return int(old), false, nil
@@ -162,8 +141,7 @@ func (a *Assignment) Resize(k int) error {
 	return nil
 }
 
-// Each calls fn for every assigned vertex: dense IDs in ascending order,
-// then spilled IDs in unspecified order.
+// Each calls fn for every assigned vertex in ascending ID order.
 func (a *Assignment) Each(fn func(v graph.VertexID, shard int) bool) {
 	for v, s := range a.shards {
 		if s == noShard {
@@ -173,28 +151,16 @@ func (a *Assignment) Each(fn func(v graph.VertexID, shard int) bool) {
 			return
 		}
 	}
-	for v, s := range a.spill {
-		if !fn(v, int(s)) {
-			return
-		}
-	}
 }
 
 // Clone returns a deep copy.
 func (a *Assignment) Clone() *Assignment {
-	c := &Assignment{
+	return &Assignment{
 		k:      a.k,
 		shards: append([]int32(nil), a.shards...),
 		n:      a.n,
 		counts: append([]int(nil), a.counts...),
 	}
-	if a.spill != nil {
-		c.spill = make(map[graph.VertexID]int32, len(a.spill))
-		for v, s := range a.spill {
-			c.spill[v] = s
-		}
-	}
-	return c
 }
 
 // ToParts converts the assignment into a CSR-indexed slice for refiners.

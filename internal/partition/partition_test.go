@@ -67,6 +67,39 @@ func TestAssignmentCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestAssignmentRejectsOutOfRangeIDs: an ID at or above graph.MaxVertexID
+// is refused with an error and leaves the assignment untouched — no count,
+// no table growth, nothing for ShardOf or Each to find — so a move of it
+// cannot be half-applied either.
+func TestAssignmentRejectsOutOfRangeIDs(t *testing.T) {
+	a, err := NewAssignment(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.Assign(7, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []graph.VertexID{graph.MaxVertexID, graph.MaxVertexID + 12345, 1 << 40} {
+		if prev, moved, err := a.Assign(v, 2); err == nil || prev != NoShard || moved {
+			t.Errorf("Assign(%d) = %d,%v,%v; want an error", v, prev, moved, err)
+		}
+		if s, ok := a.ShardOf(v); ok {
+			t.Errorf("ShardOf(%d) = %d after a refused Assign", v, s)
+		}
+	}
+	if a.Len() != 1 || a.Count(1) != 1 || a.Count(2) != 0 || len(a.shards) != 8 {
+		t.Fatalf("refused IDs left a trace: len=%d counts=%v table=%d", a.Len(), a.Counts(), len(a.shards))
+	}
+	seen := map[graph.VertexID]int{}
+	a.Clone().Each(func(v graph.VertexID, shard int) bool {
+		seen[v] = shard
+		return true
+	})
+	if len(seen) != 1 || seen[7] != 1 {
+		t.Fatalf("Each visited %v, want only 7", seen)
+	}
+}
+
 func TestToPartsMarksUnassigned(t *testing.T) {
 	g := graph.New()
 	g.EnsureVertex(1, graph.KindAccount)
@@ -75,12 +108,12 @@ func TestToPartsMarksUnassigned(t *testing.T) {
 	a, _ := NewAssignment(2)
 	a.Assign(1, 1)
 	parts := a.ToParts(c)
-	i1, i2 := c.LocalOf(1), c.LocalOf(2)
-	if parts[i1] != 1 {
-		t.Errorf("assigned vertex got %d", parts[i1])
+	// IDs ascend, so vertices 1 and 2 are locals 0 and 1.
+	if parts[0] != 1 {
+		t.Errorf("assigned vertex got %d", parts[0])
 	}
-	if parts[i2] != NoShard {
-		t.Errorf("unassigned vertex got %d, want NoShard", parts[i2])
+	if parts[1] != NoShard {
+		t.Errorf("unassigned vertex got %d, want NoShard", parts[1])
 	}
 }
 

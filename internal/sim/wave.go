@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ethpart/internal/graph"
@@ -199,8 +198,8 @@ func (s *Simulator) plan(now time.Time, oldK, newK int) (ids []graph.VertexID, p
 }
 
 // assignedFrom returns every assigned vertex — live or retired — on a shard
-// >= minShard, in ascending ID order (Each yields dense IDs in order but
-// spilled IDs in map order) so the wave, and every OnMove, is deterministic.
+// >= minShard, in ascending ID order (Each's order) so the wave, and every
+// OnMove, is deterministic.
 func (s *Simulator) assignedFrom(minShard int) []graph.VertexID {
 	var ids []graph.VertexID
 	s.assign.Each(func(v graph.VertexID, shard int) bool {
@@ -209,7 +208,6 @@ func (s *Simulator) assignedFrom(minShard int) []graph.VertexID {
 		}
 		return true
 	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +10,7 @@ import (
 	"strings"
 
 	"ethpart/internal/evm"
+	"ethpart/internal/graph"
 )
 
 // csvHeader is the first row of the CSV dataset format.
@@ -194,12 +193,12 @@ func parseRow(row []string) (Record, error) {
 	if rec.Kind, err = parseKind(row[2]); err != nil {
 		return rec, err
 	}
-	if rec.From, err = strconv.ParseUint(row[3], 10, 64); err != nil {
-		return rec, fmt.Errorf("trace: bad from %q: %w", row[3], err)
+	if rec.From, err = parseID("from", row[3]); err != nil {
+		return rec, err
 	}
 	rec.FromContract = row[4] == "contract"
-	if rec.To, err = strconv.ParseUint(row[5], 10, 64); err != nil {
-		return rec, fmt.Errorf("trace: bad to %q: %w", row[5], err)
+	if rec.To, err = parseID("to", row[5]); err != nil {
+		return rec, err
 	}
 	rec.ToContract = row[6] == "contract"
 	if rec.Value, err = strconv.ParseUint(row[7], 10, 64); err != nil {
@@ -208,30 +207,15 @@ func parseRow(row []string) (Record, error) {
 	return rec, nil
 }
 
-// WriteJSONL streams records as JSON Lines.
-func WriteJSONL(w io.Writer, records []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
-			return fmt.Errorf("trace: encoding JSONL: %w", err)
-		}
+// parseID parses one endpoint column, which must be a registry index below
+// graph.MaxVertexID.
+func parseID(field, s string) (uint64, error) {
+	id, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("trace: bad %s %q: %w", field, s, err)
 	}
-	return bw.Flush()
-}
-
-// ReadJSONL decodes a JSON Lines stream of records.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
-	var out []Record
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return nil, fmt.Errorf("trace: decoding JSONL: %w", err)
-		}
-		out = append(out, rec)
+	if id >= uint64(graph.MaxVertexID) {
+		return 0, fmt.Errorf("trace: %s %d out of range [0,%d)", field, id, graph.MaxVertexID)
 	}
+	return id, nil
 }

@@ -16,11 +16,13 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 	// Lines are 1-based and include the header (line 1).
 	fixture := strings.Join([]string{
 		"block,time,kind,from,from_kind,to,to_kind,value",
-		"1,1000,tx,10,account,20,account,5",       // line 2: good
-		"2,1001,teleport,10,account,20,account,5", // line 3: unknown kind
-		"3,1002,tx,10,account,20,account",         // line 4: wrong field count
-		"4,x,tx,10,account,20,account,5",          // line 5: bad time
-		"5,1004,call,11,contract,21,account,7",    // line 6: good (the tail)
+		"1,1000,tx,10,account,20,account,5",            // line 2: good
+		"2,1001,teleport,10,account,20,account,5",      // line 3: unknown kind
+		"3,1002,tx,10,account,20,account",              // line 4: wrong field count
+		"4,x,tx,10,account,20,account,5",               // line 5: bad time
+		"5,1003,tx,67108864,account,20,account,5",      // line 6: from at graph.MaxVertexID
+		"6,1003,tx,10,account,1099511627776,account,5", // line 7: to = 2^40
+		"7,1004,call,11,contract,21,account,7",         // line 8: good (the tail)
 	}, "\n") + "\n"
 
 	cr := NewCSVReader(strings.NewReader(fixture))
@@ -45,13 +47,13 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 	if len(records) != 2 {
 		t.Fatalf("got %d records, want 2 (head and tail preserved)", len(records))
 	}
-	if records[0].Block != 1 || records[1].Block != 5 {
-		t.Errorf("records = blocks %d, %d; want 1, 5", records[0].Block, records[1].Block)
+	if records[0].Block != 1 || records[1].Block != 7 {
+		t.Errorf("records = blocks %d, %d; want 1, 7", records[0].Block, records[1].Block)
 	}
-	if len(recErrs) != 3 {
-		t.Fatalf("got %d record errors, want 3", len(recErrs))
+	if len(recErrs) != 5 {
+		t.Fatalf("got %d record errors, want 5", len(recErrs))
 	}
-	for i, wantLine := range []int{3, 4, 5} {
+	for i, wantLine := range []int{3, 4, 5, 6, 7} {
 		if recErrs[i].Line != wantLine {
 			t.Errorf("record error %d at line %d, want %d (%v)", i, recErrs[i].Line, wantLine, recErrs[i])
 		}
@@ -59,8 +61,13 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 			t.Errorf("record error %d message %q lacks context", i, recErrs[i].Error())
 		}
 	}
-	if cr.Skipped() != 3 {
-		t.Errorf("Skipped() = %d, want 3", cr.Skipped())
+	for _, re := range recErrs[3:] {
+		if !strings.Contains(re.Error(), "out of range") {
+			t.Errorf("record error %q does not name the ID bound", re.Error())
+		}
+	}
+	if cr.Skipped() != 5 {
+		t.Errorf("Skipped() = %d, want 5", cr.Skipped())
 	}
 }
 

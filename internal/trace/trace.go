@@ -2,8 +2,8 @@
 // dataset — the paper publishes its extracted Ethereum trace "in easily
 // understandable format" and this package is that format for the synthetic
 // reproduction: one record per interaction (outer transaction, internal
-// call or contract creation) with integer vertex IDs, plus streaming CSV
-// and JSONL encoders and decoders.
+// call or contract creation) with integer vertex IDs, plus a streaming CSV
+// encoder and decoder.
 package trace
 
 import (
@@ -20,20 +20,20 @@ import (
 // graph, as in the paper's §II-B.
 type Record struct {
 	// Block is the block number the interaction executed in.
-	Block uint64 `json:"block"`
+	Block uint64
 	// Time is the block's Unix timestamp.
-	Time int64 `json:"time"`
+	Time int64
 	// Kind is the interaction kind: tx, call or create.
-	Kind evm.CallKind `json:"kind"`
-	// From and To are registry vertex IDs.
-	From uint64 `json:"from"`
-	To   uint64 `json:"to"`
+	Kind evm.CallKind
+	// From and To are registry vertex IDs, below graph.MaxVertexID.
+	From uint64
+	To   uint64
 	// FromContract and ToContract carry endpoint kinds so a trace is
 	// self-contained.
-	FromContract bool `json:"from_contract"`
-	ToContract   bool `json:"to_contract"`
+	FromContract bool
+	ToContract   bool
 	// Value is the transferred wei, clamped to uint64.
-	Value uint64 `json:"value"`
+	Value uint64
 }
 
 // FromKind returns the graph kind of the source endpoint.

@@ -166,33 +166,11 @@ func TestCSVReaderBadKind(t *testing.T) {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	records := []Record{
-		{Block: 1, Time: 1000, Kind: evm.KindTransaction, From: 0, To: 1, Value: 42},
-		{Block: 9, Time: 5000, Kind: evm.KindCall, From: 7, To: 8, ToContract: true},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(records) {
-		t.Fatalf("lost records: %d vs %d", len(got), len(records))
-	}
-	for i := range records {
-		if got[i] != records[i] {
-			t.Errorf("record %d mismatch", i)
-		}
-	}
-}
-
 func TestPropertyCSVRoundTrip(t *testing.T) {
 	f := func(block uint64, tm int64, kindRaw uint8, from, to uint64, fc, tc bool, value uint64) bool {
 		kind := evm.CallKind(kindRaw%3) + 1
-		rec := Record{Block: block, Time: tm, Kind: kind, From: from, To: to,
+		bound := uint64(graph.MaxVertexID)
+		rec := Record{Block: block, Time: tm, Kind: kind, From: from % bound, To: to % bound,
 			FromContract: fc, ToContract: tc, Value: value}
 		var buf bytes.Buffer
 		w := NewCSVWriter(&buf)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +11,7 @@ import (
 	"ethpart/internal/evm"
 	"ethpart/internal/graph"
 	"ethpart/internal/stats"
+	"ethpart/internal/trace"
 	"ethpart/internal/types"
 )
 
@@ -344,6 +344,7 @@ func TestGeneratorDegreeDistributionIsHeavyTailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.New()
+	reg := trace.NewRegistry()
 	for {
 		_, receipts, ok, err := gen.NextBlock()
 		if err != nil {
@@ -354,8 +355,8 @@ func TestGeneratorDegreeDistributionIsHeavyTailed(t *testing.T) {
 		}
 		for _, r := range receipts {
 			for _, tr := range r.Traces {
-				fromID := graph.VertexID(binaryID(tr.From))
-				toID := graph.VertexID(binaryID(tr.To))
+				fromID := graph.VertexID(reg.ID(tr.From))
+				toID := graph.VertexID(reg.ID(tr.To))
 				if err := g.AddInteraction(fromID, toID, graph.KindAccount, graph.KindAccount, 1); err != nil {
 					t.Fatal(err)
 				}
@@ -389,11 +390,6 @@ func TestGeneratorDegreeDistributionIsHeavyTailed(t *testing.T) {
 	if maxDeg < 20*med {
 		t.Errorf("max degree %v vs median %v: no hub skew", maxDeg, med)
 	}
-}
-
-// binaryID derives a stable numeric ID from an address for the degree test.
-func binaryID(a types.Address) uint64 {
-	return binary.BigEndian.Uint64(a[:8])
 }
 
 // paretoAlphaMLE estimates the tail index α of a power-law (Pareto)
