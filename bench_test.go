@@ -346,7 +346,7 @@ func BenchmarkShardStep(b *testing.B) {
 					assign[tokens[s]] = s
 				}
 				sc, err := shardchain.New(shardchain.Config{
-					K: k, Model: model, Chain: chain.DefaultConfig(), Parallel: engine.parallel,
+					K: k, Model: model, Parallel: engine.parallel,
 				}, alloc, func(a types.Address) (int, bool) {
 					s, ok := assign[a]
 					return s, ok

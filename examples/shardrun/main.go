@@ -167,7 +167,7 @@ func main() {
 			// Rebuild the identical scenario (fresh RNG, fresh nonces).
 			w2 := newWorld(11)
 			w2.tokens = w.tokens
-			sc, err := shardchain.New(shardchain.Config{K: k, Model: model, Chain: chain.DefaultConfig()},
+			sc, err := shardchain.New(shardchain.Config{K: k, Model: model},
 				alloc, assignments[name])
 			if err != nil {
 				log.Fatal(err)

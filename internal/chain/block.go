@@ -42,13 +42,8 @@ type Block struct {
 // Hash returns the block identifier (the header hash).
 func (b *Block) Hash() types.Hash { return b.Header.Hash() }
 
-// TxRoot computes the Merkle root of the block's transactions.
-func TxRoot(txs []*Transaction) types.Hash {
-	return txRoot(len(txs), func(i int) types.Hash { return txs[i].Hash() })
-}
-
-// receiptsTxRoot is TxRoot of the transactions the receipts were applied
-// from, taken from the hashes the receipts already carry.
+// receiptsTxRoot is the Merkle root of the transactions the receipts were
+// applied from, taken from the hashes the receipts already carry.
 func receiptsTxRoot(receipts []*Receipt) types.Hash {
 	return txRoot(len(receipts), func(i int) types.Hash { return receipts[i].TxHash })
 }

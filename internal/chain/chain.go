@@ -11,50 +11,38 @@ import (
 type Config struct {
 	// BlockGasLimit bounds the total gas of a block's transactions.
 	BlockGasLimit uint64
-	// CommitInterval controls how often the (expensive) state root is
-	// computed: every Nth block. Zero commits every block; the large
-	// simulated histories use a sparse interval. Blocks without a commit
-	// carry the previous state root forward.
-	CommitInterval uint64
 }
 
 // DefaultConfig mirrors mainnet-flavoured parameters.
 func DefaultConfig() Config {
-	return Config{
-		BlockGasLimit:  8_000_000,
-		CommitInterval: 1,
-	}
+	return Config{BlockGasLimit: 8_000_000}
 }
 
 // blockReward is credited to the miner of every block: 5 ether in wei.
 var blockReward = evm.WordFromUint64(5_000_000_000_000_000_000)
 
 // Chain is an in-memory blockchain: the head block of a hash-linked chain
-// plus the world state after it. It is the substrate the synthetic workload
-// executes on. It keeps no history: each block is returned by the BuildBlock
-// call that sealed it, and only the head stays reachable from the Chain.
+// plus the world state after it. It keeps no history: each block is
+// returned by the BuildBlock call that sealed it, and only the head stays
+// reachable from the Chain.
 //
 // Chain is not safe for concurrent use.
 type Chain struct {
 	cfg   Config
 	head  *Block
 	state *State
-	// lastRoot is the most recently computed state root (see
-	// Config.CommitInterval).
-	lastRoot types.Hash
 }
 
 // NewChain creates a chain with a genesis block holding the given
 // allocation.
 func NewChain(cfg Config, alloc map[types.Address]evm.Word) *Chain {
 	state := NewStateWithAlloc(alloc)
-	root := state.Commit()
 	genesis := &Block{Header: Header{
 		Number:    0,
-		StateRoot: root,
+		StateRoot: state.Commit(),
 		GasLimit:  cfg.BlockGasLimit,
 	}}
-	return &Chain{cfg: cfg, head: genesis, state: state, lastRoot: root}
+	return &Chain{cfg: cfg, head: genesis, state: state}
 }
 
 // Head returns the latest block.
@@ -64,56 +52,59 @@ func (c *Chain) Head() *Block { return c.head }
 // it across BuildBlock calls if they need a stable snapshot; use State.Copy.
 func (c *Chain) State() *State { return c.state }
 
-// BuildBlock executes txs on top of the head block, seals a new block and
-// makes it the head. Transactions that fail validation (bad nonce,
-// insufficient funds) are skipped and reported in the returned skipped
-// slice — the block contains only the transactions that were actually
-// applied, exactly like a miner dropping unexecutable transactions.
-func (c *Chain) BuildBlock(miner types.Address, timestamp int64, txs []*Transaction) (*Block, []*Receipt, []error) {
-	var (
-		applied  []*Transaction
-		receipts []*Receipt
-		skipped  []error
-		gasUsed  uint64
-	)
-	for _, tx := range txs {
-		if gasUsed+tx.GasLimit > c.cfg.BlockGasLimit {
-			skipped = append(skipped, fmt.Errorf("%w: tx %v", ErrGasLimitExceeded, tx.Hash()))
-			continue
-		}
-		receipt, err := ApplyTransaction(c.state, tx, miner)
-		if err != nil {
-			skipped = append(skipped, err)
-			continue
-		}
-		receipt.TxIndex = len(applied)
-		applied = append(applied, tx)
-		receipts = append(receipts, receipt)
-		gasUsed += receipt.GasUsed
-	}
-	c.state.AddBalance(miner, blockReward)
-	c.state.DiscardJournal()
+// Executed is what executing one block's transactions produced.
+type Executed struct {
+	Txs      []*Transaction // the transactions applied, in block order
+	Receipts []*Receipt     // one per applied transaction; Receipts[i].TxIndex == i
+	Skipped  []error        // one per transaction that failed validation
+	GasUsed  uint64         // the applied transactions' total gas
+}
 
-	parent := c.head
-	number := parent.Header.Number + 1
-	root := c.lastRoot
-	if c.cfg.CommitInterval <= 1 || number%c.cfg.CommitInterval == 0 {
-		root = c.state.Commit()
-		c.lastRoot = root
+// ExecuteBlock applies txs to state in order as the block mined by miner,
+// credits the block reward and discards the journal. Transactions that fail
+// validation (bad nonce, insufficient funds, or gas beyond what gasLimit
+// leaves) are skipped and reported — the block holds only the transactions
+// actually applied, exactly like a miner dropping unexecutable transactions.
+// It computes no commitment: that is BuildBlock's seal.
+func ExecuteBlock(state *State, miner types.Address, gasLimit uint64, txs []*Transaction) Executed {
+	var x Executed
+	for _, tx := range txs {
+		if tx.GasLimit > gasLimit-x.GasUsed {
+			x.Skipped = append(x.Skipped, fmt.Errorf("%w: tx %v", ErrGasLimitExceeded, tx.Hash()))
+			continue
+		}
+		receipt, err := ApplyTransaction(state, tx, miner)
+		if err != nil {
+			x.Skipped = append(x.Skipped, err)
+			continue
+		}
+		receipt.TxIndex = len(x.Txs)
+		x.Txs = append(x.Txs, tx)
+		x.Receipts = append(x.Receipts, receipt)
+		x.GasUsed += receipt.GasUsed
 	}
-	block := &Block{
+	state.AddBalance(miner, blockReward)
+	state.DiscardJournal()
+	return x
+}
+
+// BuildBlock executes txs on top of the head block (ExecuteBlock), seals a
+// new block over the result and makes it the head.
+func (c *Chain) BuildBlock(miner types.Address, timestamp int64, txs []*Transaction) (*Block, []*Receipt, []error) {
+	x := ExecuteBlock(c.state, miner, c.cfg.BlockGasLimit, txs)
+	parent := c.head
+	c.head = &Block{
 		Header: Header{
 			ParentHash: parent.Hash(),
-			Number:     number,
+			Number:     parent.Header.Number + 1,
 			Time:       timestamp,
 			Miner:      miner,
-			StateRoot:  root,
-			TxRoot:     receiptsTxRoot(receipts),
-			GasUsed:    gasUsed,
+			StateRoot:  c.state.Commit(),
+			TxRoot:     receiptsTxRoot(x.Receipts),
+			GasUsed:    x.GasUsed,
 			GasLimit:   c.cfg.BlockGasLimit,
 		},
-		Txs: applied,
+		Txs: x.Txs,
 	}
-	c.head = block
-	return block, receipts, skipped
+	return c.head, x.Receipts, x.Skipped
 }

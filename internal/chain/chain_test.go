@@ -33,7 +33,7 @@ func verifyHeaderChain(blocks []*Block) error {
 		if cur.Header.Number != prev.Header.Number+1 {
 			return fmt.Errorf("block %d follows %d", cur.Header.Number, prev.Header.Number)
 		}
-		if cur.Header.TxRoot != TxRoot(cur.Txs) {
+		if cur.Header.TxRoot != txsRoot(cur.Txs) {
 			return fmt.Errorf("block %d: transaction root mismatch", cur.Header.Number)
 		}
 	}
@@ -299,7 +299,7 @@ func TestReplayDeterminism(t *testing.T) {
 
 // TestChainGolden pins the two Merkle commitments in a block header — the
 // state root (State.Commit) and, through the block hash, the transaction
-// root (TxRoot) — on a fixed history at CommitInterval 1: a 40-account
+// root (txsRoot) — on a fixed history: a 40-account
 // genesis, then a contract deployment, a storage-writing call beside a
 // transfer, and a block of twelve transfers to fresh recipients.
 //
@@ -367,25 +367,6 @@ func TestChainGolden(t *testing.T) {
 	}
 }
 
-func TestSparseCommitInterval(t *testing.T) {
-	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
-	cfg := DefaultConfig()
-	cfg.CommitInterval = 4
-	c := NewChain(cfg, alloc)
-	var roots []types.Hash
-	for i := uint64(0); i < 8; i++ {
-		b, _, _ := c.BuildBlock(miner, int64(i), []*Transaction{transferTx(i, 1)})
-		roots = append(roots, b.Header.StateRoot)
-	}
-	// Blocks 1-3 carry the genesis root forward; block 4 commits fresh.
-	if roots[0] != roots[1] || roots[1] != roots[2] {
-		t.Error("non-commit blocks must carry the previous root")
-	}
-	if roots[2] == roots[3] {
-		t.Error("block 4 must commit a fresh root")
-	}
-}
-
 func TestTxHashDistinct(t *testing.T) {
 	a := transferTx(0, 1)
 	b := transferTx(0, 2)
@@ -400,12 +381,12 @@ func TestTxHashDistinct(t *testing.T) {
 
 func TestTxRootOrderSensitive(t *testing.T) {
 	t1, t2 := transferTx(0, 1), transferTx(1, 2)
-	r1 := TxRoot([]*Transaction{t1, t2})
-	r2 := TxRoot([]*Transaction{t2, t1})
+	r1 := txsRoot([]*Transaction{t1, t2})
+	r2 := txsRoot([]*Transaction{t2, t1})
 	if r1 == r2 {
 		t.Error("transaction root must commit to ordering")
 	}
-	if !TxRoot(nil).IsZero() {
+	if !txsRoot(nil).IsZero() {
 		t.Error("empty tx root must be zero")
 	}
 }
@@ -447,4 +428,10 @@ func TestInternalCallTraceInReceipt(t *testing.T) {
 	if receipt.Traces[1].Kind != evm.KindCall || receipt.Traces[1].From != proxy || receipt.Traces[1].To != target {
 		t.Errorf("internal trace = %+v", receipt.Traces[1])
 	}
+}
+
+// txsRoot is the Merkle root of txs, rehashing each transaction: what a
+// header's TxRoot must equal.
+func txsRoot(txs []*Transaction) types.Hash {
+	return txRoot(len(txs), func(i int) types.Hash { return txs[i].Hash() })
 }

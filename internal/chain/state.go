@@ -406,7 +406,7 @@ func TransplantAccount(src, dst *State, addr types.Address) (slots int, ok bool)
 }
 
 // Commit computes the Merkle root of the whole state. It is O(accounts) and
-// intended for block sealing at configurable intervals, not per transaction.
+// intended for block sealing, not per transaction.
 func (s *State) Commit() types.Hash {
 	t := trie.New()
 	for addr, acc := range s.accounts {

@@ -404,7 +404,7 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		}
 	}
 	scCfg := shardchain.Config{
-		K: cfg.Sim.K, Model: cfg.Model, Chain: chain.DefaultConfig(), Parallel: cfg.Parallel,
+		K: cfg.Sim.K, Model: cfg.Model, Parallel: cfg.Parallel,
 		Fault: cfg.Fault,
 	}
 	if cfg.resolveFromAssignment {

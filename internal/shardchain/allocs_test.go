@@ -35,7 +35,7 @@ func stepAllocs(t *testing.T, model Model, crossEvery int) (allocs float64, exec
 		assign[recvOn[s]] = s
 		alloc[recvOn[s]] = evm.WordFromUint64(1)
 	}
-	sc, err := New(Config{K: 2, Model: model, Chain: chain.DefaultConfig()}, alloc, fixedAssign(assign))
+	sc, err := New(Config{K: 2, Model: model}, alloc, fixedAssign(assign))
 	if err != nil {
 		t.Fatal(err)
 	}

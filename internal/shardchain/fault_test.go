@@ -108,7 +108,7 @@ func chaosWorkload(seed int64, k, nBlocks int, rich bool) chaosFixture {
 func (fx chaosFixture) newChain(t testing.TB, k int, model Model, parallel bool, inj *fault.Injector) *ShardChain {
 	t.Helper()
 	sc, err := New(Config{
-		K: k, Model: model, Chain: chain.DefaultConfig(), Parallel: parallel, Fault: inj,
+		K: k, Model: model, Parallel: parallel, Fault: inj,
 	}, fx.alloc, fixedAssign(fx.assign))
 	if err != nil {
 		t.Fatal(err)
@@ -284,12 +284,12 @@ func TestMessageFaultsConverge(t *testing.T) {
 // move, so New must refuse the combination.
 func TestCrashScheduleRequiresReceiptsModel(t *testing.T) {
 	inj := mustInjector(t, fault.Schedule{Crashes: []fault.Crash{{Block: 3, Shard: 0}}})
-	_, err := New(Config{K: 2, Model: ModelMigration, Chain: chain.DefaultConfig(), Fault: inj},
+	_, err := New(Config{K: 2, Model: ModelMigration, Fault: inj},
 		nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "crash schedules require ModelReceipts") {
 		t.Fatalf("New accepted crashes under ModelMigration: err=%v", err)
 	}
-	if _, err := New(Config{K: 2, Model: ModelReceipts, Chain: chain.DefaultConfig(), Fault: inj},
+	if _, err := New(Config{K: 2, Model: ModelReceipts, Fault: inj},
 		nil, nil); err != nil {
 		t.Fatalf("New rejected crashes under ModelReceipts: %v", err)
 	}
@@ -309,7 +309,7 @@ func TestWaveItemPanicGainsShardContext(t *testing.T) {
 		}
 		return 0, true
 	}
-	sc, err := New(Config{K: 2, Model: ModelReceipts, Chain: chain.DefaultConfig(), Parallel: true},
+	sc, err := New(Config{K: 2, Model: ModelReceipts, Parallel: true},
 		map[types.Address]evm.Word{a: evm.WordFromUint64(1 << 30)}, assign)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestMigrateRoundTripPurgesGhostState(t *testing.T) {
 	// The ISSUE scenario: a slot zeroed while the account lived on another
 	// shard must not resurrect with its stale value on the way back.
 	x := types.AddressFromSeq(9)
-	sc, err := New(Config{K: 2, Model: ModelMigration, Chain: chain.DefaultConfig()},
+	sc, err := New(Config{K: 2, Model: ModelMigration},
 		map[types.Address]evm.Word{x: evm.WordFromUint64(1000)},
 		fixedAssign(map[types.Address]int{x: 0}))
 	if err != nil {
@@ -109,7 +109,7 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 3
-		sc, err := New(Config{K: k, Model: ModelMigration, Chain: chain.DefaultConfig()},
+		sc, err := New(Config{K: k, Model: ModelMigration},
 			map[types.Address]evm.Word{x: evm.WordFromUint64(1 << 30)},
 			fixedAssign(map[types.Address]int{x: 0}))
 		if err != nil {

@@ -21,7 +21,7 @@ type enginePair struct {
 func newEnginePair(t *testing.T, k int, model Model, alloc map[types.Address]evm.Word, assign func(types.Address) (int, bool)) *enginePair {
 	t.Helper()
 	mk := func(par bool) *ShardChain {
-		sc, err := New(Config{K: k, Model: model, Chain: chain.DefaultConfig(), Parallel: par}, alloc, assign)
+		sc, err := New(Config{K: k, Model: model, Parallel: par}, alloc, assign)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,7 +114,7 @@ func TestRemoveShardsRequiresDrain(t *testing.T) {
 // lane, in address order.
 func TestHomesOnDeterministic(t *testing.T) {
 	assign := map[types.Address]int{alice: 1, bob: 1, carol: 0}
-	sc, err := New(Config{K: 2, Model: ModelReceipts, Chain: chain.DefaultConfig()},
+	sc, err := New(Config{K: 2, Model: ModelReceipts},
 		map[types.Address]evm.Word{
 			alice: evm.WordFromUint64(1000),
 			bob:   evm.WordFromUint64(1000),
@@ -145,7 +145,7 @@ func TestHomesOnDeterministic(t *testing.T) {
 func TestCrashOnDecommissionedLaneSkipped(t *testing.T) {
 	inj := mustInjector(t, fault.Schedule{Shards: 2, Crashes: []fault.Crash{{Block: 2, Shard: 1}}})
 	assign := map[types.Address]int{alice: 0, bob: 0}
-	sc, err := New(Config{K: 2, Model: ModelReceipts, Chain: chain.DefaultConfig(), Fault: inj},
+	sc, err := New(Config{K: 2, Model: ModelReceipts, Fault: inj},
 		map[types.Address]evm.Word{
 			alice: evm.WordFromUint64(1 << 20),
 			bob:   evm.WordFromUint64(1 << 20),

@@ -176,8 +176,6 @@ func (s Stats) CrossFraction() float64 {
 type Config struct {
 	K     int
 	Model Model
-	// Chain configures every per-shard chain.
-	Chain chain.Config
 	// Parallel runs every block's per-shard settle and execute work of a
 	// ModelReceipts chain on one worker per shard (a sim.RunIndexed-shaped
 	// pool), with outboxes exchanged at the block barrier. Results are

@@ -25,7 +25,7 @@ func fixedAssign(m map[types.Address]int) func(types.Address) (int, bool) {
 
 func newSC(t *testing.T, model Model, assign map[types.Address]int) *ShardChain {
 	t.Helper()
-	sc, err := New(Config{K: 2, Model: model, Chain: chain.DefaultConfig()},
+	sc, err := New(Config{K: 2, Model: model},
 		map[types.Address]evm.Word{
 			alice: evm.WordFromUint64(1 << 40),
 			bob:   evm.WordFromUint64(1 << 40),

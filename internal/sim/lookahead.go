@@ -23,11 +23,13 @@ import (
 
 // flightBudget bounds the partitions running at once by the records their
 // sources hold, as a multiple of the trace's. A partition's scratch grows
-// with its input (≈ 7× its CSR), and no inline wave partitions more than
-// the whole trace, so the lookahead's partitions together need at most a
-// quarter more scratch than the largest inline wave. On the ledger's
-// fig-replay (2 vCPU, seeds 4–7) 1.0 ran ×1.30–1.48 the inline records/s,
-// 1.25 ×1.50–1.62 at +2–10 % peak_sys_mb, and 1.5 cost +14–28 %.
+// with its input (47.5 MiB at the peak for the final era CSR's 6.10 MiB,
+// mostly the root bisection's coarsening ladder; DESIGN §4), and no inline
+// wave partitions more than the whole trace, so the lookahead's partitions
+// together need at most a quarter more scratch than the largest inline
+// wave. On the ledger's fig-replay (2 vCPU, seeds 4–7) 1.0 ran ×1.30–1.48
+// the inline records/s, 1.25 ×1.50–1.62 at +2–10 % peak_sys_mb, and 1.5
+// cost +14–28 %; unbounded bought ≈ ×1.15 for +35–45 % Sys.
 const flightBudget = 1.25
 
 // lookaheadEligible reports whether every wave the simulator can fire

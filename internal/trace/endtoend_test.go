@@ -32,13 +32,13 @@ func TestFromReceiptsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := trace.NewRegistry()
-	st := gen.Chain().State()
+	st := gen.State()
 	isContract := func(a types.Address) bool { return len(st.GetCode(a)) > 0 }
 
 	var all []trace.Record
 	var traceCount int
 	for {
-		block, receipts, ok, err := gen.NextBlock()
+		block, ok, err := gen.NextBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,10 +48,10 @@ func TestFromReceiptsEndToEnd(t *testing.T) {
 		if block == nil {
 			continue
 		}
-		for _, r := range receipts {
+		for _, r := range block.Receipts {
 			traceCount += len(r.Traces)
 		}
-		recs := trace.FromReceipts(block.Header.Number, block.Header.Time, nil, receipts, reg, isContract)
+		recs := trace.FromReceipts(block.Number, block.Time, nil, block.Receipts, reg, isContract)
 		all = append(all, recs...)
 	}
 	if len(all) == 0 {

@@ -63,14 +63,17 @@ func TestCommunityWorkloadKeepsInteractionsLocal(t *testing.T) {
 	}
 	var same, cross int
 	for {
-		_, receipts, ok, err := gen.NextBlock()
+		blk, ok, err := gen.NextBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		for _, r := range receipts {
+		if blk == nil {
+			continue
+		}
+		for _, r := range blk.Receipts {
 			for _, tr := range r.Traces {
 				cf, okF := gen.comm.of[tr.From]
 				ct, okT := gen.comm.of[tr.To]

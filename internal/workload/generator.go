@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -85,7 +86,7 @@ type blockPlan struct {
 
 // blockPlanner is the arrival layer: it plans successive blocks. plan
 // returns ok=false when the schedule is exhausted; advance moves the
-// generator clock after a block seals.
+// generator clock after a block executes.
 type blockPlanner interface {
 	plan(g *Generator) (blockPlan, bool)
 	advance(g *Generator)
@@ -109,12 +110,12 @@ type composition struct {
 // Generator produces the synthetic blockchain history block by block.
 // It is not safe for concurrent use.
 type Generator struct {
-	cfg  Config
-	comp composition
-	rng  *rand.Rand
-	ch   *chain.Chain
-	now  time.Time
-	end  time.Time
+	cfg   Config
+	comp  composition
+	rng   *rand.Rand
+	state *chain.State
+	now   time.Time
+	end   time.Time
 
 	faucet  types.Address
 	miners  []types.Address
@@ -166,7 +167,18 @@ type Stats struct {
 	DummyAccounts int
 }
 
-// New builds an era-composition generator, its genesis chain, a starter
+// Block is one executed block of the generated history. The generator
+// executes blocks but seals none: nothing downstream reads a block's
+// commitments, so no parent hash, state root or transaction root is
+// computed.
+type Block struct {
+	Number   uint64
+	Time     int64 // Unix seconds
+	Miner    types.Address
+	Receipts []*chain.Receipt // one per transaction, in block order
+}
+
+// New builds an era-composition generator, its genesis state, a starter
 // population and the initial contract set.
 func New(cfg Config) (*Generator, error) {
 	cfg = cfg.withDefaults()
@@ -180,9 +192,7 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.Communities > 1 && cfg.CommunityLocality > 0 {
 		g.comm = newCommunityState(cfg.Communities, cfg.CommunityLocality)
 	}
-	if err := g.genesis(); err != nil {
-		return nil, err
-	}
+	g.genesis()
 	// Starter population and contracts arrive in the bootstrap blocks.
 	if err := g.bootstrap(); err != nil {
 		return nil, err
@@ -200,31 +210,26 @@ func newSubstrate(cfg Config) *Generator {
 	}
 }
 
-// genesis mints the faucet and miners and boots the chain.
-func (g *Generator) genesis() error {
+// genesis mints the faucet and miners and allocates the genesis state.
+func (g *Generator) genesis() {
 	g.faucet = g.newAddress()
-	alloc := map[types.Address]evm.Word{
+	g.state = chain.NewStateWithAlloc(map[types.Address]evm.Word{
 		// Effectively inexhaustible faucet.
 		g.faucet: {0, 0, 1, 0}, // 2^128 wei
-	}
-	cc := chain.DefaultConfig()
-	cc.CommitInterval = 512 // state roots are sampled, not per-block
-	cc.BlockGasLimit = 1 << 62
-	g.ch = chain.NewChain(cc, alloc)
+	})
 	for i := 0; i < 5; i++ {
 		g.miners = append(g.miners, g.newAddress())
 	}
-	return nil
 }
 
-// Chain returns the underlying chain.
-func (g *Generator) Chain() *chain.Chain { return g.ch }
+// State returns the world state after the last executed block.
+func (g *Generator) State() *chain.State { return g.state }
 
 // Stats returns generation counters.
 func (g *Generator) Stats() Stats { return g.stats }
 
 // BlockArrivalTimes returns the arrival stamp of each transaction in the
-// most recently sealed block, aligned with its receipts. The slice is
+// most recently executed block, aligned with its receipts. The slice is
 // reused by the next block; callers must not retain it.
 func (g *Generator) BlockArrivalTimes() []int64 { return g.blockTimes }
 
@@ -269,7 +274,7 @@ func (g *Generator) pickContract(sender types.Address, global *[]types.Address) 
 // nonceOf returns the next usable nonce for addr inside the block being
 // built (chain nonce plus uses earlier in this block).
 func (g *Generator) nonceOf(addr types.Address) uint64 {
-	n := g.ch.State().GetNonce(addr) + g.pending[addr]
+	n := g.state.GetNonce(addr) + g.pending[addr]
 	g.pending[addr]++
 	return n
 }
@@ -277,7 +282,7 @@ func (g *Generator) nonceOf(addr types.Address) uint64 {
 // avail returns addr's spendable balance including the effects of
 // transactions already queued for the block being built.
 func (g *Generator) avail(addr types.Address) int64 {
-	bal := g.ch.State().GetBalance(addr)
+	bal := g.state.GetBalance(addr)
 	var b int64
 	if bal.IsUint64() && bal.Uint64() < 1<<62 {
 		b = int64(bal.Uint64())
@@ -335,7 +340,7 @@ func (g *Generator) bootstrap() error {
 	}
 	g.appendTx(g.deployTx(GameRuntime(), &g.games))
 	g.appendTx(g.deployTx(AirdropRuntime(), &g.airdrops))
-	if _, _, err := g.seal(); err != nil {
+	if err := g.execute(); err != nil {
 		return err
 	}
 	// Second bootstrap block: crowdsales referencing the tokens.
@@ -345,37 +350,38 @@ func (g *Generator) bootstrap() error {
 		runtime := CrowdsaleRuntime(g.tokens[i%len(g.tokens)], owner)
 		g.appendTx(g.deployTx(runtime, &g.crowdsales))
 	}
-	_, _, err := g.seal()
+	return g.execute()
+}
+
+// execute executes a block of the queued transactions at the generator clock
+// and advances it one interval (the closed-loop bootstrap cadence).
+func (g *Generator) execute() error {
+	_, err := g.executeAt(g.now)
+	g.now = g.now.Add(g.cfg.BlockInterval)
 	return err
 }
 
-// seal builds a block from the queued transactions at the generator clock
-// and advances it one interval (the closed-loop bootstrap cadence).
-func (g *Generator) seal() (*chain.Block, []*chain.Receipt, error) {
-	block, receipts, err := g.sealAt(g.now)
-	g.now = g.now.Add(g.cfg.BlockInterval)
-	return block, receipts, err
-}
-
-// sealAt builds a block from the queued transactions with the given
+// executeAt executes a block of the queued transactions with the given
 // timestamp. It does not advance the generator clock — the arrival layer
 // owns time.
-func (g *Generator) sealAt(at time.Time) (*chain.Block, []*chain.Receipt, error) {
+func (g *Generator) executeAt(at time.Time) (*Block, error) {
 	miner := g.miners[g.rng.Intn(len(g.miners))]
-	block, receipts, skipped := g.ch.BuildBlock(miner, at.Unix(), g.blockTxs)
-	g.stats.Blocks++
-	g.stats.Transactions += len(receipts)
-	g.stats.Skipped += len(skipped)
+	// No block gas ceiling: a generated block holds whatever arrived.
+	x := chain.ExecuteBlock(g.state, miner, math.MaxUint64, g.blockTxs)
+	g.stats.Blocks++ // genesis is block 0, so this is the block's number
+	number := uint64(g.stats.Blocks)
+	g.stats.Transactions += len(x.Receipts)
+	g.stats.Skipped += len(x.Skipped)
 	clear(g.pending)
 	clear(g.delta)
-	g.updatePools(receipts)
-	if len(skipped) > 0 {
+	g.updatePools(x.Receipts)
+	if len(x.Skipped) > 0 {
 		// Skips indicate a generator bug (bad nonce/balance bookkeeping);
 		// surface the first one.
-		return nil, nil, fmt.Errorf("workload: block %d skipped %d txs: %w",
-			block.Header.Number, len(skipped), skipped[0])
+		return nil, fmt.Errorf("workload: block %d skipped %d txs: %w",
+			number, len(x.Skipped), x.Skipped[0])
 	}
-	return block, receipts, nil
+	return &Block{Number: number, Time: at.Unix(), Miner: miner, Receipts: x.Receipts}, nil
 }
 
 // updatePools feeds executed interactions into the preferential-attachment
@@ -482,32 +488,32 @@ func (g *Generator) deployTx(runtime []byte, reg *[]types.Address) *chain.Transa
 func (g *Generator) Done() bool { return g.comp.arrival.done(g) }
 
 // NextBlock generates and executes one block of composition-appropriate
-// transactions, returning the sealed block and its receipts. It returns
-// ok=false once the schedule is exhausted. This is the pipeline engine:
-// the arrival layer plans the block, the scenario layer emits its
-// transactions through the population machinery, and the chain substrate
-// seals it.
-func (g *Generator) NextBlock() (*chain.Block, []*chain.Receipt, bool, error) {
+// transactions. It returns a nil block with ok=true for a gap in the
+// schedule, and ok=false once the schedule is exhausted. This is the
+// pipeline engine: the arrival layer plans the block, the scenario layer
+// emits its transactions through the population machinery, and the chain
+// substrate executes them.
+func (g *Generator) NextBlock() (*Block, bool, error) {
 	if g.Done() {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	plan, ok := g.comp.arrival.plan(g)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	if plan.skip {
 		// Gap in the schedule: skip forward.
 		g.comp.arrival.advance(g)
-		return nil, nil, true, nil
+		return nil, true, nil
 	}
 	g.beginBlock(plan.time)
 	g.comp.scenario.emit(g, plan)
-	block, receipts, err := g.sealAt(plan.time)
+	block, err := g.executeAt(plan.time)
 	g.comp.arrival.advance(g)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	return block, receipts, true, nil
+	return block, true, nil
 }
 
 // eraPlanner is the closed-loop arrival layer of the era composition: one

@@ -12,7 +12,7 @@ import (
 // The scenario layer of the workload pipeline. A Scenario names one full
 // composition — an open-loop arrival process, a population skew and a
 // transaction mix over the contract archetypes — and compiles to the same
-// plan→emit→seal engine the era path runs on.
+// plan→emit→execute engine the era path runs on.
 
 // ScenarioMix weights the action archetypes of a scenario. Weights are
 // relative (normalised at compile time); zero disables an archetype and
@@ -107,7 +107,7 @@ func (s Scenario) Validate() error {
 
 // NewScenario builds a generator running the scenario composition: the
 // spec's arrival process plans blocks, its mix emits them, and the
-// substrate's chain executes them.
+// chain substrate executes them.
 func NewScenario(sc Scenario) (*Generator, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {
@@ -127,9 +127,7 @@ func NewScenario(sc Scenario) (*Generator, error) {
 	// Bootstrap blocks sit just before the arrival window opens.
 	g.now = sc.Arrival.Start.Add(-2 * cfg.BlockInterval)
 	g.end = sc.Arrival.Start.Add(sc.Arrival.Duration)
-	if err := g.genesis(); err != nil {
-		return nil, err
-	}
+	g.genesis()
 	if err := g.scenarioBootstrap(sc); err != nil {
 		return nil, err
 	}
@@ -180,7 +178,7 @@ func (g *Generator) scenarioBootstrap(sc Scenario) error {
 			g.appendTx(g.transferTx(g.faucet, hub, 1<<40))
 		}
 	}
-	if _, _, err := g.seal(); err != nil {
+	if err := g.execute(); err != nil {
 		return err
 	}
 	// Second bootstrap block: crowdsales referencing the tokens.
@@ -191,8 +189,7 @@ func (g *Generator) scenarioBootstrap(sc Scenario) error {
 			g.appendTx(g.deployTx(CrowdsaleRuntime(g.tokens[i%len(g.tokens)], owner), &g.crowdsales))
 		}
 	}
-	_, _, err := g.seal()
-	return err
+	return g.execute()
 }
 
 // scenarioPlanner is the open-loop arrival layer: it pulls arrival

@@ -9,7 +9,7 @@ import (
 )
 
 // Stream adapts a Generator to the trace.RecordSource seam: it drives the
-// chain block by block and yields each block's records in arrival order,
+// generator block by block and yields each block's records in arrival order,
 // stamped with per-action arrival times (open-loop compositions) or the
 // block time (the era composition). This is the pipe every consumer —
 // replay, the operational bridge, trace files — drinks from.
@@ -27,7 +27,7 @@ type Stream struct {
 // The stream owns the generator; interleaving NextBlock calls with Read
 // corrupts it.
 func (g *Generator) Stream() *Stream {
-	st := g.ch.State()
+	st := g.state
 	return &Stream{
 		g:          g,
 		reg:        trace.NewRegistry(),
@@ -44,7 +44,7 @@ func (s *Stream) Read() (trace.Record, error) {
 		if s.done {
 			return trace.Record{}, io.EOF
 		}
-		block, receipts, ok, err := s.g.NextBlock()
+		block, ok, err := s.g.NextBlock()
 		if err != nil {
 			s.err = err
 			return trace.Record{}, err
@@ -56,8 +56,8 @@ func (s *Stream) Read() (trace.Record, error) {
 		if block == nil {
 			continue // schedule gap
 		}
-		s.buf = trace.FromReceipts(block.Header.Number, block.Header.Time,
-			s.g.BlockArrivalTimes(), receipts, s.reg, s.isContract)
+		s.buf = trace.FromReceipts(block.Number, block.Time,
+			s.g.BlockArrivalTimes(), block.Receipts, s.reg, s.isContract)
 		s.pos = 0
 	}
 	rec := s.buf[s.pos]
@@ -75,7 +75,7 @@ func (s *Stream) Generator() *Generator { return s.g }
 // StorageSlots computes the per-contract storage footprint at the end of
 // the history; call after the stream is drained.
 func (s *Stream) StorageSlots() map[graph.VertexID]int {
-	st := s.g.Chain().State()
+	st := s.g.state
 	slots := make(map[graph.VertexID]int)
 	for id := uint64(0); id < uint64(s.reg.Len()); id++ {
 		if !s.reg.IsContract(id) {
