@@ -5,22 +5,26 @@ package multilevel
 // per element type with mark/release, so the ladder, the sides and every FM
 // call of the task share a few large buffers instead of allocating (and
 // zeroing, and leaving for the collector) fresh slices at every level and
-// pass.
+// pass. Beside the slabs it holds the task's one gain queue: growBisection
+// and every fmRefine of the task reuse it in turn, so a queue that outgrew
+// its first capacity on stale entries stays grown instead of spilling
+// again on every call.
 //
 // An arena lives no longer than the Partition call that created it and is
 // used by one goroutine at a time. Nothing is retained across calls — a
 // measured choice (peak_sys_mb; DESIGN §4, CHANGES PR 20). The zero value is
 // ready for use.
 type arena struct {
-	i32   slab[int32]
-	i64   slab[int64]
-	u8    slab[uint8]
-	items slab[gainItem]
+	i32 slab[int32]
+	i64 slab[int64]
+	u8  slab[uint8]
 	// tmp is a second int32 stack for tables that die while i32
 	// allocations made after them live on (a level's match order and
 	// contraction tables, under the ladder): released from i32 they would
 	// leave holes beneath everything allocated since.
 	tmp slab[int32]
+	// heap is the queue; see queue.
+	heap gainHeap
 }
 
 // newArena returns an arena for a task on a graph of n vertices: buffers
@@ -28,25 +32,37 @@ type arena struct {
 // refinement scratch of a small level fits the buffers of any other.
 func newArena(n int) *arena {
 	a := &arena{}
-	a.i32.quantum, a.i64.quantum, a.u8.quantum, a.items.quantum, a.tmp.quantum = n, n, n, n, n
+	a.i32.quantum, a.i64.quantum, a.u8.quantum, a.tmp.quantum = n, n, n, n
 	return a
 }
 
+// queue returns the arena's gain queue, emptied. Its first use allocates
+// room for one entry per vertex of the task's graph; appends beyond that
+// grow it, and it keeps the larger capacity for the task's later calls. One
+// caller at a time: growBisection and fmRefine each take it for their
+// whole call and never nest.
+func (a *arena) queue() *gainHeap {
+	if a.heap == nil {
+		a.heap = make(gainHeap, 0, max(a.i32.quantum, minChunk))
+	}
+	a.heap = a.heap[:0]
+	return &a.heap
+}
+
 type arenaMark struct {
-	i32, i64, u8, items, tmp slabMark
+	i32, i64, u8, tmp slabMark
 }
 
 // mark records the arena's fill level; release(mark) frees everything
 // allocated since.
 func (a *arena) mark() arenaMark {
-	return arenaMark{a.i32.mark(), a.i64.mark(), a.u8.mark(), a.items.mark(), a.tmp.mark()}
+	return arenaMark{a.i32.mark(), a.i64.mark(), a.u8.mark(), a.tmp.mark()}
 }
 
 func (a *arena) release(m arenaMark) {
 	a.i32.release(m.i32)
 	a.i64.release(m.i64)
 	a.u8.release(m.u8)
-	a.items.release(m.items)
 	a.tmp.release(m.tmp)
 }
 

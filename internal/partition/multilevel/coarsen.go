@@ -39,8 +39,7 @@ func heavyEdgeMatching(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random
 			continue
 		}
 		adj, w := g.row(v)
-		var best int32 = -1
-		var bestW int64 = -1
+		var best, bestW int32 = -1, -1
 		for p, u := range adj {
 			if cmap[u] >= 0 || u == v {
 				continue
@@ -74,10 +73,13 @@ func contract(a *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 		vw:      a.i64.zeroed(nCoarse),
 		totalVW: g.totalVW,
 	}
-	// The coarse adjacency is at most as long as the fine one; it is
-	// filled in place and shrunk to its exact length at the end.
-	adj := a.i32.alloc(len(g.adj))
-	adjw := a.i64.alloc(len(g.adj))
+	// The coarse adjacency is at most as long as the fine one: targets and
+	// weights are filled in place in the two halves of one buffer, then the
+	// weights are moved down behind the targets and the buffer is shrunk to
+	// its exact length.
+	m := len(g.adj)
+	buf := a.i32.alloc(2 * m)
+	adj, adjw := buf[:m], buf[m:]
 	defer a.tmp.release(a.tmp.mark())
 	// first and second list the (one or two) fine vertices of each coarse
 	// vertex, in ascending fine order.
@@ -123,8 +125,9 @@ func contract(a *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 		}
 		coarse.xadj[c+1] = used
 	}
-	coarse.adj = a.i32.shrink(adj, int(used))
-	coarse.adjw = a.i64.shrink(adjw, int(used))
+	copy(buf[used:], adjw[:used])
+	buf = a.i32.shrink(buf, 2*int(used))
+	coarse.adj, coarse.adjw = buf[:used:used], buf[used:]
 	return coarse
 }
 

@@ -34,17 +34,21 @@ import (
 // mlGraph is the internal working representation: CSR adjacency plus vertex
 // weights, without the ID mapping of graph.CSR (recursion tracks original
 // indices separately).
+//
+// Edge weights are int32 on every level: Partition refuses a CSR whose
+// total edge weight exceeds MaxTotalEdgeWeight, and no level's weights,
+// degrees or gains can exceed that total (see its proof).
 type mlGraph struct {
 	xadj    []int32
 	adj     []int32
-	adjw    []int64
+	adjw    []int32
 	vw      []int64
 	totalVW int64
 }
 
 func (g *mlGraph) n() int { return len(g.vw) }
 
-func (g *mlGraph) row(v int32) ([]int32, []int64) {
+func (g *mlGraph) row(v int32) ([]int32, []int32) {
 	lo, hi := g.xadj[v], g.xadj[v+1]
 	return g.adj[lo:hi], g.adjw[lo:hi]
 }
@@ -56,24 +60,28 @@ func (g *mlGraph) cutOf(side []uint8) int64 {
 		adj, w := g.row(v)
 		for p, u := range adj {
 			if u > v && side[u] != side[v] {
-				cut += w[p]
+				cut += int64(w[p])
 			}
 		}
 	}
 	return cut
 }
 
-// fromCSR converts a graph.CSR into the working representation. When
-// dynamicWeights is false every vertex gets weight one (the paper's METIS
-// configuration balances vertex counts); otherwise the CSR's frequency
-// weights are used.
+// fromCSR converts a graph.CSR into the working representation, narrowing
+// its edge weights to int32 (the caller has checked c.TotalEW against
+// MaxTotalEdgeWeight). When dynamicWeights is false every vertex gets
+// weight one (the paper's METIS configuration balances vertex counts);
+// otherwise the CSR's frequency weights are used.
 func fromCSR(a *arena, c *graph.CSR, dynamicWeights bool) *mlGraph {
 	n := c.N()
 	g := &mlGraph{
 		xadj: c.XAdj,
 		adj:  c.Adj,
-		adjw: c.AdjW,
+		adjw: a.i32.alloc(len(c.AdjW)),
 		vw:   a.i64.alloc(n),
+	}
+	for p, w := range c.AdjW {
+		g.adjw[p] = int32(w)
 	}
 	for i := 0; i < n; i++ {
 		if dynamicWeights {
@@ -116,7 +124,7 @@ func split(keep, scratch *arena, g *mlGraph, side []uint8, vmap []int32) (sub [2
 		sub[s] = &mlGraph{
 			xadj: keep.i32.alloc(counts[s] + 1),
 			adj:  keep.i32.alloc(edges[s]),
-			adjw: keep.i64.alloc(edges[s]),
+			adjw: keep.i32.alloc(edges[s]),
 			vw:   keep.i64.alloc(counts[s]),
 		}
 		sub[s].xadj[0] = 0

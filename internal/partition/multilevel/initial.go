@@ -12,7 +12,7 @@ import (
 // reseed, the only draws this function makes.
 //
 // side[v] is 0 for the grown region, 1 for the rest. side is allocated in a
-// and outlives the call; the flags and the queue do not.
+// and outlives the call; the flags do not, and the queue is the arena's.
 func growBisection(a *arena, g *mlGraph, rng *rand.Rand, targetLeft int64) []uint8 {
 	n := g.n()
 	side := a.u8.filled(n, 1)
@@ -24,7 +24,7 @@ func growBisection(a *arena, g *mlGraph, rng *rand.Rand, targetLeft int64) []uin
 	inRegion := a.u8.zeroed(n)
 	inQueue := a.u8.zeroed(n)
 	var regionW int64
-	pq := gainHeap(a.items.alloc(n)[:0])
+	pq := a.queue()
 
 	seed := func() int32 {
 		start := rng.Intn(n)
@@ -51,7 +51,7 @@ func growBisection(a *arena, g *mlGraph, rng *rand.Rand, targetLeft int64) []uin
 			} else {
 				// gain = edges into region − edges out; initialise with
 				// this edge in and the rest out.
-				var deg int64
+				var deg int32
 				_, uw := g.row(u)
 				for _, x := range uw {
 					deg += x
@@ -63,7 +63,7 @@ func growBisection(a *arena, g *mlGraph, rng *rand.Rand, targetLeft int64) []uin
 	}
 
 	for regionW < targetLeft {
-		if len(pq) == 0 {
+		if len(*pq) == 0 {
 			s := seed()
 			if s < 0 {
 				break
@@ -84,10 +84,10 @@ func growBisection(a *arena, g *mlGraph, rng *rand.Rand, targetLeft int64) []uin
 	return side
 }
 
-// gainItem is a frontier vertex with its current gain.
+// gainItem is a vertex with its current gain: 8 bytes.
 type gainItem struct {
 	v    int32
-	gain int64
+	gain int32
 }
 
 // gainHeap is a binary max-heap of frontier vertices by gain, implemented
@@ -107,8 +107,10 @@ type gainItem struct {
 // array after every operation is the same. heap_test.go keeps the swap-based
 // heap as the oracle.
 //
-// A heap usually starts on arena memory sized for the common case; a push
-// beyond that capacity moves it to the Go heap like any append.
+// Gains are int32 and the child pick subtracts two of them, so every gain
+// in a heap must lie strictly between −2³⁰ and 2³⁰; MaxTotalEdgeWeight
+// guarantees it for every heap the partitioner builds. Each arena owns one
+// heap (arena.queue), which keeps whatever capacity its pushes grew it to.
 type gainHeap []gainItem
 
 // push inserts an item and sifts it up.
@@ -149,9 +151,10 @@ func (h gainHeap) siftDown(i int, it gainItem) {
 		}
 		// Both children exist: step to the right one iff it is strictly
 		// larger, by the sign bit of left − right instead of a branch the
-		// predictor would miss half the time (gains are sums of edge
-		// weights, nowhere near overflowing the subtraction).
-		big := r - 1 + int(uint64(h[r-1].gain-h[r].gain)>>63)
+		// predictor would miss half the time. The subtraction is exact
+		// because every gain is below 2³⁰ in magnitude
+		// (MaxTotalEdgeWeight).
+		big := r - 1 + int(uint32(h[r-1].gain-h[r].gain)>>31)
 		c := h[big]
 		if it.gain >= c.gain {
 			h[i] = it
@@ -176,7 +179,7 @@ func (h gainHeap) heapify() {
 
 // bump raises v's priority by pushing a fresher, higher-gain entry; the
 // stale one is skipped when popped (the pop path rechecks membership).
-func (h *gainHeap) bump(v int32, extra int64) {
+func (h *gainHeap) bump(v int32, extra int32) {
 	// Lazy strategy: we do not track the old gain; pushing a new entry
 	// with a modest boost keeps the heap approximate but fast. The greedy
 	// growing phase only needs a good-enough ordering — FM refinement

@@ -26,6 +26,29 @@ const (
 	epsilon = 0.03
 )
 
+// MaxTotalEdgeWeight is the largest total edge weight (graph.CSR.TotalEW)
+// Partition accepts. Inside, every edge weight, degree and gain is an int32;
+// this bound is what keeps each of them, and every difference the gain heap
+// takes, exact.
+//
+// Let W be the CSR's TotalEW. The CSR has no self-loops, and no level
+// derived from it gains weight: contraction drops the edges inside a pair
+// and merges parallel ones, split drops the cut edges. So on every level an
+// edge weight w and a vertex's weighted degree d are both at most W, and
+//   - internal and external degrees, FM gains (external − internal) and
+//     greedy-growing gains (2w − d) lie in [−W, W];
+//   - 2w — a gain step in flip, the entry a growing bump pushes — is at most
+//     2W.
+//
+// With W ≤ 2²⁹ − 1 every gain in any heap has magnitude at most
+// 2W < 2³⁰, so the difference of two gains that siftDown's child pick
+// takes has magnitude below 2³¹: it never wraps, and its sign bit is the
+// comparison. (Queued gains in fact lie in [−W, 2W], so 3W < 2³¹ would
+// suffice; the power of two keeps gainHeap's own precondition, |gain| <
+// 2³⁰, independent of which caller fills it.) The ledger's era-scale CSRs
+// weigh ≈ 0.5 M.
+const MaxTotalEdgeWeight = 1<<29 - 1
+
 // Config parameterises the multilevel partitioner.
 type Config struct {
 	// Seed drives matching order and initial seeds; fixed seeds give
@@ -61,10 +84,14 @@ func New(cfg Config) *Partitioner {
 // bisection with proportional targets, so any k ≥ 1 (not only powers of
 // two) is supported. The Partitioner holds no state beyond its Config and
 // is safe for concurrent callers: everything a call allocates belongs to
-// that call and is dropped when it returns.
+// that call and is dropped when it returns. A CSR heavier than
+// MaxTotalEdgeWeight is refused before anything is allocated.
 func (p *Partitioner) Partition(c *graph.CSR, k int) ([]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("multilevel: k must be >= 1, got %d", k)
+	}
+	if c.TotalEW > MaxTotalEdgeWeight {
+		return nil, fmt.Errorf("multilevel: total edge weight %d exceeds MaxTotalEdgeWeight (%d), the most int32 gains can hold", c.TotalEW, MaxTotalEdgeWeight)
 	}
 	n := c.N()
 	parts := make([]int, n)

@@ -1,7 +1,11 @@
 package multilevel
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -357,6 +361,78 @@ func BenchmarkPartitionMedium(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Partition(c, 8); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// chordRing returns a ring of 300 unit edges plus one chord of weight 1789:
+// total edge weight 2089, every weight multiplied by scale, and plus extra
+// on the first ring edge. Most of the weight sits on the chord, so at
+// scale 256,999 (2089 × 256,999 = MaxTotalEdgeWeight) its endpoints'
+// degrees, gains and growing bumps come near the bound's proof limits.
+func chordRing(scale, extra int64) *graph.CSR {
+	g := graph.New()
+	add := func(u, v int, w int64) {
+		if err := g.AddInteraction(graph.VertexID(u), graph.VertexID(v), graph.KindAccount, graph.KindAccount, w); err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		w := scale
+		if i == 0 {
+			w += extra
+		}
+		add(i, (i+1)%300, w)
+	}
+	add(0, 150, 1789*scale)
+	return graph.NewCSR(g)
+}
+
+// TestPartitionEdgeWeightBound: a CSR one past MaxTotalEdgeWeight is
+// refused with an error naming the limit, before anything the size of the
+// graph is allocated; one at the bound partitions exactly as the same graph
+// with every weight divided by 256,999 (the partitioner compares edge
+// weights and gains only with each other, so a uniform scale cannot change
+// its output) — no int32 wrapped on the way.
+func TestPartitionEdgeWeightBound(t *testing.T) {
+	const scale = 256_999
+	at, past := chordRing(scale, 0), chordRing(scale, 1)
+	if at.TotalEW != MaxTotalEdgeWeight || past.TotalEW != MaxTotalEdgeWeight+1 {
+		t.Fatalf("TotalEW %d and %d, want the bound %d and one past it", at.TotalEW, past.TotalEW, MaxTotalEdgeWeight)
+	}
+
+	p := New(Config{Seed: 3})
+	parts, err := p.Partition(past, 4)
+	if err == nil || parts != nil {
+		t.Fatalf("one past the bound: parts %v, err %v; want a refusal", parts != nil, err)
+	}
+	if limit := fmt.Sprint(MaxTotalEdgeWeight); !strings.Contains(err.Error(), limit) {
+		t.Errorf("error %q does not name the limit %s", err, limit)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		p.Partition(past, 4)
+	}
+	runtime.ReadMemStats(&after)
+	// The parts slice alone would be 8 bytes per vertex.
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= uint64(8*past.N()) {
+		t.Errorf("a refused call allocated %d B, at least its %d-vertex parts slice", perCall, past.N())
+	}
+
+	base := chordRing(1, 0)
+	for _, k := range []int{2, 3, 5} {
+		got, err := p.Partition(at, k)
+		if err != nil {
+			t.Fatalf("k=%d at the bound: %v", k, err)
+		}
+		want, err := p.Partition(base, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("k=%d: the partition at the bound differs from the unscaled graph's", k)
 		}
 	}
 }

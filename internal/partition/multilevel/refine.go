@@ -16,8 +16,8 @@ const noImprovementLimit = 128
 type fmState struct {
 	g      *mlGraph
 	side   []uint8
-	gains  []int64 // external − internal incident weight: the cut saved by moving
-	ed     []int64 // external incident weight; > 0 iff on the boundary
+	gains  []int32 // external − internal incident weight: the cut saved by moving
+	ed     []int32 // external incident weight; > 0 iff on the boundary
 	locked []uint8 // moved in the current pass
 	leftW  int64   // weight of side 0
 
@@ -39,7 +39,7 @@ func (s *fmState) flip(v int32, pq *gainHeap) {
 		s.leftW -= s.g.vw[v]
 	}
 	adj, w := s.g.row(v)
-	var in, out int64
+	var in, out int32
 	for p, u := range adj {
 		wp := w[p]
 		if u == v {
@@ -108,8 +108,8 @@ func fmRefine(a *arena, g *mlGraph, side []uint8, targetLeft, tol int64, maxPass
 	s := fmState{
 		g:      g,
 		side:   side,
-		gains:  a.i64.alloc(n),
-		ed:     a.i64.alloc(n),
+		gains:  a.i32.alloc(n),
+		ed:     a.i32.alloc(n),
 		locked: a.u8.zeroed(n),
 
 		targetLeft: targetLeft,
@@ -120,7 +120,7 @@ func fmRefine(a *arena, g *mlGraph, side []uint8, targetLeft, tol int64, maxPass
 			s.leftW += g.vw[v]
 		}
 		adj, w := g.row(v)
-		var in, out int64
+		var in, out int32
 		for p, u := range adj {
 			if side[u] == side[v] {
 				in += w[p]
@@ -132,14 +132,14 @@ func fmRefine(a *arena, g *mlGraph, side []uint8, targetLeft, tol int64, maxPass
 	}
 
 	// A vertex moves at most once per pass, so n bounds the move list; the
-	// queue holds stale entries too and may outgrow its arena capacity.
+	// queue holds stale entries too and grows the arena's as it needs.
 	moves := a.i32.alloc(n)[:0]
-	pq := gainHeap(a.items.alloc(n)[:0])
+	pq := a.queue()
 	for pass := 0; pass < maxPasses; pass++ {
-		pq = pq[:0]
+		*pq = (*pq)[:0]
 		for v, e := range s.ed {
 			if e > 0 {
-				pq = append(pq, gainItem{v: int32(v), gain: s.gains[v]})
+				*pq = append(*pq, gainItem{v: int32(v), gain: s.gains[v]})
 			}
 		}
 		pq.heapify()
@@ -150,7 +150,7 @@ func fmRefine(a *arena, g *mlGraph, side []uint8, targetLeft, tol int64, maxPass
 			bestIdx = -1 // index into moves of the best prefix end
 		)
 		moves = moves[:0]
-		for len(pq) > 0 {
+		for len(*pq) > 0 {
 			if bestIdx >= 0 && len(moves)-1-bestIdx >= noImprovementLimit {
 				break
 			}
@@ -168,9 +168,9 @@ func fmRefine(a *arena, g *mlGraph, side []uint8, targetLeft, tol int64, maxPass
 			if !s.withinAfter(v) {
 				continue
 			}
-			s.flip(v, &pq)
+			s.flip(v, pq)
 			s.locked[v] = 1
-			cum += item.gain
+			cum += int64(item.gain)
 			moves = append(moves, v)
 			if cum > bestCum {
 				bestCum = cum

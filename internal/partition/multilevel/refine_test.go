@@ -16,7 +16,7 @@ func fmRefineRecompute(g *mlGraph, side []uint8, targetLeft, tol int64, maxPasse
 	if n == 0 {
 		return
 	}
-	gains := make([]int64, n)
+	gains := make([]int32, n)
 	locked := make([]bool, n)
 	var leftW int64
 	for v := 0; v < n; v++ {
@@ -24,9 +24,9 @@ func fmRefineRecompute(g *mlGraph, side []uint8, targetLeft, tol int64, maxPasse
 			leftW += g.vw[v]
 		}
 	}
-	computeGain := func(v int32) (int64, bool) {
+	computeGain := func(v int32) (int32, bool) {
 		adj, w := g.row(v)
-		var in, out int64
+		var in, out int32
 		for p, u := range adj {
 			if side[u] == side[v] {
 				in += w[p]
@@ -98,7 +98,7 @@ func fmRefineRecompute(g *mlGraph, side []uint8, targetLeft, tol int64, maxPasse
 			}
 			move(v)
 			locked[v] = true
-			cum += item.gain
+			cum += int64(item.gain)
 			moves = append(moves, v)
 			if cum > bestCum {
 				bestCum = cum
@@ -130,7 +130,7 @@ func fmRefineRecompute(g *mlGraph, side []uint8, targetLeft, tol int64, maxPasse
 // m edges — parallel picks merge, and one in eight vertices also gets a
 // self-loop, which a foreign CSR may carry — with vertex weights in [1, maxVW].
 func randomMLGraph(rng *rand.Rand, n, m int, maxVW int64) *mlGraph {
-	weight := make(map[[2]int32]int64)
+	weight := make(map[[2]int32]int32)
 	for i := 0; i < m; i++ {
 		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
 		if u == v && rng.Intn(8) != 0 {
@@ -139,7 +139,7 @@ func randomMLGraph(rng *rand.Rand, n, m int, maxVW int64) *mlGraph {
 		if u > v {
 			u, v = v, u
 		}
-		weight[[2]int32{u, v}] += 1 + rng.Int63n(4)
+		weight[[2]int32{u, v}] += 1 + rng.Int31n(4)
 	}
 	rows := make([][]int32, n)
 	for e := range weight {

@@ -23,14 +23,21 @@ import (
 
 // flightBudget bounds the partitions running at once by the records their
 // sources hold, as a multiple of the trace's. A partition's scratch grows
-// with its input (47.5 MiB at the peak for the final era CSR's 6.10 MiB,
+// with its input (34.5 MiB at the peak for the final era CSR's 6.10 MiB,
 // mostly the root bisection's coarsening ladder; DESIGN §4), and no inline
 // wave partitions more than the whole trace, so the lookahead's partitions
-// together need at most a quarter more scratch than the largest inline
-// wave. On the ledger's fig-replay (2 vCPU, seeds 4–7) 1.0 ran ×1.30–1.48
-// the inline records/s, 1.25 ×1.50–1.62 at +2–10 % peak_sys_mb, and 1.5
-// cost +14–28 %; unbounded bought ≈ ×1.15 for +35–45 % Sys.
-const flightBudget = 1.25
+// together need at most half again the scratch of the largest inline wave.
+// Swept on the ledger's fig-replay (2 vCPU, go1.24, seeds 4–7, each seed's
+// runs alternated with the int64 partitioner at 1.25), medians:
+//
+//	budget              1.25 (int64)  1.25    1.5     1.75
+//	peak_sys_mb         202.8         176.7   188.5   202.8
+//	records_per_s       206k          241k    239k    278k
+//
+// 1.75 only ties on these seeds and reads 210.8 against 202.6 MiB on seeds
+// 1–3 and 8, so 1.5 is the largest budget that holds the peak at or under
+// the int64 partitioner's.
+const flightBudget = 1.5
 
 // lookaheadEligible reports whether every wave the simulator can fire
 // depends on the records alone: a periodic trigger, a from-scratch
