@@ -87,7 +87,7 @@ func runChaos(args []string) error {
 	// drain; crash schedules may reach into the drain.
 	traceBlocks := uint64(48)
 	if n := len(gt.Records); n > 0 {
-		traceBlocks += gt.Records[n-1].Block + 1
+		traceBlocks += uint64(gt.Records[n-1].Block) + 1
 	}
 
 	baseCfg := func() opsim.Config {

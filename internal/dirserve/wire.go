@@ -72,6 +72,11 @@ const lookupExact byte = 1
 // connection (protects against garbage peers allocating gigabytes).
 const maxFrame = 1 << 26
 
+// frameChunk bounds how far readFrame's buffer grows ahead of the bytes
+// that have arrived: a length prefix alone commits the reader to at most
+// this much, not to the maxFrame it may claim.
+const frameChunk = 1 << 16
+
 func newReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, 1<<16) }
 func newWriter(c net.Conn) *bufio.Writer { return bufio.NewWriterSize(c, 1<<16) }
 
@@ -90,6 +95,9 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 
 // readFrame reads one frame payload, reusing buf when it fits. The length
 // prefix is peeked in bufio's own buffer, for the reason writeFrame gives.
+// A payload longer than buf grows it as the bytes arrive, by at most
+// frameChunk or its own size at a time, so the buffer stays within about
+// twice what the peer has sent; a body cut short is io.ErrUnexpectedEOF.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
@@ -105,12 +113,22 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	if _, err := r.Discard(4); err != nil {
 		return nil, err
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	size := int(n)
+	buf = buf[:0]
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(size, max(2*cap(buf), frameChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		end := min(size, cap(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		buf = buf[:end]
 	}
 	return buf, nil
 }

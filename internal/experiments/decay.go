@@ -90,7 +90,7 @@ func DecayTrace(p DecayParams) *sim.GeneratedTrace {
 	)
 	base := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
 	var recs []trace.Record
-	block := uint64(0)
+	block := uint32(0)
 	for e := 0; e < p.Eras; e++ {
 		lo := uint64(e * decayTraceVertices)
 		for w := 0; w < p.WindowsPerEra; w++ {

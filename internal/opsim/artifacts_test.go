@@ -102,7 +102,7 @@ func artifactCells(t *testing.T) []artifactCell {
 // receipts, every fifth commit failing transiently and each wave flip
 // stalled for stall flushes.
 func mixedFaultCfg(small *sim.GeneratedTrace, method sim.Method, stall int) (Config, error) {
-	blocks := small.Records[len(small.Records)-1].Block + 48
+	blocks := uint64(small.Records[len(small.Records)-1].Block) + 48
 	inj, err := fault.New(fault.Schedule{
 		Seed: 1, Shards: 4,
 		Crashes:  fault.PeriodicCrashes(7, blocks, 4),

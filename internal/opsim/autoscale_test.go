@@ -27,7 +27,7 @@ func flashTrace() *sim.GeneratedTrace {
 	}
 	t := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC).Unix()
 	var recs []trace.Record
-	block := uint64(1)
+	block := uint32(1)
 	phases := []struct {
 		windows, perWindow int
 		surge              bool

@@ -259,7 +259,7 @@ type runner struct {
 
 	// curBlock is the block the latest record belongs to; open reports that
 	// records have been enqueued since the last seal.
-	curBlock uint64
+	curBlock uint32
 	open     bool
 	winStart time.Time
 	started  bool

@@ -46,7 +46,7 @@ func hashTrace(gt *GeneratedTrace) string {
 	var buf [8]byte
 	put := func(v uint64) { binary.BigEndian.PutUint64(buf[:], v); h.Write(buf[:]) }
 	for _, r := range gt.Records {
-		put(r.Block)
+		put(uint64(r.Block))
 		put(uint64(r.Time))
 		put(uint64(r.Kind))
 		put(r.From)

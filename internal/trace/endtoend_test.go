@@ -13,7 +13,7 @@ import (
 // External test package: workload imports trace (the Stream seam), so
 // tests that drive the generator live outside package trace.
 
-func TestFromReceiptsEndToEnd(t *testing.T) {
+func TestAppendReceiptsEndToEnd(t *testing.T) {
 	// Generate a couple of blocks and verify the records line up with the
 	// receipts' traces, with contracts flagged.
 	gen, err := workload.New(workload.Config{
@@ -51,7 +51,7 @@ func TestFromReceiptsEndToEnd(t *testing.T) {
 		for _, r := range block.Receipts {
 			traceCount += len(r.Traces)
 		}
-		recs := trace.FromReceipts(block.Number, block.Time, nil, block.Receipts, reg, isContract)
+		recs := trace.AppendReceipts(nil, uint32(block.Number), block.Time, nil, block.Receipts, reg, isContract)
 		all = append(all, recs...)
 	}
 	if len(all) == 0 {

@@ -9,8 +9,8 @@ import (
 	"ethpart/internal/graph"
 )
 
-// readLenient drains a CSVReader the way ReadAll does: per-record errors
-// are skipped, io.EOF or any other error ends the stream.
+// readLenient drains a CSVReader the way a lenient caller does: per-record
+// errors are skipped, io.EOF or any other error ends the stream.
 func readLenient(r io.Reader) []Record {
 	cr := NewCSVReader(r)
 	var out []Record

@@ -71,7 +71,7 @@ func (cw *CSVWriter) Write(r Record) error {
 		cw.wroteHeader = true
 	}
 	row := []string{
-		strconv.FormatUint(r.Block, 10),
+		strconv.FormatUint(uint64(r.Block), 10),
 		strconv.FormatInt(r.Time, 10),
 		kindLabel(r.Kind),
 		strconv.FormatUint(r.From, 10),
@@ -184,9 +184,13 @@ func (cr *CSVReader) Read() (Record, error) {
 func parseRow(row []string) (Record, error) {
 	var rec Record
 	var err error
-	if rec.Block, err = strconv.ParseUint(row[0], 10, 64); err != nil {
+	// A block number at or above 2³² does not fit Record.Block: it is
+	// refused (strconv's range error), never truncated.
+	block, err := strconv.ParseUint(row[0], 10, 32)
+	if err != nil {
 		return rec, fmt.Errorf("trace: bad block %q: %w", row[0], err)
 	}
+	rec.Block = uint32(block)
 	if rec.Time, err = strconv.ParseInt(row[1], 10, 64); err != nil {
 		return rec, fmt.Errorf("trace: bad time %q: %w", row[1], err)
 	}

@@ -16,13 +16,14 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 	// Lines are 1-based and include the header (line 1).
 	fixture := strings.Join([]string{
 		"block,time,kind,from,from_kind,to,to_kind,value",
-		"1,1000,tx,10,account,20,account,5",            // line 2: good
-		"2,1001,teleport,10,account,20,account,5",      // line 3: unknown kind
-		"3,1002,tx,10,account,20,account",              // line 4: wrong field count
-		"4,x,tx,10,account,20,account,5",               // line 5: bad time
-		"5,1003,tx,67108864,account,20,account,5",      // line 6: from at graph.MaxVertexID
-		"6,1003,tx,10,account,1099511627776,account,5", // line 7: to = 2^40
-		"7,1004,call,11,contract,21,account,7",         // line 8: good (the tail)
+		"1,1000,tx,10,account,20,account,5",             // line 2: good
+		"2,1001,teleport,10,account,20,account,5",       // line 3: unknown kind
+		"3,1002,tx,10,account,20,account",               // line 4: wrong field count
+		"4,x,tx,10,account,20,account,5",                // line 5: bad time
+		"5,1003,tx,67108864,account,20,account,5",       // line 6: from at graph.MaxVertexID
+		"6,1003,tx,10,account,1099511627776,account,5",  // line 7: to = 2^40
+		"4294967296,1004,tx,10,account,20,account,5",    // line 8: block = 2^32
+		"4294967295,1005,call,11,contract,21,account,7", // line 9: good (the tail), the largest block
 	}, "\n") + "\n"
 
 	cr := NewCSVReader(strings.NewReader(fixture))
@@ -47,13 +48,13 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 	if len(records) != 2 {
 		t.Fatalf("got %d records, want 2 (head and tail preserved)", len(records))
 	}
-	if records[0].Block != 1 || records[1].Block != 7 {
-		t.Errorf("records = blocks %d, %d; want 1, 7", records[0].Block, records[1].Block)
+	if records[0].Block != 1 || records[1].Block != 1<<32-1 {
+		t.Errorf("records = blocks %d, %d; want 1, %d", records[0].Block, records[1].Block, uint32(1<<32-1))
 	}
-	if len(recErrs) != 5 {
-		t.Fatalf("got %d record errors, want 5", len(recErrs))
+	if len(recErrs) != 6 {
+		t.Fatalf("got %d record errors, want 6", len(recErrs))
 	}
-	for i, wantLine := range []int{3, 4, 5, 6, 7} {
+	for i, wantLine := range []int{3, 4, 5, 6, 7, 8} {
 		if recErrs[i].Line != wantLine {
 			t.Errorf("record error %d at line %d, want %d (%v)", i, recErrs[i].Line, wantLine, recErrs[i])
 		}
@@ -63,11 +64,11 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 	}
 	for _, re := range recErrs[3:] {
 		if !strings.Contains(re.Error(), "out of range") {
-			t.Errorf("record error %q does not name the ID bound", re.Error())
+			t.Errorf("record error %q does not name the bound", re.Error())
 		}
 	}
-	if cr.Skipped() != 5 {
-		t.Errorf("Skipped() = %d, want 5", cr.Skipped())
+	if cr.Skipped() != 6 {
+		t.Errorf("Skipped() = %d, want 6", cr.Skipped())
 	}
 }
 

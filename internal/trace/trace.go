@@ -17,23 +17,26 @@ import (
 )
 
 // Record is one interaction: a directed edge candidate for the blockchain
-// graph, as in the paper's §II-B.
+// graph, as in the paper's §II-B. The fields are ordered widest first so
+// the record packs into 40 bytes (TestRecordLayout): a generated history
+// is held whole, one Record per interaction.
 type Record struct {
-	// Block is the block number the interaction executed in.
-	Block uint64
 	// Time is the block's Unix timestamp.
 	Time int64
-	// Kind is the interaction kind: tx, call or create.
-	Kind evm.CallKind
 	// From and To are registry vertex IDs, below graph.MaxVertexID.
 	From uint64
 	To   uint64
+	// Value is the transferred wei, clamped to uint64.
+	Value uint64
+	// Block is the block number the interaction executed in, below 2³²
+	// (CSVReader refuses a larger one as a RecordError).
+	Block uint32
+	// Kind is the interaction kind: tx, call or create.
+	Kind evm.CallKind
 	// FromContract and ToContract carry endpoint kinds so a trace is
 	// self-contained.
 	FromContract bool
 	ToContract   bool
-	// Value is the transferred wei, clamped to uint64.
-	Value uint64
 }
 
 // FromKind returns the graph kind of the source endpoint.
@@ -148,19 +151,19 @@ func (r *Registry) IsContract(id uint64) bool {
 // Len returns the number of registered vertices.
 func (r *Registry) Len() int { return len(r.addrs) }
 
-// FromReceipts converts a block's receipts into trace records, assigning
-// vertex IDs through reg. Creations mark the target as a contract; calls
-// mark it when isContract reports code at the address (internal calls to
-// plain accounts are account edges, as in Fig. 2). times carries one
-// arrival timestamp per receipt for open-loop histories (the instant the
-// transaction's logical action arrived, which the block merely batches),
-// and every trace record of receipt i is stamped with times[i]. A nil
-// times stamps every record with blockTime — the closed-loop era
-// semantics, where actions arrive exactly at the block they execute in.
-func FromReceipts(blockNum uint64, blockTime int64, times []int64,
+// AppendReceipts converts a block's receipts into trace records, appends
+// them to dst and returns the extended slice, assigning vertex IDs through
+// reg. Creations mark the target as a contract; calls mark it when
+// isContract reports code at the address (internal calls to plain accounts
+// are account edges, as in Fig. 2). times carries one arrival timestamp per
+// receipt for open-loop histories (the instant the transaction's logical
+// action arrived, which the block merely batches), and every trace record
+// of receipt i is stamped with times[i]. A nil times stamps every record
+// with blockTime — the closed-loop era semantics, where actions arrive
+// exactly at the block they execute in.
+func AppendReceipts(dst []Record, blockNum uint32, blockTime int64, times []int64,
 	receipts []*chain.Receipt, reg *Registry, isContract func(types.Address) bool) []Record {
 
-	var records []Record
 	for ri, receipt := range receipts {
 		recTime := blockTime
 		if times != nil {
@@ -183,7 +186,7 @@ func FromReceipts(blockNum uint64, blockTime int64, times []int64,
 			} else {
 				value = ^uint64(0)
 			}
-			records = append(records, Record{
+			dst = append(dst, Record{
 				Block: blockNum, Time: recTime, Kind: tr.Kind,
 				From: fromID, To: toID,
 				FromContract: reg.IsContract(fromID),
@@ -192,5 +195,5 @@ func FromReceipts(blockNum uint64, blockTime int64, times []int64,
 			})
 		}
 	}
-	return records
+	return dst
 }

@@ -7,11 +7,21 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ethpart/internal/evm"
 	"ethpart/internal/graph"
 	"ethpart/internal/types"
 )
+
+// TestRecordLayout pins Record at 40 bytes. A generated history is held
+// whole, one Record per interaction, so a field that widens or breaks the
+// widest-first order shows here before it shows in every run's heap.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Record{}) = %d, want 40", got)
+	}
+}
 
 func TestRegistryAssignsDenseIDs(t *testing.T) {
 	r := NewRegistry()
@@ -167,7 +177,7 @@ func TestCSVReaderBadKind(t *testing.T) {
 }
 
 func TestPropertyCSVRoundTrip(t *testing.T) {
-	f := func(block uint64, tm int64, kindRaw uint8, from, to uint64, fc, tc bool, value uint64) bool {
+	f := func(block uint32, tm int64, kindRaw uint8, from, to uint64, fc, tc bool, value uint64) bool {
 		kind := evm.CallKind(kindRaw%3) + 1
 		bound := uint64(graph.MaxVertexID)
 		rec := Record{Block: block, Time: tm, Kind: kind, From: from % bound, To: to % bound,

@@ -19,7 +19,9 @@ type communityState struct {
 	of       map[types.Address]int
 
 	accounts [][]types.Address
-	pa       [][]types.Address
+	// pa holds each community's preferential-attachment pool as pool
+	// handles (Generator.paPool).
+	pa [][]uint32
 
 	tokens     [][]types.Address
 	wallets    [][]types.Address
@@ -36,7 +38,7 @@ func newCommunityState(n int, locality float64) *communityState {
 	}
 	alloc := func() [][]types.Address { return make([][]types.Address, n) }
 	c.accounts = alloc()
-	c.pa = alloc()
+	c.pa = make([][]uint32, n)
 	c.tokens = alloc()
 	c.wallets = alloc()
 	c.games = alloc()
@@ -129,16 +131,16 @@ func (c *communityState) pickLocal(rng *rand.Rand, comm int, list [][]types.Addr
 }
 
 // feedPA records activity for preferential attachment inside addr's
-// community.
-func (c *communityState) feedPA(rng *rand.Rand, addr types.Address) {
+// community; h is addr's pool handle.
+func (c *communityState) feedPA(rng *rand.Rand, addr types.Address, h uint32) {
 	const paCap = 1 << 18
 	comm, ok := c.of[addr]
 	if !ok {
 		return
 	}
 	if len(c.pa[comm]) < paCap {
-		c.pa[comm] = append(c.pa[comm], addr)
+		c.pa[comm] = append(c.pa[comm], h)
 	} else {
-		c.pa[comm][rng.Intn(paCap)] = addr
+		c.pa[comm][rng.Intn(paCap)] = h
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"ethpart/internal/chain"
 	"ethpart/internal/evm"
+	"ethpart/internal/trace"
 	"ethpart/internal/types"
 )
 
@@ -124,7 +125,20 @@ type Generator struct {
 	delta   map[types.Address]int64  // balance effects of the block being built
 
 	accounts []types.Address // funded user accounts (candidate senders)
-	paPool   []types.Address // preferential-attachment pool (activity-weighted)
+	// paPool is the preferential-attachment pool (activity-weighted). It
+	// and the community pools hold 4-byte handles instead of 20-byte
+	// addresses (poolAddr resolves one): below base, a vertex ID of boot;
+	// from base up, a vertex ID of reg offset by base. The registries
+	// every record needs anyway are the pools' only address table.
+	paPool []uint32
+	// reg assigns the vertex IDs of the records each executed block is
+	// converted into (recs). The bootstrap blocks' records are never
+	// emitted, so their registry is set aside as boot once they are done
+	// (endBootstrap), and the emitted records' IDs start from 0.
+	reg  *trace.Registry
+	boot *trace.Registry
+	base uint32
+	recs []trace.Record // the last executed block's records, reused
 
 	tokens     []types.Address
 	wallets    []types.Address
@@ -176,6 +190,10 @@ type Block struct {
 	Time     int64 // Unix seconds
 	Miner    types.Address
 	Receipts []*chain.Receipt // one per transaction, in block order
+	// Records are the receipts' interaction records, stamped with each
+	// transaction's arrival instant, in the generator's vertex IDs. The
+	// slice is reused by the next block; callers must not retain it.
+	Records []trace.Record
 }
 
 // New builds an era-composition generator, its genesis state, a starter
@@ -197,6 +215,7 @@ func New(cfg Config) (*Generator, error) {
 	if err := g.bootstrap(); err != nil {
 		return nil, err
 	}
+	g.endBootstrap()
 	return g, nil
 }
 
@@ -207,6 +226,7 @@ func newSubstrate(cfg Config) *Generator {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		pending: make(map[types.Address]uint64),
 		delta:   make(map[types.Address]int64),
+		reg:     trace.NewRegistry(),
 	}
 }
 
@@ -228,10 +248,14 @@ func (g *Generator) State() *chain.State { return g.state }
 // Stats returns generation counters.
 func (g *Generator) Stats() Stats { return g.stats }
 
-// BlockArrivalTimes returns the arrival stamp of each transaction in the
-// most recently executed block, aligned with its receipts. The slice is
-// reused by the next block; callers must not retain it.
-func (g *Generator) BlockArrivalTimes() []int64 { return g.blockTimes }
+// endBootstrap sets the bootstrap blocks' registry aside (see reg).
+func (g *Generator) endBootstrap() {
+	g.boot, g.reg = g.reg, trace.NewRegistry()
+	g.base = uint32(g.boot.Len())
+}
+
+// hasCode reports whether addr holds contract code.
+func (g *Generator) hasCode(addr types.Address) bool { return len(g.state.GetCode(addr)) > 0 }
 
 // newAddress mints the next deterministic address.
 func (g *Generator) newAddress() types.Address {
@@ -374,6 +398,8 @@ func (g *Generator) executeAt(at time.Time) (*Block, error) {
 	g.stats.Skipped += len(x.Skipped)
 	clear(g.pending)
 	clear(g.delta)
+	g.recs = trace.AppendReceipts(g.recs[:0], uint32(number), at.Unix(), g.blockTimes,
+		x.Receipts, g.reg, g.hasCode)
 	g.updatePools(x.Receipts)
 	if len(x.Skipped) > 0 {
 		// Skips indicate a generator bug (bad nonce/balance bookkeeping);
@@ -381,36 +407,49 @@ func (g *Generator) executeAt(at time.Time) (*Block, error) {
 		return nil, fmt.Errorf("workload: block %d skipped %d txs: %w",
 			number, len(x.Skipped), x.Skipped[0])
 	}
-	return &Block{Number: number, Time: at.Unix(), Miner: miner, Receipts: x.Receipts}, nil
+	return &Block{Number: number, Time: at.Unix(), Miner: miner, Receipts: x.Receipts, Records: g.recs}, nil
 }
 
-// updatePools feeds executed interactions into the preferential-attachment
-// pool and registers deployed contracts.
+// updatePools feeds the last block's records into the
+// preferential-attachment pools and counts its deployments.
 func (g *Generator) updatePools(receipts []*chain.Receipt) {
 	const paCap = 1 << 20
 	for _, r := range receipts {
 		if r.ContractAddress != nil {
 			g.stats.Deployments++
 		}
-		for _, tr := range r.Traces {
-			for _, addr := range [2]types.Address{tr.From, tr.To} {
-				if addr == g.faucet {
-					continue
-				}
-				if len(g.paPool) < paCap {
-					g.paPool = append(g.paPool, addr)
-				} else {
-					g.paPool[g.rng.Intn(paCap)] = addr
-				}
-				if g.comm != nil {
-					g.comm.feedPA(g.rng, addr)
-				}
-				if g.pop != nil {
-					g.pop.note(addr)
-				}
+	}
+	for _, rec := range g.recs {
+		for _, id := range [2]uint64{rec.From, rec.To} {
+			addr, _ := g.reg.Address(id)
+			if addr == g.faucet {
+				continue
+			}
+			h := g.base + uint32(id)
+			if len(g.paPool) < paCap {
+				g.paPool = append(g.paPool, h)
+			} else {
+				g.paPool[g.rng.Intn(paCap)] = h
+			}
+			if g.comm != nil {
+				g.comm.feedPA(g.rng, addr, h)
+			}
+			if g.pop != nil {
+				g.pop.note(addr)
 			}
 		}
 	}
+}
+
+// poolAddr returns the address of pool handle h.
+func (g *Generator) poolAddr(h uint32) types.Address {
+	var addr types.Address
+	if h < g.base {
+		addr, _ = g.boot.Address(uint64(h))
+	} else {
+		addr, _ = g.reg.Address(uint64(h - g.base))
+	}
+	return addr
 }
 
 // pickTarget draws an interaction target for sender: the population
@@ -427,14 +466,14 @@ func (g *Generator) pickTarget(sender types.Address) types.Address {
 	if g.comm != nil && g.rng.Float64() < g.comm.locality {
 		comm := g.comm.community(sender)
 		if pool := g.comm.pa[comm]; len(pool) > 0 && g.rng.Float64() < paProb {
-			return pool[g.rng.Intn(len(pool))]
+			return g.poolAddr(pool[g.rng.Intn(len(pool))])
 		}
 		if accs := g.comm.accounts[comm]; len(accs) > 0 {
 			return accs[g.rng.Intn(len(accs))]
 		}
 	}
 	if len(g.paPool) > 0 && g.rng.Float64() < paProb {
-		return g.paPool[g.rng.Intn(len(g.paPool))]
+		return g.poolAddr(g.paPool[g.rng.Intn(len(g.paPool))])
 	}
 	return g.accounts[g.rng.Intn(len(g.accounts))]
 }

@@ -131,6 +131,7 @@ func NewScenario(sc Scenario) (*Generator, error) {
 	if err := g.scenarioBootstrap(sc); err != nil {
 		return nil, err
 	}
+	g.endBootstrap()
 	return g, nil
 }
 

@@ -160,8 +160,8 @@ func TestScenarioRecordValidity(t *testing.T) {
 			// within each block, block times non-decreasing overall.
 			reg := s.Registry()
 			st := gen.State()
-			lastBlock, lastTime := uint64(0), int64(0)
-			blockStart := map[uint64]int64{}
+			lastBlock, lastTime := uint32(0), int64(0)
+			blockStart := map[uint32]int64{}
 			for i, r := range recs {
 				if r.Block < lastBlock {
 					t.Fatalf("record %d: block %d after block %d", i, r.Block, lastBlock)
@@ -224,7 +224,7 @@ func TestScenarioOpenLoopShape(t *testing.T) {
 	}
 	_, _, recs := drainScenario(t, sc)
 	distinct := map[int64]bool{}
-	perBlock := map[uint64]int{}
+	perBlock := map[uint32]int{}
 	for _, r := range recs {
 		distinct[r.Time] = true
 		perBlock[r.Block]++

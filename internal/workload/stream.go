@@ -5,7 +5,6 @@ import (
 
 	"ethpart/internal/graph"
 	"ethpart/internal/trace"
-	"ethpart/internal/types"
 )
 
 // Stream adapts a Generator to the trace.RecordSource seam: it drives the
@@ -14,28 +13,20 @@ import (
 // block time (the era composition). This is the pipe every consumer —
 // replay, the operational bridge, trace files — drinks from.
 type Stream struct {
-	g          *Generator
-	reg        *trace.Registry
-	isContract func(types.Address) bool
-	buf        []trace.Record
-	pos        int
-	err        error
-	done       bool
+	g    *Generator
+	buf  []trace.Record
+	pos  int
+	err  error
+	done bool
 }
 
 // Stream returns a record stream over the generator's remaining schedule.
 // The stream owns the generator; interleaving NextBlock calls with Read
 // corrupts it.
-func (g *Generator) Stream() *Stream {
-	st := g.state
-	return &Stream{
-		g:          g,
-		reg:        trace.NewRegistry(),
-		isContract: func(a types.Address) bool { return len(st.GetCode(a)) > 0 },
-	}
-}
+func (g *Generator) Stream() *Stream { return &Stream{g: g} }
 
-// Read implements trace.RecordSource.
+// Read implements trace.RecordSource. It yields one block's records at a
+// time from the buffer the generator converts each block into.
 func (s *Stream) Read() (trace.Record, error) {
 	for s.pos >= len(s.buf) {
 		if s.err != nil {
@@ -56,8 +47,7 @@ func (s *Stream) Read() (trace.Record, error) {
 		if block == nil {
 			continue // schedule gap
 		}
-		s.buf = trace.FromReceipts(block.Number, block.Time,
-			s.g.BlockArrivalTimes(), block.Receipts, s.reg, s.isContract)
+		s.buf = block.Records
 		s.pos = 0
 	}
 	rec := s.buf[s.pos]
@@ -67,7 +57,7 @@ func (s *Stream) Read() (trace.Record, error) {
 
 // Registry returns the stream's vertex registry (valid incrementally;
 // complete once Read returns io.EOF).
-func (s *Stream) Registry() *trace.Registry { return s.reg }
+func (s *Stream) Registry() *trace.Registry { return s.g.reg }
 
 // Generator returns the underlying generator.
 func (s *Stream) Generator() *Generator { return s.g }
@@ -77,11 +67,12 @@ func (s *Stream) Generator() *Generator { return s.g }
 func (s *Stream) StorageSlots() map[graph.VertexID]int {
 	st := s.g.state
 	slots := make(map[graph.VertexID]int)
-	for id := uint64(0); id < uint64(s.reg.Len()); id++ {
-		if !s.reg.IsContract(id) {
+	reg := s.g.reg
+	for id := uint64(0); id < uint64(reg.Len()); id++ {
+		if !reg.IsContract(id) {
 			continue
 		}
-		if addr, ok := s.reg.Address(id); ok {
+		if addr, ok := reg.Address(id); ok {
 			if n := st.StorageSize(addr); n > 0 {
 				slots[graph.VertexID(id)] = n
 			}
