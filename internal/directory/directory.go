@@ -12,8 +12,8 @@
 // epoch flip: no reader can ever observe half a wave.
 //
 // Storage is two-tiered, and both tiers are the same thing — a
-// VertexID-indexed table of fixed-size copy-on-write pages covering the IDs
-// below graph.MaxVertexID:
+// VertexID-indexed table of fixed-size pages covering the IDs below
+// graph.MaxVertexID, each page a node of pointers to copy-on-write leaves:
 //
 //   - the hot tier holds the live account population that placement and
 //     repartitioning actually touch;
@@ -23,11 +23,12 @@
 //     dropped, so the hot tier's footprint follows the live set instead of
 //     the full history (the directory's absorption of the "horizon-aware
 //     assignment compaction" roadmap item) and the cold tier's follows what
-//     is actually retired. A commit copies only the pages it writes, in
-//     either tier: its cost does not grow with how much was ever retired.
+//     is actually retired. A commit copies only the page nodes and leaves
+//     it writes, in either tier: its cost does not grow with how much was
+//     ever retired.
 //
-// A lookup is a bounds check and at most two page probes. A batch that maps
-// an ID at or above graph.MaxVertexID is refused.
+// A lookup is a bounds check and at most two probes of a page node and a
+// leaf. A batch that maps an ID at or above graph.MaxVertexID is refused.
 //
 // A bounded journal retains the last JournalDepth snapshots by epoch, so a
 // reader that pinned epoch E mid-flight can re-acquire exactly that view
@@ -47,23 +48,43 @@ import (
 // never seen.
 const NoShard = -1
 
-// noShard is the unoccupied-entry sentinel inside pages.
+// noShard is the unoccupied-entry sentinel inside leaves.
 const noShard int32 = -1
 
 const (
-	// pageBits sizes both tiers' copy-on-write pages: 1<<pageBits
-	// entries (4 KiB of int32s). Small enough that a single placement's
-	// page copy is cheap, large enough that the page-pointer table stays
-	// tiny (one pointer per 1024 accounts).
+	// pageBits sizes the unit of both tiers' page tables: a page covers
+	// 1<<pageBits IDs, so the page table stays tiny (one pointer per 1024
+	// accounts), and a page is what empty-page compaction drops.
 	pageBits = 10
 	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
+
+	// leafBits sizes the unit of copy-on-write inside a page: a leaf is
+	// 1<<leafBits int32 slots (256 B), and a page node is the 16 pointers
+	// to its leaves (128 B). A commit copies the page nodes and leaves it
+	// writes, not the 4 KiB of slots a page covers.
+	leafBits      = 6
+	leafSize      = 1 << leafBits
+	leafMask      = leafSize - 1
+	leavesPerPage = pageSize / leafSize
+
+	// nodeChunk and leafChunk are how many page nodes and leaves one
+	// allocation holds: a commit allocates fewer objects than it copies,
+	// and a chunk stays live while any of its members is, so the chunks are
+	// small. Page nodes and leaves never share an allocation: a live leaf
+	// pins only its leaf chunk, which holds no pointers (DESIGN §5).
+	nodeChunk = 8
+	leafChunk = 4
 )
 
-// page is one fixed-size block of a tier. Pages reachable from a published
-// snapshot are immutable; a writer copies a page before its first write of
+// leaf is one fixed-size block of slots. Leaves reachable from a published
+// snapshot are immutable; a writer copies a leaf before its first write of
 // a commit.
-type page [pageSize]int32
+type leaf [leafSize]int32
+
+// page is one page node: the leaves of 1<<pageBits IDs, a nil leaf being
+// wholly unoccupied. Page nodes reachable from a published snapshot are
+// immutable too.
+type page [leavesPerPage]*leaf
 
 // table is one tier as a snapshot sees it: the page table of a paged dense
 // VertexID→shard array. A nil entry is a wholly unoccupied (never written,
@@ -74,7 +95,9 @@ type table []*page
 func (t table) get(v graph.VertexID) int32 {
 	if p := int(v >> pageBits); p < len(t) {
 		if pg := t[p]; pg != nil {
-			return pg[v&pageMask]
+			if lf := pg[(v>>leafBits)%leavesPerPage]; lf != nil {
+				return lf[v&leafMask]
+			}
 		}
 	}
 	return noShard
@@ -98,10 +121,15 @@ func (t table) each(fn func(v graph.VertexID, shard int) bool) bool {
 		if pg == nil {
 			continue
 		}
-		base := graph.VertexID(p) << pageBits
-		for i, sh := range pg {
-			if sh != noShard && !fn(base+graph.VertexID(i), int(sh)) {
-				return false
+		for l, lf := range pg {
+			if lf == nil {
+				continue
+			}
+			base := graph.VertexID(p)<<pageBits + graph.VertexID(l)<<leafBits
+			for i, sh := range lf {
+				if sh != noShard && !fn(base+graph.VertexID(i), int(sh)) {
+					return false
+				}
 			}
 		}
 	}
@@ -111,20 +139,29 @@ func (t table) each(fn func(v graph.VertexID, shard int) bool) bool {
 // cowTable is the writer's side of one tier (guarded by Directory.mu): the
 // page table of the latest published snapshot — or, inside a commit, of the
 // one being built — plus the bookkeeping that makes writes copy-on-write.
-// Every mutator takes the epoch being built; a page (or the page table)
-// stamped with that epoch is already private to the commit and is written
-// in place, anything else is copied first and stamped. commit validates a
-// batch before its first write, so no commit fails half-way and pages is
-// always the current view's table between commits.
+// Every mutator takes the epoch being built; a page node, leaf or page
+// table stamped with that epoch is already private to the commit and is
+// written in place, anything else is copied first and stamped. commit
+// validates a batch before its first write, so no commit fails half-way and
+// pages is always the current view's table between commits.
 type cowTable struct {
 	pages table
 	// live counts occupied slots per page, so a page that empties is dropped.
 	live []int32
-	// copied[p] is the epoch whose commit last copied page p; tableCopied
-	// the same for the page table. Zero (never an epoch under construction)
-	// means "shared with a published snapshot".
+	// copied[p] is the epoch whose commit last copied page node p,
+	// leafCopied[l] the same for leaf l (global index v>>leafBits), and
+	// tableCopied for the page table. Zero (never an epoch under
+	// construction) means "shared with a published snapshot". A page node
+	// created where there was none starts with nil leaves, so it resets its
+	// leaves' stamps: one copied earlier in the same commit, before the page
+	// emptied and was dropped, is not in the new node.
 	copied      []uint64
+	leafCopied  []uint64
 	tableCopied uint64
+	// nodes and leaves are the unused rest of the current allocation
+	// chunks.
+	nodes  []page
+	leaves []leaf
 }
 
 // ownTable makes the page table private to the commit building epoch e and
@@ -139,37 +176,63 @@ func (t *cowTable) ownTable(e uint64, n int) {
 	if grow := len(t.pages) - len(t.live); grow > 0 {
 		t.live = append(t.live, make([]int32, grow)...)
 		t.copied = append(t.copied, make([]uint64, grow)...)
+		t.leafCopied = append(t.leafCopied, make([]uint64, grow*leavesPerPage)...)
 	}
 }
 
-// own returns page p, private to the commit building epoch e.
+// own returns page node p, private to the commit building epoch e.
 func (t *cowTable) own(e uint64, p int) *page {
 	t.ownTable(e, p+1)
 	if t.copied[p] == e {
 		return t.pages[p]
 	}
-	np := new(page)
+	if len(t.nodes) == 0 {
+		t.nodes = make([]page, nodeChunk)
+	}
+	np := &t.nodes[0]
+	t.nodes = t.nodes[1:]
 	if old := t.pages[p]; old != nil {
 		*np = *old
 	} else {
-		for i := range np {
-			np[i] = noShard
-		}
+		clear(t.leafCopied[p*leavesPerPage : (p+1)*leavesPerPage])
 	}
 	t.pages[p] = np
 	t.copied[p] = e
 	return np
 }
 
+// slot returns v's slot in a leaf private to the commit building epoch e.
+func (t *cowTable) slot(e uint64, v graph.VertexID) *int32 {
+	pg := t.own(e, int(v>>pageBits))
+	l := int(v >> leafBits)
+	lf := &pg[l%leavesPerPage]
+	if t.leafCopied[l] != e {
+		if len(t.leaves) == 0 {
+			t.leaves = make([]leaf, leafChunk)
+		}
+		nl := &t.leaves[0]
+		t.leaves = t.leaves[1:]
+		if *lf != nil {
+			*nl = **lf
+		} else {
+			for i := range nl {
+				nl[i] = noShard
+			}
+		}
+		*lf = nl
+		t.leafCopied[l] = e
+	}
+	return &(*lf)[v&leafMask]
+}
+
 // put writes v's slot and reports whether the slot was unoccupied.
 func (t *cowTable) put(e uint64, v graph.VertexID, shard int32) (added bool) {
-	p := int(v >> pageBits)
-	pg := t.own(e, p)
-	added = pg[v&pageMask] == noShard
+	s := t.slot(e, v)
+	added = *s == noShard
 	if added {
-		t.live[p]++
+		t.live[v>>pageBits]++
 	}
-	pg[v&pageMask] = shard
+	*s = shard
 	return added
 }
 
@@ -180,7 +243,7 @@ func (t *cowTable) clear(e uint64, v graph.VertexID) {
 	p := int(v >> pageBits)
 	t.live[p]--
 	if t.live[p] > 0 {
-		t.own(e, p)[v&pageMask] = noShard
+		*t.slot(e, v) = noShard
 		return
 	}
 	t.ownTable(e, p+1)
@@ -228,7 +291,7 @@ func (s *Snapshot) HotLen() int { return s.hotLen }
 func (s *Snapshot) ColdLen() int { return s.entries - s.hotLen }
 
 // Lookup returns the shard of v in this view: a bounds check and at most
-// two page probes, hot tier first.
+// two probes of a page node and a leaf, hot tier first.
 func (s *Snapshot) Lookup(v graph.VertexID) (int, bool) {
 	shard, _, ok := s.LookupTier(v)
 	return shard, ok
@@ -497,8 +560,8 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	}
 
 	for _, m := range b.SetCold {
-		// In-place, tier-preserving update: hot entries change under their
-		// page, everything else lands (or stays) in the cold tier.
+		// In-place, tier-preserving update: hot entries change in their
+		// leaf, everything else lands (or stays) in the cold tier.
 		if d.hot.pages.get(m.V) != noShard {
 			d.hot.put(e, m.V, int32(m.To))
 		} else if d.cold.put(e, m.V, int32(m.To)) {

@@ -106,6 +106,14 @@ func (cc *clientConn) lookup(minEpoch uint64, exact bool, ids []graph.VertexID, 
 		return lookupResult{}, err
 	}
 	cc.resp = frame
+	return decodeLookupResp(frame, out)
+}
+
+// decodeLookupResp decodes a server's msgLookupResp to a batch of len(out)
+// IDs, filling out with their shards when the status is OK. A frame of
+// another type, an unknown status, an OK answer for another number of IDs
+// and a truncated frame are errors.
+func decodeLookupResp(frame []byte, out []int32) (lookupResult, error) {
 	cur := cursor{p: frame}
 	if cur.u8() != msgLookupResp {
 		return lookupResult{}, fmt.Errorf("dirserve: unexpected response type")
@@ -114,16 +122,17 @@ func (cc *clientConn) lookup(minEpoch uint64, exact bool, ids []graph.VertexID, 
 	res.epoch = cur.u64()
 	res.stale = cur.u8() != 0
 	n := cur.count(4)
-	if res.status == statusOK {
-		if n != len(ids) {
-			return lookupResult{}, fmt.Errorf("dirserve: response carries %d shards for %d ids", n, len(ids))
-		}
-		for i := 0; i < n; i++ {
+	switch {
+	case cur.err != nil:
+		return lookupResult{}, cur.err
+	case res.status > statusBehind:
+		return lookupResult{}, fmt.Errorf("dirserve: unknown lookup status %d", res.status)
+	case res.status == statusOK && n != len(out):
+		return lookupResult{}, fmt.Errorf("dirserve: response carries %d shards for %d ids", n, len(out))
+	case res.status == statusOK:
+		for i := range out {
 			out[i] = int32(cur.u32())
 		}
-	}
-	if cur.err != nil {
-		return lookupResult{}, cur.err
 	}
 	return res, nil
 }

@@ -106,6 +106,11 @@ func (f *Fanout) runFeed(fd *feed) {
 	bw := newWriter(fd.conn)
 	br := newReader(fd.conn)
 	var req, resp []byte
+	push := func(v graph.VertexID) {
+		if f.hints != nil {
+			f.hints.Push(v)
+		}
+	}
 	for sh := range fd.ch {
 		if fd.err.Load() != nil {
 			continue // drain
@@ -128,27 +133,43 @@ func (f *Fanout) runFeed(fd *feed) {
 			continue
 		}
 		resp = frame
-		cur := cursor{p: frame}
-		if cur.u8() != msgApplyResp {
-			fd.fail(fmt.Errorf("unexpected response type"))
-			continue
-		}
-		status := cur.u8()
-		applied := cur.u64()
-		if msgLen := cur.count(1); status != 0 {
-			fd.fail(fmt.Errorf("replica apply rejected: %s", string(cur.p[:msgLen])))
+		applied, err := decodeApplyAck(frame, push)
+		if err != nil {
+			fd.fail(err)
 			continue
 		}
 		fd.acked.Store(applied)
-		if n := cur.count(8); n > 0 && f.hints != nil {
-			for i := 0; i < n; i++ {
-				f.hints.Push(graph.VertexID(cur.u64()))
-			}
-		}
-		if cur.err != nil {
-			fd.fail(cur.err)
-		}
 	}
+}
+
+// decodeApplyAck decodes a replica's msgApplyResp: its applied watermark,
+// then each piggybacked promotion hint through push. A frame of another
+// type, a rejected apply, a truncated frame and a hint at or above
+// graph.MaxVertexID (a cold-tier hit never is one) are errors; hints before
+// the fault have been pushed, which is harmless, since a hint is advisory.
+func decodeApplyAck(frame []byte, push func(graph.VertexID)) (applied uint64, err error) {
+	cur := cursor{p: frame}
+	if cur.u8() != msgApplyResp {
+		return 0, fmt.Errorf("unexpected response type")
+	}
+	status := cur.u8()
+	applied = cur.u64()
+	msgLen := cur.count(1)
+	if status != 0 {
+		return 0, fmt.Errorf("replica apply rejected: %s", string(cur.p[:msgLen]))
+	}
+	cur.p = cur.p[msgLen:]
+	for n := cur.count(8); n > 0; n-- {
+		v := graph.VertexID(cur.u64())
+		if v >= graph.MaxVertexID {
+			return 0, fmt.Errorf("promotion hint %d out of range [0,%d)", v, graph.MaxVertexID)
+		}
+		push(v)
+	}
+	if cur.err != nil {
+		return 0, cur.err
+	}
+	return applied, nil
 }
 
 func (fd *feed) fail(err error) {

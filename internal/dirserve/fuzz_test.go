@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ethpart/internal/directory"
@@ -55,6 +56,140 @@ func FuzzApplyFrame(f *testing.F) {
 			}
 			return true
 		})
+	})
+}
+
+// FuzzLookupRequest feeds an arbitrary msgLookup payload (everything after
+// the type byte: pinned epoch, flags, IDs) to a server's lookup handler over
+// a directory with hot and cold entries and a journal that has evicted
+// epochs. It must never panic; a request that decodes gets an answer the
+// client's decodeLookupResp accepts; an OK answer gives every ID the shard
+// the snapshot of its serving epoch gives it; and the hints pushed are
+// exactly the cold hits, in request order. Seeds live in
+// testdata/fuzz/FuzzLookupRequest.
+func FuzzLookupRequest(f *testing.F) {
+	d := directory.New(directory.Config{JournalDepth: 4})
+	for e := 0; e < 6; e++ {
+		b := directory.Batch{Shards: 4}
+		for v := graph.VertexID(e); v < 3000; v += 7 {
+			b.Set = append(b.Set, directory.Move{V: v, To: (e + int(v)) % 4})
+		}
+		for v := graph.VertexID(e); v < 3000; v += 11 {
+			b.Retire = append(b.Retire, v)
+		}
+		if _, err := d.Commit(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		req := cursor{p: payload}
+		req.u64()
+		req.u8()
+		ids := make([]graph.VertexID, req.count(8))
+		for i := range ids {
+			ids[i] = graph.VertexID(req.u64())
+		}
+		hints := directory.NewHintRing(len(ids))
+		s := &Server{cfg: ServerConfig{Dir: d, Hints: hints}}
+		c := cursor{p: payload}
+		out := s.answerLookup(&c, nil)
+		if out == nil {
+			if c.err == nil {
+				t.Fatal("a decodable request got no answer")
+			}
+			return
+		}
+		shards := make([]int32, len(ids))
+		res, err := decodeLookupResp(out, shards)
+		if err != nil {
+			t.Fatalf("answer %x does not decode: %v", out, err)
+		}
+		var pushed []graph.VertexID
+		hints.Drain(func(v graph.VertexID) { pushed = append(pushed, v) })
+		if res.status != statusOK {
+			if len(pushed) > 0 {
+				t.Fatalf("status %d answer pushed %d hints", res.status, len(pushed))
+			}
+			return
+		}
+		snap, ok := d.AtEpoch(res.epoch)
+		if !ok {
+			t.Fatalf("answered from epoch %d, which the journal does not hold", res.epoch)
+		}
+		var cold []graph.VertexID
+		for i, v := range ids {
+			sh, isCold, ok := snap.LookupTier(v)
+			if !ok {
+				sh = directory.NoShard
+			} else if isCold {
+				cold = append(cold, v)
+			}
+			if shards[i] != int32(sh) {
+				t.Fatalf("id %d answered %d at epoch %d, want %d", v, shards[i], res.epoch, sh)
+			}
+		}
+		if !slices.Equal(pushed, cold) {
+			t.Fatalf("hints %v, want the cold hits %v", pushed, cold)
+		}
+	})
+}
+
+// FuzzLookupResp feeds an arbitrary frame to the client's decodeLookupResp,
+// as the answer to a batch of n IDs. It must never panic; an answer it
+// accepts has a known status; and an OK answer fills each shard from the
+// frame's i-th entry. Seeds live in testdata/fuzz/FuzzLookupResp.
+func FuzzLookupResp(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n uint8, frame []byte) {
+		out := make([]int32, n)
+		res, err := decodeLookupResp(frame, out)
+		if err != nil {
+			return
+		}
+		if res.status > statusBehind {
+			t.Fatalf("accepted unknown status %d", res.status)
+		}
+		if res.status != statusOK {
+			return
+		}
+		const head = 1 + 1 + 8 + 1 + 4
+		if len(frame) < head+4*len(out) {
+			t.Fatalf("%d-byte frame accepted as %d shards", len(frame), len(out))
+		}
+		for i, sh := range out {
+			if want := int32(binary.BigEndian.Uint32(frame[head+4*i:])); sh != want {
+				t.Fatalf("shard %d decoded as %d, frame holds %d", i, sh, want)
+			}
+		}
+	})
+}
+
+// FuzzApplyAck feeds an arbitrary frame to decodeApplyAck, the fan-out's
+// reader of a replica's ack. It must never panic; every hint it pushes is
+// below graph.MaxVertexID; and an ack it accepts re-encodes — type, OK
+// status, watermark, error text, hints — to exactly the bytes it was
+// decoded from. Seeds live in testdata/fuzz/FuzzApplyAck.
+func FuzzApplyAck(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var hints []graph.VertexID
+		applied, err := decodeApplyAck(frame, func(v graph.VertexID) {
+			if v >= graph.MaxVertexID {
+				t.Fatalf("pushed hint %d, at or above %d", v, graph.MaxVertexID)
+			}
+			hints = append(hints, v)
+		})
+		if err != nil {
+			return
+		}
+		text := frame[14 : 14+binary.BigEndian.Uint32(frame[10:])]
+		want := appendU64([]byte{msgApplyResp, 0}, applied)
+		want = append(appendU32(want, uint32(len(text))), text...)
+		want = appendU32(want, uint32(len(hints)))
+		for _, v := range hints {
+			want = appendU64(want, uint64(v))
+		}
+		if !bytes.HasPrefix(frame, want) {
+			t.Fatalf("ack (%d, %v) re-encodes as %x, decoded from %x", applied, hints, want, frame)
+		}
 	})
 }
 
