@@ -97,10 +97,6 @@ func runChaos(args []string) error {
 			Sim:     policy,
 			Model:   shardchain.ModelReceipts,
 			Capture: true,
-			// Budget for injected backoff chains: a dropped receipt can take
-			// the fault plane's bounded tries with capped exponential backoff
-			// before its forced delivery.
-			MaxSettleSteps: 600,
 		}
 	}
 

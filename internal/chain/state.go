@@ -21,21 +21,6 @@ type Account struct {
 	Storage map[evm.Word]evm.Word
 }
 
-// clone returns a deep copy of the account.
-func (a *Account) clone() *Account {
-	c := &Account{Balance: a.Balance, Nonce: a.Nonce}
-	if a.Code != nil {
-		c.Code = append([]byte(nil), a.Code...)
-	}
-	if a.Storage != nil {
-		c.Storage = make(map[evm.Word]evm.Word, len(a.Storage))
-		for k, v := range a.Storage {
-			c.Storage[k] = v
-		}
-	}
-	return c
-}
-
 // journalKind tags what a journal entry undoes.
 type journalKind uint8
 
@@ -113,6 +98,8 @@ func (e *journalEntry) revert(s *State) {
 type State struct {
 	accounts map[types.Address]*Account
 	journal  []journalEntry
+	// held makes DiscardJournal keep undo history (HoldJournal).
+	held bool
 	// recent remembers the last two accounts resolved, most recent first.
 	// A transaction touches its sender and recipient a dozen times through
 	// separate StateDB calls; the pair turns all but the first probe of the
@@ -157,7 +144,29 @@ func (s *State) RevertToSnapshot(id int) {
 }
 
 // DiscardJournal drops undo history (called after a transaction commits).
-func (s *State) DiscardJournal() { s.journal = s.journal[:0] }
+// Under a hold it keeps it.
+func (s *State) DiscardJournal() {
+	if !s.held {
+		s.journal = s.journal[:0]
+	}
+}
+
+// HoldJournal starts a hold on an empty journal: until ReleaseJournal,
+// DiscardJournal keeps undo history, so RevertToSnapshot(0) unwinds every
+// journaled mutation since the hold began — committed transactions
+// included. It is how a crashed shard's block is rolled back. A transplant
+// is not journaled (TransplantAccount), so a hold it touched cannot be
+// undone.
+func (s *State) HoldJournal() {
+	s.journal = s.journal[:0]
+	s.held = true
+}
+
+// ReleaseJournal ends a hold and drops its undo history.
+func (s *State) ReleaseJournal() {
+	s.held = false
+	s.journal = s.journal[:0]
+}
 
 // lookup resolves addr to its account, or nil when there is none. It is the
 // one place the accounts map is probed by address.
@@ -311,16 +320,6 @@ func (s *State) StorageSize(addr types.Address) int {
 
 // AccountCount returns the number of accounts in the state.
 func (s *State) AccountCount() int { return len(s.accounts) }
-
-// Copy returns a deep copy of the state with an empty journal and an empty
-// resolver.
-func (s *State) Copy() *State {
-	c := NewState()
-	for addr, acc := range s.accounts {
-		c.accounts[addr] = acc.clone()
-	}
-	return c
-}
 
 // encodeAccount serializes an account for the state trie: balance, nonce,
 // code hash and a digest of the sorted storage slots. Any change to an

@@ -123,12 +123,18 @@ func (p *pairedState) check(t *testing.T, rng *rand.Rand, addrs []types.Address,
 }
 
 // TestPropertyStateMatchesOracle drives two States through random
-// mutations, snapshots, reverts, journal discards, copies and account
+// mutations, snapshots, reverts, journal discards, held blocks and account
 // transplants between them, against the oracle, checking every getter and
-// the root after each step. The universe is six addresses (the zero address
-// among them — the sharded engine's miner) so the two-entry resolver is
-// always being evicted, re-filled and invalidated; the cases that bite are
-// revert-of-create and delete-then-recreate of a remembered address.
+// the root after each step. A held block holds one State's journal, runs
+// random operations — nested snapshots, discards, deletes and transplants
+// among them — and releases the hold, unwinding the whole block to the
+// oracle's copy from the hold's start half of the time: a crashed shard's
+// rollback. A transplant is not journaled, so a block in which one moved an
+// account is always released without undo. The universe is six addresses
+// (the zero address among them — the sharded engine's miner) so the
+// two-entry resolver is always being evicted, re-filled and invalidated;
+// the cases that bite are revert-of-create and delete-then-recreate of a
+// remembered address.
 func TestPropertyStateMatchesOracle(t *testing.T) {
 	addrs := []types.Address{{}}
 	for i := uint64(1); i <= 5; i++ {
@@ -143,34 +149,40 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 			{s: NewState(), o: oracleState{}},
 			{s: NewState(), o: oracleState{}},
 		}
-		for step := 0; step < 600; step++ {
+		check := func(step int, what string) {
+			t.Helper()
+			for _, q := range ps {
+				q.check(t, rng, addrs, keys, step, what)
+			}
+		}
+		// op applies one random operation to a random State and its oracle,
+		// reporting whether it was a transplant that moved an account.
+		op := func(step int) (what string, moved bool) {
 			p := ps[rng.Intn(2)]
 			addr := addrs[rng.Intn(len(addrs))]
 			amount := evm.WordFromUint64(uint64(rng.Intn(50)))
-			var what string
-			switch op := rng.Intn(15); op {
+			switch rng.Intn(14) {
 			case 0, 1:
-				what = "AddBalance"
 				p.s.AddBalance(addr, amount)
 				a := p.o.getOrNew(addr)
 				a.balance = a.balance.Add(amount)
+				return "AddBalance", false
 			case 2:
-				what = "SubBalance"
 				p.s.SubBalance(addr, amount)
 				a := p.o.getOrNew(addr)
 				a.balance = a.balance.Sub(amount)
+				return "SubBalance", false
 			case 3:
-				what = "SetNonce"
 				n := uint64(rng.Intn(9))
 				p.s.SetNonce(addr, n)
 				p.o.getOrNew(addr).nonce = n
+				return "SetNonce", false
 			case 4:
-				what = "SetCode"
 				code := []byte{byte(rng.Intn(256)), byte(step)}
 				p.s.SetCode(addr, code)
 				p.o.getOrNew(addr).code = code
+				return "SetCode", false
 			case 5, 6:
-				what = "SetState"
 				k := keys[rng.Intn(len(keys))]
 				v := evm.WordFromUint64(uint64(rng.Intn(3))) // zero a third of the time
 				p.s.SetState(addr, k, v)
@@ -180,37 +192,32 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 				} else {
 					a.storage[k] = v
 				}
+				return "SetState", false
 			case 7:
-				what = "CreateAccount"
 				p.s.CreateAccount(addr)
 				p.o.getOrNew(addr)
+				return "CreateAccount", false
 			case 8, 9:
-				what = "DeleteAccount"
 				p.s.DeleteAccount(addr)
 				delete(p.o, addr)
+				return "DeleteAccount", false
 			case 10:
-				what = "Snapshot"
 				p.snaps = append(p.snaps, oracleSnap{id: p.s.Snapshot(), want: p.o.clone()})
+				return "Snapshot", false
 			case 11, 12:
-				what = "RevertToSnapshot"
 				if len(p.snaps) == 0 {
-					continue
+					return "RevertToSnapshot (none taken)", false
 				}
 				i := rng.Intn(len(p.snaps))
 				p.s.RevertToSnapshot(p.snaps[i].id)
 				p.o = p.snaps[i].want
 				p.snaps = p.snaps[:i]
+				return "RevertToSnapshot", false
 			case 13:
 				if rng.Intn(2) == 0 {
-					what = "DiscardJournal"
 					p.discard()
-				} else {
-					what = "Copy"
-					p.s = p.s.Copy()
-					p.snaps = nil // the copy starts with an empty journal
+					return "DiscardJournal", false
 				}
-			case 14:
-				what = "TransplantAccount"
 				src, dst := ps[0], ps[1]
 				if rng.Intn(2) == 0 {
 					src, dst = dst, src
@@ -232,10 +239,35 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 				// journals, as a migration always has.
 				src.discard()
 				dst.discard()
+				return "TransplantAccount", moved
 			}
-			for _, q := range ps {
-				q.check(t, rng, addrs, keys, step, what)
+			panic("unreachable")
+		}
+		for step := 0; step < 600; step++ {
+			if rng.Intn(8) != 0 {
+				what, _ := op(step)
+				check(step, what)
+				continue
 			}
+			p := ps[rng.Intn(2)]
+			p.s.HoldJournal()
+			p.snaps = nil // a hold starts on an empty journal
+			base := p.o.clone()
+			transplanted := false
+			for n := rng.Intn(24); n > 0; n-- {
+				what, moved := op(step)
+				transplanted = transplanted || moved
+				check(step, "held "+what)
+			}
+			what := "ReleaseJournal"
+			if !transplanted && rng.Intn(2) == 0 {
+				what = "RevertToSnapshot(0), ReleaseJournal"
+				p.s.RevertToSnapshot(0)
+				p.o = base
+			}
+			p.s.ReleaseJournal()
+			p.snaps = nil
+			check(step, what)
 		}
 	}
 }

@@ -165,21 +165,6 @@ func TestCommitDeterministic(t *testing.T) {
 	}
 }
 
-func TestCopyIsDeep(t *testing.T) {
-	s := NewState()
-	s.AddBalance(addrA, evm.WordFromUint64(5))
-	s.SetState(addrA, evm.WordFromUint64(1), evm.WordFromUint64(9))
-	c := s.Copy()
-	s.AddBalance(addrA, evm.WordFromUint64(5))
-	s.SetState(addrA, evm.WordFromUint64(1), evm.WordFromUint64(10))
-	if got := c.GetBalance(addrA).Uint64(); got != 5 {
-		t.Errorf("copy balance mutated: %d", got)
-	}
-	if got := c.GetState(addrA, evm.WordFromUint64(1)).Uint64(); got != 9 {
-		t.Errorf("copy storage mutated: %d", got)
-	}
-}
-
 func TestPropertySnapshotRevertIsIdentity(t *testing.T) {
 	// Property: a random mutation batch wrapped in snapshot/revert leaves
 	// the state root unchanged.

@@ -11,7 +11,7 @@ package fault
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -29,7 +29,8 @@ type Schedule struct {
 	// schedules observe identical faults.
 	Seed uint64
 
-	// Crashes lists shard crash-stops by (block, shard).
+	// Crashes lists shard crash-stops by (block, shard). A shard crashes
+	// at most once per block: New folds duplicate entries.
 	Crashes []Crash
 
 	// Shards, when positive, declares the shard count the schedule was
@@ -145,8 +146,9 @@ func New(s Schedule) (*Injector, error) {
 	for _, c := range s.Crashes {
 		inj.crashes[c.Block] = append(inj.crashes[c.Block], c.Shard)
 	}
-	for b := range inj.crashes {
-		sort.Ints(inj.crashes[b])
+	for b, shards := range inj.crashes {
+		slices.Sort(shards)
+		inj.crashes[b] = slices.Compact(shards)
 	}
 	return inj, nil
 }
@@ -164,8 +166,8 @@ func (inj *Injector) HasMessageFaults() bool {
 	return s.DropProb > 0 || s.DelayProb > 0 || s.DupProb > 0 || s.DupAll || s.ShuffleDeliveries
 }
 
-// CrashedShards returns the shards scheduled to crash while executing
-// block b, in ascending order.
+// CrashedShards returns the distinct shards scheduled to crash while
+// executing block b, in ascending order.
 func (inj *Injector) CrashedShards(b uint64) []int { return inj.crashes[b] }
 
 // Delivery decides the fate of delivery attempt `attempt` (1-based) of

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"ethpart/internal/directory"
@@ -118,6 +119,11 @@ func TestPeriodicCrashes(t *testing.T) {
 	}
 	if got := inj.CrashedShards(11); got != nil {
 		t.Errorf("CrashedShards(11) = %v, want none", got)
+	}
+	// Victims are a set: a shard named twice for a block crashes once.
+	inj = mustNew(t, Schedule{Crashes: []Crash{{3, 2}, {3, 0}, {3, 2}, {3, 0}}})
+	if got := inj.CrashedShards(3); !slices.Equal(got, []int{0, 2}) {
+		t.Errorf("CrashedShards(3) = %v, want [0 2]", got)
 	}
 }
 

@@ -86,8 +86,9 @@ func artifactCells(t *testing.T) []artifactCell {
 			cfg:  func() (Config, error) { return autoscaleCfg(model), nil },
 		})
 	}
-	// The week-long hourly-block trace: the crash log copies every shard's
-	// state at every block, which the 14k-block era history makes slow.
+	// The fault cell stays on the week-long hourly-block trace it was
+	// pinned on; TestFaultPlaneAtEraScale runs the era history under the
+	// same schedule, against its fault-free oracle.
 	small := smallTrace(t)
 	cells = append(cells, artifactCell{
 		name: "fault-mixed/receipts",
@@ -114,8 +115,57 @@ func mixedFaultCfg(small *sim.GeneratedTrace, method sim.Method, stall int) (Con
 		return Config{}, err
 	}
 	cfg := cfgFor(method, shardchain.ModelReceipts, 4)
-	cfg.Fault, cfg.MaxSettleSteps = inj, 600
+	cfg.Fault = inj
 	return cfg, nil
+}
+
+// TestFaultPlaneAtEraScale runs the era history (seed 1, scale 0.0005:
+// 74,721 records over 14,330 blocks) under the fault-mixed cell's schedule
+// — a crash every seventh block, lossy, duplicating, delaying and shuffled
+// delivery, failing and stalled commits — and checks that the chain
+// converges to the fault-free oracle's: state roots, homes, receipts and
+// totals equal, and no torn commit.
+func TestFaultPlaneAtEraScale(t *testing.T) {
+	era, err := sim.Generate(workload.Config{Seed: 1, Scale: 0.0005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleCfg := cfgFor(sim.MethodTRMetis, shardchain.ModelReceipts, 4)
+	oracleCfg.Capture = true
+	oracle, err := Run(era, oracleCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := mixedFaultCfg(era, sim.MethodTRMetis, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Capture = true
+	res, err := Run(era, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Fault
+	t.Logf("%d records, %d blocks: %d crashes, %d dropped, %d duplicates suppressed, %d stalls",
+		res.Replayed, res.Blocks, f.Crashes, f.Dropped, f.DupsSuppressed, f.WaveStalls)
+	if f.Crashes < 2000 {
+		t.Errorf("%d crashes, want at least 2,000", f.Crashes)
+	}
+	if f.TornCommits != 0 {
+		t.Errorf("%d torn commits", f.TornCommits)
+	}
+	if !reflect.DeepEqual(res.StateRoots, oracle.StateRoots) {
+		t.Errorf("state roots diverge from the oracle's\n got %v\nwant %v", hexes(res.StateRoots), hexes(oracle.StateRoots))
+	}
+	if res.HomesHash != oracle.HomesHash {
+		t.Errorf("homes hash %v, oracle %v", res.HomesHash, oracle.HomesHash)
+	}
+	if res.ReceiptsHash != oracle.ReceiptsHash {
+		t.Errorf("receipts hash %v, oracle %v", res.ReceiptsHash, oracle.ReceiptsHash)
+	}
+	if res.Totals != oracle.Totals {
+		t.Errorf("totals diverge from the oracle's\n got %+v\nwant %+v", res.Totals, oracle.Totals)
+	}
 }
 
 func hexes(hs []types.Hash) []string {

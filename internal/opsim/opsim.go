@@ -43,6 +43,13 @@ import (
 // sender's lifetime of transfers.
 const maxValue = 1_000_000
 
+// maxSettleSteps bounds the settle-only blocks a run steps to drain
+// in-flight receipts: at the end of the run, and before a merge removes
+// lanes. A fault-free drain takes a block or two; the budget covers the
+// fault plane's injected backoff chains, whose bounded tries with capped
+// exponential backoff end in a forced delivery.
+const maxSettleSteps = 600
+
 // Config parameterises a co-simulation run.
 type Config struct {
 	// Sim is the simulator configuration: method, shard count, window and
@@ -53,9 +60,6 @@ type Config struct {
 	Sim sim.Config
 	// Model is the multi-shard handling class of the live chain.
 	Model shardchain.Model
-	// MaxSettleSteps bounds the empty blocks stepped at the end of the run
-	// to drain in-flight receipts (zero → 64).
-	MaxSettleSteps int
 	// Parallel runs the live chain on shardchain's parallel per-shard
 	// engine (receipts model; a migration-model run takes the serial
 	// engine). The replayed results (windows, totals) are byte-identical to
@@ -102,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.fund.IsZero() {
 		c.fund = evm.WordFromUint64(1 << 50)
-	}
-	if c.MaxSettleSteps <= 0 {
-		c.MaxSettleSteps = 64
 	}
 	return c
 }
@@ -533,10 +534,8 @@ func (r *runner) replay() error {
 	if err := r.seal(); err != nil {
 		return err
 	}
-	// Drain in-flight receipts with empty blocks; their settlements land in
-	// the final window. The fault channel's retry bound keeps this finite,
-	// but a fault-armed caller should budget MaxSettleSteps for the
-	// injected backoff chains.
+	// Drain in-flight receipts with empty blocks (at most maxSettleSteps);
+	// their settlements land in the final window.
 	r.enqueue(op{kind: opSettle})
 	if r.started {
 		r.enqueue(op{kind: opCloseWindow, start: r.winStart})
@@ -747,7 +746,7 @@ func (x *executor) run(b []op) error {
 		case opStep:
 			x.flush()
 		case opSettle:
-			for ; x.settled < x.cfg.MaxSettleSteps && x.sc.PendingReceipts() > 0; x.settled++ {
+			for ; x.settled < maxSettleSteps && x.sc.PendingReceipts() > 0; x.settled++ {
 				x.step(nil)
 			}
 		case opBarrier:
@@ -779,7 +778,7 @@ func (x *executor) run(b []op) error {
 // sweep force-migrates everything still homed on a dropped lane — the
 // honest decommissioning cost the receipts model defers until a lane
 // actually disappears. Settle-only blocks then drain in-flight receipts
-// (bounded by MaxSettleSteps), stalled directory waves are landed, and only
+// (bounded by maxSettleSteps), stalled directory waves are landed, and only
 // a fully drained lane set is removed.
 func (x *executor) applyResize(oldK, newK, moveCount int, moves []move, ctl *runner) error {
 	var err error
@@ -813,7 +812,7 @@ func (x *executor) applyResize(oldK, newK, moveCount int, moves []move, ctl *run
 	d := x.sc.Stats().Sub(before)
 	x.res.WaveMigrations += d.Migrations
 	x.res.WaveMigratedSlots += d.MigratedSlots
-	for i := 0; i < x.cfg.MaxSettleSteps && x.sc.PendingReceipts() > 0; i++ {
+	for i := 0; i < maxSettleSteps && x.sc.PendingReceipts() > 0; i++ {
 		ctl.observePin()
 		x.step(nil)
 	}

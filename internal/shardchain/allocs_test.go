@@ -4,10 +4,12 @@ package shardchain
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ethpart/internal/chain"
 	"ethpart/internal/evm"
+	"ethpart/internal/fault"
 	"ethpart/internal/types"
 )
 
@@ -101,5 +103,87 @@ func TestAllocsStep(t *testing.T) {
 				t.Logf("%v, %s: %v allocs per Step = %d traces + %v", model, mix, allocs, executed, fixed)
 			}
 		}
+	}
+}
+
+// crashStepBytes returns the mean heap bytes of a warm Step in which shard
+// 0 crashes and recovers, with `funded` extra funded accounts on shard 0.
+// Each block carries 16 transfers from senders on both shards, half of
+// them cross-shard, so the victim has an inbox to restore and re-settle
+// and a slice of transactions to replay.
+func crashStepBytes(t *testing.T, funded int) uint64 {
+	t.Helper()
+	const (
+		n      = 16
+		warm   = 4
+		blocks = 32
+	)
+	assign := map[types.Address]int{}
+	alloc := map[types.Address]evm.Word{}
+	for i := 0; i < funded; i++ {
+		a := types.AddressFromSeq(uint64(10_000 + i))
+		assign[a], alloc[a] = 0, evm.WordFromUint64(1)
+	}
+	var recvOn [2]types.Address
+	for s := range recvOn {
+		recvOn[s] = types.AddressFromSeq(uint64(200 + s))
+		assign[recvOn[s]], alloc[recvOn[s]] = s, evm.WordFromUint64(1)
+	}
+	txs := make([]chain.Transaction, n)
+	ptrs := make([]*chain.Transaction, n)
+	for i := range txs {
+		from := types.AddressFromSeq(uint64(100 + i))
+		assign[from], alloc[from] = i%2, evm.WordFromUint64(1<<40)
+		to := recvOn[i%2]
+		if i%4 < 2 {
+			to = recvOn[1-i%2]
+		}
+		txs[i] = chain.Transaction{From: from, To: &to, Value: evm.WordFromUint64(1), GasLimit: 50_000}
+		ptrs[i] = &txs[i]
+	}
+	inj, err := fault.New(fault.Schedule{Seed: 1, Crashes: fault.PeriodicCrashes(1, warm+blocks, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := New(Config{K: 2, Model: ModelReceipts, Fault: inj}, alloc, fixedAssign(assign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func() {
+		for _, r := range sc.Step(ptrs) {
+			if !r.Success {
+				t.Fatalf("transfer failed: %v", r.Err)
+			}
+		}
+		for i := range txs {
+			txs[i].Nonce++
+		}
+	}
+	for i := 0; i < warm; i++ {
+		block()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < blocks; i++ {
+		block()
+	}
+	runtime.ReadMemStats(&after)
+	if m := inj.Metrics.Snapshot(); m.Crashes != warm+blocks || m.ItemsReplayed == 0 {
+		t.Fatalf("%d crashes (%d items replayed) in %d blocks; want one crash a block", m.Crashes, m.ItemsReplayed, warm+blocks)
+	}
+	return (after.TotalAlloc - before.TotalAlloc) / blocks
+}
+
+// TestAllocsCrashBlockIndependentOfStateSize: a crash costs what the block
+// wrote, not what the shard holds. The victim holds its journal for the
+// block and unwinds it, and only its inbox and applied-receipt journal are
+// copied, so a Step in which shard 0 crashes allocates the same heap bytes
+// with 50k funded accounts on that shard as with 1k. A deep copy of the
+// victim's state would add about a hundred bytes per account.
+func TestAllocsCrashBlockIndependentOfStateSize(t *testing.T) {
+	small, large := crashStepBytes(t, 1_000), crashStepBytes(t, 50_000)
+	t.Logf("crash Step: %d B with 1k funded accounts on the victim, %d B with 50k", small, large)
+	if large > small+small/10 {
+		t.Errorf("crash Step: %d B with 50k funded accounts on the victim, %d B with 1k; want within 10%%", large, small)
 	}
 }

@@ -10,35 +10,43 @@ import (
 )
 
 // This file is the chain side of the fault-injection plane (Config.Fault):
-// the per-shard durable log and crash recovery, and the fault-aware
+// the crash victims' durable log and crash recovery, and the fault-aware
 // delivery channel the barrier exchange routes through when message faults
 // are scheduled. Everything here runs on the coordinator goroutine —
 // injection and recovery happen between the engine fan-out and the barrier
 // exchange, never inside a worker — which keeps every decision in one
 // deterministic, canonical order.
 
-// walRecord is one shard's durable log entry for the current block: the
-// state at the block boundary, the undelivered inbox, and the applied-
-// receipt journal. Restoring it is exactly "the shard restarted from its
+// walRecord is a crash victim's durable log entry for the current block:
+// its undelivered inbox and applied-receipt journal. Its state needs no
+// entry — the victim holds its journal for the block (chain.State.
+// HoldJournal), so unwinding that journal restores the state at the block
+// boundary. Restoring the three is exactly "the shard restarted from its
 // last durable point".
 type walRecord struct {
-	state *chain.State
+	shard int
 	inbox []Receipt
 	seen  map[uint64]uint64
 }
 
-// journalBarrier writes every shard's durable log entry for the block
-// about to execute. The durable point is the boundary *entering* the
-// block so it captures mutations made between blocks (opsim funding
-// accounts at first sight, externally driven migrations), which an
-// exit-of-previous-block snapshot would lose.
-func (sc *ShardChain) journalBarrier() {
-	for i, sh := range sc.shards {
-		sc.wal[i] = walRecord{
-			state: sh.state.Copy(),
-			inbox: slices.Clone(sh.inbox),
-			seen:  maps.Clone(sh.seen),
+// journalVictims writes the durable log entry of every shard the schedule
+// crashes in the block about to execute; no other shard pays for one. The
+// durable point is the boundary *entering* the block, so it captures
+// mutations made between blocks (opsim funding accounts at first sight,
+// externally driven migrations), which an exit-of-previous-block snapshot
+// would lose. A victim named on a lane a merge has since removed is
+// counted instead of dropped silently, so a mis-aimed chaos scenario is
+// visible in the metrics.
+func (sc *ShardChain) journalVictims() {
+	sc.wal = sc.wal[:0]
+	for _, s := range sc.cfg.Fault.CrashedShards(sc.clock) {
+		if s >= sc.cfg.K {
+			sc.cfg.Fault.Metrics.CrashesSkipped.Add(1)
+			continue
 		}
+		sh := sc.shards[s]
+		sh.state.HoldJournal()
+		sc.wal = append(sc.wal, walRecord{shard: s, inbox: slices.Clone(sh.inbox), seen: maps.Clone(sh.seen)})
 	}
 }
 
@@ -48,9 +56,12 @@ func (sc *ShardChain) journalBarrier() {
 // blocks), its delay bound (4) and a duplicate's extra block come to 35.
 const dedupWindow = 128
 
-// pruneSeen ages the applied-receipt journals past the dedup window.
+// pruneSeen ages the applied-receipt journals past the dedup window. It
+// sweeps once a window, so an entry lives one to two windows: never less
+// than dedup needs, and a sweep per block would cost a fault-armed run
+// more than all of its crash recoveries.
 func (sc *ShardChain) pruneSeen() {
-	if sc.clock <= dedupWindow {
+	if sc.clock%dedupWindow != 0 {
 		return
 	}
 	cut := sc.clock - dedupWindow
@@ -76,29 +87,27 @@ func (sc *ShardChain) workShardOf(tx *chain.Transaction, h *homes) int {
 	return exec
 }
 
-// recoverShard handles a scheduled crash-stop of shard s during the
-// current block: discard the shard's partial block work (restore the
-// durable log, clear its outboxes, subtract its stat deltas) and replay —
-// re-settle the journaled inbox, then re-run the shard's slice of the
-// block's transactions. Valid because receipts-model block work is shard-
-// isolated (a shard's work writes only its own state and its own outbox)
-// and first-sight home resolution is pure within a Step, so the replay
-// reproduces the discarded work exactly; it runs before the barrier
-// exchange, so none of the discarded emissions ever left the shard.
-func (sc *ShardChain) recoverShard(s int, txs []*chain.Transaction, receipts []*chain.Receipt) {
-	w := &sc.wal[s]
-	if w.state == nil {
-		return // duplicate schedule entry for this (block, shard)
-	}
+// recoverShard handles the scheduled crash-stop of w's shard during the
+// current block: discard the shard's partial block work (unwind its held
+// journal, restore its inbox and applied-receipt journal, clear its
+// outboxes, subtract its stat deltas) and replay — re-settle the journaled
+// inbox, then re-run the shard's slice of the block's transactions. Valid
+// because receipts-model block work is shard-isolated (a shard's work
+// writes only its own state and its own outbox) and first-sight home
+// resolution is pure within a Step, so the replay reproduces the discarded
+// work exactly; it runs before the barrier exchange, so none of the
+// discarded emissions ever left the shard.
+func (sc *ShardChain) recoverShard(w *walRecord, txs []*chain.Transaction, receipts []*chain.Receipt) {
 	inj := sc.cfg.Fault
 	start := time.Now()
 	inj.Metrics.Crashes.Add(1)
 
+	s := w.shard
 	sh := sc.shards[s]
-	sh.state = w.state
+	sh.state.RevertToSnapshot(0)
+	sh.state.ReleaseJournal()
 	sh.inbox = w.inbox
 	sh.seen = w.seen
-	w.state = nil // the restored copy is live now; never restore it twice
 	for dst := range sh.outbox {
 		sh.outbox[dst] = nil
 	}

@@ -279,6 +279,33 @@ func TestMessageFaultsConverge(t *testing.T) {
 	}
 }
 
+// TestDuplicateCrashEntryRecoversOnce pins the schedule's crash set: an
+// entry named twice is one crash. Under a journal hold a second recovery
+// would replay the shard's slice of the block twice, so the chain must
+// recover once and still converge to the fault-free reference.
+func TestDuplicateCrashEntryRecoversOnce(t *testing.T) {
+	const k = 2
+	fx := chaosWorkload(400, k, 6, true)
+	inj := mustInjector(t, fault.Schedule{
+		Seed:    1,
+		Crashes: []fault.Crash{{Block: 3, Shard: 0}, {Block: 3, Shard: 0}},
+	})
+	ref := fx.newChain(t, k, ModelReceipts, false, nil)
+	got := fx.newChain(t, k, ModelReceipts, false, inj)
+	for b, txs := range fx.blocks {
+		rr, rg := ref.Step(txs), got.Step(txs)
+		if !reflect.DeepEqual(rr, rg) {
+			t.Fatalf("receipts diverge at block %d:\nreference: %s\nfaulty:    %s",
+				b, dumpReceipts(rr), dumpReceipts(rg))
+		}
+	}
+	drainBoth(t, ref, got)
+	requireConverged(t, ref, got)
+	if m := inj.Metrics.Snapshot(); m.Crashes != 1 || m.BlocksReplayed != 1 {
+		t.Fatalf("%d crashes, %d blocks replayed; want 1 and 1", m.Crashes, m.BlocksReplayed)
+	}
+}
+
 // TestCrashScheduleRequiresReceiptsModel pins the constructor guard: a
 // crash inside a migration-model block could tear a two-shard state
 // move, so New must refuse the combination.
@@ -355,8 +382,9 @@ func TestWaveItemPanicGainsShardContext(t *testing.T) {
 }
 
 // BenchmarkCrashRecovery measures the crash-stop recovery path: shard 0
-// crashes every block and replays its inbox and transaction slice from
-// the durable log.
+// crashes every block, unwinds the journal it held for the block, and
+// replays its inbox and transaction slice from the durable log. A block's
+// cost is what the victim wrote in it, not what any shard holds.
 func BenchmarkCrashRecovery(b *testing.B) {
 	const k = 2
 	fx := chaosWorkload(1, k, 0, false)

@@ -47,9 +47,6 @@ func (sc *ShardChain) AddShards(newK int) error {
 	if sc.blockDelta != nil {
 		sc.blockDelta = append(sc.blockDelta, make([]Stats, newK-oldK)...)
 	}
-	if sc.wal != nil {
-		sc.wal = append(sc.wal, make([]walRecord, newK-oldK)...)
-	}
 	sc.cfg.K = newK
 	return nil
 }
@@ -130,9 +127,6 @@ func (sc *ShardChain) RemoveShards(newK int) error {
 	}
 	if sc.blockDelta != nil {
 		sc.blockDelta = sc.blockDelta[:newK]
-	}
-	if sc.wal != nil {
-		sc.wal = sc.wal[:newK]
 	}
 	sc.cfg.K = newK
 	return nil

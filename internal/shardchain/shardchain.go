@@ -228,8 +228,9 @@ type ShardChain struct {
 	// Fault-plane state (see fault.go); all nil/zero unless Config.Fault
 	// arms it. nextReceiptID feeds delivery-hop identities, blockDelta
 	// accumulates each shard's stat deltas within the current block (the
-	// part a crash discards), wal holds the per-shard durable log, and
-	// flights is the fault-aware delivery channel's in-flight queue.
+	// part a crash discards), wal holds the durable log entries of the
+	// current block's crash victims, and flights is the fault-aware
+	// delivery channel's in-flight queue.
 	nextReceiptID uint64
 	blockDelta    []Stats
 	wal           []walRecord
@@ -285,7 +286,6 @@ func New(cfg Config, alloc map[types.Address]evm.Word, assign func(types.Address
 		}
 		if cfg.Fault.HasCrashes() {
 			sc.blockDelta = make([]Stats, cfg.K)
-			sc.wal = make([]walRecord, cfg.K)
 		}
 	}
 	for addr, bal := range alloc {
@@ -623,13 +623,10 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 	sc.clock++
 	if sc.cfg.Fault != nil {
 		sc.pruneSeen()
-		if sc.wal != nil {
-			// The durable point is the block boundary *entering* this block:
-			// it must capture mutations made between blocks (opsim funding
-			// accounts, external migrations), which a previous block's exit
-			// snapshot would miss. blockDelta restarts with it — it tracks
-			// only what a crash in *this* block would discard.
-			sc.journalBarrier()
+		if sc.blockDelta != nil {
+			// blockDelta restarts with the durable point — it tracks only
+			// what a crash in *this* block would discard.
+			sc.journalVictims()
 			for i := range sc.blockDelta {
 				sc.blockDelta[i] = Stats{}
 			}
@@ -649,17 +646,8 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 	} else {
 		sc.stepSerial(txs, receipts)
 	}
-	if sc.cfg.Fault != nil {
-		for _, s := range sc.cfg.Fault.CrashedShards(sc.clock) {
-			if s < sc.cfg.K {
-				sc.recoverShard(s, txs, receipts)
-			} else {
-				// The schedule named a lane that a merge has since
-				// decommissioned; count it instead of dropping it silently,
-				// so a mis-aimed chaos scenario is visible in the metrics.
-				sc.cfg.Fault.Metrics.CrashesSkipped.Add(1)
-			}
-		}
+	for i := range sc.wal {
+		sc.recoverShard(&sc.wal[i], txs, receipts)
 	}
 	sc.exchangeOutboxes()
 	return receipts

@@ -121,13 +121,18 @@ func TestScenarioRecordValidity(t *testing.T) {
 			// generator executed. It keeps no history, so a twin generator
 			// of the same seed replays the stream block by block; a sender's
 			// first nonce continues from the state the bootstrap blocks
-			// left. A block skips nothing (NextBlock fails otherwise), so
-			// the queued transactions are the executed ones.
+			// left, read from a second twin that never steps. A block skips
+			// nothing (NextBlock fails otherwise), so the queued
+			// transactions are the executed ones.
 			twin, err := NewScenario(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			boot := twin.State().Copy()
+			bootGen, err := NewScenario(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boot := bootGen.State()
 			nonces := map[types.Address]uint64{}
 			for {
 				b, ok, err := twin.NextBlock()
