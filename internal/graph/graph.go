@@ -15,7 +15,9 @@
 // table instead of hash maps. Adjacency rows are append-only slices of
 // half edges carved from a shared arena; rows that grow past a threshold
 // (hub contracts) gain a lazily built position index so edge lookups stay
-// O(1) without paying a map per vertex.
+// O(1) without paying a map per vertex. Reset empties a graph but keeps
+// that storage, so a window graph rebuilt at every repartition wave grows
+// it once instead of at every wave.
 package graph
 
 import (
@@ -287,14 +289,24 @@ func (g *Graph) EnsureVertex(id VertexID, kind Kind) bool {
 	g.kinds = append(g.kinds, kind)
 	g.weights = append(g.weights, 0)
 	g.touch = append(g.touch, g.epoch)
-	g.out = append(g.out, row{})
-	g.in = append(g.in, row{})
+	g.out = extendRows(g.out)
+	g.in = extendRows(g.in)
 	g.indexSlot(id, s)
 	if g.sched != nil {
 		g.sched.vdec = append(g.sched.vdec, 0)
 		g.scheduleVertex(id, s)
 	}
 	return true
+}
+
+// extendRows appends an empty row. Within capacity it re-extends over the
+// row a Reset emptied, keeping that row's backing; every row past the
+// length is empty (zero from append's growth, or emptied by Reset).
+func extendRows(rs []row) []row {
+	if n := len(rs); n < cap(rs) {
+		return rs[:n+1]
+	}
+	return append(rs, row{})
 }
 
 // indexSlot records the VertexID -> slot mapping, growing the table to id.
@@ -550,6 +562,31 @@ func (g *Graph) Edges(fn func(u, v VertexID, w int64) bool) {
 			}
 		}
 	}
+}
+
+// Reset empties g, as New would, but keeps its storage for the next fill:
+// the slot table (wiped through the live IDs, so MaxID keeps its
+// high-water mark), the per-slot record slices, every slot's row backing
+// and the row-block arena. A graph refilled window after window therefore
+// allocates only where a window outgrows the ones before it. A decaying
+// graph cannot be reset — its decay schedule has no empty state to return
+// to — and Reset panics on one.
+func (g *Graph) Reset() {
+	if g.sched != nil {
+		panic("graph: Reset on a graph built by NewDecaying")
+	}
+	for _, id := range g.ids {
+		g.slot[id] = -1
+	}
+	// A row's position index is dropped, not cleared: a row at or under
+	// rowIndexThreshold has none and is scanned.
+	for s := range g.out {
+		g.out[s] = row{e: g.out[s].e[:0]}
+		g.in[s] = row{e: g.in[s].e[:0]}
+	}
+	g.ids, g.kinds, g.weights, g.touch = g.ids[:0], g.kinds[:0], g.weights[:0], g.touch[:0]
+	g.out, g.in = g.out[:0], g.in[:0]
+	g.numEdges, g.totalEdgeWeight, g.totalVertWeight = 0, 0, 0
 }
 
 // Clone returns a deep copy of g.

@@ -25,6 +25,10 @@ type arena struct {
 	tmp slab[int32]
 	// heap is the queue; see queue.
 	heap gainHeap
+	// odd is a bisection's second stack: the one odd ladder level that
+	// exists at a time (coarsen, refine). Its own quantum is zero, so its
+	// chunks are sized by the requests of the largest odd level.
+	odd *arena
 }
 
 // newArena returns an arena for a task on a graph of n vertices: buffers

@@ -11,9 +11,10 @@ import (
 // runtime.MemStats.TotalAlloc of one k = 4 Partition of the power-law
 // digest graph (5,070 vertices, 38,304 half-edges, a 0.54 MiB CSR) under
 // one P, so no trial arena is started beside the caller. Measured
-// 3,500,672 B (6.2× the CSR) with int32 edge weights and gains, 8-byte
-// heap entries and one grown queue per arena; 8,765,664 B with the int64
-// partitioner and its per-call queues. The ceiling sits between.
+// 2,942,048 B (5.2× the CSR) with the ladder stored at every other level,
+// 3,500,672 B with every level stored (int32 edge weights and gains, 8-byte
+// heap entries and one grown queue per arena), 8,765,664 B with the int64
+// partitioner and its per-call queues. The ceiling sits above the second.
 func TestPartitionBytes(t *testing.T) {
 	const ceiling = 4 << 20
 	c := powerLawCSR()

@@ -5,7 +5,10 @@ import (
 )
 
 // level is one rung of the coarsening ladder: the fine graph and the map
-// from its vertices to the coarse graph built from it.
+// from its vertices to the coarse graph built from it. The ladder stores
+// the graphs of its even levels (the input is level 0) and of its coarsest
+// level; an odd level below the coarsest has a nil fine graph, and
+// refine re-contracts it from the level above it on the way up (rebuild).
 type level struct {
 	fine *mlGraph
 	cmap []int32
@@ -66,11 +69,13 @@ func heavyEdgeMatching(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random
 
 // contract builds the coarse graph induced by cmap: matched pairs merge
 // their vertex weights, parallel edges merge their weights, and edges
-// internal to a pair disappear.
-func contract(a *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
+// internal to a pair disappear. The coarse graph is allocated in dst, its
+// tables in a.tmp. contract is a pure function of g and cmap, so a level
+// contracted twice is the same graph twice.
+func contract(a, dst *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 	coarse := &mlGraph{
-		xadj:    a.i32.alloc(nCoarse + 1),
-		vw:      a.i64.zeroed(nCoarse),
+		xadj:    dst.i32.alloc(nCoarse + 1),
+		vw:      dst.i64.zeroed(nCoarse),
 		totalVW: g.totalVW,
 	}
 	// The coarse adjacency is at most as long as the fine one: targets and
@@ -78,31 +83,32 @@ func contract(a *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 	// weights are moved down behind the targets and the buffer is shrunk to
 	// its exact length.
 	m := len(g.adj)
-	buf := a.i32.alloc(2 * m)
+	buf := dst.i32.alloc(2 * m)
 	adj, adjw := buf[:m], buf[m:]
 	defer a.tmp.release(a.tmp.mark())
-	// first and second list the (one or two) fine vertices of each coarse
-	// vertex, in ascending fine order.
-	first := a.tmp.filled(nCoarse, -1)
-	second := a.tmp.filled(nCoarse, -1)
-	// mark[u] records the coarse vertex currently accumulating edge u,
-	// pos[u] where in the adjacency its weight lives. Deterministic (fill
-	// order follows member iteration) and allocation-free per coarse vertex.
-	mark := a.tmp.filled(nCoarse, -1)
-	pos := a.tmp.alloc(nCoarse)
+	// members[2c] and members[2c+1] are the (one or two) fine vertices of
+	// coarse vertex c, in ascending fine order; -1 marks a missing second.
+	members := a.tmp.filled(2*nCoarse, -1)
+	// pos[cu] is where coarse neighbour cu was last written in the
+	// adjacency. Rows are written in order, so it lies at or past the
+	// current row's start exactly when the row already lists cu, and the
+	// edge's weight accumulates there: one table lookup per fine edge,
+	// allocation-free per coarse vertex.
+	pos := a.tmp.filled(nCoarse, -1)
 	for v := int32(0); int(v) < g.n(); v++ {
 		c := cmap[v]
-		if first[c] < 0 {
-			first[c] = v
+		if members[2*c] < 0 {
+			members[2*c] = v
 		} else {
-			second[c] = v
+			members[2*c+1] = v
 		}
 		coarse.vw[c] += g.vw[v]
 	}
 	used := int32(0)
 	coarse.xadj[0] = 0
 	for c := int32(0); int(c) < nCoarse; c++ {
-		for _, v := range [2]int32{first[c], second[c]} {
+		start := used
+		for _, v := range members[2*c : 2*c+2] {
 			if v < 0 {
 				continue
 			}
@@ -112,28 +118,31 @@ func contract(a *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 				if cu == c {
 					continue
 				}
-				if mark[cu] != c {
-					mark[cu] = c
+				if q := pos[cu]; q >= start {
+					adjw[q] += w[p]
+				} else {
 					pos[cu] = used
 					adj[used] = cu
 					adjw[used] = w[p]
 					used++
-				} else {
-					adjw[pos[cu]] += w[p]
 				}
 			}
 		}
 		coarse.xadj[c+1] = used
 	}
 	copy(buf[used:], adjw[:used])
-	buf = a.i32.shrink(buf, 2*int(used))
+	buf = dst.i32.shrink(buf, 2*int(used))
 	coarse.adj, coarse.adjw = buf[:used:used], buf[used:]
 	return coarse
 }
 
 // coarsen builds the ladder of successively coarser graphs, stopping when
 // the graph is small enough (coarsenTo) or matching stops making progress.
+// Every cmap and the graphs of the even levels live in a. Each odd level is
+// built on a.odd and dropped from it once the next level is contracted
+// from it, unless it is the coarsest; so a.odd holds at most one graph.
 func coarsen(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) []level {
+	a.odd = new(arena)
 	var ladder []level
 	cur := g
 	for cur.n() > coarsenTo {
@@ -141,10 +150,23 @@ func coarsen(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) []l
 		if float64(nCoarse) > 0.95*float64(cur.n()) {
 			break // diminishing returns; stop coarsening
 		}
-		next := contract(a, cur, cmap, nCoarse)
-		ladder = append(ladder, level{fine: cur, cmap: cmap})
-		cur = next
+		// cur is level len(ladder); the next level is one coarser.
+		if nextOdd := len(ladder)%2 == 0; nextOdd {
+			ladder = append(ladder, level{fine: cur, cmap: cmap})
+			cur = contract(a, a.odd, cur, cmap, nCoarse)
+		} else {
+			ladder = append(ladder, level{cmap: cmap}) // refine rebuilds cur
+			cur = contract(a, a, cur, cmap, nCoarse)
+			a.odd.release(arenaMark{})
+		}
 	}
 	ladder = append(ladder, level{fine: cur, cmap: nil})
 	return ladder
+}
+
+// rebuild re-contracts odd level i of ladder on a.odd from the level above
+// it, which the ladder stores.
+func rebuild(a *arena, ladder []level, i int) *mlGraph {
+	up := ladder[i-1]
+	return contract(a, a.odd, up.fine, up.cmap, len(ladder[i].cmap))
 }

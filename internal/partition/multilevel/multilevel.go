@@ -228,8 +228,8 @@ func (r *run) draw(a *arena, g *mlGraph, targetLeft int64) drawn {
 
 // refine is the second half: polish every trial by FM — side by side where
 // slots are free — keep the first of the smallest cut, then uncoarsen,
-// projecting through the ladder and refining at each level. The returned
-// side of the finest graph lives in a.
+// projecting through the ladder (re-contracting its odd levels) and
+// refining at each level. The returned side of the finest graph lives in a.
 func (r *run) refine(a *arena, d drawn) []uint8 {
 	coarsest := d.ladder[len(d.ladder)-1].fine
 	cuts := make([]int64, len(d.trials))
@@ -252,9 +252,18 @@ func (r *run) refine(a *arena, d drawn) []uint8 {
 		}
 	}
 
+	// Each step first empties a.odd of the level above it: the coarsest
+	// (read no more once a trial is picked; it sits there when its level
+	// is odd), then each rebuilt level once its side is projected. The
+	// rebuilds run smallest first, so each fits the chunks the way down
+	// left.
 	side := d.trials[best]
 	for i := len(d.ladder) - 2; i >= 0; i-- {
+		a.odd.release(arenaMark{})
 		fine, cmap := d.ladder[i].fine, d.ladder[i].cmap
+		if fine == nil {
+			fine = rebuild(a, d.ladder, i)
+		}
 		fineSide := a.u8.alloc(fine.n())
 		for v := range fineSide {
 			fineSide[v] = side[cmap[v]]

@@ -217,7 +217,8 @@ func TestContractPreservesTotals(t *testing.T) {
 	c := graph.NewCSR(g)
 	ml := fromCSR(new(arena), c, true)
 	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, ml.totalVW/4, false)
-	coarse := contract(new(arena), ml, cmap, nCoarse)
+	a := new(arena)
+	coarse := contract(a, a, ml, cmap, nCoarse)
 
 	if coarse.totalVW != ml.totalVW {
 		t.Errorf("coarse totalVW = %d, want %d", coarse.totalVW, ml.totalVW)

@@ -23,20 +23,24 @@ import (
 
 // flightBudget bounds the partitions running at once by the records their
 // sources hold, as a multiple of the trace's. A partition's scratch grows
-// with its input (34.5 MiB at the peak for the final era CSR's 6.10 MiB,
-// mostly the root bisection's coarsening ladder; DESIGN §4), and no inline
-// wave partitions more than the whole trace, so the lookahead's partitions
-// together need at most half again the scratch of the largest inline wave.
-// Swept on the ledger's fig-replay (2 vCPU, go1.24, seeds 4–7, each seed's
-// runs alternated with the int64 partitioner at 1.25), medians:
+// with its input, most of it the root bisection's coarsening ladder (DESIGN
+// §4), and no inline wave partitions more than the whole trace, so the
+// lookahead's partitions together need at most half again the scratch of
+// the largest inline wave. Swept on the ledger's fig-replay (2 vCPU, go1.24,
+// seeds 4–7, each seed's runs alternated), medians:
 //
 //	budget              1.25 (int64)  1.25    1.5     1.75
 //	peak_sys_mb         202.8         176.7   188.5   202.8
 //	records_per_s       206k          241k    239k    278k
 //
-// 1.75 only ties on these seeds and reads 210.8 against 202.6 MiB on seeds
-// 1–3 and 8, so 1.5 is the largest budget that holds the peak at or under
-// the int64 partitioner's.
+// and again once the ladder stopped storing its odd levels:
+//
+//	budget              1.5     1.75
+//	peak_sys_mb         178.5   198.7
+//	records_per_s       252k    264k
+//
+// Both times 1.75 took some seed's peak past the int64 partitioner's
+// 202.8 MiB, so 1.5 stays the largest budget that holds it.
 const flightBudget = 1.5
 
 // lookaheadEligible reports whether every wave the simulator can fire
@@ -116,7 +120,7 @@ func (la *lookahead) run(records []trace.Record, clk clock, cumulative bool, ml 
 			var csr *graph.CSR
 			if win.VertexCount() > 0 {
 				csr = csrb.Build(win)
-				win = graph.New()
+				win.Reset()
 			}
 			n := i - lastWave // records in the source
 			if cumulative {

@@ -402,9 +402,12 @@ type Simulator struct {
 
 	full *graph.Graph // cumulative graph
 	// window is the graph of interactions since the last wave, kept only
-	// when a same-k wave partitions it inline (nil otherwise).
-	window *graph.Graph
-	assign *partition.Assignment
+	// when a same-k wave partitions it inline (nil otherwise); a wave
+	// resets it. decayedWindow is the storage decayedWindowGraph refills
+	// at every wave (nil unless the policy's source is the decayed window).
+	window        *graph.Graph
+	decayedWindow *graph.Graph
+	assign        *partition.Assignment
 
 	hash partition.Hash
 	ml   *multilevel.Partitioner
@@ -524,6 +527,9 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	if pol.source != sourceFull {
 		s.window = graph.New()
+	}
+	if pol.source == sourceDecayedWindow {
+		s.decayedWindow = graph.New()
 	}
 	if cfg.DecayHalfLife > 0 {
 		s.decayFactor = math.Exp2(-float64(cfg.Window) / float64(cfg.DecayHalfLife))

@@ -82,11 +82,11 @@ func (s *Simulator) wave(now time.Time, newK int) error {
 		}
 	}
 
-	// Every wave restarts the window graph and advances the wave clock the
+	// Every wave resets the window graph and advances the wave clock the
 	// repartition policy and the autoscaler's cooldown share.
 	s.clk.lastWave = now
 	if s.window != nil {
-		s.window = graph.New()
+		s.window.Reset()
 	}
 	s.winReparted = true
 	s.winMoves += int64(moves)
@@ -220,9 +220,11 @@ func (s *Simulator) assignedFrom(minShard int) []graph.VertexID {
 // graph, but seeing recency-weighted adjacency instead of raw period
 // counts. Window vertices whose every trace of activity has already
 // retired from the live graph are kept as isolated vertices, so the
-// partitioner still re-balances them.
+// partitioner still re-balances them. The graph is s.decayedWindow, reset
+// and refilled at every wave.
 func (s *Simulator) decayedWindowGraph() *graph.Graph {
-	u := graph.New()
+	u := s.decayedWindow
+	u.Reset()
 	s.window.Vertices(func(id graph.VertexID, kind graph.Kind, _ int64) bool {
 		if !s.full.HasVertex(id) {
 			// Retired mid-period: no decayed adjacency survives, but the
