@@ -33,6 +33,30 @@ func TestAllocsApplyTransaction(t *testing.T) {
 	}
 }
 
+// TestAllocsApplyTransactionInto: the same transfer written into a reused
+// receipt allocates nothing — the VM records the one-entry trace into the
+// receipt's old trace array.
+func TestAllocsApplyTransactionInto(t *testing.T) {
+	s := fundedState()
+	s.AddBalance(recv, evm.WordFromUint64(1))
+	s.AddBalance(miner, evm.WordFromUint64(1))
+	s.DiscardJournal()
+	tx := transferTx(0, 1)
+	var receipt Receipt
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := ApplyTransactionInto(s, tx, miner, nil, &receipt); err != nil {
+			t.Fatal(err)
+		}
+		tx.Nonce++
+	})
+	if allocs != 0 {
+		t.Errorf("ApplyTransactionInto of a plain transfer into a reused receipt: %v allocs, want 0", allocs)
+	}
+	if !receipt.Success || len(receipt.Traces) != 1 {
+		t.Errorf("last receipt: success %v, %d traces; want a success with 1", receipt.Success, len(receipt.Traces))
+	}
+}
+
 // TestAllocsStateAccess: reading or crediting an existing account allocates
 // nothing (the journal entry lands in the reused journal slice).
 func TestAllocsStateAccess(t *testing.T) {

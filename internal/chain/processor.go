@@ -35,7 +35,11 @@ func ApplyTransaction(state *State, tx *Transaction, miner types.Address) (*Rece
 // with an optional cross-shard call interceptor installed in the VM (see
 // evm.RemoteHook). The sharded execution engine uses it to divert internal
 // calls that leave the executing shard into receipts. *receipt is
-// overwritten whole; when validation rejects tx it holds only the hash.
+// overwritten whole, except that the VM records this transaction's calls
+// into the backing array of its old Traces (evm.VM.ReuseTraces), so a
+// receipt reused transaction after transaction records without allocating.
+// When validation rejects tx the receipt holds only the hash and an empty
+// trace.
 func ApplyTransactionInto(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
 	return applyTransaction(state, tx, miner, hook, receipt)
 }
@@ -48,7 +52,8 @@ func gasValue(gas, price uint64) evm.Word {
 }
 
 func applyTransaction(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
-	*receipt = Receipt{TxHash: tx.Hash()}
+	traces := receipt.Traces[:0]
+	*receipt = Receipt{TxHash: tx.Hash(), Traces: traces}
 
 	if got := state.GetNonce(tx.From); got != tx.Nonce {
 		return fmt.Errorf("%w: account %v has nonce %d, tx has %d",
@@ -71,6 +76,7 @@ func applyTransaction(state *State, tx *Transaction, miner types.Address, hook e
 
 	snap := state.Snapshot()
 	vm := evm.New(state)
+	vm.ReuseTraces(traces)
 	if hook != nil {
 		vm.SetRemoteHook(hook)
 	}
@@ -107,7 +113,8 @@ func applyTransaction(state *State, tx *Transaction, miner types.Address, hook e
 	receipt.Success = execErr == nil
 	receipt.Err = execErr
 	receipt.GasUsed = gasUsed
-	// The VM is single-use, so its trace slice is the receipt's from here.
+	// The VM is single-use, so its trace slice is the receipt's from here
+	// (in the receipt's own backing array when it had one).
 	receipt.Traces = vm.Traces()
 	return nil
 }

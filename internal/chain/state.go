@@ -107,7 +107,19 @@ type State struct {
 	// accounts are remembered, so creating one needs no invalidation;
 	// every path that removes or replaces a map entry calls forget.
 	recent [2]resolved
+	// spare is the unused rest of the block new accounts are carved from
+	// (newAccount).
+	spare []Account
 }
+
+// accountBlock is how many accounts one allocation holds. A State carves
+// each new account from its current block, so first sight of an address
+// costs a heap object only once in accountBlock creations. A slot is used
+// once: an account that a revert, DeleteAccount or TransplantAccount takes
+// out of the map keeps its slot, and the block lives while any of its
+// accounts is reachable — from this State or from the one it was
+// transplanted to.
+const accountBlock = 128
 
 // resolved is one remembered address → account resolution.
 type resolved struct {
@@ -127,7 +139,9 @@ func NewState() *State {
 func NewStateWithAlloc(alloc map[types.Address]evm.Word) *State {
 	s := NewState()
 	for addr, bal := range alloc {
-		s.accounts[addr] = &Account{Balance: bal}
+		acc := s.newAccount()
+		acc.Balance = bal
+		s.accounts[addr] = acc
 	}
 	return s
 }
@@ -203,9 +217,20 @@ func (s *State) getOrNew(addr types.Address) *Account {
 	if acc := s.lookup(addr); acc != nil {
 		return acc
 	}
-	acc := &Account{}
+	acc := s.newAccount()
 	s.accounts[addr] = acc
 	s.journal = append(s.journal, journalEntry{kind: journalAccountCreated, addr: addr})
+	return acc
+}
+
+// newAccount returns a zero account carved from the current block, cutting
+// a new block when it is used up (accountBlock).
+func (s *State) newAccount() *Account {
+	if len(s.spare) == 0 {
+		s.spare = make([]Account, accountBlock)
+	}
+	acc := &s.spare[0]
+	s.spare = s.spare[1:]
 	return acc
 }
 

@@ -122,6 +122,59 @@ func (p *pairedState) check(t *testing.T, rng *rand.Rand, addrs []types.Address,
 	}
 }
 
+// carving tracks which account block (accountBlock) each account was
+// carved from, so the property test can show that creates, reverts of
+// creates and transplants happen both in a State's first block and in a
+// later one.
+type carving struct {
+	blocks map[*State]int    // blocks cut so far
+	block  map[*Account]int  // the block an account was carved from, 0 first
+	hit    map[string][2]int // event → count in the first block, in a later one
+}
+
+func newCarving() *carving {
+	return &carving{blocks: map[*State]int{}, block: map[*Account]int{}, hit: map[string][2]int{}}
+}
+
+func (c *carving) count(event string, acc *Account) {
+	b, ok := c.block[acc]
+	if !ok {
+		return
+	}
+	h := c.hit[event]
+	h[min(b, 1)]++
+	c.hit[event] = h
+}
+
+// created records the account an operation on s carved for addr, if it
+// carved one; spareBefore is len(s.spare) before the operation.
+func (c *carving) created(s *State, addr types.Address, spareBefore int) {
+	if len(s.spare) == spareBefore {
+		return
+	}
+	if spareBefore == 0 {
+		c.blocks[s]++
+	}
+	acc := s.accounts[addr]
+	c.block[acc] = c.blocks[s] - 1
+	c.count("create", acc)
+}
+
+// revert runs revert on s and counts every account it un-created: one that
+// was in the map before and is gone, or replaced, after.
+func (c *carving) revert(s *State, revert func()) {
+	before := make(map[types.Address]*Account, len(s.accounts))
+	for addr, acc := range s.accounts {
+		before[addr] = acc
+	}
+	revert()
+	for addr, acc := range before {
+		if s.accounts[addr] != acc {
+			c.count("revert of create", acc)
+		}
+	}
+}
+
 // TestPropertyStateMatchesOracle drives two States through random
 // mutations, snapshots, reverts, journal discards, held blocks and account
 // transplants between them, against the oracle, checking every getter and
@@ -134,13 +187,19 @@ func (p *pairedState) check(t *testing.T, rng *rand.Rand, addrs []types.Address,
 // (the zero address among them — the sharded engine's miner) so the
 // two-entry resolver is always being evicted, re-filled and invalidated;
 // the cases that bite are revert-of-create and delete-then-recreate of a
-// remembered address.
+// remembered address. A State carves about 85 accounts in a run, so each
+// starts with a random share of its first account block used up (an
+// account outside the universe created and deleted), which puts a block
+// boundary at a random point of most runs; the test requires a create, a
+// revert of a create and a transplant of an account from a State's first
+// block and of one from a later block.
 func TestPropertyStateMatchesOracle(t *testing.T) {
 	addrs := []types.Address{{}}
 	for i := uint64(1); i <= 5; i++ {
 		addrs = append(addrs, types.AddressFromSeq(i))
 	}
 	keys := []evm.Word{evm.WordFromUint64(1), evm.WordFromUint64(2), evm.WordFromUint64(3)}
+	carved := newCarving()
 
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Logf("seed %d", seed) // printed with a failure, which names only the step
@@ -148,6 +207,16 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 		ps := [2]*pairedState{
 			{s: NewState(), o: oracleState{}},
 			{s: NewState(), o: oracleState{}},
+		}
+		burn := types.AddressFromSeq(99)
+		for _, p := range ps {
+			for n := rng.Intn(accountBlock); n > 0; n-- {
+				spare := len(p.s.spare)
+				p.s.CreateAccount(burn)
+				carved.created(p.s, burn, spare)
+				p.s.DeleteAccount(burn)
+			}
+			p.s.DiscardJournal()
 		}
 		check := func(step int, what string) {
 			t.Helper()
@@ -161,6 +230,7 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 			p := ps[rng.Intn(2)]
 			addr := addrs[rng.Intn(len(addrs))]
 			amount := evm.WordFromUint64(uint64(rng.Intn(50)))
+			defer carved.created(p.s, addr, len(p.s.spare))
 			switch rng.Intn(14) {
 			case 0, 1:
 				p.s.AddBalance(addr, amount)
@@ -209,7 +279,7 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 					return "RevertToSnapshot (none taken)", false
 				}
 				i := rng.Intn(len(p.snaps))
-				p.s.RevertToSnapshot(p.snaps[i].id)
+				carved.revert(p.s, func() { p.s.RevertToSnapshot(p.snaps[i].id) })
 				p.o = p.snaps[i].want
 				p.snaps = p.snaps[:i]
 				return "RevertToSnapshot", false
@@ -234,6 +304,7 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 					}
 					delete(src.o, addr)
 					dst.o[addr] = a
+					carved.count("transplant", dst.s.accounts[addr])
 				}
 				// A transplant is not journaled; its callers discard both
 				// journals, as a migration always has.
@@ -262,12 +333,19 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 			what := "ReleaseJournal"
 			if !transplanted && rng.Intn(2) == 0 {
 				what = "RevertToSnapshot(0), ReleaseJournal"
-				p.s.RevertToSnapshot(0)
+				carved.revert(p.s, func() { p.s.RevertToSnapshot(0) })
 				p.o = base
 			}
 			p.s.ReleaseJournal()
 			p.snaps = nil
 			check(step, what)
+		}
+	}
+	for _, event := range []string{"create", "revert of create", "transplant"} {
+		h := carved.hit[event]
+		t.Logf("%s: %d in a first account block, %d in a later one", event, h[0], h[1])
+		if h[0] == 0 || h[1] == 0 {
+			t.Errorf("%s: %d in a first account block, %d in a later one; want both", event, h[0], h[1])
 		}
 	}
 }

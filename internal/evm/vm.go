@@ -41,7 +41,9 @@ type RemoteHook func(from, to types.Address, value Word, input []byte) bool
 
 // VM executes bytecode against a StateDB and records a call trace. A VM
 // instance is single-use per transaction: create one, run Call or Create
-// once, read Traces.
+// once, read Traces. By default the trace is a fresh slice; a caller that
+// executes transaction after transaction can hand the VM an old trace's
+// backing array (ReuseTraces) and so record without allocating.
 //
 // The zero value is not usable; call New.
 type VM struct {
@@ -57,6 +59,12 @@ func New(state StateDB) *VM {
 
 // SetRemoteHook installs a cross-shard call interceptor (see RemoteHook).
 func (vm *VM) SetRemoteHook(hook RemoteHook) { vm.remote = hook }
+
+// ReuseTraces makes the VM record its call trace into buf's backing array,
+// starting empty. It must be called before Call or Create. Whatever buf
+// held is overwritten, so the caller must be done with it —
+// chain.ApplyTransactionInto passes the receipt's previous trace.
+func (vm *VM) ReuseTraces(buf []CallTrace) { vm.traces = buf[:0] }
 
 // Traces returns the call trace accumulated so far. The slice is the VM's
 // own; since a VM is single-use, a caller that is done executing may keep

@@ -914,7 +914,8 @@ func (x *executor) materialise(id uint64, addr types.Address) {
 	st := x.sc.StateOf(x.sc.HomeOf(addr))
 	st.AddBalance(addr, x.cfg.fund)
 	if x.gt.Registry.IsContract(id) {
-		for i := 0; i < x.cfg.Sim.StorageSlots(graph.VertexID(id)); i++ {
+		slots := x.cfg.Sim.StorageSlots(graph.VertexID(id)) // a footprint-map probe
+		for i := 0; i < slots; i++ {
 			st.SetState(addr, evm.WordFromUint64(uint64(i+1)), evm.WordFromUint64(1))
 		}
 	}

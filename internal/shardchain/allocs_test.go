@@ -16,10 +16,9 @@ import (
 // stepAllocs measures a warm Step of 32 plain transfers on two shards, of
 // which every crossEvery-th is cross-shard (0: none), and returns the
 // allocations per Step together with how many of the 32 execute through the
-// VM — each of those allocates the one-entry call trace its receipt keeps.
-// A cross sender's recipient is picked, every block, on the shard the sender
-// is not on: under ModelMigration the sender follows its transfer, so the
-// pattern stays cross.
+// VM. A cross sender's recipient is picked, every block, on the shard the
+// sender is not on: under ModelMigration the sender follows its transfer,
+// so the pattern stays cross.
 func stepAllocs(t *testing.T, model Model, crossEvery int) (allocs float64, executed int) {
 	t.Helper()
 	const n = 32
@@ -75,12 +74,12 @@ func stepAllocs(t *testing.T, model Model, crossEvery int) (allocs float64, exec
 	return allocs, int(d.LocalTxs) / 51 // AllocsPerRun runs block once more to warm up
 }
 
-// TestAllocsStep: beyond the trace of each transaction the VM executes, a
-// warm Step allocates two objects — the receipt slab and the slice of
-// pointers into it — whatever the mix of local and cross-shard items: no
-// per-item effects, closures, receipts or transactions, and nothing per
-// migration (a transplant re-parents the account). The ceiling is that
-// measured 2 plus one.
+// TestAllocsStep: a warm Step allocates nothing, whatever the mix of local
+// and cross-shard items. The receipts are the chain's, rewritten by every
+// Step; each executed transaction records its call trace into its receipt
+// slot's old trace array; there are no per-item effects, closures or
+// transactions; and nothing is allocated per migration (a transplant
+// re-parents the account).
 func TestAllocsStep(t *testing.T) {
 	for _, model := range []Model{ModelReceipts, ModelMigration} {
 		for _, crossEvery := range []int{4, 0} {
@@ -96,11 +95,10 @@ func TestAllocsStep(t *testing.T) {
 			if executed != wantExecuted {
 				t.Fatalf("%v, %s: %d transactions executed per Step, want %d", model, mix, executed, wantExecuted)
 			}
-			if fixed := allocs - float64(executed); fixed > 3 {
-				t.Errorf("%v, %s: %v allocs per Step = %d traces + %v, want traces + <= 3",
-					model, mix, allocs, executed, fixed)
+			if allocs != 0 {
+				t.Errorf("%v, %s: %v allocs per Step (%d executed), want 0", model, mix, allocs, executed)
 			} else {
-				t.Logf("%v, %s: %v allocs per Step = %d traces + %v", model, mix, allocs, executed, fixed)
+				t.Logf("%v, %s: %v allocs per Step (%d executed)", model, mix, allocs, executed)
 			}
 		}
 	}
@@ -178,8 +176,10 @@ func crashStepBytes(t *testing.T, funded int) uint64 {
 // wrote, not what the shard holds. The victim holds its journal for the
 // block and unwinds it, and only its inbox and applied-receipt journal are
 // copied, so a Step in which shard 0 crashes allocates the same heap bytes
-// with 50k funded accounts on that shard as with 1k. A deep copy of the
-// victim's state would add about a hundred bytes per account.
+// with 50k funded accounts on that shard as with 1k: 4,515 B on a 2-vCPU
+// linux/amd64 box with go1.24, none of it receipts or traces, which Step
+// reuses. A deep copy of the victim's state would add about a hundred
+// bytes per account.
 func TestAllocsCrashBlockIndependentOfStateSize(t *testing.T) {
 	small, large := crashStepBytes(t, 1_000), crashStepBytes(t, 50_000)
 	t.Logf("crash Step: %d B with 1k funded accounts on the victim, %d B with 50k", small, large)

@@ -225,6 +225,11 @@ type ShardChain struct {
 	itemShard int
 	itemHook  evm.RemoteHook
 
+	// Step's receipts: slab holds them, receipts points into it, and both
+	// grow to the largest block seen and are rewritten by every Step.
+	slab     []chain.Receipt
+	receipts []*chain.Receipt
+
 	// Fault-plane state (see fault.go); all nil/zero unless Config.Fault
 	// arms it. nextReceiptID feeds delivery-hop identities, blockDelta
 	// accumulates each shard's stat deltas within the current block (the
@@ -546,7 +551,9 @@ func (sc *ShardChain) execShardOf(tx *chain.Transaction, h *homes) int {
 // is required — and a nonce failure is reported as what it is, matching
 // the semantics of chain.ApplyTransaction.
 func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects, receipt *chain.Receipt) {
-	*receipt = chain.Receipt{TxHash: tx.Hash()}
+	// Nothing executes, so the trace is empty; its backing array stays with
+	// the receipt for the next transaction that does execute in this slot.
+	*receipt = chain.Receipt{TxHash: tx.Hash(), Traces: receipt.Traces[:0]}
 	st := sc.shards[sender].state
 	if st.GetNonce(tx.From) != tx.Nonce {
 		eff.stats.Failed++
@@ -619,6 +626,11 @@ func (sc *ShardChain) runTxSerial(tx *chain.Transaction, receipt *chain.Receipt)
 // executes the given transactions, and delivers newly emitted receipts at
 // the block barrier. Transactions execute on the home shard of their
 // target (creation transactions on the sender's shard).
+//
+// The returned receipts, one per transaction, belong to the chain and are
+// valid until the next Step, which rewrites them in place — call traces
+// included (chain.ApplyTransactionInto). A caller that needs a receipt for
+// longer copies what it needs before stepping again.
 func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 	sc.clock++
 	if sc.cfg.Fault != nil {
@@ -632,13 +644,7 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 			}
 		}
 	}
-	// One slab of receipts per Step, never reused: the returned pointers
-	// stay valid for as long as the caller keeps them.
-	slab := make([]chain.Receipt, len(txs))
-	receipts := make([]*chain.Receipt, len(txs))
-	for i := range slab {
-		receipts[i] = &slab[i]
-	}
+	receipts := sc.receiptsFor(len(txs))
 	// Only a receipts-model block fans out; a migration-model chain cannot
 	// tell (the engines are byte-identical) and is faster serial.
 	if sc.cfg.Parallel && sc.cfg.Model == ModelReceipts {
@@ -651,6 +657,21 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 	}
 	sc.exchangeOutboxes()
 	return receipts
+}
+
+// receiptsFor returns n receipt slots for this Step's transactions. Slots
+// keep whatever the last Step wrote — every engine path overwrites its
+// slot whole, keeping only the trace's backing array — and a growing slab
+// carries the old slots over, so the trace arrays survive growth too.
+func (sc *ShardChain) receiptsFor(n int) []*chain.Receipt {
+	if n > len(sc.slab) {
+		sc.slab = append(sc.slab, make([]chain.Receipt, n-len(sc.slab))...)
+		sc.receipts = sc.receipts[:0]
+		for i := range sc.slab {
+			sc.receipts = append(sc.receipts, &sc.slab[i])
+		}
+	}
+	return sc.receipts[:n:n]
 }
 
 // stepSerial is the reference engine: settle then execute, one item at a
