@@ -22,7 +22,9 @@ import (
 // tier holds 10k or 200k entries. Both directories span the same ID range,
 // so their page tables (8 B per 1024 IDs of range — the one term that is
 // not constant, 3.1 KiB a tier here) are equally long and the two
-// measurements must agree. Measured at 3.7–7.9 KiB.
+// measurements must agree. Page tables are carved from slabs of eight of
+// the same length, so every kind pays its share of the slabs. Measured at
+// 3.3–5.6 KiB.
 func TestAllocsTierMoveIndependentOfColdCount(t *testing.T) {
 	const (
 		universe = 400_000 // odd IDs stay hot, so no page ever empties
@@ -77,6 +79,7 @@ func TestAllocsTierMoveIndependentOfColdCount(t *testing.T) {
 	small, large := measure(40), measure(2) // 10k and 200k cold entries
 	for kind, s := range small {
 		l := large[kind]
+		t.Logf("%s-one commit: %d B at 10k cold, %d B at 200k cold", kind, s, l)
 		if s > ceiling || l > ceiling {
 			t.Errorf("%s-one commit: %d B at 10k cold, %d B at 200k cold, want < %d B", kind, s, l, ceiling)
 		}
@@ -90,7 +93,8 @@ func TestAllocsTierMoveIndependentOfColdCount(t *testing.T) {
 // shard copies the hot tier's page table (8 B per 1024 IDs of range), one
 // page node and one leaf, and publishes one snapshot. On a 50k-ID directory
 // that is under 1.5 KiB per commit on average; a whole-page copy alone is
-// 4 KiB.
+// 4 KiB. Each of the four is a share of a chunk, so the commit makes
+// 1/16 + 1/8 + 1/8 + 1/4 heap objects; measured at 888 B and 0.56 objects.
 func TestAllocsOneMoveCommit(t *testing.T) {
 	const (
 		ids     = 50_000
@@ -118,16 +122,59 @@ func TestAllocsOneMoveCommit(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := (after.TotalAlloc - before.TotalAlloc) / commits
-	t.Logf("%d B per one-move commit on a %d-ID directory", got, ids)
+	t.Logf("%d B and %.3f objects per one-move commit on a %d-ID directory",
+		got, float64(after.Mallocs-before.Mallocs)/commits, ids)
 	if got > ceiling {
 		t.Errorf("one-move commit: %d B on average, want <= %d B", got, ceiling)
 	}
 }
 
+// TestAllocsPublisherFlush: a flush of one placement — the operational
+// bridge's once-per-record commit — makes a share of a Set slab, a snapshot
+// chunk, a page-table slab, a page-node chunk and a leaf chunk: under one
+// heap object on average, where a fresh batch lane, snapshot and table
+// made 3.375 with the chunks' shares. Measured at 0.57 objects.
+func TestAllocsPublisherFlush(t *testing.T) {
+	const (
+		ids     = 50_000
+		flushes = 4096
+		ceiling = 0.75
+	)
+	d := New(Config{})
+	set := make([]Move, ids)
+	for i := range set {
+		set[i] = Move{V: graph.VertexID(i), To: i % 4}
+	}
+	mustCommit(t, d, Batch{Set: set, Shards: 4})
+	p := NewPublisher(d)
+	p.SetShards(4)
+	rng := rand.New(rand.NewSource(1))
+	moves := make([]Move, flushes)
+	for i := range moves {
+		moves[i] = Move{V: graph.VertexID(rng.Intn(ids)), To: rng.Intn(4)}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, m := range moves {
+		p.OnPlace(m.V, m.To)
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / flushes
+	t.Logf("%.3f objects and %d B per one-placement flush on a %d-ID directory",
+		got, (after.TotalAlloc-before.TotalAlloc)/flushes, ids)
+	if got > ceiling {
+		t.Errorf("one-placement flush: %.3f objects on average, want <= %.2f", got, ceiling)
+	}
+}
+
 // TestDirectoryLiveBytes: what a directory keeps live after 250k one-move
 // commits over 50k IDs, one in seven also retiring an ID — its two tiers,
-// the journal's snapshots, and whatever dead page nodes and leaves share an
-// allocation chunk with live ones. IDs are drawn uniformly, and skewed
+// the journal's snapshots, and whatever dead snapshots, page tables, page
+// nodes and leaves share an allocation chunk with live ones. IDs are drawn uniformly, and skewed
 // toward the newest IDs (the most recently registered accounts). Measured
 // at 0.87 and 1.13 MiB; each ceiling is about 1.2× its measurement.
 func TestDirectoryLiveBytes(t *testing.T) {
@@ -147,15 +194,9 @@ func TestDirectoryLiveBytes(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			live := func() uint64 {
-				var ms runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				return ms.HeapAlloc
-			}
 			rng := rand.New(rand.NewSource(1))
 			mv, retire := make([]Move, 1), make([]graph.VertexID, 1)
-			base := live()
+			base := liveHeap()
 			set := make([]Move, ids)
 			for i := range set {
 				set[i] = Move{V: graph.VertexID(i), To: i % 4}
@@ -174,7 +215,7 @@ func TestDirectoryLiveBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got := live() - base
+			got := liveHeap() - base
 			runtime.KeepAlive(d)
 			t.Logf("%s: %d B (%.2f MiB) live after %d commits", tc.name, got, float64(got)/(1<<20), commits)
 			if got > tc.ceiling {
@@ -182,4 +223,63 @@ func TestDirectoryLiveBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLiveBytesWithPinnedSnapshot: one reader holds the snapshot of epoch
+// 1,000 while the writer makes 250k one-move commits over 50k IDs, and the
+// live heap is compared with the same run without the pin. The pinned view
+// holds one superseded version of nearly every leaf and page node, with
+// their chunk-mates: 457 KiB before snapshots and page tables were carved.
+// Carving adds the pinned snapshot's chunk-mates and their tables' — a
+// neighbourhood of a few dozen epochs, measured at +11 KiB; the ceiling
+// allows +55 KiB. Were the chunks to chain epoch to epoch, the pin would keep
+// every epoch's page table alive: 250k of them, about 95 MiB.
+func TestLiveBytesWithPinnedSnapshot(t *testing.T) {
+	const (
+		ids     = 50_000
+		commits = 250_000
+		pinAt   = 1_000
+		ceiling = 512 << 10
+	)
+	run := func(pin bool) uint64 {
+		rng := rand.New(rand.NewSource(1))
+		mv := make([]Move, 1)
+		base := liveHeap()
+		set := make([]Move, ids)
+		for i := range set {
+			set[i] = Move{V: graph.VertexID(i), To: i % 4}
+		}
+		d := New(Config{})
+		mustCommit(t, d, Batch{Set: set, Shards: 4})
+		set = nil
+		var held *Snapshot
+		for i := 0; i < commits; i++ {
+			mv[0] = Move{V: graph.VertexID(rng.Intn(ids)), To: rng.Intn(4)}
+			e, err := d.Commit(Batch{Set: mv})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pin && e == pinAt {
+				held = d.Current()
+			}
+		}
+		got := liveHeap() - base
+		runtime.KeepAlive(d)
+		runtime.KeepAlive(held)
+		return got
+	}
+	unpinned, pinned := run(false), run(true)
+	cost := int64(pinned) - int64(unpinned)
+	t.Logf("%d B live unpinned, %d B pinned: the pin costs %d B", unpinned, pinned, cost)
+	if cost > ceiling {
+		t.Errorf("pinning epoch %d keeps %d B more live, want <= %d B", pinAt, cost, ceiling)
+	}
+}
+
+// liveHeap returns the heap bytes still reachable after a collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -74,6 +74,15 @@ const (
 	// pins only its leaf chunk, which holds no pointers (DESIGN §5).
 	nodeChunk = 8
 	leafChunk = 4
+
+	// tableChunk is how many page tables of one length a tier's table slab
+	// holds, and snapChunk how many snapshots the writer's snapshot slab
+	// holds: a one-move commit allocates a share of each, not an object of
+	// each. A pinned snapshot keeps its chunk-mates alive, and through them
+	// their tables' chunk-mates — a bounded neighbourhood of epochs, about
+	// what the default journal already retains (DESIGN §5).
+	tableChunk = 8
+	snapChunk  = 16
 )
 
 // leaf is one fixed-size block of slots. Leaves reachable from a published
@@ -158,17 +167,37 @@ type cowTable struct {
 	copied      []uint64
 	leafCopied  []uint64
 	tableCopied uint64
-	// nodes and leaves are the unused rest of the current allocation
-	// chunks.
+	// nodes, leaves and tables are the unused rest of the current
+	// allocation chunks.
 	nodes  []page
 	leaves []leaf
+	tables table
+}
+
+// carve returns the next unused element of the chunk whose rest is *rest,
+// starting a chunk of n elements when that one is used up. An element is
+// handed out once and never reused.
+func carve[T any](rest *[]T, n int) *T {
+	if len(*rest) == 0 {
+		*rest = make([]T, n)
+	}
+	p := &(*rest)[0]
+	*rest = (*rest)[1:]
+	return p
 }
 
 // ownTable makes the page table private to the commit building epoch e and
 // at least n pages long.
 func (t *cowTable) ownTable(e uint64, n int) {
 	if t.tableCopied != e || len(t.pages) < n {
-		grown := make(table, max(n, len(t.pages)))
+		size := max(n, len(t.pages))
+		if len(t.tables) < size {
+			t.tables = make(table, tableChunk*size)
+		}
+		// The full slice expression caps the copy at its own length, so
+		// nothing can ever append into the next table carved after it.
+		grown := t.tables[:size:size]
+		t.tables = t.tables[size:]
 		copy(grown, t.pages)
 		t.pages = grown
 		t.tableCopied = e
@@ -186,11 +215,7 @@ func (t *cowTable) own(e uint64, p int) *page {
 	if t.copied[p] == e {
 		return t.pages[p]
 	}
-	if len(t.nodes) == 0 {
-		t.nodes = make([]page, nodeChunk)
-	}
-	np := &t.nodes[0]
-	t.nodes = t.nodes[1:]
+	np := carve(&t.nodes, nodeChunk)
 	if old := t.pages[p]; old != nil {
 		*np = *old
 	} else {
@@ -207,11 +232,7 @@ func (t *cowTable) slot(e uint64, v graph.VertexID) *int32 {
 	l := int(v >> leafBits)
 	lf := &pg[l%leavesPerPage]
 	if t.leafCopied[l] != e {
-		if len(t.leaves) == 0 {
-			t.leaves = make([]leaf, leafChunk)
-		}
-		nl := &t.leaves[0]
-		t.leaves = t.leaves[1:]
+		nl := carve(&t.leaves, leafChunk)
 		if *lf != nil {
 			*nl = **lf
 		} else {
@@ -382,8 +403,9 @@ type Directory struct {
 	journal []atomic.Pointer[Snapshot]
 
 	// Writer-owned state, guarded by mu: the two tiers' copy-on-write
-	// bookkeeping.
+	// bookkeeping, and the unused rest of the current snapshot chunk.
 	hot, cold cowTable
+	snaps     []Snapshot
 
 	// Cumulative writer-side counters (guarded by mu).
 	flips, waveFlips, retired, rehydrated, promoted uint64
@@ -537,7 +559,8 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 		}
 	}
 
-	next := &Snapshot{
+	next := carve(&d.snaps, snapChunk)
+	*next = Snapshot{
 		epoch:   cur.epoch + 1,
 		shards:  shards,
 		hotLen:  cur.hotLen,

@@ -1,6 +1,8 @@
 package directory
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ethpart/internal/graph"
@@ -385,5 +387,71 @@ func TestPublisherBatchingSemantics(t *testing.T) {
 	p.OnMove(1, 1, 0)
 	if err := p.OnRepartition(2); err == nil {
 		t.Error("torn wave accepted")
+	}
+}
+
+// keepingCommitter retains every batch uncopied, as a stalled wave or a
+// recording committer does, and extends its lanes the moment it has them,
+// as a committer that owns a batch may.
+type keepingCommitter struct {
+	kept, copies []Batch
+}
+
+func (k *keepingCommitter) CommitBatch(b Batch, _ bool) (uint64, error) {
+	k.kept = append(k.kept, b)
+	k.copies = append(k.copies, Batch{
+		Set: slices.Clone(b.Set), SetCold: slices.Clone(b.SetCold),
+		Retire: slices.Clone(b.Retire), Promote: slices.Clone(b.Promote), Shards: b.Shards,
+	})
+	junk := Move{V: graph.MaxVertexID, To: -1}
+	_ = append(b.Set, junk)
+	_ = append(b.SetCold, junk)
+	return uint64(len(k.kept)), nil
+}
+
+// TestCarvedBatchesNeverAlias: the lanes a Publisher carves for its batches
+// share allocations, and a committer may keep and extend every batch it is
+// handed. Over one-placement flushes, flushes of several placements, and
+// waves above and below the carving limit in both lanes, every kept batch
+// must still equal the copy taken when it arrived.
+func TestCarvedBatchesNeverAlias(t *testing.T) {
+	k := &keepingCommitter{}
+	p := NewPublisher(k)
+	p.SetLive(func(v graph.VertexID) bool { return v%3 != 0 })
+	rng := rand.New(rand.NewSource(1))
+	next := graph.VertexID(0)
+	place := func(n int) {
+		for range n {
+			p.OnPlace(next, rng.Intn(4))
+			next++
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		var err error
+		switch rng.Intn(4) {
+		case 0:
+			place(1)
+			err = p.Flush()
+		case 1:
+			place(2 + rng.Intn(30))
+			err = p.Flush()
+		default:
+			place(rng.Intn(3))
+			n := 1 + rng.Intn(2*maxCarve+40)
+			for range n {
+				p.OnMove(graph.VertexID(rng.Int63n(int64(next+1))), 0, rng.Intn(4))
+			}
+			err = p.OnRepartition(n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, b := range k.kept {
+		c := k.copies[i]
+		if !slices.Equal(b.Set, c.Set) || !slices.Equal(b.SetCold, c.SetCold) ||
+			!slices.Equal(b.Retire, c.Retire) || !slices.Equal(b.Promote, c.Promote) {
+			t.Fatalf("batch %d changed after it was committed:\n got %+v\nwant %+v", i, b, c)
+		}
 	}
 }

@@ -31,6 +31,8 @@ type Publisher struct {
 	moves     []Move
 	movesCold []Move
 	retires   []graph.VertexID
+	// slab carves outgoing batches' Set and SetCold lanes.
+	slab MoveSlab
 
 	// shards stamps outgoing batches; zero (never declared) inherits.
 	shards int
@@ -135,15 +137,16 @@ func (p *Publisher) flush(wave bool) error {
 }
 
 // take drains the buffers (and the hint ring) into one batch stamped with
-// the given shard count. Every slice in the returned batch is freshly
-// allocated: committers may retain a batch beyond the call — a stalled
-// wave in the fault plane, an asynchronous replica fan-out — so it must
-// not alias the publisher's reusable buffers.
+// the given shard count. Committers may retain a batch beyond the call — a
+// stalled wave in the fault plane, an asynchronous replica fan-out, a
+// recording committer — so no slice of it aliases the publisher's reusable
+// buffers or another batch: Set and SetCold are carved by the MoveSlab,
+// Retire and Promote freshly allocated.
 func (p *Publisher) take(shards int) Batch {
 	b := Batch{Shards: shards}
-	b.Set = append(b.Set, p.places...)
+	b.Set = append(p.slab.Carve(len(p.places)+len(p.moves)), p.places...)
 	b.Set = append(b.Set, p.moves...)
-	b.SetCold = append(b.SetCold, p.movesCold...)
+	b.SetCold = append(p.slab.Carve(len(p.movesCold)), p.movesCold...)
 	b.Retire = append(b.Retire, p.retires...)
 	if p.hints != nil && !p.hints.Empty() {
 		seen := make(map[graph.VertexID]struct{})
@@ -160,4 +163,41 @@ func (p *Publisher) take(shards int) Batch {
 	p.movesCold = p.movesCold[:0]
 	p.retires = p.retires[:0]
 	return b
+}
+
+// moveChunk is how many moves one MoveSlab allocation holds, and maxCarve
+// the longest lane carved from it; a longer lane, such as a wave's, is
+// allocated exactly.
+const (
+	moveChunk = 256
+	maxCarve  = 64
+)
+
+// MoveSlab carves batch lanes from shared allocations, so a batch of a few
+// moves costs a share of an object instead of one. Every lane it returns is
+// fresh memory that it never hands out again, capped at its own capacity so
+// an append to one lane can never reach the next: a batch built from it may
+// be retained and even extended by whoever receives it. A Move holds no
+// pointers, so a retained lane keeps only its chunk's bytes alive. The zero
+// value is ready to use; a MoveSlab is not safe for concurrent use.
+type MoveSlab struct {
+	rest []Move
+}
+
+// Carve returns an empty lane with capacity exactly n: nil for none, a
+// share of the current chunk for at most maxCarve, its own allocation
+// otherwise.
+func (s *MoveSlab) Carve(n int) []Move {
+	switch {
+	case n == 0:
+		return nil
+	case n > maxCarve:
+		return make([]Move, 0, n)
+	}
+	if len(s.rest) < n {
+		s.rest = make([]Move, moveChunk)
+	}
+	lane := s.rest[:0:n]
+	s.rest = s.rest[n:]
+	return lane
 }

@@ -3,7 +3,9 @@ package dirserve
 import (
 	"errors"
 	"io"
+	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -418,5 +420,48 @@ func TestUnknownMessagePoisonsConnection(t *testing.T) {
 	}
 	if frame, err := readFrame(newReader(conn), nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("unknown message answered with frame %v, err %v; want the connection closed", frame, err)
+	}
+}
+
+// TestDecodedBatchesNeverAlias: a connection decodes every apply frame's
+// lanes from one slab, and a decoded batch may outlive many later frames —
+// the replica parks out-of-order batches, a flaky committer stalls waves —
+// and be extended by whoever holds it. Frame N's batch is kept while frames
+// N+1…N+300 decode on the same slab, each extended right after decoding,
+// and every kept batch must still equal the batch that was encoded.
+func TestDecodedBatchesNeverAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lane := func(n int) []directory.Move {
+		ms := make([]directory.Move, n)
+		for i := range ms {
+			ms[i] = directory.Move{V: graph.VertexID(rng.Intn(1 << 20)), To: rng.Intn(8)}
+		}
+		return ms
+	}
+	var (
+		slab       directory.MoveSlab
+		sent, kept []directory.Batch
+	)
+	junk := directory.Move{V: graph.MaxVertexID, To: -1}
+	for range 301 {
+		b := directory.Batch{Shards: 8, Set: lane(rng.Intn(90)), SetCold: lane(rng.Intn(40))}
+		if rng.Intn(4) == 0 {
+			b.Retire = []graph.VertexID{graph.VertexID(rng.Intn(1 << 20))}
+		}
+		c := cursor{p: appendBatch(nil, b)}
+		got := c.decodeBatch(&slab)
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		_ = append(got.Set, junk)
+		_ = append(got.SetCold, junk)
+		sent, kept = append(sent, b), append(kept, got)
+	}
+	for i, got := range kept {
+		want := sent[i]
+		if got.Shards != want.Shards || !slices.Equal(got.Set, want.Set) ||
+			!slices.Equal(got.SetCold, want.SetCold) || !slices.Equal(got.Retire, want.Retire) {
+			t.Fatalf("batch of frame %d changed by later decodes:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }

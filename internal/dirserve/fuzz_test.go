@@ -27,7 +27,8 @@ func FuzzApplyFrame(f *testing.F) {
 		c.u64()
 		c.u8()
 		batch := c.p
-		b := c.decodeBatch()
+		var slab directory.MoveSlab
+		b := c.decodeBatch(&slab)
 		if c.err == nil {
 			if got, want := appendBatch(nil, b), batch[:len(batch)-len(c.p)]; !bytes.Equal(got, want) {
 				t.Fatalf("batch %+v re-encodes as %x, decoded from %x", b, got, want)
@@ -37,7 +38,7 @@ func FuzzApplyFrame(f *testing.F) {
 		d := directory.New(directory.Config{})
 		s := &Server{cfg: ServerConfig{Dir: d, Replica: NewReplica(d)}}
 		sc := cursor{p: payload}
-		out := s.answerApply(&sc, nil)
+		out := s.answerApply(&sc, nil, &slab)
 		if out == nil {
 			if sc.err == nil {
 				t.Fatal("a decodable frame got no ack")

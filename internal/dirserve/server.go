@@ -107,6 +107,7 @@ func (s *Server) handle(conn net.Conn) {
 	br := newReader(conn)
 	bw := newWriter(conn)
 	var in, out []byte
+	var slab directory.MoveSlab
 	for {
 		frame, err := readFrame(br, in)
 		if err != nil {
@@ -118,7 +119,7 @@ func (s *Server) handle(conn net.Conn) {
 		case msgLookup:
 			out = s.answerLookup(&c, out[:0])
 		case msgApply:
-			out = s.answerApply(&c, out[:0])
+			out = s.answerApply(&c, out[:0], &slab)
 		default:
 			return // unknown message poisons the connection
 		}
@@ -207,12 +208,13 @@ func (s *Server) answerLookup(c *cursor, out []byte) []byte {
 	return out
 }
 
-// answerApply applies one fan-out shipment and acks with the replica's
-// applied watermark plus any promotion hints collected since the last ack.
-func (s *Server) answerApply(c *cursor, out []byte) []byte {
+// answerApply applies one fan-out shipment, decoded with the connection's
+// slab, and acks with the replica's applied watermark plus any promotion
+// hints collected since the last ack.
+func (s *Server) answerApply(c *cursor, out []byte, slab *directory.MoveSlab) []byte {
 	epoch := c.u64()
 	wave := c.u8() != 0
-	b := c.decodeBatch()
+	b := c.decodeBatch(slab)
 	if c.err != nil || s.cfg.Replica == nil {
 		return nil
 	}

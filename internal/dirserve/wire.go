@@ -223,18 +223,21 @@ func (c *cursor) count(elem int) int {
 	return n
 }
 
-// decodeBatch decodes what appendBatch wrote.
-func (c *cursor) decodeBatch() directory.Batch {
+// decodeBatch decodes what appendBatch wrote, carving the Set and SetCold
+// lanes from slab. A decoded batch may outlive the frame and the next
+// decodes — the replica parks out-of-order batches and a flaky committer
+// stalls waves — so its lanes are carved, never a reused buffer.
+func (c *cursor) decodeBatch(slab *directory.MoveSlab) directory.Batch {
 	var b directory.Batch
 	b.Shards = int(int32(c.u32()))
 	if n := c.count(12); n > 0 {
-		b.Set = make([]directory.Move, n)
+		b.Set = slab.Carve(n)[:n]
 		for i := range b.Set {
 			b.Set[i] = directory.Move{V: graph.VertexID(c.u64()), To: int(int32(c.u32()))}
 		}
 	}
 	if n := c.count(12); n > 0 {
-		b.SetCold = make([]directory.Move, n)
+		b.SetCold = slab.Carve(n)[:n]
 		for i := range b.SetCold {
 			b.SetCold[i] = directory.Move{V: graph.VertexID(c.u64()), To: int(int32(c.u32()))}
 		}
