@@ -48,6 +48,8 @@ func runChaos(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := experiments.ValidateShards("chaos: -k", *k); err != nil {
 		return err
 	}
@@ -56,6 +58,9 @@ func runChaos(args []string) error {
 	}
 	if *workloadFlag == "" && (*arrival != "" || *hours != 0) {
 		return fmt.Errorf("chaos: -arrival/-hours require -workload")
+	}
+	if *workloadFlag != "" && (set["eras"] || set["windows-per-era"]) {
+		return fmt.Errorf("chaos: -eras/-windows-per-era do not apply to -workload")
 	}
 	if *replicas < 0 {
 		return fmt.Errorf("chaos: -replicas must be >= 0, got %d", *replicas)

@@ -104,6 +104,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}
@@ -119,8 +121,8 @@ func run(args []string) error {
 	if (*tracePath == "") == (*scenario == "") {
 		return fmt.Errorf("exactly one of -trace or -scenario is required")
 	}
-	if *scenario == "" && (*arrival != "" || *hours != 0) {
-		return fmt.Errorf("-arrival/-hours require -scenario")
+	if *scenario == "" && (*arrival != "" || *hours != 0 || set["seed"]) {
+		return fmt.Errorf("-arrival/-hours/-seed require -scenario")
 	}
 	method, err := sim.ParseMethod(*methodFlag)
 	if err != nil {

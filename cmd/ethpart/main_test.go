@@ -203,6 +203,26 @@ func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 	}
 }
 
+// TestIgnoredFlagsFailAtFlagParse: a flag the run would not use is an error
+// before anything is read or generated, not a silently default run.
+func TestIgnoredFlagsFailAtFlagParse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+		want string
+	}{
+		{"replay -trace -seed", run, []string{"-trace", "does-not-exist.csv", "-seed", "99"}, "-seed require -scenario"},
+		{"ops -scenario -scale", runOps, []string{"-scenario", "transfer-steady", "-scale", "1000"}, "ops: -scale does not apply"},
+		{"chaos -workload -eras", runChaos, []string{"-workload", "transfer-steady", "-eras", "999"}, "chaos: -eras/-windows-per-era do not apply"},
+		{"chaos -workload -windows-per-era", runChaos, []string{"-workload", "transfer-steady", "-windows-per-era", "3"}, "chaos: -eras/-windows-per-era do not apply"},
+	} {
+		if err := tc.run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestHorizonFlagFailsFast pins the flag-parse-time validation: -horizon
 // without -decay-half-life must be rejected by every subcommand before any
 // trace is read or workload generated (the simulator would reject it too,

@@ -37,6 +37,8 @@ func runOps(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}
@@ -53,6 +55,9 @@ func runOps(args []string) error {
 	}
 	if *scenario == "" && *arrival != "" {
 		return fmt.Errorf("ops: -arrival requires -scenario")
+	}
+	if *scenario != "" && set["scale"] {
+		return fmt.Errorf("ops: -scale does not apply to -scenario")
 	}
 	var ac sim.AutoscaleConfig
 	if *autoscale {

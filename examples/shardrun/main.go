@@ -83,18 +83,19 @@ func main() {
 	for _, u := range w.users {
 		alloc[u] = evm.WordFromUint64(1 << 30)
 	}
-	single := chain.NewChain(chain.DefaultConfig(), alloc)
+	single := chain.NewStateWithAlloc(alloc)
 	miner := types.AddressFromSeq(2)
+	const gasLimit = 8_000_000
 	for i := 0; i < k; i++ {
 		tx := &chain.Transaction{
 			Nonce: uint64(i), From: deployer,
 			Data: evm.DeployWrapper(workload.TokenRuntime()), GasLimit: 5_000_000, GasPrice: 1,
 		}
-		_, receipts, skipped := single.BuildBlock(miner, int64(i), []*chain.Transaction{tx})
-		if len(skipped) > 0 || !receipts[0].Success {
+		x := chain.ExecuteBlock(single, miner, gasLimit, []*chain.Transaction{tx})
+		if len(x.Skipped) > 0 || !x.Receipts[0].Success {
 			log.Fatal("token deploy failed")
 		}
-		w.tokens = append(w.tokens, *receipts[0].ContractAddress)
+		w.tokens = append(w.tokens, *x.Receipts[0].ContractAddress)
 	}
 
 	g := graph.New()
@@ -110,7 +111,7 @@ func main() {
 		return id
 	}
 	kindOf := func(a types.Address) graph.Kind {
-		if len(single.State().GetCode(a)) > 0 {
+		if len(single.GetCode(a)) > 0 {
 			return graph.KindContract
 		}
 		return graph.KindAccount
@@ -121,12 +122,12 @@ func main() {
 		for t := 0; t < txsPer; t++ {
 			txs = append(txs, w.genTx(nonces))
 		}
-		_, receipts, skipped := single.BuildBlock(miner, int64(1000+b), txs)
-		if len(skipped) > 0 {
-			log.Fatalf("training skipped txs: %v", skipped[0])
+		x := chain.ExecuteBlock(single, miner, gasLimit, txs)
+		if len(x.Skipped) > 0 {
+			log.Fatalf("training skipped txs: %v", x.Skipped[0])
 		}
-		for _, r := range receipts {
-			for _, tr := range r.Traces {
+		for i := range x.Receipts {
+			for _, tr := range x.Receipts[i].Traces {
 				if err := g.AddInteraction(vid(tr.From), vid(tr.To),
 					kindOf(tr.From), kindOf(tr.To), 1); err != nil {
 					log.Fatal(err)
@@ -175,7 +176,7 @@ func main() {
 			// Install the token contracts on their assigned shards.
 			for _, token := range w.tokens {
 				st := sc.StateOf(sc.HomeOf(token))
-				st.SetCode(token, single.State().GetCode(token))
+				st.SetCode(token, single.GetCode(token))
 				st.DiscardJournal()
 			}
 			nonces := map[types.Address]uint64{}

@@ -32,8 +32,10 @@ func main() {
 		userAddrs[i] = types.AddressFromSeq(uint64(10 + i))
 		alloc[userAddrs[i]] = evm.WordFromUint64(1 << 30)
 	}
-	c := chain.NewChain(chain.DefaultConfig(), alloc)
+	st := chain.NewStateWithAlloc(alloc)
 	miner := types.AddressFromSeq(2)
+	const gasLimit = 8_000_000
+	number := uint64(0) // the last executed block's number; genesis is 0
 
 	// Deploy three tokens and a crowdsale per token.
 	nonce := uint64(0)
@@ -43,11 +45,12 @@ func main() {
 			Data: evm.DeployWrapper(runtime), GasLimit: 5_000_000, GasPrice: 1,
 		}
 		nonce++
-		block, receipts, skipped := c.BuildBlock(miner, int64(1000+nonce), []*chain.Transaction{tx})
-		if len(skipped) > 0 || !receipts[0].Success {
-			log.Fatalf("deploy failed in block %d: %v %v", block.Header.Number, skipped, receipts[0].Err)
+		number++
+		x := chain.ExecuteBlock(st, miner, gasLimit, []*chain.Transaction{tx})
+		if len(x.Skipped) > 0 || !x.Receipts[0].Success {
+			log.Fatalf("deploy failed in block %d: %v %v", number, x.Skipped, x.Receipts[0].Err)
 		}
-		return *receipts[0].ContractAddress
+		return *x.Receipts[0].ContractAddress
 	}
 	var tokens, sales []types.Address
 	for i := 0; i < 3; i++ {
@@ -74,7 +77,6 @@ func main() {
 	}
 	nonces := make(map[types.Address]uint64)
 	reg := trace.NewRegistry()
-	st := c.State()
 	isContract := func(a types.Address) bool { return len(st.GetCode(a)) > 0 }
 	g := graph.New()
 
@@ -108,11 +110,12 @@ func main() {
 			}
 			nonces[user]++
 		}
-		block, receipts, skipped := c.BuildBlock(miner, int64(2000+b), txs)
-		if len(skipped) > 0 {
-			log.Fatalf("block %d skipped %d txs: %v", block.Header.Number, len(skipped), skipped[0])
+		number++
+		x := chain.ExecuteBlock(st, miner, gasLimit, txs)
+		if len(x.Skipped) > 0 {
+			log.Fatalf("block %d skipped %d txs: %v", number, len(x.Skipped), x.Skipped[0])
 		}
-		for _, rec := range trace.AppendReceipts(nil, uint32(block.Header.Number), block.Header.Time, nil, receipts, reg, isContract) {
+		for _, rec := range trace.AppendReceipts(nil, uint32(number), int64(2000+b), nil, x.Receipts, reg, isContract) {
 			if err := rec.Apply(g); err != nil {
 				log.Fatal(err)
 			}

@@ -10,26 +10,33 @@ import (
 )
 
 // Allocation ceilings (the race detector instruments allocations, hence the
-// build tag): what a plain transfer and a state access cost in heap
-// objects, pinned so it does not erode. DESIGN §7, "What a record costs".
+// build tag): what a block of transfers, a transfer and a state access cost
+// in heap objects, pinned so it does not erode. DESIGN §7, "What a record costs".
 
-// TestAllocsApplyTransaction: a plain transfer between existing accounts
-// allocates its receipt and the one-entry trace the VM hands to it —
-// nothing for the hash, the VM, the journal or the account lookups.
-func TestAllocsApplyTransaction(t *testing.T) {
+// TestAllocsExecuteBlock: a block of 64 plain transfers between existing
+// accounts allocates its receipt slab and the one-entry trace the VM hands
+// to each receipt — nothing for the hashes, the VMs, the journal, the
+// account lookups or the block reward. Measured: 65 (64 traces + 1 slab).
+func TestAllocsExecuteBlock(t *testing.T) {
+	const n = 64
 	s := fundedState()
 	s.AddBalance(recv, evm.WordFromUint64(1))
 	s.AddBalance(miner, evm.WordFromUint64(1))
 	s.DiscardJournal()
-	tx := transferTx(0, 1)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ApplyTransaction(s, tx, miner); err != nil {
-			t.Fatal(err)
+	txs := make([]*Transaction, n)
+	for i := range txs {
+		txs[i] = transferTx(uint64(i), 1)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if x := ExecuteBlock(s, miner, blockGasLimit, txs); len(x.Receipts) != n {
+			t.Fatalf("%d receipts, skipped %v", len(x.Receipts), x.Skipped)
 		}
-		tx.Nonce++
+		for _, tx := range txs {
+			tx.Nonce += n
+		}
 	})
-	if allocs > 2 {
-		t.Errorf("ApplyTransaction of a plain transfer: %v allocs, want <= 2", allocs)
+	if allocs > n+1 {
+		t.Errorf("ExecuteBlock of %d plain transfers: %v allocs, want <= %d (a trace each + the receipt slab)", n, allocs, n+1)
 	}
 }
 

@@ -2,7 +2,6 @@ package chain
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"ethpart/internal/evm"
@@ -22,38 +21,13 @@ func fundedState() *State {
 	})
 }
 
-// verifyHeaderChain checks hash linking, number contiguity and transaction
-// roots over blocks, each of which must extend the one before it.
-func verifyHeaderChain(blocks []*Block) error {
-	for i := 1; i < len(blocks); i++ {
-		prev, cur := blocks[i-1], blocks[i]
-		if cur.Header.ParentHash != prev.Hash() {
-			return fmt.Errorf("block %d: unknown parent", cur.Header.Number)
-		}
-		if cur.Header.Number != prev.Header.Number+1 {
-			return fmt.Errorf("block %d follows %d", cur.Header.Number, prev.Header.Number)
-		}
-		if cur.Header.TxRoot != txsRoot(cur.Txs) {
-			return fmt.Errorf("block %d: transaction root mismatch", cur.Header.Number)
-		}
-	}
-	return nil
-}
+// blockGasLimit is the block gas limit the tests execute blocks under.
+const blockGasLimit = 8_000_000
 
-// replayBlocks re-executes blocks (genesis excluded) on a fresh state from
-// alloc and returns its root, which must equal the head state's.
-func replayBlocks(alloc map[types.Address]evm.Word, blocks []*Block) (types.Hash, error) {
-	fresh := NewStateWithAlloc(alloc)
-	for _, b := range blocks {
-		for _, tx := range b.Txs {
-			if _, err := ApplyTransaction(fresh, tx, b.Header.Miner); err != nil {
-				return types.Hash{}, fmt.Errorf("replaying block %d: %w", b.Header.Number, err)
-			}
-		}
-		fresh.AddBalance(b.Header.Miner, blockReward)
-		fresh.DiscardJournal()
-	}
-	return fresh.Commit(), nil
+// apply executes tx on s into a fresh receipt, mined by miner.
+func apply(s *State, tx *Transaction) (*Receipt, error) {
+	r := new(Receipt)
+	return r, ApplyTransactionInto(s, tx, miner, nil, r)
 }
 
 func transferTx(nonce uint64, value uint64) *Transaction {
@@ -66,7 +40,7 @@ func transferTx(nonce uint64, value uint64) *Transaction {
 
 func TestApplyTransactionTransfer(t *testing.T) {
 	s := fundedState()
-	receipt, err := ApplyTransaction(s, transferTx(0, 500), miner)
+	receipt, err := apply(s, transferTx(0, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +66,7 @@ func TestApplyTransactionTransfer(t *testing.T) {
 
 func TestApplyTransactionBadNonce(t *testing.T) {
 	s := fundedState()
-	_, err := ApplyTransaction(s, transferTx(5, 1), miner)
+	_, err := apply(s, transferTx(5, 1))
 	if !errors.Is(err, ErrNonceMismatch) {
 		t.Fatalf("err = %v, want ErrNonceMismatch", err)
 	}
@@ -100,7 +74,7 @@ func TestApplyTransactionBadNonce(t *testing.T) {
 
 func TestApplyTransactionInsufficientFunds(t *testing.T) {
 	s := NewState()
-	_, err := ApplyTransaction(s, transferTx(0, 1), miner)
+	_, err := apply(s, transferTx(0, 1))
 	if !errors.Is(err, ErrInsufficientFunds) {
 		t.Fatalf("err = %v, want ErrInsufficientFunds", err)
 	}
@@ -117,7 +91,7 @@ func TestGasCostDoesNotWrap(t *testing.T) {
 		Value: evm.WordFromUint64(1), GasLimit: 1 << 33, GasPrice: 1 << 31,
 	}
 	root := s.Commit()
-	_, err := ApplyTransaction(s, tx, miner)
+	_, err := apply(s, tx)
 	if !errors.Is(err, ErrInsufficientFunds) {
 		t.Fatalf("err = %v, want ErrInsufficientFunds", err)
 	}
@@ -139,7 +113,7 @@ func TestApplyTransactionIntrinsicGasTooLow(t *testing.T) {
 	s := fundedState()
 	to := recv
 	tx := &Transaction{Nonce: 0, From: sender, To: &to, GasLimit: 100, GasPrice: 1}
-	_, err := ApplyTransaction(s, tx, miner)
+	_, err := apply(s, tx)
 	if !errors.Is(err, ErrIntrinsicGas) {
 		t.Fatalf("err = %v, want ErrIntrinsicGas", err)
 	}
@@ -157,7 +131,7 @@ func TestApplyTransactionRevertRollsBack(t *testing.T) {
 		Nonce: 0, From: sender, To: nil,
 		Data: evm.DeployWrapper(runtime), GasLimit: 500_000, GasPrice: 1,
 	}
-	receipt, err := ApplyTransaction(s, deploy, miner)
+	receipt, err := apply(s, deploy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +143,7 @@ func TestApplyTransactionRevertRollsBack(t *testing.T) {
 	call := &Transaction{
 		Nonce: 1, From: sender, To: &contract, GasLimit: 200_000, GasPrice: 1,
 	}
-	receipt, err = ApplyTransaction(s, call, miner)
+	receipt, err = apply(s, call)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,136 +164,58 @@ func TestApplyTransactionRevertRollsBack(t *testing.T) {
 	}
 }
 
-func TestBuildBlockAndVerify(t *testing.T) {
-	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
-	c := NewChain(DefaultConfig(), alloc)
-	genesis := c.Head()
-
-	block, receipts, skipped := c.BuildBlock(miner, 1000, []*Transaction{
+func TestExecuteBlock(t *testing.T) {
+	s := fundedState()
+	x := ExecuteBlock(s, miner, blockGasLimit, []*Transaction{
 		transferTx(0, 10),
 		transferTx(1, 20),
 		transferTx(5, 30), // bad nonce: skipped
 	})
-	if len(receipts) != 2 {
-		t.Fatalf("receipts = %d, want 2", len(receipts))
+	if len(x.Receipts) != 2 {
+		t.Fatalf("receipts = %d, want 2", len(x.Receipts))
 	}
-	if len(skipped) != 1 || !errors.Is(skipped[0], ErrNonceMismatch) {
-		t.Fatalf("skipped = %v", skipped)
+	for i := range x.Receipts {
+		if r := &x.Receipts[i]; r.TxIndex != i || !r.Success {
+			t.Errorf("receipt %d: index %d, success %v", i, r.TxIndex, r.Success)
+		}
 	}
-	if len(block.Txs) != 2 {
-		t.Fatalf("block txs = %d, want 2", len(block.Txs))
+	if len(x.Skipped) != 1 || !errors.Is(x.Skipped[0], ErrNonceMismatch) {
+		t.Fatalf("skipped = %v", x.Skipped)
 	}
-	if block.Header.Number != 1 {
-		t.Errorf("block number = %d", block.Header.Number)
+	if x.GasUsed != 2*IntrinsicGas {
+		t.Errorf("gas used = %d, want %d", x.GasUsed, 2*IntrinsicGas)
 	}
-	if got := c.State().GetBalance(recv).Uint64(); got != 30 {
+	if got := s.GetBalance(recv).Uint64(); got != 30 {
 		t.Errorf("recipient balance = %d, want 30", got)
 	}
 	// Miner got fees + reward.
 	wantMiner := blockReward.Add(evm.WordFromUint64(2 * IntrinsicGas))
-	if got := c.State().GetBalance(miner); got != wantMiner {
+	if got := s.GetBalance(miner); got != wantMiner {
 		t.Errorf("miner balance = %v, want %v", got, wantMiner)
-	}
-	if err := verifyHeaderChain([]*Block{genesis, block}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestBlockGasLimitEnforced(t *testing.T) {
-	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
-	cfg := DefaultConfig()
-	cfg.BlockGasLimit = 60_000 // room for one transfer only
-	c := NewChain(cfg, alloc)
-	_, receipts, skipped := c.BuildBlock(miner, 1, []*Transaction{
+	x := ExecuteBlock(fundedState(), miner, 60_000, []*Transaction{ // room for one transfer only
 		transferTx(0, 1),
 		transferTx(1, 1),
 	})
-	if len(receipts) != 1 {
-		t.Fatalf("receipts = %d, want 1", len(receipts))
+	if len(x.Receipts) != 1 {
+		t.Fatalf("receipts = %d, want 1", len(x.Receipts))
 	}
-	if len(skipped) != 1 || !errors.Is(skipped[0], ErrGasLimitExceeded) {
-		t.Fatalf("skipped = %v", skipped)
-	}
-}
-
-func TestChainLinkingAcrossBlocks(t *testing.T) {
-	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
-	c := NewChain(DefaultConfig(), alloc)
-	blocks := []*Block{c.Head()}
-	for i := uint64(0); i < 5; i++ {
-		b, _, _ := c.BuildBlock(miner, int64(1000+i), []*Transaction{transferTx(i, 1)})
-		blocks = append(blocks, b)
-	}
-	if n := blocks[5].Header.Number; n != 5 || c.Head() != blocks[5] {
-		t.Fatalf("head is block %d, want the fifth built", c.Head().Header.Number)
-	}
-	if err := verifyHeaderChain(blocks); err != nil {
-		t.Fatal(err)
-	}
-	// Tamper with a header: verification must fail.
-	blocks[3].Header.Time++
-	if err := verifyHeaderChain(blocks); err == nil {
-		t.Fatal("tampered chain must fail verification")
-	}
-	blocks[3].Header.Time--
-}
-
-func TestReplayDeterminism(t *testing.T) {
-	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
-	c := NewChain(DefaultConfig(), alloc)
-
-	runtime := evm.NewAssembler().
-		Push(0).Op(evm.CALLDATALOAD).
-		Push(0).Op(evm.SSTORE).Op(evm.STOP).
-		MustBytes()
-	deploy := &Transaction{
-		Nonce: 0, From: sender, Data: evm.DeployWrapper(runtime),
-		GasLimit: 500_000, GasPrice: 1,
-	}
-	b1, receipts, skipped := c.BuildBlock(miner, 1, []*Transaction{deploy})
-	if len(skipped) != 0 || !receipts[0].Success {
-		t.Fatalf("deploy failed: %v %v", skipped, receipts[0].Err)
-	}
-	contract := *receipts[0].ContractAddress
-	arg := evm.WordFromUint64(1234).Bytes32()
-	call := &Transaction{
-		Nonce: 1, From: sender, To: &contract, Data: arg[:],
-		GasLimit: 200_000, GasPrice: 1,
-	}
-	b2, _, _ := c.BuildBlock(miner, 2, []*Transaction{call, transferTx(2, 42)})
-
-	got, err := replayBlocks(alloc, []*Block{b1, b2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := c.State().Commit(); got != want {
-		t.Fatalf("replay got root %v, head has %v", got, want)
+	if len(x.Skipped) != 1 || !errors.Is(x.Skipped[0], ErrGasLimitExceeded) {
+		t.Fatalf("skipped = %v", x.Skipped)
 	}
 }
 
-// TestChainGolden pins the two Merkle commitments in a block header — the
-// state root (State.Commit) and, through the block hash, the transaction
-// root (txsRoot) — on a fixed history: a 40-account
-// genesis, then a contract deployment, a storage-writing call beside a
-// transfer, and a block of twelve transfers to fresh recipients.
-//
-// Provenance: the two constants are what this test logged at commit b1a91af,
-// where both roots were computed by internal/trie's pointer trie; the test
-// uses only API that commit has, so it drops into a clean checkout of it and
-// passes there unchanged. The root fold that replaced the trie must
-// reproduce them bit for bit.
-func TestChainGolden(t *testing.T) {
-	const (
-		wantHead  = "0x66af5d464ec89668fb5cfa8361f9b69e1639e335baf17e9af5f7d65c0a8b3003"
-		wantState = "0x6f497d3fd0ee39cf3523e4894c1dd29f8138711f1dafc3f5b726c5696f69c92a"
-	)
+// goldenHistory is a fixed three-block history over a 40-account genesis:
+// a contract deployment, a storage-writing call beside a transfer, and a
+// block of twelve transfers to fresh recipients.
+func goldenHistory() (map[types.Address]evm.Word, [][]*Transaction) {
 	alloc := map[types.Address]evm.Word{sender: evm.WordFromUint64(1_000_000_000_000)}
 	for i := uint64(100); i < 139; i++ {
 		alloc[types.AddressFromSeq(i)] = evm.WordFromUint64(i * i)
 	}
-	c := NewChain(DefaultConfig(), alloc)
-	blocks := []*Block{c.Head()}
-
 	runtime := evm.NewAssembler().
 		Push(0).Op(evm.CALLDATALOAD).
 		Push(0).Op(evm.SSTORE).Op(evm.STOP).
@@ -328,42 +224,62 @@ func TestChainGolden(t *testing.T) {
 		Nonce: 0, From: sender, Data: evm.DeployWrapper(runtime),
 		GasLimit: 500_000, GasPrice: 1,
 	}
-	b, receipts, skipped := c.BuildBlock(miner, 1, []*Transaction{deploy})
-	if len(skipped) != 0 || !receipts[0].Success {
-		t.Fatalf("deploy failed: %v %v", skipped, receipts[0].Err)
-	}
-	blocks = append(blocks, b)
-	contract := *receipts[0].ContractAddress
+	contract := types.ContractAddress(sender, 0)
 	arg := evm.WordFromUint64(1234).Bytes32()
 	call := &Transaction{
 		Nonce: 1, From: sender, To: &contract, Data: arg[:],
 		GasLimit: 200_000, GasPrice: 1,
 	}
-	b, _, _ = c.BuildBlock(miner, 2, []*Transaction{call, transferTx(2, 42)})
-	blocks = append(blocks, b)
-	var txs []*Transaction
+	var transfers []*Transaction
 	for i := uint64(0); i < 12; i++ {
 		to := types.AddressFromSeq(200 + i)
-		txs = append(txs, &Transaction{
+		transfers = append(transfers, &Transaction{
 			Nonce: 3 + i, From: sender, To: &to,
 			Value: evm.WordFromUint64(1000 + i), GasLimit: 50_000, GasPrice: 1,
 		})
 	}
-	b, _, skipped = c.BuildBlock(miner, 3, txs)
-	if len(skipped) != 0 {
-		t.Fatalf("skipped = %v", skipped)
-	}
-	blocks = append(blocks, b)
+	return alloc, [][]*Transaction{{deploy}, {call, transferTx(2, 42)}, transfers}
+}
 
-	head := c.Head()
-	if got := head.Hash().Hex(); got != wantHead {
-		t.Errorf("head block hash = %s, want %s", got, wantHead)
+// executeHistory executes blocks on a fresh state from alloc, failing the
+// test on any skip, and returns the state root at the end.
+func executeHistory(t *testing.T, alloc map[types.Address]evm.Word, blocks [][]*Transaction) types.Hash {
+	t.Helper()
+	s := NewStateWithAlloc(alloc)
+	for i, txs := range blocks {
+		x := ExecuteBlock(s, miner, blockGasLimit, txs)
+		if len(x.Skipped) != 0 {
+			t.Fatalf("block %d skipped %v", i+1, x.Skipped)
+		}
+		for j := range x.Receipts {
+			if !x.Receipts[j].Success {
+				t.Fatalf("block %d tx %d failed: %v", i+1, j, x.Receipts[j].Err)
+			}
+		}
 	}
-	if got := head.Header.StateRoot.Hex(); got != wantState {
-		t.Errorf("head state root = %s, want %s", got, wantState)
+	return s.Commit()
+}
+
+// TestReplayDeterminism: two states executing one history reach one root.
+func TestReplayDeterminism(t *testing.T) {
+	alloc, blocks := goldenHistory()
+	if a, b := executeHistory(t, alloc, blocks), executeHistory(t, alloc, blocks); a != b {
+		t.Fatalf("two executions of one history: roots %v and %v", a, b)
 	}
-	if err := verifyHeaderChain(blocks); err != nil {
-		t.Fatal(err)
+}
+
+// TestChainGolden pins the state root (State.Commit) after goldenHistory.
+//
+// Provenance: the constant is the head state root this test logged at
+// commit b1a91af, where the root was computed by internal/trie's pointer
+// trie over blocks a sealing chain built. The root fold that replaced the
+// trie reproduces it bit for bit, and so does the same history run through
+// ExecuteBlock on a bare State.
+func TestChainGolden(t *testing.T) {
+	const wantState = "0x6f497d3fd0ee39cf3523e4894c1dd29f8138711f1dafc3f5b726c5696f69c92a"
+	alloc, blocks := goldenHistory()
+	if got := executeHistory(t, alloc, blocks).Hex(); got != wantState {
+		t.Errorf("state root = %s, want %s", got, wantState)
 	}
 }
 
@@ -376,18 +292,6 @@ func TestTxHashDistinct(t *testing.T) {
 	c := transferTx(0, 1)
 	if a.Hash() != c.Hash() {
 		t.Error("identical transactions must have equal hashes")
-	}
-}
-
-func TestTxRootOrderSensitive(t *testing.T) {
-	t1, t2 := transferTx(0, 1), transferTx(1, 2)
-	r1 := txsRoot([]*Transaction{t1, t2})
-	r2 := txsRoot([]*Transaction{t2, t1})
-	if r1 == r2 {
-		t.Error("transaction root must commit to ordering")
-	}
-	if !txsRoot(nil).IsZero() {
-		t.Error("empty tx root must be zero")
 	}
 }
 
@@ -405,7 +309,7 @@ func TestInternalCallTraceInReceipt(t *testing.T) {
 		Nonce: 0, From: sender, Data: evm.DeployWrapper(runtime),
 		GasLimit: 500_000, GasPrice: 1,
 	}
-	receipt, err := ApplyTransaction(s, deploy, miner)
+	receipt, err := apply(s, deploy)
 	if err != nil || !receipt.Success {
 		t.Fatalf("deploy: %v %v", err, receipt)
 	}
@@ -418,7 +322,7 @@ func TestInternalCallTraceInReceipt(t *testing.T) {
 		Nonce: 1, From: sender, To: &proxy, Data: input[:],
 		GasLimit: 300_000, GasPrice: 1,
 	}
-	receipt, err = ApplyTransaction(s, call, miner)
+	receipt, err = apply(s, call)
 	if err != nil || !receipt.Success {
 		t.Fatalf("call: %v %+v", err, receipt)
 	}
@@ -428,10 +332,4 @@ func TestInternalCallTraceInReceipt(t *testing.T) {
 	if receipt.Traces[1].Kind != evm.KindCall || receipt.Traces[1].From != proxy || receipt.Traces[1].To != target {
 		t.Errorf("internal trace = %+v", receipt.Traces[1])
 	}
-}
-
-// txsRoot is the Merkle root of txs, rehashing each transaction: what a
-// header's TxRoot must equal.
-func txsRoot(txs []*Transaction) types.Hash {
-	return txRoot(len(txs), func(i int) types.Hash { return txs[i].Hash() })
 }

@@ -16,34 +16,6 @@ var (
 	ErrGasLimitExceeded  = errors.New("chain: block gas limit exceeded")
 )
 
-// ApplyTransaction executes tx against state and returns its receipt.
-//
-// Semantics follow Ethereum's: the nonce must match, the sender pre-pays
-// gasLimit*gasPrice, execution runs with the remaining gas, failed
-// executions revert all state changes except the nonce bump and the gas
-// payment, and the miner is credited with gasUsed*gasPrice.
-func ApplyTransaction(state *State, tx *Transaction, miner types.Address) (*Receipt, error) {
-	receipt := new(Receipt)
-	if err := applyTransaction(state, tx, miner, nil, receipt); err != nil {
-		return nil, err
-	}
-	return receipt, nil
-}
-
-// ApplyTransactionInto is ApplyTransaction writing its result into a
-// caller-supplied receipt — so a block's receipts can live in one slab —
-// with an optional cross-shard call interceptor installed in the VM (see
-// evm.RemoteHook). The sharded execution engine uses it to divert internal
-// calls that leave the executing shard into receipts. *receipt is
-// overwritten whole, except that the VM records this transaction's calls
-// into the backing array of its old Traces (evm.VM.ReuseTraces), so a
-// receipt reused transaction after transaction records without allocating.
-// When validation rejects tx the receipt holds only the hash and an empty
-// trace.
-func ApplyTransactionInto(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
-	return applyTransaction(state, tx, miner, hook, receipt)
-}
-
 // gasValue is gas * price in wei. The product is taken in 256 bits: in
 // uint64 a large limit times a large price wraps, and a wrapped pre-payment
 // of zero would pass the funds check and then "refund" money into existence.
@@ -51,7 +23,23 @@ func gasValue(gas, price uint64) evm.Word {
 	return evm.WordFromUint64(gas).Mul(evm.WordFromUint64(price))
 }
 
-func applyTransaction(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
+// ApplyTransactionInto executes tx against state and writes its result into
+// a caller-supplied receipt — so a block's receipts can live in one slab —
+// with an optional cross-shard call interceptor installed in the VM (see
+// evm.RemoteHook). The sharded execution engine uses the hook to divert
+// internal calls that leave the executing shard into receipts.
+//
+// Semantics follow Ethereum's: the nonce must match, the sender pre-pays
+// gasLimit*gasPrice, execution runs with the remaining gas, failed
+// executions revert all state changes except the nonce bump and the gas
+// payment, and the miner is credited with gasUsed*gasPrice.
+//
+// *receipt is overwritten whole, except that the VM records this
+// transaction's calls into the backing array of its old Traces
+// (evm.VM.ReuseTraces), so a receipt reused transaction after transaction
+// records without allocating. When validation rejects tx the receipt holds
+// only the hash and an empty trace.
+func ApplyTransactionInto(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
 	traces := receipt.Traces[:0]
 	*receipt = Receipt{TxHash: tx.Hash(), Traces: traces}
 

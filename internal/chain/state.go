@@ -1,7 +1,8 @@
 // Package chain implements the blockchain substrate: world state with
-// journaled rollback, transactions, blocks with Merkle commitments, and a
-// processor that executes transactions through the EVM and collects the
-// call traces the blockchain graph is built from.
+// journaled rollback and a Merkle state root, transactions, and a processor
+// that executes them through the EVM, block by block, and collects the call
+// traces the blockchain graph is built from. Blocks are executed, never
+// sealed: nothing here builds a header or a transaction root.
 package chain
 
 import (
@@ -430,7 +431,7 @@ func TransplantAccount(src, dst *State, addr types.Address) (slots int, ok bool)
 }
 
 // Commit computes the Merkle root of the whole state. It is O(accounts) and
-// intended for block sealing, not per transaction.
+// meant for checkpoints and comparisons, not per transaction.
 func (s *State) Commit() types.Hash {
 	t := trie.New()
 	for addr, acc := range s.accounts {

@@ -35,7 +35,7 @@ func TestAllocsTierMoveIndependentOfColdCount(t *testing.T) {
 	commitBytes := func(d *Directory, b Batch) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := d.Commit(b); err != nil {
+		if _, err := d.CommitBatch(b, false); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -116,7 +116,7 @@ func TestAllocsOneMoveCommit(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range moves {
-		if _, err := d.Commit(Batch{Set: moves[i : i+1]}); err != nil {
+		if _, err := d.CommitBatch(Batch{Set: moves[i : i+1]}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestDirectoryLiveBytes(t *testing.T) {
 					retire[0] = graph.VertexID(tc.draw(rng))
 					b.Retire = retire
 				}
-				if _, err := d.Commit(b); err != nil {
+				if _, err := d.CommitBatch(b, false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -255,7 +255,7 @@ func TestLiveBytesWithPinnedSnapshot(t *testing.T) {
 		var held *Snapshot
 		for i := 0; i < commits; i++ {
 			mv[0] = Move{V: graph.VertexID(rng.Intn(ids)), To: rng.Intn(4)}
-			e, err := d.Commit(Batch{Set: mv})
+			e, err := d.CommitBatch(Batch{Set: mv}, false)
 			if err != nil {
 				t.Fatal(err)
 			}

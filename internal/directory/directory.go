@@ -362,15 +362,15 @@ type Move struct {
 // back into the hot tier at their current shard — the promotion-on-access
 // lane fed by the read-side hint ring; a promotion never changes a
 // lookup's answer and is a no-op for hot, unknown, or out-of-range
-// vertices, so duplicated or stale hints are harmless. Commit refuses a
+// vertices, so duplicated or stale hints are harmless. CommitBatch refuses a
 // batch whose Set or SetCold names an ID at or above graph.MaxVertexID.
 //
 // Shards, when positive, declares the shard count the batch's mappings are
 // expressed against; it becomes the snapshot's epoch-consistent Shards().
 // Zero inherits the current count. A batch both resizing and remapping is
 // exactly one epoch flip — the directory's no-k/placement-tear guarantee —
-// and Commit rejects any batch that would publish a view with a mapping at
-// or above its own shard count.
+// and CommitBatch rejects any batch that would publish a view with a
+// mapping at or above its own shard count.
 type Batch struct {
 	Set     []Move
 	SetCold []Move
@@ -391,7 +391,7 @@ type Config struct {
 
 // Directory is the concurrent placement directory. Lookups and epoch pins
 // (Current/AtEpoch/PinEpoch/Resolve) are lock-free and safe from any number
-// of goroutines; Commit/Place serialise internally, so multiple writers are
+// of goroutines; CommitBatch serialises internally, so multiple writers are
 // safe too (though the intended shape is one publisher).
 type Directory struct {
 	mu   sync.Mutex
@@ -481,27 +481,12 @@ type Committer interface {
 	CommitBatch(b Batch, wave bool) (uint64, error)
 }
 
-// CommitBatch implements Committer. Wave commits are tallied separately in
-// Stats.WaveFlips, so reports can split repartition flips from loose
-// placement flushes.
+// CommitBatch implements Committer: it atomically publishes one batch and
+// returns the new epoch. An empty batch still flips the epoch (callers that
+// want "no change, no flip" should skip the call — the Publisher does).
+// Wave commits are tallied separately in Stats.WaveFlips, so reports can
+// split repartition flips from loose placement flushes.
 func (d *Directory) CommitBatch(b Batch, wave bool) (uint64, error) {
-	return d.commit(b, wave)
-}
-
-// Place maps a single vertex, as its own epoch flip. It is Commit of a
-// one-entry batch; bulk callers should batch.
-func (d *Directory) Place(v graph.VertexID, shard int) (uint64, error) {
-	return d.Commit(Batch{Set: []Move{{V: v, To: shard}}})
-}
-
-// Commit atomically publishes one batch and returns the new epoch. An
-// empty batch still flips the epoch (callers that want "no change, no
-// flip" should skip the call — the Publisher does).
-func (d *Directory) Commit(b Batch) (uint64, error) {
-	return d.commit(b, false)
-}
-
-func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 

@@ -10,7 +10,7 @@ import (
 
 func mustCommit(t *testing.T, d *Directory, b Batch) uint64 {
 	t.Helper()
-	e, err := d.Commit(b)
+	e, err := d.CommitBatch(b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +33,14 @@ func TestEmptyDirectory(t *testing.T) {
 
 func TestPlaceAndLookup(t *testing.T) {
 	d := New(Config{})
-	if _, err := d.Place(3, 1); err != nil {
+	place := func(v graph.VertexID, shard int) error {
+		_, err := d.CommitBatch(Batch{Set: []Move{{V: v, To: shard}}}, false)
+		return err
+	}
+	if err := place(3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Place(5000, 2); err != nil { // second page
+	if err := place(5000, 2); err != nil { // second page
 		t.Fatal(err)
 	}
 	s := d.Current()
@@ -53,13 +57,13 @@ func TestPlaceAndLookup(t *testing.T) {
 		t.Errorf("len=%d hot=%d cold=%d", s.Len(), s.HotLen(), s.ColdLen())
 	}
 	// Overwrite is not a new entry.
-	if _, err := d.Place(3, 0); err != nil {
+	if err := place(3, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s := d.Current(); s.Len() != 2 {
 		t.Errorf("overwrite changed len to %d", s.Len())
 	}
-	if _, err := d.Place(3, -1); err == nil {
+	if err := place(3, -1); err == nil {
 		t.Error("negative shard accepted")
 	}
 }
@@ -147,7 +151,7 @@ func TestRejectedBatchLeavesNoTrace(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := New(Config{})
 			mustCommit(t, d, Batch{Set: []Move{{V: 1, To: 0}}})
-			if _, err := d.Commit(tc.b); err == nil {
+			if _, err := d.CommitBatch(tc.b, false); err == nil {
 				t.Fatal("batch accepted")
 			}
 			s := d.Current()
@@ -257,7 +261,7 @@ func TestOutOfRangeIDsRefused(t *testing.T) {
 		{SetCold: []Move{{V: b, To: 2}}},
 		{SetCold: []Move{{V: 6, To: 2}, {V: a, To: 3}}},
 	} {
-		if _, err := d.Commit(bad); err == nil {
+		if _, err := d.CommitBatch(bad, false); err == nil {
 			t.Errorf("batch %+v accepted", bad)
 		}
 	}
@@ -283,7 +287,7 @@ func TestOutOfRangeIDsRefused(t *testing.T) {
 func TestOutOfRangeSetAllocatesNothing(t *testing.T) {
 	d := New(Config{})
 	huge := graph.MaxVertexID + 12345
-	if _, err := d.Commit(Batch{Set: []Move{{V: huge, To: 3}}}); err == nil {
+	if _, err := d.CommitBatch(Batch{Set: []Move{{V: huge, To: 3}}}, false); err == nil {
 		t.Fatal("Set of an out-of-range ID accepted")
 	}
 	s := d.Current()

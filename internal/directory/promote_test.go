@@ -8,10 +8,10 @@ import (
 
 func TestPromoteRehydratesColdEntry(t *testing.T) {
 	d := New(Config{})
-	if _, err := d.Commit(Batch{Set: []Move{{V: 5, To: 2}}, Shards: 4}); err != nil {
+	if _, err := d.CommitBatch(Batch{Set: []Move{{V: 5, To: 2}}, Shards: 4}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit(Batch{Retire: []graph.VertexID{5}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Retire: []graph.VertexID{5}}, false); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Current()
@@ -19,7 +19,7 @@ func TestPromoteRehydratesColdEntry(t *testing.T) {
 		t.Fatalf("after retire: (%d,cold=%v,ok=%v), want (2,true,true)", sh, cold, ok)
 	}
 
-	if _, err := d.Commit(Batch{Promote: []graph.VertexID{5}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Promote: []graph.VertexID{5}}, false); err != nil {
 		t.Fatal(err)
 	}
 	s = d.Current()
@@ -37,10 +37,10 @@ func TestPromoteRehydratesColdEntry(t *testing.T) {
 
 func TestPromoteNeverChangesLookupAnswer(t *testing.T) {
 	d := New(Config{})
-	if _, err := d.Commit(Batch{Set: []Move{{V: 1, To: 0}, {V: 2, To: 3}}, Shards: 4}); err != nil {
+	if _, err := d.CommitBatch(Batch{Set: []Move{{V: 1, To: 0}, {V: 2, To: 3}}, Shards: 4}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit(Batch{Retire: []graph.VertexID{2}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Retire: []graph.VertexID{2}}, false); err != nil {
 		t.Fatal(err)
 	}
 	before := map[graph.VertexID]int{}
@@ -48,7 +48,7 @@ func TestPromoteNeverChangesLookupAnswer(t *testing.T) {
 
 	// Promote a cold entry, a hot entry, an unknown vertex and an
 	// out-of-range ID: only the cold one changes tier, none changes shard.
-	if _, err := d.Commit(Batch{Promote: []graph.VertexID{2, 1, 77, 1 << 40}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Promote: []graph.VertexID{2, 1, 77, 1 << 40}}, false); err != nil {
 		t.Fatal(err)
 	}
 	after := d.Current()
@@ -67,14 +67,14 @@ func TestPromoteNeverChangesLookupAnswer(t *testing.T) {
 
 func TestPromoteIsIdempotent(t *testing.T) {
 	d := New(Config{})
-	if _, err := d.Commit(Batch{Set: []Move{{V: 9, To: 1}}, Shards: 2}); err != nil {
+	if _, err := d.CommitBatch(Batch{Set: []Move{{V: 9, To: 1}}, Shards: 2}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit(Batch{Retire: []graph.VertexID{9}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Retire: []graph.VertexID{9}}, false); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := d.Commit(Batch{Promote: []graph.VertexID{9}}); err != nil {
+		if _, err := d.CommitBatch(Batch{Promote: []graph.VertexID{9}}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestStatsWaveFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The Committer-free Commit path counts as a loose flush.
-	if _, err := d.Commit(Batch{Set: []Move{{V: 3, To: 1}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Set: []Move{{V: 3, To: 1}}}, false); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()

@@ -193,7 +193,7 @@ func TestRaceSnapshotsMatchOracle(t *testing.T) {
 			}
 		}
 		o.apply(d.Epoch()+1, b)
-		if _, err := d.Commit(b); err != nil {
+		if _, err := d.CommitBatch(b, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +225,7 @@ func TestRaceWavePairsNeverTear(t *testing.T) {
 	for i := 0; i < pairs; i++ {
 		init = append(init, Move{V: graph.VertexID(2 * i), To: 0}, Move{V: graph.VertexID(2*i + 1), To: 0})
 	}
-	if _, err := d.Commit(Batch{Set: init}); err != nil {
+	if _, err := d.CommitBatch(Batch{Set: init}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,7 +261,7 @@ func TestRaceWavePairsNeverTear(t *testing.T) {
 					Move{V: graph.VertexID(2*i + 1), To: to})
 			}
 		}
-		if _, err := d.Commit(Batch{Set: wave}); err != nil {
+		if _, err := d.CommitBatch(Batch{Set: wave}, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func TestBatchShardsCarriage(t *testing.T) {
 		t.Fatalf("fresh directory declares %d shards, want 0 (undeclared)", got)
 	}
 
-	e1, err := d.Commit(Batch{Shards: 4, Set: []Move{{V: 1, To: 3}}})
+	e1, err := d.CommitBatch(Batch{Shards: 4, Set: []Move{{V: 1, To: 3}}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestBatchShardsCarriage(t *testing.T) {
 	}
 
 	// Shards: 0 inherits.
-	if _, err := d.Commit(Batch{Set: []Move{{V: 2, To: 0}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Set: []Move{{V: 2, To: 0}}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Current().Shards(); got != 4 {
@@ -36,13 +36,13 @@ func TestBatchShardsCarriage(t *testing.T) {
 	}
 
 	// A declared count validates every target in the same batch.
-	if _, err := d.Commit(Batch{Set: []Move{{V: 3, To: 4}}}); err == nil {
+	if _, err := d.CommitBatch(Batch{Set: []Move{{V: 3, To: 4}}}, false); err == nil {
 		t.Error("Set target 4 accepted with 4 shards declared")
 	}
-	if _, err := d.Commit(Batch{SetCold: []Move{{V: 3, To: 7}}}); err == nil {
+	if _, err := d.CommitBatch(Batch{SetCold: []Move{{V: 3, To: 7}}}, false); err == nil {
 		t.Error("SetCold target 7 accepted with 4 shards declared")
 	}
-	if _, err := d.Commit(Batch{Shards: -2}); err == nil {
+	if _, err := d.CommitBatch(Batch{Shards: -2}, false); err == nil {
 		t.Error("negative Shards accepted")
 	}
 
@@ -61,12 +61,12 @@ func TestBatchShardsCarriage(t *testing.T) {
 // every entry above the new range or be rejected before any mutation.
 func TestShrinkOrphanRejected(t *testing.T) {
 	d := New(Config{})
-	if _, err := d.Commit(Batch{Shards: 4, Set: []Move{{V: 1, To: 0}, {V: 2, To: 3}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Shards: 4, Set: []Move{{V: 1, To: 0}, {V: 2, To: 3}}}, false); err != nil {
 		t.Fatal(err)
 	}
 	epoch := d.Epoch()
 
-	_, err := d.Commit(Batch{Shards: 2})
+	_, err := d.CommitBatch(Batch{Shards: 2}, false)
 	if err == nil {
 		t.Fatal("shrink accepted with vertex 2 on shard 3")
 	}
@@ -84,7 +84,7 @@ func TestShrinkOrphanRejected(t *testing.T) {
 	}
 
 	// The same shrink with the remap in the same batch is one clean flip.
-	if _, err := d.Commit(Batch{Shards: 2, Set: []Move{{V: 2, To: 1}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Shards: 2, Set: []Move{{V: 2, To: 1}}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if d.Epoch() != epoch+1 {
@@ -100,10 +100,10 @@ func TestShrinkOrphanRejected(t *testing.T) {
 // re-hydrate the hot tier), hot entries stay hot, unknown entries land cold.
 func TestSetColdTierPreserving(t *testing.T) {
 	d := New(Config{})
-	if _, err := d.Commit(Batch{Shards: 4, Set: []Move{{V: 10, To: 2}, {V: 11, To: 2}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Shards: 4, Set: []Move{{V: 10, To: 2}, {V: 11, To: 2}}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit(Batch{Retire: []graph.VertexID{10}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Retire: []graph.VertexID{10}}, false); err != nil {
 		t.Fatal(err)
 	}
 	base := d.Current()
@@ -113,7 +113,7 @@ func TestSetColdTierPreserving(t *testing.T) {
 
 	// Remap the retired entry and the hot entry via SetCold, plus one
 	// never-seen vertex.
-	if _, err := d.Commit(Batch{SetCold: []Move{{V: 10, To: 0}, {V: 11, To: 0}, {V: 12, To: 1}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{SetCold: []Move{{V: 10, To: 0}, {V: 11, To: 0}, {V: 12, To: 1}}}, false); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Current()
@@ -135,7 +135,7 @@ func TestSetColdTierPreserving(t *testing.T) {
 	if _, cold, _ := s.LookupTier(12); !cold || s.cold.get(12) != 1 {
 		t.Errorf("unknown in-range ID: cold=%v, cold page slot=%d; want true/1", cold, s.cold.get(12))
 	}
-	if _, err := d.Commit(Batch{SetCold: []Move{{V: graph.MaxVertexID, To: 1}}}); err == nil || d.Current() != s {
+	if _, err := d.CommitBatch(Batch{SetCold: []Move{{V: graph.MaxVertexID, To: 1}}}, false); err == nil || d.Current() != s {
 		t.Errorf("out-of-range SetCold: err=%v, view replaced=%v; want refused, unchanged", err, d.Current() != s)
 	}
 }
@@ -146,10 +146,10 @@ func TestSetColdTierPreserving(t *testing.T) {
 // grows the count.
 func TestColdPromotionAcrossResize(t *testing.T) {
 	d := New(Config{})
-	if _, err := d.Commit(Batch{Shards: 2, Set: []Move{{V: 7, To: 1}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Shards: 2, Set: []Move{{V: 7, To: 1}}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit(Batch{Retire: []graph.VertexID{7}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Retire: []graph.VertexID{7}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if d.Current().ColdLen() != 1 {
@@ -159,7 +159,7 @@ func TestColdPromotionAcrossResize(t *testing.T) {
 	// Shard 5 does not exist before this commit; the promotion and the
 	// growth land in one flip.
 	epoch := d.Epoch()
-	if _, err := d.Commit(Batch{Shards: 6, Set: []Move{{V: 7, To: 5}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Shards: 6, Set: []Move{{V: 7, To: 5}}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if d.Epoch() != epoch+1 {
@@ -187,13 +187,13 @@ func TestColdPromotionAcrossResize(t *testing.T) {
 // placements) with stale=true — never a mix.
 func TestPinEpochResolveAcrossKFlip(t *testing.T) {
 	d := New(Config{JournalDepth: 2})
-	if _, err := d.Commit(Batch{Shards: 2, Set: []Move{{V: 1, To: 1}, {V: 2, To: 0}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Shards: 2, Set: []Move{{V: 1, To: 1}, {V: 2, To: 0}}}, false); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Epoch()
 
 	// The resize wave: count 2 -> 4 plus the remap, one flip.
-	if _, err := d.Commit(Batch{Shards: 4, Set: []Move{{V: 1, To: 3}}}); err != nil {
+	if _, err := d.CommitBatch(Batch{Shards: 4, Set: []Move{{V: 1, To: 3}}}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -214,7 +214,7 @@ func TestPinEpochResolveAcrossKFlip(t *testing.T) {
 
 	// Flood the 2-deep journal so the pre-flip epoch evicts.
 	for i := 0; i < 4; i++ {
-		if _, err := d.Commit(Batch{Set: []Move{{V: 2, To: i % 4}}}); err != nil {
+		if _, err := d.CommitBatch(Batch{Set: []Move{{V: 2, To: i % 4}}}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func TestRaceShardCountNeverTears(t *testing.T) {
 		wide[i] = Move{V: graph.VertexID(i), To: i % 8}
 		narrow[i] = Move{V: graph.VertexID(i), To: i % 2}
 	}
-	if _, err := d.Commit(Batch{Shards: 2, Set: narrow}); err != nil {
+	if _, err := d.CommitBatch(Batch{Shards: 2, Set: narrow}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,7 +278,7 @@ func TestRaceShardCountNeverTears(t *testing.T) {
 		if c%2 == 1 {
 			b = Batch{Shards: 2, Set: narrow}
 		}
-		if _, err := d.Commit(b); err != nil {
+		if _, err := d.CommitBatch(b, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,10 +41,10 @@ func sameView(t *testing.T, name string, a, b *directory.Snapshot) {
 
 func TestServerBatchLookup(t *testing.T) {
 	dir := directory.New(directory.Config{})
-	if _, err := dir.Commit(directory.Batch{
+	if _, err := dir.CommitBatch(directory.Batch{
 		Set:    []directory.Move{{V: 1, To: 0}, {V: 2, To: 1}, {V: 3, To: 2}},
 		Shards: 4,
-	}); err != nil {
+	}, false); err != nil {
 		t.Fatal(err)
 	}
 	srv := Serve(listen(t), ServerConfig{Dir: dir})
@@ -79,7 +79,7 @@ func TestServerBatchLookup(t *testing.T) {
 	}
 
 	// Second batch exact-pins the same epoch even after the writer moves on.
-	if _, err := dir.Commit(directory.Batch{Set: []directory.Move{{V: 1, To: 3}}}); err != nil {
+	if _, err := dir.CommitBatch(directory.Batch{Set: []directory.Move{{V: 1, To: 3}}}, false); err != nil {
 		t.Fatal(err)
 	}
 	epoch2, stale2, err := c.LookupBatch(ids[:1], out[:1])
@@ -96,7 +96,7 @@ func TestServerBatchLookup(t *testing.T) {
 
 func TestClientRepinAfterEviction(t *testing.T) {
 	dir := directory.New(directory.Config{JournalDepth: 4})
-	if _, err := dir.Commit(directory.Batch{Set: []directory.Move{{V: 1, To: 0}}, Shards: 2}); err != nil {
+	if _, err := dir.CommitBatch(directory.Batch{Set: []directory.Move{{V: 1, To: 0}}, Shards: 2}, false); err != nil {
 		t.Fatal(err)
 	}
 	srv := Serve(listen(t), ServerConfig{Dir: dir})
@@ -115,7 +115,7 @@ func TestClientRepinAfterEviction(t *testing.T) {
 
 	// Push the pinned epoch out of the 4-deep journal.
 	for i := 0; i < 8; i++ {
-		if _, err := dir.Commit(directory.Batch{Set: []directory.Move{{V: 1, To: i % 2}}}); err != nil {
+		if _, err := dir.CommitBatch(directory.Batch{Set: []directory.Move{{V: 1, To: i % 2}}}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestReplicaLookupWithEpochFloor(t *testing.T) {
 	srv := Serve(listen(t), ServerConfig{Dir: rdir, Replica: rp})
 	defer srv.Close()
 
-	if _, err := primary.Commit(directory.Batch{Set: []directory.Move{{V: 7, To: 1}}, Shards: 2}); err != nil {
+	if _, err := primary.CommitBatch(directory.Batch{Set: []directory.Move{{V: 7, To: 1}}, Shards: 2}, false); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Dial(srv.Addr())

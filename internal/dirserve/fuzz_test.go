@@ -78,7 +78,7 @@ func FuzzLookupRequest(f *testing.F) {
 		for v := graph.VertexID(e); v < 3000; v += 11 {
 			b.Retire = append(b.Retire, v)
 		}
-		if _, err := d.Commit(b); err != nil {
+		if _, err := d.CommitBatch(b, false); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ const (
 type RemoteHook func(from, to types.Address, value Word, input []byte) bool
 
 // VM executes bytecode against a StateDB and records a call trace. A VM
-// instance is single-use per transaction: create one, run Call or Create
+// instance is single-use per transaction: create one, run Call or CreateAt
 // once, read Traces. By default the trace is a fresh slice; a caller that
 // executes transaction after transaction can hand the VM an old trace's
 // backing array (ReuseTraces) and so record without allocating.
@@ -61,14 +61,14 @@ func New(state StateDB) *VM {
 func (vm *VM) SetRemoteHook(hook RemoteHook) { vm.remote = hook }
 
 // ReuseTraces makes the VM record its call trace into buf's backing array,
-// starting empty. It must be called before Call or Create. Whatever buf
+// starting empty. It must be called before Call or CreateAt. Whatever buf
 // held is overwritten, so the caller must be done with it —
 // chain.ApplyTransactionInto passes the receipt's previous trace.
 func (vm *VM) ReuseTraces(buf []CallTrace) { vm.traces = buf[:0] }
 
 // Traces returns the call trace accumulated so far. The slice is the VM's
 // own; since a VM is single-use, a caller that is done executing may keep
-// it without copying (chain.ApplyTransaction hands it to the receipt).
+// it without copying (the transaction processor hands it to the receipt).
 func (vm *VM) Traces() []CallTrace { return vm.traces }
 
 // Call runs a message call from caller to `to` with the given value, input
@@ -82,29 +82,15 @@ func (vm *VM) Call(caller, to types.Address, value Word, input []byte, gas uint6
 	return vm.call(caller, to, value, input, gas, 1)
 }
 
-// Create deploys code from caller with the given endowment, recording the
-// creation in the trace. It returns the new contract's address.
-//
-// The deployed code is the *return value* of running initCode, matching
-// Ethereum's two-phase deployment. Init code that returns nothing deploys
-// an empty contract.
-func (vm *VM) Create(caller types.Address, initCode []byte, value Word, gas uint64) (types.Address, uint64, error) {
-	nonce := vm.state.GetNonce(caller)
-	vm.state.SetNonce(caller, nonce+1)
-	addr := types.ContractAddress(caller, nonce)
-
-	vm.traces = append(vm.traces, CallTrace{
-		Kind: KindCreate, From: caller, To: addr, Value: value, Depth: 0,
-	})
-	gasLeft, err := vm.create(caller, addr, initCode, value, gas, 1)
-	return addr, gasLeft, err
-}
-
 // CreateAt deploys initCode at a caller-chosen address without touching the
 // caller's nonce. The transaction processor uses it: the nonce bump of a
 // contract-creating transaction is part of transaction validation (it must
 // survive execution failure), so the processor performs it and derives the
 // address itself.
+//
+// The deployed code is the *return value* of running initCode, matching
+// Ethereum's two-phase deployment. Init code that returns nothing deploys
+// an empty contract.
 func (vm *VM) CreateAt(caller, addr types.Address, initCode []byte, value Word, gas uint64) (uint64, error) {
 	vm.traces = append(vm.traces, CallTrace{
 		Kind: KindCreate, From: caller, To: addr, Value: value, Depth: 0,

@@ -232,7 +232,8 @@ func TestCreateWithValueMovesBalance(t *testing.T) {
 	st := newMemState()
 	st.AddBalance(alice, WordFromUint64(1000))
 	vm := New(st)
-	addr, _, err := vm.Create(alice, nil, WordFromUint64(400), testGas)
+	addr := types.ContractAddress(alice, 0)
+	_, err := vm.CreateAt(alice, addr, nil, WordFromUint64(400), testGas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestCreateWithValueMovesBalance(t *testing.T) {
 func TestCreateInsufficientEndowment(t *testing.T) {
 	st := newMemState()
 	vm := New(st)
-	_, _, err := vm.Create(alice, nil, WordFromUint64(400), testGas)
+	_, err := vm.CreateAt(alice, types.ContractAddress(alice, 0), nil, WordFromUint64(400), testGas)
 	if !errors.Is(err, ErrInsufficientBalance) {
 		t.Fatalf("err = %v, want ErrInsufficientBalance", err)
 	}

@@ -246,7 +246,8 @@ func TestCreateDeploysRuntimeCode(t *testing.T) {
 
 	st := newMemState()
 	vm := New(st)
-	addr, _, err := vm.Create(alice, init, Word{}, testGas)
+	addr := types.ContractAddress(alice, 0)
+	_, err := vm.CreateAt(alice, addr, init, Word{}, testGas)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,3 +220,59 @@ func TestFig5ShapesMatchPaper(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperClaimsHoldOnEverySeed checks the paper's Fig. 5 orderings on
+// seeds 1–5 of the default era history at scale 0.0005 — what
+// `experiments -seed N -scale 0.0005 fig5` prints. At every k: HASH moves
+// nothing and has the highest dynamic cut, METIS the lowest, and TR-METIS
+// moves no more than METIS or R-METIS; every method's cut rises with k.
+// About 4 s per seed on 2 vCPUs, so it skips under -short and under the
+// race detector (CI runs it in a step of its own).
+func TestPaperClaimsHoldOnEverySeed(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("five full fig5 sweeps; skipped under -short and -race")
+	}
+	ks := []int{2, 4, 8}
+	for seed := int64(1); seed <= 5; seed++ {
+		ds, err := NewDataset(Params{Seed: seed, Scale: 0.0005})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ds.Fig5(ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := map[sim.Method]map[int]Fig5Row{}
+		for _, r := range rows {
+			if row[r.Method] == nil {
+				row[r.Method] = map[int]Fig5Row{}
+			}
+			row[r.Method][r.K] = r
+		}
+		for _, k := range ks {
+			hash, metis := row[sim.MethodHash][k], row[sim.MethodMetis][k]
+			if hash.Moves != 0 {
+				t.Errorf("seed %d k=%d: HASH made %d moves", seed, k, hash.Moves)
+			}
+			for _, m := range sim.Methods() {
+				if m == sim.MethodHash || m == sim.MethodMetis {
+					continue
+				}
+				if c := row[m][k].DynamicCut; c >= hash.DynamicCut || c <= metis.DynamicCut {
+					t.Errorf("seed %d k=%d: %v dyn-cut %.4f not strictly between METIS %.4f and HASH %.4f",
+						seed, k, m, c, metis.DynamicCut, hash.DynamicCut)
+				}
+			}
+			if tr := row[sim.MethodTRMetis][k].Moves; tr > metis.Moves || tr > row[sim.MethodRMetis][k].Moves {
+				t.Errorf("seed %d k=%d: TR-METIS moved %d, METIS %d, R-METIS %d",
+					seed, k, tr, metis.Moves, row[sim.MethodRMetis][k].Moves)
+			}
+		}
+		for _, m := range sim.Methods() {
+			if c := row[m]; !(c[2].DynamicCut < c[4].DynamicCut && c[4].DynamicCut < c[8].DynamicCut) {
+				t.Errorf("seed %d: %v dyn-cut does not rise with k: %.4f, %.4f, %.4f",
+					seed, m, c[2].DynamicCut, c[4].DynamicCut, c[8].DynamicCut)
+			}
+		}
+	}
+}

@@ -142,29 +142,6 @@ type decaySchedule struct {
 	dirtySlots []int32
 }
 
-// clone deep-copies the schedule (Graph.Clone support).
-func (d *decaySchedule) clone() *decaySchedule {
-	c := &decaySchedule{
-		maxAge: d.maxAge,
-		vring:  make([][]VertexID, len(d.vring)),
-		ering:  make([][]edgeRef, len(d.ering)),
-		heavyV: append([]heavyVertex(nil), d.heavyV...),
-		heavyE: append([]edgeRef(nil), d.heavyE...),
-		vdec:   append([]uint32(nil), d.vdec...),
-	}
-	for i := range d.vring {
-		if len(d.vring[i]) > 0 {
-			c.vring[i] = append([]VertexID(nil), d.vring[i]...)
-		}
-	}
-	for i := range d.ering {
-		if len(d.ering[i]) > 0 {
-			c.ering[i] = append([]edgeRef(nil), d.ering[i]...)
-		}
-	}
-	return c
-}
-
 // markDirty records that the out or in row (bit) of slot s holds a
 // tombstone the current sweep must compact away.
 func (d *decaySchedule) markDirty(s int32, bit uint8) {

@@ -297,19 +297,6 @@ func TestPropertyScheduledDecayMatchesEager(t *testing.T) {
 				}
 			}
 		}
-
-		// A clone of the decaying graph must keep sweeping independently
-		// and identically.
-		lc, ec := lazy.Clone(), eager.Clone()
-		traceSweep(lazy, factor, maxAge)
-		for k := 0; k < int(maxAge)+1; k++ {
-			traceSweep(lc, factor, maxAge)
-			traceSweep(ec, factor, maxAge)
-		}
-		if !reflect.DeepEqual(dumpGraph(lc), dumpGraph(ec)) {
-			t.Error("cloned decaying graph diverged from cloned eager graph")
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -174,18 +174,6 @@ func (r *row) compact() {
 	}
 }
 
-// clone returns a deep copy of the row.
-func (r *row) clone() row {
-	c := row{e: append([]halfEdge(nil), r.e...)}
-	if r.idx != nil {
-		c.idx = make(map[VertexID]int32, len(r.idx))
-		for k, v := range r.idx {
-			c.idx[k] = v
-		}
-	}
-	return c
-}
-
 // Graph is a directed multigraph with weighted vertices and edges.
 //
 // A Graph is not safe for concurrent mutation; wrap it in a lock if multiple
@@ -587,30 +575,4 @@ func (g *Graph) Reset() {
 	g.ids, g.kinds, g.weights, g.touch = g.ids[:0], g.kinds[:0], g.weights[:0], g.touch[:0]
 	g.out, g.in = g.out[:0], g.in[:0]
 	g.numEdges, g.totalEdgeWeight, g.totalVertWeight = 0, 0, 0
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		slot:            append([]int32(nil), g.slot...),
-		ids:             append([]VertexID(nil), g.ids...),
-		kinds:           append([]Kind(nil), g.kinds...),
-		weights:         append([]int64(nil), g.weights...),
-		touch:           append([]uint32(nil), g.touch...),
-		out:             make([]row, len(g.out)),
-		in:              make([]row, len(g.in)),
-		free:            append([]int32(nil), g.free...),
-		epoch:           g.epoch,
-		numEdges:        g.numEdges,
-		totalEdgeWeight: g.totalEdgeWeight,
-		totalVertWeight: g.totalVertWeight,
-	}
-	for i := range g.out {
-		c.out[i] = g.out[i].clone()
-		c.in[i] = g.in[i].clone()
-	}
-	if g.sched != nil {
-		c.sched = g.sched.clone()
-	}
-	return c
 }

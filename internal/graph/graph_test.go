@@ -177,24 +177,6 @@ func TestVertexIDsSorted(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := New()
-	mustAdd(t, g, 1, 2, 5)
-	c := g.Clone()
-	mustAdd(t, g, 1, 2, 1)
-	mustAdd(t, g, 3, 4, 1)
-
-	if c.EdgeWeight(1, 2) != 5 {
-		t.Errorf("clone edge weight mutated: %d", c.EdgeWeight(1, 2))
-	}
-	if c.VertexCount() != 2 {
-		t.Errorf("clone vertex count mutated: %d", c.VertexCount())
-	}
-	if c.TotalEdgeWeight() != 5 {
-		t.Errorf("clone total edge weight mutated: %d", c.TotalEdgeWeight())
-	}
-}
-
 func TestEdgesIteration(t *testing.T) {
 	g := New()
 	mustAdd(t, g, 1, 2, 3)

@@ -218,49 +218,3 @@ func TestPropertyDenseMatchesOracle(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestPropertyCloneMatchesOracle checks that clones stay deeply equal to
-// the oracle after the original keeps mutating.
-func TestPropertyCloneMatchesOracle(t *testing.T) {
-	f := func(seed int64, nRaw, mRaw uint8) bool {
-		n := int(nRaw%40) + 2
-		m := int(mRaw%100) + 2
-		stream := interactionStream(seed, n, m)
-		half := len(stream) / 2
-
-		g := New()
-		o := newOracle()
-		for i, it := range stream[:half] {
-			if i%7 == 0 && !refusesOutOfRange(g, i/7, it.from, it.to, it.fk, it.tk, it.w) {
-				t.Errorf("interaction %d: an out-of-range endpoint was not refused cleanly", i)
-				return false
-			}
-			if err := g.AddInteraction(it.from, it.to, it.fk, it.tk, it.w); err != nil {
-				t.Fatalf("AddInteraction: %v", err)
-			}
-			o.addInteraction(it.from, it.to, it.fk, it.tk, it.w)
-		}
-		c := g.Clone()
-		for _, it := range stream[half:] {
-			if err := g.AddInteraction(it.from, it.to, it.fk, it.tk, it.w); err != nil {
-				t.Fatalf("AddInteraction: %v", err)
-			}
-		}
-		// The clone must still match the half-stream oracle.
-		if c.VertexCount() != len(o.kinds) || c.TotalEdgeWeight() != o.totalEdgeWeight {
-			t.Errorf("clone diverged: %d vertices / %d weight, oracle %d / %d",
-				c.VertexCount(), c.TotalEdgeWeight(), len(o.kinds), o.totalEdgeWeight)
-			return false
-		}
-		for id := range o.kinds {
-			if c.VertexWeight(id) != o.weights[id] || c.Degree(id) != len(o.neighbors(id)) {
-				t.Errorf("clone vertex %d diverged", id)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

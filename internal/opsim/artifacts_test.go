@@ -18,7 +18,7 @@ import (
 // under test. The committed file pins the chain side of fixed runs — every
 // shard's final state root, the home of every account, a running hash over
 // every transaction receipt in replay order, the totals and the block
-// count — so a change to chain.State, chain.ApplyTransaction or
+// count — so a change to chain.State, chain.ApplyTransactionInto or
 // shardchain's engines that is meant to be byte-identical can be checked to
 // be. Regenerate it only in a PR whose stated purpose is to change what the
 // chain computes.

@@ -153,16 +153,6 @@ func (a *Assignment) Each(fn func(v graph.VertexID, shard int) bool) {
 	}
 }
 
-// Clone returns a deep copy.
-func (a *Assignment) Clone() *Assignment {
-	return &Assignment{
-		k:      a.k,
-		shards: append([]int32(nil), a.shards...),
-		n:      a.n,
-		counts: append([]int(nil), a.counts...),
-	}
-}
-
 // ToParts converts the assignment into a CSR-indexed slice for refiners.
 // Unassigned vertices get NoShard.
 func (a *Assignment) ToParts(c *graph.CSR) []int {

@@ -54,19 +54,6 @@ func TestAssignmentBasics(t *testing.T) {
 	}
 }
 
-func TestAssignmentCloneIndependent(t *testing.T) {
-	a, _ := NewAssignment(2)
-	a.Assign(1, 0)
-	c := a.Clone()
-	a.Assign(1, 1)
-	if s, _ := c.ShardOf(1); s != 0 {
-		t.Fatal("clone mutated by original")
-	}
-	if c.Count(0) != 1 {
-		t.Fatal("clone counts mutated")
-	}
-}
-
 // TestAssignmentRejectsOutOfRangeIDs: an ID at or above graph.MaxVertexID
 // is refused with an error and leaves the assignment untouched — no count,
 // no table growth, nothing for ShardOf or Each to find — so a move of it
@@ -91,7 +78,7 @@ func TestAssignmentRejectsOutOfRangeIDs(t *testing.T) {
 		t.Fatalf("refused IDs left a trace: len=%d counts=%v table=%d", a.Len(), a.Counts(), len(a.shards))
 	}
 	seen := map[graph.VertexID]int{}
-	a.Clone().Each(func(v graph.VertexID, shard int) bool {
+	a.Each(func(v graph.VertexID, shard int) bool {
 		seen[v] = shard
 		return true
 	})

@@ -549,7 +549,7 @@ func (sc *ShardChain) execShardOf(tx *chain.Transaction, h *homes) int {
 // emitted; the target shard executes on settlement. Only the value is
 // debited here (fee plumbing is omitted, see runLocal), so only the value
 // is required — and a nonce failure is reported as what it is, matching
-// the semantics of chain.ApplyTransaction.
+// the semantics of chain.ApplyTransactionInto.
 func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects, receipt *chain.Receipt) {
 	// Nothing executes, so the trace is empty; its backing array stays with
 	// the receipt for the next transaction that does execute in this slot.

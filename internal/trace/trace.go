@@ -162,14 +162,14 @@ func (r *Registry) Len() int { return len(r.addrs) }
 // with blockTime — the closed-loop era semantics, where actions arrive
 // exactly at the block they execute in.
 func AppendReceipts(dst []Record, blockNum uint32, blockTime int64, times []int64,
-	receipts []*chain.Receipt, reg *Registry, isContract func(types.Address) bool) []Record {
+	receipts []chain.Receipt, reg *Registry, isContract func(types.Address) bool) []Record {
 
-	for ri, receipt := range receipts {
+	for ri := range receipts {
 		recTime := blockTime
 		if times != nil {
 			recTime = times[ri]
 		}
-		for _, tr := range receipt.Traces {
+		for _, tr := range receipts[ri].Traces {
 			fromID := reg.ID(tr.From)
 			toID := reg.ID(tr.To)
 			switch tr.Kind {

@@ -16,9 +16,10 @@ import (
 // record of a small era history, generator construction included, pinned so
 // generation does not erode. Five-minute blocks over the fifteen days of
 // miniEras make 4,320 blocks, so a per-block or every-Nth-block cost —
-// sealing a block's commitments was one — shows up against the records.
+// sealing a block's commitments was one, a receipt object per transaction
+// another — shows up against the records.
 func TestGenerateAllocs(t *testing.T) {
-	const ceiling = 3.9 // allocations per record; 3.57 measured
+	const ceiling = 2.4 // allocations per record; 2.134 measured
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	gen, err := New(Config{Seed: 1, Scale: 0.05, Eras: miniEras(), BlockInterval: 5 * time.Minute})

@@ -181,15 +181,15 @@ type Stats struct {
 	DummyAccounts int
 }
 
-// Block is one executed block of the generated history. The generator
-// executes blocks but seals none: nothing downstream reads a block's
-// commitments, so no parent hash, state root or transaction root is
-// computed.
+// Block is one executed block of the generated history (chain.ExecuteBlock,
+// which seals nothing).
 type Block struct {
-	Number   uint64
-	Time     int64 // Unix seconds
-	Miner    types.Address
-	Receipts []*chain.Receipt // one per transaction, in block order
+	Number uint64
+	Time   int64 // Unix seconds
+	Miner  types.Address
+	// Receipts has one entry per transaction, in block order. It is the
+	// block's own slab, so callers may keep it.
+	Receipts []chain.Receipt
 	// Records are the receipts' interaction records, stamped with each
 	// transaction's arrival instant, in the generator's vertex IDs. The
 	// slice is reused by the next block; callers must not retain it.
@@ -412,10 +412,10 @@ func (g *Generator) executeAt(at time.Time) (*Block, error) {
 
 // updatePools feeds the last block's records into the
 // preferential-attachment pools and counts its deployments.
-func (g *Generator) updatePools(receipts []*chain.Receipt) {
+func (g *Generator) updatePools(receipts []chain.Receipt) {
 	const paCap = 1 << 20
-	for _, r := range receipts {
-		if r.ContractAddress != nil {
+	for i := range receipts {
+		if receipts[i].ContractAddress != nil {
 			g.stats.Deployments++
 		}
 	}

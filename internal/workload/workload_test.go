@@ -15,6 +15,12 @@ import (
 	"ethpart/internal/types"
 )
 
+// apply executes tx on st into a fresh receipt, mined by a fixed miner.
+func apply(st *chain.State, tx *chain.Transaction) (*chain.Receipt, error) {
+	r := new(chain.Receipt)
+	return r, chain.ApplyTransactionInto(st, tx, types.AddressFromSeq(9), nil, r)
+}
+
 // deployAndCall deploys runtime from a funded account and calls it once,
 // returning the receipt of the call.
 func deployAndCall(t *testing.T, runtime []byte, value uint64, data []byte, endow uint64) (*chain.Receipt, *chain.State) {
@@ -27,7 +33,7 @@ func deployAndCall(t *testing.T, runtime []byte, value uint64, data []byte, endo
 		Nonce: 0, From: sender, Data: evm.DeployWrapper(runtime),
 		Value: evm.WordFromUint64(endow), GasLimit: 5_000_000, GasPrice: 1,
 	}
-	r, err := chain.ApplyTransaction(st, deploy, types.AddressFromSeq(9))
+	r, err := apply(st, deploy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +46,7 @@ func deployAndCall(t *testing.T, runtime []byte, value uint64, data []byte, endo
 		Value: evm.WordFromUint64(value), Data: data,
 		GasLimit: 2_000_000, GasPrice: 1,
 	}
-	r, err = chain.ApplyTransaction(st, call, types.AddressFromSeq(9))
+	r, err = apply(st, call)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +119,7 @@ func TestGameRuntimePaysEveryEighthMove(t *testing.T) {
 		Nonce: 0, From: sender, Data: evm.DeployWrapper(GameRuntime()),
 		Value: evm.WordFromUint64(1_000_000), GasLimit: 5_000_000, GasPrice: 1,
 	}
-	r, err := chain.ApplyTransaction(st, deploy, types.AddressFromSeq(9))
+	r, err := apply(st, deploy)
 	if err != nil || !r.Success {
 		t.Fatalf("deploy: %v %v", err, r.Err)
 	}
@@ -125,7 +131,7 @@ func TestGameRuntimePaysEveryEighthMove(t *testing.T) {
 			Nonce: uint64(i), From: sender, To: &game,
 			Value: evm.WordFromUint64(10), GasLimit: 2_000_000, GasPrice: 1,
 		}
-		r, err := chain.ApplyTransaction(st, call, types.AddressFromSeq(9))
+		r, err := apply(st, call)
 		if err != nil || !r.Success {
 			t.Fatalf("move %d: %v %v", i, err, r.Err)
 		}
