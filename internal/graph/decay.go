@@ -387,14 +387,17 @@ func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onEdge func(
 
 // retireSlot frees one vertex slot: the ID is unindexed, the records are
 // zeroed (the zero Kind marks the slot free) and the slot joins the free
-// list. The vertex's rows are dropped wholesale — every incident edge is at
-// least as old as the vertex, so it left both of its rows no later than
-// this sweep's edge phase.
+// list. The vertex's rows are dropped wholesale, their blocks given back
+// for the next rows to reuse — every incident edge is at least as old as
+// the vertex, so it left both of its rows no later than this sweep's edge
+// phase.
 func (g *Graph) retireSlot(s int32) {
 	g.slot[g.ids[s]] = -1
 	g.ids[s] = 0
 	g.kinds[s] = 0
 	g.weights[s] = 0
+	g.giveBlock(g.out[s].e)
+	g.giveBlock(g.in[s].e)
 	g.out[s] = row{}
 	g.in[s] = row{}
 	g.free = append(g.free, s)

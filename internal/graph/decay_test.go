@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -94,6 +95,80 @@ func (o *decayOracle) totals() (edges int, ew, vw int64) {
 	return edges, ew, vw
 }
 
+// mismatch describes how g differs from the oracle, or returns "" when
+// every observable agrees: the vertex count and totals, each vertex's kind
+// and weight, both of its rows, the edge weights, and no vertex or edge the
+// oracle lacks (retired slots must not leak into iteration).
+func (o *decayOracle) mismatch(g *Graph) string {
+	if g.VertexCount() != len(o.kinds) {
+		return fmt.Sprintf("VertexCount = %d, oracle %d", g.VertexCount(), len(o.kinds))
+	}
+	edges, ew, vw := o.totals()
+	if g.EdgeCount() != edges || g.TotalEdgeWeight() != ew || g.TotalVertexWeight() != vw {
+		return fmt.Sprintf("totals (%d,%d,%d), oracle (%d,%d,%d)", g.EdgeCount(),
+			g.TotalEdgeWeight(), g.TotalVertexWeight(), edges, ew, vw)
+	}
+	in := make(map[VertexID]map[VertexID]int64)
+	for u, m := range o.out {
+		for v, w := range m {
+			if in[v] == nil {
+				in[v] = make(map[VertexID]int64)
+			}
+			in[v][u] = w
+		}
+	}
+	for id, kind := range o.kinds {
+		if g.VertexKind(id) != kind || g.VertexWeight(id) != o.weight[id] {
+			return fmt.Sprintf("vertex %d: kind %v weight %d, oracle %v %d",
+				id, g.VertexKind(id), g.VertexWeight(id), kind, o.weight[id])
+		}
+		if d := rowMismatch(g.OutNeighbors, id, o.out[id]); d != "" {
+			return fmt.Sprintf("out row of %d: %s", id, d)
+		}
+		if d := rowMismatch(g.InNeighbors, id, in[id]); d != "" {
+			return fmt.Sprintf("in row of %d: %s", id, d)
+		}
+		for v, w := range o.out[id] {
+			if g.EdgeWeight(id, v) != w {
+				return fmt.Sprintf("EdgeWeight(%d,%d) = %d, oracle %d", id, v, g.EdgeWeight(id, v), w)
+			}
+		}
+	}
+	ghost := false
+	g.Vertices(func(id VertexID, _ Kind, _ int64) bool {
+		_, ok := o.kinds[id]
+		ghost = !ok
+		return ok
+	})
+	g.Edges(func(u, v VertexID, w int64) bool {
+		ghost = ghost || o.out[u][v] != w
+		return !ghost
+	})
+	if ghost {
+		return "graph reports a vertex or edge the oracle retired"
+	}
+	return ""
+}
+
+// rowMismatch compares the row each lists for id with want: every entry
+// once, at want's weight, and nothing else.
+func rowMismatch(each func(VertexID, func(VertexID, int64) bool), id VertexID, want map[VertexID]int64) string {
+	seen := make(map[VertexID]bool, len(want))
+	bad := ""
+	each(id, func(v VertexID, w int64) bool {
+		if seen[v] || want[v] != w {
+			bad = fmt.Sprintf("entry %d weighs %d (seen before: %v), oracle %d", v, w, seen[v], want[v])
+			return false
+		}
+		seen[v] = true
+		return true
+	})
+	if bad == "" && len(seen) != len(want) {
+		bad = fmt.Sprintf("%d entries, oracle %d", len(seen), len(want))
+	}
+	return bad
+}
+
 // TestPropertyDecayMatchesOracle interleaves random interaction bursts with
 // decay sweeps and requires the dense graph (free-listed slots, compacted
 // rows, rebuilt aggregates) to agree with the map oracle on every
@@ -132,48 +207,8 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 			g.DecaySweep(factor, nil, nil)
 			o.decay(factor, maxAge)
 
-			if g.VertexCount() != len(o.kinds) {
-				t.Errorf("VertexCount = %d, oracle %d", g.VertexCount(), len(o.kinds))
-				return false
-			}
-			edges, ew, vw := o.totals()
-			if g.EdgeCount() != edges || g.TotalEdgeWeight() != ew || g.TotalVertexWeight() != vw {
-				t.Errorf("totals (%d,%d,%d), oracle (%d,%d,%d)", g.EdgeCount(),
-					g.TotalEdgeWeight(), g.TotalVertexWeight(), edges, ew, vw)
-				return false
-			}
-			for id, kind := range o.kinds {
-				if g.VertexKind(id) != kind || g.VertexWeight(id) != o.weight[id] {
-					t.Errorf("vertex %d: kind %v weight %d, oracle %v %d",
-						id, g.VertexKind(id), g.VertexWeight(id), kind, o.weight[id])
-					return false
-				}
-				for v, w := range o.out[id] {
-					if g.EdgeWeight(id, v) != w {
-						t.Errorf("EdgeWeight(%d,%d) = %d, oracle %d", id, v, g.EdgeWeight(id, v), w)
-						return false
-					}
-				}
-			}
-			// No ghost vertices: everything the graph reports must be in the
-			// oracle (retired slots must not leak into iteration).
-			ghost := false
-			g.Vertices(func(id VertexID, _ Kind, _ int64) bool {
-				if _, ok := o.kinds[id]; !ok {
-					ghost = true
-					return false
-				}
-				return true
-			})
-			g.Edges(func(u, v VertexID, w int64) bool {
-				if o.out[u][v] != w {
-					ghost = true
-					return false
-				}
-				return true
-			})
-			if ghost {
-				t.Error("graph reports a vertex or edge the oracle retired")
+			if d := o.mismatch(g); d != "" {
+				t.Errorf("round %d: %s", round, d)
 				return false
 			}
 			// The CSR over the decayed graph covers exactly the live set.

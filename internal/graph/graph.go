@@ -12,16 +12,20 @@
 //
 // Storage is dense: the trace registry assigns vertex IDs from zero, so the
 // graph keeps per-vertex records in slices indexed through a VertexID->slot
-// table instead of hash maps. Adjacency rows are append-only slices of
-// half edges carved from a shared arena; rows that grow past a threshold
-// (hub contracts) gain a lazily built position index so edge lookups stay
-// O(1) without paying a map per vertex. Reset empties a graph but keeps
-// that storage, so a window graph rebuilt at every repartition wave grows
-// it once instead of at every wave.
+// table instead of hash maps. Adjacency rows are append-only runs of half
+// edges held in graph-owned blocks of doubling size classes: a full row
+// moves up one class and gives its old block back for the next row to
+// reuse, as does a retired vertex, so row growth allocates only when a
+// class runs out of blocks. Rows that grow past a threshold (hub
+// contracts) gain a lazily built position index so edge lookups stay O(1)
+// without paying a map per vertex. Reset empties a graph but keeps that
+// storage, so a window graph rebuilt at every repartition wave grows it
+// once instead of at every wave.
 package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -122,8 +126,8 @@ func (r *row) find(v VertexID) int32 {
 // new. It reports whether the entry was created and, for existing entries,
 // the weight and touch epoch it had before this call (zero for created
 // ones) — a decaying graph uses them to decide whether the edge needs a
-// new horizon bucket or a heavy-list entry. New rows draw their
-// first block from g's edge arena.
+// new horizon bucket or a heavy-list entry. A full row first moves into a
+// block of the next size class (growRow).
 func (r *row) add(g *Graph, v VertexID, w int64) (created bool, oldW int64, oldTouch uint32) {
 	if p := r.find(v); p >= 0 {
 		oldW, oldTouch = r.e[p].w, r.e[p].touch
@@ -131,8 +135,8 @@ func (r *row) add(g *Graph, v VertexID, w int64) (created bool, oldW int64, oldT
 		r.e[p].touch = g.epoch
 		return false, oldW, oldTouch
 	}
-	if r.e == nil {
-		r.e = g.newRowBlock()
+	if len(r.e) == cap(r.e) {
+		r.e = g.growRow(r.e)
 	}
 	r.e = append(r.e, halfEdge{to: v, w: w, touch: g.epoch})
 	if r.idx != nil {
@@ -205,31 +209,92 @@ type Graph struct {
 	// traffic) instead of O(live graph).
 	sched *decaySchedule
 
-	// arena hands out the initial fixed-size block of every adjacency row.
-	// Most vertices stay within one block for their whole life, so row
-	// storage costs one allocation per few hundred rows instead of one
-	// each; rows that outgrow their block migrate to their own slice via
-	// ordinary append growth.
-	arena []halfEdge
+	// blocks holds the adjacency rows' storage, one size class per entry.
+	// A row lives in one block of some class; it starts in class 0, a full
+	// row moves into a block of the next class up, and the block it leaves
+	// (or a retired vertex's) joins its class's free list. A block is
+	// either on exactly one free list or the backing of exactly one row.
+	blocks [rowClasses]rowClass
 
 	numEdges        int   // number of distinct directed (u,v) pairs
 	totalEdgeWeight int64 // sum of all directed edge weights
 	totalVertWeight int64 // sum of all vertex weights
 }
 
-// rowBlockCap is the capacity of a row's initial arena block.
-const rowBlockCap = 4
+// Row block geometry. Class c holds blocks of rowBlockCap<<c half edges,
+// carved rowChunk half edges at a time (one block per chunk once a block
+// is that large). A row that outgrows the top class (16,384 entries: hub
+// rows only) leaves the classes and grows by plain append from then on.
+const (
+	rowBlockCap = 4
+	rowClasses  = 13
+	rowChunk    = 4096
+)
 
-// newRowBlock carves a zero-length, rowBlockCap-capacity block off the
-// arena. The full slice expression caps the block so a row growing past it
-// reallocates privately instead of clobbering its arena neighbour.
-func (g *Graph) newRowBlock() []halfEdge {
-	if cap(g.arena)-len(g.arena) < rowBlockCap {
-		g.arena = make([]halfEdge, 0, 1024*rowBlockCap)
+// rowClass is one block size class: the uncarved rest of its current
+// chunk and the blocks rows gave back, reused last in, first out.
+type rowClass struct {
+	chunk []halfEdge
+	free  [][]halfEdge
+}
+
+// blockClass returns the size class of a row backing of capacity n, or -1
+// for one outside the classes (no backing yet, or grown past the top).
+func blockClass(n int) int {
+	if n == 0 || n > rowBlockCap<<(rowClasses-1) {
+		return -1
 	}
-	lo := len(g.arena)
-	g.arena = g.arena[:lo+rowBlockCap]
-	return g.arena[lo : lo : lo+rowBlockCap]
+	return bits.Len(uint(n/rowBlockCap)) - 1
+}
+
+// takeBlock returns an empty block of class c: the last one given back,
+// else one carved off the class's chunk. The full slice expression caps a
+// carved block so no append can run into its neighbour.
+func (g *Graph) takeBlock(c int) []halfEdge {
+	k := &g.blocks[c]
+	if n := len(k.free); n > 0 {
+		b := k.free[n-1]
+		k.free = k.free[:n-1]
+		return b[:0]
+	}
+	size := rowBlockCap << c
+	if len(k.chunk) < size {
+		k.chunk = make([]halfEdge, max(size, rowChunk))
+	}
+	b := k.chunk[:0:size]
+	k.chunk = k.chunk[size:]
+	return b
+}
+
+// giveBlock puts a row's backing on its class's free list. The caller
+// drops the row's reference in the same step. A backing outside the
+// classes is left to the collector.
+func (g *Graph) giveBlock(b []halfEdge) {
+	if c := blockClass(cap(b)); c >= 0 {
+		g.blocks[c].free = append(g.blocks[c].free, b)
+	}
+}
+
+// growRow returns the backing a full row e moves into, its entries copied
+// in order: a class-0 block for a row with no backing, a block of the next
+// class up otherwise, with e's block given back. A full top-class row
+// moves into a slice of twice its size, and a row past the top class is
+// returned as it is, for append to grow.
+func (g *Graph) growRow(e []halfEdge) []halfEdge {
+	var next []halfEdge
+	switch c := blockClass(cap(e)); {
+	case cap(e) == 0:
+		return g.takeBlock(0)
+	case c < 0:
+		return e
+	case c+1 < rowClasses:
+		next = g.takeBlock(c + 1)
+	default:
+		next = make([]halfEdge, 0, 2*cap(e))
+	}
+	next = append(next, e...)
+	g.giveBlock(e)
+	return next
 }
 
 // New returns an empty graph that never decays; see NewDecaying.
@@ -418,6 +483,7 @@ func (g *Graph) MaxID() VertexID { return VertexID(len(g.slot)) }
 
 // Vertices calls fn for every live vertex until fn returns false. Iteration
 // follows slot order (insertion order, with retired slots reused in place).
+// fn must not modify g.
 func (g *Graph) Vertices(fn func(id VertexID, kind Kind, weight int64) bool) {
 	for s, id := range g.ids {
 		if g.kinds[s] == 0 {
@@ -448,7 +514,8 @@ func (g *Graph) VertexIDs() []VertexID {
 }
 
 // OutNeighbors calls fn for every directed edge leaving u until fn returns
-// false.
+// false. fn must not modify g: a row that grows gives its block back for
+// reuse while the loop still reads it.
 func (g *Graph) OutNeighbors(u VertexID, fn func(v VertexID, w int64) bool) {
 	s := g.slotOf(u)
 	if s < 0 {
@@ -463,7 +530,7 @@ func (g *Graph) OutNeighbors(u VertexID, fn func(v VertexID, w int64) bool) {
 }
 
 // InNeighbors calls fn for every directed edge entering v until fn returns
-// false.
+// false. fn must not modify g (see OutNeighbors).
 func (g *Graph) InNeighbors(v VertexID, fn func(u VertexID, w int64) bool) {
 	s := g.slotOf(v)
 	if s < 0 {
@@ -479,7 +546,8 @@ func (g *Graph) InNeighbors(v VertexID, fn func(u VertexID, w int64) bool) {
 
 // Neighbors calls fn once per undirected neighbour of u with the combined
 // weight w(u->v)+w(v->u), until fn returns false. This is the adjacency the
-// partitioners and the incremental placement rule consume.
+// partitioners and the incremental placement rule consume. fn must not
+// modify g (see OutNeighbors).
 func (g *Graph) Neighbors(u VertexID, fn func(v VertexID, w int64) bool) {
 	s := g.slotOf(u)
 	if s < 0 {
@@ -537,7 +605,8 @@ func (g *Graph) EdgeWeight(u, v VertexID) int64 {
 }
 
 // Edges calls fn for every distinct directed edge until fn returns false.
-// Iteration follows vertex slot order, then row insertion order.
+// Iteration follows vertex slot order, then row insertion order. fn must
+// not modify g (see OutNeighbors).
 func (g *Graph) Edges(fn func(u, v VertexID, w int64) bool) {
 	for s, u := range g.ids {
 		if g.kinds[s] == 0 {
@@ -554,11 +623,11 @@ func (g *Graph) Edges(fn func(u, v VertexID, w int64) bool) {
 
 // Reset empties g, as New would, but keeps its storage for the next fill:
 // the slot table (wiped through the live IDs, so MaxID keeps its
-// high-water mark), the per-slot record slices, every slot's row backing
-// and the row-block arena. A graph refilled window after window therefore
-// allocates only where a window outgrows the ones before it. A decaying
-// graph cannot be reset — its decay schedule has no empty state to return
-// to — and Reset panics on one.
+// high-water mark), the per-slot record slices, every slot's row block
+// and the block classes' free lists and chunks. A graph refilled window
+// after window therefore allocates only where a window outgrows the ones
+// before it. A decaying graph cannot be reset — its decay schedule has no
+// empty state to return to — and Reset panics on one.
 func (g *Graph) Reset() {
 	if g.sched != nil {
 		panic("graph: Reset on a graph built by NewDecaying")

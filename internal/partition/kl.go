@@ -1,9 +1,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ethpart/internal/graph"
 )
@@ -51,9 +52,11 @@ func (kl *KL) Refine(c *graph.CSR, k int, current []int) ([]int, error) {
 	}
 	parts := append([]int(nil), current...)
 	rng := rand.New(rand.NewSource(klSeed))
+	props := make([][]proposal, k*k)
+	attract := make([]int64, k)
 
 	for round := 0; round < klMaxRounds; round++ {
-		props := kl.propose(c, k, parts)
+		kl.propose(c, parts, props, attract)
 		x := proposalCounts(props, k)
 		p := ProbabilityMatrix(x)
 		moved := kl.exchange(rng, props, p, parts)
@@ -66,10 +69,14 @@ func (kl *KL) Refine(c *graph.CSR, k int, current []int) ([]int, error) {
 
 // propose runs the per-shard selection phase: for every vertex, compute the
 // gain of moving it to its most attractive external shard; keep positive
-// gains, best-gain first.
-func (kl *KL) propose(c *graph.CSR, k int, parts []int) [][]proposal {
-	props := make([][]proposal, k*k)
-	attract := make([]int64, k)
+// gains, best-gain first. It refills props (k*k lists, one per shard pair)
+// in place and uses attract (k entries) as scratch, so Refine's rounds
+// share their storage.
+func (kl *KL) propose(c *graph.CSR, parts []int, props [][]proposal, attract []int64) {
+	k := len(attract)
+	for idx := range props {
+		props[idx] = props[idx][:0]
+	}
 	for v := int32(0); int(v) < c.N(); v++ {
 		from := parts[v]
 		adj, w := c.Row(v)
@@ -93,10 +100,9 @@ func (kl *KL) propose(c *graph.CSR, k int, parts []int) [][]proposal {
 			props[idx] = append(props[idx], proposal{vertex: v, gain: bestGain})
 		}
 	}
-	for idx := range props {
-		sort.Slice(props[idx], func(a, b int) bool { return props[idx][a].gain > props[idx][b].gain })
+	for _, l := range props {
+		slices.SortFunc(l, func(a, b proposal) int { return cmp.Compare(b.gain, a.gain) })
 	}
-	return props
 }
 
 // proposalCounts reduces proposals to the per-pair counts the oracle sees.
