@@ -39,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -191,15 +192,15 @@ func (o output) csv(name string, headers []string, rows [][]string) error {
 	if err := os.MkdirAll(o.dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(o.dir, name))
+	path := filepath.Join(o.dir, name)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := report.CSV(f, headers, rows); err != nil {
+	if err := errors.Join(report.CSV(f, headers, rows), f.Close()); err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s\n", filepath.Join(o.dir, name))
+	fmt.Printf("  wrote %s\n", path)
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"ethpart/internal/evm"
+	"ethpart/internal/slab"
 	"ethpart/internal/trie"
 	"ethpart/internal/types"
 )
@@ -108,18 +109,15 @@ type State struct {
 	// accounts are remembered, so creating one needs no invalidation;
 	// every path that removes or replaces a map entry calls forget.
 	recent [2]resolved
-	// spare is the unused rest of the block new accounts are carved from
-	// (newAccount).
-	spare []Account
+	// blocks carves new accounts, accountBlock to an allocation.
+	blocks slab.Chunks[Account]
 }
 
-// accountBlock is how many accounts one allocation holds. A State carves
-// each new account from its current block, so first sight of an address
-// costs a heap object only once in accountBlock creations. A slot is used
-// once: an account that a revert, DeleteAccount or TransplantAccount takes
-// out of the map keeps its slot, and the block lives while any of its
-// accounts is reachable — from this State or from the one it was
-// transplanted to.
+// accountBlock is how many accounts one allocation holds, so first sight of
+// an address costs a heap object only once in accountBlock creations. An
+// account that a revert, DeleteAccount or TransplantAccount takes out of
+// the map keeps its slot, and its block lives while any of its accounts is
+// reachable — from this State or from the one it was transplanted to.
 const accountBlock = 128
 
 // resolved is one remembered address → account resolution.
@@ -140,7 +138,7 @@ func NewState() *State {
 func NewStateWithAlloc(alloc map[types.Address]evm.Word) *State {
 	s := NewState()
 	for addr, bal := range alloc {
-		acc := s.newAccount()
+		acc := s.blocks.One(accountBlock)
 		acc.Balance = bal
 		s.accounts[addr] = acc
 	}
@@ -218,20 +216,9 @@ func (s *State) getOrNew(addr types.Address) *Account {
 	if acc := s.lookup(addr); acc != nil {
 		return acc
 	}
-	acc := s.newAccount()
+	acc := s.blocks.One(accountBlock)
 	s.accounts[addr] = acc
 	s.journal = append(s.journal, journalEntry{kind: journalAccountCreated, addr: addr})
-	return acc
-}
-
-// newAccount returns a zero account carved from the current block, cutting
-// a new block when it is used up (accountBlock).
-func (s *State) newAccount() *Account {
-	if len(s.spare) == 0 {
-		s.spare = make([]Account, accountBlock)
-	}
-	acc := &s.spare[0]
-	s.spare = s.spare[1:]
 	return acc
 }
 
@@ -336,7 +323,7 @@ func (s *State) DeleteAccount(addr types.Address) {
 	s.journal = append(s.journal, journalEntry{kind: journalAccountDeleted, addr: addr, prevAcc: acc})
 }
 
-// StorageSize implements evm.StateDB.
+// StorageSize returns the number of occupied storage slots of addr.
 func (s *State) StorageSize(addr types.Address) int {
 	if acc := s.lookup(addr); acc != nil {
 		return len(acc.Storage)

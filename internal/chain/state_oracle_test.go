@@ -125,15 +125,16 @@ func (p *pairedState) check(t *testing.T, rng *rand.Rand, addrs []types.Address,
 // carving tracks which account block (accountBlock) each account was
 // carved from, so the property test can show that creates, reverts of
 // creates and transplants happen both in a State's first block and in a
-// later one.
+// later one. A State's k-th carved account (from 0) is in its block
+// k / accountBlock.
 type carving struct {
-	blocks map[*State]int    // blocks cut so far
+	carved map[*State]int    // accounts carved so far
 	block  map[*Account]int  // the block an account was carved from, 0 first
 	hit    map[string][2]int // event → count in the first block, in a later one
 }
 
 func newCarving() *carving {
-	return &carving{blocks: map[*State]int{}, block: map[*Account]int{}, hit: map[string][2]int{}}
+	return &carving{carved: map[*State]int{}, block: map[*Account]int{}, hit: map[string][2]int{}}
 }
 
 func (c *carving) count(event string, acc *Account) {
@@ -147,16 +148,15 @@ func (c *carving) count(event string, acc *Account) {
 }
 
 // created records the account an operation on s carved for addr, if it
-// carved one; spareBefore is len(s.spare) before the operation.
-func (c *carving) created(s *State, addr types.Address, spareBefore int) {
-	if len(s.spare) == spareBefore {
+// carved one: only getOrNew carves, for the address operated on, and the
+// account it carved is one no State has held before.
+func (c *carving) created(s *State, addr types.Address) {
+	acc := s.accounts[addr]
+	if _, seen := c.block[acc]; acc == nil || seen {
 		return
 	}
-	if spareBefore == 0 {
-		c.blocks[s]++
-	}
-	acc := s.accounts[addr]
-	c.block[acc] = c.blocks[s] - 1
+	c.block[acc] = c.carved[s] / accountBlock
+	c.carved[s]++
 	c.count("create", acc)
 }
 
@@ -211,9 +211,8 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 		burn := types.AddressFromSeq(99)
 		for _, p := range ps {
 			for n := rng.Intn(accountBlock); n > 0; n-- {
-				spare := len(p.s.spare)
 				p.s.CreateAccount(burn)
-				carved.created(p.s, burn, spare)
+				carved.created(p.s, burn)
 				p.s.DeleteAccount(burn)
 			}
 			p.s.DiscardJournal()
@@ -230,7 +229,7 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 			p := ps[rng.Intn(2)]
 			addr := addrs[rng.Intn(len(addrs))]
 			amount := evm.WordFromUint64(uint64(rng.Intn(50)))
-			defer carved.created(p.s, addr, len(p.s.spare))
+			defer carved.created(p.s, addr)
 			switch rng.Intn(14) {
 			case 0, 1:
 				p.s.AddBalance(addr, amount)

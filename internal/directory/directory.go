@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 
 	"ethpart/internal/graph"
+	"ethpart/internal/slab"
 )
 
 // NoShard is returned (with ok == false) for vertices the directory has
@@ -167,23 +168,10 @@ type cowTable struct {
 	copied      []uint64
 	leafCopied  []uint64
 	tableCopied uint64
-	// nodes, leaves and tables are the unused rest of the current
-	// allocation chunks.
-	nodes  []page
-	leaves []leaf
-	tables table
-}
-
-// carve returns the next unused element of the chunk whose rest is *rest,
-// starting a chunk of n elements when that one is used up. An element is
-// handed out once and never reused.
-func carve[T any](rest *[]T, n int) *T {
-	if len(*rest) == 0 {
-		*rest = make([]T, n)
-	}
-	p := &(*rest)[0]
-	*rest = (*rest)[1:]
-	return p
+	// nodes, leaves and tables carve the commit's copies.
+	nodes  slab.Chunks[page]
+	leaves slab.Chunks[leaf]
+	tables slab.Chunks[*page]
 }
 
 // ownTable makes the page table private to the commit building epoch e and
@@ -191,13 +179,7 @@ func carve[T any](rest *[]T, n int) *T {
 func (t *cowTable) ownTable(e uint64, n int) {
 	if t.tableCopied != e || len(t.pages) < n {
 		size := max(n, len(t.pages))
-		if len(t.tables) < size {
-			t.tables = make(table, tableChunk*size)
-		}
-		// The full slice expression caps the copy at its own length, so
-		// nothing can ever append into the next table carved after it.
-		grown := t.tables[:size:size]
-		t.tables = t.tables[size:]
+		grown := t.tables.Lane(size, tableChunk*size)
 		copy(grown, t.pages)
 		t.pages = grown
 		t.tableCopied = e
@@ -215,7 +197,7 @@ func (t *cowTable) own(e uint64, p int) *page {
 	if t.copied[p] == e {
 		return t.pages[p]
 	}
-	np := carve(&t.nodes, nodeChunk)
+	np := t.nodes.One(nodeChunk)
 	if old := t.pages[p]; old != nil {
 		*np = *old
 	} else {
@@ -232,7 +214,7 @@ func (t *cowTable) slot(e uint64, v graph.VertexID) *int32 {
 	l := int(v >> leafBits)
 	lf := &pg[l%leavesPerPage]
 	if t.leafCopied[l] != e {
-		nl := carve(&t.leaves, leafChunk)
+		nl := t.leaves.One(leafChunk)
 		if *lf != nil {
 			*nl = **lf
 		} else {
@@ -403,9 +385,9 @@ type Directory struct {
 	journal []atomic.Pointer[Snapshot]
 
 	// Writer-owned state, guarded by mu: the two tiers' copy-on-write
-	// bookkeeping, and the unused rest of the current snapshot chunk.
+	// bookkeeping, and the carver of snapshots.
 	hot, cold cowTable
-	snaps     []Snapshot
+	snaps     slab.Chunks[Snapshot]
 
 	// Cumulative writer-side counters (guarded by mu).
 	flips, waveFlips, retired, rehydrated, promoted uint64
@@ -544,7 +526,7 @@ func (d *Directory) CommitBatch(b Batch, wave bool) (uint64, error) {
 		}
 	}
 
-	next := carve(&d.snaps, snapChunk)
+	next := d.snaps.One(snapChunk)
 	*next = Snapshot{
 		epoch:   cur.epoch + 1,
 		shards:  shards,

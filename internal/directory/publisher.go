@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ethpart/internal/graph"
+	"ethpart/internal/slab"
 )
 
 // Publisher adapts a stream of placement events — the shape of the sim
@@ -173,15 +174,13 @@ const (
 	maxCarve  = 64
 )
 
-// MoveSlab carves batch lanes from shared allocations, so a batch of a few
-// moves costs a share of an object instead of one. Every lane it returns is
-// fresh memory that it never hands out again, capped at its own capacity so
-// an append to one lane can never reach the next: a batch built from it may
+// MoveSlab carves batch lanes (package slab), so a batch of a few moves
+// costs a share of an object instead of one, and a batch built from it may
 // be retained and even extended by whoever receives it. A Move holds no
-// pointers, so a retained lane keeps only its chunk's bytes alive. The zero
-// value is ready to use; a MoveSlab is not safe for concurrent use.
+// pointers, so a retained lane keeps only its chunk's bytes alive. The
+// zero value is ready to use; a MoveSlab is not safe for concurrent use.
 type MoveSlab struct {
-	rest []Move
+	lanes slab.Chunks[Move]
 }
 
 // Carve returns an empty lane with capacity exactly n: nil for none, a
@@ -194,10 +193,5 @@ func (s *MoveSlab) Carve(n int) []Move {
 	case n > maxCarve:
 		return make([]Move, 0, n)
 	}
-	if len(s.rest) < n {
-		s.rest = make([]Move, moveChunk)
-	}
-	lane := s.rest[:0:n]
-	s.rest = s.rest[n:]
-	return lane
+	return s.lanes.Lane(n, moveChunk)[:0]
 }

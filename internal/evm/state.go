@@ -32,11 +32,6 @@ type StateDB interface {
 	// GetState and SetState access a contract's 32-byte key/value storage.
 	GetState(addr types.Address, key Word) Word
 	SetState(addr types.Address, key, value Word)
-
-	// StorageSize returns the number of occupied storage slots of addr.
-	// The sharding simulator uses it to estimate the cost of relocating a
-	// contract to another shard.
-	StorageSize(addr types.Address) int
 }
 
 // CallKind labels an entry in a call trace.

@@ -57,7 +57,6 @@ func (s *memState) SetState(a types.Address, k, v Word) {
 	}
 	m[k] = v
 }
-func (s *memState) StorageSize(a types.Address) int { return len(s.storage[a]) }
 
 var (
 	alice = types.AddressFromSeq(1)

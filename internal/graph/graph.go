@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"ethpart/internal/slab"
 )
 
 // VertexID uniquely identifies an account or contract in the graph.
@@ -231,11 +233,11 @@ const (
 	rowChunk    = 4096
 )
 
-// rowClass is one block size class: the uncarved rest of its current
-// chunk and the blocks rows gave back, reused last in, first out.
+// rowClass is one block size class: the carver of its new blocks and the
+// blocks rows gave back, reused last in, first out.
 type rowClass struct {
-	chunk []halfEdge
-	free  [][]halfEdge
+	chunks slab.Chunks[halfEdge]
+	free   [][]halfEdge
 }
 
 // blockClass returns the size class of a row backing of capacity n, or -1
@@ -248,8 +250,7 @@ func blockClass(n int) int {
 }
 
 // takeBlock returns an empty block of class c: the last one given back,
-// else one carved off the class's chunk. The full slice expression caps a
-// carved block so no append can run into its neighbour.
+// else a fresh one carved for the class.
 func (g *Graph) takeBlock(c int) []halfEdge {
 	k := &g.blocks[c]
 	if n := len(k.free); n > 0 {
@@ -257,13 +258,7 @@ func (g *Graph) takeBlock(c int) []halfEdge {
 		k.free = k.free[:n-1]
 		return b[:0]
 	}
-	size := rowBlockCap << c
-	if len(k.chunk) < size {
-		k.chunk = make([]halfEdge, max(size, rowChunk))
-	}
-	b := k.chunk[:0:size]
-	k.chunk = k.chunk[size:]
-	return b
+	return k.chunks.Lane(rowBlockCap<<c, rowChunk)[:0]
 }
 
 // giveBlock puts a row's backing on its class's free list. The caller

@@ -38,20 +38,24 @@ func MaybeCompressed(r io.Reader) (io.Reader, error) {
 	return zr, nil
 }
 
-// readCloser pairs a decoding reader with the closers beneath it.
-type readCloser struct {
-	io.Reader
-	closers []io.Closer
-}
+// closers is a stack of layers closed in order, each flushing before the
+// layer beneath it closes; Close returns the first error.
+type closers []io.Closer
 
-func (rc *readCloser) Close() error {
+func (cs closers) Close() error {
 	var first error
-	for _, c := range rc.closers {
+	for _, c := range cs {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
+}
+
+// readCloser pairs a decoding reader with the closers beneath it.
+type readCloser struct {
+	io.Reader
+	closers
 }
 
 // OpenFile opens a trace file for reading, transparently decompressing
@@ -82,21 +86,10 @@ func OpenFile(path string) (io.ReadCloser, error) {
 	return rc, nil
 }
 
-// writeCloser closes the full encoder stack in order: each closer must
-// flush before the layer beneath it closes.
+// writeCloser pairs an encoding writer with the full encoder stack.
 type writeCloser struct {
 	io.Writer
-	closers []io.Closer
-}
-
-func (wc *writeCloser) Close() error {
-	var first error
-	for _, c := range wc.closers {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	closers
 }
 
 // flusher adapts a Flush method to io.Closer for the ordered close stack.
