@@ -345,9 +345,16 @@ func BenchmarkShardStep(b *testing.B) {
 					tokens[s] = types.ContractAddress(deployers[s], 0)
 					assign[tokens[s]] = s
 				}
+				// Every pinned address is registered up front, so the
+				// assignment knows it by ID however the chain meets it.
+				reg := trace.NewRegistry()
+				for a := range assign {
+					reg.ID(a)
+				}
 				sc, err := shardchain.New(shardchain.Config{
 					K: k, Model: model, Parallel: engine.parallel,
-				}, alloc, func(a types.Address) (int, bool) {
+				}, reg, alloc, func(id uint64) (int, bool) {
+					a, _ := reg.Address(id)
 					s, ok := assign[a]
 					return s, ok
 				})
@@ -377,7 +384,7 @@ func BenchmarkShardStep(b *testing.B) {
 						// for every 10th (user, block) pair — on the next
 						// shard over: a cross-shard receipt or a sender
 						// migration, depending on the model.
-						home := sc.HomeOf(u)
+						home := sc.HomeOf(sc.ID(u))
 						if (i+j)%10 == 0 {
 							home = (home + 1) % k
 						}

@@ -19,6 +19,7 @@ import (
 	"ethpart/internal/partition/multilevel"
 	"ethpart/internal/report"
 	"ethpart/internal/shardchain"
+	"ethpart/internal/trace"
 	"ethpart/internal/types"
 	"ethpart/internal/workload"
 )
@@ -98,18 +99,12 @@ func main() {
 		w.tokens = append(w.tokens, *x.Receipts[0].ContractAddress)
 	}
 
+	// One registry numbers the accounts for the training graph and keys the
+	// sharded chains below, so a partition of the graph is an assignment by
+	// chain account ID as it stands.
 	g := graph.New()
-	addrID := map[types.Address]graph.VertexID{}
-	idAddr := map[graph.VertexID]types.Address{}
-	vid := func(a types.Address) graph.VertexID {
-		if id, ok := addrID[a]; ok {
-			return id
-		}
-		id := graph.VertexID(len(addrID))
-		addrID[a] = id
-		idAddr[id] = a
-		return id
-	}
+	reg := trace.NewRegistry()
+	vid := func(a types.Address) graph.VertexID { return graph.VertexID(reg.ID(a)) }
 	kindOf := func(a types.Address) graph.Kind {
 		if len(single.GetCode(a)) > 0 {
 			return graph.KindContract
@@ -139,7 +134,7 @@ func main() {
 
 	// ---- Partition the training graph two ways. ----
 	csr := graph.NewCSR(g)
-	assignments := map[string]func(types.Address) (int, bool){}
+	assignments := map[string]func(uint64) (int, bool){}
 	hashParts, err := partition.Hash{}.Partition(csr, k)
 	if err != nil {
 		log.Fatal(err)
@@ -148,13 +143,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	toAssign := func(parts []int) func(types.Address) (int, bool) {
-		m := map[types.Address]int{}
+	toAssign := func(parts []int) func(uint64) (int, bool) {
+		m := map[uint64]int{}
 		for i, id := range csr.IDs {
-			m[idAddr[id]] = parts[i]
+			m[uint64(id)] = parts[i]
 		}
-		return func(a types.Address) (int, bool) {
-			s, ok := m[a]
+		return func(id uint64) (int, bool) {
+			s, ok := m[id]
 			return s, ok
 		}
 	}
@@ -169,13 +164,13 @@ func main() {
 			w2 := newWorld(11)
 			w2.tokens = w.tokens
 			sc, err := shardchain.New(shardchain.Config{K: k, Model: model},
-				alloc, assignments[name])
+				reg, alloc, assignments[name])
 			if err != nil {
 				log.Fatal(err)
 			}
 			// Install the token contracts on their assigned shards.
 			for _, token := range w.tokens {
-				st := sc.StateOf(sc.HomeOf(token))
+				st := sc.StateOf(sc.HomeOf(sc.ID(token)))
 				st.SetCode(token, single.GetCode(token))
 				st.DiscardJournal()
 			}

@@ -38,10 +38,14 @@ func gasValue(gas, price uint64) evm.Word {
 // transaction's calls into the backing array of its old Traces
 // (evm.VM.ReuseTraces), so a receipt reused transaction after transaction
 // records without allocating. When validation rejects tx the receipt holds
-// only the hash and an empty trace.
+// only an empty trace.
 func ApplyTransactionInto(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, receipt *Receipt) error {
 	traces := receipt.Traces[:0]
-	*receipt = Receipt{TxHash: tx.Hash(), Traces: traces}
+	*receipt = Receipt{Traces: traces}
+	if tx.To != nil {
+		state.Prime(tx.ToID, *tx.To)
+	}
+	state.Prime(tx.FromID, tx.From)
 
 	if got := state.GetNonce(tx.From); got != tx.Nonce {
 		return fmt.Errorf("%w: account %v has nonce %d, tx has %d",

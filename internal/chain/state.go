@@ -21,6 +21,9 @@ type Account struct {
 	Nonce   uint64
 	Code    []byte
 	Storage map[evm.Word]evm.Word
+	// id is the handle the account was first resolved by (Prime), zero
+	// until then. It travels with the account when a transplant moves it.
+	id Handle
 }
 
 // journalKind tags what a journal entry undoes.
@@ -57,6 +60,7 @@ type journalEntry struct {
 func (e *journalEntry) revert(s *State) {
 	switch e.kind {
 	case journalAccountCreated:
+		s.unbind(s.accounts[e.addr])
 		delete(s.accounts, e.addr)
 		s.forget(e.addr)
 	case journalBalance:
@@ -86,6 +90,7 @@ func (e *journalEntry) revert(s *State) {
 		}
 	case journalAccountDeleted:
 		s.accounts[e.addr] = e.prevAcc
+		s.bind(e.prevAcc)
 		s.forget(e.addr)
 	}
 }
@@ -99,15 +104,22 @@ func (e *journalEntry) revert(s *State) {
 // writes the State.
 type State struct {
 	accounts map[types.Address]*Account
-	journal  []journalEntry
+	// byID resolves handles: byID[h] is the account this State holds for
+	// the address h names, or nil when it holds none or has not been asked
+	// by h yet. An entry is filled the first time an account is resolved by
+	// its handle (Prime) and cleared wherever the account leaves accounts,
+	// so a filled entry is always the account accounts holds.
+	byID    []*Account
+	journal []journalEntry
 	// held makes DiscardJournal keep undo history (HoldJournal).
 	held bool
 	// recent remembers the last two accounts resolved, most recent first.
 	// A transaction touches its sender and recipient a dozen times through
 	// separate StateDB calls; the pair turns all but the first probe of the
-	// 20-byte-keyed map per address into an array compare. Only present
-	// accounts are remembered, so creating one needs no invalidation;
-	// every path that removes or replaces a map entry calls forget.
+	// 20-byte-keyed map per address into an array compare, and Prime turns
+	// the first ones into handle lookups. Only present accounts are
+	// remembered, so creating one needs no invalidation; every path that
+	// removes or replaces a map entry calls forget.
 	recent [2]resolved
 	// blocks carves new accounts, accountBlock to an allocation.
 	blocks slab.Chunks[Account]
@@ -181,6 +193,50 @@ func (s *State) ReleaseJournal() {
 	s.journal = s.journal[:0]
 }
 
+// Prime resolves the account at addr by its handle id and makes it the
+// resolver's most recent, so the accesses that follow by address — the
+// EVM addresses every account by address — find it without probing the
+// accounts map. Only the first resolution of an account by handle probes
+// the map. A zero id, or an address the State holds no account for, primes
+// nothing. id must name addr in the registry every caller priming this
+// State shares.
+func (s *State) Prime(id Handle, addr types.Address) {
+	if id == 0 {
+		return
+	}
+	var acc *Account
+	if int(id) < len(s.byID) {
+		acc = s.byID[id]
+	}
+	if acc == nil {
+		if acc = s.accounts[addr]; acc == nil {
+			return
+		}
+		acc.id = id
+		s.bind(acc)
+	}
+	s.remember(addr, acc)
+}
+
+// bind files acc under its handle, if it has one.
+func (s *State) bind(acc *Account) {
+	if acc.id == 0 {
+		return
+	}
+	if int(acc.id) >= len(s.byID) {
+		s.byID = append(s.byID, make([]*Account, int(acc.id)+1-len(s.byID))...)
+		s.byID = s.byID[:cap(s.byID)]
+	}
+	s.byID[acc.id] = acc
+}
+
+// unbind drops acc's handle entry; called wherever acc leaves accounts.
+func (s *State) unbind(acc *Account) {
+	if acc != nil && int(acc.id) < len(s.byID) && s.byID[acc.id] == acc {
+		s.byID[acc.id] = nil
+	}
+}
+
 // lookup resolves addr to its account, or nil when there is none. It is the
 // one place the accounts map is probed by address.
 func (s *State) lookup(addr types.Address) *Account {
@@ -194,10 +250,18 @@ func (s *State) lookup(addr types.Address) *Account {
 	}
 	acc := s.accounts[addr]
 	if acc != nil {
+		s.remember(addr, acc)
+	}
+	return acc
+}
+
+// remember makes acc, at addr, the resolver's most recent account.
+func (s *State) remember(addr types.Address, acc *Account) {
+	r := &s.recent
+	if r[0].acc != acc {
 		r[1] = r[0]
 		r[0] = resolved{addr, acc}
 	}
-	return acc
 }
 
 // forget drops addr from the resolver; called wherever accounts loses or
@@ -319,6 +383,7 @@ func (s *State) DeleteAccount(addr types.Address) {
 		return
 	}
 	delete(s.accounts, addr)
+	s.unbind(acc)
 	s.forget(addr)
 	s.journal = append(s.journal, journalEntry{kind: journalAccountDeleted, addr: addr, prevAcc: acc})
 }
@@ -412,8 +477,10 @@ func TransplantAccount(src, dst *State, addr types.Address) (slots int, ok bool)
 		return 0, false
 	}
 	delete(src.accounts, addr)
+	src.unbind(acc)
 	src.forget(addr)
 	dst.accounts[addr] = acc
+	dst.bind(acc)
 	return len(acc.Storage), true
 }
 

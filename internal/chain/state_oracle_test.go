@@ -114,6 +114,13 @@ func (p *pairedState) check(t *testing.T, rng *rand.Rand, addrs []types.Address,
 			}
 		}
 	}
+	// A handle resolves to the account the map holds, or to nothing: no
+	// entry outlives its account's removal, revert or transplant.
+	for h, acc := range p.s.byID {
+		if acc != nil && (h == 0 || h > len(addrs) || p.s.accounts[addrs[h-1]] != acc) {
+			t.Fatalf("step %d (%s): handle %d resolves to an account the map does not hold there", step, what, h)
+		}
+	}
 	if got := p.s.AccountCount(); got != len(p.o) {
 		t.Fatalf("step %d (%s): AccountCount = %d, oracle %d", step, what, got, len(p.o))
 	}
@@ -230,7 +237,7 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 			addr := addrs[rng.Intn(len(addrs))]
 			amount := evm.WordFromUint64(uint64(rng.Intn(50)))
 			defer carved.created(p.s, addr)
-			switch rng.Intn(14) {
+			switch rng.Intn(15) {
 			case 0, 1:
 				p.s.AddBalance(addr, amount)
 				a := p.o.getOrNew(addr)
@@ -310,6 +317,12 @@ func TestPropertyStateMatchesOracle(t *testing.T) {
 				src.discard()
 				dst.discard()
 				return "TransplantAccount", moved
+			case 14:
+				// Both States name addrs[i] by handle i+1, as the shards of
+				// one chain share a registry.
+				i := rng.Intn(len(addrs))
+				p.s.Prime(HandleOf(uint64(i)), addrs[i])
+				return "Prime", false
 			}
 			panic("unreachable")
 		}

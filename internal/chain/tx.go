@@ -13,6 +13,12 @@ import (
 // There are no signatures: the synthetic workload has no adversary, and
 // signature checking is orthogonal to partitioning behaviour. From is
 // therefore carried explicitly.
+//
+// FromID and ToID optionally name the sender and recipient by handle, so
+// execution resolves them without hashing their addresses (State.Prime). A
+// submitter that knows the accounts' dense IDs sets them; the zero Handle
+// means "resolve by address". They are not part of the transaction's
+// identity (Hash).
 type Transaction struct {
 	Nonce    uint64
 	From     types.Address
@@ -21,7 +27,20 @@ type Transaction struct {
 	GasLimit uint64
 	GasPrice uint64
 	Data     []byte
+	FromID   Handle
+	ToID     Handle
 }
+
+// Handle names an account by its dense ID in the registry the submitter
+// and the state share (a trace.Registry), offset by one so that the zero
+// Handle names no account.
+type Handle uint32
+
+// HandleOf returns the handle of the account with dense ID id.
+func HandleOf(id uint64) Handle { return Handle(id + 1) }
+
+// ID returns the dense ID h names; h must not be zero.
+func (h Handle) ID() uint64 { return uint64(h) - 1 }
 
 // IsCreate reports whether the transaction deploys a contract.
 func (tx *Transaction) IsCreate() bool { return tx.To == nil }
@@ -67,9 +86,10 @@ func (tx *Transaction) Hash() types.Hash {
 	return types.HashData(buf[:n])
 }
 
-// Receipt is the result of executing a transaction.
+// Receipt is the result of executing a transaction. It does not carry the
+// transaction's hash: a reader that needs one hashes the transaction
+// (Transaction.Hash), so execution never pays for a digest nobody reads.
 type Receipt struct {
-	TxHash  types.Hash
 	TxIndex int
 	// Success is false when execution failed (revert, out of gas, bad
 	// nonce); the failure reason is in Err.

@@ -137,6 +137,13 @@ func (r *row) add(g *Graph, v VertexID, w int64) (created bool, oldW int64, oldT
 		r.e[p].touch = g.epoch
 		return false, oldW, oldTouch
 	}
+	r.insert(g, v, w)
+	return true, 0, 0
+}
+
+// insert appends a new entry for v, which the row must not hold, with
+// weight w.
+func (r *row) insert(g *Graph, v VertexID, w int64) {
 	if len(r.e) == cap(r.e) {
 		r.e = g.growRow(r.e)
 	}
@@ -149,7 +156,6 @@ func (r *row) add(g *Graph, v VertexID, w int64) (created bool, oldW int64, oldT
 			r.idx[r.e[i].to] = int32(i)
 		}
 	}
-	return true, 0, 0
 }
 
 // compact removes the tombstoned entries (weight zero, set by the decay
@@ -435,7 +441,13 @@ func (g *Graph) AddInteraction(from, to VertexID, fromKind, toKind Kind, w int64
 			g.sched.heavyE = append(g.sched.heavyE, edgeRef{u: from, v: to})
 		}
 	}
-	g.in[st].add(g, from, w)
+	// The rows mirror each other, so an edge new to out[from] is new to
+	// in[to] too and needs no search there.
+	if created {
+		g.in[st].insert(g, from, w)
+	} else {
+		g.in[st].add(g, from, w)
+	}
 	g.totalEdgeWeight += w
 	return nil
 }

@@ -169,6 +169,13 @@ type Result struct {
 	// on every window and total but not on StepNanos.
 	Blocks    int64
 	StepNanos int64
+	// ChainIdleNanos is the wall-clock the chain stage spent waiting on an
+	// empty queue, and ControlWaitNanos the control stage's blocked on a
+	// full queue or a resize barrier's acknowledgement: whichever stage
+	// waits less bounds the run. Measurement too, and zero on the
+	// assignment-resolved reference path, which runs no queue.
+	ChainIdleNanos   int64
+	ControlWaitNanos int64
 	// Convergence artifacts, computed only with Config.Capture: per-shard
 	// final state roots, a hash over every known account's home, and a
 	// running hash over every transaction receipt in replay order. A
@@ -365,12 +372,13 @@ type executor struct {
 	receiptsHash types.Hash
 }
 
+// newSimulator builds a run's simulator over the records it will process.
+// The lookahead identity tests swap in the inline planner as the oracle.
+var newSimulator = sim.NewOver
+
 // Run replays gt through a live sharded chain under cfg.
 func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Sim.StorageSlots == nil {
-		cfg.Sim.StorageSlots = gt.StorageSlots
-	}
 	r := &runner{cfg: cfg, gt: gt}
 	r.x = &executor{
 		cfg:    &r.cfg,
@@ -457,12 +465,19 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 			done: make(chan struct{}),
 		}
 	}
-	s, err := sim.New(simCfg)
+	// Every record the simulator will see is known, so a configuration
+	// whose waves depend on the records alone plans them ahead, off the
+	// control stage.
+	s, err := newSimulator(gt, simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("opsim: %w", err)
 	}
+	defer s.Close()
 	r.s = s
-	sc, err := shardchain.New(scCfg, nil, r.x.assignOf)
+	// The chain keys on the trace's registry. Every address it is handed
+	// comes from there and no contract code runs, so it only reads it, and
+	// runs over one trace may share it across goroutines.
+	sc, err := shardchain.New(scCfg, gt.Registry, nil, r.x.assignOf)
 	if err != nil {
 		return nil, fmt.Errorf("opsim: %w", err)
 	}
@@ -656,8 +671,14 @@ func (r *runner) handOff() error {
 	}
 	select {
 	case r.q.work <- b:
-	case <-r.q.done:
-		return r.q.err
+	default:
+		start := time.Now()
+		select {
+		case r.q.work <- b:
+		case <-r.q.done:
+			return r.q.err
+		}
+		r.res.ControlWaitNanos += time.Since(start).Nanoseconds()
 	}
 	select {
 	case r.cur = <-r.q.free:
@@ -686,6 +707,8 @@ func (r *runner) resize(oldK, newK, moves int) error {
 	if err := r.handOff(); err != nil || r.q == nil {
 		return err
 	}
+	start := time.Now()
+	defer func() { r.res.ControlWaitNanos += time.Since(start).Nanoseconds() }()
 	select {
 	case <-r.q.ack:
 		return nil
@@ -721,7 +744,21 @@ func (r *runner) drainStalls() (*directory.Snapshot, error) {
 // the queue closes or an op fails.
 func (x *executor) serve(q *queue) {
 	defer close(q.done)
-	for b := range q.work {
+	for {
+		var (
+			b  []op
+			ok bool
+		)
+		select {
+		case b, ok = <-q.work:
+		default:
+			start := time.Now()
+			b, ok = <-q.work
+			x.res.ChainIdleNanos += time.Since(start).Nanoseconds()
+		}
+		if !ok {
+			return
+		}
 		if err := x.run(b); err != nil {
 			q.err = err
 			return
@@ -799,12 +836,12 @@ func (x *executor) applyResize(oldK, newK, moveCount int, moves []move, ctl *run
 	}
 	before := x.sc.Stats()
 	for s := newK; s < oldK; s++ {
-		for _, addr := range x.sc.HomesOn(s) {
-			to, ok := x.assignOf(addr)
+		for _, id := range x.sc.HomesOn(s) {
+			to, ok := x.assignOf(id)
 			if !ok || to >= newK {
-				return fmt.Errorf("merge to k=%d: no surviving home for %v (got %d)", newK, addr, to)
+				return fmt.Errorf("merge to k=%d: no surviving home for vertex %d (got %d)", newK, id, to)
 			}
-			if _, err := x.sc.MigrateAccount(addr, to); err != nil {
+			if _, err := x.sc.MigrateAccount(id, to); err != nil {
 				return err
 			}
 		}
@@ -825,18 +862,15 @@ func (x *executor) applyResize(oldK, newK, moveCount int, moves []move, ctl *run
 	return x.sc.RemoveShards(newK)
 }
 
-// assignOf homes first-seen chain accounts — the bridge's placement rule —
-// through the executing op's view. x.snap only changes between ops, so a
-// step op pins one epoch for its whole block, and the parallel engine's
-// workers, which call this during Step, only read it. The tests' reference
-// path reads the simulator's live assignment directly. The two always
-// agree: every placement event is flushed into the directory before the op
-// that resolves it is enqueued.
-func (x *executor) assignOf(a types.Address) (int, bool) {
-	id, ok := x.gt.Registry.Lookup(a)
-	if !ok {
-		return 0, false
-	}
+// assignOf homes first-seen chain accounts by vertex ID — the bridge's
+// placement rule — through the executing op's view. The chain keys its
+// accounts on the trace's registry, so a chain account's ID is its vertex
+// ID. x.snap only changes between ops, so a step op pins one epoch for its
+// whole block, and the parallel engine's workers, which call this during
+// Step, only read it. The tests' reference path reads the simulator's live
+// assignment directly. The two always agree: every placement event is
+// flushed into the directory before the op that resolves it is enqueued.
+func (x *executor) assignOf(id uint64) (int, bool) {
 	if x.live != nil {
 		return x.live(graph.VertexID(id))
 	}
@@ -844,7 +878,9 @@ func (x *executor) assignOf(a types.Address) (int, bool) {
 }
 
 // record queues one record's transfer into the open block, materialising
-// first-seen accounts on their homes and assigning the sender's nonce.
+// first-seen accounts on their homes and assigning the sender's nonce. The
+// transaction carries both vertex IDs as handles, so the chain routes and
+// executes it without hashing an address.
 func (x *executor) record(fromID, toID, value uint64) error {
 	from, ok := x.gt.Registry.Address(fromID)
 	if !ok {
@@ -861,6 +897,7 @@ func (x *executor) record(fromID, toID, value uint64) error {
 		Nonce: x.nonces[fromID], From: from, // To: see flush
 		Value:    evm.WordFromUint64(value),
 		GasLimit: 50_000, GasPrice: 0,
+		FromID: chain.HandleOf(fromID), ToID: chain.HandleOf(toID),
 	})
 	x.nonces[fromID]++
 	x.res.Replayed++
@@ -882,15 +919,15 @@ func (x *executor) record(fromID, toID, value uint64) error {
 func (x *executor) applyMoves(moves []move) error {
 	before := x.sc.Stats()
 	for _, mv := range moves {
-		addr, ok := x.gt.Registry.Address(uint64(mv.v))
-		if !ok {
+		id := uint64(mv.v)
+		if id >= uint64(x.gt.Registry.Len()) {
 			return fmt.Errorf("opsim: repartition moved unknown vertex %d", mv.v)
 		}
 		var err error
 		if x.cfg.Model == shardchain.ModelMigration {
-			_, err = x.sc.MigrateAccount(addr, mv.to)
+			_, err = x.sc.MigrateAccount(id, mv.to)
 		} else {
-			_, err = x.sc.Rehome(addr, mv.to)
+			_, err = x.sc.Rehome(id, mv.to)
 		}
 		if err != nil {
 			return fmt.Errorf("opsim: applying repartition: %w", err)
@@ -911,10 +948,10 @@ func (x *executor) materialise(id uint64, addr types.Address) {
 		return
 	}
 	x.seen[id] = true
-	st := x.sc.StateOf(x.sc.HomeOf(addr))
+	st := x.sc.StateOf(x.sc.HomeOf(id))
 	st.AddBalance(addr, x.cfg.fund)
 	if x.gt.Registry.IsContract(id) {
-		slots := x.cfg.Sim.StorageSlots(graph.VertexID(id)) // a footprint-map probe
+		slots := x.gt.StorageSlots(graph.VertexID(id)) // a footprint-map probe
 		for i := 0; i < slots; i++ {
 			st.SetState(addr, evm.WordFromUint64(uint64(i+1)), evm.WordFromUint64(1))
 		}
@@ -938,9 +975,9 @@ func (x *executor) flush() {
 		if receipt.Success {
 			continue
 		}
-		from := x.pendingTxs[i].From
-		id, _ := x.gt.Registry.Lookup(from) // the address came from the registry
-		x.nonces[id] = x.sc.StateOf(x.sc.HomeOf(from)).GetNonce(from)
+		tx := &x.pendingTxs[i]
+		id := tx.FromID.ID()
+		x.nonces[id] = x.sc.StateOf(x.sc.HomeOf(id)).GetNonce(tx.From)
 	}
 	x.pendingTxs, x.pendingTo, x.blockTxs = x.pendingTxs[:0], x.pendingTo[:0], x.blockTxs[:0]
 }
@@ -954,7 +991,8 @@ func (x *executor) step(txs []*chain.Transaction) []*chain.Receipt {
 	x.res.StepNanos += time.Since(start).Nanoseconds()
 	x.res.Blocks++
 	if x.cfg.Capture {
-		for _, rc := range receipts {
+		for i, rc := range receipts {
+			txHash := txs[i].Hash()
 			errStr := ""
 			if rc.Err != nil {
 				errStr = rc.Err.Error()
@@ -966,7 +1004,7 @@ func (x *executor) step(txs []*chain.Transaction) []*chain.Receipt {
 			var gas [8]byte
 			binary.BigEndian.PutUint64(gas[:], rc.GasUsed)
 			x.receiptsHash = types.HashConcat(
-				x.receiptsHash[:], rc.TxHash[:], []byte{ok}, gas[:], []byte(errStr))
+				x.receiptsHash[:], txHash[:], []byte{ok}, gas[:], []byte(errStr))
 		}
 	}
 	return receipts
@@ -985,11 +1023,7 @@ func (x *executor) captureArtifacts() {
 	}
 	homes := types.Hash{}
 	for id := uint64(0); id < uint64(x.gt.Registry.Len()); id++ {
-		addr, ok := x.gt.Registry.Address(id)
-		if !ok {
-			continue
-		}
-		shard, known := x.sc.Known(addr)
+		shard, known := x.sc.Known(id)
 		if !known {
 			shard = -1
 		}

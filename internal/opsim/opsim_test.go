@@ -48,11 +48,17 @@ func cfgFor(method sim.Method, model shardchain.Model, k int) Config {
 
 func TestRunEveryMethodUnderBothModels(t *testing.T) {
 	gt := smallTrace(t)
+	registered := gt.Registry.Len()
 	for _, model := range []shardchain.Model{shardchain.ModelReceipts, shardchain.ModelMigration} {
 		for _, m := range sim.Methods() {
 			res, err := Run(gt, cfgFor(m, model, 4))
 			if err != nil {
 				t.Fatalf("%v/%v: %v", m, model, err)
+			}
+			// The chain keys on the trace's registry and must only read it:
+			// runs over one trace share it across goroutines.
+			if n := gt.Registry.Len(); n != registered {
+				t.Fatalf("%v/%v: the run registered %d addresses in the trace's registry", m, model, n-registered)
 			}
 			if res.Replayed != int64(len(gt.Records)) {
 				t.Errorf("%v/%v: replayed %d of %d records", m, model, res.Replayed, len(gt.Records))

@@ -18,7 +18,8 @@ import (
 // allocations per Step together with how many of the 32 execute through the
 // VM. A cross sender's recipient is picked, every block, on the shard the
 // sender is not on: under ModelMigration the sender follows its transfer,
-// so the pattern stays cross.
+// so the pattern stays cross. Every other transaction names its accounts by
+// handle, as opsim's do; the rest carry addresses only.
 func stepAllocs(t *testing.T, model Model, crossEvery int) (allocs float64, executed int) {
 	t.Helper()
 	const n = 32
@@ -36,7 +37,7 @@ func stepAllocs(t *testing.T, model Model, crossEvery int) (allocs float64, exec
 		assign[recvOn[s]] = s
 		alloc[recvOn[s]] = evm.WordFromUint64(1)
 	}
-	sc, err := New(Config{K: 2, Model: model}, alloc, fixedAssign(assign))
+	sc, err := newChain(Config{K: 2, Model: model}, alloc, assign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,15 @@ func stepAllocs(t *testing.T, model Model, crossEvery int) (allocs float64, exec
 	}
 	block := func() {
 		for i := range txs {
-			home := sc.HomeOf(senders[i])
+			home := sc.HomeOf(sc.ID(senders[i]))
 			if crossEvery > 0 && i%crossEvery == 0 {
 				tos[i] = recvOn[1-home]
 			} else {
 				tos[i] = recvOn[home]
+			}
+			if i%2 == 1 {
+				txs[i].FromID = chain.HandleOf(sc.ID(senders[i]))
+				txs[i].ToID = chain.HandleOf(sc.ID(tos[i]))
 			}
 		}
 		for _, r := range sc.Step(ptrs) {
@@ -143,7 +148,7 @@ func crashStepBytes(t *testing.T, funded int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := New(Config{K: 2, Model: ModelReceipts, Fault: inj}, alloc, fixedAssign(assign))
+	sc, err := newChain(Config{K: 2, Model: ModelReceipts, Fault: inj}, alloc, assign)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,10 +77,10 @@ func (sc *ShardChain) pruneSeen() {
 // workShardOf returns the shard doing tx's work this block: the executing
 // shard, or — for a receipts-model cross transaction — the sender's shard
 // (which debits the sender and emits the receipt).
-func (sc *ShardChain) workShardOf(tx *chain.Transaction, h *homes) int {
-	exec := sc.execShardOf(tx, h)
+func (sc *ShardChain) workShardOf(rt route, h *homes) int {
+	exec := h.of(rt.to)
 	if sc.cfg.Model == ModelReceipts {
-		if sender := h.of(tx.From); sender != exec {
+		if sender := h.of(rt.from); sender != exec {
 			return sender
 		}
 	}
@@ -97,7 +97,7 @@ func (sc *ShardChain) workShardOf(tx *chain.Transaction, h *homes) int {
 // resolution is pure within a Step, so the replay reproduces the discarded
 // work exactly; it runs before the barrier exchange, so none of the
 // discarded emissions ever left the shard.
-func (sc *ShardChain) recoverShard(w *walRecord, txs []*chain.Transaction, receipts []*chain.Receipt) {
+func (sc *ShardChain) recoverShard(w *walRecord, txs []*chain.Transaction, routes []route, receipts []*chain.Receipt) {
 	inj := sc.cfg.Fault
 	start := time.Now()
 	inj.Metrics.Crashes.Add(1)
@@ -117,10 +117,10 @@ func (sc *ShardChain) recoverShard(w *walRecord, txs []*chain.Transaction, recei
 	items := len(sh.inbox)
 	sc.settleInboxSerial(s, sh)
 	for i, tx := range txs {
-		if sc.workShardOf(tx, &sc.itemHomes) != s {
+		if sc.workShardOf(routes[i], &sc.itemHomes) != s {
 			continue
 		}
-		sc.runTxSerial(tx, receipts[i])
+		sc.runTxSerial(tx, routes[i], receipts[i])
 		items++
 	}
 	inj.Metrics.BlocksReplayed.Add(1)

@@ -10,6 +10,7 @@ import (
 	"ethpart/internal/chain"
 	"ethpart/internal/evm"
 	"ethpart/internal/fault"
+	"ethpart/internal/trace"
 	"ethpart/internal/types"
 	"ethpart/internal/workload"
 )
@@ -107,9 +108,9 @@ func chaosWorkload(seed int64, k, nBlocks int, rich bool) chaosFixture {
 
 func (fx chaosFixture) newChain(t testing.TB, k int, model Model, parallel bool, inj *fault.Injector) *ShardChain {
 	t.Helper()
-	sc, err := New(Config{
+	sc, err := newChain(Config{
 		K: k, Model: model, Parallel: parallel, Fault: inj,
-	}, fx.alloc, fixedAssign(fx.assign))
+	}, fx.alloc, fx.assign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +146,8 @@ func requireConverged(t *testing.T, ref, got *ShardChain) {
 	if ref.PendingReceipts() != got.PendingReceipts() {
 		t.Fatalf("pending receipts diverge: %d vs %d", ref.PendingReceipts(), got.PendingReceipts())
 	}
-	if !reflect.DeepEqual(ref.home, got.home) {
-		t.Fatalf("home maps diverge:\nreference: %v\nfaulty:    %v", ref.home, got.home)
+	if d := homesDiffer(ref, got); d != "" {
+		t.Fatalf("home tables diverge: %s", d)
 	}
 }
 
@@ -311,12 +312,12 @@ func TestDuplicateCrashEntryRecoversOnce(t *testing.T) {
 // move, so New must refuse the combination.
 func TestCrashScheduleRequiresReceiptsModel(t *testing.T) {
 	inj := mustInjector(t, fault.Schedule{Crashes: []fault.Crash{{Block: 3, Shard: 0}}})
-	_, err := New(Config{K: 2, Model: ModelMigration, Fault: inj},
+	_, err := New(Config{K: 2, Model: ModelMigration, Fault: inj}, nil,
 		nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "crash schedules require ModelReceipts") {
 		t.Fatalf("New accepted crashes under ModelMigration: err=%v", err)
 	}
-	if _, err := New(Config{K: 2, Model: ModelReceipts, Fault: inj},
+	if _, err := New(Config{K: 2, Model: ModelReceipts, Fault: inj}, nil,
 		nil, nil); err != nil {
 		t.Fatalf("New rejected crashes under ModelReceipts: %v", err)
 	}
@@ -330,13 +331,15 @@ func TestCrashScheduleRequiresReceiptsModel(t *testing.T) {
 func TestWaveItemPanicGainsShardContext(t *testing.T) {
 	a := types.AddressFromSeq(1)
 	bad := types.AddressFromSeq(2)
-	assign := func(addr types.Address) (int, bool) {
-		if addr == bad {
+	reg := trace.NewRegistry()
+	badID := reg.ID(bad) // registered, so the worker asks the assignment
+	assign := func(id uint64) (int, bool) {
+		if id == badID {
 			panic("injected resolver failure")
 		}
 		return 0, true
 	}
-	sc, err := New(Config{K: 2, Model: ModelReceipts, Parallel: true},
+	sc, err := New(Config{K: 2, Model: ModelReceipts, Parallel: true}, reg,
 		map[types.Address]evm.Word{a: evm.WordFromUint64(1 << 30)}, assign)
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,9 @@ func TestMigrateRoundTripPurgesGhostState(t *testing.T) {
 	// The ISSUE scenario: a slot zeroed while the account lived on another
 	// shard must not resurrect with its stale value on the way back.
 	x := types.AddressFromSeq(9)
-	sc, err := New(Config{K: 2, Model: ModelMigration},
+	sc, err := newChain(Config{K: 2, Model: ModelMigration},
 		map[types.Address]evm.Word{x: evm.WordFromUint64(1000)},
-		fixedAssign(map[types.Address]int{x: 0}))
+		map[types.Address]int{x: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMigrateRoundTripPurgesGhostState(t *testing.T) {
 	st0.SetState(x, evm.WordFromUint64(2), evm.WordFromUint64(20))
 	st0.DiscardJournal()
 
-	if moved, err := sc.MigrateAccount(x, 1); err != nil || !moved {
+	if moved, err := sc.MigrateAccount(sc.ID(x), 1); err != nil || !moved {
 		t.Fatalf("migrate to 1: moved=%v err=%v", moved, err)
 	}
 	if st0.Exist(x) {
@@ -72,7 +72,7 @@ func TestMigrateRoundTripPurgesGhostState(t *testing.T) {
 	st1.SetState(x, evm.WordFromUint64(3), evm.WordFromUint64(30))
 	st1.DiscardJournal()
 
-	if moved, err := sc.MigrateAccount(x, 0); err != nil || !moved {
+	if moved, err := sc.MigrateAccount(sc.ID(x), 0); err != nil || !moved {
 		t.Fatalf("migrate back to 0: moved=%v err=%v", moved, err)
 	}
 	if st1.Exist(x) {
@@ -109,9 +109,9 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 3
-		sc, err := New(Config{K: k, Model: ModelMigration},
+		sc, err := newChain(Config{K: k, Model: ModelMigration},
 			map[types.Address]evm.Word{x: evm.WordFromUint64(1 << 30)},
-			fixedAssign(map[types.Address]int{x: 0}))
+			map[types.Address]int{x: 0})
 		if err != nil {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 		slot7 := evm.WordFromUint64(7)
 		sc.StateOf(0).SetState(x, slot7, evm.WordFromUint64(70))
 		sc.StateOf(0).DiscardJournal()
-		if moved, err := sc.MigrateAccount(x, 1); err != nil || !moved {
+		if moved, err := sc.MigrateAccount(sc.ID(x), 1); err != nil || !moved {
 			return false
 		}
 		sc.StateOf(1).SetState(x, slot7, evm.Word{})
@@ -133,7 +133,7 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 
 		ops := int(opsRaw%24) + 8
 		for i := 0; i < ops; i++ {
-			home, _ := sc.Known(x)
+			home, _ := sc.Known(sc.ID(x))
 			cur := sc.StateOf(home)
 			switch rng.Intn(5) {
 			case 4: // strand a credit off-home, then migrate onto it: the merge
@@ -143,7 +143,7 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 				sc.StateOf(other).DiscardJournal()
 				oracle.AddBalance(x, amt)
 				before := sc.Stats()
-				if moved, err := sc.MigrateAccount(x, other); err != nil || !moved {
+				if moved, err := sc.MigrateAccount(sc.ID(x), other); err != nil || !moved {
 					return false
 				}
 				d := sc.Stats().Sub(before)
@@ -151,7 +151,7 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 					return false
 				}
 			case 0: // migrate to a random shard (possibly the current one)
-				if _, err := sc.MigrateAccount(x, rng.Intn(k)); err != nil {
+				if _, err := sc.MigrateAccount(sc.ID(x), rng.Intn(k)); err != nil {
 					return false
 				}
 			case 1: // write (or zero) a storage slot
@@ -173,7 +173,7 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 			oracle.DiscardJournal()
 		}
 
-		home, _ := sc.Known(x)
+		home, _ := sc.Known(sc.ID(x))
 		if !sameAccount(t, sc.StateOf(home), oracle, x) {
 			return false
 		}
@@ -191,10 +191,10 @@ func TestPropertyMigrationRoundTripMatchesOracle(t *testing.T) {
 
 func TestMigrateAccountPrehomesUnknown(t *testing.T) {
 	sc := newSC(t, ModelMigration, nil)
-	if moved, err := sc.MigrateAccount(carol, 1); err != nil || moved {
+	if moved, err := sc.MigrateAccount(sc.ID(carol), 1); err != nil || moved {
 		t.Fatalf("unknown account: moved=%v err=%v, want pre-home without transfer", moved, err)
 	}
-	if home, ok := sc.Known(carol); !ok || home != 1 {
+	if home, ok := sc.Known(sc.ID(carol)); !ok || home != 1 {
 		t.Errorf("carol home = %d,%v, want 1,true", home, ok)
 	}
 	if sc.Stats().Migrations != 0 {
@@ -203,10 +203,10 @@ func TestMigrateAccountPrehomesUnknown(t *testing.T) {
 	// A second move of the still-unmaterialised account must also re-home
 	// without a transfer: migrating nothing would fabricate an empty
 	// account on the destination and count a phantom migration.
-	if moved, err := sc.MigrateAccount(carol, 0); err != nil || moved {
+	if moved, err := sc.MigrateAccount(sc.ID(carol), 0); err != nil || moved {
 		t.Fatalf("unmaterialised account: moved=%v err=%v, want re-home only", moved, err)
 	}
-	if home, _ := sc.Known(carol); home != 0 {
+	if home, _ := sc.Known(sc.ID(carol)); home != 0 {
 		t.Errorf("carol home = %d, want 0", home)
 	}
 	for s := 0; s < 2; s++ {
@@ -217,7 +217,7 @@ func TestMigrateAccountPrehomesUnknown(t *testing.T) {
 	if st := sc.Stats(); st.Migrations != 0 || st.Messages != 0 {
 		t.Error("moving a stateless account must not count migrations or messages")
 	}
-	if _, err := sc.MigrateAccount(carol, 5); err == nil {
+	if _, err := sc.MigrateAccount(sc.ID(carol), 5); err == nil {
 		t.Error("out-of-range shard must error")
 	}
 }
@@ -225,21 +225,21 @@ func TestMigrateAccountPrehomesUnknown(t *testing.T) {
 func TestRehomeOnlyMovesUnmaterialisedAccounts(t *testing.T) {
 	sc := newSC(t, ModelReceipts, map[types.Address]int{alice: 0})
 	// alice has genesis state on shard 0: rehoming must refuse.
-	if changed, err := sc.Rehome(alice, 1); err != nil || changed {
+	if changed, err := sc.Rehome(sc.ID(alice), 1); err != nil || changed {
 		t.Errorf("rehome of materialised account: changed=%v err=%v, want false,nil", changed, err)
 	}
-	if home, _ := sc.Known(alice); home != 0 {
+	if home, _ := sc.Known(sc.ID(alice)); home != 0 {
 		t.Error("alice must stay on shard 0")
 	}
 	// carol has no state anywhere: rehoming redirects her future placement.
-	other := 1 - sc.HomeOf(carol) // assign via hash fallback, pick the other shard
-	if changed, err := sc.Rehome(carol, other); err != nil || !changed {
+	other := 1 - sc.HomeOf(sc.ID(carol)) // assign via hash fallback, pick the other shard
+	if changed, err := sc.Rehome(sc.ID(carol), other); err != nil || !changed {
 		t.Errorf("rehome of unmaterialised account: changed=%v err=%v, want true,nil", changed, err)
 	}
-	if home, _ := sc.Known(carol); home != other {
+	if home, _ := sc.Known(sc.ID(carol)); home != other {
 		t.Errorf("carol home = %d, want %d", home, other)
 	}
-	if _, err := sc.Rehome(carol, -1); err == nil {
+	if _, err := sc.Rehome(sc.ID(carol), -1); err == nil {
 		t.Error("out-of-range shard must error")
 	}
 }
@@ -256,7 +256,7 @@ func TestInFlightReceiptFollowsRehome(t *testing.T) {
 	}
 	// The receipt now sits in shard 1's inbox; carol has no state yet, so
 	// re-homing her to shard 0 is legal.
-	if changed, err := sc.Rehome(carol, 0); err != nil || !changed {
+	if changed, err := sc.Rehome(sc.ID(carol), 0); err != nil || !changed {
 		t.Fatalf("rehome: changed=%v err=%v", changed, err)
 	}
 	// First drain step forwards the receipt, second settles it.
@@ -294,7 +294,7 @@ func TestReceiptsCrossPathErrors(t *testing.T) {
 
 	// Only the value is required: a transfer of the full balance with a
 	// non-zero gas price succeeds (gas money is never debited on this path).
-	full := sc.BalanceOf(alice).Uint64()
+	full := sc.BalanceOf(sc.ID(alice)).Uint64()
 	r = sc.Step([]*chain.Transaction{transfer(0, alice, bob, full)})[0]
 	if !r.Success {
 		t.Errorf("full-balance cross transfer failed: %v", r.Err)
@@ -310,7 +310,7 @@ func TestReceiptsCrossPathErrors(t *testing.T) {
 	if sc.PendingReceipts() != 0 {
 		t.Error("all receipts must settle after a drain step")
 	}
-	if got := sc.BalanceOf(bob).Uint64(); got != (1<<40)+full {
+	if got := sc.BalanceOf(sc.ID(bob)).Uint64(); got != (1<<40)+full {
 		t.Errorf("bob balance = %d, want %d", got, (1<<40)+full)
 	}
 }

@@ -16,11 +16,14 @@ import (
 //     on shard s reads and writes only shard s's state: cross-shard
 //     receipts are buffered into effects and exchanged only at the block
 //     barrier, in canonical (source-shard, emission-order) order.
-//   - The home map is read-only during a fan-out. Every transaction sender
-//     and target (and every inbox receipt target) is pre-resolved before
-//     workers start; addresses that only surface during EVM execution are
-//     resolved purely (resolveHome is a pure function of the address
-//     within one Step), recorded per worker and committed at the barrier.
+//   - The home table and the registry are read-only during a fan-out.
+//     Every transaction sender and target (and every inbox receipt target)
+//     is pre-resolved before workers start; accounts that only surface
+//     during EVM execution are resolved purely (resolveHome is a pure
+//     function of the ID within one Step, and an address the registry has
+//     not seen is hash-placed), recorded per item and committed at the
+//     barrier in the serial engine's order, which registers fresh
+//     addresses under the IDs the serial engine gives them.
 //   - Stats are deltas merged at the barrier; sums are order-independent,
 //     so totals equal the serial engine's.
 //
@@ -31,8 +34,9 @@ import (
 
 // waveItem is one transaction pinned to the shard that does its work.
 type waveItem struct {
-	idx  int // index into the block's transactions
-	work int // shard doing the work (workShardOf)
+	idx  int   // index into the block's transactions
+	rt   route // its endpoints
+	work int   // shard doing the work (workShardOf)
 	// exec is the executing shard. Where it is not work, the sender lives
 	// on work, which debits it and emits a receipt to exec instead of
 	// executing locally.
@@ -52,9 +56,9 @@ func (p workerPanic) Error() string {
 }
 
 // stepParallel is Step's parallel engine.
-func (sc *ShardChain) stepParallel(txs []*chain.Transaction, receipts []*chain.Receipt) {
+func (sc *ShardChain) stepParallel(txs []*chain.Transaction, routes []route, receipts []*chain.Receipt) {
 	sc.settleParallel()
-	sc.executeParallel(txs, receipts)
+	sc.executeParallel(txs, routes, receipts)
 }
 
 // settleParallel settles every shard's inbox on a worker per shard.
@@ -72,7 +76,7 @@ func (sc *ShardChain) settleParallel() {
 	// resolve purely and commit at the barrier).
 	for _, sh := range sc.shards {
 		for _, r := range sh.inbox {
-			sc.HomeOf(r.To)
+			sc.HomeOf(r.ToID.ID())
 		}
 	}
 	effs := make([]effects, sc.cfg.K)
@@ -98,29 +102,31 @@ func (sc *ShardChain) settleParallel() {
 
 // executeParallel executes the block's transactions in one fan-out,
 // writing each outcome into *receipts[i].
-func (sc *ShardChain) executeParallel(txs []*chain.Transaction, receipts []*chain.Receipt) {
+func (sc *ShardChain) executeParallel(txs []*chain.Transaction, routes []route, receipts []*chain.Receipt) {
 	// Pre-resolve every sender and target on the coordinator (workShardOf
-	// looks at both), so workers see a frozen home map, and queue each
+	// looks at both), so workers see a frozen home table, and queue each
 	// transaction on the shard that does its work.
 	items := make([]waveItem, len(txs))
 	queues := make([][]int, sc.cfg.K)
-	for i, tx := range txs {
-		work := sc.workShardOf(tx, &sc.itemHomes)
-		items[i] = waveItem{idx: i, work: work, exec: sc.execShardOf(tx, &sc.itemHomes)}
+	for i, rt := range routes {
+		work := sc.workShardOf(rt, &sc.itemHomes)
+		items[i] = waveItem{idx: i, rt: rt, work: work, exec: sc.HomeOf(rt.to)}
 		queues[work] = append(queues[work], i)
 	}
 	effs := make([]effects, len(txs))
-	seen := make([][]homePair, sc.cfg.K)
+	seen := make([][]homePair, len(txs))
 	sim.RunIndexed(sc.cfg.K, func(s int) {
 		h := &homes{sc: sc, record: true}
 		for _, i := range queues[s] {
 			sc.runWaveItem(txs[i], items[i], h, &effs[i], receipts)
+			seen[i] = h.seen
+			h.seen = nil
 		}
-		seen[s] = h.seen
 	})
-	// Barrier: commit the workers' first-sight homes (pure values, so the
-	// order cannot matter), then land every transaction's effects in
-	// transaction order — the serial engine's application order.
+	// Barrier: commit the first-sight homes in transaction order — the
+	// order the serial engine meets them in, so fresh addresses register
+	// under the same IDs — then land every transaction's effects in
+	// transaction order, the serial engine's application order.
 	for _, pairs := range seen {
 		sc.commitHomes(pairs)
 	}
@@ -138,7 +144,7 @@ func (sc *ShardChain) runWaveItem(tx *chain.Transaction, it waveItem, h *homes, 
 		}
 	}()
 	if it.work != it.exec {
-		sc.crossEmit(it.work, it.exec, tx, eff, receipts[it.idx])
+		sc.crossEmit(it.work, it.exec, tx, it.rt, eff, receipts[it.idx])
 		return
 	}
 	sc.runLocal(it.work, tx, sc.hookFor(it.work, h, eff), eff, receipts[it.idx])

@@ -28,7 +28,7 @@ func TestPropertyValueConservedUnderRandomTraffic(t *testing.T) {
 			alloc[accounts[i]] = evm.WordFromUint64(bal)
 			supply += bal
 		}
-		sc, err := New(Config{K: k, Model: model}, alloc, nil)
+		sc, err := New(Config{K: k, Model: model}, nil, alloc, nil)
 		if err != nil {
 			return false
 		}
@@ -80,7 +80,7 @@ func TestPropertyNoncesAdvanceExactlyOncePerTx(t *testing.T) {
 		for _, a := range accounts {
 			alloc[a] = evm.WordFromUint64(1 << 30)
 		}
-		sc, err := New(Config{K: 3, Model: model}, alloc, nil)
+		sc, err := New(Config{K: 3, Model: model}, nil, alloc, nil)
 		if err != nil {
 			return false
 		}
@@ -103,7 +103,7 @@ func TestPropertyNoncesAdvanceExactlyOncePerTx(t *testing.T) {
 			}
 		}
 		for _, a := range accounts {
-			if sc.StateOf(sc.HomeOf(a)).GetNonce(a) != sent[a] {
+			if sc.StateOf(sc.HomeOf(sc.ID(a))).GetNonce(a) != sent[a] {
 				return false
 			}
 		}

@@ -71,9 +71,9 @@ func TestReusedReceiptCarriesNothingOver(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
 			mk := func() *ShardChain {
-				sc, err := New(Config{K: 2, Model: ModelReceipts, Parallel: parallel},
+				sc, err := newChain(Config{K: 2, Model: ModelReceipts, Parallel: parallel},
 					map[types.Address]evm.Word{alice: evm.WordFromUint64(1 << 40), bob: evm.WordFromUint64(1)},
-					fixedAssign(map[types.Address]int{alice: 0, bob: 0, carol: 1}))
+					map[types.Address]int{alice: 0, bob: 0, carol: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,8 +117,6 @@ func sameReceipt(got, want *chain.Receipt) error {
 		return err.Error()
 	}
 	switch {
-	case got.TxHash != want.TxHash:
-		return fmt.Errorf("TxHash %v, want %v", got.TxHash, want.TxHash)
 	case got.TxIndex != want.TxIndex:
 		return fmt.Errorf("TxIndex %d, want %d", got.TxIndex, want.TxIndex)
 	case got.Success != want.Success:

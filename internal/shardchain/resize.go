@@ -1,12 +1,9 @@
 package shardchain
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"ethpart/internal/chain"
-	"ethpart/internal/types"
 )
 
 // Elastic shard lanes (DESIGN.md §7): the chain's shard count follows the
@@ -80,27 +77,24 @@ func (sc *ShardChain) DrainShard(s int) error {
 			return fmt.Errorf("shardchain: shard %d still addressed by an in-flight fault-channel receipt", s)
 		}
 	}
-	for addr, home := range sc.home {
-		if home == s {
-			return fmt.Errorf("shardchain: account %v still homed on shard %d", addr, s)
-		}
+	if ids := sc.HomesOn(s); len(ids) > 0 {
+		return fmt.Errorf("shardchain: account %v still homed on shard %d", sc.address(ids[0]), s)
 	}
 	return nil
 }
 
-// HomesOn returns every account currently homed on lane s, in address
-// order. A merge uses it to find the stragglers a receipts-model history
-// leaves behind — accounts whose materialised state pinned them to a lane
-// earlier waves could only Rehome around — and force-migrate them off a
-// lane being decommissioned, deterministically.
-func (sc *ShardChain) HomesOn(s int) []types.Address {
-	var out []types.Address
-	for addr, home := range sc.home {
-		if home == s {
-			out = append(out, addr)
+// HomesOn returns the ID of every account currently homed on lane s, in
+// ID order. A merge uses it to find the stragglers a receipts-model
+// history leaves behind — accounts whose materialised state pinned them to
+// a lane earlier waves could only Rehome around — and force-migrate them
+// off a lane being decommissioned, deterministically.
+func (sc *ShardChain) HomesOn(s int) []uint64 {
+	var out []uint64
+	for id, home := range sc.home {
+		if int(home) == s+1 {
+			out = append(out, uint64(id))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
 	return out
 }
 

@@ -1,7 +1,7 @@
 package shardchain
 
 import (
-	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,7 +46,7 @@ func TestAddShardsRoutesTraffic(t *testing.T) {
 	}
 
 	// Move bob's home onto the brand-new lane 3, then pay him across it.
-	if _, err := sc.MigrateAccount(bob, 3); err != nil {
+	if _, err := sc.MigrateAccount(sc.ID(bob), 3); err != nil {
 		t.Fatal(err)
 	}
 	assign[bob] = 3
@@ -55,7 +55,7 @@ func TestAddShardsRoutesTraffic(t *testing.T) {
 		t.Fatalf("cross transfer to new lane rejected: %v", rs[0].Err)
 	}
 	sc.Step(nil) // settle the receipt on lane 3
-	if got := sc.BalanceOf(bob); got.Uint64() != (1<<40)+700 {
+	if got := sc.BalanceOf(sc.ID(bob)); got.Uint64() != (1<<40)+700 {
 		t.Errorf("bob balance on new lane = %v", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestRemoveShardsRequiresDrain(t *testing.T) {
 	}
 	sc.Step(nil) // settle
 
-	if _, err := sc.MigrateAccount(bob, 0); err != nil {
+	if _, err := sc.MigrateAccount(sc.ID(bob), 0); err != nil {
 		t.Fatal(err)
 	}
 	assign[bob] = 0
@@ -111,30 +111,27 @@ func TestRemoveShardsRequiresDrain(t *testing.T) {
 }
 
 // TestHomesOnDeterministic: HomesOn lists exactly the accounts homed on a
-// lane, in address order.
+// lane, in ID order.
 func TestHomesOnDeterministic(t *testing.T) {
 	assign := map[types.Address]int{alice: 1, bob: 1, carol: 0}
-	sc, err := New(Config{K: 2, Model: ModelReceipts},
+	sc, err := newChain(Config{K: 2, Model: ModelReceipts},
 		map[types.Address]evm.Word{
 			alice: evm.WordFromUint64(1000),
 			bob:   evm.WordFromUint64(1000),
 			carol: evm.WordFromUint64(1000),
-		}, fixedAssign(assign))
+		}, assign)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := sc.HomesOn(1)
-	if len(got) != 2 {
-		t.Fatalf("HomesOn(1) = %v, want alice and bob", got)
+	if want := []uint64{sc.ID(alice), sc.ID(bob)}; !slices.Equal(got, want) && !slices.Equal(got, []uint64{want[1], want[0]}) {
+		t.Fatalf("HomesOn(1) = %v, want alice and bob %v", got, want)
 	}
-	if !(got[0] == alice && got[1] == bob) && !(got[0] == bob && got[1] == alice) {
-		t.Fatalf("HomesOn(1) = %v, want alice and bob", got)
+	if !slices.IsSorted(got) {
+		t.Errorf("HomesOn(1) not in ID order: %v", got)
 	}
-	if bytes.Compare(got[0][:], got[1][:]) >= 0 {
-		t.Errorf("HomesOn(1) not in address order: %v", got)
-	}
-	if n := len(sc.HomesOn(0)); n != 1 {
-		t.Fatalf("HomesOn(0) has %d accounts, want 1", n)
+	if got := sc.HomesOn(0); !slices.Equal(got, []uint64{sc.ID(carol)}) {
+		t.Fatalf("HomesOn(0) = %v, want carol", got)
 	}
 }
 
@@ -145,11 +142,11 @@ func TestHomesOnDeterministic(t *testing.T) {
 func TestCrashOnDecommissionedLaneSkipped(t *testing.T) {
 	inj := mustInjector(t, fault.Schedule{Shards: 2, Crashes: []fault.Crash{{Block: 2, Shard: 1}}})
 	assign := map[types.Address]int{alice: 0, bob: 0}
-	sc, err := New(Config{K: 2, Model: ModelReceipts, Fault: inj},
+	sc, err := newChain(Config{K: 2, Model: ModelReceipts, Fault: inj},
 		map[types.Address]evm.Word{
 			alice: evm.WordFromUint64(1 << 20),
 			bob:   evm.WordFromUint64(1 << 20),
-		}, fixedAssign(assign))
+		}, assign)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,15 @@
 package shardchain
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"ethpart/internal/chain"
 	"ethpart/internal/evm"
 	"ethpart/internal/fault"
 	"ethpart/internal/partition"
+	"ethpart/internal/trace"
 	"ethpart/internal/types"
 )
 
@@ -87,8 +90,11 @@ func (m Model) String() string {
 // Receipt is a pending cross-shard effect: value (and optionally a call)
 // heading for an account on another shard.
 type Receipt struct {
-	From  types.Address
-	To    types.Address
+	From types.Address
+	To   types.Address
+	// ToID is To's handle. A receipt a parallel worker emits for an address
+	// the registry has not seen carries none until the barrier lands it.
+	ToID  chain.Handle
 	Value evm.Word
 	Input []byte
 	// Born is the block height (of the source shard) that emitted the
@@ -196,6 +202,15 @@ type Config struct {
 
 // ShardChain is the sharded execution engine.
 //
+// Accounts are keyed by their dense ID in the chain's registry (a
+// trace.Registry): the home table, the assignment callback and every
+// placement call (HomeOf, Known, MigrateAccount, Rehome, HomesOn) take the
+// ID. A transaction that carries its endpoints' handles
+// (chain.Transaction.FromID/ToID) is routed and executed without hashing
+// an address; an address that arrives without an ID — a genesis
+// allocation, an EVM call target, a transaction without handles, ID — is
+// looked up in the registry, and registered there on first sight.
+//
 // ShardChain is not safe for concurrent use: Step, MigrateAccount, Rehome
 // and the accessors must be called from one goroutine. With
 // Config.Parallel on a ModelReceipts chain the parallelism lives *inside*
@@ -204,13 +219,17 @@ type Config struct {
 type ShardChain struct {
 	cfg    Config
 	shards []*shard
-	// home maps every known account to its shard. During a parallel phase
-	// the map is read-only: first-sight placements are resolved purely
+	// ids is the account registry; addresses the chain meets without an ID
+	// are registered in it, on the coordinator only.
+	ids *trace.Registry
+	// home holds every known account's shard plus one, indexed by ID; zero
+	// marks an account without a home yet. During a parallel phase the
+	// table is read-only: first-sight placements are resolved purely
 	// (resolveHome) and committed at the next barrier.
-	home map[types.Address]int
-	// assign supplies the partition for first-seen accounts; accounts it
-	// does not know fall back to hash placement.
-	assign func(types.Address) (int, bool)
+	home []int32
+	// assign supplies the partition for first-seen accounts by ID; accounts
+	// it does not know fall back to hash placement.
+	assign func(id uint64) (int, bool)
 	stats  Stats
 	// clock is the global block height (all shards advance in lockstep,
 	// one block per Step).
@@ -226,9 +245,11 @@ type ShardChain struct {
 	itemHook  evm.RemoteHook
 
 	// Step's receipts: slab holds them, receipts points into it, and both
-	// grow to the largest block seen and are rewritten by every Step.
+	// grow to the largest block seen and are rewritten by every Step, as
+	// are the block's routes.
 	slab     []chain.Receipt
 	receipts []*chain.Receipt
+	routes   []route
 
 	// Fault-plane state (see fault.go); all nil/zero unless Config.Fault
 	// arms it. nextReceiptID feeds delivery-hop identities, blockDelta
@@ -256,11 +277,13 @@ type shard struct {
 	seen map[uint64]uint64
 }
 
-// New builds a sharded chain with k shards under the given model. The
-// genesis allocation is placed on the owner accounts' home shards, which
-// are derived from the provided assignment (nil entries fall back to a
-// hash of the address).
-func New(cfg Config, alloc map[types.Address]evm.Word, assign func(types.Address) (int, bool)) (*ShardChain, error) {
+// New builds a sharded chain with k shards under the given model, keyed
+// by ids (a fresh registry when nil). The genesis allocation is placed on
+// the owner accounts' home shards, which are derived from the provided
+// assignment (accounts it does not know fall back to a hash of the
+// address). A registry shared with other goroutines is only read as long
+// as every address the chain meets is already in it.
+func New(cfg Config, ids *trace.Registry, alloc map[types.Address]evm.Word, assign func(id uint64) (int, bool)) (*ShardChain, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("shardchain: k must be >= 1, got %d", cfg.K)
 	}
@@ -271,10 +294,14 @@ func New(cfg Config, alloc map[types.Address]evm.Word, assign func(types.Address
 		return nil, fmt.Errorf("shardchain: crash schedules require ModelReceipts: " +
 			"a crash inside a migration-model block could tear a two-shard state move")
 	}
+	if ids == nil {
+		ids = trace.NewRegistry()
+	}
 	sc := &ShardChain{
 		cfg:    cfg,
 		shards: make([]*shard, cfg.K),
-		home:   make(map[types.Address]int),
+		ids:    ids,
+		home:   make([]int32, ids.Len()),
 		assign: assign,
 	}
 	sc.itemHomes = homes{sc: sc}
@@ -293,39 +320,74 @@ func New(cfg Config, alloc map[types.Address]evm.Word, assign func(types.Address
 			sc.blockDelta = make([]Stats, cfg.K)
 		}
 	}
-	for addr, bal := range alloc {
-		s := sc.HomeOf(addr)
-		sc.shards[s].state.AddBalance(addr, bal)
+	// Genesis accounts register in address order, so their IDs do not
+	// depend on map iteration.
+	addrs := make([]types.Address, 0, len(alloc))
+	for addr := range alloc {
+		addrs = append(addrs, addr)
+	}
+	slices.SortFunc(addrs, func(a, b types.Address) int { return bytes.Compare(a[:], b[:]) })
+	for _, addr := range addrs {
+		s := sc.HomeOf(sc.ID(addr))
+		sc.shards[s].state.AddBalance(addr, alloc[addr])
 		sc.shards[s].state.DiscardJournal()
 	}
 	return sc, nil
 }
 
-// resolveHome computes the first-sight placement of addr without touching
-// the home map: the configured partition decides when it knows the
-// address, otherwise placement falls back to a hash of the address. It is
-// the pure half of HomeOf — parallel workers call it where writing the map
-// would race, and the resolved pairs are committed at the next barrier.
-// Within one Step it is a pure function of the address (the assignment
+// ID returns addr's ID in the chain's registry, registering it on first
+// sight.
+func (sc *ShardChain) ID(addr types.Address) uint64 { return sc.ids.ID(addr) }
+
+// address returns the address of a registered ID.
+func (sc *ShardChain) address(id uint64) types.Address {
+	addr, _ := sc.ids.Address(id)
+	return addr
+}
+
+// Known returns the current home shard of account id without assigning
+// one.
+func (sc *ShardChain) Known(id uint64) (int, bool) {
+	if id < uint64(len(sc.home)) && sc.home[id] != 0 {
+		return int(sc.home[id] - 1), true
+	}
+	return 0, false
+}
+
+// setHome homes account id on shard s.
+func (sc *ShardChain) setHome(id uint64, s int) {
+	if id >= uint64(len(sc.home)) {
+		sc.home = append(sc.home, make([]int32, id+1-uint64(len(sc.home)))...)
+		sc.home = sc.home[:cap(sc.home)]
+	}
+	sc.home[id] = int32(s + 1)
+}
+
+// resolveHome computes the first-sight placement of account id without
+// touching the home table: the configured partition decides when it knows
+// the account, otherwise placement falls back to a hash of the address. It
+// is the pure half of HomeOf — parallel workers call it where writing the
+// table would race, and the resolved pairs are committed at the next
+// barrier. Within one Step it is a pure function of the ID (the assignment
 // callback must not change mid-block), so resolution order cannot matter.
-func (sc *ShardChain) resolveHome(addr types.Address) int {
+func (sc *ShardChain) resolveHome(id uint64) int {
 	if sc.assign != nil {
-		if a, ok := sc.assign(addr); ok && a >= 0 && a < sc.cfg.K {
+		if a, ok := sc.assign(id); ok && a >= 0 && a < sc.cfg.K {
 			return a
 		}
 	}
-	return hashShard(addr, sc.cfg.K)
+	return hashShard(sc.address(id), sc.cfg.K)
 }
 
-// HomeOf returns the current home shard of addr, assigning one on first
-// sight: the configured partition decides when it knows the address,
-// otherwise placement falls back to a hash of the address.
-func (sc *ShardChain) HomeOf(addr types.Address) int {
-	if s, ok := sc.home[addr]; ok {
+// HomeOf returns the current home shard of account id, assigning one on
+// first sight: the configured partition decides when it knows the
+// account, otherwise placement falls back to a hash of the address.
+func (sc *ShardChain) HomeOf(id uint64) int {
+	if s, ok := sc.Known(id); ok {
 		return s
 	}
-	s := sc.resolveHome(addr)
-	sc.home[addr] = s
+	s := sc.resolveHome(id)
+	sc.setHome(id, s)
 	return s
 }
 
@@ -339,9 +401,17 @@ func (sc *ShardChain) K() int { return sc.cfg.K }
 // StateOf exposes a shard's state for inspection.
 func (sc *ShardChain) StateOf(shard int) *chain.State { return sc.shards[shard].state }
 
-// BalanceOf returns addr's balance on its home shard.
-func (sc *ShardChain) BalanceOf(addr types.Address) evm.Word {
-	return sc.shards[sc.HomeOf(addr)].state.GetBalance(addr)
+// BalanceOf returns account id's balance on its home shard.
+func (sc *ShardChain) BalanceOf(id uint64) evm.Word {
+	return sc.primed(sc.HomeOf(id), id).GetBalance(sc.address(id))
+}
+
+// primed returns shard s's state with account id resolved by handle, so
+// the accesses that follow by address find it without hashing.
+func (sc *ShardChain) primed(s int, id uint64) *chain.State {
+	st := sc.shards[s].state
+	st.Prime(chain.HandleOf(id), sc.address(id))
+	return st
 }
 
 // hashShard is the fallback placement: the repo's one shard-hash — the
@@ -384,6 +454,9 @@ func (sc *ShardChain) applyEffects(src int, eff *effects) {
 	sh := sc.shards[src]
 	for _, em := range eff.out {
 		r := em.r
+		if r.ToID == 0 {
+			r.ToID = chain.HandleOf(sc.ID(r.To)) // registered by the barrier's commitHomes
+		}
 		if sc.cfg.Fault != nil && r.ID == 0 {
 			sc.nextReceiptID++
 			r.ID = sc.nextReceiptID
@@ -396,40 +469,70 @@ func (sc *ShardChain) applyEffects(src int, eff *effects) {
 	}
 }
 
-// homes is an engine's view of the account→shard map during a phase. The
-// serial engine commits first-sight placements immediately; parallel
-// workers (record mode) resolve them read-only and remember the pairs so
-// the coordinator can commit them at the barrier.
+// homes is an engine's view of the home table during a phase. The serial
+// engine commits first-sight placements immediately; parallel workers
+// (record mode) resolve them read-only and remember the pairs so the
+// coordinator can commit them at the barrier.
 type homes struct {
 	sc     *ShardChain
 	record bool
 	seen   []homePair
 }
 
+// homePair is one first-sight placement a worker resolved: of account id,
+// or, when fresh, of an address the registry has not seen.
 type homePair struct {
+	id    uint64
 	addr  types.Address
+	fresh bool
 	shard int
 }
 
-func (h *homes) of(addr types.Address) int {
+// of returns account id's home.
+func (h *homes) of(id uint64) int {
 	if !h.record {
-		return h.sc.HomeOf(addr)
+		return h.sc.HomeOf(id)
 	}
-	if s, ok := h.sc.home[addr]; ok {
+	if s, ok := h.sc.Known(id); ok {
 		return s
 	}
-	s := h.sc.resolveHome(addr)
-	h.seen = append(h.seen, homePair{addr, s})
+	s := h.sc.resolveHome(id)
+	h.seen = append(h.seen, homePair{id: id, shard: s})
 	return s
 }
 
-// commitHomes lands first-sight resolutions recorded by parallel workers.
-// An address may have been resolved by several workers (same pure value);
-// existing entries win.
+// ofAddr is of for an address that arrives without an ID (an EVM call
+// target): it returns the address's handle and home. An address the
+// registry has not seen is homed by the hash fallback, since the
+// assignment knows accounts only by ID; the serial engine registers it at
+// once, while a worker, which never writes the registry, returns a zero
+// handle and leaves the registration to the barrier.
+func (h *homes) ofAddr(addr types.Address) (chain.Handle, int) {
+	if id, ok := h.sc.ids.Lookup(addr); ok {
+		return chain.HandleOf(id), h.of(id)
+	}
+	s := hashShard(addr, h.sc.cfg.K)
+	if h.record {
+		h.seen = append(h.seen, homePair{addr: addr, fresh: true, shard: s})
+		return 0, s
+	}
+	id := h.sc.ID(addr)
+	h.sc.setHome(id, s)
+	return chain.HandleOf(id), s
+}
+
+// commitHomes lands first-sight resolutions recorded by parallel workers,
+// registering fresh addresses in the order they were met. An account may
+// have been resolved by several workers (same pure value); existing
+// entries win.
 func (sc *ShardChain) commitHomes(pairs []homePair) {
 	for _, p := range pairs {
-		if _, ok := sc.home[p.addr]; !ok {
-			sc.home[p.addr] = p.shard
+		id := p.id
+		if p.fresh {
+			id = sc.ID(p.addr)
+		}
+		if _, ok := sc.Known(id); !ok {
+			sc.setHome(id, p.shard)
 		}
 	}
 }
@@ -442,16 +545,16 @@ func (sc *ShardChain) commitHomes(pairs []homePair) {
 // every remote participant's state is migrated; that is safe because a
 // ModelMigration chain only ever runs the serial engine (see Step).
 func (sc *ShardChain) remoteCall(s int, h *homes, eff *effects, from, to types.Address, value evm.Word, input []byte) bool {
-	dst := h.of(to)
+	toID, dst := h.ofAddr(to)
 	if dst == s {
 		return false // local: execute normally
 	}
 	if sc.cfg.Model == ModelMigration {
-		sc.migrateCallee(to, dst, s, eff)
+		sc.migrateCallee(toID.ID(), dst, s, eff)
 		return false // callee is local now: execute normally
 	}
 	eff.emit(dst, Receipt{
-		From: from, To: to, Value: value,
+		From: from, To: to, ToID: toID, Value: value,
 		Input: append([]byte(nil), input...),
 		Born:  sc.clock,
 	})
@@ -478,11 +581,11 @@ func (sc *ShardChain) serialRemote(from, to types.Address, value evm.Word, input
 // has no state anywhere is simply re-homed (moving nothing would fabricate
 // an empty account and count a phantom migration, as MigrateAccount also
 // refuses to do). Serial contexts only.
-func (sc *ShardChain) migrateCallee(to types.Address, calleeHome, exec int, eff *effects) {
-	if sc.shards[calleeHome].state.Exist(to) {
+func (sc *ShardChain) migrateCallee(to uint64, calleeHome, exec int, eff *effects) {
+	if sc.primed(calleeHome, to).Exist(sc.address(to)) {
 		sc.migrateInto(to, calleeHome, exec, &eff.stats)
 	} else {
-		sc.home[to] = exec
+		sc.setHome(to, exec)
 	}
 }
 
@@ -507,7 +610,7 @@ func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, hook e
 		}
 		sc.shards[s].seen[r.ID] = sc.clock
 	}
-	if home := h.of(r.To); home != s {
+	if home := h.of(r.ToID.ID()); home != s {
 		fwd := r
 		// A forwarded receipt is a new delivery hop: it gets a fresh ID at
 		// the barrier (a legitimate revisit after a home flip must not be
@@ -519,6 +622,7 @@ func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, hook e
 		return
 	}
 	st := sc.shards[s].state
+	st.Prime(r.ToID, r.To)
 	st.AddBalance(r.To, r.Value)
 	st.DiscardJournal()
 	eff.stats.ReceiptsSettled++
@@ -535,13 +639,28 @@ func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, hook e
 	}
 }
 
-// execShardOf is where tx executes: the home of its target, or of its
-// sender for creation transactions.
-func (sc *ShardChain) execShardOf(tx *chain.Transaction, h *homes) int {
-	if tx.IsCreate() {
-		return h.of(tx.From)
+// route is a transaction's endpoints by ID: its sender, and its target —
+// the sender again for a creation. The target's home is where the
+// transaction executes.
+type route struct{ from, to uint64 }
+
+// routeOf returns tx's route, registering any endpoint the transaction
+// names by address only. Coordinator only.
+func (sc *ShardChain) routeOf(tx *chain.Transaction) route {
+	rt := route{from: sc.idOf(tx.FromID, tx.From)}
+	rt.to = rt.from
+	if !tx.IsCreate() {
+		rt.to = sc.idOf(tx.ToID, *tx.To)
 	}
-	return h.of(*tx.To)
+	return rt
+}
+
+// idOf returns the ID handle h names, or addr's when h is zero.
+func (sc *ShardChain) idOf(h chain.Handle, addr types.Address) uint64 {
+	if h != 0 {
+		return h.ID()
+	}
+	return sc.ID(addr)
 }
 
 // crossEmit is the receipts-model cross path, run on the sender's shard:
@@ -550,11 +669,12 @@ func (sc *ShardChain) execShardOf(tx *chain.Transaction, h *homes) int {
 // debited here (fee plumbing is omitted, see runLocal), so only the value
 // is required — and a nonce failure is reported as what it is, matching
 // the semantics of chain.ApplyTransactionInto.
-func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects, receipt *chain.Receipt) {
+func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, rt route, eff *effects, receipt *chain.Receipt) {
 	// Nothing executes, so the trace is empty; its backing array stays with
 	// the receipt for the next transaction that does execute in this slot.
-	*receipt = chain.Receipt{TxHash: tx.Hash(), Traces: receipt.Traces[:0]}
+	*receipt = chain.Receipt{Traces: receipt.Traces[:0]}
 	st := sc.shards[sender].state
+	st.Prime(chain.HandleOf(rt.from), tx.From)
 	if st.GetNonce(tx.From) != tx.Nonce {
 		eff.stats.Failed++
 		receipt.Err = chain.ErrNonceMismatch
@@ -569,7 +689,7 @@ func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *ef
 	st.SetNonce(tx.From, tx.Nonce+1)
 	st.DiscardJournal()
 	eff.emit(exec, Receipt{
-		From: tx.From, To: *tx.To, Value: tx.Value,
+		From: tx.From, To: *tx.To, ToID: chain.HandleOf(rt.to), Value: tx.Value,
 		Input: append([]byte(nil), tx.Data...),
 		Born:  sc.clock,
 	})
@@ -587,7 +707,7 @@ func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *ef
 func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, hook evm.RemoteHook, eff *effects, receipt *chain.Receipt) {
 	if err := chain.ApplyTransactionInto(sc.shards[s].state, tx, types.Address{}, hook, receipt); err != nil {
 		eff.stats.Failed++
-		receipt.Err = err // a rejected transaction's receipt holds only its hash
+		receipt.Err = err // a rejected transaction's receipt holds only its error
 		return
 	}
 	eff.stats.LocalTxs++
@@ -598,23 +718,23 @@ func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, hook evm.RemoteHook
 // remote callees of internal calls — writes its outcome into *receipt and
 // applies its effects immediately. It is the whole per-transaction serial
 // engine, and crash recovery's replay path under either engine.
-func (sc *ShardChain) runTxSerial(tx *chain.Transaction, receipt *chain.Receipt) {
+func (sc *ShardChain) runTxSerial(tx *chain.Transaction, rt route, receipt *chain.Receipt) {
 	h, eff := &sc.itemHomes, &sc.itemEff
 	eff.reset()
-	exec := sc.execShardOf(tx, h)
-	sender := h.of(tx.From)
+	exec := h.of(rt.to)
+	sender := h.of(rt.from)
 	cross := sender != exec
 
 	if sc.cfg.Model == ModelMigration && cross {
 		// Move the sender's account to the executing shard, then run
 		// locally.
-		sc.migrateInto(tx.From, sender, exec, &eff.stats)
+		sc.migrateInto(rt.from, sender, exec, &eff.stats)
 		cross = false
 	}
 	work := exec
 	if cross { // ModelReceipts
 		work = sender
-		sc.crossEmit(sender, exec, tx, eff, receipt)
+		sc.crossEmit(sender, exec, tx, rt, eff, receipt)
 	} else {
 		sc.itemShard = exec
 		sc.runLocal(exec, tx, sc.itemHook, eff, receipt)
@@ -645,15 +765,16 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 		}
 	}
 	receipts := sc.receiptsFor(len(txs))
+	routes := sc.routesOf(txs)
 	// Only a receipts-model block fans out; a migration-model chain cannot
 	// tell (the engines are byte-identical) and is faster serial.
 	if sc.cfg.Parallel && sc.cfg.Model == ModelReceipts {
-		sc.stepParallel(txs, receipts)
+		sc.stepParallel(txs, routes, receipts)
 	} else {
-		sc.stepSerial(txs, receipts)
+		sc.stepSerial(txs, routes, receipts)
 	}
 	for i := range sc.wal {
-		sc.recoverShard(&sc.wal[i], txs, receipts)
+		sc.recoverShard(&sc.wal[i], txs, routes, receipts)
 	}
 	sc.exchangeOutboxes()
 	return receipts
@@ -674,15 +795,27 @@ func (sc *ShardChain) receiptsFor(n int) []*chain.Receipt {
 	return sc.receipts[:n:n]
 }
 
+// routesOf returns the block's routes, in the chain's reused buffer. Both
+// engines take every route before anything executes, so the IDs of
+// endpoints named by address only register in transaction order whichever
+// engine runs.
+func (sc *ShardChain) routesOf(txs []*chain.Transaction) []route {
+	sc.routes = sc.routes[:0]
+	for _, tx := range txs {
+		sc.routes = append(sc.routes, sc.routeOf(tx))
+	}
+	return sc.routes
+}
+
 // stepSerial is the reference engine: settle then execute, one item at a
 // time in canonical order (shards ascending for settlement, transaction
 // order for execution).
-func (sc *ShardChain) stepSerial(txs []*chain.Transaction, receipts []*chain.Receipt) {
+func (sc *ShardChain) stepSerial(txs []*chain.Transaction, routes []route, receipts []*chain.Receipt) {
 	for i, sh := range sc.shards {
 		sc.settleInboxSerial(i, sh)
 	}
 	for i, tx := range txs {
-		sc.runTxSerial(tx, receipts[i])
+		sc.runTxSerial(tx, routes[i], receipts[i])
 	}
 }
 
@@ -726,8 +859,8 @@ func (sc *ShardChain) exchangeOutboxes() {
 
 // migrate moves an account's full state between shards and re-homes it,
 // counting against the chain totals.
-func (sc *ShardChain) migrate(addr types.Address, from, to int) {
-	sc.migrateInto(addr, from, to, &sc.stats)
+func (sc *ShardChain) migrate(id uint64, from, to int) {
+	sc.migrateInto(id, from, to, &sc.stats)
 }
 
 // migrateInto is migrate with an explicit stats sink, so per-item engines
@@ -742,8 +875,9 @@ func (sc *ShardChain) migrate(addr types.Address, from, to int) {
 // while the home pointed elsewhere), or the source has none (a never-funded
 // sender) — the accounts are merged field by field as a transfer would
 // carry them, and the source copy is purged entirely (DeleteAccount).
-func (sc *ShardChain) migrateInto(addr types.Address, from, to int, stats *Stats) {
-	src := sc.shards[from].state
+func (sc *ShardChain) migrateInto(id uint64, from, to int, stats *Stats) {
+	addr := sc.address(id)
+	src := sc.primed(from, id)
 	dst := sc.shards[to].state
 
 	slots, moved := chain.TransplantAccount(src, dst, addr)
@@ -760,63 +894,58 @@ func (sc *ShardChain) migrateInto(addr types.Address, from, to int, stats *Stats
 	src.DiscardJournal()
 	dst.DiscardJournal()
 
-	sc.home[addr] = to
+	sc.setHome(id, to)
 	stats.Migrations++
 	stats.MigratedSlots += int64(slots)
 	stats.Messages++ // the state transfer itself
 }
 
-// MigrateAccount moves addr's state to shard `to` and re-homes it — the
-// externally driven form of migration a repartitioner uses to realise a new
-// placement under ModelMigration. Accounts the chain has never seen are
-// pre-homed on `to` without a transfer (there is no state to move yet), and
-// a move to the current home is a no-op. It reports whether state moved.
-func (sc *ShardChain) MigrateAccount(addr types.Address, to int) (bool, error) {
+// MigrateAccount moves account id's state to shard `to` and re-homes it —
+// the externally driven form of migration a repartitioner uses to realise
+// a new placement under ModelMigration. Accounts the chain has never seen
+// are pre-homed on `to` without a transfer (there is no state to move
+// yet), and a move to the current home is a no-op. It reports whether
+// state moved.
+func (sc *ShardChain) MigrateAccount(id uint64, to int) (bool, error) {
 	if to < 0 || to >= sc.cfg.K {
-		return false, fmt.Errorf("shardchain: migrate %v: shard %d out of range [0,%d)", addr, to, sc.cfg.K)
+		return false, fmt.Errorf("shardchain: migrate account %d: shard %d out of range [0,%d)", id, to, sc.cfg.K)
 	}
-	from, known := sc.home[addr]
+	from, known := sc.Known(id)
 	if !known || from == to {
-		sc.home[addr] = to
+		sc.setHome(id, to)
 		return false, nil
 	}
-	// A homed address whose state never materialised has nothing to move:
+	// A homed account whose state never materialised has nothing to move:
 	// re-home it without a transfer. Running migrate() here would fabricate
 	// an empty account on the destination (CreateAccount) and count a
 	// phantom migration and message for moving nothing.
-	if !sc.shards[from].state.Exist(addr) {
-		sc.home[addr] = to
+	if !sc.primed(from, id).Exist(sc.address(id)) {
+		sc.setHome(id, to)
 		return false, nil
 	}
-	sc.migrate(addr, from, to)
+	sc.migrate(id, from, to)
 	return true, nil
 }
 
-// Rehome redirects addr's future placement to shard `to` without moving
-// state — the receipts-model reaction to a repartition, where existing
-// state stays put and only not-yet-materialised accounts follow the new
-// assignment. It reports whether the home changed; an account whose state
-// already exists on its current home shard is left alone (re-homing it
-// would strand its balance, nonce and storage).
-func (sc *ShardChain) Rehome(addr types.Address, to int) (bool, error) {
+// Rehome redirects account id's future placement to shard `to` without
+// moving state — the receipts-model reaction to a repartition, where
+// existing state stays put and only not-yet-materialised accounts follow
+// the new assignment. It reports whether the home changed; an account
+// whose state already exists on its current home shard is left alone
+// (re-homing it would strand its balance, nonce and storage).
+func (sc *ShardChain) Rehome(id uint64, to int) (bool, error) {
 	if to < 0 || to >= sc.cfg.K {
-		return false, fmt.Errorf("shardchain: rehome %v: shard %d out of range [0,%d)", addr, to, sc.cfg.K)
+		return false, fmt.Errorf("shardchain: rehome account %d: shard %d out of range [0,%d)", id, to, sc.cfg.K)
 	}
-	from, known := sc.home[addr]
-	if known && sc.shards[from].state.Exist(addr) {
+	from, known := sc.Known(id)
+	if known && sc.primed(from, id).Exist(sc.address(id)) {
 		return false, nil
 	}
 	if known && from == to {
 		return false, nil
 	}
-	sc.home[addr] = to
+	sc.setHome(id, to)
 	return true, nil
-}
-
-// Known returns addr's current home shard without assigning one.
-func (sc *ShardChain) Known(addr types.Address) (int, bool) {
-	s, ok := sc.home[addr]
-	return s, ok
 }
 
 // PendingReceipts counts cross-shard receipts still in flight (undelivered

@@ -1,10 +1,14 @@
 package shardchain
 
 import (
+	"bytes"
+	"maps"
+	"slices"
 	"testing"
 
 	"ethpart/internal/chain"
 	"ethpart/internal/evm"
+	"ethpart/internal/trace"
 	"ethpart/internal/types"
 	"ethpart/internal/workload"
 )
@@ -15,9 +19,23 @@ var (
 	carol = types.AddressFromSeq(3)
 )
 
-// fixedAssign pins addresses to shards for tests.
-func fixedAssign(m map[types.Address]int) func(types.Address) (int, bool) {
-	return func(a types.Address) (int, bool) {
+// newChain builds a chain whose assignment pins m's addresses to shards.
+// m's addresses are registered first, in address order, so the assignment
+// knows them however the chain first meets them; m is read live, so a test
+// may re-pin an address it holds.
+func newChain(cfg Config, alloc map[types.Address]evm.Word, m map[types.Address]int) (*ShardChain, error) {
+	reg := trace.NewRegistry()
+	return New(cfg, reg, alloc, fixedAssign(reg, m))
+}
+
+// fixedAssign registers m's addresses in reg and returns the assignment by
+// ID that pins them to their shards.
+func fixedAssign(reg *trace.Registry, m map[types.Address]int) func(uint64) (int, bool) {
+	for _, a := range slices.SortedFunc(maps.Keys(m), func(a, b types.Address) int { return bytes.Compare(a[:], b[:]) }) {
+		reg.ID(a)
+	}
+	return func(id uint64) (int, bool) {
+		a, _ := reg.Address(id)
 		s, ok := m[a]
 		return s, ok
 	}
@@ -25,11 +43,11 @@ func fixedAssign(m map[types.Address]int) func(types.Address) (int, bool) {
 
 func newSC(t *testing.T, model Model, assign map[types.Address]int) *ShardChain {
 	t.Helper()
-	sc, err := New(Config{K: 2, Model: model},
+	sc, err := newChain(Config{K: 2, Model: model},
 		map[types.Address]evm.Word{
 			alice: evm.WordFromUint64(1 << 40),
 			bob:   evm.WordFromUint64(1 << 40),
-		}, fixedAssign(assign))
+		}, assign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +62,10 @@ func transfer(nonce uint64, from, to types.Address, value uint64) *chain.Transac
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{K: 0, Model: ModelReceipts}, nil, nil); err == nil {
+	if _, err := New(Config{K: 0, Model: ModelReceipts}, nil, nil, nil); err == nil {
 		t.Error("k=0 must be rejected")
 	}
-	if _, err := New(Config{K: 2, Model: Model(9)}, nil, nil); err == nil {
+	if _, err := New(Config{K: 2, Model: Model(9)}, nil, nil, nil); err == nil {
 		t.Error("bad model must be rejected")
 	}
 }
@@ -68,7 +86,7 @@ func TestLocalTransferStaysLocal(t *testing.T) {
 	if st.LocalTxs != 1 || st.CrossTxs != 0 || st.Messages != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if got := sc.BalanceOf(bob); got.Uint64() != (1<<40)+500 {
+	if got := sc.BalanceOf(sc.ID(bob)); got.Uint64() != (1<<40)+500 {
 		t.Errorf("bob balance = %v", got)
 	}
 }
@@ -107,7 +125,7 @@ func TestCrossTransferViaMigration(t *testing.T) {
 		t.Fatalf("cross transfer failed: %v", rs[0].Err)
 	}
 	// Migration moves alice to shard 1 and executes immediately.
-	if sc.HomeOf(alice) != 1 {
+	if sc.HomeOf(sc.ID(alice)) != 1 {
 		t.Error("alice must have migrated to shard 1")
 	}
 	if got := sc.StateOf(1).GetBalance(bob).Uint64(); got != (1<<40)+500 {
@@ -127,14 +145,14 @@ func TestMigrationCarriesContractStorage(t *testing.T) {
 	// Put a contract with storage on shard 0 under alice's address space:
 	// simulate by writing directly.
 	contract := carol
-	sc.home[contract] = 0
+	sc.setHome(sc.ID(contract), 0)
 	st0 := sc.StateOf(0)
 	st0.SetCode(contract, []byte{byte(evm.STOP)})
 	st0.SetState(contract, evm.WordFromUint64(1), evm.WordFromUint64(11))
 	st0.SetState(contract, evm.WordFromUint64(2), evm.WordFromUint64(22))
 	st0.DiscardJournal()
 
-	sc.migrate(contract, 0, 1)
+	sc.migrate(sc.ID(contract), 0, 1)
 	st1 := sc.StateOf(1)
 	if got := st1.GetState(contract, evm.WordFromUint64(1)).Uint64(); got != 11 {
 		t.Errorf("slot 1 = %d", got)
@@ -212,7 +230,7 @@ func TestInternalCrossShardCallMigratesCalleeUnderMigration(t *testing.T) {
 			st.ReceiptsSettled, sc.PendingReceipts())
 	}
 	// The call completed synchronously on shard 0 with carol's full state.
-	if home := sc.HomeOf(carol); home != 0 {
+	if home := sc.HomeOf(sc.ID(carol)); home != 0 {
 		t.Errorf("carol home = %d, want 0", home)
 	}
 	if got := sc.StateOf(0).GetBalance(carol).Uint64(); got != 1000+777 {
@@ -244,7 +262,7 @@ func TestInternalCallToStatelessRemoteRehomesUnderMigration(t *testing.T) {
 	if st := sc.Stats(); st.Migrations != 0 || st.Messages != 0 {
 		t.Errorf("stateless callee moved state: %+v", st)
 	}
-	if home := sc.HomeOf(carol); home != 0 {
+	if home := sc.HomeOf(sc.ID(carol)); home != 0 {
 		t.Errorf("carol home = %d, want 0 (re-homed to executing shard)", home)
 	}
 	if got := sc.StateOf(0).GetBalance(carol).Uint64(); got != 42 {
@@ -266,7 +284,7 @@ func deployOnShard(t *testing.T, sc *ShardChain, shard int, runtime []byte, endo
 		t.Fatalf("deploy failed: %+v", rs[0])
 	}
 	addr := *rs[0].ContractAddress
-	sc.home[addr] = shard
+	sc.setHome(sc.ID(addr), shard)
 	return addr
 }
 
@@ -305,8 +323,8 @@ func TestReceiptAgainstContractTriggersCode(t *testing.T) {
 
 func TestHashShardFallbackDeterministic(t *testing.T) {
 	sc := newSC(t, ModelReceipts, nil)
-	s1 := sc.HomeOf(carol)
-	s2 := sc.HomeOf(carol)
+	s1 := sc.HomeOf(sc.ID(carol))
+	s2 := sc.HomeOf(sc.ID(carol))
 	if s1 != s2 {
 		t.Error("fallback placement must be sticky")
 	}

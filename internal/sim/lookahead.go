@@ -15,7 +15,7 @@ import (
 // from-scratch multilevel partition of a graph the assignment never shapes
 // — the cumulative graph (METIS) or the window since the last wave
 // (R-METIS), in full-history mode at fixed k — each wave's trigger and
-// input are functions of the records alone. Replay then runs the
+// input are functions of the records alone. NewOver then runs the
 // simulator's clock over the same records on a goroutine of its own, builds
 // each wave's CSR as soon as its boundary passes and partitions it on a
 // further goroutine, so several waves partition at once while the
@@ -52,7 +52,7 @@ func (s *Simulator) lookaheadEligible() bool {
 }
 
 // lookahead is a running lookahead: a bounded queue of wave plans in wave
-// order, and everything that must be joined before Replay returns.
+// order, and everything Close must join.
 type lookahead struct {
 	// plans holds GOMAXPROCS plans; while it is full the lookahead waits.
 	plans chan *aheadPlan

@@ -70,12 +70,15 @@ func Collect(s *workload.Stream) (*GeneratedTrace, error) {
 	}, nil
 }
 
-// Replay runs one simulation configuration over a generated trace. When
-// every wave of the configuration depends on the records alone (METIS and
-// R-METIS in full history at fixed k), the waves are partitioned ahead of
-// the simulator, several at a time, by a lookahead that is joined before
-// Replay returns; the result is the one Process would produce.
-func Replay(gt *GeneratedTrace, cfg Config) (*Result, error) {
+// NewOver returns a simulator for cfg that will process exactly gt's
+// records, in order. A nil cfg.StorageSlots defaults to gt's footprints.
+// When every wave of the configuration depends on the records alone
+// (METIS and R-METIS in full history at fixed k), the waves are
+// partitioned ahead of the simulator, several at a time, by a lookahead;
+// the simulator then computes what Process alone would. The caller must
+// Close the simulator on every path once it is done with it, which joins
+// the lookahead.
+func NewOver(gt *GeneratedTrace, cfg Config) (*Simulator, error) {
 	if cfg.StorageSlots == nil {
 		cfg.StorageSlots = gt.StorageSlots
 	}
@@ -85,8 +88,28 @@ func Replay(gt *GeneratedTrace, cfg Config) (*Result, error) {
 	}
 	if s.lookaheadEligible() {
 		s.startLookahead(gt.Records)
-		defer s.ahead.stop()
 	}
+	return s, nil
+}
+
+// Close ends and joins the lookahead of a simulator built by NewOver, and
+// every partition it started. It is a no-op for a simulator without one,
+// and on a second call.
+func (s *Simulator) Close() {
+	if s.ahead != nil {
+		s.ahead.stop()
+		s.ahead = nil
+	}
+}
+
+// Replay runs one simulation configuration over a generated trace (see
+// NewOver).
+func Replay(gt *GeneratedTrace, cfg Config) (*Result, error) {
+	s, err := NewOver(gt, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 	for _, rec := range gt.Records {
 		if err := s.Process(rec); err != nil {
 			return nil, fmt.Errorf("sim: processing record: %w", err)

@@ -427,7 +427,7 @@ type Simulator struct {
 	// clk is the wave schedule: the open window and the last wave.
 	clk clock
 	// ahead, when non-nil, plans every same-k wave ahead of the simulator
-	// (Replay on a lookahead-eligible config; see lookahead.go).
+	// (NewOver on a lookahead-eligible config; see lookahead.go).
 	ahead *lookahead
 
 	// Current window accumulation.

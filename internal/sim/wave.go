@@ -125,7 +125,7 @@ func (s *Simulator) wave(now time.Time, newK int) error {
 //	merge (k → k' < k)      vertices on dropped shards    least-filled survivor
 //	split (k → k' > k)      the (decayed) live graph      multilevel at k'
 //
-// Under Replay's lookahead every wave is a repartition whose plan was
+// Under NewOver's lookahead every wave is a repartition whose plan was
 // computed ahead from the records alone; plan takes it instead.
 func (s *Simulator) plan(now time.Time, oldK, newK int) (ids []graph.VertexID, parts []int, err error) {
 	resize := newK != oldK
