@@ -11,8 +11,9 @@ import (
 // TestAllocsResetRebuild is Reset's allocation ceiling: refilling a reset
 // graph with the window it last held allocates nothing. Every slot gets the
 // vertex it had, so every row's kept backing is long enough. The window's
-// rows stay at or under rowIndexThreshold; a hub row past it rebuilds its
-// position index, one map per hub row per window.
+// rows stay at or under rowIndexThreshold; a hub row past it refills the
+// position table Reset left it (TestAllocsHubCompaction covers the
+// decaying side).
 func TestAllocsResetRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var w [][2]VertexID
@@ -65,8 +66,8 @@ func growthStream() [][2]VertexID {
 // interactions. A full row moves into a block of the next size class,
 // drawn from a free list or carved from a chunk, so what remains is the
 // chunks, the per-slot records and slot table growing, and the hub rows'
-// position maps: 9.85 per 1,000 measured, where a row that copied itself
-// into a fresh slice at every growth made 87.97.
+// position tables doubling: 6.45 per 1,000 measured, where a row that
+// copied itself into a fresh slice at every growth made 87.97.
 func TestAllocsGraphGrowth(t *testing.T) {
 	const growthCeiling = 15.0
 	w := growthStream()
@@ -133,5 +134,50 @@ func TestDecayRowStorageBoundedByLiveSet(t *testing.T) {
 	if late > early+2<<20 {
 		t.Errorf("live heap grew from %.2f to %.2f MiB with a steady live set",
 			float64(early)/(1<<20), float64(late)/(1<<20))
+	}
+}
+
+// TestAllocsHubCompaction is the decay sweep's allocation ceiling on a hub:
+// a hub row that every sweep compacts (some of its edges expire, as many
+// new ones arrive) rebuilds its position table in place, so a steady-state
+// window — the arrivals, the sweep, the retirement of the hub's expired
+// neighbours and the reuse of their slots — allocates nothing. Each window
+// the hub's row swings between about 800 and 1,000 entries, inside one
+// table size.
+func TestAllocsHubCompaction(t *testing.T) {
+	const (
+		maxAge  = 5
+		perWin  = 200
+		idRange = 1 << 20
+	)
+	g := mustDecaying(t, maxAge)
+	hub := VertexID(idRange)
+	next := 0
+	window := func() {
+		for i := 0; i < perWin; i++ {
+			v := VertexID(next)
+			next = (next + 1) % (4 * maxAge * perWin)
+			if err := g.AddInteraction(hub, v, KindContract, KindAccount, 1); err != nil {
+				panic(err)
+			}
+		}
+		g.DecaySweep(0.5, nil, nil)
+	}
+	// Warm up past one trip round the ID pool, so every slot, block, bucket
+	// and table has reached its steady size.
+	for w := 0; w < 8*maxAge; w++ {
+		window()
+	}
+	r := &g.out[g.slotOf(hub)]
+	size := len(r.idx)
+	if n := len(r.e); n <= rowIndexThreshold || size == 0 {
+		t.Fatalf("the hub row has %d entries and a %d-slot table; the test needs it indexed", n, size)
+	}
+	allocs := testing.AllocsPerRun(20, window)
+	if allocs != 0 {
+		t.Errorf("a steady-state window allocated %.1f objects, want 0", allocs)
+	}
+	if r := &g.out[g.slotOf(hub)]; len(r.idx) != size {
+		t.Errorf("the hub's table went from %d to %d slots", size, len(r.idx))
 	}
 }

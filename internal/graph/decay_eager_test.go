@@ -74,11 +74,12 @@ func (g *Graph) eagerSweep(factor float64, maxAge uint32, onRetire func(VertexID
 }
 
 // decayRow decays one adjacency row in place: expired entries are dropped,
-// surviving weights shrink by factor with a floor of one. The position
-// index is rebuilt (or dropped) to match the compacted row. canon marks the
-// row as holding canonical (out) edge copies owned by vertex u: drops and
-// rescales are then counted into delta and reported through onEdge; mirror
-// (in) rows pass canon false and change silently.
+// surviving weights shrink by factor with a floor of one. The oracle owns
+// only the survivors' order; the row's own reindex rebuilds its position
+// table to match. canon marks the row as holding canonical (out) edge
+// copies owned by vertex u: drops and rescales are then counted into delta
+// and reported through onEdge; mirror (in) rows pass canon false and change
+// silently.
 func (g *Graph) decayRow(r *row, factor float64, maxAge uint32, u VertexID, canon bool, onEdge func(u, v VertexID, oldW, newW int64), delta *DecayDelta) {
 	j := 0
 	for i := range r.e {
@@ -114,17 +115,7 @@ func (g *Graph) decayRow(r *row, factor float64, maxAge uint32, u VertexID, cano
 		return
 	}
 	r.e = r.e[:j]
-	if r.idx == nil {
-		return
-	}
-	if len(r.e) <= rowIndexThreshold {
-		r.idx = nil
-		return
-	}
-	clear(r.idx)
-	for i := range r.e {
-		r.idx[r.e[i].to] = int32(i)
-	}
+	r.reindex()
 }
 
 // graphDump is an order-aware snapshot of every graph observable: vertices

@@ -17,10 +17,10 @@
 // moves up one class and gives its old block back for the next row to
 // reuse, as does a retired vertex, so row growth allocates only when a
 // class runs out of blocks. Rows that grow past a threshold (hub
-// contracts) gain a lazily built position index so edge lookups stay O(1)
-// without paying a map per vertex. Reset empties a graph but keeps that
-// storage, so a window graph rebuilt at every repartition wave grows it
-// once instead of at every wave.
+// contracts) gain a flat open-addressing position table so edge lookups
+// stay O(1) without paying a table per vertex. Reset empties a graph but
+// keeps that storage, so a window graph rebuilt at every repartition wave
+// grows it once instead of at every wave.
 package graph
 
 import (
@@ -74,10 +74,13 @@ func (k Kind) String() string {
 // Valid reports whether k is one of the declared kinds.
 func (k Kind) Valid() bool { return k == KindAccount || k == KindContract }
 
-// rowIndexThreshold is the row length beyond which a row builds its
-// neighbour-position index. Small rows (the vast majority) use a linear
-// scan over a contiguous slice, which beats a map well past a dozen
-// entries; hub rows amortise the map across thousands of lookups.
+// rowIndexThreshold is the row length beyond which a row keeps a position
+// table. Small rows (the vast majority) use a linear scan over a
+// contiguous slice, which beats hashing well past a dozen entries; a hub
+// row's table answers a lookup with a hash and a probe or two however long
+// the row is. The table is a flat []int32, not a Go map: a decay sweep
+// that compacts a hub row rebuilds its table, and clearing and refilling a
+// slice of positions costs a fraction of re-inserting every key into a map.
 const rowIndexThreshold = 32
 
 // halfEdge is one directed adjacency entry: the far endpoint, the
@@ -101,20 +104,40 @@ type halfEdge struct {
 }
 
 // row is one adjacency direction of a vertex: half edges in insertion
-// order, with a lazily built position index once the row grows past
-// rowIndexThreshold.
+// order and, once the row grows past rowIndexThreshold, a position table.
+//
+// The table is open addressing over e, keyed through e[p-1].to: a power of
+// two of slots, each holding a position in e plus one (0 is an empty
+// slot), probed linearly from a multiplicative hash of the neighbour. An
+// insert that would fill more than half of it rebuilds it twice as large,
+// so a probe always ends at an empty slot; a rebuild after compaction
+// keeps the size while the survivors fill between ⅛ and ½ of it (reindex).
+// len(idx) is 0 exactly while the row is at or under the threshold; the
+// capacity outlives that, so a row that falls back under it (compact) or
+// is emptied (Graph.Reset) refills the same table when it grows again.
 type row struct {
 	e   []halfEdge
-	idx map[VertexID]int32 // nil while len(e) <= rowIndexThreshold
+	idx []int32
+}
+
+// probeStart is v's first slot in a table of mask+1 slots.
+func probeStart(v VertexID, mask uint32) uint32 {
+	return uint32(uint64(v)*0x9e3779b97f4a7c15>>32) & mask
 }
 
 // find returns the position of v in the row, or -1.
 func (r *row) find(v VertexID) int32 {
-	if r.idx != nil {
-		if p, ok := r.idx[v]; ok {
-			return p
+	if len(r.idx) != 0 {
+		mask := uint32(len(r.idx) - 1)
+		for i := probeStart(v, mask); ; i = (i + 1) & mask {
+			p := r.idx[i]
+			if p == 0 {
+				return -1
+			}
+			if r.e[p-1].to == v {
+				return p - 1
+			}
 		}
-		return -1
 	}
 	for i := range r.e {
 		if r.e[i].to == v {
@@ -122,6 +145,42 @@ func (r *row) find(v VertexID) int32 {
 		}
 	}
 	return -1
+}
+
+// place files entry p in the table, which has a free slot for it.
+func (r *row) place(p int) {
+	mask := uint32(len(r.idx) - 1)
+	i := probeStart(r.e[p].to, mask)
+	for r.idx[i] != 0 {
+		i = (i + 1) & mask
+	}
+	r.idx[i] = int32(p + 1)
+}
+
+// reindex rebuilds the table for the row's entries, in row order: emptied
+// at or under rowIndexThreshold; otherwise refilled at its size while the
+// entries keep its load between ⅛ and ½, else resized to the smallest power
+// of two above 2n (a load in [¼, ½)), on the capacity it has when that
+// suffices.
+func (r *row) reindex() {
+	n := len(r.e)
+	if n <= rowIndexThreshold {
+		r.idx = r.idx[:0]
+		return
+	}
+	size := len(r.idx)
+	if 2*n > size || 8*n < size {
+		size = 1 << bits.Len(uint(2*n))
+	}
+	if size <= cap(r.idx) {
+		r.idx = r.idx[:size]
+		clear(r.idx)
+	} else {
+		r.idx = make([]int32, size)
+	}
+	for p := range r.e {
+		r.place(p)
+	}
 }
 
 // add accumulates weight w onto the edge to v, creating the entry if it is
@@ -148,21 +207,17 @@ func (r *row) insert(g *Graph, v VertexID, w int64) {
 		r.e = g.growRow(r.e)
 	}
 	r.e = append(r.e, halfEdge{to: v, w: w, touch: g.epoch})
-	if r.idx != nil {
-		r.idx[v] = int32(len(r.e) - 1)
-	} else if len(r.e) > rowIndexThreshold {
-		r.idx = make(map[VertexID]int32, 2*len(r.e))
-		for i := range r.e {
-			r.idx[r.e[i].to] = int32(i)
-		}
+	if n := len(r.e); 2*n <= len(r.idx) {
+		r.place(n - 1)
+	} else if n > rowIndexThreshold {
+		r.reindex()
 	}
 }
 
 // compact removes the tombstoned entries (weight zero, set by the decay
 // sweep) in one pass, preserving the order of the survivors (iteration
-// order is observable through Neighbors and Edges). The position index is
-// rebuilt once to match, or dropped when the row falls back under
-// rowIndexThreshold.
+// order is observable through Neighbors and Edges), then rebuilds the
+// table once to match.
 func (r *row) compact() {
 	j := 0
 	for i := range r.e {
@@ -173,17 +228,7 @@ func (r *row) compact() {
 		j++
 	}
 	r.e = r.e[:j]
-	if r.idx == nil {
-		return
-	}
-	if j <= rowIndexThreshold {
-		r.idx = nil
-		return
-	}
-	clear(r.idx)
-	for i := range r.e {
-		r.idx[r.e[i].to] = int32(i)
-	}
+	r.reindex()
 }
 
 // Graph is a directed multigraph with weighted vertices and edges.
@@ -630,10 +675,10 @@ func (g *Graph) Edges(fn func(u, v VertexID, w int64) bool) {
 
 // Reset empties g, as New would, but keeps its storage for the next fill:
 // the slot table (wiped through the live IDs, so MaxID keeps its
-// high-water mark), the per-slot record slices, every slot's row block
-// and the block classes' free lists and chunks. A graph refilled window
-// after window therefore allocates only where a window outgrows the ones
-// before it. A decaying graph cannot be reset — its decay schedule has no
+// high-water mark), the per-slot record slices, every slot's row block and
+// position table, and the block classes' free lists and chunks. A graph
+// refilled window after window therefore allocates only where a window
+// outgrows the ones before it. A decaying graph cannot be reset — its decay schedule has no
 // empty state to return to — and Reset panics on one.
 func (g *Graph) Reset() {
 	if g.sched != nil {
@@ -642,11 +687,11 @@ func (g *Graph) Reset() {
 	for _, id := range g.ids {
 		g.slot[id] = -1
 	}
-	// A row's position index is dropped, not cleared: a row at or under
-	// rowIndexThreshold has none and is scanned.
+	// Each row keeps its block and its table's capacity for whichever
+	// vertex fills the slot next.
 	for s := range g.out {
-		g.out[s] = row{e: g.out[s].e[:0]}
-		g.in[s] = row{e: g.in[s].e[:0]}
+		g.out[s] = row{e: g.out[s].e[:0], idx: g.out[s].idx[:0]}
+		g.in[s] = row{e: g.in[s].e[:0], idx: g.in[s].idx[:0]}
 	}
 	g.ids, g.kinds, g.weights, g.touch = g.ids[:0], g.kinds[:0], g.weights[:0], g.touch[:0]
 	g.out, g.in = g.out[:0], g.in[:0]

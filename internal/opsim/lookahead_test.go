@@ -28,19 +28,29 @@ func runInline(t *testing.T, gt *sim.GeneratedTrace, cfg Config) (*Result, error
 	return Run(gt, cfg)
 }
 
-// TestRunLookaheadMatchesInline: a METIS or R-METIS co-simulation plans its
-// waves ahead of the control stage, and must come out exactly as the
-// inline plan would — windows, totals, the simulator's result, the
-// directory's statistics and the convergence artifacts — under both
-// models and at one and several procs.
+// TestRunLookaheadMatchesInline: a METIS or R-METIS co-simulation, and a
+// decay-mode METIS one when a P is spare beside its two stages (under four
+// Ps, not under one), plans its waves ahead of the control stage, and must
+// come out exactly as the inline plan would — windows,
+// totals, the simulator's result, the directory's statistics and the
+// convergence artifacts — under both models and at one and several procs.
 func TestRunLookaheadMatchesInline(t *testing.T) {
 	gt := smallTrace(t)
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, model := range []shardchain.Model{shardchain.ModelReceipts, shardchain.ModelMigration} {
-			for _, m := range []sim.Method{sim.MethodMetis, sim.MethodRMetis} {
-				t.Run(fmt.Sprintf("procs=%d/%v/%v", procs, m, model), func(t *testing.T) {
-					cfg := cfgFor(m, model, 4)
+			for _, c := range []struct {
+				name   string
+				method sim.Method
+				decay  time.Duration
+			}{
+				{"METIS", sim.MethodMetis, 0},
+				{"R-METIS", sim.MethodRMetis, 0},
+				{"decay/METIS", sim.MethodMetis, 12 * time.Hour},
+			} {
+				t.Run(fmt.Sprintf("procs=%d/%s/%v", procs, c.name, model), func(t *testing.T) {
+					cfg := cfgFor(c.method, model, 4)
+					cfg.Sim.DecayHalfLife = c.decay
 					cfg.Capture = true
 					want, err := runInline(t, gt, cfg)
 					if err != nil {

@@ -465,6 +465,10 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 			done: make(chan struct{}),
 		}
 	}
+	// The chain stage keeps a P of its own beside the control stage.
+	if r.q != nil {
+		defer sim.Occupy()()
+	}
 	// Every record the simulator will see is known, so a configuration
 	// whose waves depend on the records alone plans them ahead, off the
 	// control stage.

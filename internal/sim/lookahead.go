@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ethpart/internal/graph"
@@ -14,12 +15,13 @@ import (
 // The lookahead (DESIGN.md §3): when every wave of a run is a periodic,
 // from-scratch multilevel partition of a graph the assignment never shapes
 // — the cumulative graph (METIS) or the window since the last wave
-// (R-METIS), in full-history mode at fixed k — each wave's trigger and
-// input are functions of the records alone. NewOver then runs the
-// simulator's clock over the same records on a goroutine of its own, builds
-// each wave's CSR as soon as its boundary passes and partitions it on a
-// further goroutine, so several waves partition at once while the
-// simulator catches up. The simulator takes the plans in wave order.
+// (R-METIS) in full-history mode, or the decayed live graph (METIS) in
+// decay mode, all at fixed k — each wave's trigger and input are functions
+// of the records alone. NewOver then runs the simulator's clock over the
+// same records on a goroutine of its own, builds each wave's CSR as soon as
+// its boundary passes and partitions it on a further goroutine, so several
+// waves partition at once while the simulator catches up. The simulator
+// takes the plans in wave order.
 
 // flightBudget bounds the partitions running at once by the records their
 // sources hold, as a multiple of the trace's. A partition's scratch grows
@@ -41,14 +43,85 @@ import (
 //
 // Both times 1.75 took some seed's peak past the int64 partitioner's
 // 202.8 MiB, so 1.5 stays the largest budget that holds it.
+//
+// A window source is charged the records since the last wave, a union
+// source every record so far. A decaying source is charged its live edge
+// count: every live edge stands for at least one record inside the
+// retention horizon, and the CSR the scratch grows with has no more edges
+// than the live graph.
 const flightBudget = 1.5
 
 // lookaheadEligible reports whether every wave the simulator can fire
 // depends on the records alone: a periodic trigger, a from-scratch
-// multilevel plan, no decay and no autoscaler.
+// multilevel plan and no autoscaler, with a window or cumulative source in
+// full-history mode or, in decay mode, the decayed live graph. A decaying
+// source is planned ahead only onto a spare P (occupySpareP).
 func (s *Simulator) lookaheadEligible() bool {
-	return s.policy.trigger == triggerPeriodic && !s.policy.refine &&
-		!s.decayEnabled() && !s.cfg.Autoscale.Enabled
+	if s.policy.trigger != triggerPeriodic || s.policy.refine || s.cfg.Autoscale.Enabled {
+		return false
+	}
+	return !s.decayEnabled() || s.policy.source == sourceFull
+}
+
+// procs counts the Ps this process's simulations keep busy, so that a
+// lookahead runs a decaying replica, which repeats the simulator's graph
+// work, only on a P nothing else claims (DESIGN §3). Every simulator walks
+// its records on one P: a worker of a running RunIndexed pool, or, outside
+// any pool, its caller's.
+var procs struct {
+	pooled atomic.Int32 // workers of running RunIndexed pools
+	extra  atomic.Int32 // goroutines beside a walk: Occupy holders, replicas
+}
+
+// Occupy records that the caller keeps a goroutine busy beside its
+// simulator's walk, as opsim's chain stage does, until it calls release.
+func Occupy() (release func()) {
+	procs.extra.Add(1)
+	return func() { procs.extra.Add(-1) }
+}
+
+// occupySpareP occupies a P for a decaying replica if the walks (the
+// pools' workers, or at least the caller's own) and the goroutines beside
+// them leave one free under GOMAXPROCS, and returns its release; it
+// returns nil if none is free.
+func occupySpareP() (release func()) {
+	for {
+		extra := procs.extra.Load()
+		if max(procs.pooled.Load(), 1)+extra+1 > int32(runtime.GOMAXPROCS(0)) {
+			return nil
+		}
+		if procs.extra.CompareAndSwap(extra, extra+1) {
+			return func() { procs.extra.Add(-1) }
+		}
+	}
+}
+
+// aheadSource is the graph a lookahead's waves partition.
+type aheadSource int
+
+const (
+	// aheadWindow is the window since the last wave (R-METIS).
+	aheadWindow aheadSource = iota
+	// aheadUnion is the cumulative graph, assembled as the union of every
+	// window's CSR so far (METIS), which spares the lookahead a second
+	// cumulative graph beside the simulator's.
+	aheadUnion
+	// aheadDecaying is the decayed live graph (METIS in decay mode), on a
+	// replica of the simulator's decaying graph that sees the same records
+	// and the same sweeps.
+	aheadDecaying
+)
+
+// aheadWalk is what a lookahead walks the records with: its own copy of the
+// simulator's clock, the source, the decay of a decaying source, and the
+// partitioner at k.
+type aheadWalk struct {
+	clk    clock
+	src    aheadSource
+	factor float64 // per-window decay factor (aheadDecaying)
+	maxAge uint32  // retention horizon in sweeps (aheadDecaying)
+	ml     *multilevel.Partitioner
+	k      int
 }
 
 // lookahead is a running lookahead: a bounded queue of wave plans in wave
@@ -58,6 +131,8 @@ type lookahead struct {
 	plans chan *aheadPlan
 	quit  chan struct{}
 	wg    sync.WaitGroup
+	// release gives back the P a decaying replica occupies.
+	release func()
 	// err is why the lookahead stopped before the last record; it is
 	// written before plans is closed.
 	err error
@@ -74,32 +149,52 @@ type aheadPlan struct {
 }
 
 // startLookahead starts planning the waves of s's run over records ahead
-// of s. s must be lookahead-eligible and must not have processed a record
-// yet.
+// of s, unless its source is decaying and no P is spare, in which case s
+// plans inline. s must be lookahead-eligible and must not have processed a
+// record yet.
 func (s *Simulator) startLookahead(records []trace.Record) {
-	la := &lookahead{
-		plans: make(chan *aheadPlan, runtime.GOMAXPROCS(0)),
-		quit:  make(chan struct{}),
+	w := aheadWalk{clk: s.clk, src: aheadWindow, ml: s.ml, k: s.cfg.K}
+	release := func() {}
+	switch {
+	case s.decayEnabled():
+		if release = occupySpareP(); release == nil {
+			return
+		}
+		w.src, w.factor, w.maxAge = aheadDecaying, s.decayFactor, s.decayAge
+	case s.policy.source == sourceFull:
+		w.src = aheadUnion
 	}
-	clk, cumulative, ml, k := s.clk, s.policy.source == sourceFull, s.ml, s.cfg.K
+	la := &lookahead{
+		plans:   make(chan *aheadPlan, runtime.GOMAXPROCS(0)),
+		quit:    make(chan struct{}),
+		release: release,
+	}
 	la.wg.Add(1)
 	go func() {
 		defer la.wg.Done()
 		defer close(la.plans)
-		la.err = la.run(records, clk, cumulative, ml, k)
+		la.err = la.run(records, w)
 	}()
 	s.ahead = la
 	// The lookahead builds the window graph; the simulator needs none.
 	s.window = nil
 }
 
-// run walks the records with its own clock and window graph and hands out
-// one plan per wave, in order. A window source partitions the window's CSR;
-// a cumulative one partitions the union of every window's CSR so far, which
-// spares the lookahead a second cumulative graph beside the simulator's.
-func (la *lookahead) run(records []trace.Record, clk clock, cumulative bool, ml *multilevel.Partitioner, k int) error {
-	win := graph.New()
+// run walks the records with its own clock and source graph and hands out
+// one plan per wave, in order. A window or union source fills a window
+// graph and empties it at every wave; a decaying source fills a decaying
+// graph and sweeps it at every boundary exactly as decayStep sweeps the
+// simulator's, skipping it while it is empty.
+func (la *lookahead) run(records []trace.Record, w aheadWalk) error {
+	g := graph.New()
+	if w.src == aheadDecaying {
+		var err error
+		if g, err = graph.NewDecaying(w.maxAge); err != nil {
+			return err
+		}
+	}
 	var (
+		clk      = w.clk
 		csrb     graph.CSRBuilder
 		cum      *graph.CSR
 		fl       = flights{max: runtime.GOMAXPROCS(0), budget: int(flightBudget * float64(len(records)))}
@@ -113,21 +208,30 @@ func (la *lookahead) run(records []trace.Record, clk clock, cumulative bool, ml 
 		}
 		for clk.crossed(t) {
 			now := clk.roll()
+			if w.src == aheadDecaying && g.VertexCount() > 0 {
+				g.DecaySweep(w.factor, nil, nil)
+			}
 			if !clk.due(now) {
 				continue
 			}
 			clk.lastWave = now
 			var csr *graph.CSR
-			if win.VertexCount() > 0 {
-				csr = csrb.Build(win)
-				win.Reset()
+			if g.VertexCount() > 0 {
+				csr = csrb.Build(g)
 			}
-			n := i - lastWave // records in the source
-			if cumulative {
+			var n int // the source's charge against the flight budget
+			switch w.src {
+			case aheadWindow:
+				g.Reset()
+				n = i - lastWave
+			case aheadUnion:
+				g.Reset()
 				if csr != nil {
 					cum = unionCSR(cum, csr)
 				}
 				csr, n = cum, i
+			case aheadDecaying:
+				n = g.EdgeCount()
 			}
 			lastWave = i
 			p := &aheadPlan{at: now, done: make(chan struct{})}
@@ -138,7 +242,7 @@ func (la *lookahead) run(records []trace.Record, clk clock, cumulative bool, ml 
 					return nil
 				}
 				fl.add(p.done, n)
-				la.partition(p, csr, ml, k)
+				la.partition(p, csr, w.ml, w.k)
 			}
 			select {
 			case la.plans <- p:
@@ -146,7 +250,7 @@ func (la *lookahead) run(records []trace.Record, clk clock, cumulative bool, ml 
 				return nil
 			}
 		}
-		if err := rec.Apply(win); err != nil {
+		if err := rec.Apply(g); err != nil {
 			return err
 		}
 	}
@@ -220,10 +324,12 @@ func (la *lookahead) next(now time.Time) ([]graph.VertexID, []int, error) {
 	return p.ids, p.parts, p.err
 }
 
-// stop ends the lookahead and joins it and every partition it started.
+// stop ends the lookahead, joins it and every partition it started, and
+// gives back the P its replica occupied.
 func (la *lookahead) stop() {
 	close(la.quit)
 	la.wg.Wait()
+	la.release()
 }
 
 // unionCSR returns the CSR of the union of the graphs a and b are the CSRs

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,12 +67,36 @@ func hasEmptyWindowWave(recs []trace.Record, waves []time.Time) bool {
 	return false
 }
 
+// hasEmptyBoundary reports whether a decay-mode run of cfg over recs
+// crosses a window boundary with nothing live, where decayStep skips the
+// sweep.
+func hasEmptyBoundary(t *testing.T, recs []trace.Record, cfg Config) bool {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := s.Process(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, obs := range s.Sweeps() {
+		if obs.LiveVertices == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestReplayLookaheadMatchesProcess checks Replay, which plans METIS and
 // R-METIS waves ahead on other goroutines, against the inline plan of a
 // hand-driven Process loop: equal results for every method on an era trace
-// and on a trace with a long quiet gap, the inline path for decay and
-// autoscale configs, and on a failing record the same error with every
-// goroutine joined — under one P and under four.
+// and on a trace with a long quiet gap, decay-mode METIS (planned ahead on
+// a decaying replica when a P is spare, so under four Ps and not under one)
+// on both, the inline path for the decayed window and autoscale configs,
+// and on a failing record the same error with every goroutine joined —
+// under one P and under four.
 func TestReplayLookaheadMatchesProcess(t *testing.T) {
 	era := smallTrace(t)
 	gappy := NewGeneratedTrace(quietGapRecords(), nil, nil)
@@ -80,20 +105,27 @@ func TestReplayLookaheadMatchesProcess(t *testing.T) {
 		gt       *GeneratedTrace
 		cfg      Config
 		eligible bool
+		// spareP marks a cell planned ahead only onto a spare P.
+		spareP bool
 	}
 	var cells []cell
 	for _, m := range Methods() {
 		eligible := m == MethodMetis || m == MethodRMetis
 		cells = append(cells,
-			cell{"era/" + m.String(), era, Config{Method: m, K: 4, RepartitionEvery: 24 * time.Hour}, eligible},
-			cell{"gap/" + m.String(), gappy, Config{Method: m, K: 3, RepartitionEvery: 2 * 24 * time.Hour}, eligible})
+			cell{"era/" + m.String(), era, Config{Method: m, K: 4, RepartitionEvery: 24 * time.Hour}, eligible, false},
+			cell{"gap/" + m.String(), gappy, Config{Method: m, K: 3, RepartitionEvery: 2 * 24 * time.Hour}, eligible, false})
 	}
+	decayGap := Config{Method: MethodMetis, K: 3, RepartitionEvery: 2 * 24 * time.Hour, DecayHalfLife: 12 * time.Hour}
 	cells = append(cells,
-		cell{"decay/METIS", era, Config{Method: MethodMetis, K: 4, RepartitionEvery: 24 * time.Hour, DecayHalfLife: 12 * time.Hour}, false},
+		cell{"decay/METIS", era, Config{Method: MethodMetis, K: 4, RepartitionEvery: 24 * time.Hour, DecayHalfLife: 12 * time.Hour}, true, true},
+		cell{"decay-gap/METIS", gappy, decayGap, true, true},
+		cell{"decayed-window/R-METIS", era, Config{Method: MethodRMetis, K: 4, RepartitionEvery: 24 * time.Hour,
+			DecayHalfLife: 12 * time.Hour, DecayedWindow: true}, false, false},
 		cell{"autoscale/R-METIS", era, Config{Method: MethodRMetis, K: 2, RepartitionEvery: 24 * time.Hour,
-			Autoscale: AutoscaleConfig{Enabled: true, KMin: 2, KMax: 6, TargetWindowLoad: 150}}, false})
+			Autoscale: AutoscaleConfig{Enabled: true, KMin: 2, KMax: 6, TargetWindowLoad: 150}}, false, false})
 
-	// The gap cell must reach the empty-window wave it exists for.
+	// The gap cells must reach the empty-window wave and the empty-graph
+	// boundary they exist for.
 	var waves []time.Time
 	rm := Config{Method: MethodRMetis, K: 3, RepartitionEvery: 2 * 24 * time.Hour,
 		OnRepartition: func(at time.Time, _ int) { waves = append(waves, at) }}
@@ -102,6 +134,9 @@ func TestReplayLookaheadMatchesProcess(t *testing.T) {
 	}
 	if !hasEmptyWindowWave(gappy.Records, waves) {
 		t.Fatalf("no R-METIS wave with an empty window among %d waves", len(waves))
+	}
+	if !hasEmptyBoundary(t, gappy.Records, decayGap) {
+		t.Fatal("the decaying graph is never empty at a boundary; the decay-gap cell skips no sweep")
 	}
 
 	// A record before the open window fails Process three quarters in,
@@ -114,12 +149,17 @@ func TestReplayLookaheadMatchesProcess(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, c := range cells {
 			t.Run(fmt.Sprintf("procs=%d/%s", procs, c.name), func(t *testing.T) {
-				s, err := New(c.cfg)
+				s, err := NewOver(c.gt, c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				ahead := s.ahead != nil
+				s.Close()
 				if s.lookaheadEligible() != c.eligible {
 					t.Fatalf("lookahead eligible = %v, want %v", !c.eligible, c.eligible)
+				}
+				if wantAhead := c.eligible && (!c.spareP || procs > 1); ahead != wantAhead {
+					t.Fatalf("planned ahead = %v, want %v", ahead, wantAhead)
 				}
 				want, err := replayByProcess(c.gt, c.cfg)
 				if err != nil {
@@ -139,9 +179,16 @@ func TestReplayLookaheadMatchesProcess(t *testing.T) {
 				}
 			})
 		}
-		for _, m := range []Method{MethodMetis, MethodRMetis} {
-			t.Run(fmt.Sprintf("procs=%d/fail/%v", procs, m), func(t *testing.T) {
-				cfg := Config{Method: m, K: 4, RepartitionEvery: 24 * time.Hour}
+		for _, f := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"METIS", Config{Method: MethodMetis, K: 4, RepartitionEvery: 24 * time.Hour}},
+			{"R-METIS", Config{Method: MethodRMetis, K: 4, RepartitionEvery: 24 * time.Hour}},
+			{"decay/METIS", Config{Method: MethodMetis, K: 4, RepartitionEvery: 24 * time.Hour, DecayHalfLife: 12 * time.Hour}},
+		} {
+			cfg := f.cfg
+			t.Run(fmt.Sprintf("procs=%d/fail/%s", procs, f.name), func(t *testing.T) {
 				_, want := replayByProcess(failing, cfg)
 				if want == nil {
 					t.Fatal("the failing trace replayed without error")
@@ -162,6 +209,72 @@ func TestReplayLookaheadMatchesProcess(t *testing.T) {
 			})
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestDecayReplicaNeedsSpareP checks when NewOver gives a decay-mode METIS
+// run its decaying replica: only while the walks (a running pool's
+// workers, or the caller's own), the goroutines held by Occupy and the
+// other replicas leave a P free; and every P it took is given back.
+func TestDecayReplicaNeedsSpareP(t *testing.T) {
+	gt := smallTrace(t)
+	cfg := Config{Method: MethodMetis, K: 4, RepartitionEvery: 24 * time.Hour, DecayHalfLife: 12 * time.Hour}
+	open := func() *Simulator {
+		t.Helper()
+		s, err := NewOver(gt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// aheadIn reports, for each worker of a pool of n, whether its
+	// simulator planned ahead. Each worker holds its simulator open until
+	// all have opened one, so no worker finds the pool's work done and
+	// leaves early, which would free its P.
+	aheadIn := func(n int) []bool {
+		ahead := make([]bool, n)
+		var opened sync.WaitGroup
+		opened.Add(n)
+		RunIndexed(n, func(i int) {
+			s, err := NewOver(gt, cfg)
+			opened.Done()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer s.Close()
+			ahead[i] = s.ahead != nil
+			opened.Wait()
+		})
+		return ahead
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+
+	a, b := open(), open()
+	if a.ahead == nil || b.ahead != nil {
+		t.Errorf("two simulators on 2 Ps: planned ahead %v, %v; want true, false (the first replica takes the spare P)",
+			a.ahead != nil, b.ahead != nil)
+	}
+	a.Close()
+	b.Close()
+	release := Occupy()
+	if s := open(); s.ahead != nil {
+		t.Error("a replica started on 2 Ps beside a walk and an Occupy holder")
+		s.Close()
+	}
+	release()
+	if got := aheadIn(2); got[0] || got[1] {
+		t.Errorf("a pool of 2 on 2 Ps planned ahead: %v", got)
+	}
+	if got := aheadIn(1); !got[0] {
+		t.Error("a pool of 1 on 2 Ps left the spare P idle")
+	}
+	runtime.GOMAXPROCS(4)
+	if got := aheadIn(2); !got[0] || !got[1] {
+		t.Errorf("a pool of 2 on 4 Ps planned ahead: %v, want both", got)
+	}
+	if p, e := procs.pooled.Load(), procs.extra.Load(); p != 0 || e != 0 {
+		t.Errorf("after every simulator closed: %d pooled and %d extra Ps held, want 0", p, e)
 	}
 }
 

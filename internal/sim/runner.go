@@ -73,11 +73,11 @@ func Collect(s *workload.Stream) (*GeneratedTrace, error) {
 // NewOver returns a simulator for cfg that will process exactly gt's
 // records, in order. A nil cfg.StorageSlots defaults to gt's footprints.
 // When every wave of the configuration depends on the records alone
-// (METIS and R-METIS in full history at fixed k), the waves are
-// partitioned ahead of the simulator, several at a time, by a lookahead;
-// the simulator then computes what Process alone would. The caller must
-// Close the simulator on every path once it is done with it, which joins
-// the lookahead.
+// (METIS and R-METIS in full history at fixed k, and METIS in decay mode at
+// fixed k when a P is spare; see occupySpareP), the waves are partitioned
+// ahead of the simulator, several at a time, by a lookahead; the simulator then
+// computes what Process alone would. The caller must Close the simulator
+// on every path once it is done with it, which joins the lookahead.
 func NewOver(gt *GeneratedTrace, cfg Config) (*Simulator, error) {
 	if cfg.StorageSlots == nil {
 		cfg.StorageSlots = gt.StorageSlots

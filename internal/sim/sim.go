@@ -468,13 +468,15 @@ type Simulator struct {
 	lastWinInteractions        int64
 
 	// Decay mode (Config.DecayHalfLife > 0): the per-window weight
-	// multiplier (the retention horizon lives in the decaying graph).
-	// liveCounts tracks live-graph vertices per shard — retired vertices
-	// keep sticky assignments, so assign.Count measures dead history;
-	// placement capacity and static balance must follow what actually
-	// exists. Maintained incrementally (first sight, retirement, moves)
-	// and only in decay mode.
+	// multiplier and the retention horizon in sweeps (the decaying graph
+	// enforces it; a lookahead's replica is built with it). liveCounts
+	// tracks live-graph vertices per shard — retired vertices keep sticky
+	// assignments, so assign.Count measures dead history; placement
+	// capacity and static balance must follow what actually exists.
+	// Maintained incrementally (first sight, retirement, moves) and only
+	// in decay mode.
 	decayFactor float64
+	decayAge    uint32
 	liveCounts  []int
 
 	// sweeps records one SweepObs per flushed window; see Sweeps.
@@ -556,7 +558,8 @@ func New(cfg Config) (*Simulator, error) {
 			return nil, fmt.Errorf("sim: Horizon %v is %d windows of %v; the retention horizon is limited to %d windows",
 				cfg.Horizon, maxAge-1, cfg.Window, graph.MaxDecayAge-1)
 		}
-		if s.full, err = graph.NewDecaying(uint32(maxAge)); err != nil {
+		s.decayAge = uint32(maxAge)
+		if s.full, err = graph.NewDecaying(s.decayAge); err != nil {
 			return nil, err
 		}
 		s.liveCounts = make([]int, cfg.K)

@@ -44,7 +44,8 @@ func RunSweep(gt *GeneratedTrace, cfgs []Config) ([]*Result, error) {
 // workers and waits for completion. It is the indexed worker pool behind
 // RunSweep, exported for sweeps whose work items are not sim.Configs (the
 // operational method×model matrix in internal/experiments uses it for
-// opsim runs).
+// opsim runs). Its workers count as busy Ps while they run, so a
+// simulator in the pool runs no decaying replica on a P the pool needs.
 func RunIndexed(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -52,10 +53,12 @@ func RunIndexed(n int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	procs.pooled.Add(int32(max(workers, 0))) // before any worker starts a simulator
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer procs.pooled.Add(-1)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
