@@ -367,7 +367,7 @@ func (d *Dataset) Fig2(w io.Writer, maxVertices int) error {
 		}
 		return true
 	})
-	return sub.WriteDOT(w, graph.DOTOptions{Name: "fig2", ShowWeights: true})
+	return sub.WriteDOT(w)
 }
 
 // Fig3 runs the k=2 time series of Fig. 3 for one method.

@@ -123,13 +123,12 @@ func TestWriteDOT(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	err := g.WriteDOT(&sb, DOTOptions{Name: "sub", ShowWeights: true})
-	if err != nil {
+	if err := g.WriteDOT(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`digraph "sub"`,
+		`digraph "fig2"`,
 		"1 [shape=ellipse, style=solid];",
 		"2 [shape=box, style=dashed];",
 		`1 -> 2 [label="3"];`,
@@ -137,38 +136,6 @@ func TestWriteDOT(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestWriteDOTShardColours(t *testing.T) {
-	g := New()
-	mustAdd(t, g, 1, 2, 1)
-	var sb strings.Builder
-	err := g.WriteDOT(&sb, DOTOptions{
-		Shard: func(id VertexID) (int, bool) { return int(id) % 2, true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "fillcolor=") {
-		t.Errorf("expected shard colouring in DOT output:\n%s", sb.String())
-	}
-}
-
-func TestWriteDOTMaxVertices(t *testing.T) {
-	g := New()
-	mustAdd(t, g, 1, 2, 1)
-	mustAdd(t, g, 3, 4, 1)
-	var sb strings.Builder
-	if err := g.WriteDOT(&sb, DOTOptions{MaxVertices: 2}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if strings.Contains(out, "3 ->") || strings.Contains(out, " 4 [") {
-		t.Errorf("vertices beyond MaxVertices leaked into output:\n%s", out)
-	}
-	if !strings.Contains(out, "1 -> 2") {
-		t.Errorf("expected edge 1->2 in output:\n%s", out)
 	}
 }
 

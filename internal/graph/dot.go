@@ -6,69 +6,25 @@ import (
 	"io"
 )
 
-// DOTOptions controls DOT export.
-type DOTOptions struct {
-	// Name is the graph name in the DOT header. Defaults to "ethereum".
-	Name string
-	// MaxVertices truncates the export to the first MaxVertices vertices
-	// (in ascending ID order) to keep renderings readable. Zero means no
-	// limit.
-	MaxVertices int
-	// ShowWeights annotates edges with their weights when the weight is
-	// greater than one, matching Fig. 2 of the paper.
-	ShowWeights bool
-	// Shard, when non-nil, colours each vertex by its shard assignment.
-	Shard func(VertexID) (int, bool)
-}
-
-// shardPalette colours shards in DOT output; shard s uses entry s mod len.
-var shardPalette = []string{
-	"lightblue", "lightsalmon", "palegreen", "plum",
-	"khaki", "lightcyan", "mistyrose", "honeydew",
-}
-
-// WriteDOT renders g in Graphviz DOT format: accounts as solid ellipses,
-// contracts as dashed boxes, edge labels carrying multiplicities — the style
-// of Fig. 2 in the paper.
-func (g *Graph) WriteDOT(w io.Writer, opts DOTOptions) error {
-	name := opts.Name
-	if name == "" {
-		name = "ethereum"
-	}
+// WriteDOT renders g in Graphviz DOT format in the style of Fig. 2 in the
+// paper: a graph named "fig2", accounts as solid ellipses, contracts as
+// dashed boxes, and edges labelled with their multiplicity when it is
+// greater than one.
+func (g *Graph) WriteDOT(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "digraph %q {\n", name)
-	fmt.Fprintf(bw, "  rankdir=LR;\n  node [fontsize=10];\n")
-
-	ids := g.VertexIDs()
-	if opts.MaxVertices > 0 && len(ids) > opts.MaxVertices {
-		ids = ids[:opts.MaxVertices]
-	}
-	included := make(map[VertexID]bool, len(ids))
-	for _, id := range ids {
-		included[id] = true
-	}
-	for _, id := range ids {
+	bw.WriteString("digraph \"fig2\" {\n  rankdir=LR;\n  node [fontsize=10];\n")
+	for _, id := range g.VertexIDs() {
 		style := "solid"
 		shape := "ellipse"
 		if g.VertexKind(id) == KindContract {
 			style = "dashed"
 			shape = "box"
 		}
-		attrs := fmt.Sprintf("shape=%s, style=%s", shape, style)
-		if opts.Shard != nil {
-			if s, ok := opts.Shard(id); ok {
-				attrs = fmt.Sprintf("%s, fillcolor=%s, style=\"%s,filled\"",
-					fmt.Sprintf("shape=%s", shape), shardPalette[s%len(shardPalette)], style)
-			}
-		}
-		fmt.Fprintf(bw, "  %d [%s];\n", id, attrs)
+		fmt.Fprintf(bw, "  %d [shape=%s, style=%s];\n", id, shape, style)
 	}
 	var err error
 	g.Edges(func(u, v VertexID, wgt int64) bool {
-		if !included[u] || !included[v] {
-			return true
-		}
-		if opts.ShowWeights && wgt > 1 {
+		if wgt > 1 {
 			_, err = fmt.Fprintf(bw, "  %d -> %d [label=\"%d\"];\n", u, v, wgt)
 		} else {
 			_, err = fmt.Fprintf(bw, "  %d -> %d;\n", u, v)

@@ -1,19 +1,18 @@
 package multilevel
 
-// arena is the scratch memory of one task of one Partition call — a
-// bisection, or one trial refinement running beside it: a bump allocator
-// per element type with mark/release, so the ladder, the sides and every FM
-// call of the task share a few large buffers instead of allocating (and
-// zeroing, and leaving for the collector) fresh slices at every level and
-// pass. Beside the slabs it holds the task's one gain queue: growBisection
-// and every fmRefine of the task reuse it in turn, so a queue that outgrew
-// its first capacity on stale entries stays grown instead of spilling
-// again on every call.
+// arena is the scratch memory of one bisection of one Partition call: a
+// bump allocator per element type with mark/release, so the ladder, the
+// sides and every FM call of the bisection share a few large buffers
+// instead of allocating (and zeroing, and leaving for the collector) fresh
+// slices at every level and pass. Beside the slabs it holds the bisection's
+// one gain queue: growBisection and every fmRefine of the bisection reuse
+// it in turn, so a queue that outgrew its first capacity on stale entries
+// stays grown instead of spilling again on every call. The call's tree
+// (run.tree) is an arena too.
 //
-// An arena lives no longer than the Partition call that created it and is
-// used by one goroutine at a time. Nothing is retained across calls — a
-// measured choice (peak_sys_mb; DESIGN §4, CHANGES PR 20). The zero value is
-// ready for use.
+// An arena lives no longer than the Partition call that created it, on that
+// call's goroutine. Nothing is retained across calls — a measured choice
+// (peak_sys_mb; DESIGN §4). The zero value is ready for use.
 type arena struct {
 	i32 slab[int32]
 	i64 slab[int64]
@@ -26,12 +25,12 @@ type arena struct {
 	// heap is the queue; see queue.
 	heap gainHeap
 	// odd is a bisection's second stack: the one odd ladder level that
-	// exists at a time (coarsen, refine). Its own quantum is zero, so its
+	// exists at a time (coarsen, bisect). Its own quantum is zero, so its
 	// chunks are sized by the requests of the largest odd level.
 	odd *arena
 }
 
-// newArena returns an arena for a task on a graph of n vertices: buffers
+// newArena returns an arena for a bisection of a graph of n vertices: buffers
 // are allocated n elements at a time, so per-vertex arrays pack and the
 // refinement scratch of a small level fits the buffers of any other.
 func newArena(n int) *arena {
@@ -41,8 +40,8 @@ func newArena(n int) *arena {
 }
 
 // queue returns the arena's gain queue, emptied. Its first use allocates
-// room for one entry per vertex of the task's graph; appends beyond that
-// grow it, and it keeps the larger capacity for the task's later calls. One
+// room for one entry per vertex of the bisection's graph; appends beyond that
+// grow it, and it keeps the larger capacity for the bisection's later calls. One
 // caller at a time: growBisection and fmRefine each take it for their
 // whole call and never nest.
 func (a *arena) queue() *gainHeap {

@@ -9,8 +9,7 @@ import (
 
 // TestPartitionBytes is the partitioner's heap-bytes ceiling: the mean
 // runtime.MemStats.TotalAlloc of one k = 4 Partition of the power-law
-// digest graph (5,070 vertices, 38,304 half-edges, a 0.54 MiB CSR) under
-// one P, so no trial arena is started beside the caller. Measured
+// digest graph (5,070 vertices, 38,304 half-edges, a 0.54 MiB CSR). Measured
 // 2,942,048 B (5.2× the CSR) with the ladder stored at every other level,
 // 3,500,672 B with every level stored (int32 edge weights and gains, 8-byte
 // heap entries and one grown queue per arena), 8,765,664 B with the int64
@@ -18,7 +17,6 @@ import (
 func TestPartitionBytes(t *testing.T) {
 	const ceiling = 4 << 20
 	c := powerLawCSR()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := New(Config{Seed: 1})
 	if _, err := p.Partition(c, 4); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 // from its vertices to the coarse graph built from it. The ladder stores
 // the graphs of its even levels (the input is level 0) and of its coarsest
 // level; an odd level below the coarsest has a nil fine graph, and
-// refine re-contracts it from the level above it on the way up (rebuild).
+// bisect re-contracts it from the level above it on the way up (rebuild).
 type level struct {
 	fine *mlGraph
 	cmap []int32
@@ -155,7 +155,7 @@ func coarsen(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) []l
 			ladder = append(ladder, level{fine: cur, cmap: cmap})
 			cur = contract(a, a.odd, cur, cmap, nCoarse)
 		} else {
-			ladder = append(ladder, level{cmap: cmap}) // refine rebuilds cur
+			ladder = append(ladder, level{cmap: cmap}) // bisect rebuilds cur
 			cur = contract(a, a, cur, cmap, nCoarse)
 			a.odd.release(arenaMark{})
 		}

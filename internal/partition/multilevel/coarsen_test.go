@@ -26,11 +26,11 @@ func coarsenAll(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) 
 // TestLadderMatchesStoreEverything coarsens the digest graphs both ways
 // from one seed: the ladders must hold the same cmaps, the stored levels
 // the oracle's graphs, and every odd level below the coarsest no graph —
-// which rebuild, in refine's order, re-contracts into the oracle's.
+// which rebuild, in bisect's order, re-contracts into the oracle's.
 func TestLadderMatchesStoreEverything(t *testing.T) {
 	for _, dg := range digestGraphs() {
 		for _, random := range []bool{false, true} {
-			g := fromCSR(new(arena), dg.csr, false)
+			g := fromCSR(new(arena), dg.csr)
 			maxVW := max(g.totalVW/16, 4)
 			want := coarsenAll(newArena(g.n()), g, rand.New(rand.NewSource(7)), maxVW, random)
 			a := newArena(g.n())
@@ -56,7 +56,7 @@ func TestLadderMatchesStoreEverything(t *testing.T) {
 				if !reflect.DeepEqual(*fine, *want[i].fine) {
 					t.Fatalf("%s level %d: graph differs from the oracle's", dg.name, i)
 				}
-				a.odd.release(arenaMark{}) // as refine drops each level once projected
+				a.odd.release(arenaMark{}) // as bisect drops each level once projected
 			}
 		}
 	}

@@ -80,7 +80,6 @@ var digestVariants = []struct {
 	cfg  Config
 }{
 	{"default", Config{}},
-	{"dynamic-vw", Config{DynamicVertexWeights: true}},
 	{"random-matching", Config{RandomMatching: true}},
 	{"skip-refinement", Config{SkipRefinement: true}},
 }
@@ -121,7 +120,7 @@ func computeDigests(t *testing.T) map[string]string {
 }
 
 // TestPartitionDigests pins the partitioner's output, bit for bit, on three
-// graph shapes × five k × two seeds × the default and the three ablation
+// graph shapes × five k × two seeds × the default and the two ablation
 // configurations, with one and with four Ps: every exact count the ledger
 // and the sim goldens pin sits downstream of these partitions.
 func TestPartitionDigests(t *testing.T) {

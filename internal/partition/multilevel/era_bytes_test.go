@@ -16,8 +16,8 @@ import (
 // TestPartitionBytesEraScale is the partitioner's heap-bytes ceiling at the
 // size the ledger partitions: the runtime.MemStats.TotalAlloc of one k = 4
 // Partition of the seed-1 era history's final CSR (scale 0.002, 2 h blocks:
-// 50,500 vertices, 449,246 half-edges, 6.10 MiB) under one P, as a multiple
-// of the CSR's bytes. Measured 6.55× (41,919,592 B) with the ladder's odd
+// 50,500 vertices, 449,246 half-edges, 6.10 MiB), as a multiple of the
+// CSR's bytes. Measured 6.55× (41,919,592 B) with the ladder's odd
 // levels re-contracted on the way up; 9.26× (59,277,272 B) with every
 // level stored. The ceiling sits between.
 func TestPartitionBytesEraScale(t *testing.T) {
@@ -39,7 +39,6 @@ func TestPartitionBytesEraScale(t *testing.T) {
 	csrBytes := 8*len(c.IDs) + 8*len(c.VW) + 4*len(c.XAdj) + 4*len(c.Adj) + 8*len(c.AdjW)
 	tr, g = nil, nil
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := multilevel.New(multilevel.Config{Seed: 1})
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -13,16 +13,14 @@
 // The algorithm's parameters — coarsening floor, number of initial trials,
 // FM passes per level, bisection imbalance — are the constants at the top
 // of multilevel.go: every pinned number in the repository was produced with
-// them. Config carries only the seed and the three ablation switches.
+// them. Config carries only the seed and the two ablation switches.
 //
 // A partition is a pure function of the graph, k and the Config, bit for
-// bit, whatever GOMAXPROCS is: every random draw is made by the calling
-// goroutine in one fixed order, and what runs on other goroutines (trial
-// refinements, the refine phase of a bisection into two final shards)
-// draws nothing. The order of draws, the heap's comparison rules and the
+// bit: a call runs on its caller's goroutine and makes every random draw in
+// one fixed order. The order of draws, the heap's comparison rules and the
 // trial pick order are part of that output; DESIGN §4 spells the contract
 // out and testdata/partition_digests.json pins it. A Partitioner is only
-// its Config: scratch memory (arena.go) is per task, created inside
+// its Config: scratch memory (arena.go) is per bisection, created inside
 // Partition and gone when it returns, so one Partitioner serves any number
 // of concurrent callers.
 package multilevel
@@ -69,29 +67,19 @@ func (g *mlGraph) cutOf(side []uint8) int64 {
 
 // fromCSR converts a graph.CSR into the working representation, narrowing
 // its edge weights to int32 (the caller has checked c.TotalEW against
-// MaxTotalEdgeWeight). When dynamicWeights is false every vertex gets
-// weight one (the paper's METIS configuration balances vertex counts);
-// otherwise the CSR's frequency weights are used.
-func fromCSR(a *arena, c *graph.CSR, dynamicWeights bool) *mlGraph {
+// MaxTotalEdgeWeight). Every vertex gets weight one: the paper's METIS
+// configuration balances vertex counts.
+func fromCSR(a *arena, c *graph.CSR) *mlGraph {
 	n := c.N()
 	g := &mlGraph{
-		xadj: c.XAdj,
-		adj:  c.Adj,
-		adjw: a.i32.alloc(len(c.AdjW)),
-		vw:   a.i64.alloc(n),
+		xadj:    c.XAdj,
+		adj:     c.Adj,
+		adjw:    a.i32.alloc(len(c.AdjW)),
+		vw:      a.i64.filled(n, 1),
+		totalVW: int64(n),
 	}
 	for p, w := range c.AdjW {
 		g.adjw[p] = int32(w)
-	}
-	for i := 0; i < n; i++ {
-		if dynamicWeights {
-			// Weights can be zero for isolated untouched vertices; clamp
-			// to one so every vertex contributes to balance.
-			g.vw[i] = max(c.VW[i], 1)
-		} else {
-			g.vw[i] = 1
-		}
-		g.totalVW += g.vw[i]
 	}
 	return g
 }

@@ -3,8 +3,6 @@ package multilevel
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"ethpart/internal/graph"
 )
@@ -54,11 +52,6 @@ type Config struct {
 	// Seed drives matching order and initial seeds; fixed seeds give
 	// reproducible partitions. Zero means 1.
 	Seed int64
-	// DynamicVertexWeights balances frequency weights instead of vertex
-	// counts. The paper's METIS runs balance vertex counts (which is why
-	// dynamic balance degrades there); this switch exists for the ablation
-	// benches. Default false.
-	DynamicVertexWeights bool
 	// RandomMatching replaces heavy-edge matching with random matching;
 	// used only by the coarsening ablation bench. Default false.
 	RandomMatching bool
@@ -104,63 +97,30 @@ func (p *Partitioner) Partition(c *graph.CSR, k int) ([]int, error) {
 		parts: parts,
 		rng:   rand.New(rand.NewSource(p.cfg.Seed)),
 	}
-	if procs := runtime.GOMAXPROCS(0); procs > 1 {
-		r.slots = make(chan struct{}, procs)
-	}
-	g := fromCSR(&r.tree, c, p.cfg.DynamicVertexWeights)
+	g := fromCSR(&r.tree, c)
 	vmap := r.tree.i32.alloc(n)
 	for i := range vmap {
 		vmap[i] = int32(i)
 	}
 	r.recurse(g, vmap, k, 0)
-	r.handoffs.Wait()
 	return parts, nil
 }
 
-// run is the state of one Partition call.
+// run is the state of one Partition call, which runs on its caller's
+// goroutine from start to end.
 //
 // The random stream is the partitioner's output as much as the graph is:
-// every draw — one Fisher–Yates per coarsening level, one Intn per
-// growBisection reseed — is made by the calling goroutine, bisection after
-// bisection in recursion pre-order. What is handed to other goroutines
-// (trial refinements, a whole refine phase) draws nothing and writes only
-// memory no other task reads, so the result cannot depend on whether, or
-// when, a handoff happens.
+// its draws — one Fisher–Yates per coarsening level, one Intn per
+// growBisection reseed — are made bisection after bisection in recursion
+// pre-order.
 type run struct {
 	cfg   Config
 	parts []int
-	rng   *rand.Rand // calling goroutine only
+	rng   *rand.Rand
 
 	// tree holds what outlives a bisection — vertex weights, vertex maps
-	// and split subgraphs. Handed-off refine phases read it, so nothing
-	// in it is released before the call returns.
+	// and split subgraphs.
 	tree arena
-
-	// slots bounds the goroutines running beside the caller to GOMAXPROCS
-	// (the caller itself spends part of the call blocked in a join), and is
-	// nil with a single P: nothing can overlap there, every try fails and
-	// the call starts no goroutine. handoffs counts the refine phases among
-	// them, which nothing joins before Partition's own return.
-	slots    chan struct{}
-	handoffs sync.WaitGroup
-}
-
-// try runs f on another goroutine, tracked by wg, if a slot is free. It
-// never blocks: with no free slot (or nil slots) it reports false and the
-// caller runs f itself.
-func (r *run) try(wg *sync.WaitGroup, f func()) bool {
-	select {
-	case r.slots <- struct{}{}:
-	default:
-		return false
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		f()
-		<-r.slots
-	}()
-	return true
 }
 
 // recurse assigns shards [base, base+k) to the vertices of g (whose
@@ -175,80 +135,40 @@ func (r *run) recurse(g *mlGraph, vmap []int32, k, base int) {
 	kL := (k + 1) / 2
 	kR := k - kL
 	a := newArena(g.n())
-	d := r.draw(a, g, g.totalVW*int64(kL)/int64(k))
+	side := r.bisect(a, g, g.totalVW*int64(kL)/int64(k))
 	if k == 2 {
-		// Both children are leaves: the sides are the shards, and nothing
-		// later in the recursion reads them. The rest of this bisection
-		// can overlap the next one's draw phase.
-		finish := func() {
-			side := r.refine(a, d)
-			for v, orig := range vmap {
-				r.parts[orig] = base + int(side[v])
-			}
-		}
-		if !r.try(&r.handoffs, finish) {
-			finish()
+		// Both children are leaves: the sides are the shards.
+		for v, orig := range vmap {
+			r.parts[orig] = base + int(side[v])
 		}
 		return
 	}
-	sub, submap := split(&r.tree, a, g, r.refine(a, d), vmap)
+	sub, submap := split(&r.tree, a, g, side, vmap)
 	r.recurse(sub[0], submap[0], kL, base)
 	r.recurse(sub[1], submap[1], kR, base+kL)
 }
 
-// drawn is what a bisection's draw phase leaves for its refine phase.
-type drawn struct {
-	ladder     []level
-	trials     [][]uint8 // initialTrials grown bisections of the coarsest graph
-	targetLeft int64
-	tol        int64
-}
-
-// draw is the first half of a multilevel bisection of g, and the only one
-// that consumes random numbers: coarsen, then grow initialTrials initial
-// partitions of the coarsest graph.
-func (r *run) draw(a *arena, g *mlGraph, targetLeft int64) drawn {
-	d := drawn{targetLeft: targetLeft, tol: int64(epsilon * float64(g.totalVW))}
-	if d.tol < 1 {
-		d.tol = 1
-	}
+// bisect is one multilevel bisection of g with side 0 aiming at targetLeft
+// weight: coarsen, grow initialTrials initial partitions of the coarsest
+// graph, polish each by FM in order and keep the first of the smallest cut,
+// then uncoarsen, projecting through the ladder (re-contracting its odd
+// levels) and refining at each level. The returned side of the finest
+// graph lives in a.
+func (r *run) bisect(a *arena, g *mlGraph, targetLeft int64) []uint8 {
+	tol := max(int64(epsilon*float64(g.totalVW)), 1)
 	// Cap supernode weight so hubs stay splittable.
-	maxVW := g.totalVW / 16
-	if maxVW < 4 {
-		maxVW = 4
+	maxVW := max(g.totalVW/16, 4)
+	ladder := coarsen(a, g, r.rng, maxVW, r.cfg.RandomMatching)
+	coarsest := ladder[len(ladder)-1].fine
+	var trials [initialTrials][]uint8
+	for t := range trials {
+		trials[t] = growBisection(a, coarsest, r.rng, targetLeft)
 	}
-	d.ladder = coarsen(a, g, r.rng, maxVW, r.cfg.RandomMatching)
-	coarsest := d.ladder[len(d.ladder)-1].fine
-	d.trials = make([][]uint8, initialTrials)
-	for t := range d.trials {
-		d.trials[t] = growBisection(a, coarsest, r.rng, targetLeft)
-	}
-	return d
-}
-
-// refine is the second half: polish every trial by FM — side by side where
-// slots are free — keep the first of the smallest cut, then uncoarsen,
-// projecting through the ladder (re-contracting its odd levels) and
-// refining at each level. The returned side of the finest graph lives in a.
-func (r *run) refine(a *arena, d drawn) []uint8 {
-	coarsest := d.ladder[len(d.ladder)-1].fine
-	cuts := make([]int64, len(d.trials))
-	var trials sync.WaitGroup
-	for t, side := range d.trials {
-		polish := func(a *arena) {
-			r.fm(a, coarsest, side, d)
-			cuts[t] = coarsest.cutOf(side)
-		}
-		last := t == len(d.trials)-1
-		if last || !r.try(&trials, func() { polish(newArena(coarsest.n())) }) {
-			polish(a)
-		}
-	}
-	trials.Wait()
-	best := 0
-	for t, cut := range cuts {
-		if cut < cuts[best] {
-			best = t
+	best, bestCut := 0, int64(0)
+	for t, side := range trials {
+		r.fm(a, coarsest, side, targetLeft, tol)
+		if cut := coarsest.cutOf(side); t == 0 || cut < bestCut {
+			best, bestCut = t, cut
 		}
 	}
 
@@ -257,26 +177,26 @@ func (r *run) refine(a *arena, d drawn) []uint8 {
 	// is odd), then each rebuilt level once its side is projected. The
 	// rebuilds run smallest first, so each fits the chunks the way down
 	// left.
-	side := d.trials[best]
-	for i := len(d.ladder) - 2; i >= 0; i-- {
+	side := trials[best]
+	for i := len(ladder) - 2; i >= 0; i-- {
 		a.odd.release(arenaMark{})
-		fine, cmap := d.ladder[i].fine, d.ladder[i].cmap
+		fine, cmap := ladder[i].fine, ladder[i].cmap
 		if fine == nil {
-			fine = rebuild(a, d.ladder, i)
+			fine = rebuild(a, ladder, i)
 		}
 		fineSide := a.u8.alloc(fine.n())
 		for v := range fineSide {
 			fineSide[v] = side[cmap[v]]
 		}
-		r.fm(a, fine, fineSide, d)
+		r.fm(a, fine, fineSide, targetLeft, tol)
 		side = fineSide
 	}
 	return side
 }
 
 // fm is fmRefine under the call's configuration.
-func (r *run) fm(a *arena, g *mlGraph, side []uint8, d drawn) {
+func (r *run) fm(a *arena, g *mlGraph, side []uint8, targetLeft, tol int64) {
 	if !r.cfg.SkipRefinement {
-		fmRefine(a, g, side, d.targetLeft, d.tol, fmPasses)
+		fmRefine(a, g, side, targetLeft, tol, fmPasses)
 	}
 }

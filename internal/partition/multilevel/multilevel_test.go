@@ -195,7 +195,7 @@ func TestHeavyEdgeMatchingRespectsWeightCap(t *testing.T) {
 		}
 	}
 	c := graph.NewCSR(g)
-	ml := fromCSR(new(arena), c, false)
+	ml := fromCSR(new(arena), c)
 	rng := rand.New(rand.NewSource(2))
 	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, 2, false)
 	// With maxVW=2 every coarse vertex holds at most 2 fine vertices.
@@ -215,7 +215,7 @@ func TestContractPreservesTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := twoClusters(20, 3, rng)
 	c := graph.NewCSR(g)
-	ml := fromCSR(new(arena), c, true)
+	ml := fromCSR(new(arena), c)
 	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, ml.totalVW/4, false)
 	a := new(arena)
 	coarse := contract(a, a, ml, cmap, nCoarse)
@@ -272,7 +272,7 @@ func TestFMRefineRespectsBalanceEnvelope(t *testing.T) {
 	// or keep the deviation, never worsen it.
 	g := ringGraph(100)
 	c := graph.NewCSR(g)
-	ml := fromCSR(new(arena), c, false)
+	ml := fromCSR(new(arena), c)
 	side := make([]uint8, 100) // everything on side 0
 	target := ml.totalVW / 2
 	before := abs64(sideWeight(ml, side) - target)

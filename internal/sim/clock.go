@@ -15,6 +15,10 @@ type clock struct {
 	every time.Duration
 	// start is the open window's start.
 	start time.Time
+	// lo and hi are the first whole Unix seconds at or after the open
+	// window's start and end. Records carry whole seconds, so a record at
+	// sec lies in the open window exactly when lo <= sec < hi.
+	lo, hi int64
 	// lastWave is the boundary of the last wave of any kind — the first
 	// record's time before there is one. The periodic trigger, TR-METIS's
 	// minimum gap and the autoscaler's cooldown all measure from it.
@@ -22,29 +26,45 @@ type clock struct {
 	started  bool
 }
 
-// admit takes the time of the next record: the first one opens the first
-// window, and a record before the open window is rejected, since its
+// admit takes the Unix second of the next record: the first one opens the
+// first window, and a record before the open window is rejected, since its
 // interaction would be accounted to a window it does not belong to.
-func (c *clock) admit(t time.Time) error {
+func (c *clock) admit(sec int64) error {
 	if !c.started {
+		t := time.Unix(sec, 0).UTC()
 		c.start, c.lastWave, c.started = t.Truncate(c.window), t, true
+		c.bound()
 	}
-	if t.Before(c.start) {
+	if sec < c.lo {
 		return fmt.Errorf("sim: record at %v precedes the open window at %v; records must arrive in time order",
-			t, c.start)
+			time.Unix(sec, 0).UTC(), c.start)
 	}
 	return nil
 }
 
-// crossed reports whether t lies past the open window, which must then be
-// closed and the next one opened with roll before t is accounted.
-func (c *clock) crossed(t time.Time) bool { return t.Sub(c.start) >= c.window }
+// crossed reports whether second sec lies past the open window, which must
+// then be closed and the next one opened with roll before sec is accounted.
+func (c *clock) crossed(sec int64) bool { return sec >= c.hi }
 
 // roll opens the next window and returns its start: the boundary at which
 // waves fire.
 func (c *clock) roll() time.Time {
 	c.start = c.start.Add(c.window)
+	c.bound()
 	return c.start
+}
+
+// bound sets lo and hi from start.
+func (c *clock) bound() {
+	c.lo, c.hi = ceilUnix(c.start), ceilUnix(c.start.Add(c.window))
+}
+
+// ceilUnix is the first whole Unix second at or after t.
+func ceilUnix(t time.Time) int64 {
+	if t.Nanosecond() > 0 {
+		return t.Unix() + 1
+	}
+	return t.Unix()
 }
 
 // due reports whether a periodic wave fires at boundary now.

@@ -202,11 +202,10 @@ func (la *lookahead) run(records []trace.Record, w aheadWalk) error {
 	)
 	for i := range records {
 		rec := &records[i]
-		t := time.Unix(rec.Time, 0).UTC()
-		if err := clk.admit(t); err != nil {
+		if err := clk.admit(rec.Time); err != nil {
 			return err
 		}
-		for clk.crossed(t) {
+		for clk.crossed(rec.Time) {
 			now := clk.roll()
 			if w.src == aheadDecaying && g.VertexCount() > 0 {
 				g.DecaySweep(w.factor, nil, nil)

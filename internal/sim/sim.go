@@ -589,12 +589,11 @@ func (s *Simulator) Sweeps() []SweepObs { return s.sweeps }
 // non-decreasing time order; one before the open metric window is an
 // error.
 func (s *Simulator) Process(rec trace.Record) error {
-	t := time.Unix(rec.Time, 0).UTC()
-	if err := s.clk.admit(t); err != nil {
+	if err := s.clk.admit(rec.Time); err != nil {
 		return err
 	}
 	// Window roll-over (possibly across several empty windows).
-	for s.clk.crossed(t) {
+	for s.clk.crossed(rec.Time) {
 		s.flushWindow()
 		now := s.clk.roll()
 		// Decay ages the live graph before the policy looks at it, so a
