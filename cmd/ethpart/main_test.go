@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +127,11 @@ func TestOpsCSVGuardsEmptySettlement(t *testing.T) {
 				{Start: time.Unix(14400, 0).UTC(), Interactions: 2,
 					Stats: shardchain.Stats{ReceiptsSettled: 2, SettlementBlocks: 3}},
 			},
+			// One sweep observation per window, as Run records them.
+			Sweeps: []sim.SweepObs{
+				{Start: time.Unix(0, 0).UTC(), RecountSkipped: true},
+				{Start: time.Unix(14400, 0).UTC(), RecountSkipped: true},
+			},
 		},
 	}}
 	var buf bytes.Buffer
@@ -153,6 +160,40 @@ func TestOpsCSVGuardsEmptySettlement(t *testing.T) {
 	}
 	if fields := strings.Split(lines[2], ","); fields[col] != "1.500" {
 		t.Errorf("settlement cell = %q, want 1.500", fields[col])
+	}
+}
+
+// TestOpsCSVDecaySweepColumns: a decay run's per-window CSV carries each
+// window's own sweep observation — live graph, sweep time and whether the
+// recount was skipped — on every row, and some window's sweep did work.
+func TestOpsCSVDecaySweepColumns(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return runOps([]string{"-seed", "3", "-scale", "0.0001", "-k", "2",
+			"-repartition", "168h", "-decay-half-life", "24h", "-csv"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	col := map[string]int{}
+	for i, h := range strings.Split(lines[0], ",") {
+		col[h] = i
+	}
+	swept := false
+	for _, line := range lines[1:] {
+		f := strings.Split(line, ",")
+		live, errLive := strconv.Atoi(f[col["live_graph"]])
+		ns, errNs := strconv.ParseInt(f[col["sweep_ns"]], 10, 64)
+		skipped, errSkip := strconv.ParseBool(f[col["recount_skipped"]])
+		if err := cmp.Or(errLive, errNs, errSkip); err != nil {
+			t.Fatalf("sweep columns not filled: %v\n%s", err, line)
+		}
+		if live > 0 && ns > 0 && !skipped {
+			swept = true
+		}
+	}
+	if !swept {
+		t.Errorf("no window reports a sweep that recounted over a live graph:\n%s", out)
 	}
 }
 

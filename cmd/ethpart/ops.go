@@ -129,21 +129,12 @@ func opsCSV(w io.Writer, rows []experiments.OpsRow) error {
 	}
 	var out [][]string
 	for _, row := range rows {
-		sweeps := map[int64]sim.SweepObs{}
-		for _, so := range row.Result.Sweeps {
-			sweeps[so.Start.Unix()] = so
-		}
-		for _, win := range row.Result.Windows {
+		for i, win := range row.Result.Windows {
 			settlement := ""
 			if win.ReceiptsSettled > 0 {
 				settlement = fmt.Sprintf("%.3f", win.MeanSettlement())
 			}
-			liveGraph, sweepNs, skipped := "", "", ""
-			if so, ok := sweeps[win.Start.Unix()]; ok {
-				liveGraph = strconv.Itoa(so.LiveVertices)
-				sweepNs = strconv.FormatInt(so.SweepNanos, 10)
-				skipped = strconv.FormatBool(so.RecountSkipped)
-			}
+			so := row.Result.Sweeps[i]
 			out = append(out, []string{
 				row.Result.Method.String(),
 				row.Result.Model.String(),
@@ -158,9 +149,9 @@ func opsCSV(w io.Writer, rows []experiments.OpsRow) error {
 				strconv.FormatInt(win.MigratedSlots, 10),
 				strconv.FormatInt(win.Failed, 10),
 				fmt.Sprintf("%.6f", win.DynamicCut),
-				liveGraph,
-				sweepNs,
-				skipped,
+				strconv.Itoa(so.LiveVertices),
+				strconv.FormatInt(so.SweepNanos, 10),
+				strconv.FormatBool(so.RecountSkipped),
 			})
 		}
 	}

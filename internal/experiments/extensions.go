@@ -48,6 +48,8 @@ func ShardAware(p Params, k int, locality float64) ([]ShardAwareRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: shard-aware dataset: %w", err)
 	}
+	// Both halves replay under the same configuration (decay included).
+	aware := &Dataset{Params: p, GT: awareGT, cache: make(map[simKey]*sim.Result)}
 
 	var rows []ShardAwareRow
 	for _, m := range sim.Methods() {
@@ -55,17 +57,9 @@ func ShardAware(p Params, k int, locality float64) ([]ShardAwareRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Mirror configFor exactly (including decay) so both halves of the
-		// comparison replay under the same regime.
-		awareRes, err := sim.Replay(awareGT, sim.Config{
-			Method: m, K: k,
-			Window:           p.Window,
-			RepartitionEvery: p.RepartitionEvery,
-			DecayHalfLife:    p.DecayHalfLife,
-			Horizon:          p.Horizon,
-		})
+		awareRes, err := aware.Run(m, k)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: shard-aware %v: %w", m, err)
+			return nil, fmt.Errorf("experiments: shard-aware: %w", err)
 		}
 		rows = append(rows, ShardAwareRow{
 			Method:      m,

@@ -228,3 +228,61 @@ func TestAutoscaleParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// flashGapTrace is flashTrace with its cooldown pushed eleven windows later,
+// so the first cooldown record lands in window 23, twelve windows after the
+// surge's last. That one record rolls the simulator over every quiet window
+// in between, and the autoscaler's merge fires at a boundary inside the
+// rollover, not at its last.
+func flashGapTrace() *sim.GeneratedTrace {
+	gt := flashTrace()
+	const window = 4 * 3600
+	surgeEnd := gt.Records[0].Time + 12*window
+	for i := range gt.Records {
+		if gt.Records[i].Time >= surgeEnd {
+			gt.Records[i].Time += 11 * window
+		}
+	}
+	return gt
+}
+
+// TestWindowsAreTheSimulatorsAcrossRollover: the chain's windows are the
+// simulator's, one for one, even when a resize fires mid-rollover. The
+// quiet windows after a mid-rollover merge must report the post-merge lane
+// count, or ShardWindows bills shards the fleet no longer runs.
+func TestWindowsAreTheSimulatorsAcrossRollover(t *testing.T) {
+	gt := flashGapTrace()
+	for _, model := range []shardchain.Model{shardchain.ModelReceipts, shardchain.ModelMigration} {
+		res, err := Run(gt, autoscaleCfg(model))
+		if err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		midRollover := false
+		for _, ev := range res.Sim.Resizes {
+			for i, w := range res.Sim.Windows {
+				if w.Start.Equal(ev.At) && w.Interactions == 0 && ev.ToK < ev.FromK {
+					midRollover = i+1 < len(res.Sim.Windows)
+				}
+			}
+		}
+		if !midRollover {
+			t.Fatalf("%v: no merge fired inside a multi-window rollover; the check is vacuous: %+v",
+				model, res.Sim.Resizes)
+		}
+		if len(res.Windows) != len(res.Sim.Windows) {
+			t.Fatalf("%v: %d chain windows, %d simulator windows", model, len(res.Windows), len(res.Sim.Windows))
+		}
+		var simShardWindows int64
+		for i, w := range res.Windows {
+			sw := res.Sim.Windows[i]
+			simShardWindows += int64(sw.Shards)
+			if w.Shards != sw.Shards || w.Interactions != sw.Interactions || !w.Start.Equal(sw.Start) {
+				t.Errorf("%v: window %d (%v): chain %d shards/%d interactions, simulator %d/%d",
+					model, i, sw.Start, w.Shards, w.Interactions, sw.Shards, sw.Interactions)
+			}
+		}
+		if got := res.ShardWindows(); got != simShardWindows {
+			t.Errorf("%v: ShardWindows = %d, simulator provisioned %d", model, got, simShardWindows)
+		}
+	}
+}

@@ -53,10 +53,11 @@ const maxSettleSteps = 600
 // Config parameterises a co-simulation run.
 type Config struct {
 	// Sim is the simulator configuration: method, shard count, window and
-	// repartitioning policy. Its Window also paces the operational windows
-	// so the two curves align (zero fields take the simulator defaults).
-	// Its On* hooks must be nil: Run installs them to drive the chain and
-	// the directory, and rejects a caller-set one.
+	// repartitioning policy (zero fields take the simulator defaults). The
+	// operational windows are the simulator's: each closes on the chain
+	// when the simulator flushes it. Its On* hooks must be nil: Run installs
+	// them to drive the chain and the directory, and rejects a caller-set
+	// one.
 	Sim sim.Config
 	// Model is the multi-shard handling class of the live chain.
 	Model shardchain.Model
@@ -101,9 +102,6 @@ func (c Config) withDefaults() Config {
 	if c.Sim.K <= 0 {
 		c.Sim.K = 2
 	}
-	if c.Sim.Window <= 0 {
-		c.Sim.Window = 4 * time.Hour
-	}
 	if c.fund.IsZero() {
 		c.fund = evm.WordFromUint64(1 << 50)
 	}
@@ -111,8 +109,10 @@ func (c Config) withDefaults() Config {
 }
 
 // WindowStat is one operational data point: what the chain did during one
-// metric window, alongside the simulator's dynamic cut for the same window.
+// of the simulator's metric windows, alongside the simulator's dynamic cut
+// for it.
 type WindowStat struct {
+	// Start is the simulator's window start.
 	Start time.Time
 	// Stats is the window's delta of the chain's counters.
 	shardchain.Stats
@@ -132,7 +132,8 @@ type Result struct {
 	Method sim.Method
 	Model  shardchain.Model
 	K      int
-	// Windows are the per-window operational stats, aligned with Sim.Windows.
+	// Windows are the per-window operational stats, one per Sim.Windows
+	// entry at the same index.
 	Windows []WindowStat
 	// Totals are the chain's whole-run counters.
 	Totals shardchain.Stats
@@ -153,8 +154,6 @@ type Result struct {
 	// parallel to Sim.Windows. SweepNanos entries are measurement, not
 	// simulation state — like StepNanos, they vary between identical runs.
 	Sweeps []sim.SweepObs
-	// Parallel echoes Config.Parallel.
-	Parallel bool
 	// DirectoryStats summarises the placement directory at end of run
 	// (nil on the tests' assignment-resolved reference path). It is
 	// reporting, not replayed state: both paths agree on every other field.
@@ -234,8 +233,9 @@ type move struct {
 
 // runner is the control stage of one co-simulation. A run is two pipelined
 // stages (DESIGN §7): the control stage replays every record through the
-// simulator, publishes placements to the directory and keeps the window
-// clock; the chain stage (x) owns the ShardChain and executes the ops the
+// simulator, publishes placements to the directory and closes on the chain
+// each window the simulator flushes, keeping no window clock of its own;
+// the chain stage (x) owns the ShardChain and executes the ops the
 // control stage hands it, a batch per sealed block, each op against the
 // directory snapshot that was current when it was enqueued. The simulator
 // never reads chain state and the chain reads placement only through those
@@ -266,11 +266,11 @@ type runner struct {
 	lagging bool
 
 	// curBlock is the block the latest record belongs to; open reports that
-	// records have been enqueued since the last seal.
+	// records have been enqueued since the last seal. closed counts the
+	// simulator's flushed windows already closed on the chain.
 	curBlock uint32
 	open     bool
-	winStart time.Time
-	started  bool
+	closed   int
 
 	// cur is the batch being filled; q is the queue to the chain stage, nil
 	// on the reference path, where every batch runs inline as it is handed
@@ -324,7 +324,6 @@ type op struct {
 	from, to uint64       // opRecord: vertex IDs
 	value    uint64       // opRecord: clamped transfer value
 	moves    []move       // opMoves: the wave's moves, handed over
-	start    time.Time    // opCloseWindow
 	fn       func() error // opBarrier
 }
 
@@ -406,6 +405,9 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 	}
 	simCfg.OnMove = func(v graph.VertexID, from, to int) {
 		r.pendingMoves = append(r.pendingMoves, move{v, to})
+		if r.pub != nil {
+			r.pub.OnMove(v, from, to)
+		}
 	}
 	simCfg.OnResize = func(at time.Time, oldK, newK, moves int) {
 		if r.resizeErr == nil {
@@ -446,10 +448,6 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		// of the directory's hot tier.
 		r.pub.SetLive(func(v graph.VertexID) bool { return r.s.Graph().HasVertex(v) })
 		simCfg.OnPlace = r.pub.OnPlace
-		simCfg.OnMove = func(v graph.VertexID, from, to int) {
-			r.pendingMoves = append(r.pendingMoves, move{v, to})
-			r.pub.OnMove(v, from, to)
-		}
 		simCfg.OnRepartition = func(_ time.Time, moves int) {
 			if err := r.pub.OnRepartition(moves); err != nil && r.pubErr == nil {
 				r.pubErr = err
@@ -486,7 +484,7 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("opsim: %w", err)
 	}
 	r.x.sc = sc
-	r.res = &Result{Method: simCfg.Method, Model: cfg.Model, K: cfg.Sim.K, Parallel: cfg.Parallel}
+	r.res = &Result{Method: simCfg.Method, Model: cfg.Model, K: cfg.Sim.K}
 	r.x.res = r.res
 	return r.run()
 }
@@ -517,7 +515,6 @@ func (r *runner) run() (*Result, error) {
 		return nil, fmt.Errorf("opsim: %w", err)
 	}
 	r.res.Totals = r.x.sc.Stats()
-	r.res.Sim = r.s.Finish()
 	r.res.Sweeps = r.s.Sweeps()
 	if r.dir != nil {
 		st := r.dir.Stats()
@@ -531,19 +528,15 @@ func (r *runner) run() (*Result, error) {
 		snap := r.cfg.Fault.Metrics.Snapshot()
 		r.res.Fault = &snap
 	}
-	// Join the simulator's dynamic-cut curve onto the operational windows.
-	cuts := make(map[int64]float64, len(r.res.Sim.Windows))
-	for _, w := range r.res.Sim.Windows {
-		cuts[w.Start.Unix()] = w.DynamicCut
-	}
-	for i := range r.res.Windows {
-		r.res.Windows[i].DynamicCut = cuts[r.res.Windows[i].Start.Unix()]
+	// The chain closed the simulator's windows one for one: join by index.
+	for i, w := range r.res.Sim.Windows {
+		r.res.Windows[i].Start, r.res.Windows[i].DynamicCut = w.Start, w.DynamicCut
 	}
 	return r.res, nil
 }
 
 // replay is the control stage's whole run: every record, then the last
-// block, the settle drain and the final window.
+// block, the settle drain and the simulator's final window.
 func (r *runner) replay() error {
 	for _, rec := range r.gt.Records {
 		if err := r.processRecord(rec); err != nil {
@@ -556,42 +549,32 @@ func (r *runner) replay() error {
 	// Drain in-flight receipts with empty blocks (at most maxSettleSteps);
 	// their settlements land in the final window.
 	r.enqueue(op{kind: opSettle})
-	if r.started {
-		r.enqueue(op{kind: opCloseWindow, start: r.winStart})
-	}
+	r.res.Sim = r.s.Finish()
+	r.closeWindows()
 	return r.handOff()
 }
 
 // processRecord advances the control stage by one interaction record.
 func (r *runner) processRecord(rec trace.Record) error {
-	t := time.Unix(rec.Time, 0).UTC()
-	if !r.started {
-		r.winStart = t.Truncate(r.cfg.Sim.Window)
-		r.started = true
-	}
-	// A record in a new block seals the previous one; a record in a new
-	// window then closes the window (block timestamps are per-block, so a
-	// window boundary always falls on a block boundary).
+	// A record in a new block seals the previous one (block timestamps are
+	// per-block, so a window boundary always falls on a block boundary).
 	if rec.Block != r.curBlock {
 		if err := r.seal(); err != nil {
 			return err
 		}
 		r.curBlock = rec.Block
 	}
-	for t.Sub(r.winStart) >= r.cfg.Sim.Window {
-		r.enqueue(op{kind: opCloseWindow, start: r.winStart})
-		r.winStart = r.winStart.Add(r.cfg.Sim.Window)
-	}
 
 	// Lockstep: the simulator sees the record first — it places first-seen
-	// vertices and may fire its repartitioning policy (or the autoscaler)
-	// at a window boundary.
+	// vertices, flushes the windows the record rolls over and may fire its
+	// repartitioning policy (or the autoscaler) at a window boundary.
 	if err := r.s.Process(rec); err != nil {
 		return fmt.Errorf("opsim: %w", err)
 	}
 	if r.resizeErr != nil {
 		return r.resizeErr
 	}
+	r.closeWindows()
 	if r.pub != nil {
 		// Publish the record's placements (and any buffered retirements)
 		// before the chain resolves homes; waves already committed inside
@@ -611,6 +594,14 @@ func (r *runner) processRecord(rec trace.Record) error {
 	r.enqueue(op{kind: opRecord, from: rec.From, to: rec.To, value: min(rec.Value, maxValue)})
 	r.open = true
 	return nil
+}
+
+// closeWindows enqueues a closeWindow for each window the simulator has
+// flushed since the last call, so the chain's windows are the simulator's.
+func (r *runner) closeWindows() {
+	for ; r.closed < len(r.s.Sweeps()); r.closed++ {
+		r.enqueue(op{kind: opCloseWindow})
+	}
 }
 
 // current is the directory view an op enqueued now resolves through.
@@ -696,7 +687,10 @@ func (r *runner) handOff() error {
 // and then the resize run on the chain stage while the control stage waits,
 // so the resize may call back into the control stage — the directory flip,
 // its settle blocks' pins, the stalled waves — exactly as if it ran inline.
+// The windows flushed up to the resize's boundary close first, so the
+// resize's chain work lands in the window that boundary opens.
 func (r *runner) resize(oldK, newK, moves int) error {
+	r.closeWindows()
 	pending := r.pendingMoves
 	r.pendingMoves = nil
 	r.enqueue(op{kind: opBarrier, fn: func() error {
@@ -783,7 +777,7 @@ func (x *executor) run(b []op) error {
 		case opMoves:
 			err = x.applyMoves(o.moves)
 		case opCloseWindow:
-			x.closeWindow(o.start)
+			x.closeWindow()
 		case opStep:
 			x.flush()
 		case opSettle:
@@ -1040,13 +1034,13 @@ func (x *executor) captureArtifacts() {
 	x.res.ReceiptsHash = x.receiptsHash
 }
 
-// closeWindow snapshots the chain's counters into a per-window delta.
-func (x *executor) closeWindow(start time.Time) {
+// closeWindow snapshots the chain's counters into a per-window delta; Run
+// joins the simulator's Start and DynamicCut on by index.
+func (x *executor) closeWindow() {
 	cur := x.sc.Stats()
 	d := cur.Sub(x.lastStats)
 	x.lastStats = cur
 	x.res.Windows = append(x.res.Windows, WindowStat{
-		Start:        start,
 		Stats:        d,
 		Interactions: d.LocalTxs + d.CrossTxs + d.Failed,
 		Shards:       x.sc.K(),

@@ -88,15 +88,16 @@ type ResizeEvent struct {
 
 // maybeResize runs the controller at a window boundary, after decayStep and
 // before the repartition policy. The signals it reads describe the window
-// flushWindow just closed.
+// flushWindow just closed: its record, and the total load stashed beside it.
 func (s *Simulator) maybeResize(now time.Time) error {
 	ac := s.cfg.Autoscale
 	if !ac.Enabled {
 		return nil
 	}
 	k := s.cfg.K
+	last := s.result.Windows[len(s.result.Windows)-1]
 	target := float64(ac.TargetWindowLoad)
-	maxLoad := float64(s.lastWinMaxLoad)
+	maxLoad := float64(last.PeakLoad)
 	sumLoad := float64(s.lastWinSumLoad)
 
 	hot := maxLoad >= splitHighWater*target
@@ -104,10 +105,10 @@ func (s *Simulator) maybeResize(now time.Time) error {
 	// the hash bound at k+1 shards, a split cannot buy locality — every
 	// extra shard only adds coordination. Only true saturation (twice the
 	// high water) still justifies splitting for capacity alone.
-	if hot && s.lastWinCut >= float64(k)/float64(k+1) && maxLoad < 2*splitHighWater*target {
+	if hot && last.DynamicCut >= float64(k)/float64(k+1) && maxLoad < 2*splitHighWater*target {
 		hot = false
 	}
-	cold := s.lastWinInteractions == 0 || sumLoad <= mergeLowWater*target*float64(k)
+	cold := last.Interactions == 0 || sumLoad <= mergeLowWater*target*float64(k)
 	switch {
 	case hot:
 		s.hotStreak++

@@ -457,15 +457,12 @@ type Simulator struct {
 	// Autoscaler state (Config.Autoscale.Enabled): whether the TR-METIS
 	// trigger thresholds were defaulted from K (and so must be re-derived
 	// at the new k after a resize) rather than pinned by the caller, the
-	// hysteresis streaks, and the saturation signals of the most recently
-	// flushed window, stashed by flushWindow before it resets the
-	// accumulators the controller reads.
+	// hysteresis streaks, and the most recently flushed window's total
+	// load, stashed by flushWindow before it resets the per-shard loads
+	// (WindowStat keeps only the peak).
 	cutDefaulted, balDefaulted bool
 	hotStreak, coldStreak      int
-	lastWinMaxLoad             int64
 	lastWinSumLoad             int64
-	lastWinCut                 float64
-	lastWinInteractions        int64
 
 	// Decay mode (Config.DecayHalfLife > 0): the per-window weight
 	// multiplier and the retention horizon in sweeps (the decaying graph
@@ -740,16 +737,13 @@ func (s *Simulator) flushWindow() {
 	}
 	s.result.Windows = append(s.result.Windows, stat)
 	if s.cfg.Autoscale.Enabled {
-		// Stash the controller's saturation signals before the reset below;
-		// the autoscaler runs at the boundary, after decay, on the window
-		// just closed.
+		// Stash the window's total load before the reset below; the
+		// autoscaler runs at the boundary, after decay, on the window just
+		// closed.
 		s.lastWinSumLoad = 0
 		for _, l := range s.winLoad {
 			s.lastWinSumLoad += l
 		}
-		s.lastWinMaxLoad = stat.PeakLoad
-		s.lastWinCut = stat.DynamicCut
-		s.lastWinInteractions = s.winCount
 	}
 	// Pre-fill the window's sweep observation; decayStep overwrites it if
 	// a sweep actually runs (it fires right after this flush).
