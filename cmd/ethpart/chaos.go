@@ -14,6 +14,7 @@ import (
 	"ethpart/internal/fault"
 	"ethpart/internal/graph"
 	"ethpart/internal/opsim"
+	"ethpart/internal/profile"
 	"ethpart/internal/report"
 	"ethpart/internal/shardchain"
 	"ethpart/internal/sim"
@@ -32,8 +33,9 @@ import (
 // also replicate over loopback TCP to N replica processes, each applying
 // through its own fault plane, whose final views must match the oracle's
 // entry-by-entry. It exits non-zero on any invariant violation.
-func runChaos(args []string) error {
+func runChaos(args []string) (err error) {
 	fs := flag.NewFlagSet("ethpart chaos", flag.ContinueOnError)
+	prof := profile.Register(fs)
 	scenarioFlag := fs.String("scenario", "all", "fault scenario: crash-wave|receipt-loss|dup-storm|flip-stall|mixed|all")
 	workloadFlag := fs.String("workload", "", "inject faults into a named library workload scenario instead of the drifting-era trace")
 	arrival := fs.String("arrival", "", "override the workload scenario's arrival process: poisson|diurnal|flash")
@@ -48,6 +50,11 @@ func runChaos(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := experiments.ValidateShards("chaos: -k", *k); err != nil {

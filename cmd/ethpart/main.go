@@ -44,6 +44,10 @@
 // entry-by-entry to the in-process oracle with zero torn epochs. The
 // default, 0, keeps the run in-process.
 //
+// A replay, ops and chaos all take -cpuprofile FILE and -memprofile FILE,
+// which write a CPU profile of the run and an allocation profile at its end
+// for `go tool pprof`.
+//
 // -horizon without -decay-half-life is rejected at flag-parse time by
 // every subcommand (the horizon is the decay subsystem's retention bound
 // and would otherwise be silently ignored).
@@ -61,6 +65,7 @@ import (
 	"time"
 
 	"ethpart/internal/experiments"
+	"ethpart/internal/profile"
 	"ethpart/internal/report"
 	"ethpart/internal/sim"
 	"ethpart/internal/trace"
@@ -86,8 +91,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ethpart", flag.ContinueOnError)
+	prof := profile.Register(fs)
 	tracePath := fs.String("trace", "", "trace CSV file ('-' for stdin, .gz read transparently)")
 	scenario := fs.String("scenario", "", "replay a named library scenario instead of a trace file")
 	arrival := fs.String("arrival", "", "override the scenario's arrival process: poisson|diurnal|flash")
@@ -104,6 +110,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"cmp"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -346,5 +348,50 @@ func TestReplayEachMethod(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", method, err)
 		}
+	}
+}
+
+// TestProfileFlags runs a tiny replay, ops matrix and chaos scenario with
+// -cpuprofile and -memprofile: each must write both profiles as non-empty
+// gzip-compressed pprof output.
+func TestProfileFlags(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"replay", run, []string{"-scenario", "transfer-steady", "-hours", "2", "-k", "2"}},
+		{"ops", runOps, []string{"-seed", "3", "-scale", "0.0001", "-k", "2"}},
+		{"chaos", runChaos, []string{"-eras", "1", "-windows-per-era", "2", "-scenario", "crash-wave", "-k", "2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+			if _, err := captureStdout(t, func() error {
+				return c.run(append([]string{"-cpuprofile", cpu, "-memprofile", mem}, c.args...))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			checkProfile(t, cpu)
+			checkProfile(t, mem)
+		})
+	}
+}
+
+// checkProfile fails t unless path holds a gzip stream with a non-empty
+// payload, the form runtime/pprof writes.
+func checkProfile(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s: %v", filepath.Base(path), err)
+	}
+	if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+		t.Fatalf("%s: %d bytes of profile, %v", filepath.Base(path), n, err)
 	}
 }

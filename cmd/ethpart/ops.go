@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ethpart/internal/experiments"
+	"ethpart/internal/profile"
 	"ethpart/internal/report"
 	"ethpart/internal/sim"
 )
@@ -17,8 +18,9 @@ import (
 // runOps executes the ops subcommand: generate a seeded workload, replay it
 // through a live sharded chain for every method under both multi-shard
 // models, and report per-window and total operational metrics.
-func runOps(args []string) error {
+func runOps(args []string) (err error) {
 	fs := flag.NewFlagSet("ethpart ops", flag.ContinueOnError)
+	prof := profile.Register(fs)
 	seed := fs.Int64("seed", 1, "workload seed")
 	scale := fs.Float64("scale", 0.002, "workload scale")
 	scenario := fs.String("scenario", "", "replay a named library scenario instead of the era history")
@@ -37,6 +39,11 @@ func runOps(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {

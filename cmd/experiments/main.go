@@ -26,6 +26,8 @@
 //	-k-min N, -k-max N  scalecost's fixed baselines and autoscaler range
 //	             (default 2 and 8)
 //	-hours H     scenariocost: shorten every scenario's arrival window
+//	-cpuprofile FILE, -memprofile FILE  write a CPU profile of the run and
+//	             an allocation profile at its end, for go tool pprof
 //
 // Every shard count must be at least 1, -k-max at least -k-min and -scale
 // positive, and a flag the subcommand would ignore is an error; the flags
@@ -49,6 +51,7 @@ import (
 	"time"
 
 	"ethpart/internal/experiments"
+	"ethpart/internal/profile"
 	"ethpart/internal/report"
 	"ethpart/internal/sim"
 )
@@ -62,8 +65,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	prof := profile.Register(fs)
 	seed := fs.Int64("seed", 1, "history seed")
 	scale := fs.Float64("scale", 0.004, "workload scale")
 	scenario := fs.String("scenario", "", "generate the history from a named library scenario instead of the era schedule")
@@ -79,6 +83,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
 	if err := experiments.ValidateDecayFlags(*decay, *horizon); err != nil {
 		return err
 	}

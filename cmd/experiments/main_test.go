@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,5 +109,29 @@ func TestHorizonFlagFailsFast(t *testing.T) {
 	err = run([]string{"-decay-half-life", "6h", "-horizon", "24h"})
 	if err == nil || strings.Contains(err.Error(), "-decay-half-life") {
 		t.Errorf("valid decay pair rejected at flag parse: %v", err)
+	}
+}
+
+// TestProfileFlags runs a tiny figure with -cpuprofile and -memprofile:
+// both profiles must be non-empty gzip-compressed pprof output.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "-scale", "0.0001", "fig2"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+			t.Fatalf("%s: %d bytes of profile, %v", filepath.Base(path), n, err)
+		}
 	}
 }

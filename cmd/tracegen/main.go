@@ -14,7 +14,8 @@
 //	tracegen -validate flash-nft-mint
 //
 // Output ending in .gz is gzip-compressed; every ethpart tool reads it
-// transparently.
+// transparently. -cpuprofile FILE and -memprofile FILE write a CPU profile
+// of the run and an allocation profile at its end, for go tool pprof.
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"ethpart/internal/experiments"
+	"ethpart/internal/profile"
 	"ethpart/internal/report"
 	"ethpart/internal/sim"
 	"ethpart/internal/trace"
@@ -38,8 +40,9 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	prof := profile.Register(fs)
 	out := fs.String("out", "", "output file (required; '-' for stdout, .gz for gzip)")
 	seed := fs.Int64("seed", 1, "history seed")
 	scale := fs.Float64("scale", 0.004, "era workload scale (1.0 ≈ the paper's full trace)")
@@ -51,6 +54,11 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
 	if err := experiments.ValidatePositive("-scale", *scale); err != nil {
 		return err
 	}
@@ -88,10 +96,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	start := time.Now()
-	var (
-		gt  *sim.GeneratedTrace
-		err error
-	)
+	var gt *sim.GeneratedTrace
 	if *scenario != "" {
 		sc, rerr := workload.ResolveScenario(*scenario, "", *hours, *seed)
 		if rerr != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"io"
 	"os"
@@ -145,5 +146,30 @@ func TestListDescribeValidate(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "ok") {
 		t.Errorf("-validate output = %q, want ok", buf.String())
+	}
+}
+
+// TestProfileFlags generates a tiny trace with -cpuprofile and -memprofile:
+// both profiles must be non-empty gzip-compressed pprof output.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	args := []string{"-cpuprofile", cpu, "-memprofile", mem, "-out", filepath.Join(dir, "trace.csv"), "-scale", "0.0002"}
+	if err := run(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+			t.Fatalf("%s: %d bytes of profile, %v", filepath.Base(path), n, err)
+		}
 	}
 }

@@ -181,3 +181,35 @@ func TestAllocsHubCompaction(t *testing.T) {
 		t.Errorf("the hub's table went from %d to %d slots", size, len(r.idx))
 	}
 }
+
+// TestAllocsGraphGrow is Grow's allocation ceiling: after Grow(n), adding n
+// vertices with IDs below n, in shuffled order so the ID table reaches its
+// length early, allocates nothing. Each run fills a graph of its own, grown
+// beforehand. Adding vertices takes no row blocks; an ungrown graph
+// allocates for the same additions, which is what Grow saves.
+func TestAllocsGraphGrow(t *testing.T) {
+	const n, runs = 5_000, 10
+	ids := rand.New(rand.NewSource(1)).Perm(n)
+	add := func(g *Graph) {
+		for _, id := range ids {
+			if !g.EnsureVertex(VertexID(id), resetKind(VertexID(id))) {
+				t.Fatalf("vertex %d not created", id)
+			}
+		}
+	}
+	grown := make([]*Graph, runs+1) // AllocsPerRun makes one warm-up run
+	for i := range grown {
+		grown[i] = New()
+		grown[i].Grow(n)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		add(grown[next])
+		next++
+	}); allocs != 0 {
+		t.Errorf("adding %d vertices after Grow(%d) allocated %.1f objects, want 0", n, n, allocs)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { add(New()) }); allocs == 0 {
+		t.Error("an ungrown graph added the same vertices without allocating; the test measures nothing")
+	}
+}

@@ -348,6 +348,28 @@ func New() *Graph {
 	return &Graph{}
 }
 
+// Grow makes room for n more vertices, like slices.Grow: the next n
+// vertices added, with IDs below MaxID()+n, extend the per-vertex records
+// and the ID table without reallocating either; their adjacency rows still
+// take blocks as they fill. A caller that knows how many vertices the graph
+// will end with — a full-history replay knows its registry — sizes it once
+// instead of doubling its way there, copying every record at each step and
+// leaving the old copies to the collector. Grow changes nothing a reader
+// can see.
+func (g *Graph) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	g.slot = slices.Grow(g.slot, n)
+	g.ids = slices.Grow(g.ids, n)
+	g.kinds = slices.Grow(g.kinds, n)
+	g.weights = slices.Grow(g.weights, n)
+	g.touch = slices.Grow(g.touch, n)
+	// Rows past the length stay as Reset left them (extendRows).
+	g.out = slices.Grow(g.out, n)
+	g.in = slices.Grow(g.in, n)
+}
+
 // slotOf returns the dense slot of id, or -1.
 func (g *Graph) slotOf(id VertexID) int32 {
 	if id < VertexID(len(g.slot)) {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -261,5 +262,45 @@ func mustAdd(t *testing.T, g *Graph, u, v VertexID, w int64) {
 	t.Helper()
 	if err := g.AddInteraction(u, v, KindAccount, KindAccount, w); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGrowMatchesUngrown: Grow is only a capacity hint. Random windows
+// applied to a graph grown first — from new, and after Reset, where rows
+// past the length keep their backing — and to an ungrown twin give the same
+// vertices, rows, edges and CSR.
+func TestGrowMatchesUngrown(t *testing.T) {
+	type edge struct {
+		u, v VertexID
+		w    int64
+	}
+	edgesOf := func(g *Graph) []edge {
+		var es []edge
+		g.Edges(func(u, v VertexID, w int64) bool {
+			es = append(es, edge{u, v, w})
+			return true
+		})
+		return es
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		grown := New()
+		for j, maxID := range []VertexID{400, 60, 1200} {
+			w := resetWindow(rng, maxID)
+			grown.Reset()
+			grown.Grow(int(maxID))
+			applyWindow(t, grown, w)
+			plain := New()
+			applyWindow(t, plain, w)
+			if got, want := viewOf(grown), viewOf(plain); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d window %d: grown graph's vertices differ from an ungrown one's", seed, j)
+			}
+			if got, want := edgesOf(grown), edgesOf(plain); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d window %d: grown graph's edges differ", seed, j)
+			}
+			if got, want := NewCSR(grown), NewCSR(plain); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d window %d: grown graph's CSR differs", seed, j)
+			}
+		}
 	}
 }

@@ -1,14 +1,16 @@
 package multilevel
 
-// arena is the scratch memory of one bisection of one Partition call: a
-// bump allocator per element type with mark/release, so the ladder, the
-// sides and every FM call of the bisection share a few large buffers
-// instead of allocating (and zeroing, and leaving for the collector) fresh
-// slices at every level and pass. Beside the slabs it holds the bisection's
-// one gain queue: growBisection and every fmRefine of the bisection reuse
-// it in turn, so a queue that outgrew its first capacity on stale entries
-// stays grown instead of spilling again on every call. The call's tree
-// (run.tree) is an arena too.
+// arena is the scratch memory of one Partition call: a bump allocator per
+// element type with mark/release, so the ladder, the sides and every FM
+// call of every bisection share a few large buffers instead of allocating
+// (and zeroing, and leaving for the collector) fresh slices at every
+// level, pass and bisection. The call's bisections run one after another,
+// each on what the one before released (run.recurse), so the chunks sized
+// for the root's graph serve the whole recursion. Beside the slabs it holds
+// the call's one gain queue: every growBisection and fmRefine of the call
+// reuses it in turn, so a queue that outgrew its first capacity on stale
+// entries stays grown instead of spilling again on every call. The call's
+// tree (run.tree) is an arena too.
 //
 // An arena lives no longer than the Partition call that created it, on that
 // call's goroutine. Nothing is retained across calls — a measured choice
@@ -24,15 +26,18 @@ type arena struct {
 	tmp slab[int32]
 	// heap is the queue; see queue.
 	heap gainHeap
-	// odd is a bisection's second stack: the one odd ladder level that
-	// exists at a time (coarsen, bisect). Its own quantum is zero, so its
-	// chunks are sized by the requests of the largest odd level.
+	// odd is the second stack: the one odd ladder level that exists at a
+	// time (coarsen, bisect). Its own quantum is zero, so its chunks are
+	// sized by the requests of the largest odd level, which is the root
+	// bisection's. coarsen creates it on first use and empties it at the
+	// start of every bisection.
 	odd *arena
 }
 
-// newArena returns an arena for a bisection of a graph of n vertices: buffers
-// are allocated n elements at a time, so per-vertex arrays pack and the
-// refinement scratch of a small level fits the buffers of any other.
+// newArena returns an arena for a Partition call on a graph of n vertices:
+// buffers are allocated n elements at a time, so per-vertex arrays pack and
+// the scratch of a small level or a deeper bisection fits the buffers of
+// any other.
 func newArena(n int) *arena {
 	a := &arena{}
 	a.i32.quantum, a.i64.quantum, a.u8.quantum, a.tmp.quantum = n, n, n, n
@@ -40,8 +45,8 @@ func newArena(n int) *arena {
 }
 
 // queue returns the arena's gain queue, emptied. Its first use allocates
-// room for one entry per vertex of the bisection's graph; appends beyond that
-// grow it, and it keeps the larger capacity for the bisection's later calls. One
+// room for one entry per vertex of the call's graph; appends beyond that
+// grow it, and it keeps the larger capacity for the call's later users. One
 // caller at a time: growBisection and fmRefine each take it for their
 // whole call and never nest.
 func (a *arena) queue() *gainHeap {

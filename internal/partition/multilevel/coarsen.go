@@ -141,8 +141,13 @@ func contract(a, dst *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 // Every cmap and the graphs of the even levels live in a. Each odd level is
 // built on a.odd and dropped from it once the next level is contracted
 // from it, unless it is the coarsest; so a.odd holds at most one graph.
+// a.odd is emptied first: an earlier bisection of the call may have left
+// its last level there, and its chunks are reused.
 func coarsen(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) []level {
-	a.odd = new(arena)
+	if a.odd == nil {
+		a.odd = new(arena)
+	}
+	a.odd.release(arenaMark{})
 	var ladder []level
 	cur := g
 	for cur.n() > coarsenTo {

@@ -20,9 +20,9 @@
 // one fixed order. The order of draws, the heap's comparison rules and the
 // trial pick order are part of that output; DESIGN §4 spells the contract
 // out and testdata/partition_digests.json pins it. A Partitioner is only
-// its Config: scratch memory (arena.go) is per bisection, created inside
-// Partition and gone when it returns, so one Partitioner serves any number
-// of concurrent callers.
+// its Config: scratch memory (arena.go) is per call, created inside
+// Partition, shared by the call's bisections in turn and gone when it
+// returns, so one Partitioner serves any number of concurrent callers.
 package multilevel
 
 import (

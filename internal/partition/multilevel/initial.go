@@ -109,8 +109,9 @@ type gainItem struct {
 //
 // Gains are int32 and the child pick subtracts two of them, so every gain
 // in a heap must lie strictly between −2³⁰ and 2³⁰; MaxTotalEdgeWeight
-// guarantees it for every heap the partitioner builds. Each arena owns one
-// heap (arena.queue), which keeps whatever capacity its pushes grew it to.
+// guarantees it for every heap the partitioner builds. A call's scratch
+// arena owns its one heap (arena.queue), which keeps whatever capacity its
+// pushes grew it to.
 type gainHeap []gainItem
 
 // push inserts an item and sifts it up.

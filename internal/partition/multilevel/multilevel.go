@@ -92,10 +92,11 @@ func (p *Partitioner) Partition(c *graph.CSR, k int) ([]int, error) {
 		return parts, nil
 	}
 	r := &run{
-		tree:  *newArena(n),
-		cfg:   p.cfg,
-		parts: parts,
-		rng:   rand.New(rand.NewSource(p.cfg.Seed)),
+		tree:    *newArena(n),
+		scratch: *newArena(n),
+		cfg:     p.cfg,
+		parts:   parts,
+		rng:     rand.New(rand.NewSource(p.cfg.Seed)),
 	}
 	g := fromCSR(&r.tree, c)
 	vmap := r.tree.i32.alloc(n)
@@ -121,10 +122,16 @@ type run struct {
 	// tree holds what outlives a bisection — vertex weights, vertex maps
 	// and split subgraphs.
 	tree arena
+	// scratch holds what one bisection needs, and only while it runs: the
+	// bisections run one after another, so each reuses the chunks, second
+	// stack and queue the root's left, sized for the root's graph.
+	scratch arena
 }
 
 // recurse assigns shards [base, base+k) to the vertices of g (whose
 // original indices are vmap), splitting k proportionally at each level.
+// The bisection's scratch is released once its side is read — into parts,
+// or by split into the tree — so the children bisect on the same chunks.
 func (r *run) recurse(g *mlGraph, vmap []int32, k, base int) {
 	if k == 1 {
 		for _, orig := range vmap {
@@ -134,16 +141,18 @@ func (r *run) recurse(g *mlGraph, vmap []int32, k, base int) {
 	}
 	kL := (k + 1) / 2
 	kR := k - kL
-	a := newArena(g.n())
-	side := r.bisect(a, g, g.totalVW*int64(kL)/int64(k))
+	m := r.scratch.mark()
+	side := r.bisect(&r.scratch, g, g.totalVW*int64(kL)/int64(k))
 	if k == 2 {
 		// Both children are leaves: the sides are the shards.
 		for v, orig := range vmap {
 			r.parts[orig] = base + int(side[v])
 		}
+		r.scratch.release(m)
 		return
 	}
-	sub, submap := split(&r.tree, a, g, side, vmap)
+	sub, submap := split(&r.tree, &r.scratch, g, side, vmap)
+	r.scratch.release(m)
 	r.recurse(sub[0], submap[0], kL, base)
 	r.recurse(sub[1], submap[1], kR, base+kL)
 }

@@ -380,3 +380,42 @@ func TestFlightsBound(t *testing.T) {
 		t.Fatal("wait reported true after quit")
 	}
 }
+
+// TestReplayGrownMatchesUngrown: NewOver sizes a full-history cumulative
+// graph from the trace's registry (graph.Grow), which may change no result.
+// One trace replayed with its registry and without one gives equal results
+// for every method, in full history and in decay mode, where nothing is
+// grown; and the full-history graph ends holding exactly the registry, the
+// size Grow reserved.
+func TestReplayGrownMatchesUngrown(t *testing.T) {
+	gt := smallTrace(t)
+	bare := NewGeneratedTrace(gt.Records, nil, nil)
+	replay := func(gt *GeneratedTrace, cfg Config) (*Result, int) {
+		t.Helper()
+		s, err := NewOver(gt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, rec := range gt.Records {
+			if err := s.Process(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Finish(), s.Graph().VertexCount()
+	}
+	for _, m := range Methods() {
+		for _, decay := range []time.Duration{0, 12 * time.Hour} {
+			cfg := Config{Method: m, K: 4, RepartitionEvery: 24 * time.Hour, DecayHalfLife: decay,
+				StorageSlots: gt.StorageSlots}
+			want, _ := replay(bare, cfg)
+			got, vertices := replay(gt, cfg)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v decay=%v: replay with the registry differs from one without", m, decay)
+			}
+			if decay == 0 && vertices != gt.Registry.Len() {
+				t.Errorf("%v: the cumulative graph ends with %d vertices, the registry holds %d", m, vertices, gt.Registry.Len())
+			}
+		}
+	}
+}

@@ -78,6 +78,12 @@ func Collect(s *workload.Stream) (*GeneratedTrace, error) {
 // ahead of the simulator, several at a time, by a lookahead; the simulator then
 // computes what Process alone would. The caller must Close the simulator
 // on every path once it is done with it, which joins the lookahead.
+//
+// A full-history cumulative graph ends holding every vertex of gt's
+// registry, so NewOver sizes its vertex records for them once (graph.Grow)
+// instead of letting them double their way there. A decaying graph's live
+// set is bounded by the horizon instead, and keeps growing on demand; so
+// does every graph of a trace without a registry.
 func NewOver(gt *GeneratedTrace, cfg Config) (*Simulator, error) {
 	if cfg.StorageSlots == nil {
 		cfg.StorageSlots = gt.StorageSlots
@@ -85,6 +91,9 @@ func NewOver(gt *GeneratedTrace, cfg Config) (*Simulator, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if !s.decayEnabled() && gt.Registry != nil {
+		s.full.Grow(gt.Registry.Len())
 	}
 	if s.lookaheadEligible() {
 		s.startLookahead(gt.Records)
