@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"ethpart/internal/evm"
@@ -278,7 +279,8 @@ func TestReplayDeterminism(t *testing.T) {
 func TestChainGolden(t *testing.T) {
 	const wantState = "0x6f497d3fd0ee39cf3523e4894c1dd29f8138711f1dafc3f5b726c5696f69c92a"
 	alloc, blocks := goldenHistory()
-	if got := executeHistory(t, alloc, blocks).Hex(); got != wantState {
+	root := executeHistory(t, alloc, blocks)
+	if got := fmt.Sprintf("0x%x", root[:]); got != wantState {
 		t.Errorf("state root = %s, want %s", got, wantState)
 	}
 }

@@ -396,9 +396,6 @@ func (s *State) StorageSize(addr types.Address) int {
 	return 0
 }
 
-// AccountCount returns the number of accounts in the state.
-func (s *State) AccountCount() int { return len(s.accounts) }
-
 // encodeAccount serializes an account for the state trie: balance, nonce,
 // code hash and a digest of the sorted storage slots. Any change to an
 // account changes its encoding and therefore the state root.

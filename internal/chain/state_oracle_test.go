@@ -121,8 +121,8 @@ func (p *pairedState) check(t *testing.T, rng *rand.Rand, addrs []types.Address,
 			t.Fatalf("step %d (%s): handle %d resolves to an account the map does not hold there", step, what, h)
 		}
 	}
-	if got := p.s.AccountCount(); got != len(p.o) {
-		t.Fatalf("step %d (%s): AccountCount = %d, oracle %d", step, what, got, len(p.o))
+	if got := len(p.s.accounts); got != len(p.o) {
+		t.Fatalf("step %d (%s): %d accounts, oracle %d", step, what, got, len(p.o))
 	}
 	if got, want := p.s.Commit(), p.o.root(); got != want {
 		t.Fatalf("step %d (%s): Commit = %v, oracle %v", step, what, got, want)

@@ -279,19 +279,11 @@ type Snapshot struct {
 // empty directory) and increase by one per commit.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Shards returns the shard count this view was published under — the
-// epoch-consistent companion of the placements, guaranteed to cover every
-// mapped shard of the view. Zero means no batch has declared one yet.
-func (s *Snapshot) Shards() int { return s.shards }
-
 // Len returns the number of mapped vertices in this view.
 func (s *Snapshot) Len() int { return s.entries }
 
 // HotLen returns the number of hot-tier entries in this view.
 func (s *Snapshot) HotLen() int { return s.hotLen }
-
-// ColdLen returns the number of cold-tier (retired) entries.
-func (s *Snapshot) ColdLen() int { return s.entries - s.hotLen }
 
 // Lookup returns the shard of v in this view: a bounds check and at most
 // two probes of a page node and a leaf, hot tier first.

@@ -72,10 +72,6 @@ func (c *Client) Close() {
 	c.conns = nil
 }
 
-// Epoch returns the client's currently pinned epoch (zero before the
-// first batch).
-func (c *Client) Epoch() uint64 { return c.pin }
-
 // lookupResult is one decoded lookup response.
 type lookupResult struct {
 	status byte

@@ -74,8 +74,8 @@ func TestServerBatchLookup(t *testing.T) {
 			t.Errorf("id %d → shard %d, want %d", ids[i], out[i], want[i])
 		}
 	}
-	if srv.Lookups() != 4 || srv.Batches() != 1 {
-		t.Errorf("server counted %d lookups / %d batches, want 4 / 1", srv.Lookups(), srv.Batches())
+	if srv.Lookups() != 4 {
+		t.Errorf("server counted %d lookups, want 4", srv.Lookups())
 	}
 
 	// Second batch exact-pins the same epoch even after the writer moves on.
@@ -111,7 +111,7 @@ func TestClientRepinAfterEviction(t *testing.T) {
 	if _, _, err := c.LookupBatch([]graph.VertexID{1}, out); err != nil {
 		t.Fatal(err)
 	}
-	pinned := c.Epoch()
+	pinned := c.pin
 
 	// Push the pinned epoch out of the 4-deep journal.
 	for i := 0; i < 8; i++ {
@@ -133,8 +133,8 @@ func TestClientRepinAfterEviction(t *testing.T) {
 		t.Errorf("client counters: evictions=%d stale=%d repins=%d, want 1/1/>0",
 			c.Evictions, c.StaleBatches, c.Repins)
 	}
-	if c.Epoch() != epoch {
-		t.Errorf("client pin = %d, want %d", c.Epoch(), epoch)
+	if c.pin != epoch {
+		t.Errorf("client pin = %d, want %d", c.pin, epoch)
 	}
 }
 
@@ -189,7 +189,7 @@ func TestFanoutReplication(t *testing.T) {
 		}
 		sameView(t, "replica", primary.Current(), r.dir.Current())
 		sameView(t, "primary", r.dir.Current(), primary.Current())
-		if got := r.dir.Current().Shards(); got != 4 {
+		if got := r.dir.Stats().Shards; got != 4 {
 			t.Errorf("replica %d shard count %d, want 4 (resize must replicate)", i, got)
 		}
 		if got := r.dir.Current().Epoch(); got != primary.Current().Epoch() {
@@ -285,8 +285,8 @@ func TestColdPromotionOverWire(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if rdir.Current().ColdLen() != 1 {
-		t.Fatalf("replica cold len = %d, want 1", rdir.Current().ColdLen())
+	if cold := rdir.Stats().Cold; cold != 1 {
+		t.Fatalf("replica cold len = %d, want 1", cold)
 	}
 
 	// A cold hit on the replica leaves a hint in its ring.
@@ -348,8 +348,8 @@ func TestColdPromotionOverWire(t *testing.T) {
 	if got, ok := primaryDir.Current().Lookup(9); !ok || got != 1 {
 		t.Errorf("promoted mapping changed: (%d,%v), want (1,true)", got, ok)
 	}
-	if primaryDir.Current().ColdLen() != 0 {
-		t.Errorf("primary cold len = %d, want 0 after promotion", primaryDir.Current().ColdLen())
+	if cold := primaryDir.Stats().Cold; cold != 0 {
+		t.Errorf("primary cold len = %d, want 0 after promotion", cold)
 	}
 	sameView(t, "replica", primaryDir.Current(), rdir.Current())
 }

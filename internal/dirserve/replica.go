@@ -24,8 +24,6 @@ type Replica struct {
 	mu      sync.Mutex
 	applied uint64
 	pending map[uint64]applyRec
-
-	dups, reorders uint64
 }
 
 type applyRec struct {
@@ -45,16 +43,9 @@ func NewReplica(c directory.Committer) *Replica {
 func (r *Replica) Apply(epoch uint64, b directory.Batch, wave bool) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if epoch <= r.applied {
-		r.dups++
+	// A duplicate: already applied, or already buffered.
+	if _, ok := r.pending[epoch]; ok || epoch <= r.applied {
 		return r.applied, nil
-	}
-	if _, ok := r.pending[epoch]; ok {
-		r.dups++
-		return r.applied, nil
-	}
-	if epoch != r.applied+1 {
-		r.reorders++
 	}
 	r.pending[epoch] = applyRec{b: b, wave: wave}
 	for {
@@ -75,26 +66,4 @@ func (r *Replica) Applied() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.applied
-}
-
-// Pending reports how many out-of-order batches are buffered awaiting a
-// gap fill.
-func (r *Replica) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.pending)
-}
-
-// Dups and Reorders report how many duplicate and out-of-order deliveries
-// the replica absorbed.
-func (r *Replica) Dups() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dups
-}
-
-func (r *Replica) Reorders() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reorders
 }

@@ -84,6 +84,14 @@ func TestReplicaIdempotentUnderDupReorder(t *testing.T) {
 			}
 			deliveries[i], deliveries[j] = deliveries[j], deliveries[i]
 		}
+		reordered := false
+		for i := 1; i < len(deliveries); i++ {
+			reordered = reordered || deliveries[i].epoch < deliveries[i-1].epoch
+		}
+		if len(deliveries) == epochs || !reordered {
+			t.Fatalf("seed %d: schedule has %d duplicates, reordered=%v — test is vacuous",
+				seed, len(deliveries)-epochs, reordered)
+		}
 
 		// Concurrent delivery: 4 goroutines pull from a shared channel, like
 		// several fan-out connections feeding one replica.
@@ -107,29 +115,24 @@ func TestReplicaIdempotentUnderDupReorder(t *testing.T) {
 		}
 		wg.Wait()
 
+		// Every shipment applied once: the watermark is the stream's last
+		// epoch, and a late duplicate of any of them changes nothing.
 		if rp.Applied() != epochs {
 			t.Fatalf("seed %d: applied watermark %d, want %d", seed, rp.Applied(), epochs)
 		}
-		if rp.Pending() != 0 {
-			t.Fatalf("seed %d: %d shipments stuck pending", seed, rp.Pending())
-		}
-		if rp.Dups() == 0 || rp.Reorders() == 0 {
-			t.Fatalf("seed %d: schedule exercised no dups (%d) or reorders (%d) — test is vacuous",
-				seed, rp.Dups(), rp.Reorders())
+		for _, sh := range stream {
+			if w, err := rp.Apply(sh.epoch, sh.b, sh.wave); err != nil || w != epochs {
+				t.Fatalf("seed %d: late duplicate of epoch %d: watermark %d, err %v", seed, sh.epoch, w, err)
+			}
 		}
 
 		// Byte-identical convergence: same epoch, same shard count, same
 		// entry set with identical tiers in both directions.
 		want, got := oracle.Current(), rdir.Current()
-		if got.Epoch() != want.Epoch() {
-			t.Errorf("seed %d: epoch %d, want %d", seed, got.Epoch(), want.Epoch())
-		}
-		if got.Shards() != want.Shards() {
-			t.Errorf("seed %d: shards %d, want %d", seed, got.Shards(), want.Shards())
-		}
-		if got.Len() != want.Len() || got.ColdLen() != want.ColdLen() {
-			t.Errorf("seed %d: len %d/%d cold, want %d/%d",
-				seed, got.Len(), got.ColdLen(), want.Len(), want.ColdLen())
+		ws, gs := oracle.Stats(), rdir.Stats()
+		if gs.Epoch != ws.Epoch || gs.Shards != ws.Shards || gs.Entries != ws.Entries || gs.Cold != ws.Cold {
+			t.Errorf("seed %d: epoch %d, %d shards, %d entries (%d cold), want %d, %d, %d (%d cold)",
+				seed, gs.Epoch, gs.Shards, gs.Entries, gs.Cold, ws.Epoch, ws.Shards, ws.Entries, ws.Cold)
 		}
 		mismatches := 0
 		want.Each(func(v graph.VertexID, shard int) bool {
@@ -150,9 +153,7 @@ func TestReplicaIdempotentUnderDupReorder(t *testing.T) {
 			return mismatches < 10
 		})
 
-		st := rdir.Stats()
-		ost := oracle.Stats()
-		if st.Flips != ost.Flips || st.WaveFlips != ost.WaveFlips {
+		if st, ost := rdir.Stats(), oracle.Stats(); st.Flips != ost.Flips || st.WaveFlips != ost.WaveFlips {
 			t.Errorf("seed %d: replica flips %d/%d wave, want %d/%d — dups leaked through",
 				seed, st.Flips, st.WaveFlips, ost.Flips, ost.WaveFlips)
 		}

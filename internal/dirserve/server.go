@@ -39,7 +39,6 @@ type Server struct {
 
 	// Serving counters (atomic; read via their accessors).
 	lookups  atomic.Int64 // individual IDs answered
-	batches  atomic.Int64 // lookup requests served
 	coldHits atomic.Int64 // answers that came from the cold tier
 }
 
@@ -54,9 +53,8 @@ func Serve(l net.Listener, cfg ServerConfig) *Server {
 // Addr returns the listener's address (dial this).
 func (s *Server) Addr() string { return s.l.Addr().String() }
 
-// Lookups, Batches and ColdHits report cumulative serving counters.
+// Lookups and ColdHits report cumulative serving counters.
 func (s *Server) Lookups() int64  { return s.lookups.Load() }
-func (s *Server) Batches() int64  { return s.batches.Load() }
 func (s *Server) ColdHits() int64 { return s.coldHits.Load() }
 
 // Close stops the accept loop, closes every live connection and waits for
@@ -203,7 +201,6 @@ func (s *Server) answerLookup(c *cursor, out []byte) []byte {
 		return nil
 	}
 	s.lookups.Add(int64(n))
-	s.batches.Add(1)
 	s.coldHits.Add(cold)
 	return out
 }

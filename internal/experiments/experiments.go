@@ -3,7 +3,7 @@
 //	Fig. 1 — growth of the blockchain graph (vertices & edges per month);
 //	Fig. 2 — an example subgraph rendered to DOT;
 //	Fig. 3 — hashing and METIS time series at k=2 (4-hour windows);
-//	Fig. 4 — box/violin statistics of the five methods over 2017 periods;
+//	Fig. 4 — box statistics of the five methods over 2017 periods;
 //	Fig. 5 — the shard-count sweep (k ∈ {2,4,8}) of cut, balance and moves.
 //
 // A Dataset generates the synthetic history once and caches per-method
@@ -375,18 +375,15 @@ func (d *Dataset) Fig3(method sim.Method) (*sim.Result, error) {
 	return d.Run(method, 2)
 }
 
-// Fig4Cell is one box/violin glyph of Fig. 4: the distribution of a
-// window metric for (method, k, period), plus the period's total moves.
+// Fig4Cell is one box glyph of Fig. 4: the distribution of a window
+// metric for (method, k, period), plus the period's total moves.
 type Fig4Cell struct {
 	Method   sim.Method
 	K        int
 	Period   string
 	CutStats stats.Summary
 	BalStats stats.Summary
-	// CutDensity/BalDensity are violin outlines (KDE over the windows).
-	CutDensity []float64
-	BalDensity []float64
-	Moves      int64
+	Moves    int64
 }
 
 // fig4Periods are the paper's 2017 sub-periods.
@@ -398,15 +395,6 @@ var fig4Periods = []struct {
 	{"06.17-09.17", time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC), time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC)},
 	{"09.17-12.17", time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC), time.Date(2017, 12, 1, 0, 0, 0, 0, time.UTC)},
 	{"12.17-01.18", time.Date(2017, 12, 1, 0, 0, 0, 0, time.UTC), time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)},
-}
-
-// Fig4Periods returns the labels of the paper's 2017 sub-periods.
-func Fig4Periods() []string {
-	labels := make([]string, len(fig4Periods))
-	for i, p := range fig4Periods {
-		labels[i] = p.label
-	}
-	return labels
 }
 
 // Fig4 computes every cell of Fig. 4 for the given shard counts (the paper
@@ -435,15 +423,12 @@ func (d *Dataset) Fig4(ks []int) ([]Fig4Cell, error) {
 					}
 					moves += win.Moves
 				}
-				cell := Fig4Cell{
+				cells = append(cells, Fig4Cell{
 					Method: m, K: k, Period: period.label,
 					CutStats: stats.Summarize(cuts),
 					BalStats: stats.Summarize(bals),
 					Moves:    moves,
-				}
-				_, cell.CutDensity = stats.KDE(cuts, 32)
-				_, cell.BalDensity = stats.KDE(bals, 32)
-				cells = append(cells, cell)
+				})
 			}
 		}
 	}

@@ -159,7 +159,7 @@ func TestFig4CellsCoverMethodsAndPeriods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := len(sim.Methods()) * len(Fig4Periods())
+	wantCells := len(sim.Methods()) * len(fig4Periods)
 	if len(cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(cells), wantCells)
 	}

@@ -57,16 +57,7 @@ type CSRBuilder struct {
 	// between builds: every entry is -1 (established at growth, restored by
 	// the post-build clear walk).
 	index []int32
-	// indexClears counts entries restored to -1 by post-build clear walks —
-	// exactly the live-ID writes, observable so the O(live) contract can be
-	// asserted by a regression test instead of trusted.
-	indexClears int
 }
-
-// IndexClears returns the cumulative number of scratch-index entries this
-// builder has cleared across all builds: one per live vertex per build,
-// never O(MaxID).
-func (b *CSRBuilder) IndexClears() int { return b.indexClears }
 
 // NewCSR builds the undirected CSR view of g. The result does not alias g;
 // later mutations of g are not reflected. Callers building CSRs repeatedly
@@ -162,7 +153,6 @@ func (b *CSRBuilder) Build(g *Graph) *CSR {
 	for _, id := range c.IDs {
 		index[id] = -1
 	}
-	b.indexClears += len(c.IDs)
 	return c
 }
 

@@ -75,12 +75,12 @@ func TestCSRVertexWeightsPreserved(t *testing.T) {
 	mustAdd(t, g, 3, 1, 2)
 	c := NewCSR(g)
 	for i, id := range c.IDs {
-		if c.VW[i] != g.VertexWeight(id) {
-			t.Errorf("VW[%d] = %d, want %d", i, c.VW[i], g.VertexWeight(id))
+		if c.VW[i] != vertexWeight(g, id) {
+			t.Errorf("VW[%d] = %d, want %d", i, c.VW[i], vertexWeight(g, id))
 		}
 	}
-	if c.TotalVW != g.TotalVertexWeight() {
-		t.Errorf("TotalVW = %d, want %d", c.TotalVW, g.TotalVertexWeight())
+	if c.TotalVW != totalVertexWeight(g) {
+		t.Errorf("TotalVW = %d, want %d", c.TotalVW, totalVertexWeight(g))
 	}
 }
 

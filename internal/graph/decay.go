@@ -58,7 +58,7 @@ import (
 // removed by a visit that observed the weight at or below it).
 //
 // Stored weights are always current: a sweep materializes every weight it
-// could change, so readers (Neighbors, EdgeWeight, the CSR builder, the
+// could change, so readers (Neighbors, Edges, the CSR builder, the
 // placement rules, the aggregate counters) need no read-side view. The
 // package's tests keep a full-scan sweep over a plain graph as the
 // reference; a property test requires the two to agree on every
@@ -195,12 +195,10 @@ func (g *Graph) scheduleVertex(id VertexID, s int32) {
 // the graph's horizon or more epochs — counting the epoch just opened — are
 // dropped. onRetire, when non-nil, fires for each vertex just before it
 // retires (while its ID and records are still intact), in ascending slot
-// order. onEdge, when non-nil, fires exactly once per directed edge the
-// sweep changes — onEdge(u, v, oldW, 0) for a horizon drop, onEdge(u, v,
-// oldW, newW) for a weight rescale that actually changed the stored value —
-// and never for edges left as they were, so a consumer can maintain
-// edge-derived counters incrementally and skip windows whose delta is
-// Quiet. Callbacks must not mutate the graph.
+// order. onDrop, when non-nil, fires exactly once per directed edge dropped
+// at the horizon, and never for an edge that stays, so a consumer can
+// maintain edge-count counters incrementally; a rescale changes no edge
+// count and fires nothing. Callbacks must not mutate the graph.
 //
 // An out-of-range factor is clamped rather than silently ignored — a
 // factor underflowing to 0 (a half-life vastly shorter than the sweep
@@ -223,9 +221,8 @@ func (g *Graph) scheduleVertex(id VertexID, s int32) {
 //     them one at a time paid O(d·deg) in tail moves and index rewrites.
 //  2. Drain the vertex bucket, retiring in ascending slot order.
 //  3. Rescale the heavy edges, then the heavy vertices. A vertex
-//     retiring this sweep is gone by now; its weight left the aggregate
-//     at the value the previous sweep gave it.
-func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onEdge func(u, v VertexID, oldW, newW int64)) DecayDelta {
+//     retiring this sweep is gone by now.
+func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onDrop func(u, v VertexID)) DecayDelta {
 	d := g.sched
 	if d == nil {
 		panic("graph: DecaySweep on a graph not built by NewDecaying")
@@ -272,8 +269,8 @@ func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onEdge func(
 		g.numEdges--
 		g.totalEdgeWeight -= w
 		delta.EdgeDrops++
-		if onEdge != nil {
-			onEdge(ref.u, ref.v, w, 0)
+		if onDrop != nil {
+			onDrop(ref.u, ref.v)
 		}
 	}
 	d.ering[slot] = d.ering[slot][:0]
@@ -305,7 +302,6 @@ func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onEdge func(
 		if onRetire != nil {
 			onRetire(g.ids[s])
 		}
-		g.totalVertWeight -= g.weights[s]
 		g.retireSlot(s)
 		delta.Retired++
 	}
@@ -347,9 +343,6 @@ func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onEdge func(
 			}
 			g.totalEdgeWeight += nw - old
 			delta.EdgeDecays++
-			if onEdge != nil {
-				onEdge(ref.u, ref.v, old, nw)
-			}
 		}
 		if nw >= 2 {
 			he = append(he, ref)
@@ -373,10 +366,7 @@ func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onEdge func(
 		if nw < 1 {
 			nw = 1
 		}
-		if nw != old {
-			g.weights[h.s] = nw
-			g.totalVertWeight += nw - old
-		}
+		g.weights[h.s] = nw
 		if nw >= 2 {
 			hv = append(hv, h)
 		}
@@ -402,6 +392,3 @@ func (g *Graph) retireSlot(s int32) {
 	g.in[s] = row{}
 	g.free = append(g.free, s)
 }
-
-// Epoch returns the number of decay sweeps applied so far.
-func (g *Graph) Epoch() uint32 { return g.epoch }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -16,24 +17,22 @@ import (
 // eagerSweep is the full-scan sweep: every slot ever allocated is visited
 // (free slots cost one kind check each, so the scan is O(peak live size))
 // and weight work is proportional to the live graph; aggregate counters
-// (EdgeCount, TotalEdgeWeight, TotalVertexWeight) are rebuilt during the
-// sweep.
+// (EdgeCount, TotalEdgeWeight) are rebuilt during the sweep.
 //
 // The epoch/touch invariant that makes the sweep safe: a vertex's touch is
 // at least the touch of every incident edge (AddInteraction stamps both
 // endpoints), so by the time a vertex ages out, every incident edge has
 // already been dropped — from both of its row copies, which always carry
 // identical touch stamps — and retirement never leaves a dangling edge.
-// onEdge consequently fires from exactly one place per directed edge: the
+// onDrop consequently fires from exactly one place per directed edge: the
 // canonical (out) copy, either in the owner's decayRow pass or, for a
 // retiring owner whose rows are dropped wholesale, in the retirement
 // branch below.
-func (g *Graph) eagerSweep(factor float64, maxAge uint32, onRetire func(VertexID), onEdge func(u, v VertexID, oldW, newW int64)) DecayDelta {
+func (g *Graph) eagerSweep(factor float64, maxAge uint32, onRetire func(VertexID), onDrop func(u, v VertexID)) DecayDelta {
 	var delta DecayDelta
 	g.epoch++
 	g.numEdges = 0
 	g.totalEdgeWeight = 0
-	g.totalVertWeight = 0
 	for s := range g.ids {
 		if g.kinds[s] == 0 {
 			continue // already free
@@ -48,23 +47,22 @@ func (g *Graph) eagerSweep(factor float64, maxAge uint32, onRetire func(VertexID
 			// in rows age out in those neighbours' decayRow pass, silently).
 			r := &g.out[s]
 			delta.EdgeDrops += len(r.e)
-			if onEdge != nil {
+			if onDrop != nil {
 				for i := range r.e {
-					onEdge(g.ids[s], r.e[i].to, r.e[i].w, 0)
+					onDrop(g.ids[s], r.e[i].to)
 				}
 			}
 			g.retireSlot(int32(s))
 			delta.Retired++
 			continue
 		}
-		g.decayRow(&g.out[s], factor, maxAge, g.ids[s], true, onEdge, &delta)
+		g.decayRow(&g.out[s], factor, maxAge, g.ids[s], true, onDrop, &delta)
 		g.decayRow(&g.in[s], factor, maxAge, 0, false, nil, nil)
 		w := int64(float64(g.weights[s]) * factor)
 		if w < 1 {
 			w = 1
 		}
 		g.weights[s] = w
-		g.totalVertWeight += w
 		g.numEdges += len(g.out[s].e)
 		for i := range g.out[s].e {
 			g.totalEdgeWeight += g.out[s].e[i].w
@@ -78,9 +76,9 @@ func (g *Graph) eagerSweep(factor float64, maxAge uint32, onRetire func(VertexID
 // only the survivors' order; the row's own reindex rebuilds its position
 // table to match. canon marks the row as holding canonical (out) edge
 // copies owned by vertex u: drops and rescales are then counted into delta
-// and reported through onEdge; mirror (in) rows pass canon false and change
-// silently.
-func (g *Graph) decayRow(r *row, factor float64, maxAge uint32, u VertexID, canon bool, onEdge func(u, v VertexID, oldW, newW int64), delta *DecayDelta) {
+// and drops reported through onDrop; mirror (in) rows pass canon false and
+// change silently.
+func (g *Graph) decayRow(r *row, factor float64, maxAge uint32, u VertexID, canon bool, onDrop func(u, v VertexID), delta *DecayDelta) {
 	j := 0
 	for i := range r.e {
 		if canon {
@@ -89,8 +87,8 @@ func (g *Graph) decayRow(r *row, factor float64, maxAge uint32, u VertexID, cano
 		if g.epoch-r.e[i].touch >= maxAge {
 			if canon {
 				delta.EdgeDrops++
-				if onEdge != nil {
-					onEdge(u, r.e[i].to, r.e[i].w, 0)
+				if onDrop != nil {
+					onDrop(u, r.e[i].to)
 				}
 			}
 			continue
@@ -101,9 +99,6 @@ func (g *Graph) decayRow(r *row, factor float64, maxAge uint32, u VertexID, cano
 		}
 		if canon && w != r.e[i].w {
 			delta.EdgeDecays++
-			if onEdge != nil {
-				onEdge(u, r.e[i].to, r.e[i].w, w)
-			}
 		}
 		r.e[j] = r.e[i]
 		r.e[j].w = w
@@ -131,7 +126,6 @@ type graphDump struct {
 	Epoch    uint32
 	NumEdges int
 	TotalEW  int64
-	TotalVW  int64
 }
 
 type vertexDump struct {
@@ -147,10 +141,9 @@ type edgeDump struct {
 
 func dumpGraph(g *Graph) graphDump {
 	d := graphDump{
-		Epoch:    g.Epoch(),
+		Epoch:    g.epoch,
 		NumEdges: g.EdgeCount(),
 		TotalEW:  g.TotalEdgeWeight(),
-		TotalVW:  g.TotalVertexWeight(),
 	}
 	g.Vertices(func(id VertexID, kind Kind, w int64) bool {
 		d.Vertices = append(d.Vertices, vertexDump{ID: id, Kind: kind, W: w})
@@ -169,16 +162,11 @@ func dumpGraph(g *Graph) graphDump {
 
 // sweepTrace collects one sweep's callback output in comparable form:
 // retirements in emission order (observable: ascending slot order on both
-// paths), edge changes sorted (emission order is an implementation detail
+// paths), dropped edges sorted (emission order is an implementation detail
 // of the sweep's internal walk and deliberately unspecified).
 type sweepTrace struct {
 	Retired []VertexID
-	Edges   []edgeChange
-}
-
-type edgeChange struct {
-	U, V       VertexID
-	OldW, NewW int64
+	Drops   []edgeRef
 }
 
 // traceSweep runs one sweep — DecaySweep on a decaying graph, the eager
@@ -186,29 +174,18 @@ type edgeChange struct {
 func traceSweep(g *Graph, factor float64, maxAge uint32) (DecayDelta, sweepTrace) {
 	var tr sweepTrace
 	onRetire := func(id VertexID) { tr.Retired = append(tr.Retired, id) }
-	onEdge := func(u, v VertexID, oldW, newW int64) {
-		tr.Edges = append(tr.Edges, edgeChange{U: u, V: v, OldW: oldW, NewW: newW})
-	}
+	onDrop := func(u, v VertexID) { tr.Drops = append(tr.Drops, edgeRef{u: u, v: v}) }
 	var delta DecayDelta
 	if g.sched != nil {
-		delta = g.DecaySweep(factor, onRetire, onEdge)
+		delta = g.DecaySweep(factor, onRetire, onDrop)
 	} else {
-		delta = g.eagerSweep(factor, maxAge, onRetire, onEdge)
+		delta = g.eagerSweep(factor, maxAge, onRetire, onDrop)
 	}
-	slices.SortFunc(tr.Edges, func(a, b edgeChange) int {
-		if a.U != b.U {
-			if a.U < b.U {
-				return -1
-			}
-			return 1
+	slices.SortFunc(tr.Drops, func(a, b edgeRef) int {
+		if a.u != b.u {
+			return cmp.Compare(a.u, b.u)
 		}
-		if a.V != b.V {
-			if a.V < b.V {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.v, b.v)
 	})
 	return delta, tr
 }

@@ -104,9 +104,9 @@ func (o *decayOracle) mismatch(g *Graph) string {
 		return fmt.Sprintf("VertexCount = %d, oracle %d", g.VertexCount(), len(o.kinds))
 	}
 	edges, ew, vw := o.totals()
-	if g.EdgeCount() != edges || g.TotalEdgeWeight() != ew || g.TotalVertexWeight() != vw {
+	if g.EdgeCount() != edges || g.TotalEdgeWeight() != ew || totalVertexWeight(g) != vw {
 		return fmt.Sprintf("totals (%d,%d,%d), oracle (%d,%d,%d)", g.EdgeCount(),
-			g.TotalEdgeWeight(), g.TotalVertexWeight(), edges, ew, vw)
+			g.TotalEdgeWeight(), totalVertexWeight(g), edges, ew, vw)
 	}
 	in := make(map[VertexID]map[VertexID]int64)
 	for u, m := range o.out {
@@ -118,9 +118,9 @@ func (o *decayOracle) mismatch(g *Graph) string {
 		}
 	}
 	for id, kind := range o.kinds {
-		if g.VertexKind(id) != kind || g.VertexWeight(id) != o.weight[id] {
+		if g.VertexKind(id) != kind || vertexWeight(g, id) != o.weight[id] {
 			return fmt.Sprintf("vertex %d: kind %v weight %d, oracle %v %d",
-				id, g.VertexKind(id), g.VertexWeight(id), kind, o.weight[id])
+				id, g.VertexKind(id), vertexWeight(g, id), kind, o.weight[id])
 		}
 		if d := rowMismatch(g.OutNeighbors, id, o.out[id]); d != "" {
 			return fmt.Sprintf("out row of %d: %s", id, d)
@@ -129,8 +129,8 @@ func (o *decayOracle) mismatch(g *Graph) string {
 			return fmt.Sprintf("in row of %d: %s", id, d)
 		}
 		for v, w := range o.out[id] {
-			if g.EdgeWeight(id, v) != w {
-				return fmt.Sprintf("EdgeWeight(%d,%d) = %d, oracle %d", id, v, g.EdgeWeight(id, v), w)
+			if edgeWeight(g, id, v) != w {
+				return fmt.Sprintf("EdgeWeight(%d,%d) = %d, oracle %d", id, v, edgeWeight(g, id, v), w)
 			}
 		}
 	}
@@ -244,18 +244,18 @@ func TestDecayIdentitySweepIsNoOp(t *testing.T) {
 		t.Fatalf("identity sweep retired %d vertices", retired)
 	}
 	if g.VertexCount() != want.VertexCount() || g.EdgeCount() != want.EdgeCount() ||
-		g.TotalEdgeWeight() != want.TotalEdgeWeight() || g.TotalVertexWeight() != want.TotalVertexWeight() {
+		g.TotalEdgeWeight() != want.TotalEdgeWeight() || totalVertexWeight(g) != totalVertexWeight(want) {
 		t.Fatal("identity sweep changed aggregate counters")
 	}
 	want.Vertices(func(id VertexID, kind Kind, w int64) bool {
-		if g.VertexKind(id) != kind || g.VertexWeight(id) != w {
+		if g.VertexKind(id) != kind || vertexWeight(g, id) != w {
 			t.Errorf("vertex %d changed under identity sweep", id)
 			return false
 		}
 		return true
 	})
 	want.Edges(func(u, v VertexID, w int64) bool {
-		if g.EdgeWeight(u, v) != w {
+		if edgeWeight(g, u, v) != w {
 			t.Errorf("edge %d->%d changed under identity sweep", u, v)
 			return false
 		}
@@ -294,7 +294,7 @@ func TestDecayClampsOutOfRangeArgs(t *testing.T) {
 	if retired := g.DecaySweep(0, nil, nil).Retired; retired != 0 {
 		t.Fatalf("first sweep retired %d, want 0 (age 1 < maxAge 2)", retired)
 	}
-	if w := g.VertexWeight(1); w != 1 {
+	if w := vertexWeight(g, 1); w != 1 {
 		t.Errorf("underflowed factor must collapse weights to the floor of one, got %d", w)
 	}
 	// factor > 1 clamps to 1: weights never grow, retirement still runs.
@@ -371,14 +371,14 @@ func TestDecayRetireReappearKeepsEdges(t *testing.T) {
 	if g.HasVertex(1) {
 		t.Fatal("vertex 1 should have retired")
 	}
-	if g.EdgeWeight(2, 1) != 0 || g.EdgeWeight(1, 2) != 0 {
+	if edgeWeight(g, 2, 1) != 0 || edgeWeight(g, 1, 2) != 0 {
 		t.Fatal("edges of retired vertex 1 survived")
 	}
 	mustAdd(1, 3) // reappearance
-	if !g.HasVertex(1) || g.EdgeWeight(1, 3) != 3 {
+	if !g.HasVertex(1) || edgeWeight(g, 1, 3) != 3 {
 		t.Fatal("reappeared vertex 1 missing its fresh edge")
 	}
-	if g.EdgeWeight(1, 2) != 0 {
+	if edgeWeight(g, 1, 2) != 0 {
 		t.Fatal("pre-retirement edge 1->2 resurrected")
 	}
 	if err := NewCSR(g).Validate(); err != nil {

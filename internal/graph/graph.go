@@ -271,7 +271,6 @@ type Graph struct {
 
 	numEdges        int   // number of distinct directed (u,v) pairs
 	totalEdgeWeight int64 // sum of all directed edge weights
-	totalVertWeight int64 // sum of all vertex weights
 }
 
 // Row block geometry. Class c holds blocks of rowBlockCap<<c half edges,
@@ -453,15 +452,6 @@ func (g *Graph) VertexKind(id VertexID) Kind {
 	return 0
 }
 
-// VertexWeight returns the dynamic weight (interaction count) of id, or zero
-// if the vertex is absent.
-func (g *Graph) VertexWeight(id VertexID) int64 {
-	if s := g.slotOf(id); s >= 0 {
-		return g.weights[s]
-	}
-	return 0
-}
-
 // AddInteraction records w occurrences of an interaction from vertex `from`
 // of kind fromKind to vertex `to` of kind toKind. Missing vertices are
 // created. Both endpoint weights and the directed edge weight increase by w.
@@ -526,7 +516,6 @@ func (g *Graph) AddInteraction(from, to VertexID, fromKind, toKind Kind, w int64
 func (g *Graph) touchVertex(id VertexID, s int32, w int64) {
 	oldW := g.weights[s]
 	g.weights[s] += w
-	g.totalVertWeight += w
 	if g.sched != nil {
 		if g.touch[s] != g.epoch {
 			g.scheduleExpiry(id)
@@ -546,9 +535,6 @@ func (g *Graph) EdgeCount() int { return g.numEdges }
 
 // TotalEdgeWeight returns the sum of all directed edge weights.
 func (g *Graph) TotalEdgeWeight() int64 { return g.totalEdgeWeight }
-
-// TotalVertexWeight returns the sum of all vertex weights.
-func (g *Graph) TotalVertexWeight() int64 { return g.totalVertWeight }
 
 // MaxID returns one past the largest vertex ID the graph has ever seen: every
 // vertex ID resolves through a slot table of that length. The CSR builder
@@ -648,36 +634,6 @@ func (g *Graph) Neighbors(u VertexID, fn func(v VertexID, w int64) bool) {
 	}
 }
 
-// Degree returns the number of distinct undirected neighbours of u.
-func (g *Graph) Degree(u VertexID) int {
-	s := g.slotOf(u)
-	if s < 0 {
-		return 0
-	}
-	ro, ri := &g.out[s], &g.in[s]
-	n := len(ro.e)
-	for i := range ri.e {
-		if ro.find(ri.e[i].to) < 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// EdgeWeight returns the weight of the directed edge u->v, or zero when the
-// edge is absent.
-func (g *Graph) EdgeWeight(u, v VertexID) int64 {
-	s := g.slotOf(u)
-	if s < 0 {
-		return 0
-	}
-	r := &g.out[s]
-	if p := r.find(v); p >= 0 {
-		return r.e[p].w
-	}
-	return 0
-}
-
 // Edges calls fn for every distinct directed edge until fn returns false.
 // Iteration follows vertex slot order, then row insertion order. fn must
 // not modify g (see OutNeighbors).
@@ -717,5 +673,5 @@ func (g *Graph) Reset() {
 	}
 	g.ids, g.kinds, g.weights, g.touch = g.ids[:0], g.kinds[:0], g.weights[:0], g.touch[:0]
 	g.out, g.in = g.out[:0], g.in[:0]
-	g.numEdges, g.totalEdgeWeight, g.totalVertWeight = 0, 0, 0
+	g.numEdges, g.totalEdgeWeight = 0, 0
 }

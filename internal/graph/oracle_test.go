@@ -6,6 +6,57 @@ import (
 	"testing/quick"
 )
 
+// The graph keeps no vertex-weight total and answers no point queries on
+// weights or degrees; the tests recompute them from its public iterators.
+
+// vertexWeight returns id's weight as Vertices reports it, or zero when id
+// is absent.
+func vertexWeight(g *Graph, id VertexID) int64 {
+	var w int64
+	g.Vertices(func(v VertexID, _ Kind, vw int64) bool {
+		if v == id {
+			w = vw
+			return false
+		}
+		return true
+	})
+	return w
+}
+
+// totalVertexWeight sums the weights Vertices reports.
+func totalVertexWeight(g *Graph) int64 {
+	var total int64
+	g.Vertices(func(_ VertexID, _ Kind, w int64) bool {
+		total += w
+		return true
+	})
+	return total
+}
+
+// edgeWeight returns the weight of the directed edge u->v as OutNeighbors
+// reports it, or zero when the edge is absent.
+func edgeWeight(g *Graph, u, v VertexID) int64 {
+	var w int64
+	g.OutNeighbors(u, func(to VertexID, ew int64) bool {
+		if to == v {
+			w = ew
+			return false
+		}
+		return true
+	})
+	return w
+}
+
+// degree counts u's distinct undirected neighbours.
+func degree(g *Graph, u VertexID) int {
+	n := 0
+	g.Neighbors(u, func(VertexID, int64) bool {
+		n++
+		return true
+	})
+	return n
+}
+
 // oracleGraph is the retained map-based reference implementation of the
 // graph contract — the storage the dense slice-backed Graph replaced. The
 // property tests below drive both implementations with the same randomized
@@ -109,11 +160,11 @@ func interactionStream(seed int64, n, m int) []struct {
 // above MaxVertexID and is left as it was: no new vertex, weight or edge
 // from either endpoint.
 func refuses(g *Graph, from, to VertexID, fk, tk Kind, w int64) bool {
-	n, e, vw, ew := g.VertexCount(), g.EdgeCount(), g.TotalVertexWeight(), g.TotalEdgeWeight()
+	n, e, vw, ew := g.VertexCount(), g.EdgeCount(), totalVertexWeight(g), g.TotalEdgeWeight()
 	had := g.HasVertex(from) || g.HasVertex(to)
 	return g.AddInteraction(from, to, fk, tk, w) != nil &&
 		g.VertexCount() == n && g.EdgeCount() == e &&
-		g.TotalVertexWeight() == vw && g.TotalEdgeWeight() == ew &&
+		totalVertexWeight(g) == vw && g.TotalEdgeWeight() == ew &&
 		had == (g.HasVertex(from) || g.HasVertex(to))
 }
 
@@ -155,9 +206,9 @@ func TestPropertyDenseMatchesOracle(t *testing.T) {
 			t.Errorf("EdgeCount = %d, oracle %d", g.EdgeCount(), o.numEdges)
 			return false
 		}
-		if g.TotalEdgeWeight() != o.totalEdgeWeight || g.TotalVertexWeight() != o.totalVertWeight {
+		if g.TotalEdgeWeight() != o.totalEdgeWeight || totalVertexWeight(g) != o.totalVertWeight {
 			t.Errorf("totals (%d,%d), oracle (%d,%d)", g.TotalEdgeWeight(),
-				g.TotalVertexWeight(), o.totalEdgeWeight, o.totalVertWeight)
+				totalVertexWeight(g), o.totalEdgeWeight, o.totalVertWeight)
 			return false
 		}
 
@@ -166,14 +217,14 @@ func TestPropertyDenseMatchesOracle(t *testing.T) {
 				t.Errorf("VertexKind(%d) = %v, oracle %v", id, g.VertexKind(id), kind)
 				return false
 			}
-			if g.VertexWeight(id) != o.weights[id] {
-				t.Errorf("VertexWeight(%d) = %d, oracle %d", id, g.VertexWeight(id), o.weights[id])
+			if vertexWeight(g, id) != o.weights[id] {
+				t.Errorf("VertexWeight(%d) = %d, oracle %d", id, vertexWeight(g, id), o.weights[id])
 				return false
 			}
 			// Directed edge weights.
 			for v, w := range o.out[id] {
-				if g.EdgeWeight(id, v) != w {
-					t.Errorf("EdgeWeight(%d,%d) = %d, oracle %d", id, v, g.EdgeWeight(id, v), w)
+				if edgeWeight(g, id, v) != w {
+					t.Errorf("EdgeWeight(%d,%d) = %d, oracle %d", id, v, edgeWeight(g, id, v), w)
 					return false
 				}
 			}
@@ -184,9 +235,9 @@ func TestPropertyDenseMatchesOracle(t *testing.T) {
 				got[v] = w
 				return true
 			})
-			if len(got) != len(want) || g.Degree(id) != len(want) {
+			if len(got) != len(want) || degree(g, id) != len(want) {
 				t.Errorf("Neighbors(%d): %d entries (Degree %d), oracle %d",
-					id, len(got), g.Degree(id), len(want))
+					id, len(got), degree(g, id), len(want))
 				return false
 			}
 			for v, w := range want {

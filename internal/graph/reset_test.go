@@ -75,7 +75,7 @@ func viewOf(g *Graph) graphView {
 		gv.out, gv.in = append(gv.out, out), append(gv.in, in)
 		return true
 	})
-	gv.edges, gv.ew, gv.vw = g.EdgeCount(), g.TotalEdgeWeight(), g.TotalVertexWeight()
+	gv.edges, gv.ew, gv.vw = g.EdgeCount(), g.TotalEdgeWeight(), totalVertexWeight(g)
 	return gv
 }
 

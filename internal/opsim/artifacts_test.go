@@ -3,6 +3,7 @@ package opsim
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -171,7 +172,7 @@ func TestFaultPlaneAtEraScale(t *testing.T) {
 func hexes(hs []types.Hash) []string {
 	out := make([]string, len(hs))
 	for i, h := range hs {
-		out[i] = h.Hex()
+		out[i] = fmt.Sprintf("0x%x", h[:])
 	}
 	return out
 }
@@ -199,8 +200,8 @@ func TestChainArtifacts(t *testing.T) {
 		got = append(got, chainArtifacts{
 			Name:              c.name,
 			StateRoots:        hexes(res.StateRoots),
-			HomesHash:         res.HomesHash.Hex(),
-			ReceiptsHash:      res.ReceiptsHash.Hex(),
+			HomesHash:         hexes([]types.Hash{res.HomesHash})[0],
+			ReceiptsHash:      hexes([]types.Hash{res.ReceiptsHash})[0],
 			Totals:            res.Totals,
 			WaveMigrations:    res.WaveMigrations,
 			WaveMigratedSlots: res.WaveMigratedSlots,

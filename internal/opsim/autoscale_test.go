@@ -286,3 +286,46 @@ func TestWindowsAreTheSimulatorsAcrossRollover(t *testing.T) {
 		}
 	}
 }
+
+// TestWaveMovesLandInTheirWindow: a periodic wave that fires at a boundary
+// inside a multi-window rollover bills its chain migrations to the window
+// that boundary opens, not to the window the rolling record lands in. The
+// small trace's records after window 9 are pushed ten windows later, so one
+// record rolls over ten quiet windows and the 48-hour waves fire inside
+// them. Under the migration model a quiet window then has chain migrations
+// if and only if its simulator window moved vertices.
+func TestWaveMovesLandInTheirWindow(t *testing.T) {
+	gt := smallTrace(t)
+	const window = 4 * 3600
+	gapStart := gt.Records[0].Time + 10*window
+	for i := range gt.Records {
+		if gt.Records[i].Time >= gapStart {
+			gt.Records[i].Time += 10 * window
+		}
+	}
+	for _, m := range []sim.Method{sim.MethodMetis, sim.MethodRMetis, sim.MethodKL} {
+		res, err := Run(gt, cfgFor(m, shardchain.ModelMigration, 4))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if len(res.Windows) != len(res.Sim.Windows) {
+			t.Fatalf("%v: %d chain windows, %d simulator windows", m, len(res.Windows), len(res.Sim.Windows))
+		}
+		quietWaves := 0
+		for i, sw := range res.Sim.Windows {
+			if sw.Interactions != 0 {
+				continue
+			}
+			if sw.Moves > 0 {
+				quietWaves++
+			}
+			if got := res.Windows[i].Migrations; (got > 0) != (sw.Moves > 0) {
+				t.Errorf("%v: quiet window %d (%v): simulator moved %d vertices, chain migrated %d accounts",
+					m, i, sw.Start, sw.Moves, got)
+			}
+		}
+		if quietWaves == 0 {
+			t.Fatalf("%v: no wave fired in a quiet window; the check is vacuous", m)
+		}
+	}
+}

@@ -245,8 +245,8 @@ type runner struct {
 	gt  *sim.GeneratedTrace
 	s   *sim.Simulator
 
-	// pendingMoves collects the current wave's OnMove reports until they are
-	// enqueued for the chain stage.
+	// pendingMoves collects the current wave's OnMove reports until the
+	// wave's OnRepartition or OnResize enqueues them for the chain stage.
 	pendingMoves []move
 
 	// pub/dir are the serving directory fed by the simulator's callbacks
@@ -409,6 +409,7 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 			r.pub.OnMove(v, from, to)
 		}
 	}
+	simCfg.OnRepartition = r.repartition
 	simCfg.OnResize = func(at time.Time, oldK, newK, moves int) {
 		if r.resizeErr == nil {
 			r.resizeErr = r.resize(oldK, newK, moves)
@@ -448,11 +449,6 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		// of the directory's hot tier.
 		r.pub.SetLive(func(v graph.VertexID) bool { return r.s.Graph().HasVertex(v) })
 		simCfg.OnPlace = r.pub.OnPlace
-		simCfg.OnRepartition = func(_ time.Time, moves int) {
-			if err := r.pub.OnRepartition(moves); err != nil && r.pubErr == nil {
-				r.pubErr = err
-			}
-		}
 		simCfg.OnRetire = r.pub.OnRetire
 		r.q = &queue{
 			work: make(chan []op, queueDepth),
@@ -577,8 +573,8 @@ func (r *runner) processRecord(rec trace.Record) error {
 	r.closeWindows()
 	if r.pub != nil {
 		// Publish the record's placements (and any buffered retirements)
-		// before the chain resolves homes; waves already committed inside
-		// Process via OnRepartition.
+		// before the chain resolves homes; waves already committed, and
+		// enqueued their moves, inside Process via OnRepartition.
 		if err := r.pub.Flush(); err != nil && r.pubErr == nil {
 			r.pubErr = err
 		}
@@ -586,14 +582,28 @@ func (r *runner) processRecord(rec trace.Record) error {
 			return fmt.Errorf("opsim: publishing to directory: %w", r.pubErr)
 		}
 	}
-	if len(r.pendingMoves) > 0 {
-		r.enqueue(op{kind: opMoves, moves: r.pendingMoves})
-		r.pendingMoves = nil
-	}
 	// Then the chain replays the same record as a transaction.
 	r.enqueue(op{kind: opRecord, from: rec.From, to: rec.To, value: min(rec.Value, maxValue)})
 	r.open = true
 	return nil
+}
+
+// repartition is the simulator's OnRepartition for a same-k wave. The
+// windows flushed up to the wave's boundary close first, so the wave's chain
+// moves land in the window that boundary opens even when the record rolls
+// over further quiet windows; then the wave commits as one directory epoch
+// and its moves are enqueued against that epoch.
+func (r *runner) repartition(_ time.Time, moves int) {
+	r.closeWindows()
+	if r.pub != nil {
+		if err := r.pub.OnRepartition(moves); err != nil && r.pubErr == nil {
+			r.pubErr = err
+		}
+	}
+	if len(r.pendingMoves) > 0 {
+		r.enqueue(op{kind: opMoves, moves: r.pendingMoves})
+		r.pendingMoves = nil
+	}
 }
 
 // closeWindows enqueues a closeWindow for each window the simulator has

@@ -43,7 +43,6 @@ type Partitioner interface {
 type Assignment struct {
 	k      int
 	shards []int32 // VertexID -> shard, noShard when unassigned
-	n      int     // number of assigned vertices
 	counts []int
 }
 
@@ -60,12 +59,6 @@ func NewAssignment(k int) (*Assignment, error) {
 		counts: make([]int, k),
 	}, nil
 }
-
-// K returns the number of shards.
-func (a *Assignment) K() int { return a.k }
-
-// Len returns the number of assigned vertices.
-func (a *Assignment) Len() int { return a.n }
 
 // ShardOf returns the shard of v.
 func (a *Assignment) ShardOf(v graph.VertexID) (int, bool) {
@@ -112,7 +105,6 @@ func (a *Assignment) Assign(v graph.VertexID, s int) (prev int, moved bool, err 
 		return int(old), true, nil
 	}
 	a.counts[s]++
-	a.n++
 	return NoShard, false, nil
 }
 

@@ -10,6 +10,15 @@ import (
 	"ethpart/internal/metrics"
 )
 
+// assigned returns the number of assigned vertices.
+func assigned(a *Assignment) int {
+	n := 0
+	for _, c := range a.counts {
+		n += c
+	}
+	return n
+}
+
 func TestNewAssignmentRejectsBadK(t *testing.T) {
 	if _, err := NewAssignment(0); err == nil {
 		t.Fatal("k=0 must be rejected")
@@ -31,8 +40,8 @@ func TestAssignmentBasics(t *testing.T) {
 	if s, ok := a.ShardOf(10); !ok || s != 1 {
 		t.Fatalf("ShardOf(10) = %d, %v", s, ok)
 	}
-	if a.Count(1) != 1 || a.Len() != 1 {
-		t.Fatalf("counts wrong: %v len %d", a.Counts(), a.Len())
+	if a.Count(1) != 1 || assigned(a) != 1 {
+		t.Fatalf("counts wrong: %v len %d", a.Counts(), assigned(a))
 	}
 
 	prev, moved, err = a.Assign(10, 2)
@@ -74,8 +83,8 @@ func TestAssignmentRejectsOutOfRangeIDs(t *testing.T) {
 			t.Errorf("ShardOf(%d) = %d after a refused Assign", v, s)
 		}
 	}
-	if a.Len() != 1 || a.Count(1) != 1 || a.Count(2) != 0 || len(a.shards) != 8 {
-		t.Fatalf("refused IDs left a trace: len=%d counts=%v table=%d", a.Len(), a.Counts(), len(a.shards))
+	if assigned(a) != 1 || a.Count(1) != 1 || a.Count(2) != 0 || len(a.shards) != 8 {
+		t.Fatalf("refused IDs left a trace: len=%d counts=%v table=%d", assigned(a), a.Counts(), len(a.shards))
 	}
 	seen := map[graph.VertexID]int{}
 	a.Each(func(v graph.VertexID, shard int) bool {
@@ -324,7 +333,7 @@ func TestPlaceVertexPrefersNeighbourShard(t *testing.T) {
 	a, _ := NewAssignment(2)
 	a.Assign(1, 0)
 	a.Assign(2, 1)
-	if got := PlaceVertex(g, a, 100, make([]int64, a.K()), nil); got != 0 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.k), nil); got != 0 {
 		t.Errorf("PlaceVertex = %d, want 0 (heavier attraction)", got)
 	}
 }
@@ -339,7 +348,7 @@ func TestPlaceVertexTieBreaksTowardBalance(t *testing.T) {
 	// Load shard 0 with extra vertices so the tie breaks to shard 1.
 	a.Assign(50, 0)
 	a.Assign(51, 0)
-	if got := PlaceVertex(g, a, 100, make([]int64, a.K()), nil); got != 1 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.k), nil); got != 1 {
 		t.Errorf("PlaceVertex = %d, want 1 (balance tie-break)", got)
 	}
 }
@@ -351,7 +360,7 @@ func TestPlaceVertexNoNeighboursFallsBackToLeastLoaded(t *testing.T) {
 	a.Assign(1, 0)
 	a.Assign(2, 0)
 	a.Assign(3, 1)
-	if got := PlaceVertex(g, a, 100, make([]int64, a.K()), nil); got != 2 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.k), nil); got != 2 {
 		t.Errorf("PlaceVertex = %d, want 2 (empty shard)", got)
 	}
 }

@@ -26,8 +26,8 @@ func TestAssignmentResize(t *testing.T) {
 	if err := a.Resize(4); err != nil {
 		t.Fatal(err)
 	}
-	if a.K() != 4 {
-		t.Fatalf("K after grow = %d, want 4", a.K())
+	if a.k != 4 {
+		t.Fatalf("K after grow = %d, want 4", a.k)
 	}
 	if a.Count(2) != 0 || a.Count(3) != 0 {
 		t.Errorf("new shards not empty: %d, %d", a.Count(2), a.Count(3))
@@ -50,8 +50,8 @@ func TestAssignmentResize(t *testing.T) {
 	if !strings.Contains(err.Error(), "shard 3") {
 		t.Errorf("orphan error does not name the shard: %v", err)
 	}
-	if a.K() != 4 {
-		t.Errorf("failed shrink changed K to %d", a.K())
+	if a.k != 4 {
+		t.Errorf("failed shrink changed K to %d", a.k)
 	}
 
 	// Drain shard 3, then the shrink goes through.
@@ -61,8 +61,8 @@ func TestAssignmentResize(t *testing.T) {
 	if err := a.Resize(2); err != nil {
 		t.Fatal(err)
 	}
-	if a.K() != 2 {
-		t.Fatalf("K after shrink = %d, want 2", a.K())
+	if a.k != 2 {
+		t.Fatalf("K after shrink = %d, want 2", a.k)
 	}
 	if s, ok := a.ShardOf(100); !ok || s != 0 {
 		t.Errorf("shrink lost vertex 100: shard %d, ok=%v", s, ok)

@@ -294,7 +294,7 @@ func TestReceiptsCrossPathErrors(t *testing.T) {
 
 	// Only the value is required: a transfer of the full balance with a
 	// non-zero gas price succeeds (gas money is never debited on this path).
-	full := sc.BalanceOf(sc.ID(alice)).Uint64()
+	full := balanceOf(sc, alice).Uint64()
 	r = sc.Step([]*chain.Transaction{transfer(0, alice, bob, full)})[0]
 	if !r.Success {
 		t.Errorf("full-balance cross transfer failed: %v", r.Err)
@@ -310,7 +310,7 @@ func TestReceiptsCrossPathErrors(t *testing.T) {
 	if sc.PendingReceipts() != 0 {
 		t.Error("all receipts must settle after a drain step")
 	}
-	if got := sc.BalanceOf(sc.ID(bob)).Uint64(); got != (1<<40)+full {
+	if got := balanceOf(sc, bob).Uint64(); got != (1<<40)+full {
 		t.Errorf("bob balance = %d, want %d", got, (1<<40)+full)
 	}
 }

@@ -55,7 +55,7 @@ func TestAddShardsRoutesTraffic(t *testing.T) {
 		t.Fatalf("cross transfer to new lane rejected: %v", rs[0].Err)
 	}
 	sc.Step(nil) // settle the receipt on lane 3
-	if got := sc.BalanceOf(sc.ID(bob)); got.Uint64() != (1<<40)+700 {
+	if got := balanceOf(sc, bob); got.Uint64() != (1<<40)+700 {
 		t.Errorf("bob balance on new lane = %v", got)
 	}
 }

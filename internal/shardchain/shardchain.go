@@ -401,11 +401,6 @@ func (sc *ShardChain) K() int { return sc.cfg.K }
 // StateOf exposes a shard's state for inspection.
 func (sc *ShardChain) StateOf(shard int) *chain.State { return sc.shards[shard].state }
 
-// BalanceOf returns account id's balance on its home shard.
-func (sc *ShardChain) BalanceOf(id uint64) evm.Word {
-	return sc.primed(sc.HomeOf(id), id).GetBalance(sc.address(id))
-}
-
 // primed returns shard s's state with account id resolved by handle, so
 // the accesses that follow by address find it without hashing.
 func (sc *ShardChain) primed(s int, id uint64) *chain.State {

@@ -13,6 +13,11 @@ import (
 	"ethpart/internal/workload"
 )
 
+// balanceOf reads addr's balance on its home shard.
+func balanceOf(sc *ShardChain, addr types.Address) evm.Word {
+	return sc.StateOf(sc.HomeOf(sc.ID(addr))).GetBalance(addr)
+}
+
 var (
 	alice = types.AddressFromSeq(1)
 	bob   = types.AddressFromSeq(2)
@@ -86,7 +91,7 @@ func TestLocalTransferStaysLocal(t *testing.T) {
 	if st.LocalTxs != 1 || st.CrossTxs != 0 || st.Messages != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if got := sc.BalanceOf(sc.ID(bob)); got.Uint64() != (1<<40)+500 {
+	if got := balanceOf(sc, bob); got.Uint64() != (1<<40)+500 {
 		t.Errorf("bob balance = %v", got)
 	}
 }

@@ -379,7 +379,7 @@ type SweepObs struct {
 	// LiveVertices is the live-graph size after the window's sweep.
 	LiveVertices int
 	// SweepNanos is the wall time of the decay sweep, including the
-	// incremental cut-counter updates driven by its edge deltas.
+	// incremental cut-counter updates driven by its edge drops.
 	SweepNanos int64
 	// Touched counts the entries the sweep visited (graph.DecayDelta's
 	// work metric): O(touched traffic) on the scheduled path regardless of
@@ -421,8 +421,7 @@ type Simulator struct {
 	loadScratch  []int64
 
 	// Incrementally maintained cumulative cut state.
-	cutEdges, totalEdges   int64
-	cutWeight, totalWeight int64
+	cutEdges, totalEdges int64
 
 	// clk is the wave schedule: the open window and the last wave.
 	clk clock
@@ -567,10 +566,6 @@ func New(cfg Config) (*Simulator, error) {
 // decayEnabled reports whether windowed decay mode is on.
 func (s *Simulator) decayEnabled() bool { return s.decayFactor > 0 }
 
-// K returns the current shard count — Config.K until the autoscaler moves
-// it.
-func (s *Simulator) K() int { return s.cfg.K }
-
 // Assignment exposes the live assignment (read-only use).
 func (s *Simulator) Assignment() *partition.Assignment { return s.assign }
 
@@ -659,13 +654,6 @@ func (s *Simulator) Process(rec trace.Record) error {
 			s.cutEdges++
 		}
 	}
-	if u != v {
-		s.totalWeight++
-		if cross {
-			s.cutWeight++
-		}
-	}
-
 	// Window accumulation: each interaction is one unit of load on each
 	// endpoint's shard; cross-shard interactions count against the cut.
 	s.winCount++
@@ -764,9 +752,9 @@ func (s *Simulator) flushWindow() {
 // decayStep ages the cumulative graph by one window in decay mode: weights
 // shrink by the per-window factor and entries beyond the retention horizon
 // retire. The cumulative cut counters are maintained *incrementally* from
-// the sweep's edge deltas — every dropped or rescaled directed edge
-// adjusts the counters by exactly its change, against the sticky shard
-// assignments both endpoints are guaranteed to hold — so StaticCut stays
+// the sweep's drops — every directed edge dropped at the horizon leaves the
+// counters, against the sticky shard assignments both endpoints are
+// guaranteed to hold, and a rescale changes no edge count — so StaticCut stays
 // Eq. 1 over exactly what the partitioners see without the former
 // per-window O(live edges) recount. A quiet sweep (nothing dropped,
 // nothing rescaled — the steady state once weights sit at the decay floor)
@@ -795,26 +783,14 @@ func (s *Simulator) decayStep() {
 				}
 			}
 		},
-		func(u, v graph.VertexID, oldW, newW int64) {
-			// One callback per changed directed edge: newW == 0 is a
-			// horizon drop, otherwise a weight rescale. Assignments are
-			// sticky through retirement, so both endpoints still resolve
-			// even when the sweep is about to retire them.
+		func(u, v graph.VertexID) {
+			// One callback per directed edge dropped at the horizon.
+			// Assignments are sticky through retirement, so both endpoints
+			// still resolve even when the sweep is about to retire them.
+			s.totalEdges--
 			su, _ := s.assign.ShardOf(u)
-			sv, _ := s.assign.ShardOf(v)
-			cross := su != sv
-			if newW == 0 {
-				s.totalEdges--
-				s.totalWeight -= oldW
-				if cross {
-					s.cutEdges--
-					s.cutWeight -= oldW
-				}
-				return
-			}
-			s.totalWeight += newW - oldW
-			if cross {
-				s.cutWeight += newW - oldW
+			if sv, _ := s.assign.ShardOf(v); su != sv {
+				s.cutEdges--
 			}
 		})
 	obs := &s.sweeps[len(s.sweeps)-1]

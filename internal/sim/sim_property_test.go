@@ -195,15 +195,13 @@ func TestPropertyIncrementalCutMatchesRecount(t *testing.T) {
 		}
 		res := s.Finish()
 
-		var cutE, totE, cutW, totW int64
-		s.Graph().Edges(func(u, v graph.VertexID, w int64) bool {
+		var cutE, totE int64
+		s.Graph().Edges(func(u, v graph.VertexID, _ int64) bool {
 			su, _ := s.Assignment().ShardOf(u)
 			sv, _ := s.Assignment().ShardOf(v)
 			totE++
-			totW += w
 			if su != sv {
 				cutE++
-				cutW += w
 			}
 			return true
 		})
@@ -216,11 +214,9 @@ func TestPropertyIncrementalCutMatchesRecount(t *testing.T) {
 				method, k, res.FinalStaticCut, wantCut, cutE, totE)
 			return false
 		}
-		if s.cutEdges != cutE || s.totalEdges != totE ||
-			s.cutWeight != cutW || s.totalWeight != totW {
-			t.Errorf("%v k=%d: counters (%d/%d, %d/%d), recount (%d/%d, %d/%d)",
-				method, k, s.cutEdges, s.totalEdges, s.cutWeight, s.totalWeight,
-				cutE, totE, cutW, totW)
+		if s.cutEdges != cutE || s.totalEdges != totE {
+			t.Errorf("%v k=%d: counters %d/%d, recount %d/%d",
+				method, k, s.cutEdges, s.totalEdges, cutE, totE)
 			return false
 		}
 		return true

@@ -263,8 +263,8 @@ func TestAssignmentChangeCallbacks(t *testing.T) {
 				} else {
 					merges++
 				}
-				if s.K() != newK {
-					t.Errorf("OnResize(%d→%d) fired with the simulator at k=%d", oldK, newK, s.K())
+				if s.cfg.K != newK {
+					t.Errorf("OnResize(%d→%d) fired with the simulator at k=%d", oldK, newK, s.cfg.K)
 				}
 				waveDone("OnResize", moves)
 			}

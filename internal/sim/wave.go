@@ -290,7 +290,7 @@ func (s *Simulator) moveVertex(v graph.VertexID, from, to int) error {
 // keeps the invariant exact because each single-vertex move is accounted
 // against the state it executes in.
 func (s *Simulator) moveCutDelta(v graph.VertexID, old, next int) {
-	adjust := func(u graph.VertexID, w int64) bool {
+	adjust := func(u graph.VertexID, _ int64) bool {
 		su, ok := s.assign.ShardOf(u)
 		if !ok {
 			return true
@@ -302,10 +302,8 @@ func (s *Simulator) moveCutDelta(v graph.VertexID, old, next int) {
 		}
 		if isCross {
 			s.cutEdges++
-			s.cutWeight += w
 		} else {
 			s.cutEdges--
-			s.cutWeight -= w
 		}
 		return true
 	}

@@ -1,6 +1,5 @@
 // Package stats provides the descriptive statistics the figures need:
-// five-number summaries for Fig. 4's box-and-whisker plots, Gaussian kernel
-// density estimates for its violin overlays, histograms, and log-linear
+// five-number summaries for Fig. 4's box-and-whisker plots and log-linear
 // growth fits used to characterise Fig. 1's growth regimes.
 package stats
 
@@ -73,46 +72,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// KDE evaluates a Gaussian kernel density estimate of xs at `points`
-// equally spaced positions spanning [min, max], using Silverman's
-// rule-of-thumb bandwidth. It returns the positions and densities — the
-// violin outline of Fig. 4.
-func KDE(xs []float64, points int) (positions, densities []float64) {
-	if len(xs) == 0 || points <= 0 {
-		return nil, nil
-	}
-	s := Summarize(xs)
-	sd := stddev(xs, s.Mean)
-	iqr := s.Q3 - s.Q1
-	h := 0.9 * math.Min(sd, iqr/1.34) * math.Pow(float64(len(xs)), -0.2)
-	if h <= 0 {
-		h = 1e-9 // degenerate (constant) sample: near-delta kernel
-	}
-	lo, hi := s.Min, s.Max
-	if lo == hi {
-		lo -= 1
-		hi += 1
-	}
-	positions = make([]float64, points)
-	densities = make([]float64, points)
-	step := (hi - lo) / float64(points-1)
-	if points == 1 {
-		step = 0
-	}
-	norm := 1 / (float64(len(xs)) * h * math.Sqrt(2*math.Pi))
-	for i := 0; i < points; i++ {
-		x := lo + float64(i)*step
-		positions[i] = x
-		var d float64
-		for _, xi := range xs {
-			z := (x - xi) / h
-			d += math.Exp(-0.5 * z * z)
-		}
-		densities[i] = d * norm
-	}
-	return positions, densities
-}
-
 // LinearFit fits y = a + b·x by least squares and returns the intercept,
 // slope and coefficient of determination.
 func LinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
@@ -161,16 +120,4 @@ func LogLinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
 		logs[i] = math.Log(y)
 	}
 	return LinearFit(xs, logs)
-}
-
-func stddev(xs []float64, mean float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -49,56 +48,6 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 	if got := Quantile(nil, 0.5); got != 0 {
 		t.Errorf("empty quantile = %v", got)
-	}
-}
-
-func TestKDEIntegratesToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	pos, den := KDE(xs, 256)
-	if len(pos) != 256 || len(den) != 256 {
-		t.Fatalf("lengths = %d, %d", len(pos), len(den))
-	}
-	// Trapezoidal integral over the sampled span should be close to 1
-	// (mass outside [min,max] is small for a normal sample).
-	var integral float64
-	for i := 1; i < len(pos); i++ {
-		integral += (den[i] + den[i-1]) / 2 * (pos[i] - pos[i-1])
-	}
-	if integral < 0.9 || integral > 1.05 {
-		t.Errorf("KDE integral = %v, want ≈ 1", integral)
-	}
-	// Density must peak near 0 for a standard normal.
-	peak := 0
-	for i := range den {
-		if den[i] > den[peak] {
-			peak = i
-		}
-	}
-	if math.Abs(pos[peak]) > 0.5 {
-		t.Errorf("KDE peak at %v, want ≈ 0", pos[peak])
-	}
-}
-
-func TestKDEDegenerateSample(t *testing.T) {
-	pos, den := KDE([]float64{2, 2, 2}, 16)
-	if len(pos) != 16 {
-		t.Fatalf("positions = %d", len(pos))
-	}
-	for _, d := range den {
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			t.Fatal("degenerate KDE produced NaN/Inf")
-		}
-	}
-}
-
-func TestKDEEmpty(t *testing.T) {
-	pos, den := KDE(nil, 16)
-	if pos != nil || den != nil {
-		t.Error("empty KDE must return nil")
 	}
 }
 

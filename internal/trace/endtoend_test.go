@@ -32,8 +32,10 @@ func TestAppendReceiptsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := trace.NewRegistry()
-	st := gen.State()
-	isContract := func(a types.Address) bool { return len(st.GetCode(a)) > 0 }
+	// A contract is an address a successful receipt created, directly or
+	// through an internal creation; the genesis allocates no code.
+	contracts := map[types.Address]bool{}
+	isContract := func(a types.Address) bool { return contracts[a] }
 
 	var all []trace.Record
 	var traceCount int
@@ -50,6 +52,17 @@ func TestAppendReceiptsEndToEnd(t *testing.T) {
 		}
 		for _, r := range block.Receipts {
 			traceCount += len(r.Traces)
+			if !r.Success {
+				continue
+			}
+			if r.ContractAddress != nil {
+				contracts[*r.ContractAddress] = true
+			}
+			for _, tr := range r.Traces {
+				if tr.Kind == evm.KindCreate {
+					contracts[tr.To] = true
+				}
+			}
 		}
 		recs := trace.AppendReceipts(nil, uint32(block.Number), block.Time, nil, block.Receipts, reg, isContract)
 		all = append(all, recs...)

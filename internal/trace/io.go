@@ -101,8 +101,6 @@ type CSVReader struct {
 	// have successive data rows validated as the header and end in a
 	// clean io.EOF that masks the malformed input.
 	headerErr error
-	// skipped counts malformed records surfaced as RecordErrors.
-	skipped int64
 }
 
 // RecordError reports one malformed record. It is recoverable: the reader
@@ -120,10 +118,6 @@ func (e *RecordError) Error() string {
 }
 
 func (e *RecordError) Unwrap() error { return e.Err }
-
-// Skipped reports how many malformed records this reader has surfaced
-// (and skipped) so far.
-func (cr *CSVReader) Skipped() int64 { return cr.skipped }
 
 // NewCSVReader returns a reader over the dataset CSV format.
 func NewCSVReader(r io.Reader) *CSVReader {
@@ -167,14 +161,12 @@ func (cr *CSVReader) Read() (Record, error) {
 		// a recoverable RecordError instead of killing the stream.
 		var pe *csv.ParseError
 		if errors.As(err, &pe) {
-			cr.skipped++
 			return Record{}, &RecordError{Line: pe.Line, Err: err}
 		}
 		return Record{}, fmt.Errorf("trace: reading CSV row: %w", err)
 	}
 	rec, err := parseRow(row)
 	if err != nil {
-		cr.skipped++
 		line, _ := cr.r.FieldPos(0)
 		return Record{}, &RecordError{Line: line, Err: err}
 	}

@@ -67,9 +67,6 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 			t.Errorf("record error %q does not name the bound", re.Error())
 		}
 	}
-	if cr.Skipped() != 6 {
-		t.Errorf("Skipped() = %d, want 6", cr.Skipped())
-	}
 }
 
 // TestCSVReaderHeaderErrorsStayFatal pins the boundary of the recovery:
@@ -89,8 +86,5 @@ func TestCSVReaderHeaderErrorsStayFatal(t *testing.T) {
 	_, err2 := cr.Read()
 	if err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("header error not latched: first %v, then %v", err, err2)
-	}
-	if cr.Skipped() != 0 {
-		t.Errorf("Skipped() = %d after header failure, want 0", cr.Skipped())
 	}
 }

@@ -72,8 +72,13 @@ func TestRecordApplyAndKinds(t *testing.T) {
 	if err := rec.Apply(g); err != nil {
 		t.Fatal(err)
 	}
-	if g.EdgeWeight(1, 2) != 1 {
-		t.Error("Apply must add a weight-1 edge")
+	var edges [][3]int64
+	g.Edges(func(u, v graph.VertexID, w int64) bool {
+		edges = append(edges, [3]int64{int64(u), int64(v), w})
+		return true
+	})
+	if len(edges) != 1 || edges[0] != [3]int64{1, 2, 1} {
+		t.Errorf("Apply must add one weight-1 edge 1->2, got %v", edges)
 	}
 	if g.VertexKind(2) != graph.KindContract {
 		t.Error("Apply must carry the contract kind")

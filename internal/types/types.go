@@ -5,7 +5,6 @@ package types
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 )
 
@@ -42,27 +41,15 @@ func AddressFromSeq(n uint64) Address {
 	return BytesToAddress(h[:])
 }
 
-// Hex returns the 0x-prefixed hex encoding of a.
-func (a Address) Hex() string { return "0x" + hex.EncodeToString(a[:]) }
-
 // String implements fmt.Stringer with a shortened form for logs.
 func (a Address) String() string {
 	return fmt.Sprintf("0x%x…%x", a[:3], a[AddressLen-2:])
 }
 
-// IsZero reports whether a is the zero address.
-func (a Address) IsZero() bool { return a == Address{} }
-
-// Hex returns the 0x-prefixed hex encoding of h.
-func (h Hash) Hex() string { return "0x" + hex.EncodeToString(h[:]) }
-
 // String implements fmt.Stringer with a shortened form for logs.
 func (h Hash) String() string {
 	return fmt.Sprintf("0x%x…%x", h[:4], h[HashLen-2:])
 }
-
-// IsZero reports whether h is the zero hash.
-func (h Hash) IsZero() bool { return h == Hash{} }
 
 // HashData returns the SHA-256 digest of data. The reproduction uses SHA-256
 // everywhere Ethereum uses Keccak-256; the choice of hash function has no

@@ -242,9 +242,6 @@ func (g *Generator) genesis() {
 	}
 }
 
-// State returns the world state after the last executed block.
-func (g *Generator) State() *chain.State { return g.state }
-
 // Stats returns generation counters.
 func (g *Generator) Stats() Stats { return g.stats }
 

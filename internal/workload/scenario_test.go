@@ -132,7 +132,7 @@ func TestScenarioRecordValidity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			boot := bootGen.State()
+			boot := bootGen.state
 			nonces := map[types.Address]uint64{}
 			for {
 				b, ok, err := twin.NextBlock()
@@ -157,14 +157,14 @@ func TestScenarioRecordValidity(t *testing.T) {
 					nonces[tx.From] = tx.Nonce + 1
 				}
 			}
-			if twin.State().Commit() != gen.State().Commit() {
+			if twin.state.Commit() != gen.state.Commit() {
 				t.Fatal("twin generator diverged from the streamed one")
 			}
 
 			// Contract targets marked; arrival timestamps non-decreasing
 			// within each block, block times non-decreasing overall.
 			reg := s.Registry()
-			st := gen.State()
+			st := gen.state
 			lastBlock, lastTime := uint32(0), int64(0)
 			blockStart := map[uint32]int64{}
 			for i, r := range recs {
