@@ -85,3 +85,42 @@ func TestAllocsStateAccess(t *testing.T) {
 		t.Errorf("AddBalance: %v allocs, want 0", allocs)
 	}
 }
+
+// TestAllocsInstallFootprint: installing a contract's synthetic storage
+// footprint — ReserveStorage, then one SetState per slot, as the
+// operational bridge materialises a first-seen contract — into an account
+// of a warm state makes the slot map once at its final size, and the
+// journal entries land in the reused journal slice. Measured: 4 objects
+// (the map's header, directory, table and groups); growing the map from
+// empty made 11.
+func TestAllocsInstallFootprint(t *testing.T) {
+	const (
+		slots   = 100
+		runs    = 50
+		ceiling = 4
+	)
+	s := fundedState()
+	addrs := make([]types.Address, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range addrs {
+		addrs[i] = types.AddressFromSeq(uint64(100 + i))
+		s.AddBalance(addrs[i], evm.WordFromUint64(1))
+	}
+	s.DiscardJournal()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		addr := addrs[next]
+		next++
+		s.ReserveStorage(addr, slots)
+		for i := 0; i < slots; i++ {
+			s.SetState(addr, evm.WordFromUint64(uint64(i+1)), evm.WordFromUint64(1))
+		}
+		s.DiscardJournal()
+	})
+	if got := s.StorageSize(addrs[runs]); got != slots {
+		t.Fatalf("installed %d slots, want %d", got, slots)
+	}
+	t.Logf("%v objects per %d-slot footprint", allocs, slots)
+	if allocs > ceiling {
+		t.Errorf("installing a %d-slot footprint: %v objects, want <= %d", slots, allocs, ceiling)
+	}
+}

@@ -373,6 +373,17 @@ func (s *State) SetState(addr types.Address, key, value evm.Word) {
 	})
 }
 
+// ReserveStorage makes room for n storage slots in addr's account before
+// they are written, so a footprint of known size installed with SetState
+// sizes the slot map once instead of growing it from empty. It does nothing
+// when the State holds no account for addr or the account already has
+// storage. Only capacity changes, so there is nothing to journal.
+func (s *State) ReserveStorage(addr types.Address, n int) {
+	if acc := s.lookup(addr); acc != nil && acc.Storage == nil && n > 0 {
+		acc.Storage = make(map[evm.Word]evm.Word, n)
+	}
+}
+
 // DeleteAccount removes addr from the state entirely — balance, nonce,
 // code and every storage slot — journaling the removal so it reverts like
 // any other mutation. It is the purge half of a cross-shard migration: the

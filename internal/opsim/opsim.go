@@ -960,6 +960,7 @@ func (x *executor) materialise(id uint64, addr types.Address) {
 	st.AddBalance(addr, x.cfg.fund)
 	if x.gt.Registry.IsContract(id) {
 		slots := x.gt.StorageSlots(graph.VertexID(id)) // a footprint-map probe
+		st.ReserveStorage(addr, slots)
 		for i := 0; i < slots; i++ {
 			st.SetState(addr, evm.WordFromUint64(uint64(i+1)), evm.WordFromUint64(1))
 		}
