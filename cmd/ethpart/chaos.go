@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"ethpart/internal/directory"
@@ -18,6 +19,7 @@ import (
 	"ethpart/internal/report"
 	"ethpart/internal/shardchain"
 	"ethpart/internal/sim"
+	"ethpart/internal/trace"
 	"ethpart/internal/workload"
 )
 
@@ -112,7 +114,7 @@ func runChaos(args []string) (err error) {
 		}
 	}
 
-	scenarios, err := chaosScenarios(*scenarioFlag, uint64(*seed), traceBlocks, *k)
+	scenarios, err := chaosScenarios(*scenarioFlag, uint64(*seed), traceBlocks, *k, waveStall(gt.Records))
 	if err != nil {
 		return err
 	}
@@ -126,7 +128,7 @@ func runChaos(args []string) (err error) {
 
 	headers := []string{
 		"scenario", "crashes", "replayed", "recover(us)", "dropped", "delayed",
-		"dups", "suppressed", "stalls", "stale-blk", "max-lag", "torn", "violations",
+		"dups", "suppressed", "stalls", "stale-blk", "max-lag", "re-pins", "torn", "violations",
 		"r-applied", "r-stalls", "r-torn",
 	}
 	var rows [][]string
@@ -155,29 +157,31 @@ func runChaos(args []string) (err error) {
 			return fmt.Errorf("chaos: scenario %s: %w", sc.name, err)
 		}
 		fleetStats, fleetViolations := fleet.finish(res.DirectoryView)
-		violations := append(compareToOracle(oracle, res), fleetViolations...)
+		m := &inj.Metrics
+		violations := append(compareToOracle(oracle, res, m), fleetViolations...)
 		totalViolations += len(violations)
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "chaos: %s: INVARIANT VIOLATION: %s\n", sc.name, v)
 		}
-		m := res.Fault
 		recoverUS := "0"
-		if m.Crashes > 0 {
-			recoverUS = fmt.Sprintf("%.1f", float64(m.RecoveryNanos)/float64(m.Crashes)/1e3)
+		if crashes := m.Crashes.Load(); crashes > 0 {
+			recoverUS = fmt.Sprintf("%.1f", float64(m.RecoveryNanos.Load())/float64(crashes)/1e3)
 		}
+		count := func(c *atomic.Uint64) string { return strconv.FormatUint(c.Load(), 10) }
 		rows = append(rows, []string{
 			sc.name,
-			strconv.FormatUint(m.Crashes, 10),
-			strconv.FormatUint(m.ItemsReplayed, 10),
+			count(&m.Crashes),
+			count(&m.ItemsReplayed),
 			recoverUS,
-			strconv.FormatUint(m.Dropped, 10),
-			strconv.FormatUint(m.Delayed, 10),
-			strconv.FormatUint(m.Duplicated, 10),
-			strconv.FormatUint(m.DupsSuppressed, 10),
-			strconv.FormatUint(m.WaveStalls, 10),
-			strconv.FormatUint(m.StaleBlocks, 10),
-			strconv.FormatUint(m.MaxEpochLag, 10),
-			strconv.FormatUint(m.TornCommits, 10),
+			count(&m.Dropped),
+			count(&m.Delayed),
+			count(&m.Duplicated),
+			count(&m.DupsSuppressed),
+			count(&m.WaveStalls),
+			count(&m.StaleBlocks),
+			count(&m.MaxEpochLag),
+			count(&m.RePins),
+			count(&m.TornCommits),
 			strconv.Itoa(len(violations)),
 			strconv.FormatUint(fleetStats.applied, 10),
 			strconv.FormatUint(fleetStats.waveStalls, 10),
@@ -209,8 +213,31 @@ type chaosScenario struct {
 	sched fault.Schedule
 }
 
-// chaosScenarios builds the scenario library (or the one selected).
-func chaosScenarios(sel string, seed, blocks uint64, k int) ([]chaosScenario, error) {
+// waveStall sizes the stalled-flip scenarios' wave stalls from the trace.
+// A wave fires as the first block of its window opens, and the directory
+// commits once per record that places a vertex it has not seen, plus once
+// for the retirements a window close buffers. A stall two flushes longer
+// than the most first sightings any block holds is therefore still pending
+// when the block the wave fired in seals: that block reads a stale epoch.
+func waveStall(records []trace.Record) int {
+	seen := map[uint64]bool{}
+	most, n := 0, 0
+	for i, rec := range records {
+		if i > 0 && rec.Block != records[i-1].Block {
+			n = 0
+		}
+		if !seen[rec.From] || !seen[rec.To] {
+			n++
+			most = max(most, n)
+		}
+		seen[rec.From], seen[rec.To] = true, true
+	}
+	return most + 2
+}
+
+// chaosScenarios builds the scenario library (or the one selected); stall
+// is the flush count that holds a wave flip past its block (waveStall).
+func chaosScenarios(sel string, seed, blocks uint64, k, stall int) ([]chaosScenario, error) {
 	all := []chaosScenario{
 		{"crash-wave", fault.Schedule{
 			Seed:    seed,
@@ -230,7 +257,7 @@ func chaosScenarios(sel string, seed, blocks uint64, k int) ([]chaosScenario, er
 		{"flip-stall", fault.Schedule{
 			Seed:             seed,
 			Shards:           k,
-			WaveStallFlushes: 40, CommitFailEvery: 3,
+			WaveStallFlushes: stall, CommitFailEvery: 3,
 		}},
 		{"mixed", fault.Schedule{
 			Seed:     seed,
@@ -238,7 +265,7 @@ func chaosScenarios(sel string, seed, blocks uint64, k int) ([]chaosScenario, er
 			Crashes:  fault.PeriodicCrashes(7, blocks, k),
 			DropProb: 0.15, DelayProb: 0.1, DupProb: 0.2,
 			ShuffleDeliveries: true,
-			WaveStallFlushes:  25, CommitFailEvery: 5,
+			WaveStallFlushes:  stall, CommitFailEvery: 5,
 		}},
 	}
 	if sel == "all" || sel == "" {
@@ -256,8 +283,10 @@ func chaosScenarios(sel string, seed, blocks uint64, k int) ([]chaosScenario, er
 // against the fault-free oracle. Per-window stats are deliberately not
 // compared: an injected delay legitimately shifts a settlement into a
 // later window; the run-level totals (with the injected share of latency
-// subtracted at settlement) must still match exactly.
-func compareToOracle(oracle, res *opsim.Result) []string {
+// subtracted at settlement) must still match exactly. m is the run's fault
+// metrics: no commit may tear, and a run that stalled a wave flip must have
+// served a block from a stale epoch, or the stall tested nothing.
+func compareToOracle(oracle, res *opsim.Result, m *fault.Metrics) []string {
 	var v []string
 	if oracle.Replayed != res.Replayed {
 		v = append(v, fmt.Sprintf("replayed %d records, oracle %d", res.Replayed, oracle.Replayed))
@@ -281,8 +310,11 @@ func compareToOracle(oracle, res *opsim.Result) []string {
 	if oracle.ReceiptsHash != res.ReceiptsHash {
 		v = append(v, "transaction receipts diverge")
 	}
-	if res.Fault != nil && res.Fault.TornCommits > 0 {
-		v = append(v, fmt.Sprintf("%d torn directory commits observed", res.Fault.TornCommits))
+	if torn := m.TornCommits.Load(); torn > 0 {
+		v = append(v, fmt.Sprintf("%d torn directory commits observed", torn))
+	}
+	if stalls := m.WaveStalls.Load(); stalls > 0 && m.StaleBlocks.Load() == 0 {
+		v = append(v, fmt.Sprintf("%d wave flips stalled but no block read a stale epoch", stalls))
 	}
 	return v
 }
@@ -380,11 +412,11 @@ func (fl *chaosFleet) finish(oracle *directory.Snapshot) (chaosFleetStats, []str
 			violations = append(violations, fmt.Sprintf("net: replica %d drain: %v", i, err))
 			continue
 		}
-		m := r.inj.Metrics.Snapshot()
-		st.waveStalls += m.WaveStalls
-		st.torn += m.TornCommits
-		if m.TornCommits > 0 {
-			violations = append(violations, fmt.Sprintf("net: replica %d observed %d torn epochs", i, m.TornCommits))
+		stalls, torn := r.inj.Metrics.WaveStalls.Load(), r.inj.Metrics.TornCommits.Load()
+		st.waveStalls += stalls
+		st.torn += torn
+		if torn > 0 {
+			violations = append(violations, fmt.Sprintf("net: replica %d observed %d torn epochs", i, torn))
 		}
 		if st.applied == 0 {
 			st.applied = r.rp.Applied()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -125,15 +126,16 @@ func TestOpsCSVGuardsEmptySettlement(t *testing.T) {
 			Model:  shardchain.ModelReceipts,
 			K:      2,
 			Windows: []opsim.WindowStat{
-				{Start: time.Unix(0, 0).UTC(), Interactions: 3}, // nothing settled
-				{Start: time.Unix(14400, 0).UTC(), Interactions: 2,
-					Stats: shardchain.Stats{ReceiptsSettled: 2, SettlementBlocks: 3}},
+				{Interactions: 3}, // nothing settled
+				{Interactions: 2, Stats: shardchain.Stats{ReceiptsSettled: 2, SettlementBlocks: 3}},
 			},
-			// One sweep observation per window, as Run records them.
-			Sweeps: []sim.SweepObs{
-				{Start: time.Unix(0, 0).UTC(), RecountSkipped: true},
-				{Start: time.Unix(14400, 0).UTC(), RecountSkipped: true},
-			},
+			// One simulator window and sweep observation per window, as
+			// Run records them.
+			Sim: &sim.Result{Windows: []sim.WindowStat{
+				{Start: time.Unix(0, 0).UTC()},
+				{Start: time.Unix(14400, 0).UTC()},
+			}},
+			Sweeps: []sim.SweepObs{{RecountSkipped: true}, {RecountSkipped: true}},
 		},
 	}}
 	var buf bytes.Buffer
@@ -196,6 +198,71 @@ func TestOpsCSVDecaySweepColumns(t *testing.T) {
 	}
 	if !swept {
 		t.Errorf("no window reports a sweep that recounted over a live graph:\n%s", out)
+	}
+}
+
+// TestOpsCSVJoinsSimulatorWindowsByIndex: every row's window_start and
+// dynamic_cut are the simulator's window at the same index of the same run,
+// for every method and model, with and without decay. The run keeps no
+// copy of either: the CSV reads Result.Sim.Windows[i] beside the chain's
+// Result.Windows[i].
+func TestOpsCSVJoinsSimulatorWindowsByIndex(t *testing.T) {
+	for _, halfLife := range []time.Duration{0, 168 * time.Hour} {
+		ds, err := experiments.NewDataset(experiments.Params{
+			Seed: 1, Scale: 0.0001, BlockInterval: 2 * time.Hour, Window: 4 * time.Hour,
+			RepartitionEvery: 14 * 24 * time.Hour, DecayHalfLife: halfLife,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ds.Operational(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := opsCSV(&buf, rows); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		col := map[string]int{}
+		for i, h := range strings.Split(lines[0], ",") {
+			col[h] = i
+		}
+		lines = lines[1:]
+		cuts := map[string]bool{}
+		for _, row := range rows {
+			res := row.Result
+			if len(res.Windows) != len(res.Sim.Windows) || len(res.Windows) == 0 {
+				t.Fatalf("half-life %v, %v/%v: %d chain windows, %d simulator windows",
+					halfLife, res.Method, res.Model, len(res.Windows), len(res.Sim.Windows))
+			}
+			for i, sw := range res.Sim.Windows {
+				if len(lines) == 0 {
+					t.Fatalf("half-life %v: the CSV ran out of rows at %v/%v window %d", halfLife, res.Method, res.Model, i)
+				}
+				f := strings.Split(lines[0], ",")
+				lines = lines[1:]
+				want := map[string]string{
+					"method":       res.Method.String(),
+					"model":        res.Model.String(),
+					"window_start": sw.Start.UTC().Format(time.RFC3339),
+					"dynamic_cut":  fmt.Sprintf("%.6f", sw.DynamicCut),
+				}
+				for name, w := range want {
+					if got := f[col[name]]; got != w {
+						t.Errorf("half-life %v, %v/%v window %d: %s %q, simulator %q",
+							halfLife, res.Method, res.Model, i, name, got, w)
+					}
+				}
+				cuts[want["dynamic_cut"]] = true
+			}
+		}
+		if len(lines) != 0 {
+			t.Errorf("half-life %v: %d CSV rows past the simulator's windows", halfLife, len(lines))
+		}
+		if len(cuts) < 2 {
+			t.Errorf("half-life %v: every window reads the same dynamic cut; the join is untested", halfLife)
+		}
 	}
 }
 

@@ -141,11 +141,11 @@ func opsCSV(w io.Writer, rows []experiments.OpsRow) error {
 			if win.ReceiptsSettled > 0 {
 				settlement = fmt.Sprintf("%.3f", win.MeanSettlement())
 			}
-			so := row.Result.Sweeps[i]
+			sw, so := row.Result.Sim.Windows[i], row.Result.Sweeps[i]
 			out = append(out, []string{
 				row.Result.Method.String(),
 				row.Result.Model.String(),
-				win.Start.UTC().Format(time.RFC3339),
+				sw.Start.UTC().Format(time.RFC3339),
 				strconv.Itoa(win.Shards),
 				strconv.FormatInt(win.Interactions, 10),
 				strconv.FormatInt(win.CrossTxs, 10),
@@ -155,7 +155,7 @@ func opsCSV(w io.Writer, rows []experiments.OpsRow) error {
 				strconv.FormatInt(win.Migrations, 10),
 				strconv.FormatInt(win.MigratedSlots, 10),
 				strconv.FormatInt(win.Failed, 10),
-				fmt.Sprintf("%.6f", win.DynamicCut),
+				fmt.Sprintf("%.6f", sw.DynamicCut),
 				strconv.Itoa(so.LiveVertices),
 				strconv.FormatInt(so.SweepNanos, 10),
 				strconv.FormatBool(so.RecountSkipped),

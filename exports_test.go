@@ -27,6 +27,16 @@ var exportAllowlist = map[string]string{
 	"directory.Publisher.AttachHints": "ROADMAP item 10b: goes with the hint ring",
 }
 
+// fieldAllowlist names the exported struct fields of internal/ that may
+// stay without a production reader, each with its reason (DESIGN.md §1).
+// An entry that names a type covers every field of it.
+var fieldAllowlist = map[string]string{
+	"sim.WindowStat":         "simulator output: a window's moves, migrated slots, repartition flag and shard count, pinned by the sim, trigger and autoscale tests",
+	"sim.ResizeEvent":        "simulator output: the autoscaler's firing log (when, k → k′, moves), pinned by the sim and opsim autoscale tests",
+	"workload.Block":         "generator output: NextBlock's number, time and receipts, read by the generator and trace end-to-end tests",
+	"workload.TxMix.Airdrop": "ROADMAP item 12 (the era mix fix): eraAction draws airdrops as the mix's remainder, so only the era tables set it until the draw reads it",
+}
+
 // listedPackage is the part of `go list -json` this test reads.
 type listedPackage struct {
 	ImportPath string
@@ -35,19 +45,28 @@ type listedPackage struct {
 	Standard   bool
 }
 
-// TestExportsHaveProductionCallers holds the rule that production code is
-// what production reads: every exported func, method, type, const and
-// package var of internal/... is referenced from a non-test file of the
-// module (bench/, cmd/, examples/ or internal/), unless it is a method
-// that satisfies an interface, or it is on exportAllowlist. A helper that
-// only tests need lives in an export_test.go file or is recomputed from
-// public data.
-func TestExportsHaveProductionCallers(t *testing.T) {
+// moduleScan is the type-checked non-test code of the module: what it
+// references, which struct fields it reads, and the interfaces it sees.
+type moduleScan struct {
+	mod       []listedPackage // module packages, dependencies first
+	checked   map[string]*types.Package
+	used      map[types.Object]bool
+	fieldRead map[types.Object]bool
+	ifaces    []*types.Interface
+}
+
+// scanModule type-checks every non-test file of the module.
+func scanModule(t *testing.T) *moduleScan {
+	t.Helper()
 	out, err := exec.Command("go", "list", "-json", "-deps", "./...").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
-	var mod []listedPackage // module packages, dependencies first
+	s := &moduleScan{
+		checked:   map[string]*types.Package{},
+		used:      map[types.Object]bool{},
+		fieldRead: map[types.Object]bool{},
+	}
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var p listedPackage
 		if err := dec.Decode(&p); err == io.EOF {
@@ -56,22 +75,19 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 			t.Fatalf("go list output: %v", err)
 		}
 		if !p.Standard {
-			mod = append(mod, p)
+			s.mod = append(s.mod, p)
 		}
 	}
 
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil)
-	checked := map[string]*types.Package{}
 	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
+		if p, ok := s.checked[path]; ok {
 			return p, nil
 		}
 		return std.Import(path)
 	})
 
-	used := map[types.Object]bool{}
-	var ifaces []*types.Interface
 	seen := map[types.Type]bool{}
 	var collect func(types.Type)
 	collect = func(typ types.Type) {
@@ -84,7 +100,7 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 			collect(u.Underlying())
 		case *types.Interface:
 			if u.NumMethods() > 0 {
-				ifaces = append(ifaces, u)
+				s.ifaces = append(s.ifaces, u)
 			}
 		case *types.Pointer:
 			collect(u.Elem())
@@ -106,7 +122,7 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range mod {
+	for _, p := range s.mod {
 		files := make([]*ast.File, 0, len(p.GoFiles))
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
@@ -124,10 +140,17 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("type-check %s: %v", p.ImportPath, err)
 		}
-		checked[p.ImportPath] = pkg
-		for _, obj := range info.Uses {
-			used[origin(obj)] = true
+		s.checked[p.ImportPath] = pkg
+		writes := map[*ast.Ident]bool{}
+		for _, f := range files {
+			markFieldWrites(f, writes)
+		}
+		for id, obj := range info.Uses {
+			s.used[origin(obj)] = true
 			collect(obj.Type())
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				s.fieldRead[origin(v)] = true
+			}
 		}
 		for _, obj := range info.Defs {
 			if obj != nil {
@@ -142,13 +165,64 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 		types.Universe.Lookup("error").Type(),
 		mustLookup(t, imp, "fmt", "Stringer"),
 	} {
-		ifaces = append(ifaces, typ.Underlying().(*types.Interface))
+		s.ifaces = append(s.ifaces, typ.Underlying().(*types.Interface))
 	}
+	return s
+}
+
+// markFieldWrites records the identifiers of f that write a struct field
+// rather than read it: the field named by an assignment target or an
+// ++/-- operand, the field whose value receives an Add, Store, Swap or
+// CompareAndSwap call (the atomic writes), and the key of a composite
+// literal.
+func markFieldWrites(f *ast.File, writes map[*ast.Ident]bool) {
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.CallExpr:
+			if call, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				switch call.Sel.Name {
+				case "Add", "Store", "Swap", "CompareAndSwap":
+					target(call.X)
+				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// TestExportsHaveProductionCallers holds the rule that production code is
+// what production reads: every exported func, method, type, const and
+// package var of internal/... is referenced from a non-test file of the
+// module (bench/, cmd/, examples/ or internal/), unless it is a method
+// that satisfies an interface, or it is on exportAllowlist. A helper that
+// only tests need lives in an export_test.go file or is recomputed from
+// public data.
+func TestExportsHaveProductionCallers(t *testing.T) {
+	s := scanModule(t)
 
 	// satisfies reports whether method m of named type T is a method of an
 	// interface that T or *T implements: it may be called through it.
 	satisfies := func(named *types.Named, m *types.Func) bool {
-		for _, iface := range ifaces {
+		for _, iface := range s.ifaces {
 			if obj, _, _ := types.LookupFieldOrMethod(iface, false, m.Pkg(), m.Name()); obj == nil {
 				continue
 			}
@@ -161,41 +235,28 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 
 	var unused []string
 	found := map[string]bool{}
-	for _, p := range mod {
-		rel, ok := strings.CutPrefix(p.ImportPath, "ethpart/internal/")
-		if !ok {
-			continue
-		}
-		scope := checked[p.ImportPath].Scope()
+	s.eachType(func(name string, obj types.Object, named *types.Named) {
 		report := func(name string, obj types.Object) {
 			found[name] = true
-			if !used[obj] {
+			if !s.used[obj] {
 				if _, ok := exportAllowlist[name]; !ok {
 					unused = append(unused, name)
 				}
 			}
 		}
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			if obj.Exported() {
-				report(rel+"."+name, obj)
-			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				if m.Exported() && !satisfies(named, m) {
-					report(rel+"."+name+"."+m.Name(), m)
-				}
+		if obj.Exported() {
+			report(name, obj)
+		}
+		if named == nil || types.IsInterface(named) {
+			return
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			m := named.Method(i)
+			if m.Exported() && !satisfies(named, m) {
+				report(name+"."+m.Name(), m)
 			}
 		}
-	}
+	})
 	for name := range exportAllowlist {
 		if !found[name] {
 			t.Errorf("allowlist entry %s names no exported identifier of internal/", name)
@@ -206,6 +267,75 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 		t.Errorf("%d exported identifiers of internal/ have no non-test reference; delete them, "+
 			"move them to an export_test.go file, or recompute them in the test from public data:\n\t%s",
 			len(unused), strings.Join(unused, "\n\t"))
+	}
+}
+
+// TestExportedFieldsHaveProductionReaders holds the same rule for struct
+// fields: every exported field of a struct type declared in internal/... is
+// read by a non-test file of the module, unless it or its type is on
+// fieldAllowlist. Writing a field is not reading it: a counter production
+// keeps up to date for tests alone fails here. Embedded fields are not
+// checked: code reaches them through the fields and methods they promote.
+func TestExportedFieldsHaveProductionReaders(t *testing.T) {
+	s := scanModule(t)
+	var unread []string
+	found := map[string]bool{}
+	s.eachType(func(name string, _ types.Object, named *types.Named) {
+		if named == nil {
+			return
+		}
+		st, ok := named.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		_, typeListed := fieldAllowlist[name]
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if !f.Exported() || f.Embedded() {
+				continue
+			}
+			field := name + "." + f.Name()
+			found[name], found[field] = true, true
+			if _, ok := fieldAllowlist[field]; ok || typeListed || s.fieldRead[f] {
+				continue
+			}
+			unread = append(unread, field)
+		}
+	})
+	for name, reason := range fieldAllowlist {
+		if !found[name] {
+			t.Errorf("field allowlist entry %s names no exported struct field or struct type of internal/", name)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("field allowlist entry %s has no reason", name)
+		}
+	}
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("%d exported struct fields of internal/ are written but never read by non-test code; "+
+			"delete them with their upkeep, or recompute what the test checks from an outcome:\n\t%s",
+			len(unread), strings.Join(unread, "\n\t"))
+	}
+}
+
+// eachType calls fn for every package-scope object of internal/..., named
+// pkg.Name relative to internal/; named is its defined type, or nil when
+// the object is not a (non-alias) type.
+func (s *moduleScan) eachType(fn func(name string, obj types.Object, named *types.Named)) {
+	for _, p := range s.mod {
+		rel, ok := strings.CutPrefix(p.ImportPath, "ethpart/internal/")
+		if !ok {
+			continue
+		}
+		scope := s.checked[p.ImportPath].Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			var named *types.Named
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				named, _ = tn.Type().(*types.Named)
+			}
+			fn(rel+"."+name, obj, named)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ var blockReward = evm.WordFromUint64(5_000_000_000_000_000_000)
 
 // Executed is what executing one block's transactions produced.
 type Executed struct {
-	Receipts []Receipt // one per applied transaction, in block order; Receipts[i].TxIndex == i
+	Receipts []Receipt // one per applied transaction, in block order
 	Skipped  []error   // one per transaction that failed validation
 	GasUsed  uint64    // the applied transactions' total gas
 }
@@ -38,7 +38,6 @@ func ExecuteBlock(state *State, miner types.Address, gasLimit uint64, txs []*Tra
 			x.Skipped = append(x.Skipped, err)
 			continue
 		}
-		receipt.TxIndex = n
 		x.Receipts = x.Receipts[:n+1]
 		x.GasUsed += receipt.GasUsed
 	}

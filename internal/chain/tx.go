@@ -90,7 +90,6 @@ func (tx *Transaction) Hash() types.Hash {
 // transaction's hash: a reader that needs one hashes the transaction
 // (Transaction.Hash), so execution never pays for a digest nobody reads.
 type Receipt struct {
-	TxIndex int
 	// Success is false when execution failed (revert, out of gas, bad
 	// nonce); the failure reason is in Err.
 	Success bool

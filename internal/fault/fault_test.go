@@ -183,9 +183,12 @@ func TestFlakyDirectoryWaveStall(t *testing.T) {
 			t.Errorf("Lookup(%d) = %d,%v, want %d", v, sh, ok, want)
 		}
 	}
-	m := inj.Metrics.Snapshot()
-	if m.WaveStalls != 1 || m.StallFlushes != 1 || m.TornCommits != 0 {
-		t.Errorf("metrics = %+v, want 1 stall, 1 stall-flush, 0 torn", m)
+	// The wave landed as its own epoch, after the three placements.
+	if e := d.Current().Epoch(); e != 4 {
+		t.Errorf("epoch %d after three placements and the landed wave, want 4", e)
+	}
+	if stalls, torn := inj.Metrics.WaveStalls.Load(), inj.Metrics.TornCommits.Load(); stalls != 1 || torn != 0 {
+		t.Errorf("%d stalls, %d torn commits; want 1 and 0", stalls, torn)
 	}
 }
 
@@ -217,8 +220,8 @@ func TestFlakyDirectoryDrainStalls(t *testing.T) {
 }
 
 // TestFlakyDirectoryCommitFailures pins the retry loop: injected
-// transient failures are absorbed (the caller never sees them) and
-// counted.
+// transient failures are absorbed — the caller never sees them, and each
+// commit still lands as exactly one epoch.
 func TestFlakyDirectoryCommitFailures(t *testing.T) {
 	d := directory.New(directory.Config{})
 	inj := mustNew(t, Schedule{CommitFailEvery: 1})
@@ -229,8 +232,17 @@ func TestFlakyDirectoryCommitFailures(t *testing.T) {
 		}
 	}
 	// seq 0 never fails; seqs 1..3 fail commitFailCount (2) times each.
-	if m := inj.Metrics.Snapshot(); m.CommitFailures != 6 {
-		t.Errorf("CommitFailures = %d, want 6", m.CommitFailures)
+	fails := 0
+	for seq := uint64(0); seq < 4; seq++ {
+		for attempt := 1; inj.CommitFails(seq, attempt); attempt++ {
+			fails++
+		}
+	}
+	if fails != 6 {
+		t.Fatalf("the schedule fails %d commit attempts, want 6: the retry loop went untested", fails)
+	}
+	if e := d.Current().Epoch(); e != 4 {
+		t.Errorf("epoch %d after four commits, want 4 — a failed attempt burned an epoch", e)
 	}
 	if d.Current().Len() != 4 {
 		t.Errorf("entries = %d, want 4 — a transient failure leaked", d.Current().Len())
@@ -243,7 +255,7 @@ func TestMetricsMaxLag(t *testing.T) {
 	for _, lag := range []uint64{2, 5, 3} {
 		m.MaxLag(lag)
 	}
-	if got := m.Snapshot().MaxEpochLag; got != 5 {
+	if got := m.MaxEpochLag.Load(); got != 5 {
 		t.Errorf("MaxEpochLag = %d, want 5", got)
 	}
 }

@@ -77,8 +77,6 @@ const MaxDecayAge = 1 << 16
 
 // DecayDelta summarizes what one decay sweep changed.
 type DecayDelta struct {
-	// Retired counts vertices dropped at the horizon.
-	Retired int
 	// EdgeDrops counts directed edges dropped at the horizon (each distinct
 	// (u,v) pair once, however many row copies it had).
 	EdgeDrops int
@@ -303,7 +301,6 @@ func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onDrop func(
 			onRetire(g.ids[s])
 		}
 		g.retireSlot(s)
-		delta.Retired++
 	}
 
 	// Phase 3a: heavy edges. References surviving with weight >= 2 stay

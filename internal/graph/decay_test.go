@@ -229,6 +229,13 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 	}
 }
 
+// retiredBy runs one sweep of g and returns how many vertices it retired.
+func retiredBy(g *Graph, factor float64) int {
+	n := 0
+	g.DecaySweep(factor, func(VertexID) { n++ }, nil)
+	return n
+}
+
 // TestDecayIdentitySweepIsNoOp pins the identity sweep: factor 1 with an
 // unreachable horizon must leave every observable untouched.
 func TestDecayIdentitySweepIsNoOp(t *testing.T) {
@@ -240,7 +247,7 @@ func TestDecayIdentitySweepIsNoOp(t *testing.T) {
 			}
 		}
 	}
-	if retired := g.DecaySweep(1, nil, nil).Retired; retired != 0 {
+	if retired := retiredBy(g, 1); retired != 0 {
 		t.Fatalf("identity sweep retired %d vertices", retired)
 	}
 	if g.VertexCount() != want.VertexCount() || g.EdgeCount() != want.EdgeCount() ||
@@ -291,14 +298,14 @@ func TestDecayClampsOutOfRangeArgs(t *testing.T) {
 	}
 	// factor 0 clamps to the smallest positive float: weights collapse to
 	// the floor of one, the sweep still runs.
-	if retired := g.DecaySweep(0, nil, nil).Retired; retired != 0 {
+	if retired := retiredBy(g, 0); retired != 0 {
 		t.Fatalf("first sweep retired %d, want 0 (age 1 < maxAge 2)", retired)
 	}
 	if w := vertexWeight(g, 1); w != 1 {
 		t.Errorf("underflowed factor must collapse weights to the floor of one, got %d", w)
 	}
 	// factor > 1 clamps to 1: weights never grow, retirement still runs.
-	if retired := g.DecaySweep(7, nil, nil).Retired; retired != 2 {
+	if retired := retiredBy(g, 7); retired != 2 {
 		t.Errorf("second sweep retired %d, want 2 (age 2 at maxAge 2)", retired)
 	}
 	if g.VertexCount() != 0 {
@@ -325,7 +332,7 @@ func TestDecayReusesRetiredSlots(t *testing.T) {
 		}
 	}
 	slots := len(g.ids)
-	if retired := g.DecaySweep(0.5, nil, nil).Retired; retired != 200 {
+	if retired := retiredBy(g, 0.5); retired != 200 {
 		t.Fatalf("retired %d vertices, want 200", retired)
 	}
 	if g.VertexCount() != 0 || g.EdgeCount() != 0 {

@@ -146,14 +146,15 @@ func TestFaultPlaneAtEraScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := res.Fault
+	f := &cfg.Fault.Metrics
+	crashes := f.Crashes.Load()
 	t.Logf("%d records, %d blocks: %d crashes, %d dropped, %d duplicates suppressed, %d stalls",
-		res.Replayed, res.Blocks, f.Crashes, f.Dropped, f.DupsSuppressed, f.WaveStalls)
-	if f.Crashes < 2000 {
-		t.Errorf("%d crashes, want at least 2,000", f.Crashes)
+		res.Replayed, res.Blocks, crashes, f.Dropped.Load(), f.DupsSuppressed.Load(), f.WaveStalls.Load())
+	if crashes < 2000 {
+		t.Errorf("%d crashes, want at least 2,000", crashes)
 	}
-	if f.TornCommits != 0 {
-		t.Errorf("%d torn commits", f.TornCommits)
+	if torn := f.TornCommits.Load(); torn != 0 {
+		t.Errorf("%d torn commits", torn)
 	}
 	if !reflect.DeepEqual(res.StateRoots, oracle.StateRoots) {
 		t.Errorf("state roots diverge from the oracle's\n got %v\nwant %v", hexes(res.StateRoots), hexes(oracle.StateRoots))
@@ -194,8 +195,12 @@ func TestChainArtifacts(t *testing.T) {
 		if res.Replayed != int64(len(c.gt.Records)) {
 			t.Errorf("%s: replayed %d of %d records", c.name, res.Replayed, len(c.gt.Records))
 		}
-		if f := res.Fault; f != nil && (f.Crashes == 0 || f.Dropped == 0 || f.DupsSuppressed == 0) {
-			t.Errorf("%s: the fault plane never fired: %+v", c.name, *f)
+		if cfg.Fault != nil {
+			f := &cfg.Fault.Metrics
+			if crashes, dropped, suppressed := f.Crashes.Load(), f.Dropped.Load(), f.DupsSuppressed.Load(); crashes == 0 || dropped == 0 || suppressed == 0 {
+				t.Errorf("%s: the fault plane never fired: %d crashes, %d dropped, %d duplicates suppressed",
+					c.name, crashes, dropped, suppressed)
+			}
 		}
 		got = append(got, chainArtifacts{
 			Name:              c.name,
@@ -265,12 +270,11 @@ func TestFaultPinObservations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(small, cfg)
-		if err != nil {
+		if _, err := Run(small, cfg); err != nil {
 			t.Fatalf("%v stall %d: %v", c.method, c.stall, err)
 		}
-		f := res.Fault
-		if got := (pins{f.StaleBlocks, f.MaxEpochLag, f.RePins}); got != c.want {
+		f := &cfg.Fault.Metrics
+		if got := (pins{f.StaleBlocks.Load(), f.MaxEpochLag.Load(), f.RePins.Load()}); got != c.want {
 			t.Errorf("%v stall %d: pin observations %+v, the parent tree recorded %+v",
 				c.method, c.stall, got, c.want)
 		}

@@ -19,7 +19,6 @@ import (
 func stripMeasurement(r *Result) *Result {
 	c := *r
 	c.StepNanos = 0
-	c.ChainIdleNanos, c.ControlWaitNanos = 0, 0
 	c.DirectoryStats = nil
 	c.DirectoryView = nil
 	if c.Sweeps != nil {

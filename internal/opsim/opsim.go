@@ -109,18 +109,13 @@ func (c Config) withDefaults() Config {
 }
 
 // WindowStat is one operational data point: what the chain did during one
-// of the simulator's metric windows, alongside the simulator's dynamic cut
-// for it.
+// of the simulator's metric windows. The window's start and dynamic cut are
+// the simulator's, at the same index of Result.Sim.Windows.
 type WindowStat struct {
-	// Start is the simulator's window start.
-	Start time.Time
 	// Stats is the window's delta of the chain's counters.
 	shardchain.Stats
 	// Interactions is the number of records replayed in the window.
 	Interactions int64
-	// DynamicCut is the simulator's cross-shard fraction for the same
-	// window — the abstract curve the operational numbers shadow.
-	DynamicCut float64
 	// Shards is the number of chain lanes the window was served with —
 	// constant without the autoscaler, the shards-provisioned-over-time
 	// series with it.
@@ -168,13 +163,6 @@ type Result struct {
 	// on every window and total but not on StepNanos.
 	Blocks    int64
 	StepNanos int64
-	// ChainIdleNanos is the wall-clock the chain stage spent waiting on an
-	// empty queue, and ControlWaitNanos the control stage's blocked on a
-	// full queue or a resize barrier's acknowledgement: whichever stage
-	// waits less bounds the run. Measurement too, and zero on the
-	// assignment-resolved reference path, which runs no queue.
-	ChainIdleNanos   int64
-	ControlWaitNanos int64
 	// Convergence artifacts, computed only with Config.Capture: per-shard
 	// final state roots, a hash over every known account's home, and a
 	// running hash over every transaction receipt in replay order. A
@@ -183,8 +171,6 @@ type Result struct {
 	StateRoots   []types.Hash
 	HomesHash    types.Hash
 	ReceiptsHash types.Hash
-	// Fault is the injector's metrics snapshot (nil without Config.Fault).
-	Fault *fault.MetricsSnapshot
 }
 
 // MsPerBlock returns the mean wall-clock per block step in milliseconds.
@@ -287,9 +273,10 @@ type runner struct {
 // depth is the chain work buffered to cover a repartition wave, during
 // which the control stage enqueues nothing; each queued op pins the epoch
 // it carries, so a deeper queue also holds more copy-on-write pages
-// (ops-bridge, seed 1: the chain stage idles 2.1 s of a 7.3 s pass at
-// depth 16, 1.2 s of 6.3 s at 64, 0.9 s of 6.3 s at 256, which costs
-// 40–50 MiB more peak memory than the serial bridge).
+// (ops-bridge, seed 1, measured when the bridge was first pipelined: the
+// chain stage idled 2.1 s of a 7.3 s pass at depth 16, 1.2 s of 6.3 s at
+// 64, 0.9 s of 6.3 s at 256, which cost 40–50 MiB more peak memory than
+// the serial bridge; DESIGN §7 says how to re-measure).
 const queueDepth = 64
 
 // queue joins the stages: work carries sealed batches to the chain stage,
@@ -520,14 +507,6 @@ func (r *runner) run() (*Result, error) {
 	if r.cfg.Capture {
 		r.x.captureArtifacts()
 	}
-	if r.cfg.Fault != nil {
-		snap := r.cfg.Fault.Metrics.Snapshot()
-		r.res.Fault = &snap
-	}
-	// The chain closed the simulator's windows one for one: join by index.
-	for i, w := range r.res.Sim.Windows {
-		r.res.Windows[i].Start, r.res.Windows[i].DynamicCut = w.Start, w.DynamicCut
-	}
 	return r.res, nil
 }
 
@@ -676,14 +655,8 @@ func (r *runner) handOff() error {
 	}
 	select {
 	case r.q.work <- b:
-	default:
-		start := time.Now()
-		select {
-		case r.q.work <- b:
-		case <-r.q.done:
-			return r.q.err
-		}
-		r.res.ControlWaitNanos += time.Since(start).Nanoseconds()
+	case <-r.q.done:
+		return r.q.err
 	}
 	select {
 	case r.cur = <-r.q.free:
@@ -715,8 +688,6 @@ func (r *runner) resize(oldK, newK, moves int) error {
 	if err := r.handOff(); err != nil || r.q == nil {
 		return err
 	}
-	start := time.Now()
-	defer func() { r.res.ControlWaitNanos += time.Since(start).Nanoseconds() }()
 	select {
 	case <-r.q.ack:
 		return nil
@@ -753,17 +724,7 @@ func (r *runner) drainStalls() (*directory.Snapshot, error) {
 func (x *executor) serve(q *queue) {
 	defer close(q.done)
 	for {
-		var (
-			b  []op
-			ok bool
-		)
-		select {
-		case b, ok = <-q.work:
-		default:
-			start := time.Now()
-			b, ok = <-q.work
-			x.res.ChainIdleNanos += time.Since(start).Nanoseconds()
-		}
+		b, ok := <-q.work
 		if !ok {
 			return
 		}
@@ -1045,8 +1006,8 @@ func (x *executor) captureArtifacts() {
 	x.res.ReceiptsHash = x.receiptsHash
 }
 
-// closeWindow snapshots the chain's counters into a per-window delta; Run
-// joins the simulator's Start and DynamicCut on by index.
+// closeWindow snapshots the chain's counters into a per-window delta, at
+// the index of the simulator's window it closes.
 func (x *executor) closeWindow() {
 	cur := x.sc.Stats()
 	d := cur.Sub(x.lastStats)

@@ -171,8 +171,8 @@ func crashStepBytes(t *testing.T, funded int) uint64 {
 		block()
 	}
 	runtime.ReadMemStats(&after)
-	if m := inj.Metrics.Snapshot(); m.Crashes != warm+blocks || m.ItemsReplayed == 0 {
-		t.Fatalf("%d crashes (%d items replayed) in %d blocks; want one crash a block", m.Crashes, m.ItemsReplayed, warm+blocks)
+	if crashes, items := inj.Metrics.Crashes.Load(), inj.Metrics.ItemsReplayed.Load(); crashes != warm+blocks || items == 0 {
+		t.Fatalf("%d crashes (%d items replayed) in %d blocks; want one crash a block", crashes, items, warm+blocks)
 	}
 	return (after.TotalAlloc - before.TotalAlloc) / blocks
 }

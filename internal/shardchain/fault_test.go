@@ -191,9 +191,8 @@ func TestPropertyCrashRecoveryConvergence(t *testing.T) {
 				}
 				drainBoth(t, ref, got)
 				requireConverged(t, ref, got)
-				m := inj.Metrics.Snapshot()
-				if m.Crashes == 0 || m.ItemsReplayed == 0 {
-					t.Fatalf("no crashes injected (metrics %+v) — the property was vacuous", m)
+				if crashes, items := inj.Metrics.Crashes.Load(), inj.Metrics.ItemsReplayed.Load(); crashes == 0 || items == 0 {
+					t.Fatalf("%d crashes, %d items replayed — the property was vacuous", crashes, items)
 				}
 			})
 		}
@@ -226,14 +225,13 @@ func TestPropertyDuplicateReorderNoOp(t *testing.T) {
 				}
 				drainBoth(t, ref, got)
 				requireConverged(t, ref, got)
-				m := inj.Metrics.Snapshot()
 				if model == ModelReceipts {
-					if m.Duplicated == 0 {
+					dups, suppressed := inj.Metrics.Duplicated.Load(), inj.Metrics.DupsSuppressed.Load()
+					if dups == 0 {
 						t.Fatal("no duplicates injected — the property was vacuous")
 					}
-					if m.DupsSuppressed != m.Duplicated {
-						t.Fatalf("suppressed %d of %d duplicates — a duplicate settled twice",
-							m.DupsSuppressed, m.Duplicated)
+					if suppressed != dups {
+						t.Fatalf("suppressed %d of %d duplicates — a duplicate settled twice", suppressed, dups)
 					}
 				}
 			})
@@ -266,12 +264,13 @@ func TestMessageFaultsConverge(t *testing.T) {
 			}
 			drainBoth(t, ref, got)
 			requireConverged(t, ref, got)
-			m := inj.Metrics.Snapshot()
-			if m.Dropped == 0 || m.Delayed == 0 || m.Duplicated == 0 {
-				t.Fatalf("fault mix not exercised: %+v", m)
+			m := &inj.Metrics
+			dropped, delayed, dups := m.Dropped.Load(), m.Delayed.Load(), m.Duplicated.Load()
+			if dropped == 0 || delayed == 0 || dups == 0 {
+				t.Fatalf("fault mix not exercised: %d dropped, %d delayed, %d duplicated", dropped, delayed, dups)
 			}
-			if m.DupsSuppressed != m.Duplicated {
-				t.Fatalf("suppressed %d of %d duplicates", m.DupsSuppressed, m.Duplicated)
+			if suppressed := m.DupsSuppressed.Load(); suppressed != dups {
+				t.Fatalf("suppressed %d of %d duplicates", suppressed, dups)
 			}
 		})
 	}
@@ -299,8 +298,8 @@ func TestDuplicateCrashEntryRecoversOnce(t *testing.T) {
 	}
 	drainBoth(t, ref, got)
 	requireConverged(t, ref, got)
-	if m := inj.Metrics.Snapshot(); m.Crashes != 1 || m.BlocksReplayed != 1 {
-		t.Fatalf("%d crashes, %d blocks replayed; want 1 and 1", m.Crashes, m.BlocksReplayed)
+	if crashes, items := inj.Metrics.Crashes.Load(), inj.Metrics.ItemsReplayed.Load(); crashes != 1 || items == 0 {
+		t.Fatalf("%d crashes, %d items replayed; want one recovery that replayed its shard's work", crashes, items)
 	}
 }
 
@@ -419,9 +418,9 @@ func BenchmarkCrashRecovery(b *testing.B) {
 		sc.Step(txs)
 	}
 	b.StopTimer()
-	m := inj.Metrics.Snapshot()
-	if m.Crashes == 0 {
+	crashes := inj.Metrics.Crashes.Load()
+	if crashes == 0 {
 		b.Fatal("no crashes injected")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Crashes)/1e3, "us/recovery")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(crashes)/1e3, "us/recovery")
 }

@@ -117,8 +117,6 @@ func sameReceipt(got, want *chain.Receipt) error {
 		return err.Error()
 	}
 	switch {
-	case got.TxIndex != want.TxIndex:
-		return fmt.Errorf("TxIndex %d, want %d", got.TxIndex, want.TxIndex)
 	case got.Success != want.Success:
 		return fmt.Errorf("Success %v, want %v", got.Success, want.Success)
 	case errText(got.Err) != errText(want.Err):

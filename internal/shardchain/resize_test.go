@@ -136,9 +136,9 @@ func TestHomesOnDeterministic(t *testing.T) {
 }
 
 // TestCrashOnDecommissionedLaneSkipped: a crash entry naming a lane a merge
-// removed mid-run is counted in CrashesSkipped instead of being applied (or
-// silently dropped). The schedule declares the original shard universe, so
-// it compiles; the lane disappears at runtime.
+// removed mid-run is skipped instead of being applied to a lane that no
+// longer exists. The schedule declares the original shard universe, so it
+// compiles; the lane disappears at runtime.
 func TestCrashOnDecommissionedLaneSkipped(t *testing.T) {
 	inj := mustInjector(t, fault.Schedule{Shards: 2, Crashes: []fault.Crash{{Block: 2, Shard: 1}}})
 	assign := map[types.Address]int{alice: 0, bob: 0}
@@ -154,12 +154,14 @@ func TestCrashOnDecommissionedLaneSkipped(t *testing.T) {
 	if err := sc.RemoveShards(1); err != nil {
 		t.Fatal(err)
 	}
-	sc.Step([]*chain.Transaction{transfer(1, alice, bob, 5)}) // block 2: crash fires, lane gone
-	m := inj.Metrics.Snapshot()
-	if m.CrashesSkipped != 1 {
-		t.Errorf("CrashesSkipped = %d, want 1", m.CrashesSkipped)
+	if got := inj.CrashedShards(2); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("block 2 crashes shards %v, want [1]: the skip went untested", got)
 	}
-	if m.Crashes != 0 {
-		t.Errorf("Crashes = %d, want 0 (the only scheduled crash was skipped)", m.Crashes)
+	rs := sc.Step([]*chain.Transaction{transfer(1, alice, bob, 5)}) // block 2: crash fires, lane gone
+	if !rs[0].Success {
+		t.Errorf("block 2's transfer failed: %v", rs[0].Err)
+	}
+	if n := inj.Metrics.Crashes.Load(); n != 0 {
+		t.Errorf("Crashes = %d, want 0 (the only scheduled crash was skipped)", n)
 	}
 }

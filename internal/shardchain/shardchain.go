@@ -109,8 +109,7 @@ type Receipt struct {
 	ID uint64
 	// Delay accumulates fault-injected transport latency in blocks
 	// (drop/retry backoff and injected delays). Settlement subtracts it, so
-	// SettlementBlocks measures the protocol's latency, not the injector's;
-	// the injected share is reported by fault.Metrics.RedeliveryBlocks.
+	// SettlementBlocks measures the protocol's latency, not the injector's.
 	Delay uint64
 }
 

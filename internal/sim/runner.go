@@ -13,7 +13,6 @@ import (
 type GeneratedTrace struct {
 	Records  []trace.Record
 	Registry *trace.Registry
-	Stats    workload.Stats
 	// storageSlots maps vertex IDs to final storage footprints.
 	storageSlots map[graph.VertexID]int
 }
@@ -56,7 +55,7 @@ func GenerateScenario(sc workload.Scenario) (*GeneratedTrace, error) {
 }
 
 // Collect drains a workload stream into a materialised trace (records,
-// registry, stats and final storage footprints).
+// registry and final storage footprints).
 func Collect(s *workload.Stream) (*GeneratedTrace, error) {
 	records, _, err := trace.ReadAll(s) // workload streams emit no per-record errors
 	if err != nil {
@@ -65,7 +64,6 @@ func Collect(s *workload.Stream) (*GeneratedTrace, error) {
 	return &GeneratedTrace{
 		Records:      records,
 		Registry:     s.Registry(),
-		Stats:        s.Generator().Stats(),
 		storageSlots: s.StorageSlots(),
 	}, nil
 }

@@ -372,10 +372,9 @@ type Result struct {
 // of the O(touched) hot-path claim, kept outside Result so measurement
 // noise (nanoseconds) never perturbs result goldens. One entry is recorded
 // per flushed window, decay mode or not; windows without a sweep (decay
-// off, or an empty live graph) report zero work and RecountSkipped true.
+// off, or an empty live graph) report zero work and RecountSkipped true;
+// entry i belongs to Result.Windows[i].
 type SweepObs struct {
-	// Start is the window's start time (joins with WindowStat.Start).
-	Start time.Time
 	// LiveVertices is the live-graph size after the window's sweep.
 	LiveVertices int
 	// SweepNanos is the wall time of the decay sweep, including the
@@ -736,7 +735,6 @@ func (s *Simulator) flushWindow() {
 	// Pre-fill the window's sweep observation; decayStep overwrites it if
 	// a sweep actually runs (it fires right after this flush).
 	s.sweeps = append(s.sweeps, SweepObs{
-		Start:          s.clk.start,
 		LiveVertices:   s.full.VertexCount(),
 		RecountSkipped: true,
 	})

@@ -169,16 +169,8 @@ type Generator struct {
 	blockTimes  []int64
 	arrivalUnix int64 // arrival stamp applied by appendTx
 
-	stats Stats
-}
-
-// Stats summarises what the generator has produced so far.
-type Stats struct {
-	Blocks        int
-	Transactions  int
-	Skipped       int
-	Deployments   int
-	DummyAccounts int
+	// number is the last executed block's; genesis is block 0.
+	number uint64
 }
 
 // Block is one executed block of the generated history (chain.ExecuteBlock,
@@ -186,7 +178,6 @@ type Stats struct {
 type Block struct {
 	Number uint64
 	Time   int64 // Unix seconds
-	Miner  types.Address
 	// Receipts has one entry per transaction, in block order. It is the
 	// block's own slab, so callers may keep it.
 	Receipts []chain.Receipt
@@ -241,9 +232,6 @@ func (g *Generator) genesis() {
 		g.miners = append(g.miners, g.newAddress())
 	}
 }
-
-// Stats returns generation counters.
-func (g *Generator) Stats() Stats { return g.stats }
 
 // endBootstrap sets the bootstrap blocks' registry aside (see reg).
 func (g *Generator) endBootstrap() {
@@ -389,33 +377,26 @@ func (g *Generator) executeAt(at time.Time) (*Block, error) {
 	miner := g.miners[g.rng.Intn(len(g.miners))]
 	// No block gas ceiling: a generated block holds whatever arrived.
 	x := chain.ExecuteBlock(g.state, miner, math.MaxUint64, g.blockTxs)
-	g.stats.Blocks++ // genesis is block 0, so this is the block's number
-	number := uint64(g.stats.Blocks)
-	g.stats.Transactions += len(x.Receipts)
-	g.stats.Skipped += len(x.Skipped)
+	g.number++
+	number := g.number
 	clear(g.pending)
 	clear(g.delta)
 	g.recs = trace.AppendReceipts(g.recs[:0], uint32(number), at.Unix(), g.blockTimes,
 		x.Receipts, g.reg, g.hasCode)
-	g.updatePools(x.Receipts)
+	g.updatePools()
 	if len(x.Skipped) > 0 {
 		// Skips indicate a generator bug (bad nonce/balance bookkeeping);
 		// surface the first one.
 		return nil, fmt.Errorf("workload: block %d skipped %d txs: %w",
 			number, len(x.Skipped), x.Skipped[0])
 	}
-	return &Block{Number: number, Time: at.Unix(), Miner: miner, Receipts: x.Receipts, Records: g.recs}, nil
+	return &Block{Number: number, Time: at.Unix(), Receipts: x.Receipts, Records: g.recs}, nil
 }
 
 // updatePools feeds the last block's records into the
-// preferential-attachment pools and counts its deployments.
-func (g *Generator) updatePools(receipts []chain.Receipt) {
+// preferential-attachment pools.
+func (g *Generator) updatePools() {
 	const paCap = 1 << 20
-	for i := range receipts {
-		if receipts[i].ContractAddress != nil {
-			g.stats.Deployments++
-		}
-	}
 	for _, rec := range g.recs {
 		for _, id := range [2]uint64{rec.From, rec.To} {
 			addr, _ := g.reg.Address(id)
@@ -663,7 +644,6 @@ func (g *Generator) dummyAction() {
 	}
 	attacker := g.attackers[g.rng.Intn(len(g.attackers))]
 	victim := g.newAddress()
-	g.stats.DummyAccounts++
 	tx := g.transferTx(attacker, victim, 1)
 	// Attacker running dry: top up.
 	if g.avail(attacker) < 1<<20 {

@@ -59,9 +59,6 @@ func (s *Stream) Read() (trace.Record, error) {
 // complete once Read returns io.EOF).
 func (s *Stream) Registry() *trace.Registry { return s.g.reg }
 
-// Generator returns the underlying generator.
-func (s *Stream) Generator() *Generator { return s.g }
-
 // StorageSlots computes the per-contract storage footprint at the end of
 // the history; call after the stream is drained.
 func (s *Stream) StorageSlots() map[graph.VertexID]int {
