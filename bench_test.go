@@ -4,11 +4,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// Fig. 1's growth curve, Fig. 5's method × k sweep, one benchmark per
-// ablation called out in DESIGN.md §4 (matching scheme, FM refinement,
-// placement rule, R-METIS window length, TR-METIS thresholds), the
-// shard-engine, decay-repartition and autoscale curves, and the figure
-// path's replay for CPU profiles. Throughput, per-record and per-layer costs of the
+// Fig. 1's growth curve, Fig. 5's method × k sweep, the two ablations of
+// DESIGN.md §4 that turn production knobs (R-METIS window length, TR-METIS
+// thresholds), the shard-engine, decay-repartition and autoscale curves,
+// and the figure path's replay for CPU profiles. Throughput, per-record and per-layer costs of the
 // replay, generation, directory and serving paths are the ledger's.
 // Benchmarks share one synthetic history, generated once, so the
 // comparisons run on identical input — the same discipline the experiments
@@ -25,9 +24,7 @@ import (
 	"ethpart/internal/chain"
 	"ethpart/internal/evm"
 	"ethpart/internal/experiments"
-	"ethpart/internal/graph"
 	"ethpart/internal/opsim"
-	"ethpart/internal/partition/multilevel"
 	"ethpart/internal/shardchain"
 	"ethpart/internal/sim"
 	"ethpart/internal/trace"
@@ -60,18 +57,6 @@ func dataset(b *testing.B) *experiments.Dataset {
 		b.Fatal(benchErr)
 	}
 	return benchDS
-}
-
-// fullGraph builds the final cumulative graph of the shared history.
-func fullGraph(b *testing.B, ds *experiments.Dataset) *graph.CSR {
-	b.Helper()
-	g := graph.New()
-	for _, rec := range ds.GT.Records {
-		if err := rec.Apply(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return graph.NewCSR(g)
 }
 
 // replayFresh runs one full simulation outside the dataset cache so that
@@ -169,79 +154,6 @@ func BenchmarkReplay(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*len(ds.GT.Records))/b.Elapsed().Seconds(), "records/s")
 			b.ReportMetric(float64(res.TotalMoves), "moves")
-		})
-	}
-}
-
-// BenchmarkAblationMatching compares heavy-edge matching against random
-// matching in the coarsening phase (DESIGN.md §4).
-func BenchmarkAblationMatching(b *testing.B) {
-	ds := dataset(b)
-	csr := fullGraph(b, ds)
-	for _, mode := range []struct {
-		name   string
-		random bool
-	}{{"heavy-edge", false}, {"random", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			p := multilevel.New(multilevel.Config{Seed: 3, RandomMatching: mode.random})
-			var parts []int
-			for i := 0; i < b.N; i++ {
-				var err error
-				parts, err = p.Partition(csr, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(cutOf(csr, parts), "dyn-cut")
-		})
-	}
-}
-
-// BenchmarkAblationRefinement compares the full pipeline against one with
-// FM refinement disabled (DESIGN.md §4).
-func BenchmarkAblationRefinement(b *testing.B) {
-	ds := dataset(b)
-	csr := fullGraph(b, ds)
-	for _, mode := range []struct {
-		name string
-		skip bool
-	}{{"with-fm", false}, {"no-fm", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			p := multilevel.New(multilevel.Config{Seed: 3, SkipRefinement: mode.skip})
-			var parts []int
-			for i := 0; i < b.N; i++ {
-				var err error
-				parts, err = p.Partition(csr, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(cutOf(csr, parts), "dyn-cut")
-		})
-	}
-}
-
-// BenchmarkAblationPlacement compares the paper's min-cut/tie-balance
-// placement of new vertices against hash placement under R-METIS
-// (DESIGN.md §4).
-func BenchmarkAblationPlacement(b *testing.B) {
-	ds := dataset(b)
-	for _, mode := range []struct {
-		name  string
-		place sim.Placement
-	}{{"min-cut-rule", sim.PlaceAuto}, {"hash-placement", sim.PlaceHash}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var res *sim.Result
-			for i := 0; i < b.N; i++ {
-				res = replayFresh(b, ds, sim.Config{
-					Method: sim.MethodRMetis, K: 4, Placement: mode.place,
-				})
-			}
-			b.ReportMetric(res.OverallDynamicCut, "dyn-cut")
-			b.ReportMetric(res.OverallDynamicBalance, "dyn-balance")
 		})
 	}
 }
@@ -546,25 +458,4 @@ func BenchmarkAutoscaleResize(b *testing.B) {
 		shardWindows += int64(w.Shards)
 	}
 	b.ReportMetric(float64(shardWindows), "shard-windows")
-}
-
-// cutOf computes the weighted cut fraction of a one-shot partition.
-func cutOf(c *graph.CSR, parts []int) float64 {
-	var cut, total int64
-	for u := int32(0); int(u) < c.N(); u++ {
-		adj, w := c.Row(u)
-		for p, v := range adj {
-			if v <= u {
-				continue
-			}
-			total += w[p]
-			if parts[u] != parts[v] {
-				cut += w[p]
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(cut) / float64(total)
 }

@@ -50,7 +50,9 @@
 //
 // -horizon without -decay-half-life is rejected at flag-parse time by
 // every subcommand (the horizon is the decay subsystem's retention bound
-// and would otherwise be silently ignored).
+// and would otherwise be silently ignored), as is a negative value of a
+// flag whose zero means a default or off (-decay-half-life, -horizon,
+// -cut-threshold, -balance-threshold, -k-min, -k-max, -target-load).
 package main
 
 import (
@@ -126,6 +128,8 @@ func run(args []string) (err error) {
 	if err := cmp.Or(
 		experiments.ValidatePositive("-window", *window),
 		experiments.ValidatePositive("-repartition", *repartition),
+		experiments.ValidateNonNegative("-cut-threshold", *cutThreshold),
+		experiments.ValidateNonNegative("-balance-threshold", *balThreshold),
 	); err != nil {
 		return err
 	}

@@ -276,14 +276,17 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
-// shard, era and window counts below one, and of scales and durations at or
-// below zero. Past the flags each would panic (chaos -k 0 divides by it),
-// replay a whole oracle before fault.New objects (chaos -k -1), or silently
-// run with a default (a replay at k = 2 or in 4-hour windows, chaos at ten
-// eras, ops at the dataset's 0.004 scale). The replay rows would otherwise
-// fail on the missing trace file — the flag check comes first.
+// shard, era and window counts below one, of scales and durations at or
+// below zero, and of negatives of the flags whose zero means a default or
+// off. Past the flags each would panic (chaos -k 0 divides by it), replay a
+// whole oracle before fault.New objects (chaos -k -1), or silently run with
+// a default (a replay at k = 2, in 4-hour windows, over full history for a
+// negative half-life or at the default TR-METIS thresholds, chaos at ten
+// eras, ops at the dataset's 0.004 scale or the autoscaler's default
+// bounds and target). The replay rows would otherwise fail on the missing
+// trace file — the flag check comes first.
 func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
-	const count, positive = "must be >= 1", "must be > 0"
+	const count, positive, nonNegative = "must be >= 1", "must be > 0", "must be >= 0"
 	for _, tc := range []struct {
 		name string
 		run  func([]string) error
@@ -303,6 +306,13 @@ func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 		{"ops -window 0s", runOps, []string{"-window", "0s"}, "ops: -window " + positive},
 		{"ops -repartition -1h", runOps, []string{"-repartition", "-1h"}, "ops: -repartition " + positive},
 		{"ops -block 0s", runOps, []string{"-block", "0s"}, "ops: -block " + positive},
+		{"replay -decay-half-life -1h", run, []string{"-trace", "does-not-exist.csv", "-decay-half-life", "-1h"}, "-decay-half-life " + nonNegative},
+		{"ops -horizon -1h", runOps, []string{"-decay-half-life", "1h", "-horizon", "-1h"}, "-horizon " + nonNegative},
+		{"replay -cut-threshold -0.5", run, []string{"-trace", "does-not-exist.csv", "-cut-threshold", "-0.5"}, "-cut-threshold " + nonNegative},
+		{"replay -balance-threshold -1", run, []string{"-trace", "does-not-exist.csv", "-balance-threshold", "-1"}, "-balance-threshold " + nonNegative},
+		{"ops -k-min -3", runOps, []string{"-autoscale", "-k", "2", "-k-min", "-3"}, "ops: -k-min " + nonNegative},
+		{"ops -k-max -1", runOps, []string{"-autoscale", "-k", "2", "-k-max", "-1"}, "ops: -k-max " + nonNegative},
+		{"ops -target-load -5", runOps, []string{"-autoscale", "-target-load", "-5"}, "ops: -target-load " + nonNegative},
 	} {
 		err := tc.run(tc.args)
 		if err == nil {

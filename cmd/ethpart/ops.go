@@ -57,6 +57,9 @@ func runOps(args []string) (err error) {
 		experiments.ValidatePositive("ops: -window", *window),
 		experiments.ValidatePositive("ops: -repartition", *repartition),
 		experiments.ValidatePositive("ops: -block", *blockInterval),
+		experiments.ValidateNonNegative("ops: -k-min", *kmin),
+		experiments.ValidateNonNegative("ops: -k-max", *kmax),
+		experiments.ValidateNonNegative("ops: -target-load", *targetLoad),
 	); err != nil {
 		return err
 	}

@@ -59,12 +59,13 @@ func TestOperationalFigureGoldens(t *testing.T) {
 
 // TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
 // shard counts below one, of an inverted -k-min/-k-max range, of a scale
-// at or below zero and of history flags the subcommand would ignore, with
-// a one-line error. Past the flags each would run silently at a default
-// (the simulator's k = 2, scalecost's k-min 2, the dataset's 0.004 scale
-// under a header that prints the flag's, the era history in place of the
-// scenario asked for) or, for shardaware, generate a history with zero
-// communities. Every row names a subcommand that would otherwise generate
+// at or below zero, of a negative decay half-life or horizon and of history
+// flags the subcommand would ignore, with a one-line error. Past the flags
+// each would run silently at a default (the simulator's k = 2, scalecost's
+// k-min 2, the dataset's 0.004 scale under a header that prints the flag's,
+// full history or a horizon of 4× the half-life, the era history in place
+// of the scenario asked for) or, for shardaware, generate a history with
+// zero communities. Every row names a subcommand that would otherwise generate
 // a history first.
 func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 	for _, tc := range []struct {
@@ -80,6 +81,8 @@ func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 		{[]string{"-k-min", "4", "-k-max", "3", "scalecost"}, "-k-max 3 is below -k-min 4"},
 		{[]string{"-scale", "-1", "fig1"}, "-scale must be > 0"},
 		{[]string{"-scale", "0", "costs"}, "-scale must be > 0"},
+		{[]string{"-decay-half-life", "-5h", "decaycost"}, "-decay-half-life must be >= 0"},
+		{[]string{"-decay-half-life", "6h", "-horizon", "-1h", "fig5"}, "-horizon must be >= 0"},
 		{[]string{"-arrival", "poisson", "fig1"}, "-arrival requires -scenario"},
 		{[]string{"-scenario", "transfer-steady", "shardaware"}, "do not apply to shardaware"},
 		{[]string{"-scenario", "flash-nft-mint", "-arrival", "poisson", "decaycost"}, "do not apply to decaycost"},

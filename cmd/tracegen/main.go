@@ -153,9 +153,9 @@ func describeScenario(w io.Writer, sc workload.Scenario) {
 		name string
 		w    float64
 	}{
-		{"transfer", m.Transfer}, {"token", m.Token}, {"wallet", m.Wallet},
-		{"crowdsale", m.Crowdsale}, {"game", m.Game}, {"airdrop", m.Airdrop},
-		{"crud", m.CRUD}, {"exchange", m.Exchange}, {"nft-mint", m.NFTMint},
+		{"transfer", m.Transfer}, {"token", m.Token}, {"game", m.Game},
+		{"airdrop", m.Airdrop}, {"crud", m.CRUD}, {"exchange", m.Exchange},
+		{"nft-mint", m.NFTMint},
 	}
 	total := 0.0
 	for _, part := range parts {

@@ -37,6 +37,13 @@ var fieldAllowlist = map[string]string{
 	"workload.TxMix.Airdrop": "ROADMAP item 12 (the era mix fix): eraAction draws airdrops as the mix's remainder, so only the era tables set it until the draw reads it",
 }
 
+// setterAllowlist names the exported struct fields of internal/ that
+// production may read without any non-test file setting them, each with
+// its reason (DESIGN.md §1).
+var setterAllowlist = map[string]string{
+	"dirserve.ServerConfig.Hints": "ROADMAP item 10b: goes with the hint ring",
+}
+
 // listedPackage is the part of `go list -json` this test reads.
 type listedPackage struct {
 	ImportPath string
@@ -46,13 +53,15 @@ type listedPackage struct {
 }
 
 // moduleScan is the type-checked non-test code of the module: what it
-// references, which struct fields it reads, and the interfaces it sees.
+// references, which struct fields it reads and which it sets, and the
+// interfaces it sees.
 type moduleScan struct {
-	mod       []listedPackage // module packages, dependencies first
-	checked   map[string]*types.Package
-	used      map[types.Object]bool
-	fieldRead map[types.Object]bool
-	ifaces    []*types.Interface
+	mod        []listedPackage // module packages, dependencies first
+	checked    map[string]*types.Package
+	used       map[types.Object]bool
+	fieldRead  map[types.Object]bool
+	fieldWrite map[types.Object]bool
+	ifaces     []*types.Interface
 }
 
 // scanModule type-checks every non-test file of the module.
@@ -63,9 +72,10 @@ func scanModule(t *testing.T) *moduleScan {
 		t.Fatalf("go list: %v", err)
 	}
 	s := &moduleScan{
-		checked:   map[string]*types.Package{},
-		used:      map[types.Object]bool{},
-		fieldRead: map[types.Object]bool{},
+		checked:    map[string]*types.Package{},
+		used:       map[types.Object]bool{},
+		fieldRead:  map[types.Object]bool{},
+		fieldWrite: map[types.Object]bool{},
 	}
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var p listedPackage
@@ -141,15 +151,22 @@ func scanModule(t *testing.T) *moduleScan {
 			t.Fatalf("type-check %s: %v", p.ImportPath, err)
 		}
 		s.checked[p.ImportPath] = pkg
-		writes := map[*ast.Ident]bool{}
+		writes, addressed := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
 		for _, f := range files {
-			markFieldWrites(f, writes)
+			markFieldWrites(f, writes, addressed)
 		}
 		for id, obj := range info.Uses {
 			s.used[origin(obj)] = true
 			collect(obj.Type())
-			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
-				s.fieldRead[origin(v)] = true
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				// &x.F hands the field to a callee that may do either:
+				// flag.IntVar sets it, a method on *F reads it.
+				if writes[id] || addressed[id] {
+					s.fieldWrite[origin(v)] = true
+				}
+				if !writes[id] {
+					s.fieldRead[origin(v)] = true
+				}
 			}
 		}
 		for _, obj := range info.Defs {
@@ -174,15 +191,25 @@ func scanModule(t *testing.T) *moduleScan {
 // rather than read it: the field named by an assignment target or an
 // ++/-- operand, the field whose value receives an Add, Store, Swap or
 // CompareAndSwap call (the atomic writes), and the key of a composite
-// literal.
-func markFieldWrites(f *ast.File, writes map[*ast.Ident]bool) {
-	target := func(e ast.Expr) {
+// literal. The field of an &x.F operand goes to addressed.
+func markFieldWrites(f *ast.File, writes, addressed map[*ast.Ident]bool) {
+	field := func(e ast.Expr) *ast.Ident {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			writes[sel.Sel] = true
+			return sel.Sel
+		}
+		return nil
+	}
+	target := func(e ast.Expr) {
+		if id := field(e); id != nil {
+			writes[id] = true
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.UnaryExpr:
+			if id := field(n.X); n.Op == token.AND && id != nil {
+				addressed[id] = true
+			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				target(lhs)
@@ -274,12 +301,77 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 // fields: every exported field of a struct type declared in internal/... is
 // read by a non-test file of the module, unless it or its type is on
 // fieldAllowlist. Writing a field is not reading it: a counter production
-// keeps up to date for tests alone fails here. Embedded fields are not
-// checked: code reaches them through the fields and methods they promote.
+// keeps up to date for tests alone fails here.
 func TestExportedFieldsHaveProductionReaders(t *testing.T) {
 	s := scanModule(t)
 	var unread []string
 	found := map[string]bool{}
+	s.eachField(func(typeName, field string, f *types.Var) {
+		found[typeName], found[field] = true, true
+		_, typeListed := fieldAllowlist[typeName]
+		if _, ok := fieldAllowlist[field]; ok || typeListed || s.fieldRead[f] {
+			return
+		}
+		unread = append(unread, field)
+	})
+	checkAllowlist(t, "field allowlist", fieldAllowlist, found)
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("%d exported struct fields of internal/ are written but never read by non-test code; "+
+			"delete them with their upkeep, or recompute what the test checks from an outcome:\n\t%s",
+			len(unread), strings.Join(unread, "\n\t"))
+	}
+}
+
+// TestExportedFieldsHaveProductionSetters holds the rule that every knob
+// has a production setter: an exported field of a struct type declared in
+// internal/... that a non-test file reads is also set by one — assigned,
+// incremented, atomically stored, keyed in a composite literal or passed
+// as &x.F — unless it is on setterAllowlist. A field only tests set is a
+// switch production always sees at its zero value, so the branch it
+// selects runs in tests alone.
+func TestExportedFieldsHaveProductionSetters(t *testing.T) {
+	s := scanModule(t)
+	var unset []string
+	found := map[string]bool{}
+	s.eachField(func(_, field string, f *types.Var) {
+		found[field] = true
+		_, listed := setterAllowlist[field]
+		if listed && s.fieldWrite[f] {
+			t.Errorf("setter allowlist entry %s has a production setter; drop the entry", field)
+		}
+		if !listed && s.fieldRead[f] && !s.fieldWrite[f] {
+			unset = append(unset, field)
+		}
+	})
+	checkAllowlist(t, "setter allowlist", setterAllowlist, found)
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d exported struct fields of internal/ are read by non-test code but set only by tests; "+
+			"delete them with the branches they select, or set them from production:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
+	}
+}
+
+// checkAllowlist fails every entry of list that names nothing found or
+// gives no reason.
+func checkAllowlist(t *testing.T, what string, list map[string]string, found map[string]bool) {
+	t.Helper()
+	for name, reason := range list {
+		if !found[name] {
+			t.Errorf("%s entry %s names no exported struct field or struct type of internal/", what, name)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("%s entry %s has no reason", what, name)
+		}
+	}
+}
+
+// eachField calls fn for every exported, non-embedded field of a struct
+// type of internal/..., with the type's and the field's names as eachType
+// gives them. Embedded fields are skipped: code reaches them through the
+// fields and methods they promote.
+func (s *moduleScan) eachField(fn func(typeName, field string, f *types.Var)) {
 	s.eachType(func(name string, _ types.Object, named *types.Named) {
 		if named == nil {
 			return
@@ -288,34 +380,12 @@ func TestExportedFieldsHaveProductionReaders(t *testing.T) {
 		if !ok {
 			return
 		}
-		_, typeListed := fieldAllowlist[name]
 		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if !f.Exported() || f.Embedded() {
-				continue
+			if f := st.Field(i); f.Exported() && !f.Embedded() {
+				fn(name, name+"."+f.Name(), f)
 			}
-			field := name + "." + f.Name()
-			found[name], found[field] = true, true
-			if _, ok := fieldAllowlist[field]; ok || typeListed || s.fieldRead[f] {
-				continue
-			}
-			unread = append(unread, field)
 		}
 	})
-	for name, reason := range fieldAllowlist {
-		if !found[name] {
-			t.Errorf("field allowlist entry %s names no exported struct field or struct type of internal/", name)
-		}
-		if strings.TrimSpace(reason) == "" {
-			t.Errorf("field allowlist entry %s has no reason", name)
-		}
-	}
-	sort.Strings(unread)
-	if len(unread) > 0 {
-		t.Errorf("%d exported struct fields of internal/ are written but never read by non-test code; "+
-			"delete them with their upkeep, or recompute what the test checks from an outcome:\n\t%s",
-			len(unread), strings.Join(unread, "\n\t"))
-	}
 }
 
 // eachType calls fn for every package-scope object of internal/..., named

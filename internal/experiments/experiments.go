@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
@@ -62,12 +63,19 @@ type Params struct {
 }
 
 // ValidateDecayFlags is the flag-parse-time check every binary exposing the
-// -decay-half-life/-horizon pair runs: a horizon without a half-life is
-// rejected before any trace is read or history generated. Without it the
-// rejection only surfaces when a simulator is constructed — after setup has
-// already burned minutes.
+// -decay-half-life/-horizon pair runs: a negative value of either, which
+// would run as its zero default (full history, 4× the half-life), and a
+// horizon without a half-life are rejected before any trace is read or
+// history generated. Without it the rejection only surfaces when a
+// simulator is constructed — after setup has already burned minutes.
 func ValidateDecayFlags(decay, horizon time.Duration) error {
-	if horizon > 0 && decay <= 0 {
+	if err := cmp.Or(
+		ValidateNonNegative("-decay-half-life", decay),
+		ValidateNonNegative("-horizon", horizon),
+	); err != nil {
+		return err
+	}
+	if horizon > 0 && decay == 0 {
 		return fmt.Errorf(
 			"-horizon %v requires -decay-half-life: the horizon is the decay subsystem's retention bound and would be silently ignored without a half-life; pass both or neither", horizon)
 	}
@@ -92,6 +100,16 @@ func ValidateShards(name string, k int) error {
 func ValidatePositive[T float64 | time.Duration](name string, v T) error {
 	if v <= 0 {
 		return fmt.Errorf("%s must be > 0, got %v", name, v)
+	}
+	return nil
+}
+
+// ValidateNonNegative is the flag-parse-time check on a flag whose zero
+// means "default" or "off" (name labels the flag in the error): below zero,
+// the layer underneath would silently run it as that zero.
+func ValidateNonNegative[T int | int64 | float64 | time.Duration](name string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("%s must be >= 0, got %v", name, v)
 	}
 	return nil
 }

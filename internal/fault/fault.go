@@ -43,12 +43,10 @@ type Schedule struct {
 
 	// DropProb, DelayProb and DupProb are per-delivery-attempt
 	// probabilities for losing, delaying and duplicating a receipt on
-	// the barrier exchange. DupAll forces every delivery to also
-	// enqueue one duplicate (the property-test mode).
+	// the barrier exchange.
 	DropProb  float64
 	DelayProb float64
 	DupProb   float64
-	DupAll    bool
 
 	// ShuffleDeliveries reorders each destination inbox's arrivals
 	// within a barrier (seeded), exercising order-independence of
@@ -153,9 +151,6 @@ func New(s Schedule) (*Injector, error) {
 	return inj, nil
 }
 
-// Schedule returns the schedule driving this injector.
-func (inj *Injector) Schedule() Schedule { return inj.sched }
-
 // HasCrashes reports whether any shard crash is scheduled.
 func (inj *Injector) HasCrashes() bool { return len(inj.crashes) > 0 }
 
@@ -163,7 +158,7 @@ func (inj *Injector) HasCrashes() bool { return len(inj.crashes) > 0 }
 // perfect in-order single delivery.
 func (inj *Injector) HasMessageFaults() bool {
 	s := inj.sched
-	return s.DropProb > 0 || s.DelayProb > 0 || s.DupProb > 0 || s.DupAll || s.ShuffleDeliveries
+	return s.DropProb > 0 || s.DelayProb > 0 || s.DupProb > 0 || s.ShuffleDeliveries
 }
 
 // CrashedShards returns the distinct shards scheduled to crash while
@@ -183,7 +178,7 @@ func (inj *Injector) Delivery(id uint64, attempt int) Outcome {
 	if roll(s.Seed, id, uint64(attempt), saltDelay) < s.DelayProb {
 		o.Delay = 1 + hash(s.Seed, id, uint64(attempt), saltDelayLen)%maxDelay
 	}
-	if s.DupAll || roll(s.Seed, id, uint64(attempt), saltDup) < s.DupProb {
+	if roll(s.Seed, id, uint64(attempt), saltDup) < s.DupProb {
 		o.Duplicate = true
 	}
 	return o

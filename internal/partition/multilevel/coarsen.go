@@ -18,15 +18,13 @@ type level struct {
 // are visited in random order and an unmatched vertex pairs with its
 // unmatched neighbour of maximum edge weight. maxVW caps the combined
 // weight of a pair so hubs do not snowball into unsplittable supernodes.
-// With random set, the first eligible neighbour in the (shuffled) visit is
-// taken regardless of weight — the random-matching ablation.
 // It returns the fine→coarse map and the coarse vertex count.
 //
 // The visit order is an inside-out Fisher–Yates shuffle drawing
 // rng.Intn(i+1) for i = 0..n-1 — the draws, and therefore the permutation,
 // of rand.Perm(n), which this replaces so the order lives in the arena as
 // int32 instead of a fresh []int per level.
-func heavyEdgeMatching(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) (cmap []int32, nCoarse int) {
+func heavyEdgeMatching(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64) (cmap []int32, nCoarse int) {
 	n := g.n()
 	cmap = a.i32.filled(n, -1)
 	defer a.tmp.release(a.tmp.mark())
@@ -49,10 +47,6 @@ func heavyEdgeMatching(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random
 			}
 			if g.vw[v]+g.vw[u] > maxVW {
 				continue
-			}
-			if random {
-				best = u
-				break
 			}
 			if w[p] > bestW {
 				best, bestW = u, w[p]
@@ -143,7 +137,7 @@ func contract(a, dst *arena, g *mlGraph, cmap []int32, nCoarse int) *mlGraph {
 // from it, unless it is the coarsest; so a.odd holds at most one graph.
 // a.odd is emptied first: an earlier bisection of the call may have left
 // its last level there, and its chunks are reused.
-func coarsen(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) []level {
+func coarsen(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64) []level {
 	if a.odd == nil {
 		a.odd = new(arena)
 	}
@@ -151,7 +145,7 @@ func coarsen(a *arena, g *mlGraph, rng *rand.Rand, maxVW int64, random bool) []l
 	var ladder []level
 	cur := g
 	for cur.n() > coarsenTo {
-		cmap, nCoarse := heavyEdgeMatching(a, cur, rng, maxVW, random)
+		cmap, nCoarse := heavyEdgeMatching(a, cur, rng, maxVW)
 		if float64(nCoarse) > 0.95*float64(cur.n()) {
 			break // diminishing returns; stop coarsening
 		}

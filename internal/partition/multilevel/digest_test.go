@@ -75,15 +75,6 @@ func digestGraphs() []digestGraph {
 	}
 }
 
-var digestVariants = []struct {
-	name string
-	cfg  Config
-}{
-	{"default", Config{}},
-	{"random-matching", Config{RandomMatching: true}},
-	{"skip-refinement", Config{SkipRefinement: true}},
-}
-
 // partsDigest is FNV-64a over the parts slice, four little-endian bytes per
 // vertex.
 func partsDigest(parts []int) string {
@@ -96,23 +87,20 @@ func partsDigest(parts []int) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// computeDigests partitions every (graph, k, seed, variant) cell.
+// computeDigests partitions every (graph, k, seed) cell, keyed as the
+// committed file keys it.
 func computeDigests(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
 	for _, dg := range digestGraphs() {
 		for _, k := range []int{2, 3, 4, 5, 8} {
 			for _, seed := range []int64{1, 7} {
-				for _, v := range digestVariants {
-					cfg := v.cfg
-					cfg.Seed = seed
-					parts, err := New(cfg).Partition(dg.csr, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					partsValid(t, parts, dg.csr.N(), k)
-					out[fmt.Sprintf("%s/k=%d/seed=%d/%s", dg.name, k, seed, v.name)] = partsDigest(parts)
+				parts, err := New(Config{Seed: seed}).Partition(dg.csr, k)
+				if err != nil {
+					t.Fatal(err)
 				}
+				partsValid(t, parts, dg.csr.N(), k)
+				out[fmt.Sprintf("%s/k=%d/seed=%d/default", dg.name, k, seed)] = partsDigest(parts)
 			}
 		}
 	}
@@ -120,9 +108,9 @@ func computeDigests(t *testing.T) map[string]string {
 }
 
 // TestPartitionDigests pins the partitioner's output, bit for bit, on three
-// graph shapes × five k × two seeds × the default and the two ablation
-// configurations, with one and with four Ps: every exact count the ledger
-// and the sim goldens pin sits downstream of these partitions.
+// graph shapes × five k × two seeds, with one and with four Ps: every exact
+// count the ledger and the sim goldens pin sits downstream of these
+// partitions.
 func TestPartitionDigests(t *testing.T) {
 	if *update {
 		got := computeDigests(t)

@@ -52,12 +52,6 @@ type Config struct {
 	// Seed drives matching order and initial seeds; fixed seeds give
 	// reproducible partitions. Zero means 1.
 	Seed int64
-	// RandomMatching replaces heavy-edge matching with random matching;
-	// used only by the coarsening ablation bench. Default false.
-	RandomMatching bool
-	// SkipRefinement disables FM refinement; used only by the refinement
-	// ablation bench. Default false.
-	SkipRefinement bool
 }
 
 // Partitioner is the METIS-substitute multilevel k-way partitioner.
@@ -94,7 +88,6 @@ func (p *Partitioner) Partition(c *graph.CSR, k int) ([]int, error) {
 	r := &run{
 		tree:    *newArena(n),
 		scratch: *newArena(n),
-		cfg:     p.cfg,
 		parts:   parts,
 		rng:     rand.New(rand.NewSource(p.cfg.Seed)),
 	}
@@ -115,7 +108,6 @@ func (p *Partitioner) Partition(c *graph.CSR, k int) ([]int, error) {
 // growBisection reseed — are made bisection after bisection in recursion
 // pre-order.
 type run struct {
-	cfg   Config
 	parts []int
 	rng   *rand.Rand
 
@@ -167,7 +159,7 @@ func (r *run) bisect(a *arena, g *mlGraph, targetLeft int64) []uint8 {
 	tol := max(int64(epsilon*float64(g.totalVW)), 1)
 	// Cap supernode weight so hubs stay splittable.
 	maxVW := max(g.totalVW/16, 4)
-	ladder := coarsen(a, g, r.rng, maxVW, r.cfg.RandomMatching)
+	ladder := coarsen(a, g, r.rng, maxVW)
 	coarsest := ladder[len(ladder)-1].fine
 	var trials [initialTrials][]uint8
 	for t := range trials {
@@ -175,7 +167,7 @@ func (r *run) bisect(a *arena, g *mlGraph, targetLeft int64) []uint8 {
 	}
 	best, bestCut := 0, int64(0)
 	for t, side := range trials {
-		r.fm(a, coarsest, side, targetLeft, tol)
+		fmRefine(a, coarsest, side, targetLeft, tol, fmPasses)
 		if cut := coarsest.cutOf(side); t == 0 || cut < bestCut {
 			best, bestCut = t, cut
 		}
@@ -197,15 +189,8 @@ func (r *run) bisect(a *arena, g *mlGraph, targetLeft int64) []uint8 {
 		for v := range fineSide {
 			fineSide[v] = side[cmap[v]]
 		}
-		r.fm(a, fine, fineSide, targetLeft, tol)
+		fmRefine(a, fine, fineSide, targetLeft, tol, fmPasses)
 		side = fineSide
 	}
 	return side
-}
-
-// fm is fmRefine under the call's configuration.
-func (r *run) fm(a *arena, g *mlGraph, side []uint8, targetLeft, tol int64) {
-	if !r.cfg.SkipRefinement {
-		fmRefine(a, g, side, targetLeft, tol, fmPasses)
-	}
 }

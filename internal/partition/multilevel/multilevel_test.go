@@ -197,7 +197,7 @@ func TestHeavyEdgeMatchingRespectsWeightCap(t *testing.T) {
 	c := graph.NewCSR(g)
 	ml := fromCSR(new(arena), c)
 	rng := rand.New(rand.NewSource(2))
-	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, 2, false)
+	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, 2)
 	// With maxVW=2 every coarse vertex holds at most 2 fine vertices.
 	counts := make(map[int32]int)
 	for _, cidx := range cmap {
@@ -216,7 +216,7 @@ func TestContractPreservesTotals(t *testing.T) {
 	g := twoClusters(20, 3, rng)
 	c := graph.NewCSR(g)
 	ml := fromCSR(new(arena), c)
-	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, ml.totalVW/4, false)
+	cmap, nCoarse := heavyEdgeMatching(new(arena), ml, rng, ml.totalVW/4)
 	a := new(arena)
 	coarse := contract(a, a, ml, cmap, nCoarse)
 
@@ -248,22 +248,25 @@ func TestContractPreservesTotals(t *testing.T) {
 	}
 }
 
+// TestRefinementImprovesCut refines a bisection the way bisect does on the
+// way up: grown on a coarse level, projected to the fine one, then polished
+// by fmRefine, which must not raise the projected cut.
 func TestRefinementImprovesCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	g := twoClusters(30, 3, rng)
-	c := graph.NewCSR(g)
-	noRefine, err := New(Config{Seed: 6, SkipRefinement: true}).Partition(c, 2)
-	if err != nil {
-		t.Fatal(err)
+	ml := fromCSR(new(arena), graph.NewCSR(twoClusters(30, 3, rng)))
+	a := new(arena)
+	cmap, nCoarse := heavyEdgeMatching(a, ml, rng, max(ml.totalVW/16, 4))
+	coarse := contract(a, a, ml, cmap, nCoarse)
+	targetLeft := ml.totalVW / 2
+	coarseSide := growBisection(a, coarse, rng, targetLeft)
+	side := make([]uint8, ml.n())
+	for v := range side {
+		side[v] = coarseSide[cmap[v]]
 	}
-	refined, err := New(Config{Seed: 6}).Partition(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutNo := metrics.EdgeCutParts(c, noRefine, true)
-	cutYes := metrics.EdgeCutParts(c, refined, true)
-	if cutYes > cutNo {
-		t.Errorf("refinement worsened the cut: %.4f -> %.4f", cutNo, cutYes)
+	projected := ml.cutOf(side)
+	fmRefine(a, ml, side, targetLeft, max(int64(epsilon*float64(ml.totalVW)), 1), fmPasses)
+	if refined := ml.cutOf(side); refined > projected {
+		t.Errorf("refinement raised the cut: %d -> %d", projected, refined)
 	}
 }
 

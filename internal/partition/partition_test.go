@@ -333,7 +333,7 @@ func TestPlaceVertexPrefersNeighbourShard(t *testing.T) {
 	a, _ := NewAssignment(2)
 	a.Assign(1, 0)
 	a.Assign(2, 1)
-	if got := PlaceVertex(g, a, 100, make([]int64, a.k), nil); got != 0 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.k)); got != 0 {
 		t.Errorf("PlaceVertex = %d, want 0 (heavier attraction)", got)
 	}
 }
@@ -348,7 +348,7 @@ func TestPlaceVertexTieBreaksTowardBalance(t *testing.T) {
 	// Load shard 0 with extra vertices so the tie breaks to shard 1.
 	a.Assign(50, 0)
 	a.Assign(51, 0)
-	if got := PlaceVertex(g, a, 100, make([]int64, a.k), nil); got != 1 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.k)); got != 1 {
 		t.Errorf("PlaceVertex = %d, want 1 (balance tie-break)", got)
 	}
 }
@@ -360,7 +360,7 @@ func TestPlaceVertexNoNeighboursFallsBackToLeastLoaded(t *testing.T) {
 	a.Assign(1, 0)
 	a.Assign(2, 0)
 	a.Assign(3, 1)
-	if got := PlaceVertex(g, a, 100, make([]int64, a.k), nil); got != 2 {
+	if got := PlaceVertex(g, a, 100, make([]int64, a.k)); got != 2 {
 		t.Errorf("PlaceVertex = %d, want 2 (empty shard)", got)
 	}
 }

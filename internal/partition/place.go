@@ -27,14 +27,11 @@ const placeMaxOverload = 1.2
 //
 // scratch has length at least a.K() and is overwritten, so hot loops (one
 // placement per newly seen vertex during replay) place without allocating.
-// counts, when non-nil, replaces the assignment's cumulative per-shard
-// vertex counts for the overload cap and the balance tie-breaks. Under
-// windowed decay the simulator passes its live per-shard counts here:
-// retired vertices keep sticky assignments, so the cumulative counts
-// measure dead history and would let loadCap drift far above any live
-// shard — the rich-get-richer collapse the cap exists to prevent.
-func PlaceVertex(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64, counts []int) int {
-	sizes := shardSizes(a, counts)
+// The overload cap and the balance tie-breaks read the assignment's
+// cumulative per-shard counts: the rule serves full history, where no
+// vertex retires.
+func PlaceVertex(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64) int {
+	sizes := a.counts
 	attract, any := neighbourPull(g, a, v, scratch)
 	if !any {
 		// No placed neighbours: fall back to the emptiest shard, the
@@ -76,9 +73,12 @@ func PlaceVertex(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int6
 // Fennel's hard capacity (streamCapacity) still excludes runaway shards,
 // with a least-loaded fallback when every shard is at the cap.
 //
-// scratch and counts follow PlaceVertex's contract.
+// scratch follows PlaceVertex's contract. counts (length at least a.K())
+// are the per-shard sizes the penalty and the capacity read: the simulator
+// passes its live per-shard counts, because retired vertices keep sticky
+// assignments and the assignment's cumulative counts measure dead history.
 func PlaceVertexFennel(g *graph.Graph, a *Assignment, v graph.VertexID, scratch []int64, counts []int) int {
-	sizes := shardSizes(a, counts)
+	sizes := counts[:a.k]
 	k := len(sizes)
 	attract, _ := neighbourPull(g, a, v, scratch)
 	n := 0
@@ -133,16 +133,6 @@ func fennelPenalty(alpha, gamma, size float64) float64 {
 // shard holds at most C = n(1+0.1)/k vertices.
 func streamCapacity(n, k int) float64 {
 	return float64(n) * 1.1 / float64(k)
-}
-
-// shardSizes is the per-shard size measure both placement rules balance
-// against: counts when the caller supplies one, the assignment's
-// cumulative counts otherwise. Read-only.
-func shardSizes(a *Assignment, counts []int) []int {
-	if counts != nil {
-		return counts[:a.k]
-	}
-	return a.counts
 }
 
 // neighbourPull is the preamble both placement rules share: the weight of

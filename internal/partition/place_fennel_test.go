@@ -58,10 +58,10 @@ func TestPlaceVertexFennelOverturnsRawPull(t *testing.T) {
 	g, a := buildPlacement(t, 3, pulls, [][3]int64{{100, 101, 95}}, assign)
 	scratch := make([]int64, 3)
 
-	if got := PlaceVertex(g, a, fennelHub, scratch, nil); got != 0 {
+	if got := PlaceVertex(g, a, fennelHub, scratch); got != 0 {
 		t.Fatalf("cap rule picked %d, want 0 (raw pull wins under the cap)", got)
 	}
-	if got := PlaceVertexFennel(g, a, fennelHub, scratch, nil); got != 1 {
+	if got := PlaceVertexFennel(g, a, fennelHub, scratch, a.Counts()); got != 1 {
 		t.Errorf("Fennel rule picked %d, want 1 (size penalty overturns the pull)", got)
 	}
 }
@@ -76,7 +76,7 @@ func TestPlaceVertexFennelBalanceAndCapacity(t *testing.T) {
 	// Equal pulls, unequal sizes.
 	g, a := buildPlacement(t, 2, map[graph.VertexID]int64{10: 2, 20: 2}, nil,
 		map[graph.VertexID]int{10: 0, 20: 1, 100: 0, 101: 0})
-	if got := PlaceVertexFennel(g, a, fennelHub, scratch, nil); got != 1 {
+	if got := PlaceVertexFennel(g, a, fennelHub, scratch, a.Counts()); got != 1 {
 		t.Errorf("equal pulls picked %d, want 1 (smaller shard)", got)
 	}
 
@@ -86,7 +86,7 @@ func TestPlaceVertexFennelBalanceAndCapacity(t *testing.T) {
 		assign[i] = 0
 	}
 	g2, a2 := buildPlacement(t, 2, map[graph.VertexID]int64{10: 100}, nil, assign)
-	if got := PlaceVertexFennel(g2, a2, fennelHub, scratch, nil); got != 1 {
+	if got := PlaceVertexFennel(g2, a2, fennelHub, scratch, a2.Counts()); got != 1 {
 		t.Errorf("over-capacity shard chosen (%d), want 1", got)
 	}
 
@@ -96,11 +96,11 @@ func TestPlaceVertexFennelBalanceAndCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := PlaceVertexFennel(g3, a3, 1, scratch, nil); got != 0 {
+	if got := PlaceVertexFennel(g3, a3, 1, scratch, a3.Counts()); got != 0 {
 		t.Errorf("empty population placed on %d, want 0", got)
 	}
 
-	// Explicit live counts override the assignment's cumulative counts
+	// Live counts, not the assignment's cumulative counts, are what it reads
 	// (decay mode: the dead history says shard 0 is packed, the live
 	// population says it is empty).
 	for i := graph.VertexID(10); i < 20; i++ {

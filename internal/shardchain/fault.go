@@ -182,15 +182,8 @@ func (sc *ShardChain) exchangeFaulty() {
 			inj.Metrics.Duplicated.Add(1)
 			dup := fl
 			dup.forced = true
-			if inj.Schedule().DupAll {
-				// The reorder-property mode: the duplicate rides the same
-				// barrier as the original, maximally stressing in-barrier
-				// dedup and shuffle.
-				deliver(dup)
-			} else {
-				dup.due = sc.clock + 1
-				next = append(next, dup)
-			}
+			dup.due = sc.clock + 1
+			next = append(next, dup)
 		}
 		if o.Delay > 0 {
 			inj.Metrics.Delayed.Add(1)

@@ -200,10 +200,10 @@ func TestPropertyCrashRecoveryConvergence(t *testing.T) {
 }
 
 // TestPropertyDuplicateReorderNoOp pins idempotent settlement: with every
-// receipt delivered twice (DupAll) and every barrier's arrivals shuffled,
-// the run stays byte-identical to the fault-free reference — per-step
-// receipts included, since duplicates ride the same barrier — for both
-// models and k ∈ {2, 4, 8}. Under ModelMigration the channel is empty
+// receipt delivered twice (DupProb 1: a roll is below 1) and every barrier's
+// arrivals shuffled, the run stays byte-identical to the fault-free
+// reference — per-step receipts included, since a duplicate rides the next
+// barrier and settles nothing — for both models and k ∈ {2, 4, 8}. Under ModelMigration the channel is empty
 // (no receipts exist) and the property holds vacuously; it is included
 // so the plane is exercised against both hooks.
 func TestPropertyDuplicateReorderNoOp(t *testing.T) {
@@ -212,7 +212,7 @@ func TestPropertyDuplicateReorderNoOp(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/k=%d", model, k), func(t *testing.T) {
 				fx := chaosWorkload(int64(200+k), k, 10, true)
 				inj := mustInjector(t, fault.Schedule{
-					Seed: 11, DupAll: true, ShuffleDeliveries: true,
+					Seed: 11, DupProb: 1, ShuffleDeliveries: true,
 				})
 				ref := fx.newChain(t, k, model, false, nil)
 				got := fx.newChain(t, k, model, true, inj)

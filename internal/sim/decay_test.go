@@ -44,14 +44,17 @@ func TestDecayIdentitySweepMatchesDisabled(t *testing.T) {
 			identCfg := goldenConfig(m, k)
 			identCfg.DecayHalfLife = 24 * time.Hour // enables decay mode in New
 			identCfg.Horizon = 365 * 24 * time.Hour // far past the ten-day stream
-			// Decay mode also switches PlaceAuto placement to the Fennel
-			// objective; pin the placement rule to the cap on both sides so
-			// this test isolates the sweep plumbing (the Fennel path has its
-			// own drifting-era golden in TestDecayPlacementGolden).
-			identCfg.Placement = PlaceCap
 			ident, err := New(identCfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Decay mode also switches the graph-aware methods' placement
+			// to the Fennel objective; pin the rule back to the cap so this
+			// test isolates the sweep plumbing (the Fennel path has its own
+			// drifting-era golden in TestDecayPlacementGolden). HASH stays
+			// hash.
+			if ident.policy.place == placeFennel {
+				ident.policy.place = placeCap
 			}
 			// Force an identity sweep: decay mode stays on (live counts,
 			// per-window sweeps, recounts all run), but the factor is
@@ -262,7 +265,7 @@ func TestPropertyDecayCountersExact(t *testing.T) {
 
 // decayPlacementConfig is the drifting-era decay configuration of the
 // placement-objective golden.
-func decayPlacementConfig(p Placement) Config {
+func decayPlacementConfig() Config {
 	return Config{
 		Method: MethodTRMetis, K: 4,
 		Window:            4 * time.Hour,
@@ -272,12 +275,11 @@ func decayPlacementConfig(p Placement) Config {
 		BalanceThreshold:  1.5,
 		DecayHalfLife:     8 * time.Hour,
 		Horizon:           24 * time.Hour,
-		Placement:         p,
 	}
 }
 
 // TestDecayPlacementGolden pins the decay-aware placement objective on a
-// drifting-era trace: under PlaceAuto, decay mode feeds the decayed
+// drifting-era trace: decay mode feeds the decayed
 // neighbour weights into the shared Fennel-style degree-based size penalty
 // (PlaceVertexFennel), so first-sight placement and the decayed
 // repartitioner optimise the same recency-weighted objective. The values
@@ -286,13 +288,13 @@ func decayPlacementConfig(p Placement) Config {
 // changed.
 func TestDecayPlacementGolden(t *testing.T) {
 	recs := driftingEras(12, 8)
-	s, err := New(decayPlacementConfig(PlaceAuto))
+	s, err := New(decayPlacementConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := replayAll(t, s, recs)
-	if s.policy.place != PlaceFennel {
-		t.Fatal("PlaceAuto did not resolve to the Fennel objective in decay mode")
+	if s.policy.place != placeFennel {
+		t.Fatal("decay mode did not resolve to the Fennel objective")
 	}
 	if len(res.Windows) != 96 || res.Repartitions != 15 ||
 		res.TotalMoves != 1694 || res.Vertices != 100 ||
@@ -308,14 +310,12 @@ func TestDecayPlacementGolden(t *testing.T) {
 
 	// The objective must actually differ from the cap rule on this trace —
 	// otherwise the golden would pass vacuously with the dispatch broken.
-	capSim, err := New(decayPlacementConfig(PlaceCap))
+	capSim, err := New(decayPlacementConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	capSim.policy.place = placeCap
 	capRes := replayAll(t, capSim, recs)
-	if capSim.policy.place != PlaceCap {
-		t.Fatal("PlaceCap resolved to the Fennel objective")
-	}
 	if capRes.TotalMoves == res.TotalMoves &&
 		capRes.OverallDynamicCut == res.OverallDynamicCut &&
 		capRes.OverallDynamicBalance == res.OverallDynamicBalance {

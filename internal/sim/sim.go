@@ -74,8 +74,8 @@ func Methods() []Method {
 // policy is what §II-C actually varies between the five methods, resolved
 // from Config once in New so nothing downstream re-derives it from Method.
 type policy struct {
-	// place is the resolved first-sight placement rule (never PlaceAuto).
-	place Placement
+	// place is the first-sight placement rule.
+	place placement
 	// trigger is when a same-k repartition wave fires.
 	trigger trigger
 	// source is the graph a same-k wave partitions.
@@ -134,42 +134,32 @@ func resolvePolicy(cfg Config, decay bool) (policy, error) {
 		p.source = sourceDecayedWindow
 	}
 	switch {
-	case cfg.Placement < PlaceAuto || cfg.Placement > PlaceHash:
-		return p, fmt.Errorf("sim: invalid placement %d", cfg.Placement)
 	case cfg.Method == MethodHash:
-		p.place = PlaceHash
-	case cfg.Placement != PlaceAuto:
-		p.place = cfg.Placement
+		p.place = placeHash
 	case decay:
-		p.place = PlaceFennel
-	default:
-		p.place = PlaceCap
+		p.place = placeFennel
 	}
 	return p, nil
 }
 
-// Placement selects the first-sight placement rule: where a vertex
-// appearing between repartition waves is put.
-type Placement int
+// placement is a first-sight placement rule: where a vertex appearing
+// between repartition waves is put.
+type placement int
 
 const (
-	// PlaceAuto (the default) keeps the paper's min-cut/tie-balance rule
-	// under its hard overload cap in full-history mode — the behaviour the
-	// goldens pin — and switches to the shared Fennel-style degree-based
-	// penalty in decay mode, where the decayed neighbour weights feed the
-	// same recency-weighted objective the decayed repartitioner optimises.
-	PlaceAuto Placement = iota
-	// PlaceCap always uses the hard overload cap (partition.PlaceVertex).
-	PlaceCap
-	// PlaceFennel always uses the Fennel-style degree-based penalty
-	// (partition.PlaceVertexFennel), even in full-history mode.
-	PlaceFennel
-	// PlaceHash places by hashing the vertex ID, replacing the min-cut rule
-	// for every method (MethodHash places this way whatever Placement
-	// says). Resize waves then re-hash at the new modulus, because "shard =
-	// hash mod k" is the invariant future placements rely on. Used by the
-	// placement ablation bench.
-	PlaceHash
+	// placeCap is the paper's min-cut/tie-balance rule under its hard
+	// overload cap (partition.PlaceVertex): the graph-aware methods in
+	// full-history mode, the behaviour the goldens pin.
+	placeCap placement = iota
+	// placeFennel is the Fennel-style degree-based penalty
+	// (partition.PlaceVertexFennel): the graph-aware methods in decay
+	// mode, where the decayed neighbour weights feed the same
+	// recency-weighted objective the decayed repartitioner optimises.
+	placeFennel
+	// placeHash places by hashing the vertex ID (MethodHash). Resize waves
+	// then re-hash at the new modulus, because "shard = hash mod k" is the
+	// invariant future placements rely on.
+	placeHash
 )
 
 // Config parameterises a simulation run.
@@ -222,10 +212,6 @@ type Config struct {
 	// StorageSlots, when non-nil, reports a vertex's storage footprint so
 	// moves can be weighed in relocated state, not just vertex count.
 	StorageSlots func(graph.VertexID) int
-	// Placement selects the first-sight placement rule; see Placement. The
-	// zero value (PlaceAuto) follows the decay mode: hard cap on full
-	// history, Fennel penalty under decay.
-	Placement Placement
 	// Autoscale arms the saturation-driven shard autoscaler (see
 	// AutoscaleConfig in autoscale.go): K becomes the *initial* shard
 	// count and the controller splits/merges within [KMin, KMax] at window
@@ -679,16 +665,14 @@ func (s *Simulator) placeIfNew(v graph.VertexID) (int, error) {
 	}
 	var shard int
 	switch s.policy.place {
-	case PlaceHash:
+	case placeHash:
 		shard = s.hash.ShardOf(v, s.cfg.K)
-	case PlaceFennel:
+	case placeFennel:
 		// Decay-aware placement: decayed neighbour weights against the
 		// shared degree-based size penalty, over the live population.
 		shard = partition.PlaceVertexFennel(s.full, s.assign, v, s.placeScratch, s.liveCounts)
 	default:
-		// liveCounts is nil outside decay mode, falling back to the
-		// assignment's cumulative counts.
-		shard = partition.PlaceVertex(s.full, s.assign, v, s.placeScratch, s.liveCounts)
+		shard = partition.PlaceVertex(s.full, s.assign, v, s.placeScratch)
 	}
 	if _, _, err := s.assign.Assign(v, shard); err != nil {
 		return 0, err

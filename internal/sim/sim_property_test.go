@@ -67,17 +67,14 @@ func accountingError(res *Result, n int64) error {
 }
 
 // flashCells are the autoscale cells the accounting and callback tests
-// share: every method, plus hash placement under a graph-aware method, over
-// flashStream — so split, merge-drain and re-hash waves are held to what
-// plain repartitions are.
+// share: every method over flashStream — so split, merge-drain and (under
+// HASH) re-hash waves are held to what plain repartitions are.
 func flashCells() []Config {
 	var cells []Config
 	for _, m := range Methods() {
 		cells = append(cells, flashConfig(m, true))
 	}
-	hashPlaced := flashConfig(MethodRMetis, true)
-	hashPlaced.Placement = PlaceHash
-	return append(cells, hashPlaced)
+	return cells
 }
 
 func TestPropertyWindowAccountingConsistent(t *testing.T) {
@@ -140,7 +137,7 @@ func TestPropertyWindowAccountingConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("%v/placement=%d", cfg.Method, cfg.Placement)
+		name := cfg.Method.String()
 		res := replayAll(t, s, recs)
 		if err := accountingError(res, int64(len(recs))); err != nil {
 			t.Errorf("%s: %v", name, err)

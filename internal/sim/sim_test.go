@@ -45,9 +45,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Method: Method(99), K: 2}); err == nil {
 		t.Error("invalid method must be rejected")
 	}
-	if _, err := New(Config{Method: MethodMetis, K: 2, Placement: PlaceHash + 1}); err == nil {
-		t.Error("invalid placement must be rejected")
-	}
 }
 
 func TestHashSimulatorBasics(t *testing.T) {
@@ -220,7 +217,8 @@ func TestAssignmentChangeCallbacks(t *testing.T) {
 		RepartitionEvery: 24 * time.Hour,
 	}, clusters}}
 	for _, cfg := range flashCells() {
-		cells = append(cells, cell{fmt.Sprintf("autoscale/%v/placement=%d", cfg.Method, cfg.Placement), cfg, flashStream()})
+		// The /placement=0 suffix keeps the subtest names stable.
+		cells = append(cells, cell{fmt.Sprintf("autoscale/%v/placement=0", cfg.Method), cfg, flashStream()})
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {

@@ -19,11 +19,11 @@ func trigSim(t *testing.T, triggerWindows int, gap time.Duration) *Simulator {
 		TriggerWindows:    triggerWindows,
 		CutThreshold:      0.4,
 		BalanceThreshold:  99, // balance trigger disabled
-		Placement:         PlaceHash,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.policy.place = placeHash
 	return s
 }
 

@@ -136,7 +136,7 @@ func (s *Simulator) plan(now time.Time, oldK, newK int) (ids []graph.VertexID, p
 			err = fmt.Errorf("lookahead planned %d vertices of a %d-vertex graph", len(ids), s.full.VertexCount())
 		}
 		return ids, parts, err
-	case resize && s.policy.place == PlaceHash:
+	case resize && s.policy.place == placeHash:
 		// "shard = hash mod k" is the invariant future placements rely on,
 		// so live and retired vertices alike re-hash at the new modulus.
 		ids = s.assignedFrom(0)

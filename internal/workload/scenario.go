@@ -18,13 +18,12 @@ import (
 // relative (normalised at compile time); zero disables an archetype and
 // its bootstrap contracts.
 type ScenarioMix struct {
-	// The era archetypes.
-	Transfer  float64
-	Token     float64
-	Wallet    float64
-	Crowdsale float64
-	Game      float64
-	Airdrop   float64
+	// The era archetypes a scenario draws from (the era path alone runs
+	// wallets and crowdsales, through TxMix).
+	Transfer float64
+	Token    float64
+	Game     float64
+	Airdrop  float64
 	// CRUD is blurr-style keyed-store traffic (create/read/update/delete
 	// with recent-key bias) against CrudRuntime stores.
 	CRUD float64
@@ -37,8 +36,8 @@ type ScenarioMix struct {
 
 // total returns the sum of all weights.
 func (m ScenarioMix) total() float64 {
-	return m.Transfer + m.Token + m.Wallet + m.Crowdsale + m.Game +
-		m.Airdrop + m.CRUD + m.Exchange + m.NFTMint
+	return m.Transfer + m.Token + m.Game + m.Airdrop + m.CRUD +
+		m.Exchange + m.NFTMint
 }
 
 // Scenario is a named workload composition.
@@ -145,14 +144,9 @@ func (g *Generator) scenarioBootstrap(sc Scenario) error {
 		g.appendTx(g.transferTx(g.faucet, a, initialFunding))
 	}
 	m := sc.Mix
-	if m.Token > 0 || m.Crowdsale > 0 {
+	if m.Token > 0 {
 		for i := 0; i < 2; i++ {
 			g.appendTx(g.deployTx(TokenRuntime(), &g.tokens))
-		}
-	}
-	if m.Wallet > 0 {
-		for i := 0; i < 2; i++ {
-			g.appendTx(g.deployTx(WalletRuntime(), &g.wallets))
 		}
 	}
 	if m.Game > 0 {
@@ -182,14 +176,10 @@ func (g *Generator) scenarioBootstrap(sc Scenario) error {
 	if err := g.execute(); err != nil {
 		return err
 	}
-	// Second bootstrap block: crowdsales referencing the tokens.
+	// A second, empty bootstrap block, where the era path deploys its
+	// crowdsales: its miner draw and block number are part of every
+	// scenario's pinned stream.
 	g.beginBlock(g.now)
-	if m.Crowdsale > 0 {
-		for i := 0; i < 2; i++ {
-			owner := g.accounts[g.rng.Intn(len(g.accounts))]
-			g.appendTx(g.deployTx(CrowdsaleRuntime(g.tokens[i%len(g.tokens)], owner), &g.crowdsales))
-		}
-	}
 	return g.execute()
 }
 
@@ -279,13 +269,6 @@ func compileScenario(sc Scenario) *compiledScenario {
 	add(m.Transfer, func(g *Generator) { g.transferAction(sc.NewAccountFrac) }, nil)
 	add(m.Token, (*Generator).tokenAction,
 		func(g *Generator) { g.appendTx(g.deployTx(TokenRuntime(), &g.tokens)) })
-	add(m.Wallet, (*Generator).walletAction,
-		func(g *Generator) { g.appendTx(g.deployTx(WalletRuntime(), &g.wallets)) })
-	add(m.Crowdsale, (*Generator).crowdsaleAction, func(g *Generator) {
-		owner := g.accounts[g.rng.Intn(len(g.accounts))]
-		token := g.tokens[g.rng.Intn(len(g.tokens))]
-		g.appendTx(g.deployTx(CrowdsaleRuntime(token, owner), &g.crowdsales))
-	})
 	add(m.Game, (*Generator).gameAction,
 		func(g *Generator) { g.appendTx(g.deployTx(GameRuntime(), &g.games)) })
 	add(m.Airdrop, (*Generator).airdropAction,
