@@ -9,7 +9,9 @@
 // Flags:
 //
 //	-seed N      history seed (default 1)
-//	-scale F     workload scale (default 0.004)
+//	-scale F     workload scale (default 0.004); not with -scenario, which
+//	             sets its own size, nor for the subcommands that generate
+//	             their own histories
 //	-scenario S  generate the history from a named open-loop scenario
 //	             (tracegen -list names them) instead of the era schedule;
 //	             not for the subcommands that generate their own histories
@@ -83,6 +85,8 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	stop, err := prof.Start()
 	if err != nil {
 		return err
@@ -109,14 +113,19 @@ func run(args []string) (err error) {
 	cmd := fs.Arg(0)
 
 	// shardaware, decaycost, scalecost and scenariocost generate their own
-	// histories, so the history flags do not reach them; -hours reaches only
+	// histories, so the history flags do not reach them (shardaware reads
+	// -scale); a scenario sets its own size; -hours reaches only
 	// scenariocost.
+	ownHistories := cmd == "decaycost" || cmd == "scalecost" || cmd == "scenariocost"
 	switch {
 	case *scenario == "" && *arrival != "":
 		return fmt.Errorf("-arrival requires -scenario")
-	case (*scenario != "" || *arrival != "") &&
-		(cmd == "shardaware" || cmd == "decaycost" || cmd == "scalecost" || cmd == "scenariocost"):
+	case (*scenario != "" || *arrival != "") && (cmd == "shardaware" || ownHistories):
 		return fmt.Errorf("-scenario/-arrival do not apply to %s, which generates its own histories", cmd)
+	case *scenario != "" && set["scale"]:
+		return fmt.Errorf("-scale does not apply to -scenario")
+	case ownHistories && set["scale"]:
+		return fmt.Errorf("-scale does not apply to %s, which generates its own histories", cmd)
 	case *hours != 0 && cmd != "scenariocost":
 		return fmt.Errorf("-hours applies to scenariocost only")
 	}

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,11 +24,8 @@ import (
 // multilevel partitioner's unset options became constants. costs.csv
 // (-scale 0.0005, where every method's waves still fire) was captured when
 // the figure began pricing the live chain's measurements instead of the
-// simulator's, with
-//
-//	go run ./cmd/experiments -scale 0.0005 -csv cmd/experiments/testdata costs
-//
-// Its ten co-simulations take ≈ 28 s under -race on 2 vCPUs.
+// simulator's. UPDATE_GOLDENS=1 re-pins them (DESIGN.md §10, "Re-pinning").
+// costs' ten co-simulations take ≈ 28 s under -race on 2 vCPUs.
 func TestOperationalFigureGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		fig  string
@@ -46,27 +47,67 @@ func TestOperationalFigureGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", tc.fig+".csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s.csv drifted from testdata/%s.csv:\n got:\n%s\nwant:\n%s", tc.fig, tc.fig, got, want)
-			}
+			pinText(t, filepath.Join("testdata", tc.fig+".csv"), got)
 		})
 	}
+}
+
+// updateGoldens is the one re-pin switch (DESIGN.md §10, "Re-pinning"):
+// `UPDATE_GOLDENS=1 go test ./...` rewrites every pinned file whose
+// content the code no longer reproduces.
+var updateGoldens = os.Getenv("UPDATE_GOLDENS") != ""
+
+// pinText compares got with the file pinned at path, byte for byte. Under
+// the switch it rewrites the file instead and fails naming the first line
+// that moved: a failure is what plain `go test` prints, and the next plain
+// run passes.
+func pinText(t *testing.T, path string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil && !(updateGoldens && errors.Is(err, fs.ErrNotExist)) {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	if !updateGoldens {
+		t.Errorf("%s moved (pinned → computed; UPDATE_GOLDENS=1 re-pins) %s", path, firstMovedLine(want, got))
+		return
+	}
+	if err := os.WriteFile(path, got, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("re-pinned %s (pinned → computed) %s", path, firstMovedLine(want, got))
+}
+
+// firstMovedLine names the first line at which two texts differ.
+func firstMovedLine(want, got []byte) string {
+	w, g := strings.SplitAfter(string(want), "\n"), strings.SplitAfter(string(got), "\n")
+	i := 0
+	for i < len(w) && i < len(g) && w[i] == g[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i >= len(lines) || lines[i] == "" {
+			return "(end of file)"
+		}
+		return strconv.Quote(strings.TrimSuffix(lines[i], "\n"))
+	}
+	return fmt.Sprintf("line %d: %s → %s", i+1, line(w), line(g))
 }
 
 // TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
 // shard counts below one, of an inverted -k-min/-k-max range, of a scale
 // at or below zero, of a negative decay half-life or horizon and of history
-// flags the subcommand would ignore, with a one-line error. Past the flags
-// each would run silently at a default (the simulator's k = 2, scalecost's
-// k-min 2, the dataset's 0.004 scale under a header that prints the flag's,
-// full history or a horizon of 4× the half-life, the era history in place
-// of the scenario asked for) or, for shardaware, generate a history with
-// zero communities. Every row names a subcommand that would otherwise generate
-// a history first.
+// flags the subcommand would ignore (-scale among them, beside -scenario or
+// a subcommand that generates its own histories), with a one-line error.
+// Past the flags each would run silently at a default (the simulator's
+// k = 2, scalecost's k-min 2, the dataset's 0.004 scale under a header that
+// prints the flag's, full history or a horizon of 4× the half-life, the era
+// history in place of the scenario asked for, the scenario at its own size
+// under a -scale that reads as applied) or, for shardaware, generate a
+// history with zero communities. Every row names a subcommand that would
+// otherwise generate a history first.
 func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -89,6 +130,10 @@ func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 		{[]string{"-scenario", "transfer-steady", "scalecost"}, "do not apply to scalecost"},
 		{[]string{"-scenario", "transfer-steady", "-hours", "12", "scenariocost"}, "do not apply to scenariocost"},
 		{[]string{"-hours", "12", "decaycost"}, "-hours applies to scenariocost only"},
+		{[]string{"-scenario", "transfer-steady", "-scale", "0.9", "fig1"}, "-scale does not apply to -scenario"},
+		{[]string{"-scale", "0.5", "-hours", "1", "scenariocost"}, "-scale does not apply to scenariocost"},
+		{[]string{"-scale", "0.5", "decaycost"}, "-scale does not apply to decaycost"},
+		{[]string{"-scale", "0.5", "scalecost"}, "-scale does not apply to scalecost"},
 	} {
 		err := run(tc.args)
 		if err == nil {

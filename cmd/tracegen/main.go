@@ -8,10 +8,14 @@
 // Usage:
 //
 //	tracegen -out trace.csv [-seed 1] [-scale 0.004]
-//	tracegen -scenario flash-nft-mint -out trace.csv.gz [-hours 48]
+//	tracegen -scenario flash-nft-mint -out trace.csv.gz [-hours 48] [-seed 1]
 //	tracegen -list
 //	tracegen -describe flash-nft-mint
 //	tracegen -validate flash-nft-mint
+//
+// A flag the mode does not read is an error: -scale beside -scenario (a
+// scenario sets its own size), -hours without it, and any generation flag
+// beside -list, -describe or -validate.
 //
 // Output ending in .gz is gzip-compressed; every ethpart tool reads it
 // transparently. -cpuprofile FILE and -memprofile FILE write a CPU profile
@@ -54,6 +58,8 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	stop, err := prof.Start()
 	if err != nil {
 		return err
@@ -64,6 +70,18 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	if *scenario == "" && *hours != 0 {
 		return fmt.Errorf("-hours requires -scenario")
+	}
+	if *scenario != "" && set["scale"] {
+		return fmt.Errorf("-scale does not apply to -scenario")
+	}
+	// -list, -describe and -validate generate nothing, so they read no
+	// generation flag.
+	for _, mode := range []string{"list", "describe", "validate"} {
+		for _, gen := range []string{"scale", "seed", "scenario", "hours", "out"} {
+			if set[mode] && set[gen] {
+				return fmt.Errorf("-%s does not apply to -%s", gen, mode)
+			}
+		}
 	}
 
 	switch {

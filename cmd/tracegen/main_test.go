@@ -81,6 +81,10 @@ func TestIgnoredFlagsFailAtFlagParse(t *testing.T) {
 	}{
 		{[]string{"-hours", "12"}, "-hours requires -scenario"},
 		{[]string{"-format", "jsonl"}, "flag provided but not defined: -format"},
+		{[]string{"-scenario", "transfer-steady", "-hours", "1"}, "-scale does not apply to -scenario"},
+		{[]string{"-list"}, "-scale does not apply to -list"},
+		{[]string{"-describe", "flash-nft-mint"}, "-scale does not apply to -describe"},
+		{[]string{"-validate", "flash-nft-mint"}, "-scale does not apply to -validate"},
 	} {
 		out := filepath.Join(t.TempDir(), "t.csv")
 		err := run(append(tc.args, "-out", out, "-scale", "0.0002"), io.Discard)

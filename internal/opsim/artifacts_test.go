@@ -1,10 +1,7 @@
 package opsim
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -15,25 +12,19 @@ import (
 	"ethpart/internal/workload"
 )
 
-// updateArtifacts rewrites testdata/artifacts.json from the implementation
-// under test. The committed file pins the chain side of fixed runs — every
-// shard's final state root, the home of every account, a running hash over
-// every transaction receipt in replay order, the totals and the block
-// count — so a change to chain.State, chain.ApplyTransactionInto or
-// shardchain's engines that is meant to be byte-identical can be checked to
-// be. Regenerate it only in a PR whose stated purpose is to change what the
-// chain computes.
+// artifactsFile pins the chain side of fixed runs — every shard's final
+// state root, the home of every account, a running hash over every
+// transaction receipt in replay order, the totals and the block count — so
+// a change to chain.State, chain.ApplyTransactionInto or shardchain's
+// engines that is meant to be byte-identical can be checked to be. Re-pin
+// it (DESIGN.md §10, "Re-pinning") only in a PR whose stated purpose is to
+// change what the chain computes.
 //
 // Provenance: the file is the parent tree's output, commit 8da514a (before
-// PR 22 reworked account resolution, receipt allocation and migration). This
-// test file drops into a clean checkout of that commit as it is, and
-//
-//	go test -run TestChainArtifacts ./internal/opsim -update-artifacts
-//
-// wrote the committed file there; `go test -run TestChainArtifacts
-// ./internal/opsim` passes on both trees against that one file.
-var updateArtifacts = flag.Bool("update-artifacts", false, "rewrite testdata/artifacts.json")
-
+// PR 22 reworked account resolution, receipt allocation and migration).
+// This test file dropped into a clean checkout of that commit as it was
+// then and wrote the committed file there; TestChainArtifacts passed on
+// both trees against that one file.
 const artifactsFile = "testdata/artifacts.json"
 
 // chainArtifacts is what one cell pins.
@@ -181,7 +172,7 @@ func hexes(hs []types.Hash) []string {
 // TestChainArtifacts replays every pinned cell with Capture on and compares
 // the chain-side artifacts with the committed file.
 func TestChainArtifacts(t *testing.T) {
-	var got []chainArtifacts
+	g := openGolden(t, artifactsFile, func(c chainArtifacts) string { return c.Name })
 	for _, c := range artifactCells(t) {
 		cfg, err := c.cfg()
 		if err != nil {
@@ -202,7 +193,7 @@ func TestChainArtifacts(t *testing.T) {
 					c.name, crashes, dropped, suppressed)
 			}
 		}
-		got = append(got, chainArtifacts{
+		g.check(t, chainArtifacts{
 			Name:              c.name,
 			StateRoots:        hexes(res.StateRoots),
 			HomesHash:         hexes([]types.Hash{res.HomesHash})[0],
@@ -213,58 +204,35 @@ func TestChainArtifacts(t *testing.T) {
 			Blocks:            res.Blocks,
 		})
 	}
-	if *updateArtifacts {
-		b, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(artifactsFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(artifactsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []chainArtifacts
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d cells, %s pins %d", len(got), artifactsFile, len(want))
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: chain artifacts moved\n got %+v\nwant %+v", got[i].Name, got[i], want[i])
-		}
-	}
+	g.done(t)
 }
 
 // TestFaultPinObservations pins what the fault plane records about the
 // epochs chain blocks pin — StaleBlocks, MaxEpochLag, RePins — the one read
 // the pipelined bridge moved (from Step entry on the chain to block seal on
-// the control stage). The fault-mixed cell is TestChainArtifacts'; its
-// TR-METIS policy fires no wave on this trace, so it pins zeros. The two
-// R-METIS cells fire three: a 25-flush stall lands mid-run (stale blocks,
-// then re-pins), a 400-flush stall is still pending when the records run
-// out, so the end-of-run settle blocks count as stale too.
+// the control stage), in testdata/fault_pins.json. The fault-mixed cell is
+// TestChainArtifacts'; its TR-METIS policy fires no wave on this trace, so
+// it pins zeros. The two R-METIS cells fire three: a 25-flush stall lands
+// mid-run (stale blocks, then re-pins), a 400-flush stall is still pending
+// when the records run out, so the end-of-run settle blocks count as stale
+// too.
 //
 // Provenance: the numbers are the parent tree's, commit 9ccef02 (before the
-// bridge was pipelined). This test file drops into a clean checkout of that
-// commit as it is, and `go test -run TestFaultPinObservations
-// ./internal/opsim` passes on both trees.
+// bridge was pipelined). This test passed unchanged on both trees.
 func TestFaultPinObservations(t *testing.T) {
-	type pins struct{ StaleBlocks, MaxEpochLag, RePins uint64 }
+	type pins struct {
+		Name                             string
+		StaleBlocks, MaxEpochLag, RePins uint64
+	}
+	g := openGolden(t, "testdata/fault_pins.json", func(p pins) string { return p.Name })
 	small := smallTrace(t)
 	for _, c := range []struct {
 		method sim.Method
 		stall  int
-		want   pins
 	}{
-		{sim.MethodTRMetis, 25, pins{0, 0, 0}}, // the fault-mixed cell
-		{sim.MethodRMetis, 25, pins{20, 1, 3}},
-		{sim.MethodRMetis, 400, pins{132, 3, 0}},
+		{sim.MethodTRMetis, 25}, // the fault-mixed cell
+		{sim.MethodRMetis, 25},
+		{sim.MethodRMetis, 400},
 	} {
 		cfg, err := mixedFaultCfg(small, c.method, c.stall)
 		if err != nil {
@@ -274,9 +242,7 @@ func TestFaultPinObservations(t *testing.T) {
 			t.Fatalf("%v stall %d: %v", c.method, c.stall, err)
 		}
 		f := &cfg.Fault.Metrics
-		if got := (pins{f.StaleBlocks.Load(), f.MaxEpochLag.Load(), f.RePins.Load()}); got != c.want {
-			t.Errorf("%v stall %d: pin observations %+v, the parent tree recorded %+v",
-				c.method, c.stall, got, c.want)
-		}
+		g.check(t, pins{fmt.Sprintf("%v/stall=%d", c.method, c.stall), f.StaleBlocks.Load(), f.MaxEpochLag.Load(), f.RePins.Load()})
 	}
+	g.done(t)
 }

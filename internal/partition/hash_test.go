@@ -2,6 +2,7 @@ package partition
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -39,24 +40,24 @@ func TestHashShardOfMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestHashShardOfGolden pins concrete shard outputs, so the placement of
-// every hash-homed vertex — and with it every figure metric — cannot shift
-// even if both implementations were changed together.
+// TestHashShardOfGolden pins concrete shard outputs
+// (testdata/hash_shard_of.json), so the placement of every hash-homed
+// vertex — and with it every figure metric — cannot shift even if both
+// implementations were changed together.
 func TestHashShardOfGolden(t *testing.T) {
 	var h Hash
-	for _, tc := range []struct {
-		v    graph.VertexID
-		k    int
-		want int
+	g := openGolden(t, "testdata/hash_shard_of.json", func(got, want int) bool { return got == want })
+	for _, c := range []struct {
+		v graph.VertexID
+		k int
 	}{
-		{0, 2, 1}, {1, 2, 0}, {2, 2, 1}, {3, 2, 0},
-		{0, 4, 1}, {1, 4, 2}, {7, 4, 0}, {42, 4, 3},
-		{123456, 8, 0}, {1 << 40, 8, 4}, {graph.VertexID(^uint64(0) >> 1), 8, 5},
+		{0, 2}, {1, 2}, {2, 2}, {3, 2},
+		{0, 4}, {1, 4}, {7, 4}, {42, 4},
+		{123456, 8}, {1 << 40, 8}, {graph.VertexID(^uint64(0) >> 1), 8},
 	} {
-		if got := h.ShardOf(tc.v, tc.k); got != tc.want {
-			t.Errorf("ShardOf(%d, %d) = %d, want %d", tc.v, tc.k, got, tc.want)
-		}
+		g.check(t, fmt.Sprintf("ShardOf(%d, %d)", c.v, c.k), h.ShardOf(c.v, c.k))
 	}
+	g.done(t)
 }
 
 // TestHashShardOfAllocFree pins the hot-path property the inlining buys:

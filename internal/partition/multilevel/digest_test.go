@@ -2,14 +2,12 @@ package multilevel
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,21 +16,15 @@ import (
 	"ethpart/internal/workload"
 )
 
-// update rewrites testdata/partition_digests.json from the implementation
-// under test. The committed file was generated at the commit before the
-// partitioner's internals were reworked (PR 20) and pins its output bit for
-// bit; regenerate it only in a PR whose stated purpose is to change the
-// partitioner's output.
+// digestFile pins the partitioner's output bit for bit. It was generated
+// at the commit before the partitioner's internals were reworked (PR 20);
+// re-pin it (DESIGN.md §10, "Re-pinning") only in a PR whose stated purpose
+// is to change the partitioner's output.
 //
 // Provenance: the file is the parent tree's output, commit 5aa54d0. This
 // test file and testdata/ drop into a clean checkout of that commit as they
-// are (the helpers they use predate it), and
-//
-//	go test -run TestPartitionDigests ./internal/partition/multilevel
-//
-// passes there unchanged — checked that way before PR 20 was committed.
-var update = flag.Bool("update", false, "rewrite testdata/partition_digests.json")
-
+// were then (the helpers they use predate it), and TestPartitionDigests
+// passed there unchanged — checked that way before PR 20 was committed.
 const digestFile = "testdata/partition_digests.json"
 
 // powerLawCSR is the workload-generated digest graph: 54 hours of the
@@ -112,41 +104,15 @@ func computeDigests(t *testing.T) map[string]string {
 // count the ledger and the sim goldens pin sits downstream of these
 // partitions.
 func TestPartitionDigests(t *testing.T) {
-	if *update {
-		got := computeDigests(t)
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(digestFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(digestFile, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(got), digestFile)
-		return
-	}
-	buf, err := os.ReadFile(digestFile)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			got := computeDigests(t)
-			if len(got) != len(want) {
-				t.Errorf("%d cells computed, %d pinned", len(got), len(want))
+			g := openGolden(t, digestFile, func(got, want string) bool { return got == want })
+			digests := computeDigests(t)
+			for _, key := range slices.Sorted(maps.Keys(digests)) {
+				g.check(t, key, digests[key])
 			}
-			for key, w := range want {
-				if g := got[key]; g != w {
-					t.Errorf("%s: digest %s, pinned %s", key, g, w)
-				}
-			}
+			g.done(t)
 		})
 	}
 }

@@ -279,9 +279,9 @@ func decayPlacementConfig() Config {
 }
 
 // TestDecayPlacementGolden pins the decay-aware placement objective on a
-// drifting-era trace: decay mode feeds the decayed
-// neighbour weights into the shared Fennel-style degree-based size penalty
-// (PlaceVertexFennel), so first-sight placement and the decayed
+// drifting-era trace (testdata/decay_placement.json): decay mode feeds the
+// decayed neighbour weights into the shared Fennel-style degree-based size
+// penalty (PlaceVertexFennel), so first-sight placement and the decayed
 // repartitioner optimise the same recency-weighted objective. The values
 // were captured at the PR that introduced the objective; a drift here
 // means the placement rule, the decay sweep, or the shared penalty
@@ -296,17 +296,9 @@ func TestDecayPlacementGolden(t *testing.T) {
 	if s.policy.place != placeFennel {
 		t.Fatal("decay mode did not resolve to the Fennel objective")
 	}
-	if len(res.Windows) != 96 || res.Repartitions != 15 ||
-		res.TotalMoves != 1694 || res.Vertices != 100 ||
-		!close9(res.OverallDynamicCut, 0.575319671) ||
-		!close9(res.OverallDynamicBalance, 1.098962420) ||
-		!close9(res.FinalStaticCut, 0.437655860) ||
-		!close9(res.FinalStaticBalance, 2.120000000) {
-		t.Errorf("decay placement drifted: windows=%d reparts=%d moves=%d verts=%d cut=%.9f bal=%.9f statCut=%.9f statBal=%.9f",
-			len(res.Windows), res.Repartitions, res.TotalMoves, res.Vertices,
-			res.OverallDynamicCut, res.OverallDynamicBalance,
-			res.FinalStaticCut, res.FinalStaticBalance)
-	}
+	g := openGolden(t, "testdata/decay_placement.json", sameRow)
+	g.check(t, "TR-METIS/k=4/fennel", summarize(res))
+	g.done(t)
 
 	// The objective must actually differ from the cap rule on this trace —
 	// otherwise the golden would pass vacuously with the dispatch broken.

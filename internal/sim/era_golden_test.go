@@ -13,9 +13,9 @@ import (
 // The pipeline refactor's contract: the era-based workload.Config path,
 // re-expressed as one composition of the arrival/population/scenario
 // layers, must produce byte-identical traces to the pre-pipeline
-// generator. The hashes below were captured from the closed-loop
-// generator immediately before the refactor; any drift in record content,
-// order or count is a regression.
+// generator. The hashes in testdata/era_traces.json were captured from the
+// closed-loop generator immediately before the refactor; any drift in
+// record content, order or count is a regression.
 
 func goldenDate(y int, m time.Month, d int) time.Time {
 	return time.Date(y, m, d, 0, 0, 0, 0, time.UTC)
@@ -65,65 +65,54 @@ func hashTrace(gt *GeneratedTrace) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// traceDigest is what the trace goldens pin of one generated history.
+type traceDigest struct {
+	Records  int    `json:"records"`
+	Vertices int    `json:"vertices"`
+	SHA256   string `json:"sha256"`
+}
+
+func digestTrace(gt *GeneratedTrace) traceDigest {
+	return traceDigest{Records: len(gt.Records), Vertices: gt.Registry.Len(), SHA256: hashTrace(gt)}
+}
+
+func sameDigest(got, want traceDigest) bool { return got == want }
+
 func TestEraPathMatchesPreRefactorGoldens(t *testing.T) {
-	cases := []struct {
-		name     string
-		cfg      workload.Config
-		records  int
-		vertices int
-		sha      string
+	g := openGolden(t, "testdata/era_traces.json", sameDigest)
+	for _, tc := range []struct {
+		name string
+		cfg  workload.Config
 	}{
-		{
-			name:     "plain",
-			cfg:      workload.Config{Seed: 7, Scale: 0.05, Eras: goldenEras(), BlockInterval: time.Hour},
-			records:  24664,
-			vertices: 10092,
-			sha:      "780755c93f5b1992b2597b503b73f8607a6a8d074035a3d6325d41a40e9445af",
-		},
-		{
-			name: "communities",
-			cfg: workload.Config{Seed: 11, Scale: 0.03, Eras: goldenEras(), BlockInterval: 2 * time.Hour,
-				Communities: 3, CommunityLocality: 0.9},
-			records:  14631,
-			vertices: 6033,
-			sha:      "947e3da4377512768bef87e0c7af16d8180b3f4ddf97c079da5622673be14ccb",
-		},
-	}
-	for _, tc := range cases {
+		{"plain", workload.Config{Seed: 7, Scale: 0.05, Eras: goldenEras(), BlockInterval: time.Hour}},
+		{"communities", workload.Config{Seed: 11, Scale: 0.03, Eras: goldenEras(), BlockInterval: 2 * time.Hour,
+			Communities: 3, CommunityLocality: 0.9}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gt, err := Generate(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkTrace(t, gt, tc.records, tc.vertices, tc.sha)
+			g.check(t, tc.name, digestTrace(gt))
 		})
 	}
+	g.done(t)
 }
 
 // TestScenarioLibraryGoldens pins every library scenario's stream at 24
-// hours, default seed: the generator's fixed parameters (hot-set size,
-// exchange hubs, bootstrap accounts, preferential-attachment probability,
-// airdrop fan-out, diurnal period) reach each record through these.
+// hours, default seed (testdata/scenario_traces.json): the generator's
+// fixed parameters (hot-set size, exchange hubs, bootstrap accounts,
+// preferential-attachment probability, airdrop fan-out, diurnal period)
+// reach each record through these.
 func TestScenarioLibraryGoldens(t *testing.T) {
-	cases := []struct {
-		name     string
-		records  int
-		vertices int
-		sha      string
-	}{
-		{"airdrop-storm", 11091, 2554, "9a453d8354a4b42ed33dfe3ef583e4988860341187bf9d3bafc701682eb8215b"},
-		{"crud-diurnal", 3309, 89, "4c0fa5b8198ec81bea443b819bd14fb8d000d02396c9b1d41257d589c7fa8143"},
-		{"diurnal-exchange", 3697, 128, "89d7067418bd7516380e7bc9c06d08f464fb599b1702e0ebf4b28025c7ecf773"},
-		{"flash-crowd", 5435, 758, "9fab864e676424905c609daa744ad7f1a870284ba0e92392e8e59be67c7a91d3"},
-		{"flash-nft-mint", 12835, 2266, "ec288c87081ce67c4700e298abed31764a760fb42f01b764f637f442fc1ca9de"},
-		{"transfer-steady", 3158, 446, "cdd15edea99dc418191f740608d410df0f60bd5355794dd9691fd2bdf90e680e"},
-	}
-	if got, want := len(cases), len(workload.ScenarioNames()); got != want {
+	g := openGolden(t, "testdata/scenario_traces.json", sameDigest)
+	names := workload.ScenarioNames()
+	if got, want := len(g.want), len(names); got != want && !updateGoldens {
 		t.Fatalf("%d golden rows for %d library scenarios", got, want)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sc, err := workload.ResolveScenario(tc.name, "", 24, 0)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			sc, err := workload.ResolveScenario(name, "", 24, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,20 +120,8 @@ func TestScenarioLibraryGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkTrace(t, gt, tc.records, tc.vertices, tc.sha)
+			g.check(t, name, digestTrace(gt))
 		})
 	}
-}
-
-func checkTrace(t *testing.T, gt *GeneratedTrace, records, vertices int, sha string) {
-	t.Helper()
-	if len(gt.Records) != records {
-		t.Errorf("records = %d, want %d", len(gt.Records), records)
-	}
-	if gt.Registry.Len() != vertices {
-		t.Errorf("vertices = %d, want %d", gt.Registry.Len(), vertices)
-	}
-	if got := hashTrace(gt); got != sha {
-		t.Errorf("trace sha256 = %s, want %s", got, sha)
-	}
+	g.done(t)
 }

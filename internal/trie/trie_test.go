@@ -1,32 +1,24 @@
 package trie
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"os"
 	"testing"
 
 	"ethpart/internal/types"
 )
 
-// update rewrites testdata/roots.json from the implementation under test.
+// rootsFile pins the root of every case in rootCases.
 //
 // Provenance: the committed file is the output of the insert/lookup/delete
-// pointer trie this package held up to commit b1a91af. This test file uses
-// only New, Put and Root, so it drops into a clean checkout of that commit
-// as it is, and
-//
-//	go test -run TestRootGoldens -update ./internal/trie
-//
-// run there wrote the file; the root fold that replaced the pointer trie
-// must reproduce every root in it bit for bit. Every block hash and state
-// root in the repository sits downstream of these roots, so regenerate the
-// file only in a PR whose stated purpose is to change the commitment.
-var update = flag.Bool("update", false, "rewrite testdata/roots.json")
-
+// pointer trie this package held up to commit b1a91af. This test file used
+// only New, Put and Root, so it dropped into a clean checkout of that
+// commit as it was, and run there wrote the file; the root fold that
+// replaced the pointer trie must reproduce every root in it bit for bit.
+// Every block hash and state root in the repository sits downstream of
+// these roots, so re-pin the file (DESIGN.md §10, "Re-pinning") only in a
+// PR whose stated purpose is to change the commitment.
 const rootsFile = "testdata/roots.json"
 
 type kv struct{ key, value []byte }
@@ -124,47 +116,22 @@ func rootHex(kvs []kv) string {
 // shown independent of insertion order at every size.
 func TestRootGoldens(t *testing.T) {
 	cases := rootCases()
-	if *update {
-		got := make(map[string]string, len(cases))
-		for _, c := range cases {
-			got[c.name] = rootHex(c.kvs)
-		}
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(rootsFile, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d roots to %s", len(got), rootsFile)
-		return
-	}
-	buf, err := os.ReadFile(rootsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(cases) {
-		t.Fatalf("%s holds %d roots, the table has %d cases", rootsFile, len(want), len(cases))
+	g := openGolden(t, rootsFile, func(got, want string) bool { return got == want })
+	if len(g.want) != len(cases) && !updateGoldens {
+		t.Fatalf("%s holds %d roots, the table has %d cases", rootsFile, len(g.want), len(cases))
 	}
 	for _, c := range cases {
-		if got := rootHex(c.kvs); got != want[c.name] {
-			t.Errorf("%s: root %s, want %s", c.name, got, want[c.name])
-		}
+		root := rootHex(c.kvs)
+		g.check(t, c.name, root)
 		shuffled := append([]kv(nil), c.kvs...)
 		rand.New(rand.NewSource(99)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		if got := rootHex(shuffled); got != want[c.name] {
-			t.Errorf("%s shuffled: root %s, want %s", c.name, got, want[c.name])
+		if got := rootHex(shuffled); got != root {
+			t.Errorf("%s shuffled: root %s, in order %s", c.name, got, root)
 		}
 	}
+	g.done(t)
 }
 
 func TestEmptyTrie(t *testing.T) {
