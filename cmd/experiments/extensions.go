@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // from the paper's final remarks — at datacenter and wide-area prices. One
 // co-simulation per method × model serves both pricings.
 func costs(ds *experiments.Dataset, out output, k int) error {
-	fmt.Printf("=== Extension: operating cost per method, priced from the live chain (k=%d) ===\n", k)
+	fmt.Fprintf(out.w, "=== Extension: operating cost per method, priced from the live chain (k=%d) ===\n", k)
 	rows, err := ds.Operational(k)
 	if err != nil {
 		return err
@@ -40,10 +39,10 @@ func costs(ds *experiments.Dataset, out output, k int) error {
 				report.FormatFloat(b.Total())))
 		}
 	}
-	if err := report.Table(os.Stdout, headers, table); err != nil {
+	if err := report.Table(out.w, headers, table); err != nil {
 		return err
 	}
-	fmt.Print(`
+	fmt.Fprint(out.w, `
   coordination prices the chain's cross-shard traffic (receipts, or
   the migration model's inline sender moves); relocation prices what
   repartition waves moved (accounts + storage slots); imbalance prices
@@ -58,10 +57,10 @@ func costs(ds *experiments.Dataset, out output, k int) error {
 // the same table as name in the CSV directory.
 func opsFigure(out output, name string, rows []experiments.OpsRow, caption string, columns ...string) error {
 	headers, table := experiments.OpsTable(rows, columns...)
-	if err := report.Table(os.Stdout, headers, table); err != nil {
+	if err := report.Table(out.w, headers, table); err != nil {
 		return err
 	}
-	fmt.Print(caption)
+	fmt.Fprint(out.w, caption)
 	return out.csv(name, headers, table)
 }
 
@@ -69,7 +68,7 @@ func opsFigure(out output, name string, rows []experiments.OpsRow, caption strin
 // figure: migration cost with and without windowed decay over a
 // drifting-era history, through the live chain under the migration model.
 func decaycost(seed int64, out output, k int, decay, horizon time.Duration) error {
-	fmt.Printf("=== Extension: migration cost with vs without decay (drifting eras, k=%d, migration model) ===\n", k)
+	fmt.Fprintf(out.w, "=== Extension: migration cost with vs without decay (drifting eras, k=%d, migration model) ===\n", k)
 	rows, err := experiments.DecayOperational(experiments.DecayParams{Seed: seed, K: k, HalfLife: decay, Horizon: horizon})
 	if err != nil {
 		return err
@@ -90,7 +89,7 @@ func decaycost(seed int64, out output, k int, decay, horizon time.Duration) erro
 // on a flash-crowd history, for fixed provisioning at k-min and k-max and
 // for the saturation-driven autoscaler ranging between them.
 func scalecost(seed int64, out output, kmin, kmax int) error {
-	fmt.Printf("=== Extension: provisioning cost vs SLO on a flash crowd (k-min=%d, k-max=%d, receipts model) ===\n", kmin, kmax)
+	fmt.Fprintf(out.w, "=== Extension: provisioning cost vs SLO on a flash crowd (k-min=%d, k-max=%d, receipts model) ===\n", kmin, kmax)
 	rows, err := experiments.ScaleOperational(experiments.ScaleParams{Seed: seed, KMin: kmin, KMax: kmax})
 	if err != nil {
 		return err
@@ -114,7 +113,7 @@ func scalecost(seed int64, out output, kmin, kmax int) error {
 // era trace are re-tested across workload shapes — steady, diurnal and
 // flash-crowd arrivals over different contract archetypes.
 func scenariocost(seed int64, out output, k int, hours float64) error {
-	fmt.Printf("=== Extension: method × model matrix across open-loop scenarios (k=%d) ===\n", k)
+	fmt.Fprintf(out.w, "=== Extension: method × model matrix across open-loop scenarios (k=%d) ===\n", k)
 	rows, err := experiments.ScenarioCost(experiments.ScenarioCostParams{Seed: seed, K: k, Hours: hours})
 	if err != nil {
 		return err
@@ -135,8 +134,8 @@ func scenariocost(seed int64, out output, k int, hours float64) error {
 // the "applications will be designed in a different way" extension. The
 // decay flags apply to both halves of the comparison identically.
 func shardaware(seed int64, scale float64, out output, k int, decay, horizon time.Duration) error {
-	fmt.Printf("=== Extension: shard-aware workload (k=%d communities, locality 0.95) ===\n", k)
-	fmt.Println("generating baseline and shard-aware histories...")
+	fmt.Fprintf(out.w, "=== Extension: shard-aware workload (k=%d communities, locality 0.95) ===\n", k)
+	fmt.Fprintln(out.w, "generating baseline and shard-aware histories...")
 	params := experiments.DefaultShardAwareParams(seed, scale)
 	params.DecayHalfLife = decay
 	params.Horizon = horizon
@@ -160,11 +159,11 @@ func shardaware(seed int64, scale float64, out output, k int, decay, horizon tim
 		})
 	}
 	headers := []string{"method", "cut (today)", "cut (shard-aware)", "cut reduction", "bal (today)", "bal (shard-aware)"}
-	if err := report.Table(os.Stdout, headers, table); err != nil {
+	if err := report.Table(out.w, headers, table); err != nil {
 		return err
 	}
-	fmt.Println("\n  When applications keep interactions community-local, the")
-	fmt.Println("  placement-aware methods can follow the structure and the cut")
-	fmt.Println("  collapses; hashing cannot exploit it and stays near (k-1)/k.")
+	fmt.Fprintln(out.w, "\n  When applications keep interactions community-local, the")
+	fmt.Fprintln(out.w, "  placement-aware methods can follow the structure and the cut")
+	fmt.Fprintln(out.w, "  collapses; hashing cannot exploit it and stays near (k-1)/k.")
 	return out.csv("shardaware.csv", headers, table)
 }

@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -59,7 +60,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		// internal/experiments' errors carry the package's name, which is
 		// also this program's: print it once.
 		fmt.Fprintln(os.Stderr, "experiments:", strings.TrimPrefix(err.Error(), "experiments: "))
@@ -67,7 +68,7 @@ func main() {
 	}
 }
 
-func run(args []string) (err error) {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	prof := profile.Register(fs)
 	seed := fs.Int64("seed", 1, "history seed")
@@ -129,23 +130,24 @@ func run(args []string) (err error) {
 	case *hours != 0 && cmd != "scenariocost":
 		return fmt.Errorf("-hours applies to scenariocost only")
 	}
+	out := output{dir: *csvDir, w: stdout}
 	if cmd == "shardaware" {
-		return shardaware(*seed, *scale, output{dir: *csvDir}, *k, *decay, *horizon)
+		return shardaware(*seed, *scale, out, *k, *decay, *horizon)
 	}
 	if cmd == "decaycost" {
-		return decaycost(*seed, output{dir: *csvDir}, *k, *decay, *horizon)
+		return decaycost(*seed, out, *k, *decay, *horizon)
 	}
 	if cmd == "scalecost" {
-		return scalecost(*seed, output{dir: *csvDir}, *kmin, *kmax)
+		return scalecost(*seed, out, *kmin, *kmax)
 	}
 	if cmd == "scenariocost" {
-		return scenariocost(*seed, output{dir: *csvDir}, *k, *hours)
+		return scenariocost(*seed, out, *k, *hours)
 	}
 
 	if *scenario != "" {
-		fmt.Printf("generating scenario history (scenario=%s seed=%d)...\n", *scenario, *seed)
+		fmt.Fprintf(stdout, "generating scenario history (scenario=%s seed=%d)...\n", *scenario, *seed)
 	} else {
-		fmt.Printf("generating synthetic history (seed=%d scale=%g)...\n", *seed, *scale)
+		fmt.Fprintf(stdout, "generating synthetic history (seed=%d scale=%g)...\n", *seed, *scale)
 	}
 	start := time.Now()
 	ds, err := experiments.NewDataset(experiments.Params{
@@ -156,17 +158,16 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("history ready in %v: %s interactions, %s vertices\n\n",
+	fmt.Fprintf(stdout, "history ready in %v: %s interactions, %s vertices\n\n",
 		time.Since(start).Round(time.Millisecond),
 		report.FormatCount(int64(len(ds.GT.Records))),
 		report.FormatCount(int64(ds.GT.Registry.Len())))
 
-	out := output{dir: *csvDir}
 	switch cmd {
 	case "fig1":
 		return fig1(ds, out)
 	case "fig2":
-		return fig2(ds)
+		return fig2(ds, out)
 	case "fig3":
 		return fig3(ds, out, *method)
 	case "fig4":
@@ -184,7 +185,7 @@ func run(args []string) (err error) {
 		}
 		for _, f := range []func() error{
 			func() error { return fig1(ds, out) },
-			func() error { return fig2(ds) },
+			func() error { return fig2(ds, out) },
 			func() error { return fig3(ds, out, *method) },
 			func() error { return fig4(ds, out) },
 			func() error { return fig5(ds, out) },
@@ -192,7 +193,7 @@ func run(args []string) (err error) {
 			if err := f(); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		return nil
 	default:
@@ -200,8 +201,12 @@ func run(args []string) (err error) {
 	}
 }
 
-// output optionally writes CSVs next to the stdout rendering.
-type output struct{ dir string }
+// output is where a figure goes: its rendering to w and, when dir is set,
+// its CSVs into dir.
+type output struct {
+	dir string
+	w   io.Writer
+}
 
 func (o output) csv(name string, headers []string, rows [][]string) error {
 	if o.dir == "" {
@@ -218,12 +223,12 @@ func (o output) csv(name string, headers []string, rows [][]string) error {
 	if err := errors.Join(report.CSV(f, headers, rows), f.Close()); err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s\n", path)
+	fmt.Fprintf(o.w, "  wrote %s\n", path)
 	return nil
 }
 
 func fig1(ds *experiments.Dataset, out output) error {
-	fmt.Println("=== Fig 1: Ethereum graph evolution (vertices and edges per month) ===")
+	fmt.Fprintln(out.w, "=== Fig 1: Ethereum graph evolution (vertices and edges per month) ===")
 	rows, eras, err := ds.Fig1()
 	if err != nil {
 		return err
@@ -239,26 +244,26 @@ func fig1(ds *experiments.Dataset, out output) error {
 			report.FormatCount(r.Edges),
 		})
 	}
-	if err := report.Table(os.Stdout, []string{"month", "vertices", "edges"}, table); err != nil {
+	if err := report.Table(out.w, []string{"month", "vertices", "edges"}, table); err != nil {
 		return err
 	}
-	fmt.Printf("\n  vertices (log): %s\n", report.SparklineLog(verts))
-	fmt.Printf("  edges    (log): %s\n", report.SparklineLog(edges))
+	fmt.Fprintf(out.w, "\n  vertices (log): %s\n", report.SparklineLog(verts))
+	fmt.Fprintf(out.w, "  edges    (log): %s\n", report.SparklineLog(edges))
 	for _, e := range eras {
-		fmt.Printf("  era %-10s %s -> %s\n", e.Name,
+		fmt.Fprintf(out.w, "  era %-10s %s -> %s\n", e.Name,
 			e.Start.Format("01.06"), e.End.Format("01.06"))
 	}
 	split := time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC)
 	pre, post, err := experiments.Fig1GrowthFit(rows, split)
 	if err == nil {
-		fmt.Printf("  edge growth rate: %.3f/month pre-attack (exponential), %.3f/month after (slower)\n", pre, post)
+		fmt.Fprintf(out.w, "  edge growth rate: %.3f/month pre-attack (exponential), %.3f/month after (slower)\n", pre, post)
 	}
 	return out.csv("fig1.csv", []string{"month", "vertices", "edges"}, table)
 }
 
-func fig2(ds *experiments.Dataset) error {
-	fmt.Println("=== Fig 2: example subgraph (DOT) ===")
-	return ds.Fig2(os.Stdout, 24)
+func fig2(ds *experiments.Dataset, out output) error {
+	fmt.Fprintln(out.w, "=== Fig 2: example subgraph (DOT) ===")
+	return ds.Fig2(out.w, 24)
 }
 
 func fig3(ds *experiments.Dataset, out output, methodFlag string) error {
@@ -271,7 +276,7 @@ func fig3(ds *experiments.Dataset, out output, methodFlag string) error {
 		methods = []sim.Method{m}
 	}
 	for _, m := range methods {
-		fmt.Printf("=== Fig 3: %v, k=2, 4-hour windows ===\n", m)
+		fmt.Fprintf(out.w, "=== Fig 3: %v, k=2, 4-hour windows ===\n", m)
 		res, err := ds.Fig3(m)
 		if err != nil {
 			return err
@@ -292,11 +297,11 @@ func fig3(ds *experiments.Dataset, out output, methodFlag string) error {
 				strconv.FormatInt(w.Moves, 10),
 			})
 		}
-		fmt.Printf("  dynamic cut:     %s\n", sampled(dynCut))
-		fmt.Printf("  static  cut:     %s\n", sampled(statCut))
-		fmt.Printf("  dynamic balance: %s\n", sampled(dynBal))
-		fmt.Printf("  static  balance: %s\n", sampled(statBal))
-		fmt.Printf("  windows=%d repartitions=%d moves=%s\n",
+		fmt.Fprintf(out.w, "  dynamic cut:     %s\n", sampled(dynCut))
+		fmt.Fprintf(out.w, "  static  cut:     %s\n", sampled(statCut))
+		fmt.Fprintf(out.w, "  dynamic balance: %s\n", sampled(dynBal))
+		fmt.Fprintf(out.w, "  static  balance: %s\n", sampled(statBal))
+		fmt.Fprintf(out.w, "  windows=%d repartitions=%d moves=%s\n",
 			len(res.Windows), res.Repartitions, report.FormatCount(res.TotalMoves))
 		name := fmt.Sprintf("fig3_%v.csv", m)
 		if err := out.csv(name,
@@ -328,7 +333,7 @@ func sampled(values []float64) string {
 }
 
 func fig4(ds *experiments.Dataset, out output) error {
-	fmt.Println("=== Fig 4: method comparison over 2017 periods (k=2 and k=8) ===")
+	fmt.Fprintln(out.w, "=== Fig 4: method comparison over 2017 periods (k=2 and k=8) ===")
 	cells, err := ds.Fig4([]int{2, 8})
 	if err != nil {
 		return err
@@ -344,7 +349,7 @@ func fig4(ds *experiments.Dataset, out output) error {
 			report.FormatCount(c.Moves),
 		})
 	}
-	if err := report.Table(os.Stdout, []string{
+	if err := report.Table(out.w, []string{
 		"k", "method", "period",
 		"cut_med", "cut_q1", "cut_q3",
 		"bal_med", "bal_q1", "bal_q3", "moves",
@@ -353,12 +358,12 @@ func fig4(ds *experiments.Dataset, out output) error {
 	}
 	// Box plots per k for the dynamic cut.
 	for _, k := range []int{2, 8} {
-		fmt.Printf("\n  dynamic edge-cut, k=%d (range 0..1):\n", k)
+		fmt.Fprintf(out.w, "\n  dynamic edge-cut, k=%d (range 0..1):\n", k)
 		for _, c := range cells {
 			if c.K != k || c.Period != "01.17-06.17" {
 				continue
 			}
-			fmt.Printf("    %-9s %s\n", c.Method, report.BoxPlot(c.CutStats, 0, 1, 50))
+			fmt.Fprintf(out.w, "    %-9s %s\n", c.Method, report.BoxPlot(c.CutStats, 0, 1, 50))
 		}
 	}
 	return out.csv("fig4.csv", []string{
@@ -368,7 +373,7 @@ func fig4(ds *experiments.Dataset, out output) error {
 }
 
 func fig5(ds *experiments.Dataset, out output) error {
-	fmt.Println("=== Fig 5: shard-count sweep (k = 2, 4, 8) ===")
+	fmt.Fprintln(out.w, "=== Fig 5: shard-count sweep (k = 2, 4, 8) ===")
 	rows5, err := ds.Fig5([]int{2, 4, 8})
 	if err != nil {
 		return err
@@ -383,7 +388,7 @@ func fig5(ds *experiments.Dataset, out output) error {
 			report.FormatCount(r.MovedSlots),
 		})
 	}
-	if err := report.Table(os.Stdout, []string{
+	if err := report.Table(out.w, []string{
 		"method", "k", "dyn_cut", "norm_balance", "moves", "moved_slots",
 	}, rows); err != nil {
 		return err

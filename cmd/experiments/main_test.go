@@ -1,17 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"compress/gzip"
-	"errors"
-	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
+
+	"ethpart/internal/golden"
 )
 
 // TestOperationalFigureGoldens regenerates figures at seed 1 and
@@ -40,60 +37,16 @@ func TestOperationalFigureGoldens(t *testing.T) {
 	} {
 		t.Run(tc.fig, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := run(append(tc.args, "-csv", dir, tc.fig)); err != nil {
+			if err := run(append(tc.args, "-csv", dir, tc.fig), io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			got, err := os.ReadFile(filepath.Join(dir, tc.fig+".csv"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			pinText(t, filepath.Join("testdata", tc.fig+".csv"), got)
+			golden.Text(t, filepath.Join("testdata", tc.fig+".csv"), got)
 		})
 	}
-}
-
-// updateGoldens is the one re-pin switch (DESIGN.md §10, "Re-pinning"):
-// `UPDATE_GOLDENS=1 go test ./...` rewrites every pinned file whose
-// content the code no longer reproduces.
-var updateGoldens = os.Getenv("UPDATE_GOLDENS") != ""
-
-// pinText compares got with the file pinned at path, byte for byte. Under
-// the switch it rewrites the file instead and fails naming the first line
-// that moved: a failure is what plain `go test` prints, and the next plain
-// run passes.
-func pinText(t *testing.T, path string, got []byte) {
-	t.Helper()
-	want, err := os.ReadFile(path)
-	if err != nil && !(updateGoldens && errors.Is(err, fs.ErrNotExist)) {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	if !updateGoldens {
-		t.Errorf("%s moved (pinned → computed; UPDATE_GOLDENS=1 re-pins) %s", path, firstMovedLine(want, got))
-		return
-	}
-	if err := os.WriteFile(path, got, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Errorf("re-pinned %s (pinned → computed) %s", path, firstMovedLine(want, got))
-}
-
-// firstMovedLine names the first line at which two texts differ.
-func firstMovedLine(want, got []byte) string {
-	w, g := strings.SplitAfter(string(want), "\n"), strings.SplitAfter(string(got), "\n")
-	i := 0
-	for i < len(w) && i < len(g) && w[i] == g[i] {
-		i++
-	}
-	line := func(lines []string) string {
-		if i >= len(lines) || lines[i] == "" {
-			return "(end of file)"
-		}
-		return strconv.Quote(strings.TrimSuffix(lines[i], "\n"))
-	}
-	return fmt.Sprintf("line %d: %s → %s", i+1, line(w), line(g))
 }
 
 // TestDegenerateCountsFailAtFlagParse pins the flag-parse-time rejection of
@@ -135,7 +88,7 @@ func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 		{[]string{"-scale", "0.5", "decaycost"}, "-scale does not apply to decaycost"},
 		{[]string{"-scale", "0.5", "scalecost"}, "-scale does not apply to scalecost"},
 	} {
-		err := run(tc.args)
+		err := run(tc.args, io.Discard)
 		if err == nil {
 			t.Errorf("%v: accepted", tc.args)
 		} else if msg := err.Error(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "\n") {
@@ -150,11 +103,11 @@ func TestDegenerateCountsFailAtFlagParse(t *testing.T) {
 // missing flag; the valid pair parses (and fails only for the subcommand
 // this test leaves out).
 func TestHorizonFlagFailsFast(t *testing.T) {
-	err := run([]string{"-horizon", "24h", "fig5"})
+	err := run([]string{"-horizon", "24h", "fig5"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-decay-half-life") {
 		t.Errorf("-horizon alone: error %v does not name the missing flag", err)
 	}
-	err = run([]string{"-decay-half-life", "6h", "-horizon", "24h"})
+	err = run([]string{"-decay-half-life", "6h", "-horizon", "24h"}, io.Discard)
 	if err == nil || strings.Contains(err.Error(), "-decay-half-life") {
 		t.Errorf("valid decay pair rejected at flag parse: %v", err)
 	}
@@ -165,7 +118,7 @@ func TestHorizonFlagFailsFast(t *testing.T) {
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	if err := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "-scale", "0.0001", "fig2"}); err != nil {
+	if err := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "-scale", "0.0001", "fig2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{cpu, mem} {

@@ -25,6 +25,11 @@ var exportAllowlist = map[string]string{
 	"directory.HintRing.Pushed":       "ROADMAP item 10b: goes with the hint ring",
 	"directory.HintRing.Dropped":      "ROADMAP item 10b: goes with the hint ring",
 	"directory.Publisher.AttachHints": "ROADMAP item 10b: goes with the hint ring",
+	"golden.Object":                   "test support: the one re-pin implementation (DESIGN §10)",
+	"golden.List":                     "test support: the one re-pin implementation (DESIGN §10)",
+	"golden.Cells.Check":              "test support: the one re-pin implementation (DESIGN §10)",
+	"golden.Cells.Done":               "test support: the one re-pin implementation (DESIGN §10)",
+	"golden.Text":                     "test support: the one re-pin implementation (DESIGN §10)",
 }
 
 // fieldAllowlist names the exported struct fields of internal/ that may

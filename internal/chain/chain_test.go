@@ -1,14 +1,12 @@
 package chain
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 
 	"ethpart/internal/evm"
+	"ethpart/internal/golden"
 	"ethpart/internal/types"
 )
 
@@ -273,8 +271,7 @@ func TestReplayDeterminism(t *testing.T) {
 }
 
 // TestChainGolden pins the state root (State.Commit) after goldenHistory
-// in testdata/state_root.txt. Under UPDATE_GOLDENS=1 (DESIGN.md §10,
-// "Re-pinning") a moved root rewrites the file and fails, naming both.
+// in testdata/state_root.txt.
 //
 // Provenance: the pinned root is the head state root this test logged at
 // commit b1a91af, where the root was computed by internal/trie's pointer
@@ -282,28 +279,10 @@ func TestReplayDeterminism(t *testing.T) {
 // trie reproduces it bit for bit, and so does the same history run through
 // ExecuteBlock on a bare State.
 func TestChainGolden(t *testing.T) {
-	const path = "testdata/state_root.txt"
 	alloc, blocks := goldenHistory()
 	root := executeHistory(t, alloc, blocks)
-	got := fmt.Sprintf("0x%x", root[:])
-	buf, err := os.ReadFile(path)
-	want := cmp.Or(strings.TrimSuffix(string(buf), "\n"), "-")
-	switch {
-	case want == got:
-	case updateGoldens:
-		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Errorf("re-pinned %s: state root %s → %s", path, want, got)
-	case err != nil:
-		t.Fatal(err)
-	default:
-		t.Errorf("state root = %s, pinned %s", got, want)
-	}
+	golden.Text(t, "testdata/state_root.txt", fmt.Appendf(nil, "0x%x\n", root[:]))
 }
-
-// updateGoldens is the one re-pin switch (DESIGN.md §10, "Re-pinning").
-var updateGoldens = os.Getenv("UPDATE_GOLDENS") != ""
 
 func TestTxHashDistinct(t *testing.T) {
 	a := transferTx(0, 1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ethpart/internal/fault"
+	"ethpart/internal/golden"
 	"ethpart/internal/shardchain"
 	"ethpart/internal/sim"
 	"ethpart/internal/types"
@@ -172,7 +173,7 @@ func hexes(hs []types.Hash) []string {
 // TestChainArtifacts replays every pinned cell with Capture on and compares
 // the chain-side artifacts with the committed file.
 func TestChainArtifacts(t *testing.T) {
-	g := openGolden(t, artifactsFile, func(c chainArtifacts) string { return c.Name })
+	g := golden.List(t, artifactsFile, func(c chainArtifacts) string { return c.Name })
 	for _, c := range artifactCells(t) {
 		cfg, err := c.cfg()
 		if err != nil {
@@ -193,7 +194,7 @@ func TestChainArtifacts(t *testing.T) {
 					c.name, crashes, dropped, suppressed)
 			}
 		}
-		g.check(t, chainArtifacts{
+		g.Check(t, c.name, chainArtifacts{
 			Name:              c.name,
 			StateRoots:        hexes(res.StateRoots),
 			HomesHash:         hexes([]types.Hash{res.HomesHash})[0],
@@ -204,7 +205,7 @@ func TestChainArtifacts(t *testing.T) {
 			Blocks:            res.Blocks,
 		})
 	}
-	g.done(t)
+	g.Done(t)
 }
 
 // TestFaultPinObservations pins what the fault plane records about the
@@ -224,7 +225,7 @@ func TestFaultPinObservations(t *testing.T) {
 		Name                             string
 		StaleBlocks, MaxEpochLag, RePins uint64
 	}
-	g := openGolden(t, "testdata/fault_pins.json", func(p pins) string { return p.Name })
+	g := golden.List(t, "testdata/fault_pins.json", func(p pins) string { return p.Name })
 	small := smallTrace(t)
 	for _, c := range []struct {
 		method sim.Method
@@ -242,7 +243,8 @@ func TestFaultPinObservations(t *testing.T) {
 			t.Fatalf("%v stall %d: %v", c.method, c.stall, err)
 		}
 		f := &cfg.Fault.Metrics
-		g.check(t, pins{fmt.Sprintf("%v/stall=%d", c.method, c.stall), f.StaleBlocks.Load(), f.MaxEpochLag.Load(), f.RePins.Load()})
+		name := fmt.Sprintf("%v/stall=%d", c.method, c.stall)
+		g.Check(t, name, pins{name, f.StaleBlocks.Load(), f.MaxEpochLag.Load(), f.RePins.Load()})
 	}
-	g.done(t)
+	g.Done(t)
 }

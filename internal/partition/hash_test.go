@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ethpart/internal/golden"
 	"ethpart/internal/graph"
 )
 
@@ -46,7 +47,7 @@ func TestHashShardOfMatchesFNV(t *testing.T) {
 // implementations were changed together.
 func TestHashShardOfGolden(t *testing.T) {
 	var h Hash
-	g := openGolden(t, "testdata/hash_shard_of.json", func(got, want int) bool { return got == want })
+	g := golden.Object(t, "testdata/hash_shard_of.json", func(got, want int) bool { return got == want })
 	for _, c := range []struct {
 		v graph.VertexID
 		k int
@@ -55,9 +56,9 @@ func TestHashShardOfGolden(t *testing.T) {
 		{0, 4}, {1, 4}, {7, 4}, {42, 4},
 		{123456, 8}, {1 << 40, 8}, {graph.VertexID(^uint64(0) >> 1), 8},
 	} {
-		g.check(t, fmt.Sprintf("ShardOf(%d, %d)", c.v, c.k), h.ShardOf(c.v, c.k))
+		g.Check(t, fmt.Sprintf("ShardOf(%d, %d)", c.v, c.k), h.ShardOf(c.v, c.k))
 	}
-	g.done(t)
+	g.Done(t)
 }
 
 // TestHashShardOfAllocFree pins the hot-path property the inlining buys:

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"ethpart/internal/golden"
 	"ethpart/internal/graph"
 	"ethpart/internal/trace"
 	"ethpart/internal/workload"
@@ -107,12 +108,12 @@ func TestPartitionDigests(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			g := openGolden(t, digestFile, func(got, want string) bool { return got == want })
+			g := golden.Object(t, digestFile, func(got, want string) bool { return got == want })
 			digests := computeDigests(t)
 			for _, key := range slices.Sorted(maps.Keys(digests)) {
-				g.check(t, key, digests[key])
+				g.Check(t, key, digests[key])
 			}
-			g.done(t)
+			g.Done(t)
 		})
 	}
 }

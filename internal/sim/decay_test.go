@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ethpart/internal/golden"
 	"ethpart/internal/graph"
 	"ethpart/internal/metrics"
 	"ethpart/internal/trace"
@@ -296,9 +297,9 @@ func TestDecayPlacementGolden(t *testing.T) {
 	if s.policy.place != placeFennel {
 		t.Fatal("decay mode did not resolve to the Fennel objective")
 	}
-	g := openGolden(t, "testdata/decay_placement.json", sameRow)
-	g.check(t, "TR-METIS/k=4/fennel", summarize(res))
-	g.done(t)
+	g := golden.Object(t, "testdata/decay_placement.json", sameRow)
+	g.Check(t, "TR-METIS/k=4/fennel", summarize(res))
+	g.Done(t)
 
 	// The objective must actually differ from the cap rule on this trace —
 	// otherwise the golden would pass vacuously with the dispatch broken.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ethpart/internal/golden"
 	"ethpart/internal/workload"
 )
 
@@ -79,7 +80,7 @@ func digestTrace(gt *GeneratedTrace) traceDigest {
 func sameDigest(got, want traceDigest) bool { return got == want }
 
 func TestEraPathMatchesPreRefactorGoldens(t *testing.T) {
-	g := openGolden(t, "testdata/era_traces.json", sameDigest)
+	g := golden.Object(t, "testdata/era_traces.json", sameDigest)
 	for _, tc := range []struct {
 		name string
 		cfg  workload.Config
@@ -93,10 +94,10 @@ func TestEraPathMatchesPreRefactorGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.check(t, tc.name, digestTrace(gt))
+			g.Check(t, tc.name, digestTrace(gt))
 		})
 	}
-	g.done(t)
+	g.Done(t)
 }
 
 // TestScenarioLibraryGoldens pins every library scenario's stream at 24
@@ -105,11 +106,8 @@ func TestEraPathMatchesPreRefactorGoldens(t *testing.T) {
 // preferential-attachment probability, airdrop fan-out, diurnal period)
 // reach each record through these.
 func TestScenarioLibraryGoldens(t *testing.T) {
-	g := openGolden(t, "testdata/scenario_traces.json", sameDigest)
+	g := golden.Object(t, "testdata/scenario_traces.json", sameDigest)
 	names := workload.ScenarioNames()
-	if got, want := len(g.want), len(names); got != want && !updateGoldens {
-		t.Fatalf("%d golden rows for %d library scenarios", got, want)
-	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			sc, err := workload.ResolveScenario(name, "", 24, 0)
@@ -120,8 +118,8 @@ func TestScenarioLibraryGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.check(t, name, digestTrace(gt))
+			g.Check(t, name, digestTrace(gt))
 		})
 	}
-	g.done(t)
+	g.Done(t)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ethpart/internal/golden"
 	"ethpart/internal/types"
 )
 
@@ -116,13 +117,10 @@ func rootHex(kvs []kv) string {
 // shown independent of insertion order at every size.
 func TestRootGoldens(t *testing.T) {
 	cases := rootCases()
-	g := openGolden(t, rootsFile, func(got, want string) bool { return got == want })
-	if len(g.want) != len(cases) && !updateGoldens {
-		t.Fatalf("%s holds %d roots, the table has %d cases", rootsFile, len(g.want), len(cases))
-	}
+	g := golden.Object(t, rootsFile, func(got, want string) bool { return got == want })
 	for _, c := range cases {
 		root := rootHex(c.kvs)
-		g.check(t, c.name, root)
+		g.Check(t, c.name, root)
 		shuffled := append([]kv(nil), c.kvs...)
 		rand.New(rand.NewSource(99)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -131,7 +129,7 @@ func TestRootGoldens(t *testing.T) {
 			t.Errorf("%s shuffled: root %s, in order %s", c.name, got, root)
 		}
 	}
-	g.done(t)
+	g.Done(t)
 }
 
 func TestEmptyTrie(t *testing.T) {
